@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockIndexSet, SmoothParams, hyperbolic_cross
+from .blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from .kernels import smooth_aggregate
 from .norms import _block_norms, bq1_norm
 from .poly import GridSpec, TrigPoly, project_cross
@@ -40,9 +40,23 @@ def fourier_sum_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: s
                       q: float, form: str | None = None,
                       grid: GridSpec = GridSpec()) -> float:
     """Block-sum norm of f minus its Fourier sum over the level-n cross."""
+    return _cut_error(f, hyperbolic_cross(n, params, gamma_mode), q, form, grid)
+
+
+def _cut_error(f: TrigPoly, cross: BlockIndexSet, q: float, form: str | None,
+               grid: GridSpec) -> float:
     form = default_form(q) if form is None else form
-    cross = hyperbolic_cross(n, params, gamma_mode)
     return bq1_norm(f - project_cross(f, cross), q, form, grid)
+
+
+def _aggregate_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
+                     q: float, form: str | None, grid: GridSpec, convention: str) -> float:
+    """Error of the smooth-block aggregate; inf unless its gamma'-cross spectrum
+    is admissible (gamma-prime mode, or gamma' = gamma when nu = d)."""
+    if gamma_mode != "gamma-prime" and params.nu != params.d:
+        return math.inf
+    form = default_form(q) if form is None else form
+    return bq1_norm(f - smooth_aggregate(f, n, params, convention), q, form, grid)
 
 
 def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
@@ -54,22 +68,18 @@ def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: s
     aggregate (the latter has spectrum inside the gamma'-cross, so for the
     gamma-prime mode both candidates are admissible).
     """
-    form = default_form(q) if form is None else form
-    err_sum = fourier_sum_error(f, n, params, gamma_mode, q, form, grid)
-    candidates = [err_sum]
-    if gamma_mode == "gamma-prime" or params.nu == params.d:
-        agg = smooth_aggregate(f, n, params, convention)
-        candidates.append(bq1_norm(f - agg, q, form, grid))
-    return min(candidates)
+    return min(fourier_sum_error(f, n, params, gamma_mode, q, form, grid),
+               _aggregate_error(f, n, params, gamma_mode, q, form, grid, convention))
 
 
 def approx_result(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
                   q: float, form: str | None = None,
                   grid: GridSpec = GridSpec()) -> ApproxResult:
     cross = hyperbolic_cross(n, params, gamma_mode)
-    err = fourier_sum_error(f, n, params, gamma_mode, q, form, grid)
-    ub = best_approx_upper(f, n, params, gamma_mode, q, form, grid)
-    return ApproxResult(n, cross.freq_count, err, min(ub, err), q, gamma_mode)
+    err = _cut_error(f, cross, q, form, grid)
+    ub = min(err, _aggregate_error(f, n, params, gamma_mode, q, form, grid,
+                                   "partition-exact"))
+    return ApproxResult(n, cross.freq_count, err, ub, q, gamma_mode)
 
 
 def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
@@ -82,8 +92,6 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     fills a few frequencies per block with standard complex Gaussian
     coefficients.
     """
-    from .blocks import compositions
-
     all_blocks = [s for m in range(d, max_shell + 1) for s in compositions(m, d)
                   if max_component is None or max(s) <= max_component]
     take = min(blocks_per_poly, len(all_blocks))

@@ -97,16 +97,21 @@ def block_of(k: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(s)
 
 
-def dyadic_block(s: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """All frequencies k with 2**(s_j-1) <= |k_j| < 2**s_j per coordinate."""
-    s = tuple(int(x) for x in s)
-    if any(sj < 1 for sj in s):
-        raise ValueError("block index components must be >= 1")
+def block_ranges(s: Sequence[int]) -> list[tuple[int, ...]]:
+    """Per-coordinate frequencies of block ``s``: -2**s_j < k_j <= -2**(s_j-1)
+    then 2**(s_j-1) <= k_j < 2**s_j, in increasing order."""
     ranges = []
-    for sj in s:
+    for sj in map(int, s):
+        if sj < 1:
+            raise ValueError("block index components must be >= 1")
         lo, hi = 2 ** (sj - 1), 2**sj
         ranges.append(tuple(range(-hi + 1, -lo + 1)) + tuple(range(lo, hi)))
-    return frozenset(product(*ranges))
+    return ranges
+
+
+def dyadic_block(s: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """All frequencies k with 2**(s_j-1) <= |k_j| < 2**s_j per coordinate."""
+    return frozenset(product(*block_ranges(s)))
 
 
 def block_cardinality(s: Sequence[int]) -> int:
@@ -228,40 +233,8 @@ def weighted_tail_sum(
     rel_tol: float = 1e-12,
     max_shell: int = 600,
 ) -> tuple[float, float]:
-    """Sum of 2**(-alpha*(s,gamma)) over blocks outside a cross boundary.
-
-    The constraint is (s, gamma) >= l in ``gamma-on-gamma`` mode and
-    (s, gamma') >= l in ``gamma-prime-on-gamma`` mode; the weight always uses
-    gamma.  Enumerates shells (s,1)=m until the remaining tail is provably
-    below ``rel_tol`` of the accumulated value, then returns out
-    ``(value, value / (2**(-alpha*l) * l**(m-1)))`` with m = d resp. nu.
-
-    Raises TailTruncationError if the shell budget is exhausted first.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if mode not in TAIL_MODES:
-        raise ValueError(f"unknown tail mode {mode!r}; expected one of {TAIL_MODES}")
-    gamma = params.gamma
-    gamma_star = gamma if mode == "gamma-on-gamma" else params.gamma_prime
-    d = params.d
-    value = 0.0
-    m = d
-    while True:
-        for comp in compositions(m, d):
-            if sum(c * g for c, g in zip(comp, gamma_star)) >= l:
-                value += 2.0 ** (-alpha * sum(c * g for c, g in zip(comp, gamma)))
-        bound = _tail_remainder_bound(m, d, alpha)
-        if value > 0.0 and bound < rel_tol * value:
-            break
-        if m >= max_shell:
-            raise TailTruncationError(
-                f"tail sum not converged after shell {m} (bound {bound:.3e})", partial=value
-            )
-        m += 1
-    power = d if mode == "gamma-on-gamma" else params.nu
-    ratio = value / (2.0 ** (-alpha * l) * l ** (power - 1))
-    return value, ratio
+    """``(value, ratio)`` of ``weighted_tail_sums`` at the single boundary ``l``."""
+    return weighted_tail_sums(alpha, params, [l], mode, rel_tol, max_shell)[0]
 
 
 def weighted_tail_sums(
@@ -272,7 +245,17 @@ def weighted_tail_sums(
     rel_tol: float = 1e-12,
     max_shell: int = 600,
 ) -> list[tuple[float, float]]:
-    """Vector version of ``weighted_tail_sum`` sharing one shell enumeration."""
+    """Sums of 2**(-alpha*(s,gamma)) over blocks outside each cross boundary l.
+
+    The constraint is (s, gamma) >= l in ``gamma-on-gamma`` mode and
+    (s, gamma') >= l in ``gamma-prime-on-gamma`` mode; the weight always uses
+    gamma.  One enumeration of the shells (s,1)=m serves every l; it stops
+    once the remaining tail is provably below ``rel_tol`` of the smallest
+    accumulated value.  Returns ``(value, value / (2**(-alpha*l) * l**(m-1)))``
+    per l, with m = d resp. nu.
+
+    Raises TailTruncationError if the shell budget is exhausted first.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if mode not in TAIL_MODES:

@@ -14,21 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import approx_result
+from .approx import approx_result, default_form
 from .blocks import GAMMA_MODES, SmoothParams, hyperbolic_cross, weighted_tail_sums, write_blocks
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
-from .experiments import ExperimentConfig, run_experiment, write_csv
+from .experiments import ExperimentConfig, parse_extended, run_experiment, write_csv
 from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
                        shifted_rect_sample)
 from .kernels import vdp_coeff
 from .norms import NormSpec, besov_norm_spec, bq1_norm, difference_seminorm, lp_norm
-from .poly import GridSpec, TrigPoly, eval_grid, project_cross, read_jsonl, write_jsonl
-from .rates import theory_exponents
-
-
-def _parse_float(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
+from .poly import GridSpec, eval_grid, project_cross, read_jsonl, write_jsonl
+from .rates import predicted_order, regimes, theory_exponents
 
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
@@ -39,22 +35,22 @@ def _norm_callable(spec: dict):
     kind = spec.get("kind", "lp")
     grid_spec = GridSpec(**spec.get("grid", {}))
     if kind == "lp":
-        p = _parse_float(str(spec["p"]))
+        p = parse_extended(spec["p"])
         return lambda f: lp_norm(f, p, grid_spec)
     if kind == "besov":
         params = SmoothParams(spec["r"])
-        ns = NormSpec(p=_parse_float(str(spec["p"])),
-                      theta=_parse_float(str(spec.get("theta", "inf"))),
+        ns = NormSpec(p=parse_extended(spec["p"]),
+                      theta=parse_extended(spec.get("theta", "inf")),
                       form=spec.get("form", "sharp"), grid=grid_spec)
         return lambda f: besov_norm_spec(f, params, ns)
     if kind == "bq1":
-        q = _parse_float(str(spec["q"]))
-        form = spec.get("form", "smooth" if q in (1.0, math.inf) else "sharp")
+        q = parse_extended(spec["q"])
+        form = spec.get("form", default_form(q))
         return lambda f: bq1_norm(f, q, form, grid_spec)
     if kind == "hrp":
         params = SmoothParams(spec["r"])
         order = tuple(int(x) for x in spec["order"])
-        p = _parse_float(str(spec.get("p", 2)))
+        p = parse_extended(spec.get("p", 2))
         return lambda f: difference_seminorm(f, params, order, p,
                                              int(spec.get("h_points", 64)), grid_spec)
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -106,18 +102,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    rows = [(k, vdp_coeff(args.l, k)) for k in range(-2 * args.l, 2 * args.l + 1)]
-    out = args.out
-    if out:
-        with open(out, "w") as fh:
-            fh.write("k,coeff\n")
-            for k, c in rows:
-                fh.write(f"{k},{c:.17g}\n")
-        print(out)
+    lines = ["k,coeff"] + [f"{k},{vdp_coeff(args.l, k):.17g}"
+                           for k in range(-2 * args.l, 2 * args.l + 1)]
+    if args.out:
+        Path(args.out).write_text("".join(line + "\n" for line in lines))
+        print(args.out)
     else:
-        print("k,coeff")
-        for k, c in rows:
-            print(f"{k},{c:.17g}")
+        print("\n".join(lines))
     return 0
 
 
@@ -139,19 +130,19 @@ def cmd_norm(args) -> int:
 
 def cmd_approx(args) -> int:
     params = SmoothParams(_parse_rvec(args.r))
-    theta = _parse_float(args.theta)
-    p, q = _parse_float(args.p), _parse_float(args.q)
+    theta = parse_extended(args.theta)
+    p, q = parse_extended(args.p), parse_extended(args.q)
+    config = ExperimentConfig(theorem_tag=regimes(p, q, params.d)[0], d=params.d, p=p, q=q,
+                              theta=theta, r=params.r, gamma_mode=args.gamma_mode,
+                              n_range=(args.n_min, args.n_max), rng_seed=args.seed,
+                              output_path=str(Path(args.out).parent))
     a_th, b_th = theory_exponents(p, q, theta, params, args.gamma_mode)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
         res = approx_result(member, n, params, args.gamma_mode, q)
         rows.append((n, res.cross_cardinality, res.error_fourier_sum, res.error_best_upper,
-                     2.0 ** (-a_th * n) * n**b_th))
-    config = ExperimentConfig(theorem_tag="T1" if p < q else "T2", d=params.d, p=p, q=q,
-                              theta=theta, r=params.r, gamma_mode=args.gamma_mode,
-                              n_range=(args.n_min, args.n_max), rng_seed=args.seed,
-                              output_path=str(Path(args.out).parent))
+                     predicted_order(n, a_th, b_th)))
     write_csv(args.out, config, ("n", "M", "script_E", "best_ub", "predicted_order"), rows)
     print(args.out)
     return 0
@@ -162,12 +153,12 @@ def cmd_extremal(args) -> int:
         f = dirichlet_shell(args.n, args.d)
     elif args.family == "g":
         f = shell_extremal(ExtremalSpec(n=args.n, d=args.d, r1=args.r1,
-                                        p=_parse_float(args.p), theta=_parse_float(args.theta),
+                                        p=parse_extended(args.p), theta=parse_extended(args.theta),
                                         c4=args.c4))
     else:
         f = shifted_rect_sample(args.n, args.d, args.mode, args.seed)
         if args.scaled:
-            f = class_scale(args.n, args.d, args.r1, _parse_float(args.theta)) * f
+            f = class_scale(args.n, args.d, args.r1, parse_extended(args.theta)) * f
     write_jsonl(args.out, f)
     print(args.out)
     return 0
@@ -193,7 +184,7 @@ def _read_cloud(path) -> CloudProblem:
     with open(path) as fh:
         header = json.loads(fh.readline())
         pts = [json.loads(line)["v"] for line in fh if line.strip()]
-    return CloudProblem(pts, p=_parse_float(str(header.get("p", 2.0))))
+    return CloudProblem(pts, p=parse_extended(header.get("p", 2.0)))
 
 
 def cmd_entropy(args) -> int:

@@ -13,24 +13,25 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .approx import projector_norm_probe, random_mixed_poly
-from .blocks import SmoothParams, even_shell, hyperbolic_cross, weighted_tail_sums
+from .approx import random_mixed_poly
+from .blocks import SmoothParams, even_shell, weighted_tail_sums
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
 from .extremal import class_scale, shifted_rect_sample
-from .norms import (GridSpec, _block_norms, aggregate_block_norms, besov_mixed_norm,
-                    bq1_norm, lp_norm, nikolskii_check)
-from .rates import (RateFit, fit_rates, predicted_order, sweep_extremal,
-                    theory_exponents, validate_hypotheses)
+from .norms import (GridSpec, _block_norms, aggregate_block_norms, bq1_norm, lp_norm,
+                    nikolskii_check)
+from .rates import (fit_rates, predicted_order, regimes, sweep_extremal, theory_exponents,
+                    validate_hypotheses)
 
-THEOREM_TAGS = ("T1", "T2", "T3", "T4", "T5-family", "lemmaA", "nikolskii", "entropy44")
+RATE_TAGS = ("T1", "T2", "T3", "T4")
+THEOREM_TAGS = RATE_TAGS + ("T5-family", "lemmaA", "nikolskii", "entropy44")
 SCHEMA_VERSION = 1
 
 
@@ -38,12 +39,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the violation."""
 
 
-def _parse_extended(x):
-    if isinstance(x, str):
-        if x.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(x)
-    return float(x)
+def parse_extended(x) -> float:
+    """``x`` as a float; "inf" and "infinity" in any case read as inf."""
+    text = str(x)
+    return math.inf if text.lower() in ("inf", "infinity") else float(text)
 
 
 @dataclass(frozen=True)
@@ -74,18 +73,12 @@ class ExperimentConfig:
             params = SmoothParams(self.r)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.theorem_tag in ("T1", "T2", "T3", "T4"):
+        if self.theorem_tag in RATE_TAGS:
             try:
                 validate_hypotheses(self.p, self.q, self.theta, params, self.gamma_mode)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            tag_ok = {
-                "T1": 1 < self.p < self.q < math.inf,
-                "T2": self.p == self.q and (1 < self.p < math.inf or self.d == 1),
-                "T3": self.p == self.q and self.p in (1.0, math.inf),
-                "T4": self.q < self.p,
-            }[self.theorem_tag]
-            if not tag_ok:
+            if self.theorem_tag not in regimes(self.p, self.q, self.d):
                 raise ConfigError(
                     f"(p, q) = ({self.p}, {self.q}) does not match regime {self.theorem_tag}")
         if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
@@ -107,7 +100,7 @@ class ExperimentConfig:
         data = dict(data)
         for key in ("p", "q", "theta", "alpha"):
             if key in data:
-                data[key] = _parse_extended(data[key])
+                data[key] = parse_extended(data[key])
         for key in ("r", "n_range", "l_range"):
             if key in data:
                 data[key] = tuple(data[key])
@@ -152,10 +145,6 @@ def csv_body(path) -> str:
         return "".join(line for line in fh if not line.startswith("#"))
 
 
-def _fit_report_dict(fit: RateFit) -> dict:
-    return dataclasses.asdict(fit)
-
-
 def run_rate_experiment(config: ExperimentConfig) -> dict:
     params = config.params
     ns = list(range(config.n_range[0], config.n_range[-1] + 1))
@@ -173,8 +162,8 @@ def run_rate_experiment(config: ExperimentConfig) -> dict:
     report = {
         "config": config.to_json_dict(),
         "config_hash": config.config_hash(),
-        "free": _fit_report_dict(fit_free),
-        "slope_fixed": _fit_report_dict(fit_fixed),
+        "free": dataclasses.asdict(fit_free),
+        "slope_fixed": dataclasses.asdict(fit_fixed),
     }
     json_path = out_dir / f"{config.theorem_tag}_fit.json"
     with open(json_path, "w") as fh:
@@ -212,20 +201,6 @@ def run_nikolskii(config: ExperimentConfig) -> dict:
     return {"csv": str(csv_path), "all_ok": all_ok}
 
 
-def run_projector_probe(config: ExperimentConfig) -> dict:
-    params = config.params
-    rows = []
-    worst = 0.0
-    for n in range(config.n_range[0], config.n_range[-1] + 1):
-        ratio = projector_norm_probe(n, params, config.q, config.samples,
-                                     rng_seed=config.rng_seed, gamma_mode=config.gamma_mode)
-        worst = max(worst, ratio)
-        rows.append((n, config.q, ratio))
-    csv_path = Path(config.output_path) / "projector_probe.csv"
-    write_csv(csv_path, config, ("n", "q", "max_ratio"), rows)
-    return {"csv": str(csv_path), "max_ratio": worst}
-
-
 def run_family_embedding(config: ExperimentConfig) -> dict:
     """Scaled shifted-rectangle members: class-norm stability across levels
     plus the exact constant-mode chain through the block-sum norm."""
@@ -253,10 +228,9 @@ def run_family_embedding(config: ExperimentConfig) -> dict:
                 norms[theta].append(aggregate_block_norms(scaled, params.r, theta))
         for theta in thetas:
             vals = norms[theta]
-            summary["norm_range"][(n, theta)] = (min(vals), max(vals), sum(vals) / len(vals))
-            rows.append((n, len(shell), l2_sq, b11,
-                         "inf" if math.isinf(theta) else theta,
-                         min(vals), max(vals), sum(vals) / len(vals)))
+            band = (min(vals), max(vals), sum(vals) / len(vals))
+            summary["norm_range"][(n, theta)] = band
+            rows.append((n, len(shell), l2_sq, b11, "inf" if math.isinf(theta) else theta, *band))
     csv_path = Path(config.output_path) / "family_embedding.csv"
     write_csv(csv_path, config,
               ("n", "shell_size", "const_l2_sq", "const_b11", "theta",
@@ -290,7 +264,7 @@ def run_entropy_chain(config: ExperimentConfig) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    if config.theorem_tag in ("T1", "T2", "T3", "T4"):
+    if config.theorem_tag in RATE_TAGS:
         return run_rate_experiment(config)
     if config.theorem_tag == "lemmaA":
         return run_lemma_a(config)

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .blocks import block_anchor, block_cardinality, compositions, even_shell
+from .blocks import block_anchor, block_ranges, compositions, even_shell
 from .poly import GridSpec, TrigPoly, eval_grid, resolve_grid_dims
 
 
@@ -45,11 +45,7 @@ def dirichlet_shell(n: int, d: int) -> TrigPoly:
     """
     coeffs = {}
     for s in compositions(n, d):
-        ranges = []
-        for sj in s:
-            lo, hi = 2 ** (sj - 1), 2**sj
-            ranges.append(tuple(range(-hi + 1, -lo + 1)) + tuple(range(lo, hi)))
-        for k in iter_product(*ranges):
+        for k in iter_product(*block_ranges(s)):
             coeffs[k] = 1.0
     return TrigPoly(d, coeffs)
 

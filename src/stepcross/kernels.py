@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .blocks import SmoothParams
+from .blocks import SmoothParams, block_of
 from .poly import GridSpec, TrigPoly
 
 CONVENTIONS = ("partition-exact", "literal")
@@ -70,8 +70,6 @@ def filter_support_blocks(f: TrigPoly) -> list[tuple[int, ...]]:
     m - 1 and m per coordinate, so candidates come from that neighborhood.
     """
     candidates: set[tuple[int, ...]] = set()
-    from .blocks import block_of
-
     for k in f.coeffs:
         m = block_of(k)
         if m is None:

@@ -34,6 +34,13 @@ class QuadratureError(RuntimeError):
     """Self-checked quadrature failed to converge within the refinement budget."""
 
 
+def _check_form(form: str, p: float) -> None:
+    if form not in FORMS:
+        raise ValueError(f"unknown block form {form!r}; expected one of {FORMS}")
+    if form == "sharp" and not (1 < p < math.inf):
+        raise ValueError("sharp block form requires 1 < p < inf")
+
+
 def _quad_mean_p(f: TrigPoly, p: float, dims: Sequence[int]) -> float:
     vals = eval_grid(f, dims)
     return float(np.mean(np.abs(vals) ** p))
@@ -51,13 +58,11 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
         g = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
         vals = eval_grid(f, resolve_grid_dims(f, g))
         return float(np.max(np.abs(vals)))
-    deg = f.degree()
+    base = resolve_grid_dims(f, grid)
     if p == int(p) and int(p) % 2 == 0:
         # |f|^p is itself a trigonometric polynomial of degree p*deg
-        base = resolve_grid_dims(f, grid)
-        dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, deg))
+        dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
         return _quad_mean_p(f, p, dims) ** (1.0 / p)
-    base = resolve_grid_dims(f, grid)
     prev = _quad_mean_p(f, p, base) ** (1.0 / p)
     if grid.points_per_dim is not None or not grid.self_check:
         return prev
@@ -89,10 +94,7 @@ class NormSpec:
     grid: GridSpec = GridSpec()
 
     def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown block form {self.form!r}; expected one of {FORMS}")
-        if self.form == "sharp" and not (1 < self.p < math.inf):
-            raise ValueError("sharp block form requires 1 < p < inf")
+        _check_form(self.form, self.p)
         if not (1 <= self.theta):
             raise ValueError("theta must be >= 1")
 
@@ -100,10 +102,7 @@ class NormSpec:
 def _block_norms(f: TrigPoly, p: float, form: str, grid: GridSpec,
                  convention: str = "partition-exact") -> list[tuple[tuple[int, ...], float]]:
     """Per-block L_p norms of the sharp or smooth components, sorted by block."""
-    if form not in FORMS:
-        raise ValueError(f"unknown block form {form!r}; expected one of {FORMS}")
-    if form == "sharp" and not (1 < p < math.inf):
-        raise ValueError("sharp block form requires 1 < p < inf")
+    _check_form(form, p)
     if not f.is_mean_zero():
         raise ValueError("polynomial must have mean zero in every variable")
     out = []
@@ -131,8 +130,6 @@ def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,
                      form: str = "sharp", grid: GridSpec = GridSpec(),
                      convention: str = "partition-exact") -> float:
     """Mixed-smoothness class norm: l_theta of 2**(s.r) times block L_p norms."""
-    if f.is_zero():
-        return 0.0
     if len(params.r) != f.d:
         raise ValueError("smoothness vector dimension mismatch")
     return aggregate_block_norms(_block_norms(f, p, form, grid, convention), params.r, theta)
@@ -145,9 +142,7 @@ def besov_norm_spec(f: TrigPoly, params: SmoothParams, spec: NormSpec) -> float:
 def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridSpec(),
              convention: str = "partition-exact") -> float:
     """Sum over blocks of the block component's L_q norm (stronger than L_q)."""
-    if f.is_zero():
-        return 0.0
-    return sum(v for _, v in _block_norms(f, q, form, grid, convention))
+    return sum((v for _, v in _block_norms(f, q, form, grid, convention)), 0.0)
 
 
 def nikolskii_check(t: TrigPoly, p: float, q: float,
@@ -199,20 +194,16 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
             (4.0 * np.sin(0.5 * np.outer(hs, K[:, j])) ** 2) ** order[j]
             for j in range(f.d)
         ]
-        if f.d == 1:
-            vals = np.sqrt(W[0] @ A) * hw[0]
-            return float(np.max(vals))
-        if f.d == 2:
-            sq = np.einsum("ac,bc->ab", W[0] * A, W[1])
-            vals = np.sqrt(sq) * np.outer(hw[0], hw[1])
-            return float(np.max(vals))
-        if f.d == 3:
-            best = 0.0
-            for a in range(len(hs)):
-                sq = np.einsum("c,bc,gc->bg", W[0][a] * A, W[1], W[2])
-                vals = np.sqrt(sq) * hw[0][a] * np.outer(hw[1], hw[2])
-                best = max(best, float(np.max(vals)))
-            return best
+        # fix the steps of all but the last coordinate, then contract the
+        # coefficients against every step of the last one at once
+        best = 0.0
+        for idx in iter_product(range(len(hs)), repeat=f.d - 1):
+            w, scale = A, 1.0
+            for j, i in enumerate(idx):
+                w = w * W[j][i]
+                scale *= hw[j][i]
+            best = max(best, float(np.max(np.sqrt(W[-1] @ w) * hw[-1])) * scale)
+        return best
     best = 0.0
     g = replace(grid, self_check=False)
     for idx in iter_product(range(len(hs)), repeat=f.d):

@@ -62,6 +62,29 @@ def theory_exponents(p: float, q: float, theta: float, params: SmoothParams,
     return a, b
 
 
+def regimes(p: float, q: float, d: int) -> tuple[str, ...]:
+    """Theorem regimes whose hypotheses on (p, q) hold in dimension d, the
+    canonical one first: T1 for 1 < p < q < inf, T2 for 1 < p = q < inf, T3
+    for p = q in {1, inf}, T4 for 1 <= q < p <= inf.  At d = 1 the logarithmic
+    factor vanishes, so T2 also covers p = q in {1, inf}.
+
+    Raises ValueError naming the violated condition when no regime applies.
+    """
+    if p < q:
+        if not (1 < p and q < math.inf):
+            raise ValueError("off-diagonal p < q regime requires 1 < p < q < inf")
+        return ("T1",)
+    if q < p:
+        if q < 1:
+            raise ValueError("q < p regime requires 1 <= q")
+        return ("T4",)
+    if 1 < p < math.inf:
+        return ("T2",)
+    if p in (1.0, math.inf):
+        return ("T3", "T2") if d == 1 else ("T3",)
+    raise ValueError("diagonal regime requires 1 <= p = q <= inf")
+
+
 def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
                         gamma_mode: str) -> None:
     """Reject parameter combinations outside every covered regime, naming the
@@ -70,19 +93,11 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
         raise ValueError("requires theta >= 1")
     if params.r1 <= 0:
         raise ValueError("requires r1 > 0")
-    pinv = 0.0 if math.isinf(p) else 1.0 / p
-    qinv = 0.0 if math.isinf(q) else 1.0 / q
-    if p < q:
-        if not (1 < p and q < math.inf):
-            raise ValueError("off-diagonal p < q regime requires 1 < p < q < inf")
-        if params.r1 <= pinv - qinv:
+    if regimes(p, q, params.d) == ("T1",):
+        if params.r1 <= 1.0 / p - 1.0 / q:
             raise ValueError("requires r1 > 1/p - 1/q")
         if gamma_mode == "gamma-prime":
             raise ValueError("off-diagonal p < q regime uses the gamma cross")
-    elif p == q:
-        if not (1 < p < math.inf) and p not in (1.0, math.inf):
-            raise ValueError("diagonal regime requires 1 <= p = q <= inf")
-    # q < p: any 1 <= q < p <= inf is covered
 
 
 def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stepcross.cli import main
+from stepcross.experiments import ExperimentConfig
 from stepcross.poly import TrigPoly, read_jsonl, write_jsonl
 
 
@@ -82,6 +83,31 @@ def test_approx_sweep_csv(tmp_path):
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "n,M,script_E,best_ub,predicted_order"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(("p", "q", "tag"), [("2", "4", "T1"), ("2.5", "2.5", "T2"),
+                                          ("inf", "inf", "T3"), ("4", "2", "T4")])
+def test_approx_sweep_tags_regime(tmp_path, p, q, tag):
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", p, "--q", q,
+                 "--r", "1.5,1.5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    config = ExperimentConfig(theorem_tag=tag, d=2, p=float(p), q=float(q), r=(1.5, 1.5),
+                              n_range=(4, 5), rng_seed=0, output_path=str(tmp_path))
+    assert lines[0] == f"# config_hash: {config.config_hash()}"
+    assert len([l for l in lines if not l.startswith("#")]) == 3
+
+
+def test_approx_sweep_invalid_request_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep level was computed")
+
+    monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", "2", "--q", "4",
+                 "--r", "0.2,0.2", "--out", str(out)]) == 1
+    assert "1/p - 1/q" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rates_run_with_config(tmp_path, capsys):

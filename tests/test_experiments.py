@@ -32,6 +32,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="regime"):
             t1_config(tmp_path, p=2.5, q=2.5)
 
+    @pytest.mark.parametrize(("tag", "d", "p", "q", "ok"), [
+        ("T1", 2, 2.0, 4.0, True), ("T2", 2, 2.5, 2.5, True), ("T3", 2, 1.0, 1.0, True),
+        ("T3", 2, math.inf, math.inf, True), ("T4", 2, 4.0, 2.0, True),
+        # at d = 1 both T2 and T3 accept p = q in {1, inf}
+        ("T2", 1, 1.0, 1.0, True), ("T3", 1, 1.0, 1.0, True),
+        ("T2", 1, math.inf, math.inf, True), ("T3", 1, math.inf, math.inf, True),
+        ("T2", 2, math.inf, math.inf, False), ("T3", 2, 2.5, 2.5, False),
+        ("T4", 2, 2.0, 4.0, False), ("T1", 2, 4.0, 2.0, False), ("T4", 2, 2.0, 0.5, False)])
+    def test_regime_tags(self, tmp_path, tag, d, p, q, ok):
+        kw = dict(theorem_tag=tag, d=d, p=p, q=q, r=(1.5,) * d, output_path=str(tmp_path))
+        if ok:
+            ExperimentConfig(**kw)
+        else:
+            with pytest.raises(ConfigError, match="regime|requires"):
+                ExperimentConfig(**kw)
+
     def test_hypothesis_violation_named(self, tmp_path):
         with pytest.raises(ConfigError, match="1/p - 1/q"):
             t1_config(tmp_path, r=(0.2, 0.2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestBesovNorm:
         NormSpec(p=1.0, form="smooth")
 
 
+def test_zero_polynomial_is_validated():
+    zero = TrigPoly.zero(2)
+    with pytest.raises(ValueError, match="block form"):
+        bq1_norm(zero, 2.0, "bogus")
+    with pytest.raises(ValueError, match="sharp block form"):
+        besov_mixed_norm(zero, SmoothParams((1.0, 1.0)), 1.0, 2.0, "sharp")
+    with pytest.raises(ValueError, match="dimension"):
+        besov_mixed_norm(zero, SmoothParams((1.0,)), 2.0, 2.0)
+    for v in (bq1_norm(zero, 2.0, "sharp"), bq1_norm(zero, 1.0),
+              besov_mixed_norm(zero, SmoothParams((1.0, 1.0)), 2.0, 2.0),
+              besov_mixed_norm(zero, SmoothParams((1.0, 1.0)), 1.0, math.inf, "smooth")):
+        assert v == 0.0 and type(v) is float
+
+
 class TestBq1Norm:
     def test_single_block_equals_lq(self):
         f = TrigPoly(1, {(2,): 1.0, (3,): -1.0})
@@ -248,19 +263,19 @@ class TestDifferenceSeminorm:
                 ratios.append(semi / cls)
             assert max(ratios) / min(ratios) < 1.5
 
-    def test_small_p2_matches_bruteforce(self):
+    @pytest.mark.parametrize(("d", "h_points"), [(1, 16), (2, 16), (3, 8), (4, 5)])
+    def test_small_p2_matches_bruteforce(self, d, h_points):
         # independent check of the fast path against direct per-h evaluation
         from stepcross.norms import _h_grid
         from stepcross.poly import mixed_difference
-        f = TrigPoly(2, {(1, 2): 1.0, (3, -1): -2.0j})
-        params = SmoothParams((1.0, 1.0))
-        fast = difference_seminorm(f, params, (2, 2), 2.0, h_points=16)
-        hs = _h_grid(16)
+        f = TrigPoly(d, {(1, 2, -3, 4)[:d]: 1.0, (3, -1, 2, 1)[:d]: -2.0j})
+        params = SmoothParams((1.0,) * d)
+        order = (2,) * d
+        fast = difference_seminorm(f, params, order, 2.0, h_points=h_points)
         best = 0.0
-        for ha in hs:
-            for hb in hs:
-                v = lp_norm(mixed_difference(f, (2, 2), (ha, hb)), 2.0)
-                best = max(best, v * ha**-1.0 * hb**-1.0)
+        for h in itertools.product(_h_grid(h_points), repeat=d):
+            v = lp_norm(mixed_difference(f, order, h), 2.0)
+            best = max(best, v * math.prod(hj**-1.0 for hj in h))
         assert fast == pytest.approx(best, rel=1e-12)
 
 
