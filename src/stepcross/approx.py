@@ -68,7 +68,15 @@ def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: s
     aggregate (the latter has spectrum inside the gamma'-cross, so for the
     gamma-prime mode both candidates are admissible).
     """
-    return min(fourier_sum_error(f, n, params, gamma_mode, q, form, grid),
+    return _best_upper(f, hyperbolic_cross(n, params, gamma_mode), n, params, gamma_mode, q,
+                       form, grid, convention)
+
+
+def _best_upper(f: TrigPoly, cross: BlockIndexSet, n: float, params: SmoothParams,
+                gamma_mode: str, q: float, form: str | None, grid: GridSpec,
+                convention: str) -> float:
+    """``best_approx_upper`` with the level-n cross already built."""
+    return min(_cut_error(f, cross, q, form, grid),
                _aggregate_error(f, n, params, gamma_mode, q, form, grid, convention))
 
 

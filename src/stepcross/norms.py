@@ -12,6 +12,11 @@ Numerical conventions
 * Any other p uses quadrature with a doubling self-check: the grid is
   refined until one doubling changes the value by less than ``check_rtol``
   relatively.  Grids pinned by ``points_per_dim`` skip the self-check.
+* A polynomial whose coefficient tensor has rank 1, f(x) = prod_j g_j(x_j),
+  is sampled through its 1-D factors: on an N_1 x ... x N_d grid the mean
+  of |f|^p is prod_j mean |g_j|^p over N_j points, and the grid max is
+  prod_j max |g_j|.  The grids, the self-check and the point budget are the
+  same as for the full grid, so values agree up to rounding.
 """
 
 from __future__ import annotations
@@ -41,9 +46,56 @@ def _check_form(form: str, p: float) -> None:
         raise ValueError("sharp block form requires 1 < p < inf")
 
 
-def _quad_mean_p(f: TrigPoly, p: float, dims: Sequence[int]) -> float:
-    vals = eval_grid(f, dims)
-    return float(np.mean(np.abs(vals) ** p))
+RANK1_RTOL = 1e-12
+
+
+def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
+    """1-D polynomials g_j with f(x) = prod_j g_j(x_j), or None unless f's
+    coefficient tensor has rank 1 up to ``RANK1_RTOL`` relatively.
+
+    The support must be a Cartesian product; then every coefficient is
+    compared with the product of the fibers through the largest one.  Costs
+    O(nnz) and evaluates nothing.
+    """
+    if f.d == 1:
+        return [f]
+    K = np.array(list(f.coeffs), dtype=np.int64)
+    axes, where = zip(*(np.unique(K[:, j], return_inverse=True) for j in range(f.d)))
+    shape = tuple(len(a) for a in axes)
+    if math.prod(shape) != f.nnz:
+        return None
+    T = np.empty(shape, dtype=complex)
+    T[where] = list(f.coeffs.values())
+    pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
+    # fiber j runs along axis j through the pivot; all but the first are
+    # divided by the pivot so that the product reproduces T
+    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(f.d)]
+    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
+    outer = fibers[0]
+    for u in fibers[1:]:
+        outer = np.multiply.outer(outer, u)
+    if not np.all(np.abs(T - outer) <= RANK1_RTOL * np.abs(T)):
+        return None
+    return [TrigPoly(1, {(int(k),): c for k, c in zip(a, u)}) for a, u in zip(axes, fibers)]
+
+
+def _grid_stat(vals: np.ndarray, p: float) -> float:
+    """Mean of |vals|**p, or the max of |vals| at p = inf."""
+    a = np.abs(vals)
+    if math.isinf(p):
+        return float(np.max(a))
+    if p != 1:
+        a **= p
+    return float(np.mean(a))
+
+
+def _quad_stat(f: TrigPoly, factors: list[TrigPoly] | None, p: float,
+               dims: Sequence[int]) -> float:
+    """``_grid_stat`` of f over the ``dims`` grid, from the 1-D factors of f
+    on their own coordinate's points when it has them."""
+    if factors is None:
+        return _grid_stat(eval_grid(f, dims), p)
+    return math.prod(_grid_stat(eval_grid(g, (n,)), p) for g, n in zip(factors, dims))
 
 
 def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
@@ -54,16 +106,16 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
         return 0.0
     if p == 2:
         return math.sqrt(sum(abs(c) ** 2 for _, c in f.terms()))
+    factors = _rank1_factors(f)
     if math.isinf(p):
         g = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
-        vals = eval_grid(f, resolve_grid_dims(f, g))
-        return float(np.max(np.abs(vals)))
+        return _quad_stat(f, factors, p, resolve_grid_dims(f, g))
     base = resolve_grid_dims(f, grid)
     if p == int(p) and int(p) % 2 == 0:
         # |f|^p is itself a trigonometric polynomial of degree p*deg
         dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
-        return _quad_mean_p(f, p, dims) ** (1.0 / p)
-    prev = _quad_mean_p(f, p, base) ** (1.0 / p)
+        return _quad_stat(f, factors, p, dims) ** (1.0 / p)
+    prev = _quad_stat(f, factors, p, base) ** (1.0 / p)
     if grid.points_per_dim is not None or not grid.self_check:
         return prev
     # refine by exact doubling of the base grid so successive grids nest
@@ -74,7 +126,7 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={grid.check_rtol} (last value {prev:.6e})"
             )
-        cur = _quad_mean_p(f, p, dims) ** (1.0 / p)
+        cur = _quad_stat(f, factors, p, dims) ** (1.0 / p)
         if abs(cur - prev) <= grid.check_rtol * max(abs(cur), 1e-300):
             return cur
         prev = cur

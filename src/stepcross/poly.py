@@ -191,7 +191,9 @@ def eval_grid(f: TrigPoly, grid: GridSpec | Sequence[int] = GridSpec()) -> np.nd
         vals = np.array([f.coeffs[tuple(k)] for k in ks], dtype=complex)
         idx = tuple(np.mod(ks[:, j], dims[j]) for j in range(f.d))
         spec[idx] = vals
-    return scipy.fft.ifftn(spec) * math.prod(dims)
+    out = scipy.fft.ifftn(spec, overwrite_x=True)
+    out *= math.prod(dims)
+    return out
 
 
 def sharp_block(f: TrigPoly, s: Sequence[int]) -> TrigPoly:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import best_approx_upper, fourier_sum_error
+from .approx import _best_upper, _cut_error
 from .blocks import SmoothParams, hyperbolic_cross
 from .extremal import ExtremalSpec, shell_extremal
 from .poly import GridSpec
@@ -116,12 +116,13 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     rows = []
     for n in n_range:
         member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta, c4=c4))
+        cross = hyperbolic_cross(n, params, gamma_mode)
         if use_best_upper:
-            err = best_approx_upper(member, n, params, gamma_mode, q, grid=grid)
+            err = _best_upper(member, cross, n, params, gamma_mode, q, None, grid,
+                              "partition-exact")
         else:
-            err = fourier_sum_error(member, n, params, gamma_mode, q, grid=grid)
-        rows.append(SweepRow(n=n, cardinality=hyperbolic_cross(n, params, gamma_mode).freq_count,
-                             error=err))
+            err = _cut_error(member, cross, q, None, grid)
+        rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 
 

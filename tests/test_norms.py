@@ -1,16 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stepcross import norms
 from stepcross.approx import random_mixed_poly
-from stepcross.blocks import SmoothParams
+from stepcross.blocks import SmoothParams, dyadic_block
 from stepcross.extremal import dirichlet_shell
-from stepcross.norms import (NormSpec, QuadratureError, aggregate_block_norms,
+from stepcross.kernels import smooth_block
+from stepcross.norms import (NormSpec, QuadratureError, _rank1_factors, aggregate_block_norms,
                              besov_mixed_norm, bq1_norm, difference_seminorm,
                              lp_norm, nikolskii_check)
-from stepcross.poly import GridSpec, TrigPoly, blocks_of
+from stepcross.poly import GridSpec, TrigPoly, blocks_of, eval_grid, resolve_grid_dims
 
 
 def block_poly_1d(s):
@@ -72,7 +75,84 @@ class TestLpNorm:
         prod = TrigPoly(2, {(a, c): va * vc for (a,), va in b.coeffs.items()
                             for (c,), vc in b.coeffs.items()})
         g = GridSpec(oversampling=8, self_check=False)
-        assert lp_norm(prod, 2.5, g) == pytest.approx(lp_norm(b, 2.5, g) ** 2, rel=1e-12)
+        full = float(np.mean(np.abs(eval_grid(prod, resolve_grid_dims(prod, g))) ** 2.5))
+        assert full ** (1 / 2.5) == pytest.approx(lp_norm(b, 2.5, g) ** 2, rel=1e-12)
+
+
+def random_rank1(rng, d, max_deg=4):
+    """Product of d random 1-D factors, each a dominant constant plus up to
+    three complex terms, so that no factor vanishes on the torus."""
+    factors = []
+    for _ in range(d):
+        ks = rng.choice(np.arange(1, max_deg + 1), size=3, replace=False) * rng.choice([-1, 1], 3)
+        u = {0: complex(2.0, rng.standard_normal())}
+        u.update({int(k): 0.4 * complex(*rng.standard_normal(2)) for k in ks})
+        factors.append(u)
+    coeffs = {ks: math.prod(u[k] for u, k in zip(factors, ks))
+              for ks in itertools.product(*factors)}
+    return TrigPoly(d, coeffs)
+
+
+def record_grids(monkeypatch):
+    """Patch the norms module's eval_grid to record (poly dimension, dims)."""
+    calls = []
+
+    def spy(f, dims):
+        calls.append((f.d, tuple(dims)))
+        return eval_grid(f, dims)
+
+    monkeypatch.setattr(norms, "eval_grid", spy)
+    return calls
+
+
+class TestRankOneFactors:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("grid", [GridSpec(points_per_dim=24), GridSpec()],
+                             ids=["pinned", "self-checked"])
+    def test_matches_full_grid(self, monkeypatch, d, p, grid):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            f = random_rank1(rng, d)
+            calls = record_grids(monkeypatch)
+            got = lp_norm(f, p, grid)
+            assert calls and all(fd == 1 for fd, _ in calls)
+            dims = tuple(n for _, (n,) in calls[-d:])
+            vals = np.abs(eval_grid(f, dims))
+            want = vals.max() if math.isinf(p) else float(np.mean(vals**p)) ** (1 / p)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_rejects_rank_two_and_perturbed(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        f = random_rank1(rng, 2)
+        assert _rank1_factors(f) is not None
+        # same product support, plus a second rank-1 term: rank 2
+        a = {k1: rng.standard_normal() for k1, _ in f.coeffs}
+        b = {k2: rng.standard_normal() for _, k2 in f.coeffs}
+        g = TrigPoly(2, {(k1, k2): c + a[k1] * b[k2] for (k1, k2), c in f.coeffs.items()})
+        # one coefficient moved by 1e-9 relative
+        k, c = f.terms()[3]
+        h = TrigPoly(2, {**f.coeffs, k: c * (1 + 1e-9)})
+        for poly in (g, h):
+            assert _rank1_factors(poly) is None
+            calls = record_grids(monkeypatch)
+            lp_norm(poly, 2.5)
+            assert calls and all(fd == 2 for fd, _ in calls)
+
+    def test_shell_smooth_block_l1_still_hits_budget(self):
+        comp = smooth_block(dirichlet_shell(5, 2), (1, 2))
+        with pytest.raises(QuadratureError, match="hit the grid budget"):
+            lp_norm(comp, 1.0)
+
+    def test_unit_block_needs_no_full_grid(self):
+        f = TrigPoly(2, {k: 1.0 for k in dyadic_block((7, 7))})
+        tracemalloc.start()
+        try:
+            lp_norm(f, 2.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBesovNorm:

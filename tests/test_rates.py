@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.blocks import SmoothParams
+from stepcross import approx, rates
+from stepcross.blocks import SmoothParams, hyperbolic_cross
+from stepcross.extremal import ExtremalSpec, shell_extremal
 from stepcross.poly import GridSpec
 from stepcross.rates import (RateFit, SweepRow, fit_rates, predicted_order,
                              sweep_extremal, theory_exponents, validate_hypotheses)
@@ -136,6 +138,28 @@ class TestSweep:
         grid = GridSpec(self_check=False, oversampling=8.0)
         rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma-prime", range(4, 8), grid=grid)
         assert all(r.error > 0 for r in rows)
+
+    @pytest.mark.parametrize("use_best_upper", [False, True])
+    def test_builds_each_cross_once(self, monkeypatch, use_best_upper):
+        params = SmoothParams((1.0, 1.0))
+        grid = GridSpec(self_check=False)
+        built = []
+
+        def counting(n, params, gamma_mode="gamma"):
+            built.append(n)
+            return hyperbolic_cross(n, params, gamma_mode)
+
+        monkeypatch.setattr(rates, "hyperbolic_cross", counting)
+        monkeypatch.setattr(approx, "hyperbolic_cross", counting)
+        rows = sweep_extremal(2.5, 2.5, 2.0, params, "gamma", range(4, 7), grid=grid,
+                              use_best_upper=use_best_upper)
+        assert built == [4, 5, 6]
+        monkeypatch.undo()
+        reference = approx.best_approx_upper if use_best_upper else approx.fourier_sum_error
+        for r in rows:
+            member = shell_extremal(ExtremalSpec(n=r.n, d=2, r1=1.0, p=2.5, theta=2.0))
+            assert r.cardinality == hyperbolic_cross(r.n, params, "gamma").freq_count
+            assert r.error == reference(member, r.n, params, "gamma", 2.5, grid=grid)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
