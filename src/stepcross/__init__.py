@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 
 from .blocks import (BlockIndexSet, SmoothParams, block_anchor, block_of,
                      dyadic_block, even_shell, hyperbolic_cross,
-                     weighted_tail_sum, weighted_tail_sums)
+                     weighted_tail_sums)
 from .poly import (GridSpec, TrigPoly, blocks_of, eval_grid, mixed_difference,
                    project_cross, read_jsonl, sharp_block, write_jsonl)
 from .kernels import (block_filter_coeff, kernel_l1_norm, smooth_aggregate,
                       smooth_block, vdp_coeff)
-from .norms import (NormSpec, QuadratureError, besov_mixed_norm, bq1_norm,
+from .norms import (QuadratureError, besov_mixed_norm, bq1_norm,
                     difference_seminorm, lp_norm, nikolskii_check)
 from .approx import (ApproxResult, best_approx_upper, fourier_sum_error,
                      projector_norm_probe, random_mixed_poly)

@@ -50,18 +50,17 @@ def _cut_error(f: TrigPoly, cross: BlockIndexSet, q: float, form: str | None,
 
 
 def _aggregate_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                     q: float, form: str | None, grid: GridSpec, convention: str) -> float:
+                     q: float, form: str | None, grid: GridSpec) -> float:
     """Error of the smooth-block aggregate; inf unless its gamma'-cross spectrum
     is admissible (gamma-prime mode, or gamma' = gamma when nu = d)."""
     if gamma_mode != "gamma-prime" and params.nu != params.d:
         return math.inf
     form = default_form(q) if form is None else form
-    return bq1_norm(f - smooth_aggregate(f, n, params, convention), q, form, grid)
+    return bq1_norm(f - smooth_aggregate(f, n, params), q, form, grid)
 
 
 def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                      q: float, form: str | None = None, grid: GridSpec = GridSpec(),
-                      convention: str = "partition-exact") -> float:
+                      q: float, form: str | None = None, grid: GridSpec = GridSpec()) -> float:
     """Upper bound for the best approximation from the level-n cross.
 
     Minimum of the Fourier-sum error and the error of the smooth-block
@@ -69,15 +68,14 @@ def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: s
     gamma-prime mode both candidates are admissible).
     """
     return _best_upper(f, hyperbolic_cross(n, params, gamma_mode), n, params, gamma_mode, q,
-                       form, grid, convention)
+                       form, grid)
 
 
 def _best_upper(f: TrigPoly, cross: BlockIndexSet, n: float, params: SmoothParams,
-                gamma_mode: str, q: float, form: str | None, grid: GridSpec,
-                convention: str) -> float:
+                gamma_mode: str, q: float, form: str | None, grid: GridSpec) -> float:
     """``best_approx_upper`` with the level-n cross already built."""
     return min(_cut_error(f, cross, q, form, grid),
-               _aggregate_error(f, n, params, gamma_mode, q, form, grid, convention))
+               _aggregate_error(f, n, params, gamma_mode, q, form, grid))
 
 
 def approx_result(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
@@ -85,8 +83,7 @@ def approx_result(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
                   grid: GridSpec = GridSpec()) -> ApproxResult:
     cross = hyperbolic_cross(n, params, gamma_mode)
     err = _cut_error(f, cross, q, form, grid)
-    ub = min(err, _aggregate_error(f, n, params, gamma_mode, q, form, grid,
-                                   "partition-exact"))
+    ub = min(err, _aggregate_error(f, n, params, gamma_mode, q, form, grid))
     return ApproxResult(n, cross.freq_count, err, ub, q, gamma_mode)
 
 
@@ -116,9 +113,9 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
 
 
 def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
-                         rng_seed: int = 0, gamma_mode: str = "gamma",
-                         grid: GridSpec | None = None) -> float:
-    """Max over random polynomials of |S_Q f| / |f| in the sharp block-sum norm.
+                         rng_seed: int = 0) -> float:
+    """Max over random polynomials of |S_Q f| / |f| in the sharp block-sum norm,
+    Q the level-n gamma cross.
 
     The Fourier sum drops whole blocks, so each ratio is a subset sum over
     the same nonnegative per-block values and cannot exceed 1 regardless of
@@ -126,10 +123,9 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
     """
     if not (1 < q < math.inf):
         raise ValueError("projector probe requires 1 < q < inf (sharp form)")
-    if grid is None:
-        grid = GridSpec(oversampling=2.0, self_check=False)
+    grid = GridSpec(oversampling=2.0, self_check=False)
     rng = np.random.default_rng(rng_seed)
-    cross = hyperbolic_cross(n, params, gamma_mode)
+    cross = hyperbolic_cross(n, params)
     worst = 0.0
     for _ in range(samples):
         f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)

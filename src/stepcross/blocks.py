@@ -214,6 +214,8 @@ def block_anchor(s: Sequence[int]) -> tuple[int, ...]:
 
 
 TAIL_MODES = ("gamma-on-gamma", "gamma-prime-on-gamma")
+TAIL_REL_TOL = 1e-12
+TAIL_MAX_SHELL = 600
 
 
 def _tail_remainder_bound(m: int, d: int, alpha: float) -> float:
@@ -225,36 +227,22 @@ def _tail_remainder_bound(m: int, d: int, alpha: float) -> float:
     return (m + 1) ** (d - 1) * x ** (m + 1) / (1.0 - q)
 
 
-def weighted_tail_sum(
-    alpha: float,
-    params: SmoothParams,
-    l: float,
-    mode: str = "gamma-on-gamma",
-    rel_tol: float = 1e-12,
-    max_shell: int = 600,
-) -> tuple[float, float]:
-    """``(value, ratio)`` of ``weighted_tail_sums`` at the single boundary ``l``."""
-    return weighted_tail_sums(alpha, params, [l], mode, rel_tol, max_shell)[0]
-
-
 def weighted_tail_sums(
     alpha: float,
     params: SmoothParams,
     ls: Sequence[float],
     mode: str = "gamma-on-gamma",
-    rel_tol: float = 1e-12,
-    max_shell: int = 600,
 ) -> list[tuple[float, float]]:
     """Sums of 2**(-alpha*(s,gamma)) over blocks outside each cross boundary l.
 
     The constraint is (s, gamma) >= l in ``gamma-on-gamma`` mode and
     (s, gamma') >= l in ``gamma-prime-on-gamma`` mode; the weight always uses
     gamma.  One enumeration of the shells (s,1)=m serves every l; it stops
-    once the remaining tail is provably below ``rel_tol`` of the smallest
+    once the remaining tail is provably below ``TAIL_REL_TOL`` of the smallest
     accumulated value.  Returns ``(value, value / (2**(-alpha*l) * l**(m-1)))``
     per l, with m = d resp. nu.
 
-    Raises TailTruncationError if the shell budget is exhausted first.
+    Raises TailTruncationError if shell ``TAIL_MAX_SHELL`` is passed first.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -274,9 +262,9 @@ def weighted_tail_sums(
                 if g_star >= l:
                     values[i] += w
         bound = _tail_remainder_bound(m, d, alpha)
-        if all(v > 0.0 for v in values) and bound < rel_tol * min(values):
+        if all(v > 0.0 for v in values) and bound < TAIL_REL_TOL * min(values):
             break
-        if m >= max_shell:
+        if m >= TAIL_MAX_SHELL:
             raise TailTruncationError(
                 f"tail sums not converged after shell {m} (bound {bound:.3e})",
                 partial=min(values),

@@ -22,7 +22,7 @@ from .experiments import ExperimentConfig, parse_extended, run_experiment, write
 from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
                        shifted_rect_sample)
 from .kernels import vdp_coeff
-from .norms import NormSpec, besov_norm_spec, bq1_norm, difference_seminorm, lp_norm
+from .norms import besov_mixed_norm, bq1_norm, difference_seminorm, lp_norm
 from .poly import GridSpec, eval_grid, project_cross, read_jsonl, write_jsonl
 from .rates import predicted_order, regimes, theory_exponents
 
@@ -39,10 +39,9 @@ def _norm_callable(spec: dict):
         return lambda f: lp_norm(f, p, grid_spec)
     if kind == "besov":
         params = SmoothParams(spec["r"])
-        ns = NormSpec(p=parse_extended(spec["p"]),
-                      theta=parse_extended(spec.get("theta", "inf")),
-                      form=spec.get("form", "sharp"), grid=grid_spec)
-        return lambda f: besov_norm_spec(f, params, ns)
+        p, theta = parse_extended(spec["p"]), parse_extended(spec.get("theta", "inf"))
+        form = spec.get("form", "sharp")
+        return lambda f: besov_mixed_norm(f, params, p, theta, form, grid_spec)
     if kind == "bq1":
         q = parse_extended(spec["q"])
         form = spec.get("form", default_form(q))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +26,8 @@ class CloudProblem:
 
     points: tuple[tuple[float, ...], ...]
     p: float = 2.0
-    metric: Callable[[np.ndarray, np.ndarray], float] | None = None
 
-    def __init__(self, points: Sequence[Sequence[float]], p: float = 2.0,
-                 metric: Callable | None = None):
+    def __init__(self, points: Sequence[Sequence[float]], p: float = 2.0):
         pts = tuple(tuple(float(x) for x in row) for row in points)
         if not pts:
             raise ValueError("cloud must be nonempty")
@@ -37,20 +35,12 @@ class CloudProblem:
             raise ValueError("cloud points must share a dimension")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "metric", metric)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def distance_matrix(self) -> np.ndarray:
         pts = np.asarray(self.points, dtype=float)
-        m = len(pts)
-        if self.metric is not None:
-            out = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    out[i, j] = out[j, i] = float(self.metric(pts[i], pts[j]))
-            return out
         diff = pts[:, None, :] - pts[None, :, :]
         if math.isinf(self.p):
             return np.max(np.abs(diff), axis=2)

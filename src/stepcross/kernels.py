@@ -6,12 +6,14 @@ ramp band is empty).  The block filter attached to a block index s is, per
 coordinate, the difference of two consecutive kernels in the dyadic ladder;
 convolving with it is plain coefficient multiplication.
 
-Two conventions are provided.  ``literal`` takes the ladder rung at s = 1 as
-V_2 - V_1, which annihilates the frequencies |k| = 1 and therefore cannot
-reproduce every mean-zero polynomial from its filtered pieces.  The default
-``partition-exact`` convention replaces the subtracted V_1 by the pure mean
-projection, so that summing the filters over all block indices reproduces
-any mean-zero polynomial exactly.
+Two conventions are defined, in ``block_filter_coeff`` and ``smooth_block``.
+``literal`` takes the ladder rung at s = 1 as V_2 - V_1, which annihilates
+the frequencies |k| = 1 and therefore cannot reproduce every mean-zero
+polynomial from its filtered pieces; it is kept for comparison only.
+``partition-exact`` replaces the subtracted V_1 by the pure mean projection,
+so that summing the filters over all block indices reproduces any mean-zero
+polynomial exactly.  Every norm, error and experiment uses
+``partition-exact``, and so does everything else in this module.
 """
 
 from __future__ import annotations
@@ -64,17 +66,20 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
 
 
 def filter_support_blocks(f: TrigPoly) -> list[tuple[int, ...]]:
-    """Block indices s for which the smooth block of f can be nonzero.
+    """Block indices s for which the smooth block of f is nonzero.
 
     A frequency in dyadic block m is touched only by the filters with index
-    m - 1 and m per coordinate, so candidates come from that neighborhood.
+    m - 1 and m per coordinate; of those, each coordinate keeps the indices
+    whose filter does not vanish at k_j (for m >= 2, filter m is 0 at
+    |k_j| = 2**(m-1)).
     """
     candidates: set[tuple[int, ...]] = set()
     for k in f.coeffs:
         m = block_of(k)
         if m is None:
             raise ValueError(f"frequency {k} has a zero component")
-        per_dim = [sorted({mj, mj - 1} - {0}) for mj in m]
+        per_dim = [[sj for sj in (mj - 1, mj) if sj >= 1 and block_filter_coeff(sj, kj) != 0.0]
+                   for mj, kj in zip(m, k)]
         stack = [()]
         for options in per_dim:
             stack = [acc + (o,) for acc in stack for o in options]
@@ -82,19 +87,18 @@ def filter_support_blocks(f: TrigPoly) -> list[tuple[int, ...]]:
     return sorted(candidates)
 
 
-def kernel_poly_1d(s: int, convention: str = "partition-exact") -> TrigPoly:
+def kernel_poly_1d(s: int) -> TrigPoly:
     """The one-dimensional block filter as a trigonometric polynomial."""
     hi = 2 ** (s + 1)
     coeffs = {}
     for k in range(-hi, hi + 1):
-        v = block_filter_coeff(s, k, convention)
+        v = block_filter_coeff(s, k)
         if v != 0.0:
             coeffs[(k,)] = v
     return TrigPoly(1, coeffs)
 
 
-def kernel_l1_norm(s: Sequence[int], convention: str = "partition-exact",
-                   grid: GridSpec = GridSpec()) -> float:
+def kernel_l1_norm(s: Sequence[int], grid: GridSpec = GridSpec()) -> float:
     """L1 norm of the product block filter on the torus.
 
     The filter is a tensor product, so the norm factorizes over coordinates;
@@ -104,12 +108,11 @@ def kernel_l1_norm(s: Sequence[int], convention: str = "partition-exact",
 
     out = 1.0
     for sj in s:
-        out *= lp_norm(kernel_poly_1d(int(sj), convention), 1.0, grid)
+        out *= lp_norm(kernel_poly_1d(int(sj)), 1.0, grid)
     return out
 
 
-def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams,
-                     convention: str = "partition-exact") -> TrigPoly:
+def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
     """Sum of smooth blocks of f over (s, gamma') < n - (gamma', 1).
 
     A near-best approximant with spectrum inside the gamma'-cross at level n.
@@ -119,5 +122,5 @@ def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams,
     out = TrigPoly.zero(f.d)
     for s in filter_support_blocks(f):
         if sum(sj * gj for sj, gj in zip(s, gp)) < threshold:
-            out = out + smooth_block(f, s, convention)
+            out = out + smooth_block(f, s)
     return out

@@ -2,8 +2,8 @@
 block form, the block-sum norm that is stronger than L_q, the sup-form
 difference seminorm, and the inequality check between different metrics.
 
-Numerical conventions
----------------------
+Numerical methods
+-----------------
 * L_2 is computed exactly from coefficients (Parseval, normalized measure).
 * L_inf is the maximum over an oversampled grid and is therefore a lower
   estimate of the true sup; oversampling is forced to at least 4.
@@ -22,7 +22,7 @@ Numerical conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -136,23 +136,8 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
     )
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Which class norm to evaluate and how."""
-
-    p: float
-    theta: float = math.inf
-    form: str = "sharp"
-    grid: GridSpec = GridSpec()
-
-    def __post_init__(self):
-        _check_form(self.form, self.p)
-        if not (1 <= self.theta):
-            raise ValueError("theta must be >= 1")
-
-
-def _block_norms(f: TrigPoly, p: float, form: str, grid: GridSpec,
-                 convention: str = "partition-exact") -> list[tuple[tuple[int, ...], float]]:
+def _block_norms(f: TrigPoly, p: float, form: str,
+                 grid: GridSpec) -> list[tuple[tuple[int, ...], float]]:
     """Per-block L_p norms of the sharp or smooth components, sorted by block."""
     _check_form(form, p)
     if not f.is_mean_zero():
@@ -163,7 +148,7 @@ def _block_norms(f: TrigPoly, p: float, form: str, grid: GridSpec,
             out.append((s, lp_norm(comp, p, grid)))
     else:
         for s in filter_support_blocks(f):
-            comp = smooth_block(f, s, convention)
+            comp = smooth_block(f, s)
             if not comp.is_zero():
                 out.append((s, lp_norm(comp, p, grid)))
     return out
@@ -179,22 +164,18 @@ def aggregate_block_norms(block_norms: Sequence[tuple[tuple[int, ...], float]],
 
 
 def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,
-                     form: str = "sharp", grid: GridSpec = GridSpec(),
-                     convention: str = "partition-exact") -> float:
+                     form: str = "sharp", grid: GridSpec = GridSpec()) -> float:
     """Mixed-smoothness class norm: l_theta of 2**(s.r) times block L_p norms."""
+    if not (1 <= theta):
+        raise ValueError("theta must be >= 1")
     if len(params.r) != f.d:
         raise ValueError("smoothness vector dimension mismatch")
-    return aggregate_block_norms(_block_norms(f, p, form, grid, convention), params.r, theta)
+    return aggregate_block_norms(_block_norms(f, p, form, grid), params.r, theta)
 
 
-def besov_norm_spec(f: TrigPoly, params: SmoothParams, spec: NormSpec) -> float:
-    return besov_mixed_norm(f, params, spec.p, spec.theta, spec.form, spec.grid)
-
-
-def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridSpec(),
-             convention: str = "partition-exact") -> float:
+def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridSpec()) -> float:
     """Sum over blocks of the block component's L_q norm (stronger than L_q)."""
-    return sum((v for _, v in _block_norms(f, q, form, grid, convention)), 0.0)
+    return sum((v for _, v in _block_norms(f, q, form, grid)), 0.0)
 
 
 def nikolskii_check(t: TrigPoly, p: float, q: float,

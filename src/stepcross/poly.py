@@ -151,11 +151,8 @@ def _fast_len(n: int) -> int:
     return scipy.fft.next_fast_len(int(n), real=False)
 
 
-def resolve_grid_dims(f: TrigPoly, grid: GridSpec, factor: int = 1) -> tuple[int, ...]:
-    """Concrete per-dimension grid sizes for evaluating ``f``.
-
-    ``factor`` multiplies the automatic sizing (used by quadrature refinement).
-    """
+def resolve_grid_dims(f: TrigPoly, grid: GridSpec) -> tuple[int, ...]:
+    """Concrete per-dimension grid sizes for evaluating ``f``."""
     deg = f.degree()
     if grid.points_per_dim is not None:
         dims = (int(grid.points_per_dim),) * f.d
@@ -163,7 +160,7 @@ def resolve_grid_dims(f: TrigPoly, grid: GridSpec, factor: int = 1) -> tuple[int
             if n < 2 * m + 1:
                 raise AliasingError(f"grid of {n} points aliases degree {m}")
     else:
-        dims = tuple(_fast_len(math.ceil(grid.oversampling * factor * (2 * m + 1))) for m in deg)
+        dims = tuple(_fast_len(math.ceil(grid.oversampling * (2 * m + 1))) for m in deg)
     total = math.prod(dims)
     if total > grid.max_points:
         raise GridBudgetError(f"grid of {total} points exceeds budget {grid.max_points}")

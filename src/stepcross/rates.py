@@ -101,9 +101,8 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
 
 
 def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
-                   gamma_mode: str, n_range: Sequence[int], c4: float = 1.0,
-                   grid: GridSpec = GridSpec(),
-                   use_best_upper: bool | None = None) -> list[SweepRow]:
+                   gamma_mode: str, n_range: Sequence[int],
+                   grid: GridSpec = GridSpec()) -> list[SweepRow]:
     """Errors of the per-level extremal member across a range of cross levels.
 
     For 1 < q < inf the Fourier-sum error is recorded (it matches the best
@@ -111,17 +110,14 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     bound from the smooth aggregate is recorded instead.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
-    if use_best_upper is None:
-        use_best_upper = not (1 < q < math.inf)
     rows = []
     for n in n_range:
-        member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta, c4=c4))
+        member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
         cross = hyperbolic_cross(n, params, gamma_mode)
-        if use_best_upper:
-            err = _best_upper(member, cross, n, params, gamma_mode, q, None, grid,
-                              "partition-exact")
-        else:
+        if 1 < q < math.inf:
             err = _cut_error(member, cross, q, None, grid)
+        else:
+            err = _best_upper(member, cross, n, params, gamma_mode, q, None, grid)
         rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from stepcross.blocks import (BlockIndexSet, SmoothParams, TailTruncationError,
                               block_anchor, block_cardinality, block_of,
                               compositions, dyadic_block, even_shell,
-                              hyperbolic_cross, read_blocks, weighted_tail_sum,
+                              hyperbolic_cross, read_blocks,
                               weighted_tail_sums, write_blocks)
 
 
@@ -197,13 +197,13 @@ class TestBlockAnchor:
 
 class TestWeightedTailSum:
     def test_d1_geometric(self):
-        value, ratio = weighted_tail_sum(1.0, SmoothParams((1.0,)), 5)
+        value, ratio = weighted_tail_sums(1.0, SmoothParams((1.0,)), [5])[0]
         assert value == pytest.approx(2.0**-5 * 2, rel=1e-11)
         assert ratio == pytest.approx(2.0, rel=1e-11)
 
     def test_d2_closed_form(self):
         # sum over m >= l of (m-1) 2^-m = 2^-l * 2l
-        value, _ = weighted_tail_sum(1.0, SmoothParams((1.0, 1.0)), 6)
+        value, _ = weighted_tail_sums(1.0, SmoothParams((1.0, 1.0)), [6])[0]
         assert value == pytest.approx(2.0**-6 * 12, rel=1e-11)
 
     def test_brute_force_cross_check(self):
@@ -215,7 +215,7 @@ class TestWeightedTailSum:
             for s in compositions(m, 2):
                 if s[0] * 1.0 + s[1] * 2.0 >= l:
                     brute += 2.0 ** (-alpha * (s[0] + 2.0 * s[1]))
-        value, _ = weighted_tail_sum(alpha, params, l)
+        value, _ = weighted_tail_sums(alpha, params, [l])[0]
         assert value == pytest.approx(brute, rel=1e-9)
 
     def test_gamma_prime_mode_ratio_stabilizes(self):
@@ -229,17 +229,19 @@ class TestWeightedTailSum:
         ls = [6, 9, 12]
         vec = weighted_tail_sums(0.75, params, ls)
         for (v, r), l in zip(vec, ls):
-            v1, r1 = weighted_tail_sum(0.75, params, l)
+            v1, r1 = weighted_tail_sums(0.75, params, [l])[0]
             assert v == pytest.approx(v1, rel=1e-12)
             assert r == pytest.approx(r1, rel=1e-12)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            weighted_tail_sum(0.0, SmoothParams((1.0,)), 5)
+            weighted_tail_sums(0.0, SmoothParams((1.0,)), [5])
 
     def test_truncation_budget_error_carries_partial(self):
+        # at alpha = 1e-3, d = 2 the remainder bound stays infinite through
+        # the last shell, so the sum cannot be certified
         with pytest.raises(TailTruncationError) as err:
-            weighted_tail_sum(0.5, SmoothParams((1.0, 1.0)), 10, max_shell=12)
+            weighted_tail_sums(1e-3, SmoothParams((1.0, 1.0)), [10])
         assert err.value.partial > 0
 
 

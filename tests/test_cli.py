@@ -58,6 +58,16 @@ def test_norm_besov(poly_file, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(10.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("spec,condition", [
+    ({"p": 2, "theta": 0.5}, "theta"),
+    ({"p": 1, "theta": 1, "form": "sharp"}, "sharp block form"),
+])
+def test_norm_besov_invalid_spec_exits_one(poly_file, capsys, spec, condition):
+    spec = json.dumps({"kind": "besov", "r": [1.0], **spec})
+    assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
+    assert condition in capsys.readouterr().err
+
+
 def test_norm_batch(poly_file, tmp_path, capsys):
     out = tmp_path / "norms.csv"
     assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--batch", poly_file,

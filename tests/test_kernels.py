@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from stepcross.blocks import SmoothParams, dyadic_block
+from stepcross.extremal import shifted_rect_sample
 from stepcross.kernels import (block_filter_coeff, filter_support_blocks,
                                kernel_l1_norm, kernel_poly_1d, smooth_aggregate,
                                smooth_block, vdp_coeff)
@@ -116,7 +118,6 @@ class TestSupportAndReproduction:
             take = rng.choice(len(freqs), size=min(6, len(freqs)), replace=False)
             t = TrigPoly(d, {freqs[i]: complex(*rng.standard_normal(2)) for i in take})
             total = TrigPoly.zero(d)
-            import itertools
             for ds in itertools.product((-1, 0, 1), repeat=d):
                 s2 = tuple(a + b for a, b in zip(s, ds))
                 if all(x >= 1 for x in s2):
@@ -124,12 +125,50 @@ class TestSupportAndReproduction:
             assert total.allclose(t, tol=1e-13)
 
 
+def neighborhood_blocks(f):
+    """Every s with s_j in {m_j - 1, m_j} (s_j >= 1) around the blocks m of f."""
+    out = set()
+    for k in f.coeffs:
+        out.update(itertools.product(*[[sj for sj in (abs(kj).bit_length() - 1,
+                                                        abs(kj).bit_length()) if sj >= 1]
+                                       for kj in k]))
+    return sorted(out)
+
+
+class TestFilterSupport:
+    @staticmethod
+    def assert_exact(f):
+        nonempty = [s for s in neighborhood_blocks(f) if not smooth_block(f, s).is_zero()]
+        assert filter_support_blocks(f) == nonempty
+
+    def test_random_polys(self):
+        rng = np.random.default_rng(2)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                # about half of the components sit on a power of two, where the
+                # filter of their own block vanishes
+                ks = rng.integers(1, 200, size=(8, d))
+                pow2 = 2 ** rng.integers(0, 8, size=(8, d))
+                ks = np.where(rng.random((8, d)) < 0.5, ks, pow2) * rng.choice((-1, 1), size=(8, d))
+                self.assert_exact(TrigPoly(d, {tuple(map(int, k)): complex(*rng.standard_normal(2))
+                                               for k in ks}))
+
+    @pytest.mark.parametrize("n,d,mode", [(6, 2, "random-sign"), (8, 2, "random-sign"),
+                                          (8, 3, "random-sign"), (10, 2, "constant")])
+    def test_shifted_rect_members(self, n, d, mode):
+        self.assert_exact(shifted_rect_sample(n, d, mode, rng=n))
+
+    def test_unit_frequency_keeps_first_filter(self):
+        assert filter_support_blocks(TrigPoly(1, {(1,): 1.0})) == [(1,)]
+        assert filter_support_blocks(TrigPoly(1, {(4,): 1.0})) == [(2,)]
+
+
 class TestKernelL1:
     def test_matches_highres_oracle_1d(self):
         # fixed very fine grid as the independent quadrature oracle
-        k = kernel_poly_1d(2, "partition-exact")
+        k = kernel_poly_1d(2)
         oracle = lp_norm(k, 1.0, GridSpec(oversampling=512, self_check=False))
-        val = kernel_l1_norm((2,), "partition-exact")
+        val = kernel_l1_norm((2,))
         assert val == pytest.approx(oracle, rel=1e-4)
 
     def test_tensor_factorization_on_matching_grid(self):
@@ -144,7 +183,7 @@ class TestKernelL1:
         assert direct == pytest.approx(product, rel=1e-12)
 
     def test_uniformly_bounded_over_blocks(self):
-        vals = [kernel_l1_norm((s,), "partition-exact", GridSpec(oversampling=8.0))
+        vals = [kernel_l1_norm((s,), GridSpec(oversampling=8.0))
                 for s in range(1, 9)]
         assert max(vals) < 2.0
         # away from the modified first rung the values are level-independent

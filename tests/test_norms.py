@@ -10,7 +10,7 @@ from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, dyadic_block
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
-from stepcross.norms import (NormSpec, QuadratureError, _rank1_factors, aggregate_block_norms,
+from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
                              besov_mixed_norm, bq1_norm, difference_seminorm,
                              lp_norm, nikolskii_check)
 from stepcross.poly import GridSpec, TrigPoly, blocks_of, eval_grid, resolve_grid_dims
@@ -197,12 +197,10 @@ class TestBesovNorm:
         with pytest.raises(ValueError):
             besov_mixed_norm(TrigPoly(1, {(0,): 1.0}), params, 2.0, 2.0)
 
-    def test_normspec_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec(p=1.0, form="sharp")
-        with pytest.raises(ValueError):
-            NormSpec(p=2.0, theta=0.5)
-        NormSpec(p=1.0, form="smooth")
+    def test_rejects_theta_below_one(self):
+        f = TrigPoly.exponential((2,))
+        with pytest.raises(ValueError, match="theta"):
+            besov_mixed_norm(f, SmoothParams((1.0,)), 2.0, 0.5)
 
 
 def test_zero_polynomial_is_validated():

@@ -139,8 +139,9 @@ class TestSweep:
         rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma-prime", range(4, 8), grid=grid)
         assert all(r.error > 0 for r in rows)
 
-    @pytest.mark.parametrize("use_best_upper", [False, True])
-    def test_builds_each_cross_once(self, monkeypatch, use_best_upper):
+    # q = 2.5 records the Fourier-sum error, q = inf the best-upper bound
+    @pytest.mark.parametrize("pq", [2.5, math.inf])
+    def test_builds_each_cross_once(self, monkeypatch, pq):
         params = SmoothParams((1.0, 1.0))
         grid = GridSpec(self_check=False)
         built = []
@@ -151,15 +152,14 @@ class TestSweep:
 
         monkeypatch.setattr(rates, "hyperbolic_cross", counting)
         monkeypatch.setattr(approx, "hyperbolic_cross", counting)
-        rows = sweep_extremal(2.5, 2.5, 2.0, params, "gamma", range(4, 7), grid=grid,
-                              use_best_upper=use_best_upper)
+        rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7), grid=grid)
         assert built == [4, 5, 6]
         monkeypatch.undo()
-        reference = approx.best_approx_upper if use_best_upper else approx.fourier_sum_error
+        reference = approx.fourier_sum_error if pq < math.inf else approx.best_approx_upper
         for r in rows:
-            member = shell_extremal(ExtremalSpec(n=r.n, d=2, r1=1.0, p=2.5, theta=2.0))
+            member = shell_extremal(ExtremalSpec(n=r.n, d=2, r1=1.0, p=pq, theta=2.0))
             assert r.cardinality == hyperbolic_cross(r.n, params, "gamma").freq_count
-            assert r.error == reference(member, r.n, params, "gamma", 2.5, grid=grid)
+            assert r.error == reference(member, r.n, params, "gamma", pq, grid=grid)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
