@@ -1,6 +1,8 @@
 """Approximation errors of the step hyperbolic Fourier sum and certified
 upper bounds on the best approximation by cross polynomials.
 
+Both errors take the cross itself, as ``hyperbolic_cross`` builds it, so a
+caller that also needs the cross (a sweep's cardinality column) builds it once.
 The class-level suprema are never optimized over; the extremal families
 stand in for them, matching how the lower bounds are actually realized.
 """
@@ -14,18 +16,15 @@ import numpy as np
 
 from .blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from .kernels import smooth_aggregate
-from .norms import _block_norms, bq1_norm
+from .norms import block_norms, bq1_norm
 from .poly import GridSpec, TrigPoly, project_cross
 
 
 @dataclass(frozen=True)
 class ApproxResult:
-    n: float
     cross_cardinality: int
     error_fourier_sum: float
     error_best_upper: float
-    q: float
-    gamma_mode: str
 
     def __post_init__(self):
         if self.error_best_upper > self.error_fourier_sum * (1 + 1e-9):
@@ -36,55 +35,39 @@ def default_form(q: float) -> str:
     return "sharp" if 1 < q < math.inf else "smooth"
 
 
-def fourier_sum_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                      q: float, form: str | None = None,
+def fourier_sum_error(f: TrigPoly, cross: BlockIndexSet, q: float,
                       grid: GridSpec = GridSpec()) -> float:
-    """Block-sum norm of f minus its Fourier sum over the level-n cross."""
-    return _cut_error(f, hyperbolic_cross(n, params, gamma_mode), q, form, grid)
+    """Block-sum norm of f minus its Fourier sum over ``cross``."""
+    return bq1_norm(f - project_cross(f, cross), q, default_form(q), grid)
 
 
-def _cut_error(f: TrigPoly, cross: BlockIndexSet, q: float, form: str | None,
-               grid: GridSpec) -> float:
-    form = default_form(q) if form is None else form
-    return bq1_norm(f - project_cross(f, cross), q, form, grid)
-
-
-def _aggregate_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                     q: float, form: str | None, grid: GridSpec) -> float:
-    """Error of the smooth-block aggregate; inf unless its gamma'-cross spectrum
-    is admissible (gamma-prime mode, or gamma' = gamma when nu = d)."""
-    if gamma_mode != "gamma-prime" and params.nu != params.d:
-        return math.inf
-    form = default_form(q) if form is None else form
-    return bq1_norm(f - smooth_aggregate(f, n, params), q, form, grid)
-
-
-def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                      q: float, form: str | None = None, grid: GridSpec = GridSpec()) -> float:
-    """Upper bound for the best approximation from the level-n cross.
-
-    Minimum of the Fourier-sum error and the error of the smooth-block
-    aggregate (the latter has spectrum inside the gamma'-cross, so for the
-    gamma-prime mode both candidates are admissible).
-    """
-    return _best_upper(f, hyperbolic_cross(n, params, gamma_mode), n, params, gamma_mode, q,
-                       form, grid)
-
-
-def _best_upper(f: TrigPoly, cross: BlockIndexSet, n: float, params: SmoothParams,
-                gamma_mode: str, q: float, form: str | None, grid: GridSpec) -> float:
-    """``best_approx_upper`` with the level-n cross already built."""
-    return min(_cut_error(f, cross, q, form, grid),
-               _aggregate_error(f, n, params, gamma_mode, q, form, grid))
-
-
-def approx_result(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
-                  q: float, form: str | None = None,
+def approx_result(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
                   grid: GridSpec = GridSpec()) -> ApproxResult:
-    cross = hyperbolic_cross(n, params, gamma_mode)
-    err = _cut_error(f, cross, q, form, grid)
-    ub = min(err, _aggregate_error(f, n, params, gamma_mode, q, form, grid))
-    return ApproxResult(n, cross.freq_count, err, ub, q, gamma_mode)
+    """Fourier-sum error over a level-n cross and an upper bound for the best
+    approximation from it.
+
+    The bound is the minimum of the Fourier-sum error and the error of the
+    smooth-block aggregate, whose spectrum lies inside the gamma'-cross at
+    level n; the aggregate is admissible only for the gamma-prime mode, or
+    when gamma' = gamma (nu = d).  ``cross`` must come with its level, as
+    ``hyperbolic_cross`` builds it, and have dimension ``params.d``.
+    """
+    if cross.n is None:
+        raise ValueError("approximation bound needs a cross with a level (cross.n is None)")
+    if cross.d != params.d:
+        raise ValueError(f"cross dimension {cross.d} differs from params.d = {params.d}")
+    err = fourier_sum_error(f, cross, q, grid)
+    if cross.gamma_mode != "gamma-prime" and params.nu != params.d:
+        return ApproxResult(cross.freq_count, err, err)
+    agg = bq1_norm(f - smooth_aggregate(f, cross.n, params), q, default_form(q), grid)
+    return ApproxResult(cross.freq_count, err, min(err, agg))
+
+
+def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
+                      grid: GridSpec = GridSpec()) -> float:
+    """Upper bound for the best approximation from a level-n cross (see
+    ``approx_result``)."""
+    return approx_result(f, cross, params, q, grid).error_best_upper
 
 
 def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
@@ -129,7 +112,7 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
     worst = 0.0
     for _ in range(samples):
         f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)
-        per_block = _block_norms(f, q, "sharp", grid)
+        per_block = block_norms(f, q, "sharp", grid)
         total = sum(v for _, v in per_block)
         if total == 0.0:
             continue

@@ -7,6 +7,7 @@ names the violated condition), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,7 +24,8 @@ from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extrema
                        shifted_rect_sample)
 from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, difference_seminorm, lp_norm
-from .poly import GridSpec, eval_grid, project_cross, read_jsonl, write_jsonl
+from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
+                   write_jsonl)
 from .rates import predicted_order, regimes, theory_exponents
 
 
@@ -33,7 +35,11 @@ def _parse_rvec(text: str) -> tuple[float, ...]:
 
 def _norm_callable(spec: dict):
     kind = spec.get("kind", "lp")
-    grid_spec = GridSpec(**spec.get("grid", {}))
+    grid = spec.get("grid", {})
+    unknown = set(grid) - {fld.name for fld in dataclasses.fields(GridSpec)}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in the norm spec's grid")
+    grid_spec = GridSpec(**grid)
     if kind == "lp":
         p = parse_extended(spec["p"])
         return lambda f: lp_norm(f, p, grid_spec)
@@ -82,8 +88,9 @@ def cmd_poly(args) -> int:
             v = f.evaluate(x)
             print(f"{v.real:.17g} {v.imag:+.17g}j")
             return 0
-        dims = (args.points,) * f.d if args.points else None
-        vals = eval_grid(f, dims if dims else GridSpec(oversampling=args.oversampling))
+        grid = (GridSpec(points_per_dim=args.points) if args.points
+                else GridSpec(oversampling=args.oversampling))
+        vals = eval_grid(f, resolve_grid_dims(f, grid))
         out = Path(args.out or "values.csv")
         with open(out, "w") as fh:
             fh.write(",".join(f"j{i+1}" for i in range(f.d)) + ",re,im\n")
@@ -92,6 +99,8 @@ def cmd_poly(args) -> int:
                 fh.write(",".join(str(i) for i in idx) + f",{v.real:.17g},{v.imag:.17g}\n")
         print(out)
         return 0
+    if args.n is None:
+        raise ValueError("poly project needs the cross level --n")
     params = SmoothParams(_parse_rvec(args.r))
     cross = hyperbolic_cross(args.n, params, args.gamma_mode)
     g = project_cross(f, cross)
@@ -112,8 +121,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    spec = json.loads(args.spec)
-    fn = _norm_callable(spec)
+    if not (args.input or args.batch):
+        raise ValueError("norm needs --input or --batch")
+    fn = _norm_callable(json.loads(args.spec))
     if args.batch:
         rows = [(Path(p).stem, fn(read_jsonl(p))) for p in args.batch]
         out = args.out or "norms.csv"
@@ -139,7 +149,7 @@ def cmd_approx(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
-        res = approx_result(member, n, params, args.gamma_mode, q)
+        res = approx_result(member, hyperbolic_cross(n, params, args.gamma_mode), params, q)
         rows.append((n, res.cross_cardinality, res.error_fourier_sum, res.error_best_upper,
                      predicted_order(n, a_th, b_th)))
     write_csv(args.out, config, ("n", "M", "script_E", "best_ub", "predicted_order"), rows)

@@ -25,7 +25,7 @@ from .blocks import SmoothParams, even_shell, weighted_tail_sums
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
 from .extremal import class_scale, shifted_rect_sample
-from .norms import (GridSpec, _block_norms, aggregate_block_norms, bq1_norm, lp_norm,
+from .norms import (GridSpec, aggregate_block_norms, block_norms, bq1_norm, lp_norm,
                     nikolskii_check)
 from .rates import (fit_rates, predicted_order, regimes, sweep_extremal, theory_exponents,
                     validate_hypotheses)
@@ -221,7 +221,7 @@ def run_family_embedding(config: ExperimentConfig) -> dict:
         for _ in range(config.samples):
             t = shifted_rect_sample(n, d, "random-sign", rng)
             # block sups are theta-independent; rescale and aggregate per theta
-            bn = _block_norms(t, math.inf, "smooth", grid)
+            bn = block_norms(t, math.inf, "smooth", grid)
             for theta in thetas:
                 scale = class_scale(n, d, r1, theta)
                 scaled = [(s, scale * v) for s, v in bn]

@@ -136,8 +136,8 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
     )
 
 
-def _block_norms(f: TrigPoly, p: float, form: str,
-                 grid: GridSpec) -> list[tuple[tuple[int, ...], float]]:
+def block_norms(f: TrigPoly, p: float, form: str,
+                grid: GridSpec) -> list[tuple[tuple[int, ...], float]]:
     """Per-block L_p norms of the sharp or smooth components, sorted by block."""
     _check_form(form, p)
     if not f.is_mean_zero():
@@ -154,10 +154,10 @@ def _block_norms(f: TrigPoly, p: float, form: str,
     return out
 
 
-def aggregate_block_norms(block_norms: Sequence[tuple[tuple[int, ...], float]],
+def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],
                           r: Sequence[float], theta: float) -> float:
     """l_theta aggregation of 2**(s.r)-weighted per-block norms."""
-    terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in block_norms]
+    terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in per_block]
     if math.isinf(theta):
         return max(terms, default=0.0)
     return sum(t**theta for t in terms) ** (1.0 / theta)
@@ -170,12 +170,12 @@ def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,
         raise ValueError("theta must be >= 1")
     if len(params.r) != f.d:
         raise ValueError("smoothness vector dimension mismatch")
-    return aggregate_block_norms(_block_norms(f, p, form, grid), params.r, theta)
+    return aggregate_block_norms(block_norms(f, p, form, grid), params.r, theta)
 
 
 def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridSpec()) -> float:
     """Sum over blocks of the block component's L_q norm (stronger than L_q)."""
-    return sum((v for _, v in _block_norms(f, q, form, grid)), 0.0)
+    return sum((v for _, v in block_norms(f, q, form, grid)), 0.0)
 
 
 def nikolskii_check(t: TrigPoly, p: float, q: float,
@@ -214,6 +214,8 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
     for oj, rj in zip(order, params.r):
         if oj <= rj:
             raise ValueError("difference order must exceed the smoothness in each coordinate")
+    if h_points < 1:
+        raise ValueError("h_points must be >= 1")
     if f.is_zero():
         return 0.0
     hs = _h_grid(h_points)

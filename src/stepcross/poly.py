@@ -167,21 +167,17 @@ def resolve_grid_dims(f: TrigPoly, grid: GridSpec) -> tuple[int, ...]:
     return dims
 
 
-def eval_grid(f: TrigPoly, grid: GridSpec | Sequence[int] = GridSpec()) -> np.ndarray:
+def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j.
 
     Coefficients are scattered onto the N_1 x ... x N_d frequency grid and an
-    inverse FFT recovers the samples exactly (no aliasing allowed).
+    inverse FFT recovers the samples exactly.  ``dims`` must not alias f's
+    spectrum: size them with ``resolve_grid_dims``, which also applies the
+    point budget.
     """
-    if isinstance(grid, GridSpec):
-        dims = resolve_grid_dims(f, grid)
-    else:
-        dims = tuple(int(n) for n in grid)
-        if len(dims) != f.d:
-            raise ValueError("grid dimension mismatch")
-        for n, m in zip(dims, f.degree()):
-            if n < 2 * m + 1:
-                raise AliasingError(f"grid of {n} points aliases degree {m}")
+    dims = tuple(int(n) for n in dims)
+    if len(dims) != f.d:
+        raise ValueError("grid dimension mismatch")
     spec = np.zeros(dims, dtype=complex)
     if f.nnz:
         ks = np.array(sorted(f.coeffs), dtype=np.int64)

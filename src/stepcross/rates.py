@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _best_upper, _cut_error
+from .approx import best_approx_upper, fourier_sum_error
 from .blocks import SmoothParams, hyperbolic_cross
 from .extremal import ExtremalSpec, shell_extremal
 from .poly import GridSpec
@@ -115,14 +115,14 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
         member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
         cross = hyperbolic_cross(n, params, gamma_mode)
         if 1 < q < math.inf:
-            err = _cut_error(member, cross, q, None, grid)
+            err = fourier_sum_error(member, cross, q, grid)
         else:
-            err = _best_upper(member, cross, n, params, gamma_mode, q, None, grid)
+            err = best_approx_upper(member, cross, params, q, grid)
         rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 
 
-def fit_rates(rows: Sequence[SweepRow] | Sequence[tuple], mode: str,
+def fit_rates(rows: Sequence[SweepRow], mode: str,
               a_theory: float, b_theory: float) -> RateFit:
     """Least squares on log2(error) = -a*n + b*log2(n) + c.
 
@@ -130,8 +130,8 @@ def fit_rates(rows: Sequence[SweepRow] | Sequence[tuple], mode: str,
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
-    ns = np.array([r.n if isinstance(r, SweepRow) else r[0] for r in rows], dtype=float)
-    errs = np.array([r.error if isinstance(r, SweepRow) else r[-1] for r in rows], dtype=float)
+    ns = np.array([r.n for r in rows], dtype=float)
+    errs = np.array([r.error for r in rows], dtype=float)
     if len(ns) < 4:
         raise ValueError("need at least 4 sweep rows")
     if np.any(errs <= 0):

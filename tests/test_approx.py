@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from stepcross import approx
 from stepcross.approx import (ApproxResult, approx_result, best_approx_upper,
                               fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
-from stepcross.blocks import SmoothParams, hyperbolic_cross
+from stepcross.blocks import BlockIndexSet, SmoothParams, hyperbolic_cross
 from stepcross.extremal import ExtremalSpec, shell_extremal
-from stepcross.norms import bq1_norm
-from stepcross.poly import GridSpec, TrigPoly, project_cross
+from stepcross.norms import bq1_norm, lp_norm
+from stepcross.poly import TrigPoly, blocks_of, project_cross
 
 
 class TestFourierSumError:
     def test_zero_inside_cross(self):
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0, (2, -1): 3.0})
-        assert fourier_sum_error(f, 5, params, "gamma", 2.0) == 0.0
+        assert fourier_sum_error(f, hyperbolic_cross(5, params, "gamma"), 2.0) == 0.0
 
     def test_single_coefficient_projection_oracle(self):
         # membership oracle: exp(i 2^m x) sits in block m+1, which the
@@ -26,69 +27,95 @@ class TestFourierSumError:
             f = TrigPoly.exponential((2**m,))
             for n in range(2, m + 4):
                 want = 0.0 if m + 1 < n else 1.0
-                got = fourier_sum_error(f, n, params, "gamma", 2.0)
+                got = fourier_sum_error(f, hyperbolic_cross(n, params, "gamma"), 2.0)
                 assert got == pytest.approx(want, abs=1e-13)
 
     def test_extremal_error_is_full_norm(self):
         params = SmoothParams((1.5, 1.5))
         g = shell_extremal(ExtremalSpec(n=6, d=2, r1=1.5, p=2.0, theta=2.0))
-        err = fourier_sum_error(g, 6, params, "gamma", 4.0)
+        err = fourier_sum_error(g, hyperbolic_cross(6, params, "gamma"), 4.0)
         assert err == pytest.approx(bq1_norm(g, 4.0, "sharp"), rel=1e-12)
 
     def test_idempotence(self):
-        params = SmoothParams((1.0, 1.0))
+        cross = hyperbolic_cross(5, SmoothParams((1.0, 1.0)), "gamma")
         rng = np.random.default_rng(0)
         for _ in range(10):
             f = random_mixed_poly(rng, 2, max_shell=7)
-            s = project_cross(f, hyperbolic_cross(5, params, "gamma"))
-            assert fourier_sum_error(s, 5, params, "gamma", 2.0) == 0.0
+            assert fourier_sum_error(project_cross(f, cross), cross, 2.0) == 0.0
 
     def test_triangle_inequality(self):
-        params = SmoothParams((1.0, 1.0))
+        cross = hyperbolic_cross(5, SmoothParams((1.0, 1.0)), "gamma")
         rng = np.random.default_rng(1)
         for _ in range(15):
             f = random_mixed_poly(rng, 2, max_shell=7)
             g = random_mixed_poly(rng, 2, max_shell=7)
-            lhs = fourier_sum_error(f + g, 5, params, "gamma", 2.0)
-            rhs = (fourier_sum_error(f, 5, params, "gamma", 2.0)
-                   + fourier_sum_error(g, 5, params, "gamma", 2.0))
+            lhs = fourier_sum_error(f + g, cross, 2.0)
+            rhs = fourier_sum_error(f, cross, 2.0) + fourier_sum_error(g, cross, 2.0)
             assert lhs <= rhs + 1e-9
+
+    def test_hand_built_cross_drops_the_blocks_outside(self):
+        # a cross with no level: the error is the sum of f's sharp-block
+        # norms over the blocks it leaves out
+        cross = BlockIndexSet(((1, 1), (1, 3), (2, 2), (3, 1)), 2)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            f = random_mixed_poly(rng, 2, max_shell=6)
+            want = sum(lp_norm(comp, 3.0) for s, comp in blocks_of(f).items()
+                       if s not in cross)
+            assert fourier_sum_error(f, cross, 3.0) == pytest.approx(want, rel=1e-12)
 
 
 class TestBestApproxUpper:
     def test_never_exceeds_fourier_sum_error(self):
         params = SmoothParams((1.0, 2.0))
+        cross = hyperbolic_cross(6, params, "gamma-prime")
         rng = np.random.default_rng(2)
         for _ in range(15):
             f = random_mixed_poly(rng, 2, max_shell=7)
-            e = fourier_sum_error(f, 6, params, "gamma-prime", 2.0)
-            u = best_approx_upper(f, 6, params, "gamma-prime", 2.0)
+            e = fourier_sum_error(f, cross, 2.0)
+            u = best_approx_upper(f, cross, params, 2.0)
             assert u <= e * (1 + 1e-12)
 
     def test_zero_inside_cross(self):
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0})
-        assert best_approx_upper(f, 5, params, "gamma-prime", 2.0) == 0.0
+        cross = hyperbolic_cross(5, params, "gamma-prime")
+        assert best_approx_upper(f, cross, params, 2.0) == 0.0
 
     def test_ratio_band_on_extremal_family(self):
         params = SmoothParams((1.5, 1.5))
         for n in (5, 7):
             g = shell_extremal(ExtremalSpec(n=n, d=2, r1=1.5, p=2.0, theta=2.0))
-            e = fourier_sum_error(g, n, params, "gamma", 4.0)
-            u = best_approx_upper(g, n, params, "gamma", 4.0)
+            cross = hyperbolic_cross(n, params, "gamma")
+            e = fourier_sum_error(g, cross, 4.0)
+            u = best_approx_upper(g, cross, params, 4.0)
             assert 0.5 * e <= u <= e * (1 + 1e-12)
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ApproxResult(5, 10, 1.0, 2.0, 2.0, "gamma")
+            ApproxResult(10, 1.0, 2.0)
 
     def test_approx_result_consistency(self):
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
-        res = approx_result(f, 4, params, "gamma", 2.0)
-        assert res.cross_cardinality == hyperbolic_cross(4, params).freq_count
+        cross = hyperbolic_cross(4, params)
+        res = approx_result(f, cross, params, 2.0)
+        assert res.cross_cardinality == cross.freq_count
         assert res.error_best_upper <= res.error_fourier_sum * (1 + 1e-9)
         assert res.error_fourier_sum == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(("cross", "condition"), [
+        (BlockIndexSet(((1, 1),), 2), "n is None"),
+        (hyperbolic_cross(5, SmoothParams((1.0,))), "params.d"),
+    ], ids=["no-level", "wrong-dimension"])
+    def test_rejects_an_unusable_cross_before_any_norm(self, monkeypatch, cross, condition):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("a norm was computed")
+
+        monkeypatch.setattr(approx, "bq1_norm", no_norm)
+        f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
+        with pytest.raises(ValueError, match=condition):
+            approx_result(f, cross, SmoothParams((1.0, 1.0)), 2.0)
 
 
 class TestProjectorProbe:

@@ -39,6 +39,23 @@ def test_poly_eval_grid_csv(poly_file, tmp_path):
     assert float(lines[1].split(",")[1]) == pytest.approx(2.0)
 
 
+def test_poly_eval_points_over_budget_exits_one(poly_file, tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr("stepcross.cli.eval_grid", no_grid)
+    out = tmp_path / "vals.csv"
+    assert main(["poly", "eval", "--input", poly_file, "--points", str(1 << 27),
+                 "--out", str(out)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_poly_project_without_level_exits_one(poly_file, capsys):
+    assert main(["poly", "project", "--input", poly_file, "--r", "1"]) == 1
+    assert "--n" in capsys.readouterr().err
+
+
 def test_poly_project(poly_file, tmp_path):
     out = tmp_path / "proj.jsonl"
     assert main(["poly", "project", "--input", poly_file, "--n", "3",
@@ -66,6 +83,25 @@ def test_norm_besov_invalid_spec_exits_one(poly_file, capsys, spec, condition):
     spec = json.dumps({"kind": "besov", "r": [1.0], **spec})
     assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
     assert condition in capsys.readouterr().err
+
+
+def test_norm_unknown_grid_key_exits_one(poly_file, capsys):
+    spec = json.dumps({"kind": "lp", "p": 3, "grid": {"oversampling": 4.0, "points": 8}})
+    assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
+    err = capsys.readouterr().err
+    assert "grid" in err and "points" in err
+
+
+def test_norm_without_input_exits_one(capsys):
+    assert main(["norm", "--spec", '{"kind":"lp","p":2}']) == 1
+    err = capsys.readouterr().err
+    assert "--input" in err and "--batch" in err
+
+
+def test_norm_hrp_zero_h_points_exits_one(poly_file, capsys):
+    spec = json.dumps({"kind": "hrp", "r": [1.0], "order": [2], "h_points": 0})
+    assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
+    assert "h_points" in capsys.readouterr().err
 
 
 def test_norm_batch(poly_file, tmp_path, capsys):

@@ -328,6 +328,12 @@ class TestDifferenceSeminorm:
         with pytest.raises(ValueError):
             difference_seminorm(TrigPoly.exponential((1,)), params, (2,))
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_needs_a_step(self, p):
+        params = SmoothParams((1.0,))
+        with pytest.raises(ValueError, match="h_points"):
+            difference_seminorm(TrigPoly.exponential((1,)), params, (2,), p, h_points=0)
+
     def test_band_against_class_norm(self):
         # sup-form vs smooth-block theta=inf class norm on the shell family
         grid = GridSpec()

@@ -9,7 +9,8 @@ from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (AliasingError, GridBudgetError, GridSpec, TrigPoly,
                             blocks_of, eval_grid, mixed_difference,
-                            project_cross, read_jsonl, sharp_block, write_jsonl)
+                            project_cross, read_jsonl, resolve_grid_dims, sharp_block,
+                            write_jsonl)
 
 coeff_st = st.complex_numbers(min_magnitude=1e-6, max_magnitude=10,
                               allow_nan=False, allow_infinity=False)
@@ -69,7 +70,7 @@ class TestEvalGrid:
     def test_shell_poly_peak_at_origin(self):
         # every coefficient is 1, so f(0) equals the term count and is the max
         f = dirichlet_shell(5, 2)
-        vals = eval_grid(f, GridSpec())
+        vals = eval_grid(f, resolve_grid_dims(f, GridSpec()))
         assert vals[0, 0] == pytest.approx(f.nnz, rel=1e-12)
         assert np.max(np.abs(vals)) == pytest.approx(f.nnz, rel=1e-12)
 
@@ -83,17 +84,19 @@ class TestEvalGrid:
 
     def test_aliasing_rejected(self):
         with pytest.raises(AliasingError):
-            eval_grid(TrigPoly.exponential((2,)), (4,))
+            resolve_grid_dims(TrigPoly.exponential((2,)), GridSpec(points_per_dim=4))
 
     def test_budget_guard(self):
         f = TrigPoly.exponential((1000, 1000))
         with pytest.raises(GridBudgetError):
-            eval_grid(f, GridSpec(max_points=1000))
+            resolve_grid_dims(f, GridSpec(max_points=1000))
+        with pytest.raises(GridBudgetError, match="budget"):
+            resolve_grid_dims(f, GridSpec(points_per_dim=10_000))
 
     @settings(max_examples=30, deadline=None)
     @given(random_poly_st(2))
     def test_parseval_on_grid(self, f):
-        vals = eval_grid(f, GridSpec())
+        vals = eval_grid(f, resolve_grid_dims(f, GridSpec()))
         quad = float(np.mean(np.abs(vals) ** 2))
         exact = sum(abs(c) ** 2 for c in f.coeffs.values())
         assert quad == pytest.approx(exact, rel=1e-12)

@@ -61,11 +61,6 @@ class TestFitRates:
         with pytest.raises(ValueError):
             fit_rates(rows, "both", 1.0, 0.0)
 
-    def test_accepts_plain_tuples(self):
-        rows = [(n, 2.0**-n) for n in range(5, 10)]
-        fit = fit_rates(rows, "slope-fixed", 1.0, 0.0)
-        assert fit.b_hat == pytest.approx(0.0, abs=1e-9)
-
 
 class TestTheoryExponents:
     def test_off_diagonal_instantiation(self):
@@ -151,15 +146,17 @@ class TestSweep:
             return hyperbolic_cross(n, params, gamma_mode)
 
         monkeypatch.setattr(rates, "hyperbolic_cross", counting)
-        monkeypatch.setattr(approx, "hyperbolic_cross", counting)
         rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7), grid=grid)
         assert built == [4, 5, 6]
         monkeypatch.undo()
-        reference = approx.fourier_sum_error if pq < math.inf else approx.best_approx_upper
         for r in rows:
             member = shell_extremal(ExtremalSpec(n=r.n, d=2, r1=1.0, p=pq, theta=2.0))
-            assert r.cardinality == hyperbolic_cross(r.n, params, "gamma").freq_count
-            assert r.error == reference(member, r.n, params, "gamma", pq, grid=grid)
+            cross = hyperbolic_cross(r.n, params, "gamma")
+            assert r.cardinality == cross.freq_count
+            if pq < math.inf:
+                assert r.error == approx.fourier_sum_error(member, cross, pq, grid)
+            else:
+                assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))

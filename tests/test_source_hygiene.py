@@ -1,4 +1,5 @@
-"""Static checks on the package source: every name a module imports is used.
+"""Static checks on the package source: every name a module imports is used,
+and no module imports another stepcross module's private (underscore) name.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
@@ -46,6 +47,19 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def private_imports(tree: ast.Module) -> dict[str, int]:
+    """Underscore name -> line of every import from another stepcross module
+    (dunders such as ``__version__`` are public)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "stepcross"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    out[alias.name] = node.lineno
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -57,3 +71,16 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     tree = ast.parse("from typing import Callable, Sequence\nx: Sequence[int] = ()\n")
     assert set(imported_names(tree)) - used_names(tree) == {"Callable"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    private = private_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not private, f"{path.name} imports private names of other modules: {private}"
+
+
+def test_guard_sees_a_private_import():
+    tree = ast.parse("from . import __version__\nfrom os import _exit\n"
+                     "from .norms import _block_norms, lp_norm\n"
+                     "from stepcross.approx import _cut_error\n")
+    assert set(private_imports(tree)) == {"_block_norms", "_cut_error"}
