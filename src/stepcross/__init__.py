@@ -9,21 +9,20 @@ scale.
 __version__ = "0.1.0"
 
 from .blocks import (BlockIndexSet, SmoothParams, block_anchor, block_of,
-                     dyadic_block, even_shell, hyperbolic_cross,
-                     weighted_tail_sums)
+                     even_shell, hyperbolic_cross, weighted_tail_sums)
 from .poly import (GridSpec, TrigPoly, blocks_of, eval_grid, mixed_difference,
-                   project_cross, read_jsonl, sharp_block, write_jsonl)
-from .kernels import (block_filter_coeff, kernel_l1_norm, smooth_aggregate,
-                      smooth_block, vdp_coeff)
+                   project_cross, read_jsonl, write_jsonl)
+from .kernels import (block_filter_coeff, smooth_aggregate, smooth_block,
+                      smooth_blocks_of, vdp_coeff)
 from .norms import (QuadratureError, besov_mixed_norm, bq1_norm,
                     difference_seminorm, lp_norm, nikolskii_check)
 from .approx import (ApproxResult, best_approx_upper, fourier_sum_error,
                      projector_norm_probe, random_mixed_poly)
-from .extremal import (ExtremalSpec, class_scale, dirichlet_shell,
-                       shell_extremal, shell_term_count, shifted_rect_sample)
+from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
+                       shifted_rect_sample)
 from .rates import (RateFit, SweepRow, fit_rates, predicted_order,
                     sweep_extremal, theory_exponents)
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
-                      entropy_number_estimate, kolmogorov_width_ellipsoid,
-                      packing_number_exact, packing_number_greedy)
+                      entropy_number_estimate, packing_number_exact,
+                      packing_number_greedy)
 from .experiments import ExperimentConfig, run_experiment

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
@@ -109,11 +109,6 @@ def block_ranges(s: Sequence[int]) -> list[tuple[int, ...]]:
     return ranges
 
 
-def dyadic_block(s: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """All frequencies k with 2**(s_j-1) <= |k_j| < 2**s_j per coordinate."""
-    return frozenset(product(*block_ranges(s)))
-
-
 def block_cardinality(s: Sequence[int]) -> int:
     return 2 ** sum(int(x) for x in s)
 
@@ -159,14 +154,6 @@ class BlockIndexSet:
 
     def __contains__(self, s) -> bool:
         return tuple(s) in self._lookup
-
-    def contains_freq(self, k: Sequence[int]) -> bool:
-        s = block_of(k)
-        return s is not None and s in self._lookup
-
-    def frequencies(self) -> Iterator[tuple[int, ...]]:
-        for s in self.blocks:
-            yield from sorted(dyadic_block(s))
 
 
 def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
@@ -282,13 +269,3 @@ def write_blocks(path, blockset: BlockIndexSet | Iterable[Sequence[int]]) -> Non
     with open(path, "w") as fh:
         for s in blocks:
             fh.write(" ".join(str(x) for x in s) + "\n")
-
-
-def read_blocks(path) -> tuple[tuple[int, ...], ...]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(tuple(int(tok) for tok in line.split()))
-    return tuple(out)

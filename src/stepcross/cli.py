@@ -36,6 +36,8 @@ def _parse_rvec(text: str) -> tuple[float, ...]:
 def _norm_callable(spec: dict):
     kind = spec.get("kind", "lp")
     grid = spec.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ValueError("the norm spec's grid must be a JSON object")
     unknown = set(grid) - {fld.name for fld in dataclasses.fields(GridSpec)}
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in the norm spec's grid")

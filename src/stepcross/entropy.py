@@ -1,5 +1,5 @@
-"""Covering and packing numbers on finite point clouds, entropy-number
-estimates, and the diagonal-ellipsoid width oracle.
+"""Covering and packing numbers on finite point clouds, and entropy-number
+estimates.
 
 Ball centers are restricted to cloud points, which keeps every computation
 combinatorial; by the triangle inequality the restricted covering number is
@@ -145,37 +145,4 @@ def entropy_number_estimate(cloud: CloudProblem, k: int) -> float:
             hi = mid - 1
         else:
             lo = mid + 1
-    return best
-
-
-def kolmogorov_width_ellipsoid(sigma: Sequence[float], m: int) -> float:
-    """Width of a diagonal ellipsoid with semiaxes sigma (descending).
-
-    The best m-dimensional approximating subspace is spanned by the top m
-    coordinate directions, so the width equals sigma[m]; past the dimension
-    the width is 0.
-    """
-    sigma = [float(x) for x in sigma]
-    if any(a <= 0 for a in sigma):
-        raise ValueError("semiaxes must be positive")
-    if any(a < b for a, b in zip(sigma, sigma[1:])):
-        raise ValueError("semiaxes must be nonincreasing")
-    if m < 0:
-        raise ValueError("subspace dimension must be >= 0")
-    if m >= len(sigma):
-        return 0.0
-    return sigma[m]
-
-
-def coordinate_width_oracle(sigma: Sequence[float], m: int) -> float:
-    """Exhaustive search over coordinate subspaces; optimal for diagonal
-    ellipsoids, used to cross-check the closed form."""
-    sigma = [float(x) for x in sigma]
-    dim = len(sigma)
-    if m >= dim:
-        return 0.0
-    best = math.inf
-    for keep in combinations(range(dim), m):
-        worst = max(sigma[i] for i in range(dim) if i not in keep) if m < dim else 0.0
-        best = min(best, worst)
     return best

@@ -50,12 +50,6 @@ def dirichlet_shell(n: int, d: int) -> TrigPoly:
     return TrigPoly(d, coeffs)
 
 
-def shell_term_count(n: int, d: int) -> int:
-    if n < d:
-        return 0
-    return 2**n * math.comb(n - 1, d - 1)
-
-
 def shell_extremal(spec: ExtremalSpec) -> TrigPoly:
     """c4 * 2**(-n(r1+1-1/p)) * n**(-(d-1)/theta) times the shell polynomial.
 

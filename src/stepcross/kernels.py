@@ -6,6 +6,12 @@ ramp band is empty).  The block filter attached to a block index s is, per
 coordinate, the difference of two consecutive kernels in the dyadic ladder;
 convolving with it is plain coefficient multiplication.
 
+``smooth_block(f, s)`` is that multiplication for one block index and the
+only place the filter product is computed.  ``smooth_blocks_of(f)`` splits f
+into all of its nonzero smooth blocks in one pass over the coefficients, the
+smooth counterpart of ``poly.blocks_of``; ``filter_support_blocks`` lists
+their indices and ``smooth_aggregate`` sums those inside a gamma'-cross.
+
 Two conventions are defined, in ``block_filter_coeff`` and ``smooth_block``.
 ``literal`` takes the ladder rung at s = 1 as V_2 - V_1, which annihilates
 the frequencies |k| = 1 and therefore cannot reproduce every mean-zero
@@ -18,10 +24,11 @@ polynomial exactly.  Every norm, error and experiment uses
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .blocks import SmoothParams, block_of
-from .poly import GridSpec, TrigPoly
+from .poly import TrigPoly
 
 CONVENTIONS = ("partition-exact", "literal")
 
@@ -65,51 +72,32 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
     return TrigPoly(f.d, out)
 
 
-def filter_support_blocks(f: TrigPoly) -> list[tuple[int, ...]]:
-    """Block indices s for which the smooth block of f is nonzero.
+def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
+    """Every nonzero smooth block of f, sorted by block index: the smooth
+    counterpart of ``poly.blocks_of``.
 
     A frequency in dyadic block m is touched only by the filters with index
     m - 1 and m per coordinate; of those, each coordinate keeps the indices
     whose filter does not vanish at k_j (for m >= 2, filter m is 0 at
-    |k_j| = 2**(m-1)).
+    |k_j| = 2**(m-1)).  One pass files each coefficient under those at most
+    2**d indices, and ``smooth_block`` filters each group alone.
     """
-    candidates: set[tuple[int, ...]] = set()
-    for k in f.coeffs:
+    groups: dict[tuple[int, ...], dict] = {}
+    for k, c in f.coeffs.items():
         m = block_of(k)
         if m is None:
             raise ValueError(f"frequency {k} has a zero component")
         per_dim = [[sj for sj in (mj - 1, mj) if sj >= 1 and block_filter_coeff(sj, kj) != 0.0]
                    for mj, kj in zip(m, k)]
-        stack = [()]
-        for options in per_dim:
-            stack = [acc + (o,) for acc in stack for o in options]
-        candidates.update(stack)
-    return sorted(candidates)
+        for s in product(*per_dim):
+            groups.setdefault(s, {})[k] = c
+    split = ((s, smooth_block(TrigPoly(f.d, g), s)) for s, g in sorted(groups.items()))
+    return {s: comp for s, comp in split if not comp.is_zero()}
 
 
-def kernel_poly_1d(s: int) -> TrigPoly:
-    """The one-dimensional block filter as a trigonometric polynomial."""
-    hi = 2 ** (s + 1)
-    coeffs = {}
-    for k in range(-hi, hi + 1):
-        v = block_filter_coeff(s, k)
-        if v != 0.0:
-            coeffs[(k,)] = v
-    return TrigPoly(1, coeffs)
-
-
-def kernel_l1_norm(s: Sequence[int], grid: GridSpec = GridSpec()) -> float:
-    """L1 norm of the product block filter on the torus.
-
-    The filter is a tensor product, so the norm factorizes over coordinates;
-    each factor is a one-dimensional quadrature.
-    """
-    from .norms import lp_norm
-
-    out = 1.0
-    for sj in s:
-        out *= lp_norm(kernel_poly_1d(int(sj)), 1.0, grid)
-    return out
+def filter_support_blocks(f: TrigPoly) -> list[tuple[int, ...]]:
+    """Block indices s for which the smooth block of f is nonzero."""
+    return list(smooth_blocks_of(f))
 
 
 def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
@@ -120,7 +108,7 @@ def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
     gp = params.gamma_prime
     threshold = n - sum(gp)
     out = TrigPoly.zero(f.d)
-    for s in filter_support_blocks(f):
+    for s, comp in smooth_blocks_of(f).items():
         if sum(sj * gj for sj, gj in zip(s, gp)) < threshold:
-            out = out + smooth_block(f, s)
+            out = out + comp
     return out

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import SmoothParams
-from .kernels import filter_support_blocks, smooth_block
+from .kernels import smooth_blocks_of
 from .poly import GridSpec, TrigPoly, blocks_of, eval_grid, mixed_difference, resolve_grid_dims
 
 FORMS = ("sharp", "smooth")
@@ -142,16 +142,8 @@ def block_norms(f: TrigPoly, p: float, form: str,
     _check_form(form, p)
     if not f.is_mean_zero():
         raise ValueError("polynomial must have mean zero in every variable")
-    out = []
-    if form == "sharp":
-        for s, comp in blocks_of(f).items():
-            out.append((s, lp_norm(comp, p, grid)))
-    else:
-        for s in filter_support_blocks(f):
-            comp = smooth_block(f, s)
-            if not comp.is_zero():
-                out.append((s, lp_norm(comp, p, grid)))
-    return out
+    split = blocks_of(f) if form == "sharp" else smooth_blocks_of(f)
+    return [(s, lp_norm(comp, p, grid)) for s, comp in split.items()]
 
 
 def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,7 +37,8 @@ class GridSpec:
     ``points_per_dim=None`` sizes the grid from the polynomial degree:
     ceil(oversampling * (2*deg_j + 1)) per dimension, rounded up to an
     FFT-friendly length.  The self-check fields control the doubling test
-    applied to non-exact quadratures in the norms module.
+    applied to non-exact quadratures in the norms module.  Every field is
+    checked on creation; an oversampling below 1, for one, would alias.
     """
 
     points_per_dim: int | None = None
@@ -45,6 +47,30 @@ class GridSpec:
     check_rtol: float = 1e-6
     max_refine: int = 10
     max_points: int = 1 << 26
+
+    def __post_init__(self):
+        ppd, over, rtol = self.points_per_dim, self.oversampling, self.check_rtol
+        for name, ok, want in (
+            ("points_per_dim", ppd is None or (_is_int(ppd) and ppd >= 1),
+             "None or an integer >= 1"),
+            ("oversampling", _is_real(over) and over >= 1, "a finite real number >= 1"),
+            ("self_check", isinstance(self.self_check, bool), "a bool"),
+            ("check_rtol", _is_real(rtol) and rtol > 0, "a finite real number > 0"),
+            ("max_refine", _is_int(self.max_refine) and self.max_refine >= 0,
+             "an integer >= 0"),
+            ("max_points", _is_int(self.max_points) and self.max_points >= 1,
+             "an integer >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"GridSpec.{name} must be {want}, got {getattr(self, name)!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class TrigPoly:
@@ -121,14 +147,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def allclose(self, other: "TrigPoly", tol: float = 1e-12) -> bool:
-        if self.d != other.d:
-            return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(
-            abs(self._coeffs.get(k, 0.0) - other._coeffs.get(k, 0.0)) <= tol for k in keys
-        )
-
     def evaluate(self, x: Sequence[float]) -> complex:
         """Direct pointwise evaluation; slow, used as an oracle."""
         x = np.asarray(x, dtype=float)
@@ -187,14 +205,6 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     out = scipy.fft.ifftn(spec, overwrite_x=True)
     out *= math.prod(dims)
     return out
-
-
-def sharp_block(f: TrigPoly, s: Sequence[int]) -> TrigPoly:
-    """Restriction of f to the dyadic block named by ``s``."""
-    s = tuple(int(x) for x in s)
-    if len(s) != f.d:
-        raise ValueError("dimension mismatch")
-    return TrigPoly(f.d, {k: c for k, c in f.coeffs.items() if block_of(k) == s})
 
 
 def blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepcross.blocks import (BlockIndexSet, SmoothParams, TailTruncationError,
-                              block_anchor, block_cardinality, block_of,
-                              compositions, dyadic_block, even_shell,
-                              hyperbolic_cross, read_blocks,
+                              block_anchor, block_cardinality, block_of, block_ranges,
+                              compositions, even_shell, hyperbolic_cross,
                               weighted_tail_sums, write_blocks)
+from stepcross.poly import TrigPoly, project_cross
+
+
+def block_freqs(s):
+    """Every frequency of dyadic block s."""
+    return set(itertools.product(*block_ranges(s)))
 
 
 class TestSmoothParams:
@@ -49,32 +55,32 @@ class TestSmoothParams:
 
 class TestDyadicBlocks:
     def test_d1_first_block(self):
-        assert dyadic_block((1,)) == {(-1,), (1,)}
+        assert block_freqs((1,)) == {(-1,), (1,)}
 
     def test_d2_unit_block(self):
-        assert dyadic_block((1, 1)) == {(a, b) for a in (-1, 1) for b in (-1, 1)}
+        assert block_freqs((1, 1)) == {(a, b) for a in (-1, 1) for b in (-1, 1)}
 
     def test_d2_s21_enumeration(self):
         # exhaustive per-coordinate enumeration oracle
         want = {(a, b) for a in (-3, -2, 2, 3) for b in (-1, 1)}
-        assert dyadic_block((2, 1)) == want
+        assert block_freqs((2, 1)) == want
         assert len(want) == block_cardinality((2, 1)) == 8
 
     @pytest.mark.parametrize("s", [(1,), (4,), (2, 3), (1, 1, 2), (3, 2, 1)])
     def test_cardinality(self, s):
-        assert len(dyadic_block(s)) == 2 ** sum(s)
+        assert len(block_freqs(s)) == 2 ** sum(s)
 
     def test_cardinality_large_shells(self):
         # spot blocks on the (s,1) = 16 shell
-        assert len(dyadic_block((16,))) == 2**16
-        assert len(dyadic_block((8, 8))) == 2**16
-        assert len(dyadic_block((6, 5, 5))) == 2**16
+        assert len(block_freqs((16,))) == 2**16
+        assert len(block_freqs((8, 8))) == 2**16
+        assert len(block_freqs((6, 5, 5))) == 2**16
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     def test_block_of_roundtrip(self, s):
         s = tuple(s)
-        assert all(block_of(k) == s for k in dyadic_block(s))
+        assert all(block_of(k) == s for k in block_freqs(s))
 
     def test_blocks_disjoint_and_cover(self):
         # union over (s,1) <= L equals the mean-zero box predicate
@@ -82,10 +88,9 @@ class TestDyadicBlocks:
             union = set()
             for m in range(d, L + 1):
                 for s in compositions(m, d):
-                    blk = dyadic_block(s)
+                    blk = block_freqs(s)
                     assert not (union & blk)
                     union |= blk
-            import itertools
             box = itertools.product(range(-(2**L) + 1, 2**L), repeat=d)
             want = {k for k in box
                     if all(kj != 0 for kj in k)
@@ -94,7 +99,7 @@ class TestDyadicBlocks:
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            dyadic_block((0, 1))
+            block_ranges((0, 1))
 
     def test_block_of_zero_component(self):
         assert block_of((0, 3)) is None
@@ -149,11 +154,10 @@ class TestHyperbolicCross:
             assert max(ratios) / min(ratios) <= 4.0
 
     def test_contains_freq(self):
+        # the cross holds a frequency iff the Fourier sum over it keeps it
         q = hyperbolic_cross(4, SmoothParams((1.0, 1.0)))
-        assert q.contains_freq((1, 1))
-        assert q.contains_freq((-3, 1))
-        assert not q.contains_freq((8, 8))
-        assert not q.contains_freq((0, 1))
+        f = TrigPoly(2, {k: 1.0 for k in ((1, 1), (-3, 1), (8, 8), (0, 1))})
+        assert set(project_cross(f, q).coeffs) == {(1, 1), (-3, 1)}
 
     def test_duplicate_blocks_rejected(self):
         with pytest.raises(ValueError):
@@ -249,7 +253,7 @@ def test_block_serialization_roundtrip(tmp_path):
     q = hyperbolic_cross(5, SmoothParams((1.0, 1.0)))
     path = tmp_path / "blocks.txt"
     write_blocks(path, q)
-    assert read_blocks(path) == q.blocks
     text = path.read_text().splitlines()
+    assert tuple(tuple(int(tok) for tok in line.split()) for line in text) == q.blocks
     assert text[0] == "1 1"
     assert all(len(line.split()) == 2 for line in text)

@@ -92,6 +92,22 @@ def test_norm_unknown_grid_key_exits_one(poly_file, capsys):
     assert "grid" in err and "points" in err
 
 
+BAD_GRIDS = [5, {"points_per_dim": 64.5}, {"oversampling": 0.5}, {"oversampling": "x"},
+             {"self_check": "yes"}, {"check_rtol": -1.0}, {"max_refine": -1},
+             {"max_points": "x"}]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS, ids=lambda g: "-".join(
+    f"{k}={v}" for k, v in (g.items() if isinstance(g, dict) else [("grid", g)])))
+def test_norm_bad_grid_exits_one(tmp_path, capsys, grid):
+    # p = 3 runs the self-checked quadrature that every grid field steers
+    path = tmp_path / "f.jsonl"
+    write_jsonl(path, TrigPoly(1, {(5,): 1.0, (-3,): 0.5}))
+    spec = json.dumps({"kind": "lp", "p": 3, "grid": grid})
+    assert main(["norm", "--spec", spec, "--input", str(path)]) == 1
+    assert (next(iter(grid)) if isinstance(grid, dict) else "grid") in capsys.readouterr().err
+
+
 def test_norm_without_input_exits_one(capsys):
     assert main(["norm", "--spec", '{"kind":"lp","p":2}']) == 1
     err = capsys.readouterr().err

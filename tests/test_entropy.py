@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.entropy import (CloudProblem, coordinate_width_oracle,
-                               covering_number_exact, covering_number_greedy,
-                               entropy_number_estimate, kolmogorov_width_ellipsoid,
-                               packing_number_exact, packing_number_greedy)
+from stepcross.entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
+                               entropy_number_estimate, packing_number_exact,
+                               packing_number_greedy)
 
 
 def line_cloud(*xs):
@@ -99,46 +98,6 @@ class TestEntropyNumberEstimate:
         for k in (0, 1, 2):
             eps = entropy_number_estimate(cloud, k)
             assert covering_number_greedy(cloud, eps)[0] <= 2**k
-
-
-class TestEllipsoidWidths:
-    def test_example(self):
-        assert kolmogorov_width_ellipsoid((3, 2, 1), 1) == 2.0
-
-    def test_zero_dimensional(self):
-        assert kolmogorov_width_ellipsoid((3, 2, 1), 0) == 3.0
-
-    def test_past_dimension(self):
-        assert kolmogorov_width_ellipsoid((3, 2, 1), 5) == 0.0
-
-    def test_equal_axes(self):
-        assert kolmogorov_width_ellipsoid((2, 2, 2), 2) == 2.0
-
-    def test_matches_coordinate_subspace_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            sigma = np.sort(rng.uniform(0.1, 5.0, size=int(rng.integers(2, 7))))[::-1]
-            for m in range(len(sigma) + 1):
-                assert kolmogorov_width_ellipsoid(sigma, m) == pytest.approx(
-                    coordinate_width_oracle(sigma, m))
-
-    def test_linear_width_ordering_equality_case(self):
-        # the coordinate projection realizes the width, so the Kolmogorov and
-        # linear widths agree on the diagonal ellipsoid
-        sigma = (4.0, 2.0, 1.0, 0.5)
-        for m in range(4):
-            d_m = kolmogorov_width_ellipsoid(sigma, m)
-            lambda_m = coordinate_width_oracle(sigma, m)  # realized by a linear map
-            assert d_m <= lambda_m + 1e-15
-            assert d_m == pytest.approx(lambda_m)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            kolmogorov_width_ellipsoid((1.0, 2.0), 0)
-        with pytest.raises(ValueError):
-            kolmogorov_width_ellipsoid((2.0, -1.0), 0)
-        with pytest.raises(ValueError):
-            kolmogorov_width_ellipsoid((2.0, 1.0), -1)
 
 
 def test_cloud_validation():

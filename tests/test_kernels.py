@@ -4,13 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.blocks import SmoothParams, dyadic_block
+from stepcross import kernels
+from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import shifted_rect_sample
-from stepcross.kernels import (block_filter_coeff, filter_support_blocks,
-                               kernel_l1_norm, kernel_poly_1d, smooth_aggregate,
-                               smooth_block, vdp_coeff)
-from stepcross.norms import lp_norm
-from stepcross.poly import GridSpec, TrigPoly, sharp_block
+from stepcross.kernels import (block_filter_coeff, filter_support_blocks, smooth_aggregate,
+                               smooth_block, smooth_blocks_of, vdp_coeff)
+from stepcross.norms import block_norms, lp_norm
+from stepcross.poly import GridSpec, TrigPoly
+
+
+def coeff_gap(f, g):
+    """Largest coefficient modulus of f - g."""
+    return max(map(abs, (f - g).coeffs.values()), default=0.0)
+
+
+def filter_poly_1d(s):
+    """The one-dimensional block-s filter as a trigonometric polynomial."""
+    hi = 2 ** (s + 1)
+    return TrigPoly(1, {(k,): block_filter_coeff(s, k) for k in range(-hi, hi + 1)})
 
 
 class TestVdpCoeff:
@@ -78,13 +89,13 @@ class TestPartitionOfUnity:
                 f = TrigPoly(d, {tuple(map(int, k)): complex(a, b)
                                  for k, a, b in zip(ks, rng.standard_normal(8),
                                                     rng.standard_normal(8))})
-                assert reconstruct(f, "partition-exact").allclose(f, tol=1e-13)
+                assert coeff_gap(reconstruct(f, "partition-exact"), f) <= 1e-13
 
     def test_literal_mode_loses_unit_frequencies(self):
         f = TrigPoly(2, {(1, 5): 1.0})
         assert reconstruct(f, "literal").is_zero()
         g = TrigPoly(2, {(4, 5): 1.0})
-        assert reconstruct(g, "literal").allclose(g, tol=1e-14)
+        assert coeff_gap(reconstruct(g, "literal"), g) <= 1e-14
 
     def test_scalar_coefficient_sums_to_one(self):
         for k in range(1, 1025):
@@ -102,7 +113,7 @@ class TestSupportAndReproduction:
                 assert abs(m - s) <= 1
 
     def test_far_blocks_annihilate(self):
-        f = TrigPoly(2, {k: 1.0 for k in dyadic_block((3, 3))})
+        f = TrigPoly(2, {k: 1.0 for k in itertools.product(*block_ranges((3, 3)))})
         for s in ((1, 3), (5, 3), (3, 1), (3, 5), (1, 1), (5, 5)):
             assert smooth_block(f, s, "partition-exact").is_zero()
 
@@ -114,7 +125,7 @@ class TestSupportAndReproduction:
         rng = np.random.default_rng(1)
         for s in ((3,), (2, 4)):
             d = len(s)
-            freqs = sorted(dyadic_block(s))
+            freqs = list(itertools.product(*block_ranges(s)))
             take = rng.choice(len(freqs), size=min(6, len(freqs)), replace=False)
             t = TrigPoly(d, {freqs[i]: complex(*rng.standard_normal(2)) for i in take})
             total = TrigPoly.zero(d)
@@ -122,7 +133,7 @@ class TestSupportAndReproduction:
                 s2 = tuple(a + b for a, b in zip(s, ds))
                 if all(x >= 1 for x in s2):
                     total = total + smooth_block(t, s2, "partition-exact")
-            assert total.allclose(t, tol=1e-13)
+            assert coeff_gap(total, t) <= 1e-13
 
 
 def neighborhood_blocks(f):
@@ -135,11 +146,19 @@ def neighborhood_blocks(f):
     return sorted(out)
 
 
+SHIFTED_RECT_MEMBERS = pytest.mark.parametrize(
+    "n,d,mode", [(6, 2, "random-sign"), (8, 2, "random-sign"), (8, 3, "random-sign"),
+                 (10, 2, "constant")])
+
+
 class TestFilterSupport:
     @staticmethod
     def assert_exact(f):
-        nonempty = [s for s in neighborhood_blocks(f) if not smooth_block(f, s).is_zero()]
-        assert filter_support_blocks(f) == nonempty
+        # the oracle filters all of f once per candidate block
+        want = [(s, smooth_block(f, s)) for s in neighborhood_blocks(f)]
+        want = [(s, b) for s, b in want if not b.is_zero()]
+        assert list(smooth_blocks_of(f).items()) == want
+        assert filter_support_blocks(f) == [s for s, _ in want]
 
     def test_random_polys(self):
         rng = np.random.default_rng(2)
@@ -153,8 +172,7 @@ class TestFilterSupport:
                 self.assert_exact(TrigPoly(d, {tuple(map(int, k)): complex(*rng.standard_normal(2))
                                                for k in ks}))
 
-    @pytest.mark.parametrize("n,d,mode", [(6, 2, "random-sign"), (8, 2, "random-sign"),
-                                          (8, 3, "random-sign"), (10, 2, "constant")])
+    @SHIFTED_RECT_MEMBERS
     def test_shifted_rect_members(self, n, d, mode):
         self.assert_exact(shifted_rect_sample(n, d, mode, rng=n))
 
@@ -163,18 +181,41 @@ class TestFilterSupport:
         assert filter_support_blocks(TrigPoly(1, {(4,): 1.0})) == [(2,)]
 
 
+class TestSmoothBlocksOf:
+    @SHIFTED_RECT_MEMBERS
+    def test_filters_each_coefficient_at_most_2_to_the_d_times(self, monkeypatch, n, d, mode):
+        f = shifted_rect_sample(n, d, mode, rng=n)
+        handed = []
+
+        def spy(g, s, *args):
+            handed.append(g.nnz)
+            return smooth_block(g, s, *args)
+
+        monkeypatch.setattr(kernels, "smooth_block", spy)
+        split = smooth_blocks_of(f)
+        assert sum(handed) <= 2**d * f.nnz
+        # the smooth block norms take the same single pass
+        handed.clear()
+        assert [s for s, _ in block_norms(f, 2.0, "smooth", GridSpec())] == list(split)
+        assert len(handed) == len(split) and sum(handed) <= 2**d * f.nnz
+
+    def test_rejects_zero_component(self):
+        with pytest.raises(ValueError, match="zero component"):
+            smooth_blocks_of(TrigPoly(2, {(0, 3): 1.0}))
+
+
 class TestKernelL1:
     def test_matches_highres_oracle_1d(self):
-        # fixed very fine grid as the independent quadrature oracle
-        k = kernel_poly_1d(2)
+        # the self-checked L1 quadrature of the filter against a fixed very
+        # fine grid as the independent oracle
+        k = filter_poly_1d(2)
         oracle = lp_norm(k, 1.0, GridSpec(oversampling=512, self_check=False))
-        val = kernel_l1_norm((2,))
-        assert val == pytest.approx(oracle, rel=1e-4)
+        assert lp_norm(k, 1.0) == pytest.approx(oracle, rel=1e-4)
 
     def test_tensor_factorization_on_matching_grid(self):
         # on a shared per-dim grid the 2-d quadrature of a product kernel
         # factorizes exactly into the 1-d quadratures
-        k1 = kernel_poly_1d(2)
+        k1 = filter_poly_1d(2)
         k2 = TrigPoly(2, {(a, b): ca * cb for (a,), ca in k1.coeffs.items()
                           for (b,), cb in k1.coeffs.items()})
         g = GridSpec(oversampling=16, self_check=False)
@@ -183,7 +224,7 @@ class TestKernelL1:
         assert direct == pytest.approx(product, rel=1e-12)
 
     def test_uniformly_bounded_over_blocks(self):
-        vals = [kernel_l1_norm((s,), GridSpec(oversampling=8.0))
+        vals = [lp_norm(filter_poly_1d(s), 1.0, GridSpec(oversampling=8.0))
                 for s in range(1, 9)]
         assert max(vals) < 2.0
         # away from the modified first rung the values are level-independent
@@ -203,7 +244,7 @@ class TestSmoothAggregate:
         # aggregate returns the polynomial itself (partition of unity)
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0 + 2.0j, (1, -1): 0.5})
-        assert smooth_aggregate(f, 9, params).allclose(f, tol=1e-14)
+        assert coeff_gap(smooth_aggregate(f, 9, params), f) <= 1e-14
 
     def test_partial_filtering_matches_manual_sum(self):
         params = SmoothParams((1.0, 1.0))

@@ -7,7 +7,7 @@ import pytest
 
 from stepcross import norms
 from stepcross.approx import random_mixed_poly
-from stepcross.blocks import SmoothParams, dyadic_block
+from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
 from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
@@ -145,7 +145,7 @@ class TestRankOneFactors:
             lp_norm(comp, 1.0)
 
     def test_unit_block_needs_no_full_grid(self):
-        f = TrigPoly(2, {k: 1.0 for k in dyadic_block((7, 7))})
+        f = TrigPoly(2, {k: 1.0 for k in itertools.product(*block_ranges((7, 7)))})
         tracemalloc.start()
         try:
             lp_norm(f, 2.5)

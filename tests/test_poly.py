@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (AliasingError, GridBudgetError, GridSpec, TrigPoly,
                             blocks_of, eval_grid, mixed_difference,
-                            project_cross, read_jsonl, resolve_grid_dims, sharp_block,
-                            write_jsonl)
+                            project_cross, read_jsonl, resolve_grid_dims, write_jsonl)
 
 coeff_st = st.complex_numbers(min_magnitude=1e-6, max_magnitude=10,
                               allow_nan=False, allow_infinity=False)
@@ -20,6 +20,32 @@ def random_poly_st(d):
     freq = st.tuples(*[st.integers(-40, 40).filter(lambda x: x != 0)] * d)
     return st.dictionaries(freq, coeff_st, min_size=1, max_size=12).map(
         lambda c: TrigPoly(d, c))
+
+
+def sharp_block(f, s):
+    """Restriction of f to the dyadic block s: the oracle for ``blocks_of``."""
+    return TrigPoly(f.d, {k: c for k, c in f.coeffs.items()
+                          if all(2 ** (sj - 1) <= abs(kj) < 2**sj for kj, sj in zip(k, s))})
+
+
+def coeff_gap(f, g):
+    """Largest coefficient modulus of f - g."""
+    return max(map(abs, (f - g).coeffs.values()), default=0.0)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("field,value", [
+        ("points_per_dim", 0), ("points_per_dim", 64.5), ("oversampling", 0.5),
+        ("oversampling", "x"), ("self_check", "yes"), ("check_rtol", 0.0),
+        ("max_refine", -1), ("max_points", 0),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=f"GridSpec.{field}"):
+            GridSpec(**{field: value})
+
+    def test_accepts_integral_and_numpy_values(self):
+        g = GridSpec(points_per_dim=np.int64(64), oversampling=8, check_rtol=np.float64(1e-8))
+        assert resolve_grid_dims(TrigPoly.exponential((3,)), g) == (64,)
 
 
 class TestTrigPolyBasics:
@@ -104,25 +130,27 @@ class TestEvalGrid:
 
 class TestSharpBlocks:
     def test_example_keep(self):
-        f = TrigPoly(1, {(0,): 1.0, (1,): 1.0})
-        assert sharp_block(f, (1,)) == TrigPoly.exponential((1,))
+        f = TrigPoly(1, {(1,): 1.0, (5,): 2.0})
+        assert blocks_of(f) == {(1,): TrigPoly.exponential((1,)),
+                                (3,): TrigPoly.exponential((5,), 2.0)}
 
     def test_example_drop(self):
-        assert sharp_block(TrigPoly.exponential((3,)), (1,)).is_zero()
+        assert list(blocks_of(TrigPoly.exponential((3,)))) == [(2,)]
 
     def test_idempotent_and_orthogonal(self):
         f = TrigPoly(1, {(1,): 1.0, (2,): 2.0, (5,): 3.0})
-        b = sharp_block(f, (2,))
-        assert sharp_block(b, (2,)) == b
+        b = blocks_of(f)[(2,)]
+        assert blocks_of(b) == {(2,): b}
         assert sharp_block(b, (3,)).is_zero()
 
     @settings(max_examples=40, deadline=None)
-    @given(random_poly_st(2), st.integers(1, 6), st.integers(1, 6))
-    def test_linear_exact(self, f, s1, s2):
-        s = (s1, s2)
-        g = 2.5j * f
-        assert sharp_block(g, s) == 2.5j * sharp_block(f, s)
-        assert sharp_block(f + g, s) == sharp_block(f, s) + sharp_block(g, s)
+    @given(random_poly_st(2))
+    def test_linear_exact(self, f):
+        # |k_j| <= 40 keeps every block index within 1..6
+        oracle = {s: sharp_block(f, s) for s in itertools.product(range(1, 7), repeat=2)}
+        split = blocks_of(f)
+        assert list(split.items()) == [(s, b) for s, b in oracle.items() if not b.is_zero()]
+        assert blocks_of(2.5j * f) == {s: 2.5j * b for s, b in split.items()}
 
     @settings(max_examples=40, deadline=None)
     @given(random_poly_st(2))
@@ -187,7 +215,7 @@ class TestMixedDifference:
     @given(random_poly_st(1), st.floats(0.01, 6.0))
     def test_linear(self, f, h):
         g = mixed_difference(f + f, (1,), (h,))
-        assert g.allclose(mixed_difference(f, (1,), (h,)) * 2.0, tol=1e-12)
+        assert coeff_gap(g, mixed_difference(f, (1,), (h,)) * 2.0) <= 1e-12
 
     def test_matches_pointwise_difference(self):
         # oracle: evaluate f(x+h) - f(x) directly

@@ -1,16 +1,25 @@
 """Static checks on the package source: every name a module imports is used,
-and no module imports another stepcross module's private (underscore) name.
+no module imports another stepcross module's private (underscore) name,
+every function is reached from outside the unit tests, and no import hides
+inside a function.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stepcross"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stepcross"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the code a function may be reached from: the package itself, the scripts,
+# the benchmark, and the acceptance suite, but not the unit tests
+REACHING = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -84,3 +93,69 @@ def test_guard_sees_a_private_import():
                      "from .norms import _block_norms, lp_norm\n"
                      "from stepcross.approx import _cut_error\n")
     assert set(private_imports(tree)) == {"_block_norms", "_cut_error"}
+
+
+def defined_functions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every top-level function and every non-dunder method."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, FUNCTION_NODES):
+            out[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTION_NODES) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    out[item.name] = item.lineno
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name used as a variable (``f``) or as an attribute (``x.f``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def local_imports(tree: ast.Module) -> dict[str, int]:
+    """Imported name -> line of every import inside a function body."""
+    out = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTION_NODES):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    out.update((alias.name, node.lineno) for alias in node.names)
+    return out
+
+
+@functools.cache
+def reached_names() -> frozenset[str]:
+    return frozenset().union(*(referenced_names(ast.parse(path.read_text(), filename=str(path)))
+                               for path in REACHING))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_function_is_reached(path):
+    defined = defined_functions(ast.parse(path.read_text(), filename=str(path)))
+    reached = reached_names()
+    unreached = {name: line for name, line in defined.items() if name not in reached}
+    assert not unreached, f"{path.name} defines functions only tests reach: {unreached}"
+
+
+def test_guard_sees_an_unreached_function():
+    tree = ast.parse("def used(): pass\ndef unused(): pass\n"
+                     "class A:\n    def __init__(self): pass\n"
+                     "    def kept(self): pass\n    def dropped(self): pass\n"
+                     "used()\nA().kept()\n")
+    assert set(defined_functions(tree)) - referenced_names(tree) == {"unused", "dropped"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    local = local_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not local, f"{path.name} imports inside functions: {local}"
+
+
+def test_guard_sees_a_function_local_import():
+    tree = ast.parse("import math\n"
+                     "def f():\n    from .norms import lp_norm\n    return lp_norm\n"
+                     "class A:\n    def g(self):\n        import os\n")
+    assert local_imports(tree) == {"lp_norm": 3, "os": 7}
