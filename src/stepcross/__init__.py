@@ -8,7 +8,7 @@ scale.
 
 __version__ = "0.1.0"
 
-from .blocks import (BlockIndexSet, SmoothParams, block_anchor, block_of,
+from .blocks import (BlockIndexSet, SmoothParams, block_anchor, block_indices,
                      even_shell, hyperbolic_cross, weighted_tail_sums)
 from .poly import (GridSpec, TrigPoly, blocks_of, eval_grid, mixed_difference,
                    project_cross, read_jsonl, write_jsonl)

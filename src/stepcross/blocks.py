@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
 
 GAMMA_MODES = ("gamma", "gamma-prime", "ones")
@@ -87,14 +89,35 @@ class SmoothParams:
         raise ValueError(f"unknown gamma mode {mode!r}; expected one of {GAMMA_MODES}")
 
 
-def block_of(k: Sequence[int]) -> tuple[int, ...] | None:
-    """Block index containing frequency ``k``, or None if any component is 0."""
-    s = []
-    for kj in k:
-        if kj == 0:
-            return None
-        s.append(abs(int(kj)).bit_length())
-    return tuple(s)
+def block_indices(K: np.ndarray) -> np.ndarray:
+    """Block index of every row of the frequency matrix ``K``, componentwise
+    bit_length(|k_j|), with 0 where k_j = 0 (such a row lies in no block).
+
+    The frexp exponent of |k_j| is its bit length; the conversion to float is
+    exact while |k_j| < 2**53, which ``MAX_CROSS_LEVEL`` keeps far off.
+    """
+    return np.frexp(np.abs(K))[1].astype(np.int64)
+
+
+def mean_zero_block_indices(K: np.ndarray) -> np.ndarray:
+    """``block_indices(K)``, rejecting a frequency with a zero component."""
+    S = block_indices(K)
+    if not np.all(S):
+        k = tuple(K[np.argmin(S.all(axis=1))].tolist())
+        raise ValueError(f"frequency {k} has a zero component (not in any dyadic block)")
+    return S
+
+
+def group_by_block(S: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The distinct rows of the block-index matrix ``S`` in lexicographic
+    order, each with the increasing positions at which it occurs."""
+    if not len(S):
+        return []
+    order = np.lexsort(S.T[::-1])  # stable, so positions stay increasing
+    S = S[order]
+    starts = np.flatnonzero(np.concatenate(([True], (S[1:] != S[:-1]).any(axis=1))))
+    bounds = starts.tolist() + [len(S)]
+    return [(tuple(s), order[a:b]) for s, a, b in zip(S[starts].tolist(), bounds, bounds[1:])]
 
 
 def block_ranges(s: Sequence[int]) -> list[tuple[int, ...]]:

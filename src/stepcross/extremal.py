@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -43,11 +42,18 @@ def dirichlet_shell(n: int, d: int) -> TrigPoly:
 
     Term count is 2**n * C(n-1, d-1); returns the zero polynomial for n < d.
     """
-    coeffs = {}
-    for s in compositions(n, d):
-        for k in iter_product(*block_ranges(s)):
-            coeffs[k] = 1.0
-    return TrigPoly(d, coeffs)
+    K = [_grid_rows(block_ranges(s)) for s in compositions(n, d)]
+    if not K:
+        return TrigPoly.zero(d)
+    K = np.concatenate(K)
+    return TrigPoly.from_arrays(K, np.ones(len(K)))
+
+
+def _grid_rows(axes) -> np.ndarray:
+    """The Cartesian product of the 1-D integer ``axes`` as rows, in
+    lexicographic order when each axis is increasing."""
+    grids = np.meshgrid(*[np.asarray(a, dtype=np.int64) for a in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def shell_extremal(spec: ExtremalSpec) -> TrigPoly:
@@ -84,20 +90,21 @@ def shifted_rect_sample(n: int, d: int, mode: str = "constant",
     if n % 2 != 0:
         raise ValueError("shell level must be even")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    coeffs: dict[tuple[int, ...], complex] = {}
+    K, C = [], []
     for s in even_shell(n, d):
-        anchor = block_anchor(s)
+        anchor = np.array(block_anchor(s), dtype=np.int64)
         if mode == "constant":
-            coeffs[anchor] = coeffs.get(anchor, 0.0) + 1.0
+            K.append(anchor[None, :])
+            C.append(np.ones(1))
             continue
         half = [2 ** (sj - 2) for sj in s]
-        rect = {}
-        for m in iter_product(*[range(-h, h + 1) for h in half]):
-            rect[m] = float(rng.choice((-1.0, 1.0)))
-        factor = TrigPoly(d, rect)
+        rect = _grid_rows([range(-h, h + 1) for h in half])
+        # one draw per rectangle frequency, in lexicographic order
+        factor = TrigPoly.from_arrays(rect, rng.choice((-1.0, 1.0), size=len(rect)))
         peak = float(np.max(np.abs(eval_grid(
             factor, resolve_grid_dims(factor, GridSpec(oversampling=8.0))))))
-        for m, c in factor.coeffs.items():
-            k = tuple(aj + mj for aj, mj in zip(anchor, m))
-            coeffs[k] = coeffs.get(k, 0.0) + c / peak
-    return TrigPoly(d, coeffs)
+        K.append(anchor + factor.K)
+        C.append(factor.C.real / peak)
+    if not K:
+        return TrigPoly.zero(d)
+    return TrigPoly.from_arrays(np.concatenate(K), np.concatenate(C))

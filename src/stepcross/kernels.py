@@ -10,7 +10,9 @@ convolving with it is plain coefficient multiplication.
 only place the filter product is computed.  ``smooth_blocks_of(f)`` splits f
 into all of its nonzero smooth blocks in one pass over the coefficients, the
 smooth counterpart of ``poly.blocks_of``; ``filter_support_blocks`` lists
-their indices and ``smooth_aggregate`` sums those inside a gamma'-cross.
+their indices and ``smooth_aggregate`` filters and sums only those inside a
+gamma'-cross.  The kernel and filter coefficients take integer arrays, so
+every filter is applied to a whole coordinate column of ``f.K`` at once.
 
 Two conventions are defined, in ``block_filter_coeff`` and ``smooth_block``.
 ``literal`` takes the ladder rung at s = 1 as V_2 - V_1, which annihilates
@@ -25,34 +27,37 @@ polynomial exactly.  Every norm, error and experiment uses
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .blocks import SmoothParams, block_of
+import numpy as np
+
+from .blocks import SmoothParams, group_by_block, mean_zero_block_indices
 from .poly import TrigPoly
 
 CONVENTIONS = ("partition-exact", "literal")
 
 
-def vdp_coeff(l: int, k: int) -> float:
-    if l < 1:
+def vdp_coeff(l, k):
+    """Kernel coefficient at frequency k; ``l`` and ``k`` may be integer arrays
+    (broadcast together), and scalars give a scalar."""
+    l, a = np.asarray(l), np.abs(k)
+    if np.any(l < 1):
         raise ValueError("kernel order must be >= 1")
-    a = abs(int(k))
-    if a <= l:
-        return 1.0
-    if a < 2 * l:
-        return 1.0 - (a - l) / l
-    return 0.0
+    return np.where(a <= l, 1.0, np.where(a < 2 * l, 1.0 - (a - l) / l, 0.0))[()]
 
 
-def block_filter_coeff(s: int, k: int, convention: str = "partition-exact") -> float:
-    """Per-coordinate multiplier of the block-s filter at frequency k."""
+def block_filter_coeff(s, k, convention: str = "partition-exact"):
+    """Per-coordinate multiplier of the block-s filter at frequency k; ``s``
+    and ``k`` may be integer arrays (broadcast together)."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if s < 1:
+    s = np.asarray(s, dtype=np.int64)
+    if np.any(s < 1):
         raise ValueError("block index components must be >= 1")
-    if s == 1 and convention == "partition-exact":
-        return vdp_coeff(2, k) - (1.0 if k == 0 else 0.0)
-    return vdp_coeff(2**s, k) - vdp_coeff(2 ** (s - 1), k)
+    ladder = vdp_coeff(2**s, k) - vdp_coeff(2 ** (s - 1), k)
+    if convention == "literal" or not np.any(s == 1):
+        return ladder
+    return np.where(s == 1, vdp_coeff(2, k) - (np.asarray(k) == 0), ladder)[()]
 
 
 def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exact") -> TrigPoly:
@@ -60,38 +65,44 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
     s = tuple(int(x) for x in s)
     if len(s) != f.d:
         raise ValueError("dimension mismatch")
-    out = {}
-    for k, c in f.coeffs.items():
-        mult = 1.0
-        for sj, kj in zip(s, k):
-            mult *= block_filter_coeff(sj, kj, convention)
-            if mult == 0.0:
-                break
-        if mult != 0.0:
-            out[k] = c * mult
-    return TrigPoly(f.d, out)
+    mult = np.ones(f.nnz)
+    for j, sj in enumerate(s):
+        mult = mult * block_filter_coeff(sj, f.K[:, j], convention)
+    keep = mult != 0.0
+    return f.take(keep, f.C[keep] * mult[keep])
 
 
-def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
-    """Every nonzero smooth block of f, sorted by block index: the smooth
-    counterpart of ``poly.blocks_of``.
+def _filter_rows(f: TrigPoly) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(s, the positions of the terms of f that filter s does not annihilate)
+    for every filter index s that leaves any, sorted by s.
 
     A frequency in dyadic block m is touched only by the filters with index
     m - 1 and m per coordinate; of those, each coordinate keeps the indices
     whose filter does not vanish at k_j (for m >= 2, filter m is 0 at
-    |k_j| = 2**(m-1)).  One pass files each coefficient under those at most
-    2**d indices, and ``smooth_block`` filters each group alone.
+    |k_j| = 2**(m-1)).  So each term lands in at most 2**d groups.
     """
-    groups: dict[tuple[int, ...], dict] = {}
-    for k, c in f.coeffs.items():
-        m = block_of(k)
-        if m is None:
-            raise ValueError(f"frequency {k} has a zero component")
-        per_dim = [[sj for sj in (mj - 1, mj) if sj >= 1 and block_filter_coeff(sj, kj) != 0.0]
-                   for mj, kj in zip(m, k)]
-        for s in product(*per_dim):
-            groups.setdefault(s, {})[k] = c
-    split = ((s, smooth_block(TrigPoly(f.d, g), s)) for s, g in sorted(groups.items()))
+    M = mean_zero_block_indices(f.K)
+    # live[j][e]: filter index M_j - 1 + e does not vanish at k_j
+    live = [[(M[:, j] - 1 + e >= 1)
+             & (block_filter_coeff(np.maximum(M[:, j] - 1 + e, 1), f.K[:, j]) != 0.0)
+             for e in (0, 1)] for j in range(f.d)]
+    rows, S = [], []
+    for e in product((0, 1), repeat=f.d):
+        r = np.flatnonzero(np.logical_and.reduce([live[j][ej] for j, ej in enumerate(e)]))
+        rows.append(r)
+        S.append(M[r] - 1 + np.array(e))
+    rows = np.concatenate(rows)
+    for s, at in group_by_block(np.concatenate(S)):
+        yield s, np.sort(rows[at])
+
+
+def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
+    """Every nonzero smooth block of f, sorted by block index: the smooth
+    counterpart of ``poly.blocks_of``.  One pass files each term under the
+    filter indices that do not vanish on it, and ``smooth_block`` filters
+    each group alone.
+    """
+    split = ((s, smooth_block(f.take(rows), s)) for s, rows in _filter_rows(f))
     return {s: comp for s, comp in split if not comp.is_zero()}
 
 
@@ -104,11 +115,12 @@ def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
     """Sum of smooth blocks of f over (s, gamma') < n - (gamma', 1).
 
     A near-best approximant with spectrum inside the gamma'-cross at level n.
+    Only the groups inside that cross are filtered.
     """
     gp = params.gamma_prime
     threshold = n - sum(gp)
     out = TrigPoly.zero(f.d)
-    for s, comp in smooth_blocks_of(f).items():
+    for s, rows in _filter_rows(f):
         if sum(sj * gj for sj, gj in zip(s, gp)) < threshold:
-            out = out + comp
+            out = out + smooth_block(f.take(rows), s)
     return out

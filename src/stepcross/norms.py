@@ -59,13 +59,12 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     """
     if f.d == 1:
         return [f]
-    K = np.array(list(f.coeffs), dtype=np.int64)
-    axes, where = zip(*(np.unique(K[:, j], return_inverse=True) for j in range(f.d)))
+    axes, where = zip(*(np.unique(f.K[:, j], return_inverse=True) for j in range(f.d)))
     shape = tuple(len(a) for a in axes)
     if math.prod(shape) != f.nnz:
         return None
     T = np.empty(shape, dtype=complex)
-    T[where] = list(f.coeffs.values())
+    T[where] = f.C
     pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
     # fiber j runs along axis j through the pivot; all but the first are
     # divided by the pivot so that the product reproduces T
@@ -76,7 +75,7 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
         outer = np.multiply.outer(outer, u)
     if not np.all(np.abs(T - outer) <= RANK1_RTOL * np.abs(T)):
         return None
-    return [TrigPoly(1, {(int(k),): c for k, c in zip(a, u)}) for a, u in zip(axes, fibers)]
+    return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
 def _grid_stat(vals: np.ndarray, p: float) -> float:
@@ -105,7 +104,8 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
     if f.is_zero():
         return 0.0
     if p == 2:
-        return math.sqrt(sum(abs(c) ** 2 for _, c in f.terms()))
+        # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
+        return math.sqrt(sum(f.abs2().tolist()))
     factors = _rank1_factors(f)
     if math.isinf(p):
         g = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
@@ -213,9 +213,7 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
     hs = _h_grid(h_points)
     hw = [hs ** (-rj) for rj in params.r]
     if p == 2:
-        terms = f.terms()
-        K = np.array([k for k, _ in terms], dtype=np.int64)
-        A = np.array([abs(c) ** 2 for _, c in terms])
+        K, A = f.K, f.abs2()
         # (H, nnz) per-coordinate factors |e^{i k h} - 1|^{2 order}
         W = [
             (4.0 * np.sin(0.5 * np.outer(hs, K[:, j])) ** 2) ** order[j]

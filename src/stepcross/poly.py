@@ -1,9 +1,15 @@
 """Sparse multivariate trigonometric polynomials on the torus.
 
 A polynomial is a finite map from integer frequency vectors to complex
-coefficients, f(x) = sum_k c_k exp(i k.x) on [0, 2pi)^d.  Coefficients whose
-modulus falls below DROP_TOL are dropped so the representation stays
-canonically sparse.  Instances are treated as immutable values.
+coefficients, f(x) = sum_k c_k exp(i k.x) on [0, 2pi)^d.  It is stored as two
+arrays: the frequencies as the rows of an int64 matrix ``K`` in strictly
+increasing lexicographic order, and the coefficients as a complex vector
+``C`` in the same order, so every per-coefficient operation (sums, block
+splits, projections, the grid scatter) is a NumPy operation on whole arrays.
+Coefficients whose modulus falls below DROP_TOL are dropped so the
+representation stays canonically sparse.  Instances are treated as
+immutable values; ``coeffs`` and ``terms()`` are read-only views for
+callers outside the hot paths.
 """
 
 from __future__ import annotations
@@ -12,12 +18,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.fft
 
-from .blocks import BlockIndexSet, block_of
+from .blocks import BlockIndexSet, block_indices, group_by_block, mean_zero_block_indices
 
 DROP_TOL = 1e-30
 
@@ -74,76 +81,121 @@ def _is_real(v) -> bool:
 
 
 class TrigPoly:
-    __slots__ = ("d", "_coeffs")
+    """A polynomial stored as arrays: ``K``, the frequencies as the rows of an
+    nnz x d int64 matrix in strictly increasing lexicographic order, and
+    ``C``, the complex coefficients in the same order.  Both are read-only.
+
+    ``TrigPoly(d, coeffs)`` takes a mapping from frequency tuples to
+    coefficients; ``TrigPoly.from_arrays(K, C)`` takes the two arrays, rows in
+    any order, and sums the coefficients of a repeated frequency in the order
+    given; ``f.take(rows, C)`` keeps some of f's terms, already in order.
+    Every way drops the coefficients of modulus below ``DROP_TOL``.
+    """
+
+    __slots__ = ("d", "K", "C")
 
     def __init__(self, d: int, coeffs: Mapping[tuple[int, ...], complex] | None = None):
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        clean: dict[tuple[int, ...], complex] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                k = tuple(int(x) for x in k)
-                if len(k) != d:
-                    raise ValueError(f"frequency {k} has dimension {len(k)}, expected {d}")
-                c = complex(c)
-                if abs(c) >= DROP_TOL:
-                    clean[k] = c
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_coeffs", clean)
+        coeffs = coeffs or {}
+        bad = next((k for k in coeffs if len(k) != d), None)
+        if bad is not None:
+            raise ValueError(f"frequency {tuple(bad)} has dimension {len(bad)}, expected {d}")
+        K = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), d)
+        C = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+        self._store(*_sorted_sums(K, C))
+
+    @staticmethod
+    def from_arrays(K: np.ndarray, C: np.ndarray) -> "TrigPoly":
+        K, C = np.array(K, dtype=np.int64), np.array(C, dtype=complex)
+        if K.ndim != 2 or K.shape[1] < 1 or C.shape != K.shape[:1]:
+            raise ValueError(f"need an nnz x d frequency matrix and nnz coefficients, "
+                             f"got shapes {K.shape} and {C.shape}")
+        f = object.__new__(TrigPoly)
+        f._store(*_sorted_sums(K, C))
+        return f
+
+    def take(self, rows, C: np.ndarray | None = None) -> "TrigPoly":
+        """The terms at ``rows`` (a slice, a boolean mask or increasing
+        positions), with the coefficients ``C`` in place of theirs if given.
+        The frequencies stay in order, so nothing is sorted or summed."""
+        K = self.K[rows]
+        C = self.C[rows] if C is None else np.array(C, dtype=complex)
+        if C.shape != K.shape[:1]:
+            raise ValueError(f"{len(C)} coefficients for {len(K)} terms")
+        f = object.__new__(TrigPoly)
+        f._store(K, C)
+        return f
+
+    def _store(self, K: np.ndarray, C: np.ndarray) -> None:
+        """Set d, K and C read-only from sorted distinct rows, without the
+        coefficients below ``DROP_TOL``; K and C must not be shared with a
+        caller that writes to them."""
+        keep = _modulus(C) >= DROP_TOL
+        if np.count_nonzero(keep) < len(keep):
+            K, C = K[keep], C[keep]
+        K.setflags(write=False)
+        C.setflags(write=False)
+        object.__setattr__(self, "d", K.shape[1])
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "C", C)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPoly is immutable")
 
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], complex]:
-        return self._coeffs
+        """Read-only frequency -> coefficient view, built on each access."""
+        return MappingProxyType(dict(self.terms()))
 
     @property
     def nnz(self) -> int:
-        return len(self._coeffs)
+        return len(self.C)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not len(self.C)
 
     def terms(self) -> list[tuple[tuple[int, ...], complex]]:
         """Coefficients in sorted frequency order (deterministic reductions)."""
-        return sorted(self._coeffs.items())
+        return list(zip(map(tuple, self.K.tolist()), self.C.tolist()))
+
+    def abs2(self) -> np.ndarray:
+        """|c|**2 per coefficient, bit for bit as Python's abs(c) ** 2: the
+        modulus by hypot, the square by pow."""
+        return np.float_power(_modulus(self.C), 2)
 
     def degree(self) -> tuple[int, ...]:
         """Max |k_j| per coordinate (all zeros for the zero polynomial)."""
-        if not self._coeffs:
+        if self.is_zero():
             return (0,) * self.d
-        return tuple(max(abs(k[j]) for k in self._coeffs) for j in range(self.d))
+        return tuple(np.abs(self.K).max(axis=0).tolist())
 
     def is_mean_zero(self) -> bool:
         """True iff no stored frequency has a vanishing component."""
-        return all(all(kj != 0 for kj in k) for k in self._coeffs)
+        return bool(np.all(self.K))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrigPoly) and self.d == other.d and self._coeffs == other._coeffs
-        )
+        return (isinstance(other, TrigPoly) and self.d == other.d
+                and np.array_equal(self.K, other.K) and np.array_equal(self.C, other.C))
 
     def __hash__(self):
-        return hash((self.d, frozenset(self._coeffs.items())))
+        # adding 0.0 turns -0.0 into 0.0, so equal coefficients hash alike
+        return hash((self.d, self.K.tobytes(), (self.C + 0.0).tobytes()))
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return TrigPoly(self.d, out)
+        return TrigPoly.from_arrays(np.concatenate((self.K, other.K)),
+                                    np.concatenate((self.C, other.C)))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly(self.d, {k: -c for k, c in self._coeffs.items()})
+        return self.take(slice(None), -self.C)
 
     def __mul__(self, scalar) -> "TrigPoly":
-        scalar = complex(scalar)
-        return TrigPoly(self.d, {k: scalar * c for k, c in self._coeffs.items()})
+        return self.take(slice(None), complex(scalar) * self.C)
 
     __rmul__ = __mul__
 
@@ -163,6 +215,30 @@ class TrigPoly:
     def exponential(k: Sequence[int], c: complex = 1.0) -> "TrigPoly":
         k = tuple(int(x) for x in k)
         return TrigPoly(len(k), {k: c})
+
+
+def _sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K's rows sorted and made distinct, each with the sum, left to right in
+    the given order, of the coefficients C of its copies."""
+    if len(K) < 2:
+        return K, C
+    order = np.lexsort(K.T[::-1])  # stable: copies keep their order
+    K, C = K[order], C[order]
+    new = np.logical_or.reduce(K[1:] != K[:-1], axis=1)
+    if np.count_nonzero(new) == len(new):
+        return K, C
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    runs = np.diff(starts, append=len(K))
+    total = C[starts]
+    for i in range(1, int(runs.max())):
+        more = runs > i
+        total[more] += C[starts[more] + i]
+    return K[starts], total
+
+
+def _modulus(C: np.ndarray) -> np.ndarray:
+    """|c| per coefficient by hypot, as Python's abs(complex) computes it."""
+    return np.hypot(C.real, C.imag)
 
 
 def _fast_len(n: int) -> int:
@@ -197,11 +273,7 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     if len(dims) != f.d:
         raise ValueError("grid dimension mismatch")
     spec = np.zeros(dims, dtype=complex)
-    if f.nnz:
-        ks = np.array(sorted(f.coeffs), dtype=np.int64)
-        vals = np.array([f.coeffs[tuple(k)] for k in ks], dtype=complex)
-        idx = tuple(np.mod(ks[:, j], dims[j]) for j in range(f.d))
-        spec[idx] = vals
+    spec[tuple(np.mod(f.K[:, j], dims[j]) for j in range(f.d))] = f.C
     out = scipy.fft.ifftn(spec, overwrite_x=True)
     out *= math.prod(dims)
     return out
@@ -212,25 +284,18 @@ def blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
 
     Frequencies with a zero component belong to no block and are rejected.
     """
-    groups: dict[tuple[int, ...], dict] = {}
-    for k, c in f.coeffs.items():
-        s = block_of(k)
-        if s is None:
-            raise ValueError(f"frequency {k} has a zero component (not in any dyadic block)")
-        groups.setdefault(s, {})[k] = c
-    return {s: TrigPoly(f.d, g) for s, g in sorted(groups.items())}
+    return {s: f.take(rows) for s, rows in group_by_block(mean_zero_block_indices(f.K))}
 
 
 def project_cross(f: TrigPoly, cross: BlockIndexSet) -> TrigPoly:
     """Fourier sum over the cross: keep coefficients whose block lies in it."""
     if f.d != cross.d:
         raise ValueError("dimension mismatch")
-    kept = {}
-    for k, c in f.coeffs.items():
-        s = block_of(k)
-        if s is not None and s in cross:
-            kept[k] = c
-    return TrigPoly(f.d, kept)
+    keep = np.zeros(f.nnz, dtype=bool)
+    # a block index with a zero component (a frequency in no block) is in no cross
+    for s, rows in group_by_block(block_indices(f.K)):
+        keep[rows] = s in cross
+    return f.take(keep)
 
 
 def mixed_difference(f: TrigPoly, order: Sequence[int], h: Sequence[float]) -> TrigPoly:
@@ -245,13 +310,10 @@ def mixed_difference(f: TrigPoly, order: Sequence[int], h: Sequence[float]) -> T
         raise ValueError("dimension mismatch")
     if any(o < 1 for o in order):
         raise ValueError("difference orders must be >= 1")
-    out = {}
-    for k, c in f.coeffs.items():
-        mult = 1.0 + 0.0j
-        for kj, oj, hj in zip(k, order, h):
-            mult *= (np.exp(1j * kj * hj) - 1.0) ** oj
-        out[k] = c * mult
-    return TrigPoly(f.d, out)
+    mult = np.ones(f.nnz, dtype=complex)
+    for j, (oj, hj) in enumerate(zip(order, h)):
+        mult *= (np.exp(1j * (f.K[:, j] * hj)) - 1.0) ** oj
+    return f.take(slice(None), f.C * mult)
 
 
 def write_jsonl(path, f: TrigPoly) -> None:
@@ -263,14 +325,18 @@ def write_jsonl(path, f: TrigPoly) -> None:
 
 
 def read_jsonl(path) -> TrigPoly:
+    """Inverse of ``write_jsonl``; a frequency given twice is an error."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         d = int(header["d"])
         coeffs = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            coeffs[tuple(int(x) for x in rec["k"])] = complex(rec["re"], rec["im"])
+            k = tuple(int(x) for x in rec["k"])
+            if k in coeffs:
+                raise ValueError(f"{path}: line {lineno} repeats frequency {list(k)}")
+            coeffs[k] = complex(rec["re"], rec["im"])
     return TrigPoly(d, coeffs)

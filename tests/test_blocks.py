@@ -1,12 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepcross.blocks import (BlockIndexSet, SmoothParams, TailTruncationError,
-                              block_anchor, block_cardinality, block_of, block_ranges,
+                              block_anchor, block_cardinality, block_indices, block_ranges,
                               compositions, even_shell, hyperbolic_cross,
                               weighted_tail_sums, write_blocks)
 from stepcross.poly import TrigPoly, project_cross
@@ -79,8 +80,8 @@ class TestDyadicBlocks:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     def test_block_of_roundtrip(self, s):
-        s = tuple(s)
-        assert all(block_of(k) == s for k in block_freqs(s))
+        K = np.array(sorted(block_freqs(tuple(s))))
+        assert (block_indices(K) == s).all()
 
     def test_blocks_disjoint_and_cover(self):
         # union over (s,1) <= L equals the mean-zero box predicate
@@ -102,7 +103,17 @@ class TestDyadicBlocks:
             block_ranges((0, 1))
 
     def test_block_of_zero_component(self):
-        assert block_of((0, 3)) is None
+        # index 0 marks a coordinate in no block
+        assert block_indices(np.array([[0, 3], [-1, 0]])).tolist() == [[0, 2], [1, 0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=20))
+    def test_frexp_index_is_bit_length(self, ks):
+        # plus the edges 2**j - 1 and 2**j of every block up to 2**40
+        ks = ks + [sign * (2**j + off) for j in range(41) for off in (-1, 0)
+                   for sign in (1, -1)]
+        got = block_indices(np.array(ks)[:, None])[:, 0]
+        assert got.tolist() == [abs(k).bit_length() for k in ks]
 
 
 class TestHyperbolicCross:
@@ -192,7 +203,7 @@ class TestBlockAnchor:
 
     def test_anchor_in_block(self):
         for s in ((2, 3), (4, 4), (5, 2, 3)):
-            assert block_of(block_anchor(s)) == s
+            assert block_indices(np.array([block_anchor(s)])).tolist() == [list(s)]
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):

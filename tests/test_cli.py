@@ -108,6 +108,16 @@ def test_norm_bad_grid_exits_one(tmp_path, capsys, grid):
     assert (next(iter(grid)) if isinstance(grid, dict) else "grid") in capsys.readouterr().err
 
 
+def test_norm_repeated_frequency_exits_one(tmp_path, capsys):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"d": 1}\n{"k": [3], "re": 1.0, "im": 0.0}\n'
+                    '{"k": [3], "re": 2.0, "im": 0.0}\n')
+    assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3" in captured.err and "[3]" in captured.err
+
+
 def test_norm_without_input_exits_one(capsys):
     assert main(["norm", "--spec", '{"kind":"lp","p":2}']) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -132,3 +133,31 @@ def test_entropy_chain_experiment(tmp_path):
                            output_path=str(tmp_path))
     out = run_experiment(cfg)
     assert out["all_ok"]
+
+
+# sha256 of the CSV body (provenance lines stripped) of small runs of each
+# experiment family: any change to a printed digit fails here
+GOLDEN = {
+    "T5-family": (dict(theorem_tag="T5-family", d=2, r=(1.0, 1.0), n_range=(6, 8),
+                       samples=3, rng_seed=2),
+        "803e45387ccd582e8d0f86116f888f3c8cd2386051b5c982bfa48e1dfa01c4d3"),
+    "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
+                       rng_seed=1),
+        "3f65dfb530434c1e7c5ab6e09533ea8274241848d8247d4479dcffcc5ee873db"),
+    "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
+                n_range=(5, 8), rng_seed=7),
+        "099e0b9b667eef10e4d64e6ab8d32c34e6bfdc07a9c5a9aba914352e18425adb"),
+    "T2": (dict(theorem_tag="T2", d=2, p=2.5, q=2.5, theta=2.0, r=(1.0, 1.0),
+                n_range=(5, 8)),
+        "4fb031572a633acbac861a3987e85381acc7731ea76346e8c8b99843e25c9727"),
+    "lemmaA": (dict(theorem_tag="lemmaA", d=2, r=(1.0, 2.0), alpha=1.0,
+                    l_range=(8, 12)),
+        "3ef0ae09bc267e208515e0f7afef2a61d61030d55040fdb13e7897844aba53c4"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_csv_body_golden_digest(tmp_path, name):
+    kw, digest = GOLDEN[name]
+    out = run_experiment(ExperimentConfig(output_path=str(tmp_path), **kw))
+    assert hashlib.sha256(csv_body(out["csv"]).encode()).hexdigest() == digest

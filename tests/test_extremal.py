@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.blocks import (SmoothParams, block_ranges, compositions, even_shell,
+from stepcross.blocks import (SmoothParams, block_anchor, block_ranges, compositions, even_shell,
                               hyperbolic_cross)
 from stepcross.extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
                                 shifted_rect_sample)
@@ -15,6 +15,22 @@ from stepcross.poly import GridSpec, TrigPoly, eval_grid, project_cross, resolve
 def shell_term_count(n, d):
     """Frequencies in the blocks with (s,1) = n: 2**n * C(n-1, d-1)."""
     return 2**n * math.comb(n - 1, d - 1) if n >= d else 0
+
+
+def shifted_rect_oracle(n, d, rng):
+    """The random-sign member built one frequency and one draw at a time."""
+    coeffs = {}
+    for s in even_shell(n, d):
+        anchor = block_anchor(s)
+        rect = {m: float(rng.choice((-1.0, 1.0)))
+                for m in itertools.product(*[range(-2 ** (sj - 2), 2 ** (sj - 2) + 1)
+                                             for sj in s])}
+        factor = TrigPoly(d, rect)
+        peak = float(np.max(np.abs(eval_grid(
+            factor, resolve_grid_dims(factor, GridSpec(oversampling=8.0))))))
+        for m, c in rect.items():
+            coeffs[tuple(a + x for a, x in zip(anchor, m))] = c / peak
+    return TrigPoly(d, coeffs)
 
 
 class TestDirichletShell:
@@ -123,11 +139,19 @@ class TestShiftedRectFamily:
         with pytest.raises(ValueError):
             shifted_rect_sample(4, 2, "other")
 
+    @pytest.mark.parametrize("n,d,seed", [(4, 1, 0), (8, 1, 1), (6, 2, 2), (8, 2, 3),
+                                          (6, 3, 4), (8, 3, 5)])
+    def test_random_sign_matches_per_draw_oracle(self, n, d, seed):
+        # one vector draw per block takes the same stream as one draw per
+        # frequency and leaves the generator in the same state
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert shifted_rect_sample(n, d, "random-sign", rng) == shifted_rect_oracle(n, d, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_random_sign_factor_sup_normalized(self):
         # reconstruct one factor and check its oversampled grid max is 1
         rng = np.random.default_rng(9)
         t = shifted_rect_sample(8, 2, "random-sign", rng)
-        from stepcross.blocks import block_anchor
         s = (2, 6)
         anchor = block_anchor(s)
         half = [2 ** (x - 2) for x in s]

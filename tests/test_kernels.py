@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from stepcross import kernels
+from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
-from stepcross.extremal import shifted_rect_sample
+from stepcross.extremal import ExtremalSpec, shell_extremal, shifted_rect_sample
 from stepcross.kernels import (block_filter_coeff, filter_support_blocks, smooth_aggregate,
                                smooth_block, smooth_blocks_of, vdp_coeff)
 from stepcross.norms import block_norms, lp_norm
@@ -67,6 +68,25 @@ class TestBlockFilter:
         e1 = TrigPoly.exponential((1,))
         assert smooth_block(e1, (1,), "literal").is_zero()
         assert smooth_block(e1, (1,), "partition-exact") == e1
+
+    @pytest.mark.parametrize("convention", ["partition-exact", "literal"])
+    def test_smooth_block_matches_per_coefficient_loop(self, convention):
+        def vdp(l, k):
+            return 1.0 if abs(k) <= l else 1.0 - (abs(k) - l) / l if abs(k) < 2 * l else 0.0
+
+        def rung(s, k):
+            if s == 1 and convention == "partition-exact":
+                return vdp(2, k) - (1.0 if k == 0 else 0.0)
+            return vdp(2**s, k) - vdp(2 ** (s - 1), k)
+
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            ks = rng.integers(-70, 71, size=(40, d))
+            f = TrigPoly(d, {tuple(map(int, k)): complex(*rng.standard_normal(2)) for k in ks})
+            for s in itertools.product(range(1, 8), repeat=d):
+                want = {k: c * math.prod(rung(sj, kj) for sj, kj in zip(s, k))
+                        for k, c in f.terms()}
+                assert smooth_block(f, s, convention) == TrigPoly(d, want)
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
@@ -256,3 +276,28 @@ class TestSmoothAggregate:
             if sum(s) < threshold:
                 manual = manual + smooth_block(f, s)
         assert smooth_aggregate(f, n, params) == manual
+
+    @pytest.mark.parametrize("r,gamma_prime", [((1.0, 1.0), None), ((1.0, 2.0), (1.0, 1.5)),
+                                               ((1.0, 1.0, 3.0), None)])
+    def test_matches_sum_of_kept_smooth_blocks(self, r, gamma_prime):
+        # the oracle splits all of f and keeps the components inside the cross
+        params = SmoothParams(r, gamma_prime)
+        rng = np.random.default_rng(len(r))
+        for _ in range(10):
+            f = random_mixed_poly(rng, params.d, max_shell=9)
+            for n in (4.0, 6.5, 9.0):
+                want = TrigPoly.zero(params.d)
+                for s, comp in smooth_blocks_of(f).items():
+                    if sum(sj * gj for sj, gj in zip(s, params.gamma_prime)) < n - sum(
+                            params.gamma_prime):
+                        want = want + comp
+                assert smooth_aggregate(f, n, params) == want
+
+    def test_filters_no_block_outside_the_cross(self, monkeypatch):
+        # every smooth block of the level-n shell member lies outside the
+        # gamma'-cross at level n, so none is filtered
+        f = shell_extremal(ExtremalSpec(n=10, d=2, r1=1.0, p=math.inf, theta=math.inf))
+        calls = []
+        monkeypatch.setattr(kernels, "smooth_block", lambda *a: calls.append(a))
+        assert smooth_aggregate(f, 10, SmoothParams((1.0, 1.0))).is_zero()
+        assert calls == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
-from stepcross.poly import (AliasingError, GridBudgetError, GridSpec, TrigPoly,
+from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridSpec, TrigPoly,
                             blocks_of, eval_grid, mixed_difference,
                             project_cross, read_jsonl, resolve_grid_dims, write_jsonl)
 
@@ -82,6 +82,95 @@ class TestTrigPolyBasics:
         x = (0.3, 1.1)
         want = (1 + 1j) * np.exp(1j * (x[0] + 2 * x[1])) + 2 * np.exp(1j * (-3 * x[0] + x[1]))
         assert f.evaluate(x) == pytest.approx(want, rel=1e-12)
+
+
+# small frequencies, so that random pairs share some
+freq2_st = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+# half-integer multiples of DROP_TOL: kept or dropped alone, and their sums
+# and differences land on both sides of the threshold
+tiny_st = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda c: c * (DROP_TOL / 2))
+any_coeff_st = st.one_of(coeff_st, tiny_st)
+
+
+def oracle(items):
+    """The dict a polynomial with these (frequency, coefficient) items keeps."""
+    return {k: complex(c) for k, c in items if abs(complex(c)) >= DROP_TOL}
+
+
+class TestArrayContract:
+    """``TrigPoly`` against a plain dict: the canonical form, equality, hash
+    and term order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(freq2_st, any_coeff_st, max_size=30))
+    def test_drop_tol_on_construction(self, coeffs):
+        f = TrigPoly(2, coeffs)
+        assert f.coeffs == oracle(coeffs.items())
+        assert f.nnz == len(oracle(coeffs.items()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(freq2_st, any_coeff_st, max_size=20),
+           st.dictionaries(freq2_st, any_coeff_st, max_size=20),
+           st.lists(st.booleans(), min_size=20, max_size=20))
+    def test_drop_tol_after_cancellation(self, a, b, cancel):
+        # b takes -a[k] at some frequencies of a, which must then vanish
+        for (k, c), flip in zip(a.items(), cancel):
+            if flip:
+                b[k] = -c
+        f, g = TrigPoly(2, a), TrigPoly(2, b)
+        fa, gb = oracle(a.items()), oracle(b.items())
+        keys = set(fa) | set(gb)
+        assert (f + g).coeffs == oracle((k, fa.get(k, 0.0) + gb.get(k, 0.0)) for k in keys)
+        assert (f - g).coeffs == oracle((k, fa.get(k, 0.0) - gb.get(k, 0.0)) for k in keys)
+        assert (f - f).is_zero() and (g - g).is_zero()
+
+    def test_sum_below_drop_tol_dropped(self):
+        f = TrigPoly(1, {(1,): 1.5 * DROP_TOL, (2,): 1.0})
+        g = TrigPoly(1, {(1,): -1.0 * DROP_TOL})
+        assert f.nnz == 2 and g.nnz == 1
+        assert (f + g).coeffs == {(2,): 1.0}
+        assert (f - (-1 * g)).coeffs == {(2,): 1.0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(freq2_st, coeff_st), max_size=25, unique_by=lambda t: t[0]),
+           st.randoms(use_true_random=False))
+    def test_insertion_order_irrelevant(self, items, rnd):
+        shuffled = list(items)
+        rnd.shuffle(shuffled)
+        f, g = TrigPoly(2, dict(items)), TrigPoly(2, dict(shuffled))
+        assert f == g and hash(f) == hash(g)
+        K = np.array([k for k, _ in shuffled], dtype=np.int64).reshape(-1, 2)
+        h = TrigPoly.from_arrays(K, np.array([c for _, c in shuffled], dtype=complex))
+        assert h == f and hash(h) == hash(f)
+
+    def test_signed_zeros_equal_and_hash_alike(self):
+        f = TrigPoly(1, {(1,): complex(-0.0, 1.0), (2,): complex(1.0, -0.0)})
+        g = TrigPoly(1, {(1,): 1j, (2,): 1.0})
+        assert f == g and hash(f) == hash(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(freq2_st, any_coeff_st, max_size=30))
+    def test_terms_in_lexicographic_order(self, coeffs):
+        f = TrigPoly(2, coeffs)
+        want = oracle(coeffs.items())
+        assert f.terms() == sorted(want.items())
+        assert f.K.tolist() == [list(k) for k in sorted(want)]
+
+    def test_repeated_rows_summed_in_order(self):
+        K = np.array([[2, 1], [1, 1], [2, 1], [2, 1]])
+        C = np.array([1e16, 5.0, -1e16, 1.0], dtype=complex)
+        # left to right, (1e16 - 1e16) + 1 = 1; 1e16 + (-1e16 + 1) would round to 0
+        assert TrigPoly.from_arrays(K, C).terms() == [((1, 1), 5.0), ((2, 1), 1.0)]
+
+    def test_read_only(self):
+        f = TrigPoly(1, {(1,): 1.0})
+        with pytest.raises(TypeError):
+            f.coeffs[(1,)] = 2.0
+        with pytest.raises(ValueError):
+            f.C[0] = 2.0
+        with pytest.raises(ValueError):
+            f.K[0, 0] = 2
 
 
 class TestEvalGrid:
@@ -210,6 +299,23 @@ class TestMixedDifference:
     def test_order_validated(self):
         with pytest.raises(ValueError):
             mixed_difference(TrigPoly.exponential((1,)), (0,), (1.0,))
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_poly_st(2), st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           st.tuples(st.floats(0.01, 6.0), st.floats(0.01, 6.0)))
+    def test_matches_per_coefficient_loop(self, f, order, h):
+        want = {}
+        for k, c in f.terms():
+            mult = 1.0 + 0.0j
+            for kj, oj, hj in zip(k, order, h):
+                mult *= (np.exp(1j * kj * hj) - 1.0) ** oj
+            want[k] = c * mult
+        # the array products may fuse a multiply-add where the scalar ones
+        # round twice: allow 50 units in the last place
+        got = mixed_difference(f, order, h).coeffs
+        assert all(abs(got.get(k, 0.0) - w) <= 50 * np.finfo(float).eps * abs(w)
+                   for k, w in want.items())
+        assert set(got) <= set(want)
 
     @settings(max_examples=30, deadline=None)
     @given(random_poly_st(1), st.floats(0.01, 6.0))

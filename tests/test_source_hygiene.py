@@ -1,7 +1,8 @@
 """Static checks on the package source: every name a module imports is used,
 no module imports another stepcross module's private (underscore) name,
-every function is reached from outside the unit tests, and no import hides
-inside a function.
+every function is reached from outside the unit tests, no import hides
+inside a function, and only ``poly.py`` reads a polynomial through its dict
+views (``.coeffs``, ``.terms()``) instead of its arrays.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
@@ -159,3 +160,22 @@ def test_guard_sees_a_function_local_import():
                      "def f():\n    from .norms import lp_norm\n    return lp_norm\n"
                      "class A:\n    def g(self):\n        import os\n")
     assert local_imports(tree) == {"lp_norm": 3, "os": 7}
+
+
+def dict_view_uses(tree: ast.Module) -> dict[str, int]:
+    """``.coeffs`` / ``.terms`` -> line of every attribute access by that name."""
+    return {f".{node.attr}": node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "terms")}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_polynomials_read_as_arrays(path):
+    uses = dict_view_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name} reads polynomials through dict views, not K and C: {uses}"
+
+
+def test_guard_sees_a_dict_view():
+    tree = ast.parse("coeffs = {}\nx = f.coeffs[(1,)]\nfor k, c in g.terms():\n    pass\n"
+                     "y = f.C, f.K\n")
+    assert dict_view_uses(tree) == {".coeffs": 2, ".terms": 3}
