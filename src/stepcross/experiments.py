@@ -192,8 +192,7 @@ def run_nikolskii(config: ExperimentConfig) -> dict:
     for i in range(config.samples):
         d = int(rng.integers(1, 4))
         f = random_mixed_poly(rng, d, max_shell={1: 5, 2: 7, 3: 6}[d])
-        for p, q in pairs:
-            lhs, rhs, ok = nikolskii_check(f, p, q, grid)
+        for (p, q), (lhs, rhs, ok) in zip(pairs, nikolskii_check(f, pairs, grid)):
             all_ok = all_ok and ok
             rows.append((i, d, p, "inf" if math.isinf(q) else q, lhs, rhs, int(ok)))
     csv_path = Path(config.output_path) / "nikolskii.csv"

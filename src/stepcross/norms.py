@@ -17,11 +17,20 @@ Numerical methods
   of |f|^p is prod_j mean |g_j|^p over N_j points, and the grid max is
   prod_j max |g_j|.  The grids, the self-check and the point budget are the
   same as for the full grid, so values agree up to rounding.
+* Norms at several exponents compute each distinct p once, and exponents
+  whose first grid has the same dims (L_inf, even p and the base grid often
+  do) share one evaluation of it; each value is bit for bit the one-exponent
+  value.  A self-checked non-even p then refines on its own grids.  The
+  modulus of a grid overwrites the grid and the last power overwrites the
+  modulus, so one grid-sized buffer is held (two when several powers share
+  the grid).
+* An exponent that is not a real number >= 1 is rejected before any work.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 from itertools import product as iter_product
 from typing import Sequence
@@ -39,7 +48,14 @@ class QuadratureError(RuntimeError):
     """Self-checked quadrature failed to converge within the refinement budget."""
 
 
+def _check_p(p, name: str = "p") -> None:
+    """Reject an exponent that is not a real number >= 1 (inf included)."""
+    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and p >= 1):
+        raise ValueError(f"{name} must be a real number >= 1 or inf, got {p!r}")
+
+
 def _check_form(form: str, p: float) -> None:
+    _check_p(p)
     if form not in FORMS:
         raise ValueError(f"unknown block form {form!r}; expected one of {FORMS}")
     if form == "sharp" and not (1 < p < math.inf):
@@ -59,12 +75,24 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     """
     if f.d == 1:
         return [f]
-    axes, where = zip(*(np.unique(f.K[:, j], return_inverse=True) for j in range(f.d)))
-    shape = tuple(len(a) for a in axes)
-    if math.prod(shape) != f.nnz:
+    # K is sorted, so column 0 is nondecreasing: a new value starts where it steps
+    steps = np.empty(f.nnz, dtype=bool)
+    steps[0] = True
+    np.not_equal(f.K[1:, 0], f.K[:-1, 0], out=steps[1:])
+    axes, where = [f.K[steps, 0]], [np.cumsum(steps) - 1]
+    size = len(axes[0])
+    for j in range(1, f.d):
+        a, w = np.unique(f.K[:, j], return_inverse=True)
+        size *= len(a)
+        if size > f.nnz:
+            return None
+        axes.append(a)
+        where.append(w)
+    if size != f.nnz:
         return None
+    shape = tuple(len(a) for a in axes)
     T = np.empty(shape, dtype=complex)
-    T[where] = f.C
+    T[tuple(where)] = f.C
     pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
     # fiber j runs along axis j through the pivot; all but the first are
     # divided by the pivot so that the product reproduces T
@@ -78,46 +106,118 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
-def _grid_stat(vals: np.ndarray, p: float) -> float:
-    """Mean of |vals|**p, or the max of |vals| at p = inf."""
-    a = np.abs(vals)
-    if math.isinf(p):
-        return float(np.max(a))
-    if p != 1:
-        a **= p
-    return float(np.mean(a))
+# points per slice when the modulus of a grid overwrites the grid
+MODULUS_SLICE = 1 << 15
 
 
-def _quad_stat(f: TrigPoly, factors: list[TrigPoly] | None, p: float,
-               dims: Sequence[int]) -> float:
-    """``_grid_stat`` of f over the ``dims`` grid, from the 1-D factors of f
+def _modulus_in_place(vals: np.ndarray) -> np.ndarray:
+    """|vals| written over the front half of vals' own complex buffer, one
+    slice at a time, so no second grid-sized array is allocated (a grid of
+    one slice or less takes np.abs, which costs less per call).
+
+    Float slot i lies in complex element i // 2, which is read with slot i's
+    slice or before it.  The values are those of np.abs(vals).
+    """
+    if vals.size <= MODULUS_SLICE:
+        return np.abs(vals)
+    flat = vals.reshape(-1)
+    a = flat.view(np.float64)[:flat.size]
+    for s in range(0, flat.size, MODULUS_SLICE):
+        a[s:s + MODULUS_SLICE] = np.abs(flat[s:s + MODULUS_SLICE])
+    return a.reshape(vals.shape)
+
+
+def _grid_stats(vals: np.ndarray, ps: Sequence[float]) -> dict[float, float]:
+    """Mean of |vals|**p for each distinct p in ``ps``, or the max of |vals|
+    at p = inf, keyed by p.
+
+    The modulus overwrites the complex grid and the last power overwrites
+    the modulus, so besides the grid's own buffer at most one power of the
+    modulus is held.
+    """
+    a = _modulus_in_place(vals)
+    stats, powers = {}, []
+    for p in ps:
+        if math.isinf(p):
+            stats[p] = float(np.max(a))
+        elif p == 1:
+            stats[p] = float(np.mean(a))
+        else:
+            powers.append(p)
+    for p in powers[:-1]:
+        stats[p] = float(np.mean(a**p))
+    if powers:
+        a **= powers[-1]
+        stats[powers[-1]] = float(np.mean(a))
+    return stats
+
+
+def _quad_stats(f: TrigPoly, factors: list[TrigPoly] | None, ps: Sequence[float],
+                dims: Sequence[int]) -> dict[float, float]:
+    """``_grid_stats`` of f over the ``dims`` grid, from the 1-D factors of f
     on their own coordinate's points when it has them."""
     if factors is None:
-        return _grid_stat(eval_grid(f, dims), p)
-    return math.prod(_grid_stat(eval_grid(g, (n,)), p) for g, n in zip(factors, dims))
+        return _grid_stats(eval_grid(f, dims), ps)
+    per_factor = [_grid_stats(eval_grid(g, (n,)), ps) for g, n in zip(factors, dims)]
+    return {p: math.prod(stats[p] for stats in per_factor) for p in ps}
 
 
-def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
-    """L_p norm with the normalized measure (2*pi)**(-d) dx."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+def _is_even(p: float) -> bool:
+    return p == int(p) and int(p) % 2 == 0
+
+
+def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, float]:
+    """L_p norms of f for each p in ``ps``, as ``lp_norm`` computes them,
+    keyed by p.
+
+    Each distinct p is computed once, and the exponents whose first grid has
+    the same dims share one evaluation of f (or of its rank-1 factors).  A
+    self-checked non-even p then refines on its own.
+    """
+    for p in ps:
+        _check_p(p)
     if f.is_zero():
-        return 0.0
-    if p == 2:
-        # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
-        return math.sqrt(sum(f.abs2().tolist()))
+        return dict.fromkeys(ps, 0.0)
+    norms: dict[float, float] = {}
+    todo = []
+    for p in dict.fromkeys(ps):
+        if p == 2:
+            # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
+            norms[p] = math.sqrt(sum(f.abs2().tolist()))
+        else:
+            todo.append(p)
+    if not todo:
+        return norms
     factors = _rank1_factors(f)
-    if math.isinf(p):
-        g = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
-        return _quad_stat(f, factors, p, resolve_grid_dims(f, g))
-    base = resolve_grid_dims(f, grid)
-    if p == int(p) and int(p) % 2 == 0:
-        # |f|^p is itself a trigonometric polynomial of degree p*deg
-        dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
-        return _quad_stat(f, factors, p, dims) ** (1.0 / p)
-    prev = _quad_stat(f, factors, p, base) ** (1.0 / p)
-    if grid.points_per_dim is not None or not grid.self_check:
-        return prev
+    # L_inf forces oversampling >= 4; then its grid is the base grid
+    g_inf = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
+    base = None
+    if g_inf is grid or not all(math.isinf(p) for p in todo):
+        base = resolve_grid_dims(f, grid)
+    groups: dict[tuple[int, ...], list[float]] = {}
+    for p in todo:
+        if math.isinf(p):
+            dims = base if g_inf is grid else resolve_grid_dims(f, g_inf)
+        elif _is_even(p):
+            # |f|^p is itself a trigonometric polynomial of degree p*deg
+            dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
+        else:
+            dims = base
+        groups.setdefault(dims, []).append(p)
+    for dims, group in groups.items():
+        for p, stat in _quad_stats(f, factors, group, dims).items():
+            norms[p] = stat if math.isinf(p) else stat ** (1.0 / p)
+    if grid.points_per_dim is None and grid.self_check:
+        for p in todo:
+            if not (math.isinf(p) or _is_even(p)):
+                norms[p] = _refine(f, factors, p, base, norms[p], grid)
+    return norms
+
+
+def _refine(f: TrigPoly, factors: list[TrigPoly] | None, p: float, base: tuple[int, ...],
+            prev: float, grid: GridSpec) -> float:
+    """Doubling self-check of the L_p quadrature whose value on ``base`` is
+    ``prev``: refine until one doubling changes it by at most ``check_rtol``."""
     # refine by exact doubling of the base grid so successive grids nest
     for level in range(1, grid.max_refine + 1):
         dims = tuple(n * 2**level for n in base)
@@ -126,7 +226,7 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={grid.check_rtol} (last value {prev:.6e})"
             )
-        cur = _quad_stat(f, factors, p, dims) ** (1.0 / p)
+        cur = _quad_stats(f, factors, (p,), dims)[p] ** (1.0 / p)
         if abs(cur - prev) <= grid.check_rtol * max(abs(cur), 1e-300):
             return cur
         prev = cur
@@ -134,6 +234,11 @@ def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
         f"L_{p} quadrature not converged to rtol={grid.check_rtol} "
         f"within {grid.max_refine} refinements (last value {prev:.6e})"
     )
+
+
+def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
+    """L_p norm with the normalized measure (2*pi)**(-d) dx."""
+    return _lp_norms(f, (p,), grid)[p]
 
 
 def block_norms(f: TrigPoly, p: float, form: str,
@@ -170,20 +275,29 @@ def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridS
     return sum((v for _, v in block_norms(f, q, form, grid)), 0.0)
 
 
-def nikolskii_check(t: TrigPoly, p: float, q: float,
-                    grid: GridSpec = GridSpec()) -> tuple[float, float, bool]:
-    """Different-metrics inequality for a polynomial of rectangular degree n.
+def nikolskii_check(t: TrigPoly, pairs: Sequence[tuple[float, float]],
+                    grid: GridSpec = GridSpec()) -> list[tuple[float, float, bool]]:
+    """Different-metrics inequality for a polynomial of rectangular degree n,
+    one (p, q) pair after another.
 
-    Returns (|t|_q, 2**d * prod n_j**(1/p - 1/q) * |t|_p, lhs <= rhs) with the
-    degree bound n_j = max(1, max_k |k_j|).
+    Returns, per pair, (|t|_q, 2**d * prod n_j**(1/p - 1/q) * |t|_p,
+    lhs <= rhs) with the degree bound n_j = max(1, max_k |k_j|).  Every pair
+    is validated first, and each distinct exponent's norm is computed once.
     """
-    if not (1 <= p < q):
-        raise ValueError("requires 1 <= p < q")
-    lhs = lp_norm(t, q, grid)
+    for p, q in pairs:
+        _check_p(p)
+        _check_p(q, "q")
+        if not p < q:
+            raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
+    norm = _lp_norms(t, [x for pair in pairs for x in pair], grid)
     degs = tuple(max(1, m) for m in t.degree())
-    qinv = 0.0 if math.isinf(q) else 1.0 / q
-    rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lp_norm(t, p, grid)
-    return lhs, rhs, lhs <= rhs * (1 + 1e-9)
+    out = []
+    for p, q in pairs:
+        lhs = norm[q]
+        qinv = 0.0 if math.isinf(q) else 1.0 / q
+        rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * norm[p]
+        out.append((lhs, rhs, lhs <= rhs * (1 + 1e-9)))
+    return out
 
 
 def _h_grid(h_points: int) -> np.ndarray:
@@ -208,6 +322,7 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
             raise ValueError("difference order must exceed the smoothness in each coordinate")
     if h_points < 1:
         raise ValueError("h_points must be >= 1")
+    _check_p(p)
     if f.is_zero():
         return 0.0
     hs = _h_grid(h_points)

@@ -118,6 +118,19 @@ def test_norm_repeated_frequency_exits_one(tmp_path, capsys):
     assert "line 3" in captured.err and "[3]" in captured.err
 
 
+@pytest.mark.parametrize("p", ["nan", "-inf"])
+@pytest.mark.parametrize("poly", [TrigPoly(1, {(1,): 1.0, (4,): 1.0}), TrigPoly.zero(1)],
+                         ids=["nonzero", "empty"])
+def test_norm_invalid_exponent_exits_one(tmp_path, capsys, poly, p):
+    path = tmp_path / "f.jsonl"
+    write_jsonl(path, poly)
+    spec = json.dumps({"kind": "lp", "p": p})
+    assert main(["norm", "--spec", spec, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p must be a real number >= 1" in captured.err
+
+
 def test_norm_without_input_exits_one(capsys):
     assert main(["norm", "--spec", '{"kind":"lp","p":2}']) == 1
     err = capsys.readouterr().err

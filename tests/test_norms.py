@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,28 @@ class TestLpNorm:
 
     def test_zero_poly(self):
         assert lp_norm(TrigPoly.zero(2), 3.0) == 0.0
+
+    @pytest.mark.parametrize("p", [math.nan, True, False, -math.inf, "3", None, 1j],
+                             ids=repr)
+    @pytest.mark.parametrize("f", [TrigPoly(2, {(1, 2): 1.0, (3, -1): 2.0}), TrigPoly.zero(2)],
+                             ids=["nonzero", "zero"])
+    def test_rejects_exponent_before_any_work(self, monkeypatch, f, p):
+        def fail(*args):
+            raise AssertionError("work done before the exponent was checked")
+
+        for name in ("_rank1_factors", "resolve_grid_dims", "eval_grid"):
+            monkeypatch.setattr(norms, name, fail)
+        with pytest.raises(ValueError, match="p must be a real number >= 1"):
+            lp_norm(f, p)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: bq1_norm(TrigPoly.zero(2), p),
+        lambda p: besov_mixed_norm(TrigPoly.zero(2), SmoothParams((1.0, 1.0)), p, 2.0, "smooth"),
+        lambda p: difference_seminorm(TrigPoly.zero(1), SmoothParams((1.0,)), (2,), p),
+    ], ids=["bq1", "besov-smooth", "seminorm"])
+    def test_block_and_difference_norms_reject_nan_exponent(self, call):
+        with pytest.raises(ValueError, match="p must be a real number >= 1"):
+            call(math.nan)
 
     def test_self_check_budget_error(self):
         f = TrigPoly(1, {(1,): 1.0, (-1,): 1.0})
@@ -105,7 +128,109 @@ def record_grids(monkeypatch):
     return calls
 
 
+def reference_lp_norm(f, p, grid):
+    """L_p by the single-exponent rule written out: each grid from eval_grid
+    (on the rank-1 factors when there are any), reduced by hand."""
+    factors = _rank1_factors(f)
+
+    def stat(dims):
+        pieces = [(f, dims)] if factors is None else [(g, (n,)) for g, n in zip(factors, dims)]
+        out = 1
+        for g, g_dims in pieces:
+            a = np.abs(eval_grid(g, g_dims))
+            out *= float(a.max()) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
+        return out
+
+    if math.isinf(p):
+        return stat(resolve_grid_dims(f, replace(grid, oversampling=max(4.0, grid.oversampling))))
+    base = resolve_grid_dims(f, grid)
+    if p == 4:
+        return stat(tuple(max(n, 4 * m + 1) for n, m in zip(base, f.degree()))) ** (1 / p)
+    prev = stat(base) ** (1 / p)
+    if grid.points_per_dim is not None or not grid.self_check:
+        return prev
+    for level in itertools.count(1):
+        cur = stat(tuple(n * 2**level for n in base)) ** (1 / p)
+        if abs(cur - prev) <= grid.check_rtol * abs(cur):
+            return cur
+        prev = cur
+
+
+def rank1_factors_by_unique(f):
+    """The rank-1 test with np.unique on every coordinate."""
+    if f.d == 1:
+        return [f]
+    axes, where = zip(*(np.unique(f.K[:, j], return_inverse=True) for j in range(f.d)))
+    shape = tuple(len(a) for a in axes)
+    if math.prod(shape) != f.nnz:
+        return None
+    T = np.empty(shape, dtype=complex)
+    T[where] = f.C
+    pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
+    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(f.d)]
+    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
+    outer = fibers[0]
+    for u in fibers[1:]:
+        outer = np.multiply.outer(outer, u)
+    if not np.all(np.abs(T - outer) <= norms.RANK1_RTOL * np.abs(T)):
+        return None
+    return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
+
+
+class TestLpNormsEngine:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("grid", [GridSpec(points_per_dim=24), GridSpec(self_check=False),
+                                      GridSpec(), GridSpec(oversampling=2.0)],
+                             ids=["pinned", "unchecked", "self-checked", "oversampling-2"])
+    def test_equals_explicit_grid_reduction(self, d, p, grid):
+        rng = np.random.default_rng(10 * d + 1)
+        for _ in range(2):
+            rank1 = random_rank1(rng, d)
+            # a second product term on the same support makes rank 2
+            rank2 = rank1 + 0.3 * random_rank1(rng, d)
+            assert _rank1_factors(rank1) is not None
+            assert d == 1 or _rank1_factors(rank2) is None
+            for f in (rank1, rank2):
+                assert lp_norm(f, p, grid) == reference_lp_norm(f, p, grid)
+
+    @pytest.mark.parametrize("shape", [(7,), (norms.MODULUS_SLICE,), (norms.MODULUS_SLICE + 1,),
+                                       (3, norms.MODULUS_SLICE - 5), (40, 50, 37)])
+    def test_modulus_overwrites_the_grid_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
+            -3, 4, size=shape)
+        want = np.abs(vals)
+        got = norms._modulus_in_place(vals)
+        assert got.shape == shape and np.array_equal(got, want)
+        if vals.size > norms.MODULUS_SLICE:
+            assert np.shares_memory(got, vals)
+
+
 class TestRankOneFactors:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_unique_construction(self, d):
+        rng = np.random.default_rng(20 + d)
+        polys = []
+        for _ in range(4):
+            f = random_rank1(rng, d)
+            k, c = f.terms()[-1]
+            polys += [
+                f,
+                f + 0.3 * random_rank1(rng, d),  # rank 2
+                TrigPoly(d, {**f.coeffs, k: c * (1 + 1e-9)}),  # perturbed
+                TrigPoly(d, dict(f.terms()[:-1])),  # support not a product
+                random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2)),
+                f.take(np.arange(0, f.nnz, 2)),  # sparse: the count bound trips early
+            ]
+        polys.append(TrigPoly.exponential((3,) * d, 2.0 - 1.0j))
+        for f in polys:
+            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+        assert any(_rank1_factors(f) is None for f in polys) == (d > 1)
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, math.inf])
     @pytest.mark.parametrize("grid", [GridSpec(points_per_dim=24), GridSpec()],
@@ -283,15 +408,18 @@ class TestDyadicShellNorms:
         assert max(vals) / min(vals) < 4.0
 
 
+NIKOLSKII_PAIRS = ((1.0, 2.0), (2.0, 4.0), (2.0, math.inf))
+
+
 class TestNikolskii:
     def test_unit_exponential(self):
-        lhs, rhs, ok = nikolskii_check(TrigPoly.exponential((1,)), 1.0, 2.0)
+        [(lhs, rhs, ok)] = nikolskii_check(TrigPoly.exponential((1,)), ((1.0, 2.0),))
         assert ok and lhs == pytest.approx(1.0, rel=1e-9) and rhs == pytest.approx(2.0, rel=1e-4)
 
     def test_dirichlet_two_infinity(self):
         for m in (1, 2, 5, 9):
             t = TrigPoly(1, {(k,): 1.0 for k in range(-m, m + 1)})
-            lhs, rhs, ok = nikolskii_check(t, 2.0, math.inf)
+            [(lhs, rhs, ok)] = nikolskii_check(t, ((2.0, math.inf),))
             assert ok
             assert lhs == pytest.approx(2 * m + 1, rel=1e-12)
             assert rhs == pytest.approx(2 * math.sqrt(m) * math.sqrt(2 * m + 1), rel=1e-12)
@@ -302,13 +430,65 @@ class TestNikolskii:
         for i in range(60):
             d = 1 + i % 3
             f = random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2))
-            for p, q in ((1.0, 2.0), (2.0, 4.0), (2.0, math.inf)):
-                _, _, ok = nikolskii_check(f, p, q, grid)
+            results = nikolskii_check(f, NIKOLSKII_PAIRS, grid)
+            assert len(results) == 3
+            for _, _, ok in results:
                 assert ok
 
     def test_rejects_bad_pair(self):
         with pytest.raises(ValueError):
-            nikolskii_check(TrigPoly.exponential((1,)), 2.0, 2.0)
+            nikolskii_check(TrigPoly.exponential((1,)), ((2.0, 2.0),))
+
+    @pytest.mark.parametrize("grid", [GridSpec(self_check=False), GridSpec()],
+                             ids=["unchecked", "self-checked"])
+    def test_pairs_match_one_norm_at_a_time(self, grid):
+        rng = np.random.default_rng(8)
+        pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (1.0, math.inf))
+        # sums of two products without zeros, so the self-check converges
+        polys = [random_rank1(rng, d) + 0.3 * random_rank1(rng, d) for d in (1, 2, 3)]
+        if not grid.self_check:
+            polys += [random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2)) for d in (1, 2, 3)]
+        for f in polys:
+            d = f.d
+            degs = [max(1, m) for m in f.degree()]
+            for (p, q), (lhs, rhs, ok) in zip(pairs, nikolskii_check(f, pairs, grid)):
+                qinv = 0.0 if math.isinf(q) else 1.0 / q
+                want = 2.0**d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lp_norm(f, p, grid)
+                assert lhs == lp_norm(f, q, grid) and rhs == want
+                assert ok == (lhs <= rhs * (1 + 1e-9))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_grid_for_every_pair(self, monkeypatch, d):
+        f = random_mixed_poly(np.random.default_rng(d), d, max_shell=6)
+        assert _rank1_factors(f) is None
+        calls = record_grids(monkeypatch)
+        nikolskii_check(f, NIKOLSKII_PAIRS, GridSpec(self_check=False))
+        assert calls == [(d, resolve_grid_dims(f, GridSpec()))]
+
+    def test_shared_grid_holds_one_grid_buffer(self):
+        # the modulus overwrites the complex grid and the one power overwrites
+        # the modulus, so the peak is the grid's own 16 bytes a point
+        rng = np.random.default_rng(4)
+        t = random_mixed_poly(rng, 3, max_shell=6)
+        while math.prod(resolve_grid_dims(t, GridSpec())) < 200_000:
+            t = random_mixed_poly(rng, 3, max_shell=6)
+        points = math.prod(resolve_grid_dims(t, GridSpec()))
+        tracemalloc.start()
+        try:
+            nikolskii_check(t, NIKOLSKII_PAIRS, GridSpec(self_check=False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * points
+
+    @pytest.mark.parametrize("bad", [(2.0, 2.0), (3.0, 2.0), (0.5, 2.0), (1.0, math.nan),
+                                     (True, 2.0)])
+    def test_bad_pair_last_raises_before_any_grid(self, monkeypatch, bad):
+        f = random_mixed_poly(np.random.default_rng(1), 2, max_shell=6)
+        calls = record_grids(monkeypatch)
+        with pytest.raises(ValueError):
+            nikolskii_check(f, NIKOLSKII_PAIRS + (bad,), GridSpec(self_check=False))
+        assert calls == []
 
 
 class TestDifferenceSeminorm:
