@@ -80,12 +80,15 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     fills a few frequencies per block with standard complex Gaussian
     coefficients.
     """
-    all_blocks = [s for m in range(d, max_shell + 1) for s in compositions(m, d)
-                  if max_component is None or max(s) <= max_component]
-    take = min(blocks_per_poly, len(all_blocks))
+    # every block with (s,1) <= max_shell, lexicographic, then stably by shell
+    S = compositions(max_shell + 1, d + 1)[:, :d]
+    S = S[np.argsort(S.sum(axis=1), kind="stable")]
+    if max_component is not None:
+        S = S[S.max(axis=1) <= max_component]
+    take = min(blocks_per_poly, len(S))
     coeffs: dict[tuple[int, ...], complex] = {}
-    for idx in rng.choice(len(all_blocks), size=take, replace=False):
-        s = all_blocks[int(idx)]
+    for idx in rng.choice(len(S), size=take, replace=False):
+        s = S[int(idx)].tolist()
         for _ in range(terms_per_block):
             k = []
             for sj in s:

@@ -2,15 +2,19 @@
 
 A block index is a vector ``s`` of positive integers; the block it names is
 the set of frequencies ``k`` with ``2**(s_j-1) <= |k_j| < 2**s_j`` in every
-coordinate.  Step hyperbolic crosses, even-shell index sets, and the weighted
-tail sums used by the rate predictions are all built from these blocks.
+coordinate.  A dyadic shell, the blocks with (s,1) = m, is an int64 array with
+one block per row in lexicographic order (``compositions``).  Step hyperbolic
+crosses, even shells and the weighted tail sums used by the rate predictions
+all filter such arrays.  A block s lies in the level-n cross when every
+running sum s_1 g_1 + ... + s_j g_j, added left to right from 0.0, plus the
+least remaining tail g_{j+1} + ... + g_d stays strictly below n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,7 +36,7 @@ class TailTruncationError(RuntimeError):
 class SmoothParams:
     """Smoothness vector with its derived scaling vectors.
 
-    ``r`` must be nondecreasing with positive entries.  ``nu`` counts the
+    ``r`` must be finite, positive and nondecreasing.  ``nu`` counts the
     coordinates attaining the minimal value ``r[0]``; ``gamma = r / r[0]``;
     ``gamma_prime`` equals 1 on minimal coordinates and sits strictly between
     1 and ``gamma_j`` elsewhere (midpoint by default, overridable).
@@ -45,10 +49,12 @@ class SmoothParams:
         r = tuple(float(x) for x in r)
         if len(r) == 0:
             raise ValueError("SmoothParams ordering: r must be nonempty")
+        if not all(map(math.isfinite, r)):
+            raise ValueError(f"SmoothParams: r must be finite, got r={r}")
         if r[0] <= 0 or any(a > b for a, b in zip(r, r[1:])):
             raise ValueError("SmoothParams ordering: r must be positive and nondecreasing")
-        nu = sum(1 for x in r if x == r[0])
-        gamma = tuple(x / r[0] for x in r)
+        object.__setattr__(self, "r", r)
+        nu, gamma = self.nu, self.gamma
         if gamma_prime is None:
             gamma_prime = tuple(1.0 if j < nu else (1.0 + gamma[j]) / 2.0 for j in range(len(r)))
         else:
@@ -60,7 +66,6 @@ class SmoothParams:
                     raise ValueError("gamma_prime must equal 1 on minimal coordinates")
                 if j >= nu and not (1.0 < gp < gamma[j]):
                     raise ValueError("gamma_prime must lie strictly between 1 and gamma")
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "gamma_prime", gamma_prime)
 
     @property
@@ -136,18 +141,18 @@ def block_cardinality(s: Sequence[int]) -> int:
     return 2 ** sum(int(x) for x in s)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` positive integers summing to ``total``."""
-    if parts < 1 or total < parts:
-        return
-    for bars in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for b in bars:
-            out.append(b - prev)
-            prev = b
-        out.append(total - prev)
-        yield tuple(out)
+def compositions(total: int, parts: int) -> np.ndarray:
+    """The ``parts``-tuples of positive integers summing to ``total`` as rows of
+    an int64 array in lexicographic order: the gaps between 0, each
+    (parts-1)-subset of 1..total-1, and total.  No rows if parts > total."""
+    if parts < 1:
+        raise ValueError(f"compositions need parts >= 1, got parts={parts}")
+    if total < parts:
+        return np.zeros((0, parts), np.int64)
+    count = math.comb(total - 1, parts - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(1, total), parts - 1)),
+                       np.int64, count * (parts - 1)).reshape(count, parts - 1)
+    return np.diff(bars, axis=1, prepend=0, append=total)
 
 
 @dataclass(frozen=True)
@@ -180,39 +185,30 @@ class BlockIndexSet:
 
 
 def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
-    """Step hyperbolic cross: all blocks s with (s, gamma*) < n.
+    """Step hyperbolic cross: all blocks s with (s, gamma*) < n, in
+    lexicographic order, by the membership rule of the module docstring.
 
     Returns an empty set (not an error) when no block qualifies.
     """
+    if not math.isfinite(n):
+        raise ValueError(f"cross level n must be finite, got n={n}")
     if n > MAX_CROSS_LEVEL:
         raise ValueError(f"cross level n={n} exceeds cap {MAX_CROSS_LEVEL}")
     gamma = params.gamma_for(gamma_mode)
     d = params.d
-    out: list[tuple[int, ...]] = []
-
-    def rec(coord: int, acc: list[int], partial: float):
-        if coord == d:
-            out.append(tuple(acc))
-            return
-        tail_min = sum(gamma[coord + 1 :])
-        sj = 1
-        while partial + gamma[coord] * sj + tail_min < n:
-            acc.append(sj)
-            rec(coord + 1, acc, partial + gamma[coord] * sj)
-            acc.pop()
-            sj += 1
-
-    rec(0, [], 0.0)
-    return BlockIndexSet(tuple(out), d, n=float(n), gamma_mode=gamma_mode)
+    # gamma* >= 1, so every member has (s,1) < n; a slack last part turns
+    # the shells d..ceil(n)-1 into one lexicographic array
+    S = compositions(math.ceil(n), d + 1)[:, :d]
+    tails = [sum(gamma[j + 1:]) for j in range(d)]
+    S = S[(np.cumsum(S * gamma, axis=1) + tails < n).all(axis=1)]
+    return BlockIndexSet(tuple(map(tuple, S.tolist())), d, n=float(n), gamma_mode=gamma_mode)
 
 
 def even_shell(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All blocks with every component even, >= 2, summing to ``n``."""
     if n % 2 != 0:
         raise ValueError("shell level must be even")
-    if n < 2 * d:
-        return ()
-    return tuple(tuple(2 * c for c in comp) for comp in compositions(n // 2, d))
+    return tuple(map(tuple, (2 * compositions(n // 2, d)).tolist()))
 
 
 def block_anchor(s: Sequence[int]) -> tuple[int, ...]:
@@ -252,38 +248,39 @@ def weighted_tail_sums(
     accumulated value.  Returns ``(value, value / (2**(-alpha*l) * l**(m-1)))``
     per l, with m = d resp. nu.
 
+    Weights come from Python's ``2.0 ** x`` (NumPy's power may differ in the
+    last bit) and are added one at a time in lexicographic block order.
     Raises TailTruncationError if shell ``TAIL_MAX_SHELL`` is passed first.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got alpha={alpha}")
     if mode not in TAIL_MODES:
         raise ValueError(f"unknown tail mode {mode!r}; expected one of {TAIL_MODES}")
-    gamma = params.gamma
-    gamma_star = gamma if mode == "gamma-on-gamma" else params.gamma_prime
-    d = params.d
     ls = [float(l) for l in ls]
-    values = [0.0] * len(ls)
-    m = d
-    while True:
-        for comp in compositions(m, d):
-            g_star = sum(c * g for c, g in zip(comp, gamma_star))
-            w = 2.0 ** (-alpha * sum(c * g for c, g in zip(comp, gamma)))
-            for i, l in enumerate(ls):
-                if g_star >= l:
-                    values[i] += w
+    if not ls or not all(0 < l < math.inf for l in ls):
+        raise ValueError(f"boundaries ls must be nonempty, finite and positive, got {ls}")
+    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
+    d = params.d
+    values = np.zeros(len(ls))
+    for m in range(d, TAIL_MAX_SHELL + 1):
+        S = compositions(m, d)
+        # cumsum adds each (s, g) left to right, as a loop over the block does
+        weights = [2.0 ** (-alpha * x) for x in np.cumsum(S * params.gamma, axis=1)[:, -1].tolist()]
+        outside = np.cumsum(S * gamma_star, axis=1)[:, -1] >= np.array(ls)[:, None]
+        # adding 0.0 for a block inside boundary l leaves its running sum as it is
+        values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),
+                           axis=1)[:, -1]
         bound = _tail_remainder_bound(m, d, alpha)
-        if all(v > 0.0 for v in values) and bound < TAIL_REL_TOL * min(values):
+        if values.min() > 0.0 and bound < TAIL_REL_TOL * values.min():
             break
-        if m >= TAIL_MAX_SHELL:
-            raise TailTruncationError(
-                f"tail sums not converged after shell {m} (bound {bound:.3e})",
-                partial=min(values),
-            )
-        m += 1
+    else:
+        raise TailTruncationError(
+            f"tail sums not converged after shell {TAIL_MAX_SHELL} (bound {bound:.3e})",
+            partial=float(values.min()),
+        )
     power = d if mode == "gamma-on-gamma" else params.nu
-    return [
-        (v, v / (2.0 ** (-alpha * l) * l ** (power - 1))) for v, l in zip(values, ls)
-    ]
+    return [(v, v / (2.0 ** (-alpha * l) * l ** (power - 1)))
+            for v, l in zip(values.tolist(), ls)]
 
 
 def write_blocks(path, blockset: BlockIndexSet | Iterable[Sequence[int]]) -> None:

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .approx import approx_result, default_form
-from .blocks import GAMMA_MODES, SmoothParams, hyperbolic_cross, weighted_tail_sums, write_blocks
+from .blocks import GAMMA_MODES, TAIL_MODES, SmoothParams, hyperbolic_cross, write_blocks
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
-from .experiments import ExperimentConfig, parse_extended, run_experiment, write_csv
+from .experiments import (ExperimentConfig, parse_extended, run_experiment, tail_sum_rows,
+                          write_csv)
 from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
                        shifted_rect_sample)
 from .kernels import vdp_coeff
@@ -219,11 +220,8 @@ def cmd_entropy(args) -> int:
 def cmd_lemma_a(args) -> int:
     params = SmoothParams(_parse_rvec(args.r))
     ls = list(range(args.l_min, args.l_max + 1))
-    modes = ("gamma-on-gamma", "gamma-prime-on-gamma") if args.mode == "both" else (args.mode,)
-    rows = []
-    for mode in modes:
-        for (value, ratio), l in zip(weighted_tail_sums(args.alpha, params, ls, mode), ls):
-            rows.append((mode, args.alpha, l, value, ratio))
+    modes = TAIL_MODES if args.mode == "both" else (args.mode,)
+    rows = tail_sum_rows(args.alpha, params, ls, modes)
     if args.out:
         config = ExperimentConfig(theorem_tag="lemmaA", d=params.d, r=params.r,
                                   alpha=args.alpha, l_range=(args.l_min, args.l_max),
@@ -326,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--r", required=True)
     p_lem.add_argument("--l-min", type=int, default=10)
     p_lem.add_argument("--l-max", type=int, default=20)
-    p_lem.add_argument("--mode", choices=("gamma-on-gamma", "gamma-prime-on-gamma", "both"),
-                       default="both")
+    p_lem.add_argument("--mode", choices=TAIL_MODES + ("both",), default="both")
     p_lem.add_argument("--seed", type=int, default=0)
     p_lem.add_argument("--out")
     p_lem.set_defaults(func=cmd_lemma_a)

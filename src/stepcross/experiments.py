@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .approx import random_mixed_poly
-from .blocks import SmoothParams, even_shell, weighted_tail_sums
+from .blocks import TAIL_MODES, SmoothParams, even_shell, weighted_tail_sums
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
 from .extremal import class_scale, shifted_rect_sample
@@ -171,13 +171,17 @@ def run_rate_experiment(config: ExperimentConfig) -> dict:
     return {"csv": str(csv_path), "json": str(json_path), "fit": fit_fixed}
 
 
+def tail_sum_rows(alpha: float, params: SmoothParams, ls: Sequence[int],
+                  modes: Sequence[str]) -> list[tuple]:
+    """Rows (mode, alpha, l, value, normalized_ratio) of the weighted tail
+    sums, mode by mode, then by boundary l."""
+    return [(mode, alpha, l, value, ratio) for mode in modes
+            for (value, ratio), l in zip(weighted_tail_sums(alpha, params, ls, mode), ls)]
+
+
 def run_lemma_a(config: ExperimentConfig) -> dict:
-    params = config.params
     ls = list(range(config.l_range[0], config.l_range[-1] + 1))
-    rows = []
-    for mode in ("gamma-on-gamma", "gamma-prime-on-gamma"):
-        for (value, ratio), l in zip(weighted_tail_sums(config.alpha, params, ls, mode), ls):
-            rows.append((mode, config.alpha, l, value, ratio))
+    rows = tail_sum_rows(config.alpha, config.params, ls, TAIL_MODES)
     csv_path = Path(config.output_path) / "lemmaA_ratios.csv"
     write_csv(csv_path, config, ("mode", "alpha", "l", "value", "normalized_ratio"), rows)
     return {"csv": str(csv_path)}

@@ -189,15 +189,13 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
     if not todo:
         return norms
     factors = _rank1_factors(f)
-    # L_inf forces oversampling >= 4; then its grid is the base grid
-    g_inf = grid if grid.oversampling >= 4 else replace(grid, oversampling=4.0)
-    base = None
-    if g_inf is grid or not all(math.isinf(p) for p in todo):
-        base = resolve_grid_dims(f, grid)
+    base = resolve_grid_dims(f, grid)
     groups: dict[tuple[int, ...], list[float]] = {}
     for p in todo:
         if math.isinf(p):
-            dims = base if g_inf is grid else resolve_grid_dims(f, g_inf)
+            # L_inf forces oversampling >= 4; from there its grid is the base grid
+            dims = base if grid.oversampling >= 4 else resolve_grid_dims(
+                f, replace(grid, oversampling=4.0))
         elif _is_even(p):
             # |f|^p is itself a trigonometric polynomial of degree p*deg
             dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))

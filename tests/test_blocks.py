@@ -1,21 +1,75 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepcross.blocks import (BlockIndexSet, SmoothParams, TailTruncationError,
-                              block_anchor, block_cardinality, block_indices, block_ranges,
-                              compositions, even_shell, hyperbolic_cross,
-                              weighted_tail_sums, write_blocks)
+from stepcross.blocks import (GAMMA_MODES, TAIL_REL_TOL, BlockIndexSet, SmoothParams,
+                              TailTruncationError, _tail_remainder_bound, block_anchor,
+                              block_cardinality, block_indices, block_ranges, compositions,
+                              even_shell, hyperbolic_cross, weighted_tail_sums, write_blocks)
 from stepcross.poly import TrigPoly, project_cross
 
 
 def block_freqs(s):
     """Every frequency of dyadic block s."""
     return set(itertools.product(*block_ranges(s)))
+
+
+def composition_tuples(total, parts):
+    """Oracle: the compositions as tuples, from the bars between the parts."""
+    for bars in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + bars, bars + (total,)))
+
+
+def dot(s, g):
+    """(s, g) added left to right from 0.0."""
+    acc = 0.0
+    for c, x in zip(s, g):
+        acc += c * x
+    return acc
+
+
+def recursive_cross(n, params, gamma_mode):
+    """Oracle: the cross as a coordinate-by-coordinate recursion, which keeps
+    s_j while the running sum plus the least remaining tail stays below n."""
+    gamma = params.gamma_for(gamma_mode)
+    d = params.d
+    out = []
+
+    def rec(coord, acc, partial):
+        if coord == d:
+            out.append(tuple(acc))
+            return
+        tail_min = dot((1,) * (d - coord - 1), gamma[coord + 1:])
+        sj = 1
+        while partial + gamma[coord] * sj + tail_min < n:
+            rec(coord + 1, acc + [sj], partial + gamma[coord] * sj)
+            sj += 1
+
+    rec(0, [], 0.0)
+    return tuple(out)
+
+
+def scalar_tail_sums(alpha, params, ls, mode):
+    """Oracle: the tail sums block by block and boundary by boundary, with the
+    stopping rule of ``weighted_tail_sums``; returns the values only."""
+    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
+    d = params.d
+    values = [0.0] * len(ls)
+    for m in itertools.count(d):
+        for comp in composition_tuples(m, d):
+            g_star = dot(comp, gamma_star)
+            w = 2.0 ** (-alpha * dot(comp, params.gamma))
+            for i, l in enumerate(ls):
+                if g_star >= l:
+                    values[i] += w
+        bound = _tail_remainder_bound(m, d, alpha)
+        if min(values) > 0.0 and bound < TAIL_REL_TOL * min(values):
+            return values
 
 
 class TestSmoothParams:
@@ -43,6 +97,12 @@ class TestSmoothParams:
         with pytest.raises(ValueError, match="ordering"):
             SmoothParams((0.0, 1.0))
 
+    @pytest.mark.parametrize("r", [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
+                                   (math.inf,)], ids=str)
+    def test_rejects_non_finite(self, r):
+        with pytest.raises(ValueError, match=r"finite.*(nan|inf)"):
+            SmoothParams(r)
+
     def test_custom_gamma_prime(self):
         p = SmoothParams((1.0, 4.0), gamma_prime=(1.0, 2.0))
         assert p.gamma_prime == (1.0, 2.0)
@@ -52,6 +112,33 @@ class TestSmoothParams:
             SmoothParams((1.0, 2.0), gamma_prime=(1.0, 2.0))
         with pytest.raises(ValueError):
             SmoothParams((1.0, 2.0), gamma_prime=(1.5, 1.5))
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total,parts,rows", [
+        (1, 1, [[1]]), (4, 1, [[4]]), (2, 2, [[1, 1]]),
+        (5, 2, [[1, 4], [2, 3], [3, 2], [4, 1]]),
+        (5, 3, [[1, 1, 3], [1, 2, 2], [1, 3, 1], [2, 1, 2], [2, 2, 1], [3, 1, 1]])])
+    def test_examples(self, total, parts, rows):
+        S = compositions(total, parts)
+        assert S.dtype == np.int64 and S.tolist() == rows
+
+    @pytest.mark.parametrize("total,parts", [(0, 1), (-3, 1), (1, 2), (2, 3), (-1, 4)])
+    def test_no_rows_when_parts_exceed_total(self, total, parts):
+        assert compositions(total, parts).shape == (0, parts)
+
+    @pytest.mark.parametrize("parts", [0, -1])
+    def test_rejects_no_parts(self, parts):
+        with pytest.raises(ValueError, match="parts"):
+            compositions(4, parts)
+
+    def test_matches_tuples_in_lexicographic_order(self):
+        for parts in (1, 2, 3, 4):
+            for total in range(parts, 13):
+                S = compositions(total, parts)
+                assert list(map(tuple, S.tolist())) == list(composition_tuples(total, parts))
+                assert len(S) == math.comb(total - 1, parts - 1)
+                assert (S >= 1).all() and (S.sum(axis=1) == total).all()
 
 
 class TestDyadicBlocks:
@@ -154,6 +241,31 @@ class TestHyperbolicCross:
         with pytest.raises(ValueError, match="cap"):
             hyperbolic_cross(41, SmoothParams((1.0,)))
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, n):
+        with pytest.raises(ValueError, match=f"finite, got n={n}"):
+            hyperbolic_cross(n, SmoothParams((1.0, 1.0)))
+
+    def test_prefix_rule_not_the_plain_sum(self):
+        # (4,1,1) has (s, gamma') = 6.999999999999999 < 7, but its first
+        # running sum plus the least tail is 4 + 7/6 + 11/6 = 7.0, not < 7
+        params = SmoothParams((1.5, 2.0, 4.0))
+        gp = params.gamma_prime
+        assert dot((4, 1, 1), gp) < 7 and 4 + (gp[1] + gp[2]) == 7.0
+        cross = hyperbolic_cross(7, params, "gamma-prime")
+        assert (4, 1, 1) not in cross and (3, 1, 1) in cross
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.lists(st.sampled_from((0.6, 1.0, 1.1, 1.3, 1.5, 1.7, 2.0, 2.2, 3.1, 4.0))
+                      | st.floats(0.3, 4.0), min_size=1, max_size=3).map(sorted),
+           gamma_mode=st.sampled_from(GAMMA_MODES),
+           n=st.floats(-1.0, 14.0) | st.integers(0, 14) | st.sampled_from((3.5, 6.25, 7.0)))
+    @example(r=[1.5, 2.0, 4.0], gamma_mode="gamma-prime", n=7.0)
+    def test_matches_the_recursion(self, r, gamma_mode, n):
+        params = SmoothParams(r)
+        cross = hyperbolic_cross(n, params, gamma_mode)
+        assert cross.blocks == recursive_cross(n, params, gamma_mode)
+
     def test_cardinality_order_band(self):
         # freq_count / (2^n n^(d-1)) stays in a narrow band
         for d in (2, 3):
@@ -210,6 +322,9 @@ class TestBlockAnchor:
             block_anchor((1, 3))
 
 
+CRITERION_08_DIGEST = "f661ecfbc93ba56834f8e2b47d55230ea0800def7788cee31d4ad63684398d77"
+
+
 class TestWeightedTailSum:
     def test_d1_geometric(self):
         value, ratio = weighted_tail_sums(1.0, SmoothParams((1.0,)), [5])[0]
@@ -227,7 +342,7 @@ class TestWeightedTailSum:
         alpha, l = 1.0, 8.0
         brute = 0.0
         for m in range(2, 90):
-            for s in compositions(m, 2):
+            for s in compositions(m, 2).tolist():
                 if s[0] * 1.0 + s[1] * 2.0 >= l:
                     brute += 2.0 ** (-alpha * (s[0] + 2.0 * s[1]))
         value, _ = weighted_tail_sums(alpha, params, [l])[0]
@@ -251,6 +366,41 @@ class TestWeightedTailSum:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             weighted_tail_sums(0.0, SmoothParams((1.0,)), [5])
+
+    @pytest.mark.parametrize("alpha,ls,named", [
+        (math.nan, [10], "alpha=nan"), (math.inf, [10], "alpha=inf"), (-1.0, [10], "alpha=-1"),
+        (1.0, [], "ls"), (1.0, [10, 0], "ls"), (1.0, [-2], "ls"), (1.0, [math.nan], "nan"),
+        (1.0, [5, math.inf], "inf")])
+    def test_rejects_before_any_shell(self, monkeypatch, alpha, ls, named):
+        def no_shell(*args):
+            raise AssertionError("a shell was enumerated")
+
+        monkeypatch.setattr("stepcross.blocks.compositions", no_shell)
+        with pytest.raises(ValueError, match=named):
+            weighted_tail_sums(alpha, SmoothParams((1.0, 1.0, 1.0)), ls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.lists(st.sampled_from((0.7, 1.0, 1.3, 1.7, 2.2, 3.1)), min_size=1,
+                      max_size=3).map(sorted),
+           alpha=st.sampled_from((0.6, 1.0, 1.45, 2.5)) | st.floats(0.6, 3.0),
+           ls=st.lists(st.floats(0.5, 12.0) | st.integers(1, 12), min_size=1, max_size=3),
+           mode=st.sampled_from(("gamma-on-gamma", "gamma-prime-on-gamma")))
+    def test_equals_the_scalar_loop(self, r, alpha, ls, mode):
+        params = SmoothParams(r)
+        got = [v for v, _ in weighted_tail_sums(alpha, params, ls, mode)]
+        assert got == scalar_tail_sums(alpha, params, [float(l) for l in ls], mode)
+
+    def test_criterion_08_cases_bit_for_bit(self):
+        # float.hex of every value and ratio of the twelve criterion-08 sums,
+        # as the block-by-block loop computed them
+        cases = [("gamma-on-gamma", SmoothParams((1.0, 1.0))),
+                 ("gamma-on-gamma", SmoothParams((1.0, 1.0, 1.0))),
+                 ("gamma-prime-on-gamma", SmoothParams((1.0, 4.0), gamma_prime=(1.0, 2.0))),
+                 ("gamma-prime-on-gamma",
+                  SmoothParams((1.0, 1.0, 4.0), gamma_prime=(1.0, 1.0, 2.0)))]
+        bits = [(v.hex(), r.hex()) for mode, params in cases for alpha in (0.5, 1.0, 2.0)
+                for v, r in weighted_tail_sums(alpha, params, range(10, 21), mode)]
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == CRITERION_08_DIGEST
 
     def test_truncation_budget_error_carries_partial(self):
         # at alpha = 1e-3, d = 2 the remainder bound stays infinite through

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -249,3 +250,27 @@ def test_cross_dump(tmp_path):
 def test_cross_bad_r_exits_one(capsys):
     assert main(["cross", "--n", "4", "--r", "2,1"]) == 1
     assert "ordering" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["cross", "--n", "5", "--r", "1,nan"], "r=(1.0, nan)"),
+    (["cross", "--n", "5", "--r", "1,inf"], "r=(1.0, inf)"),
+    (["cross", "--n", "nan", "--r", "1,1"], "n=nan"),
+    (["lemma-a", "--alpha", "nan", "--r", "1,1,1"], "alpha=nan"),
+    (["lemma-a", "--alpha", "1", "--r", "1,1", "--l-min", "10", "--l-max", "5"], "nonempty"),
+    (["lemma-a", "--alpha", "1", "--r", "1,1", "--l-min", "0", "--l-max", "3"], "positive"),
+], ids=["r-nan", "r-inf", "n-nan", "alpha-nan", "l-range-empty", "l-zero"])
+def test_invalid_block_numbers_exit_one_at_once(capsys, argv, named):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+def test_poly_project_nan_level_exits_one(poly_file, tmp_path, capsys):
+    out = tmp_path / "proj.jsonl"
+    assert main(["poly", "project", "--input", poly_file, "--n", "nan", "--r", "1",
+                 "--out", str(out)]) == 1
+    assert "n=nan" in capsys.readouterr().err
+    assert not out.exists()

@@ -194,6 +194,20 @@ class TestLpNormsEngine:
             for f in (rank1, rank2):
                 assert lp_norm(f, p, grid) == reference_lp_norm(f, p, grid)
 
+    def test_linf_grid_spec_built_only_for_linf(self, monkeypatch):
+        # below oversampling 4 the L_inf grid needs its own GridSpec; a norm
+        # that asks no L_inf must not pay for building and checking one
+        grid = GridSpec(oversampling=2.0, self_check=False)
+        built = []
+        post_init = GridSpec.__post_init__
+        monkeypatch.setattr(GridSpec, "__post_init__",
+                            lambda self: (built.append(self), post_init(self))[1])
+        f = random_rank1(np.random.default_rng(3), 2)
+        lp_norm(f, 1.5, grid)
+        assert built == []
+        lp_norm(f, math.inf, grid)
+        assert [g.oversampling for g in built] == [4.0]
+
     @pytest.mark.parametrize("shape", [(7,), (norms.MODULUS_SLICE,), (norms.MODULUS_SLICE + 1,),
                                        (3, norms.MODULUS_SLICE - 5), (40, 50, 37)])
     def test_modulus_overwrites_the_grid_bit_for_bit(self, shape):

@@ -1,7 +1,7 @@
 """Static checks on the package source: every name a module imports is used,
 no module imports another stepcross module's private (underscore) name,
-every function is reached from outside the unit tests, no import hides
-inside a function, and only ``poly.py`` reads a polynomial through its dict
+every function is reached from outside the unit tests, no import or
+function definition hides inside a function, and only ``poly.py`` reads a polynomial through its dict
 views (``.coeffs``, ``.terms()``) instead of its arrays.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
@@ -160,6 +160,34 @@ def test_guard_sees_a_function_local_import():
                      "def f():\n    from .norms import lp_norm\n    return lp_norm\n"
                      "class A:\n    def g(self):\n        import os\n")
     assert local_imports(tree) == {"lp_norm": 3, "os": 7}
+
+
+def nested_functions(tree: ast.Module) -> dict[str, int]:
+    """``outer.inner`` -> line of every function defined inside another one.
+
+    A nested function escapes ``test_every_function_is_reached``, which sees
+    only top-level functions and methods, and the benchmark cannot wrap it.
+    """
+    out = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTION_NODES):
+            for node in ast.walk(fn):
+                if node is not fn and isinstance(node, FUNCTION_NODES):
+                    out[f"{fn.name}.{node.name}"] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_functions(path):
+    nested = nested_functions(ast.parse(path.read_text(), filename=str(path)))
+    assert not nested, f"{path.name} defines functions inside functions: {nested}"
+
+
+def test_guard_sees_a_nested_function():
+    tree = ast.parse("def f():\n    g = lambda x: x\n    def rec(n):\n        return n\n"
+                     "    return rec\n"
+                     "class A:\n    def m(self):\n        async def inner():\n            pass\n")
+    assert nested_functions(tree) == {"f.rec": 3, "m.inner": 8}
 
 
 def dict_view_uses(tree: ast.Module) -> dict[str, int]:
