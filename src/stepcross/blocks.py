@@ -250,7 +250,8 @@ def weighted_tail_sums(
 
     Weights come from Python's ``2.0 ** x`` (NumPy's power may differ in the
     last bit) and are added one at a time in lexicographic block order.
-    Raises TailTruncationError if shell ``TAIL_MAX_SHELL`` is passed first.
+    Raises ValueError at once if no shell up to ``TAIL_MAX_SHELL`` can
+    certify the sums, and TailTruncationError if that shell is passed first.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got alpha={alpha}")
@@ -259,8 +260,12 @@ def weighted_tail_sums(
     ls = [float(l) for l in ls]
     if not ls or not all(0 < l < math.inf for l in ls):
         raise ValueError(f"boundaries ls must be nonempty, finite and positive, got {ls}")
-    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
     d = params.d
+    # the remainder bound falls with m: infinite at the last shell means at every shell
+    if math.isinf(_tail_remainder_bound(TAIL_MAX_SHELL, d, alpha)):
+        raise ValueError(f"tail sums at alpha={alpha}, d={d} cannot be certified within "
+                         f"TAIL_MAX_SHELL={TAIL_MAX_SHELL} shells")
+    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
     values = np.zeros(len(ls))
     for m in range(d, TAIL_MAX_SHELL + 1):
         S = compositions(m, d)

@@ -21,8 +21,7 @@ from .entropy import (CloudProblem, covering_number_exact, covering_number_greed
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
 from .experiments import (ExperimentConfig, parse_extended, run_experiment, tail_sum_rows,
                           write_csv)
-from .extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
-                       shifted_rect_sample)
+from .extremal import class_scale, dirichlet_shell, shell_extremal, shifted_rect_sample
 from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, difference_seminorm, lp_norm
 from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
@@ -91,8 +90,7 @@ def cmd_poly(args) -> int:
             v = f.evaluate(x)
             print(f"{v.real:.17g} {v.imag:+.17g}j")
             return 0
-        grid = (GridSpec(points_per_dim=args.points) if args.points
-                else GridSpec(oversampling=args.oversampling))
+        grid = GridSpec(points_per_dim=args.points, oversampling=args.oversampling)
         vals = eval_grid(f, resolve_grid_dims(f, grid))
         out = Path(args.out or "values.csv")
         with open(out, "w") as fh:
@@ -113,8 +111,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    lines = ["k,coeff"] + [f"{k},{vdp_coeff(args.l, k):.17g}"
-                           for k in range(-2 * args.l, 2 * args.l + 1)]
+    ks = np.arange(-2 * args.l, 2 * args.l + 1)
+    lines = ["k,coeff"] + [f"{k},{c:.17g}" for k, c in zip(ks.tolist(), vdp_coeff(args.l, ks))]
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in lines))
         print(args.out)
@@ -151,7 +149,7 @@ def cmd_approx(args) -> int:
     a_th, b_th = theory_exponents(p, q, theta, params, args.gamma_mode)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
+        member = shell_extremal(n, params.d, params.r1, p, theta)
         res = approx_result(member, hyperbolic_cross(n, params, args.gamma_mode), params, q)
         rows.append((n, res.cross_cardinality, res.error_fourier_sum, res.error_best_upper,
                      predicted_order(n, a_th, b_th)))
@@ -164,13 +162,13 @@ def cmd_extremal(args) -> int:
     if args.family == "dn":
         f = dirichlet_shell(args.n, args.d)
     elif args.family == "g":
-        f = shell_extremal(ExtremalSpec(n=args.n, d=args.d, r1=args.r1,
-                                        p=parse_extended(args.p), theta=parse_extended(args.theta),
-                                        c4=args.c4))
+        f = args.c4 * shell_extremal(args.n, args.d, args.r1, parse_extended(args.p),
+                                     parse_extended(args.theta))
     else:
-        f = shifted_rect_sample(args.n, args.d, args.mode, args.seed)
-        if args.scaled:
-            f = class_scale(args.n, args.d, args.r1, parse_extended(args.theta)) * f
+        # the scale checks theta before the sample is drawn
+        theta = parse_extended(args.theta)
+        scale = class_scale(args.n, args.d, args.r1, theta) if args.scaled else 1
+        f = scale * shifted_rect_sample(args.n, args.d, args.mode, args.seed)
     write_jsonl(args.out, f)
     print(args.out)
     return 0

@@ -81,6 +81,8 @@ class ExperimentConfig:
             if self.theorem_tag not in regimes(self.p, self.q, self.d):
                 raise ConfigError(
                     f"(p, q) = ({self.p}, {self.q}) does not match regime {self.theorem_tag}")
+            if not self.n_range or self.n_range[-1] < self.n_range[0]:
+                raise ConfigError(f"n_range must not end below its first level, got {self.n_range}")
         if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
             raise ConfigError("T5-family needs even shell levels")
 

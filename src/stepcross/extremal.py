@@ -11,30 +11,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import block_anchor, block_ranges, compositions, even_shell
-from .poly import GridSpec, TrigPoly, eval_grid, resolve_grid_dims
-
-
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Parameters of the scaled shell extremal."""
-
-    n: int
-    d: int
-    r1: float
-    p: float
-    theta: float
-    c4: float = 1.0
-
-    def __post_init__(self):
-        if self.n < self.d:
-            raise ValueError("need n >= d for a nonempty shell")
-        if self.r1 <= 0:
-            raise ValueError("r1 must be positive")
+from .poly import GridSpec, TrigPoly, check_exponent, eval_grid, resolve_grid_dims
 
 
 def dirichlet_shell(n: int, d: int) -> TrigPoly:
@@ -56,18 +37,26 @@ def _grid_rows(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def shell_extremal(spec: ExtremalSpec) -> TrigPoly:
-    """c4 * 2**(-n(r1+1-1/p)) * n**(-(d-1)/theta) times the shell polynomial.
+def shell_extremal(n: int, d: int, r1: float, p: float, theta: float) -> TrigPoly:
+    """2**(-n(r1+1-1/p)) * n**(-(d-1)/theta) times the shell polynomial.
 
-    For theta = inf the logarithmic factor is absent (exponent 0).
+    Needs n >= d (a nonempty shell), r1 > 0 and real p, theta >= 1 (inf
+    allowed); for theta = inf the logarithmic factor is absent (exponent 0).
     """
-    log_exp = 0.0 if math.isinf(spec.theta) else (spec.d - 1) / spec.theta
-    scale = spec.c4 * 2.0 ** (-spec.n * (spec.r1 + 1.0 - 1.0 / spec.p)) * spec.n**-log_exp
-    return scale * dirichlet_shell(spec.n, spec.d)
+    if n < d:
+        raise ValueError(f"need n >= d for a nonempty shell, got n={n}, d={d}")
+    if not r1 > 0:
+        raise ValueError(f"r1 must be positive, got r1={r1}")
+    check_exponent(p)
+    check_exponent(theta, "theta")
+    log_exp = 0.0 if math.isinf(theta) else (d - 1) / theta
+    return 2.0 ** (-n * (r1 + 1.0 - 1.0 / p)) * n**-log_exp * dirichlet_shell(n, d)
 
 
 def class_scale(n: int, d: int, r1: float, theta: float) -> float:
-    """Scaling that places the shifted-rectangle family inside the p=inf class."""
+    """Scaling that places the shifted-rectangle family inside the p=inf class;
+    theta must be a real number >= 1 (inf allowed)."""
+    check_exponent(theta, "theta")
     log_exp = 0.0 if math.isinf(theta) else (d - 1) / theta
     return 2.0 ** (-n * r1) * float(n) ** -log_exp
 

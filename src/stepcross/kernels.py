@@ -42,7 +42,7 @@ def vdp_coeff(l, k):
     (broadcast together), and scalars give a scalar."""
     l, a = np.asarray(l), np.abs(k)
     if np.any(l < 1):
-        raise ValueError("kernel order must be >= 1")
+        raise ValueError(f"kernel order must be >= 1, got l={l}")
     return np.where(a <= l, 1.0, np.where(a < 2 * l, 1.0 - (a - l) / l, 0.0))[()]
 
 

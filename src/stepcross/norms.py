@@ -10,8 +10,12 @@ Numerical methods
 * Even integer p uses trigonometric-rectangle quadrature on a grid fine
   enough to make |f|^p a resolved trigonometric polynomial, hence exact.
 * Any other p uses quadrature with a doubling self-check: the grid is
-  refined until one doubling changes the value by less than ``check_rtol``
-  relatively.  Grids pinned by ``points_per_dim`` skip the self-check.
+  refined, at most ``MAX_REFINE`` times, until one doubling changes the
+  value by at most ``CHECK_RTOL`` relatively.  Grids pinned by
+  ``points_per_dim`` skip the self-check.
+* No grid may hold more than ``poly.MAX_POINTS`` points: a first grid over
+  it raises GridBudgetError before any evaluation, a doubling over it ends
+  the self-check with QuadratureError.
 * A polynomial whose coefficient tensor has rank 1, f(x) = prod_j g_j(x_j),
   is sampled through its 1-D factors: on an N_1 x ... x N_d grid the mean
   of |f|^p is prod_j mean |g_j|^p over N_j points, and the grid max is
@@ -30,7 +34,6 @@ Numerical methods
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import replace
 from itertools import product as iter_product
 from typing import Sequence
@@ -39,23 +42,20 @@ import numpy as np
 
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
-from .poly import GridSpec, TrigPoly, blocks_of, eval_grid, mixed_difference, resolve_grid_dims
+from .poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, check_exponent,
+                   check_grid_budget, eval_grid, mixed_difference, resolve_grid_dims)
 
 FORMS = ("sharp", "smooth")
+CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
+MAX_REFINE = 10  # doublings the self-check may take
 
 
 class QuadratureError(RuntimeError):
     """Self-checked quadrature failed to converge within the refinement budget."""
 
 
-def _check_p(p, name: str = "p") -> None:
-    """Reject an exponent that is not a real number >= 1 (inf included)."""
-    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and p >= 1):
-        raise ValueError(f"{name} must be a real number >= 1 or inf, got {p!r}")
-
-
 def _check_form(form: str, p: float) -> None:
-    _check_p(p)
+    check_exponent(p)
     if form not in FORMS:
         raise ValueError(f"unknown block form {form!r}; expected one of {FORMS}")
     if form == "sharp" and not (1 < p < math.inf):
@@ -175,7 +175,7 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
     self-checked non-even p then refines on its own.
     """
     for p in ps:
-        _check_p(p)
+        check_exponent(p)
     if f.is_zero():
         return dict.fromkeys(ps, 0.0)
     norms: dict[float, float] = {}
@@ -199,6 +199,7 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
         elif _is_even(p):
             # |f|^p is itself a trigonometric polynomial of degree p*deg
             dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
+            check_grid_budget(dims)
         else:
             dims = base
         groups.setdefault(dims, []).append(p)
@@ -208,29 +209,31 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
     if grid.points_per_dim is None and grid.self_check:
         for p in todo:
             if not (math.isinf(p) or _is_even(p)):
-                norms[p] = _refine(f, factors, p, base, norms[p], grid)
+                norms[p] = _refine(f, factors, p, base, norms[p])
     return norms
 
 
 def _refine(f: TrigPoly, factors: list[TrigPoly] | None, p: float, base: tuple[int, ...],
-            prev: float, grid: GridSpec) -> float:
+            prev: float) -> float:
     """Doubling self-check of the L_p quadrature whose value on ``base`` is
-    ``prev``: refine until one doubling changes it by at most ``check_rtol``."""
+    ``prev``: refine until one doubling changes it by at most ``CHECK_RTOL``."""
     # refine by exact doubling of the base grid so successive grids nest
-    for level in range(1, grid.max_refine + 1):
+    for level in range(1, MAX_REFINE + 1):
         dims = tuple(n * 2**level for n in base)
-        if math.prod(dims) > grid.max_points:
+        try:
+            check_grid_budget(dims)
+        except GridBudgetError as exc:
             raise QuadratureError(
                 f"L_{p} quadrature hit the grid budget before reaching "
-                f"rtol={grid.check_rtol} (last value {prev:.6e})"
-            )
+                f"rtol={CHECK_RTOL} (last value {prev:.6e})"
+            ) from exc
         cur = _quad_stats(f, factors, (p,), dims)[p] ** (1.0 / p)
-        if abs(cur - prev) <= grid.check_rtol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= CHECK_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureError(
-        f"L_{p} quadrature not converged to rtol={grid.check_rtol} "
-        f"within {grid.max_refine} refinements (last value {prev:.6e})"
+        f"L_{p} quadrature not converged to rtol={CHECK_RTOL} "
+        f"within {MAX_REFINE} refinements (last value {prev:.6e})"
     )
 
 
@@ -261,8 +264,7 @@ def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],
 def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,
                      form: str = "sharp", grid: GridSpec = GridSpec()) -> float:
     """Mixed-smoothness class norm: l_theta of 2**(s.r) times block L_p norms."""
-    if not (1 <= theta):
-        raise ValueError("theta must be >= 1")
+    check_exponent(theta, "theta")
     if len(params.r) != f.d:
         raise ValueError("smoothness vector dimension mismatch")
     return aggregate_block_norms(block_norms(f, p, form, grid), params.r, theta)
@@ -283,8 +285,8 @@ def nikolskii_check(t: TrigPoly, pairs: Sequence[tuple[float, float]],
     is validated first, and each distinct exponent's norm is computed once.
     """
     for p, q in pairs:
-        _check_p(p)
-        _check_p(q, "q")
+        check_exponent(p)
+        check_exponent(q, "q")
         if not p < q:
             raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
     norm = _lp_norms(t, [x for pair in pairs for x in pair], grid)
@@ -320,7 +322,7 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
             raise ValueError("difference order must exceed the smoothness in each coordinate")
     if h_points < 1:
         raise ValueError("h_points must be >= 1")
-    _check_p(p)
+    check_exponent(p)
     if f.is_zero():
         return 0.0
     hs = _h_grid(h_points)

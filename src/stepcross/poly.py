@@ -27,6 +27,7 @@ import scipy.fft
 from .blocks import BlockIndexSet, block_indices, group_by_block, mean_zero_block_indices
 
 DROP_TOL = 1e-30
+MAX_POINTS = 1 << 26  # the most points of any grid a polynomial is evaluated on
 
 
 class AliasingError(ValueError):
@@ -43,30 +44,23 @@ class GridSpec:
 
     ``points_per_dim=None`` sizes the grid from the polynomial degree:
     ceil(oversampling * (2*deg_j + 1)) per dimension, rounded up to an
-    FFT-friendly length.  The self-check fields control the doubling test
-    applied to non-exact quadratures in the norms module.  Every field is
-    checked on creation; an oversampling below 1, for one, would alias.
+    FFT-friendly length.  ``self_check`` turns on the doubling test of
+    non-exact quadratures in the norms module.  Every field is checked on
+    creation (an oversampling below 1 would alias); no grid, however sized,
+    may hold more than ``MAX_POINTS`` points.
     """
 
     points_per_dim: int | None = None
     oversampling: float = 4.0
     self_check: bool = True
-    check_rtol: float = 1e-6
-    max_refine: int = 10
-    max_points: int = 1 << 26
 
     def __post_init__(self):
-        ppd, over, rtol = self.points_per_dim, self.oversampling, self.check_rtol
+        ppd, over = self.points_per_dim, self.oversampling
         for name, ok, want in (
             ("points_per_dim", ppd is None or (_is_int(ppd) and ppd >= 1),
              "None or an integer >= 1"),
             ("oversampling", _is_real(over) and over >= 1, "a finite real number >= 1"),
             ("self_check", isinstance(self.self_check, bool), "a bool"),
-            ("check_rtol", _is_real(rtol) and rtol > 0, "a finite real number > 0"),
-            ("max_refine", _is_int(self.max_refine) and self.max_refine >= 0,
-             "an integer >= 0"),
-            ("max_points", _is_int(self.max_points) and self.max_points >= 1,
-             "an integer >= 1"),
         ):
             if not ok:
                 raise ValueError(f"GridSpec.{name} must be {want}, got {getattr(self, name)!r}")
@@ -78,6 +72,12 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_exponent(p, name: str = "p") -> None:
+    """Reject an exponent that is not a real number >= 1 (inf included)."""
+    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and p >= 1):
+        raise ValueError(f"{name} must be a real number >= 1 or inf, got {p!r}")
 
 
 class TrigPoly:
@@ -202,6 +202,8 @@ class TrigPoly:
     def evaluate(self, x: Sequence[float]) -> complex:
         """Direct pointwise evaluation; slow, used as an oracle."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"point has {x.size} coordinates, expected d = {self.d}")
         return sum(c * np.exp(1j * float(np.dot(k, x))) for k, c in self.terms())
 
     def __repr__(self):
@@ -255,10 +257,15 @@ def resolve_grid_dims(f: TrigPoly, grid: GridSpec) -> tuple[int, ...]:
                 raise AliasingError(f"grid of {n} points aliases degree {m}")
     else:
         dims = tuple(_fast_len(math.ceil(grid.oversampling * (2 * m + 1))) for m in deg)
-    total = math.prod(dims)
-    if total > grid.max_points:
-        raise GridBudgetError(f"grid of {total} points exceeds budget {grid.max_points}")
+    check_grid_budget(dims)
     return dims
+
+
+def check_grid_budget(dims: Sequence[int]) -> None:
+    """Raise GridBudgetError if the ``dims`` grid has over ``MAX_POINTS`` points."""
+    total = math.prod(dims)
+    if total > MAX_POINTS:
+        raise GridBudgetError(f"grid of {total} points exceeds budget {MAX_POINTS}")
 
 
 def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
@@ -266,8 +273,8 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
 
     Coefficients are scattered onto the N_1 x ... x N_d frequency grid and an
     inverse FFT recovers the samples exactly.  ``dims`` must not alias f's
-    spectrum: size them with ``resolve_grid_dims``, which also applies the
-    point budget.
+    spectrum: size them with ``resolve_grid_dims``, and check any other dims
+    with ``check_grid_budget`` first.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != f.d:

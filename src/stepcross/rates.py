@@ -17,8 +17,8 @@ import numpy as np
 
 from .approx import best_approx_upper, fourier_sum_error
 from .blocks import SmoothParams, hyperbolic_cross
-from .extremal import ExtremalSpec, shell_extremal
-from .poly import GridSpec
+from .extremal import shell_extremal
+from .poly import GridSpec, check_exponent
 
 FIT_MODES = ("free", "slope-fixed")
 
@@ -89,10 +89,7 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
                         gamma_mode: str) -> None:
     """Reject parameter combinations outside every covered regime, naming the
     violated condition."""
-    if not (1 <= theta):
-        raise ValueError("requires theta >= 1")
-    if params.r1 <= 0:
-        raise ValueError("requires r1 > 0")
+    check_exponent(theta, "theta")
     if regimes(p, q, params.d) == ("T1",):
         if params.r1 <= 1.0 / p - 1.0 / q:
             raise ValueError("requires r1 > 1/p - 1/q")
@@ -112,7 +109,7 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     validate_hypotheses(p, q, theta, params, gamma_mode)
     rows = []
     for n in n_range:
-        member = shell_extremal(ExtremalSpec(n=n, d=params.d, r1=params.r1, p=p, theta=theta))
+        member = shell_extremal(n, params.d, params.r1, p, theta)
         cross = hyperbolic_cross(n, params, gamma_mode)
         if 1 < q < math.inf:
             err = fourier_sum_error(member, cross, q, grid)

@@ -8,7 +8,7 @@ from stepcross.approx import (ApproxResult, approx_result, best_approx_upper,
                               fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
 from stepcross.blocks import BlockIndexSet, SmoothParams, hyperbolic_cross
-from stepcross.extremal import ExtremalSpec, shell_extremal
+from stepcross.extremal import shell_extremal
 from stepcross.norms import bq1_norm, lp_norm
 from stepcross.poly import TrigPoly, blocks_of, project_cross
 
@@ -32,7 +32,7 @@ class TestFourierSumError:
 
     def test_extremal_error_is_full_norm(self):
         params = SmoothParams((1.5, 1.5))
-        g = shell_extremal(ExtremalSpec(n=6, d=2, r1=1.5, p=2.0, theta=2.0))
+        g = shell_extremal(6, 2, 1.5, 2.0, 2.0)
         err = fourier_sum_error(g, hyperbolic_cross(6, params, "gamma"), 4.0)
         assert err == pytest.approx(bq1_norm(g, 4.0, "sharp"), rel=1e-12)
 
@@ -85,7 +85,7 @@ class TestBestApproxUpper:
     def test_ratio_band_on_extremal_family(self):
         params = SmoothParams((1.5, 1.5))
         for n in (5, 7):
-            g = shell_extremal(ExtremalSpec(n=n, d=2, r1=1.5, p=2.0, theta=2.0))
+            g = shell_extremal(n, 2, 1.5, 2.0, 2.0)
             cross = hyperbolic_cross(n, params, "gamma")
             e = fourier_sum_error(g, cross, 4.0)
             u = best_approx_upper(g, cross, params, 4.0)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepcross.blocks import (GAMMA_MODES, TAIL_REL_TOL, BlockIndexSet, SmoothParams,
-                              TailTruncationError, _tail_remainder_bound, block_anchor,
-                              block_cardinality, block_indices, block_ranges, compositions,
-                              even_shell, hyperbolic_cross, weighted_tail_sums, write_blocks)
+from stepcross.blocks import (GAMMA_MODES, TAIL_MAX_SHELL, TAIL_REL_TOL, BlockIndexSet,
+                              SmoothParams, TailTruncationError, _tail_remainder_bound,
+                              block_anchor, block_cardinality, block_indices, block_ranges,
+                              compositions, even_shell, hyperbolic_cross, weighted_tail_sums,
+                              write_blocks)
 from stepcross.poly import TrigPoly, project_cross
 
 
@@ -402,11 +403,23 @@ class TestWeightedTailSum:
                 for v, r in weighted_tail_sums(alpha, params, range(10, 21), mode)]
         assert hashlib.sha256(repr(bits).encode()).hexdigest() == CRITERION_08_DIGEST
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_uncertifiable_sum_rejected_before_any_shell(self, monkeypatch, d):
+        # at alpha = 1e-3 the remainder bound is infinite at the last shell,
+        # hence at every shell, so no shell can certify the sum
+        def no_shell(*args):
+            raise AssertionError("a shell was enumerated")
+
+        monkeypatch.setattr("stepcross.blocks.compositions", no_shell)
+        with pytest.raises(ValueError, match=f"alpha=0.001, d={d} .* TAIL_MAX_SHELL=600"):
+            weighted_tail_sums(1e-3, SmoothParams((1.0,) * d), [10])
+
     def test_truncation_budget_error_carries_partial(self):
-        # at alpha = 1e-3, d = 2 the remainder bound stays infinite through
-        # the last shell, so the sum cannot be certified
+        # at alpha = 3e-3, d = 2 the remainder bound at the last shell is
+        # finite (about 4.1e5) but far above the sum, so the walk runs out
+        assert 0 < _tail_remainder_bound(TAIL_MAX_SHELL, 2, 3e-3) < math.inf
         with pytest.raises(TailTruncationError) as err:
-            weighted_tail_sums(1e-3, SmoothParams((1.0, 1.0)), [10])
+            weighted_tail_sums(3e-3, SmoothParams((1.0, 1.0)), [10])
         assert err.value.partial > 0
 
 

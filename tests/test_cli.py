@@ -17,6 +17,13 @@ def poly_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("l", ["0", "-3"])
+def test_kernel_coeffs_nonpositive_order_exits_one(capsys, l):
+    assert main(["kernel", "coeffs", "--l", l]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"kernel order must be >= 1, got l={l}" in captured.err
+
+
 def test_kernel_coeffs_csv(tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert main(["kernel", "coeffs", "--l", "2", "--out", str(out)]) == 0
@@ -50,6 +57,23 @@ def test_poly_eval_points_over_budget_exits_one(poly_file, tmp_path, capsys, mon
                  "--out", str(out)]) == 1
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-4"])
+def test_poly_eval_nonpositive_points_exits_one(poly_file, tmp_path, capsys, points):
+    out = tmp_path / "vals.csv"
+    assert main(["poly", "eval", "--input", poly_file, "--points", points,
+                 "--out", str(out)]) == 1
+    assert "GridSpec.points_per_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_poly_eval_at_wrong_dimension_names_d(tmp_path, capsys):
+    path = tmp_path / "f2.jsonl"
+    write_jsonl(path, TrigPoly(2, {(1, 2): 1.0}))
+    assert main(["poly", "eval", "--input", str(path), "--at", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3 coordinates, expected d = 2" in captured.err
 
 
 def test_poly_project_without_level_exits_one(poly_file, capsys):
@@ -93,6 +117,8 @@ def test_norm_unknown_grid_key_exits_one(poly_file, capsys):
     assert "grid" in err and "points" in err
 
 
+# the grid has three keys; check_rtol, max_refine and max_points are module
+# constants, so the spec names them as unknown keys
 BAD_GRIDS = [5, {"points_per_dim": 64.5}, {"oversampling": 0.5}, {"oversampling": "x"},
              {"self_check": "yes"}, {"check_rtol": -1.0}, {"max_refine": -1},
              {"max_points": "x"}]
@@ -161,14 +187,45 @@ def test_extremal_gen_families(tmp_path):
         assert not read_jsonl(out).is_zero()
 
 
+def test_extremal_gen_c4_homogeneity(tmp_path):
+    def gen(c4):
+        out = tmp_path / f"g{c4}.jsonl"
+        assert main(["extremal", "gen", "--family", "g", "--n", "4", "--d", "2", "--r1", "1",
+                     "--p", "2", "--theta", "1", "--c4", c4, "--out", str(out)]) == 0
+        return read_jsonl(out)
+
+    assert gen("7") == 7.0 * gen("1")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--family", "g", "--p", "0"], "p must be a real number >= 1"),
+    (["--family", "g", "--p", "0.5"], "p must be a real number >= 1"),
+    (["--family", "g", "--p", "nan"], "p must be a real number >= 1"),
+    (["--family", "g", "--theta", "0"], "theta must be a real number >= 1"),
+    (["--family", "g", "--theta", "-1"], "theta must be a real number >= 1"),
+    (["--family", "g", "--theta", "nan"], "theta must be a real number >= 1"),
+    (["--family", "tprime", "--scaled", "--theta", "0"], "theta must be a real number >= 1"),
+], ids=["p-0", "p-half", "p-nan", "theta-0", "theta-neg", "theta-nan", "tprime-theta-0"])
+def test_extremal_gen_bad_exponent_exits_one(tmp_path, capsys, argv, named):
+    out = tmp_path / "g.jsonl"
+    assert main(["extremal", "gen", "--n", "6", "--d", "2", "--out", str(out)] + argv) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_approx_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["approx", "sweep", "--n-min", "4", "--n-max", "7", "--p", "2",
                "--q", "4", "--theta", "2", "--r", "1.5,1.5", "--out", str(out)])
     assert rc == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "n,M,script_E,best_ub,predicted_order"
-    assert len(lines) == 5
+    assert lines == [
+        "n,M,script_E,best_ub,predicted_order",
+        "4,20,0.036362048011952371,0.036362048011952371,0.0625",
+        "5,68,0.017838512054543891,0.017838512054543891,0.029379711664737448",
+        "6,196,0.0084420116904780542,0.0084420116904780542,0.013531646934131853",
+        "7,516,0.0039069226930335968,0.0039069226930335968,0.0061452075852456807",
+    ]
 
 
 @pytest.mark.parametrize(("p", "q", "tag"), [("2", "4", "T1"), ("2.5", "2.5", "T2"),
@@ -193,6 +250,18 @@ def test_approx_sweep_invalid_request_fails_before_computing(tmp_path, capsys, m
     assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", "2", "--q", "4",
                  "--r", "0.2,0.2", "--out", str(out)]) == 1
     assert "1/p - 1/q" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_approx_sweep_empty_range_exits_one(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep level was computed")
+
+    monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", "--n-min", "8", "--n-max", "5", "--p", "2", "--q", "4",
+                 "--r", "1.5,1.5", "--out", str(out)]) == 1
+    assert "n_range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -153,6 +153,18 @@ GOLDEN = {
     "lemmaA": (dict(theorem_tag="lemmaA", d=2, r=(1.0, 2.0), alpha=1.0,
                     l_range=(8, 12)),
         "3ef0ae09bc267e208515e0f7afef2a61d61030d55040fdb13e7897844aba53c4"),
+    "entropy44": (dict(theorem_tag="entropy44", samples=10, rng_seed=3),
+        "a5511e9ab5c4e1cf3820c075c18349ae2ae2707ea28b836d37dc5915f32cd91e"),
+    "T1-d1": (dict(theorem_tag="T1", d=1, p=2.0, q=4.0, theta=math.inf, r=(1.5,),
+                   n_range=(5, 8), rng_seed=7),
+        "a4ad44dc250bf3b80b7f3d0caeeaa48bcf3a2cd864b6ec0024c191ad1bf5e1c7"),
+    # the L_inf grid max and the smooth aggregate of the gamma-prime cross
+    "T3-inf": (dict(theorem_tag="T3", d=2, p=math.inf, q=math.inf, theta=2.0, r=(1.0, 2.0),
+                    gamma_mode="gamma-prime", n_range=(5, 8)),
+        "83b5b736973fc4f3900575860c9473ce2afffd2f652da53198a4538e9e87d741"),
+    "T4": (dict(theorem_tag="T4", d=2, p=4.0, q=2.0, theta=2.0, r=(1.0, 1.0),
+                n_range=(5, 8)),
+        "cd2d4fe48f1a6e2828565bfaad0285324733bf4025585e6176ccc08e8c181bbb"),
 }
 
 

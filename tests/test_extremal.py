@@ -6,8 +6,7 @@ import pytest
 
 from stepcross.blocks import (SmoothParams, block_anchor, block_ranges, compositions, even_shell,
                               hyperbolic_cross)
-from stepcross.extremal import (ExtremalSpec, class_scale, dirichlet_shell, shell_extremal,
-                                shifted_rect_sample)
+from stepcross.extremal import class_scale, dirichlet_shell, shell_extremal, shifted_rect_sample
 from stepcross.norms import besov_mixed_norm, bq1_norm, lp_norm
 from stepcross.poly import GridSpec, TrigPoly, eval_grid, project_cross, resolve_grid_dims
 
@@ -69,28 +68,21 @@ class TestDirichletShell:
 
 class TestShellExtremal:
     def test_scaling_formula(self):
-        spec = ExtremalSpec(n=5, d=2, r1=1.5, p=2.0, theta=2.0)
-        g = shell_extremal(spec)
+        g = shell_extremal(5, 2, 1.5, 2.0, 2.0)
         dn = dirichlet_shell(5, 2)
         want = 2.0 ** (-5 * (1.5 + 0.5)) * 5 ** (-0.5)
         k = next(iter(g.coeffs))
         assert g.coeffs[k] == pytest.approx(want * dn.coeffs[k], rel=1e-14)
 
     def test_theta_inf_drops_log_factor(self):
-        g1 = shell_extremal(ExtremalSpec(n=5, d=2, r1=1.0, p=2.0, theta=math.inf))
+        g1 = shell_extremal(5, 2, 1.0, 2.0, math.inf)
         k = next(iter(g1.coeffs))
         assert g1.coeffs[k] == pytest.approx(2.0 ** (-5 * 1.5), rel=1e-14)
-
-    def test_c4_homogeneity(self):
-        base = ExtremalSpec(n=4, d=2, r1=1.0, p=2.0, theta=1.0)
-        g1 = shell_extremal(base)
-        g7 = shell_extremal(ExtremalSpec(n=4, d=2, r1=1.0, p=2.0, theta=1.0, c4=7.0))
-        assert g7 == 7.0 * g1
 
     def test_projection_annihilates(self):
         params = SmoothParams((1.5, 1.5))
         for n in (4, 6):
-            g = shell_extremal(ExtremalSpec(n=n, d=2, r1=1.5, p=2.0, theta=2.0))
+            g = shell_extremal(n, 2, 1.5, 2.0, 2.0)
             assert project_cross(g, hyperbolic_cross(n, params, "gamma")).is_zero()
             assert project_cross(g, hyperbolic_cross(n, params, "gamma-prime")).is_zero()
 
@@ -100,7 +92,7 @@ class TestShellExtremal:
         for theta in (1.0, 2.0, math.inf):
             vals = []
             for n in range(4, 10):
-                g = shell_extremal(ExtremalSpec(n=n, d=2, r1=1.5, p=2.0, theta=theta))
+                g = shell_extremal(n, 2, 1.5, 2.0, theta)
                 vals.append(besov_mixed_norm(g, params, 2.0, theta, "sharp"))
             assert max(vals) / min(vals) < 2.0
 
@@ -109,16 +101,27 @@ class TestShellExtremal:
         r1, p, q, theta, d = 1.5, 2.0, 4.0, 2.0, 2
         vals = []
         for n in range(4, 10):
-            g = shell_extremal(ExtremalSpec(n=n, d=d, r1=r1, p=p, theta=theta))
+            g = shell_extremal(n, d, r1, p, theta)
             target = 2.0 ** (-n * (r1 - 1 / p + 1 / q)) * n ** ((d - 1) * (1 - 1 / theta))
             vals.append(bq1_norm(g, q, "sharp") / target)
         assert max(vals) / min(vals) < 2.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ExtremalSpec(n=1, d=2, r1=1.0, p=2.0, theta=1.0)
-        with pytest.raises(ValueError):
-            ExtremalSpec(n=4, d=2, r1=-1.0, p=2.0, theta=1.0)
+        with pytest.raises(ValueError, match="n >= d"):
+            shell_extremal(1, 2, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="r1"):
+            shell_extremal(4, 2, -1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p,theta,named", [
+        (0.0, 1.0, "p must"), (0.5, 1.0, "p must"), (math.nan, 1.0, "p must"),
+        (2.0, 0.0, "theta must"), (2.0, -1.0, "theta must"), (2.0, math.nan, "theta must")])
+    def test_rejects_exponents_before_building(self, monkeypatch, p, theta, named):
+        def no_shell(*args):
+            raise AssertionError("the shell was built")
+
+        monkeypatch.setattr("stepcross.extremal.dirichlet_shell", no_shell)
+        with pytest.raises(ValueError, match=named):
+            shell_extremal(5, 2, 1.0, p, theta)
 
 
 class TestShiftedRectFamily:
@@ -186,6 +189,11 @@ class TestShiftedRectFamily:
                 f = class_scale(n, 2, 1.0, theta) * t
                 vals.append(besov_mixed_norm(f, params, math.inf, theta, "smooth"))
             assert max(vals) / min(vals) < 2.0
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0, math.nan])
+    def test_class_scale_rejects_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be a real number >= 1"):
+            class_scale(6, 2, 1.0, theta)
 
     def test_class_scale_values(self):
         assert class_scale(6, 2, 1.0, math.inf) == pytest.approx(2.0**-6)

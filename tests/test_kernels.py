@@ -7,7 +7,7 @@ import pytest
 from stepcross import kernels
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
-from stepcross.extremal import ExtremalSpec, shell_extremal, shifted_rect_sample
+from stepcross.extremal import shell_extremal, shifted_rect_sample
 from stepcross.kernels import (block_filter_coeff, filter_support_blocks, smooth_aggregate,
                                smooth_block, smooth_blocks_of, vdp_coeff)
 from stepcross.norms import block_norms, lp_norm
@@ -296,7 +296,7 @@ class TestSmoothAggregate:
     def test_filters_no_block_outside_the_cross(self, monkeypatch):
         # every smooth block of the level-n shell member lies outside the
         # gamma'-cross at level n, so none is filtered
-        f = shell_extremal(ExtremalSpec(n=10, d=2, r1=1.0, p=math.inf, theta=math.inf))
+        f = shell_extremal(10, 2, 1.0, math.inf, math.inf)
         calls = []
         monkeypatch.setattr(kernels, "smooth_block", lambda *a: calls.append(a))
         assert smooth_aggregate(f, 10, SmoothParams((1.0, 1.0))).is_zero()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stepcross import norms
+from stepcross import norms, poly
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import dirichlet_shell
@@ -14,7 +14,8 @@ from stepcross.kernels import smooth_block
 from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
                              besov_mixed_norm, bq1_norm, difference_seminorm,
                              lp_norm, nikolskii_check)
-from stepcross.poly import GridSpec, TrigPoly, blocks_of, eval_grid, resolve_grid_dims
+from stepcross.poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, eval_grid,
+                            resolve_grid_dims)
 
 
 def block_poly_1d(s):
@@ -76,10 +77,39 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be a real number >= 1"):
             call(math.nan)
 
-    def test_self_check_budget_error(self):
+    def test_self_check_budget_error(self, monkeypatch):
         f = TrigPoly(1, {(1,): 1.0, (-1,): 1.0})
-        with pytest.raises(QuadratureError):
-            lp_norm(f, 1.0, GridSpec(max_refine=0))
+        monkeypatch.setattr(norms, "MAX_REFINE", 0)
+        with pytest.raises(QuadratureError, match="within 0 refinements"):
+            lp_norm(f, 1.0)
+
+    def test_doubling_over_budget_ends_self_check(self, monkeypatch):
+        # |f| vanishes at two points, so L_1 needs several doublings
+        f = TrigPoly(1, {(1,): 1.0, (-1,): 1.0})
+        base = math.prod(resolve_grid_dims(f, GridSpec()))
+        monkeypatch.setattr(poly, "MAX_POINTS", 4 * base)
+        calls = record_grids(monkeypatch)
+        with pytest.raises(QuadratureError, match="hit the grid budget"):
+            lp_norm(f, 1.0)
+        assert [math.prod(dims) for _, dims in calls] == [base, 2 * base, 4 * base]
+
+    @pytest.mark.parametrize("p,grid,budget,points", [
+        (20.0, GridSpec(), 100_000, 601 * 601), (4.0, GridSpec(oversampling=1.0), 4000, 121 * 121),
+        (math.inf, GridSpec(oversampling=1.0), 4000, 245 * 245)])
+    def test_first_grid_over_budget_raises_before_any_grid(self, monkeypatch, p, grid, budget,
+                                                           points):
+        # the base grid is within the budget; the even-p grid, sized from p
+        # times the degree, and the L_inf grid, sized from oversampling 4, are not
+        f = TrigPoly(2, {(30, 30): 1.0, (1, -2): 0.5})
+        assert math.prod(resolve_grid_dims(f, grid)) <= budget < points
+        calls = record_grids(monkeypatch)
+        monkeypatch.setattr(poly, "MAX_POINTS", budget)
+        with pytest.raises(GridBudgetError, match=f"grid of {points} points exceeds budget"):
+            lp_norm(f, p, grid)
+        assert calls == []
+        monkeypatch.setattr(poly, "MAX_POINTS", points)
+        lp_norm(f, p, grid)
+        assert [math.prod(dims) for _, dims in calls] == [points]
 
     def test_pinned_grid_skips_self_check(self):
         f = TrigPoly(1, {(1,): 1.0, (-1,): 1.0})
@@ -151,7 +181,7 @@ def reference_lp_norm(f, p, grid):
         return prev
     for level in itertools.count(1):
         cur = stat(tuple(n * 2**level for n in base)) ** (1 / p)
-        if abs(cur - prev) <= grid.check_rtol * abs(cur):
+        if abs(cur - prev) <= norms.CHECK_RTOL * abs(cur):
             return cur
         prev = cur
 

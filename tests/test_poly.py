@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepcross import poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridSpec, TrigPoly,
@@ -36,15 +37,14 @@ def coeff_gap(f, g):
 class TestGridSpec:
     @pytest.mark.parametrize("field,value", [
         ("points_per_dim", 0), ("points_per_dim", 64.5), ("oversampling", 0.5),
-        ("oversampling", "x"), ("self_check", "yes"), ("check_rtol", 0.0),
-        ("max_refine", -1), ("max_points", 0),
+        ("oversampling", "x"), ("self_check", "yes"),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError, match=f"GridSpec.{field}"):
             GridSpec(**{field: value})
 
     def test_accepts_integral_and_numpy_values(self):
-        g = GridSpec(points_per_dim=np.int64(64), oversampling=8, check_rtol=np.float64(1e-8))
+        g = GridSpec(points_per_dim=np.int64(64), oversampling=np.float64(8))
         assert resolve_grid_dims(TrigPoly.exponential((3,)), g) == (64,)
 
 
@@ -82,6 +82,12 @@ class TestTrigPolyBasics:
         x = (0.3, 1.1)
         want = (1 + 1j) * np.exp(1j * (x[0] + 2 * x[1])) + 2 * np.exp(1j * (-3 * x[0] + x[1]))
         assert f.evaluate(x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [(0.0,), (0.0, 1.0, 2.0), ((0.0, 1.0),)])
+    def test_evaluate_names_dimension(self, x):
+        f = TrigPoly(2, {(1, 2): 1.0})
+        with pytest.raises(ValueError, match="expected d = 2"):
+            f.evaluate(x)
 
 
 # small frequencies, so that random pairs share some
@@ -201,10 +207,13 @@ class TestEvalGrid:
         with pytest.raises(AliasingError):
             resolve_grid_dims(TrigPoly.exponential((2,)), GridSpec(points_per_dim=4))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         f = TrigPoly.exponential((1000, 1000))
-        with pytest.raises(GridBudgetError):
-            resolve_grid_dims(f, GridSpec(max_points=1000))
+        assert math.prod(resolve_grid_dims(f, GridSpec())) <= poly.MAX_POINTS
+        monkeypatch.setattr(poly, "MAX_POINTS", 1000)
+        with pytest.raises(GridBudgetError, match="exceeds budget 1000"):
+            resolve_grid_dims(f, GridSpec())
+        monkeypatch.undo()
         with pytest.raises(GridBudgetError, match="budget"):
             resolve_grid_dims(f, GridSpec(points_per_dim=10_000))
 

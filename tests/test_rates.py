@@ -5,7 +5,7 @@ import pytest
 
 from stepcross import approx, rates
 from stepcross.blocks import SmoothParams, hyperbolic_cross
-from stepcross.extremal import ExtremalSpec, shell_extremal
+from stepcross.extremal import shell_extremal
 from stepcross.poly import GridSpec
 from stepcross.rates import (RateFit, SweepRow, fit_rates, predicted_order,
                              sweep_extremal, theory_exponents, validate_hypotheses)
@@ -150,7 +150,7 @@ class TestSweep:
         assert built == [4, 5, 6]
         monkeypatch.undo()
         for r in rows:
-            member = shell_extremal(ExtremalSpec(n=r.n, d=2, r1=1.0, p=pq, theta=2.0))
+            member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
             cross = hyperbolic_cross(r.n, params, "gamma")
             assert r.cardinality == cross.freq_count
             if pq < math.inf:
