@@ -1,5 +1,7 @@
 """Approximation errors of the step hyperbolic Fourier sum and certified
-upper bounds on the best approximation by cross polynomials.
+upper bounds on the best approximation by cross polynomials.  For
+1 < q < inf the Fourier sum is itself the best approximation in the sharp
+block-sum norm, so only q in {1, inf} tries the smooth aggregate.
 
 Both errors take the cross itself, as ``hyperbolic_cross`` builds it, so a
 caller that also needs the cross (a sweep's cardinality column) builds it once.
@@ -46,10 +48,11 @@ def approx_result(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: fl
     """Fourier-sum error over a level-n cross and an upper bound for the best
     approximation from it.
 
-    The bound is the minimum of the Fourier-sum error and the error of the
-    smooth-block aggregate, whose spectrum lies inside the gamma'-cross at
-    level n; the aggregate is admissible only for the gamma-prime mode, or
-    when gamma' = gamma (nu = d).  ``cross`` must come with its level, as
+    For 1 < q < inf both fields hold the Fourier-sum error.  For q in
+    {1, inf} the bound is the minimum of it and the error of the smooth-block
+    aggregate, whose spectrum lies inside the gamma'-cross at level n; the
+    aggregate is admissible only for the gamma-prime mode, or when
+    gamma' = gamma (nu = d).  ``cross`` must come with its level, as
     ``hyperbolic_cross`` builds it, and have dimension ``params.d``.
     """
     if cross.n is None:
@@ -57,9 +60,9 @@ def approx_result(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: fl
     if cross.d != params.d:
         raise ValueError(f"cross dimension {cross.d} differs from params.d = {params.d}")
     err = fourier_sum_error(f, cross, q, grid)
-    if cross.gamma_mode != "gamma-prime" and params.nu != params.d:
+    if 1 < q < math.inf or (cross.gamma_mode != "gamma-prime" and params.nu != params.d):
         return ApproxResult(cross.freq_count, err, err)
-    agg = bq1_norm(f - smooth_aggregate(f, cross.n, params), q, default_form(q), grid)
+    agg = bq1_norm(f - smooth_aggregate(f, cross.n, params), q, "smooth", grid)
     return ApproxResult(cross.freq_count, err, min(err, agg))
 
 

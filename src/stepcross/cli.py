@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -31,6 +32,15 @@ from .rates import predicted_order, regimes, theory_exponents
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _whole(value, key: str) -> int:
+    """``value`` as an int; a value that is not a whole number is rejected,
+    naming the spec key it came from."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise ValueError(f"the hrp spec's {key} must be whole numbers, got {value!r}")
+    return int(value)
 
 
 def _norm_callable(spec: dict):
@@ -55,11 +65,15 @@ def _norm_callable(spec: dict):
         form = spec.get("form", default_form(q))
         return lambda f: bq1_norm(f, q, form, grid_spec)
     if kind == "hrp":
-        params = SmoothParams(spec["r"])
-        order = tuple(int(x) for x in spec["order"])
         p = parse_extended(spec.get("p", 2))
-        return lambda f: difference_seminorm(f, params, order, p,
-                                             int(spec.get("h_points", 64)), grid_spec)
+        if p != 2:
+            raise ValueError(f"the hrp seminorm is computed for p = 2 only, got p={p!r}")
+        params = SmoothParams(spec["r"])
+        if not isinstance(spec["order"], list):
+            raise ValueError(f"the hrp spec's order must be a list, got {spec['order']!r}")
+        order = tuple(_whole(x, "order") for x in spec["order"])
+        h_points = _whole(spec.get("h_points", 64), "h_points")
+        return lambda f: difference_seminorm(f, params, order, h_points)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -162,6 +176,8 @@ def cmd_extremal(args) -> int:
     if args.family == "dn":
         f = dirichlet_shell(args.n, args.d)
     elif args.family == "g":
+        if not math.isfinite(args.c4):
+            raise ValueError(f"--c4 must be a finite number, got {args.c4}")
         f = args.c4 * shell_extremal(args.n, args.d, args.r1, parse_extended(args.p),
                                      parse_extended(args.theta))
     else:

@@ -17,7 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .poly import check_exponent
+
 EXHAUSTIVE_CAP = 12
+
+
+def _check_eps(eps: float) -> None:
+    # NaN fails every comparison, so the test must be eps > 0, not eps <= 0
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,7 @@ class CloudProblem:
             raise ValueError("cloud must be nonempty")
         if len({len(row) for row in pts}) != 1:
             raise ValueError("cloud points must share a dimension")
+        check_exponent(p)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p", float(p))
 
@@ -53,8 +62,7 @@ def covering_number_greedy(cloud: CloudProblem, eps: float) -> tuple[int, list[i
     Returns an upper bound on the (center-restricted) covering number plus
     the chosen center indices.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     dist = cloud.distance_matrix()
     covered = np.zeros(len(cloud), dtype=bool)
     centers: list[int] = []
@@ -73,8 +81,7 @@ def packing_number_greedy(cloud: CloudProblem, eps: float) -> tuple[int, list[in
     A lower bound on the packing number; by maximality every cloud point is
     within eps of some representative.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     dist = cloud.distance_matrix()
     reps: list[int] = []
     for i in range(len(cloud)):
@@ -85,6 +92,7 @@ def packing_number_greedy(cloud: CloudProblem, eps: float) -> tuple[int, list[in
 
 def covering_number_exact(cloud: CloudProblem, eps: float) -> int:
     """Minimum number of cloud-centered eps-balls covering the cloud."""
+    _check_eps(eps)
     m = len(cloud)
     if m > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive covering capped at {EXHAUSTIVE_CAP} points")
@@ -109,6 +117,7 @@ def covering_number_exact(cloud: CloudProblem, eps: float) -> int:
 
 def packing_number_exact(cloud: CloudProblem, eps: float) -> int:
     """Maximum size of a pairwise > eps separated subset."""
+    _check_eps(eps)
     m = len(cloud)
     if m > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive packing capped at {EXHAUSTIVE_CAP} points")

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +70,10 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema version {self.schema_version}")
         if len(self.r) != self.d:
             raise ConfigError("smoothness vector length must equal d")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):
+            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if self.theorem_tag in RATE_TAGS + ("T5-family",) and not self.n_range:
+            raise ConfigError("n_range must name at least one level, got ()")
         try:
             params = SmoothParams(self.r)
         except ValueError as exc:
@@ -81,7 +86,7 @@ class ExperimentConfig:
             if self.theorem_tag not in regimes(self.p, self.q, self.d):
                 raise ConfigError(
                     f"(p, q) = ({self.p}, {self.q}) does not match regime {self.theorem_tag}")
-            if not self.n_range or self.n_range[-1] < self.n_range[0]:
+            if self.n_range[-1] < self.n_range[0]:
                 raise ConfigError(f"n_range must not end below its first level, got {self.n_range}")
         if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
             raise ConfigError("T5-family needs even shell levels")

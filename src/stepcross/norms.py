@@ -1,5 +1,5 @@
 """Norms on the torus: L_p, mixed-smoothness Besov norms in sharp and smooth
-block form, the block-sum norm that is stronger than L_q, the sup-form
+block form, the block-sum norm that is stronger than L_q, the sup-form L_2
 difference seminorm, and the inequality check between different metrics.
 
 Numerical methods
@@ -43,7 +43,7 @@ import numpy as np
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
 from .poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, check_exponent,
-                   check_grid_budget, eval_grid, mixed_difference, resolve_grid_dims)
+                   check_grid_budget, eval_grid, resolve_grid_dims)
 
 FORMS = ("sharp", "smooth")
 CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
@@ -305,14 +305,13 @@ def _h_grid(h_points: int) -> np.ndarray:
 
 
 def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
-                        p: float = 2.0, h_points: int = 64,
-                        grid: GridSpec = GridSpec()) -> float:
+                        h_points: int = 64) -> float:
     """Sup-form seminorm: max over a log grid of steps h of
-    |mixed difference of f|_p * prod h_j**(-r_j).
+    |mixed difference of f|_2 * prod h_j**(-r_j).
 
-    A lower estimate of the supremum.  For p = 2 the difference norm is
-    evaluated exactly from coefficients; other p walk the h grid with
-    quadrature and are markedly slower.
+    A lower estimate of the supremum over all h.  At each step the L_2 norm
+    of the difference is exact from coefficients (Parseval): the coefficient
+    at k picks up prod_j |exp(i k_j h_j) - 1|**order_j.
     """
     order = tuple(int(x) for x in order)
     if len(order) != f.d or len(params.r) != f.d:
@@ -322,33 +321,18 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
             raise ValueError("difference order must exceed the smoothness in each coordinate")
     if h_points < 1:
         raise ValueError("h_points must be >= 1")
-    check_exponent(p)
-    if f.is_zero():
-        return 0.0
     hs = _h_grid(h_points)
     hw = [hs ** (-rj) for rj in params.r]
-    if p == 2:
-        K, A = f.K, f.abs2()
-        # (H, nnz) per-coordinate factors |e^{i k h} - 1|^{2 order}
-        W = [
-            (4.0 * np.sin(0.5 * np.outer(hs, K[:, j])) ** 2) ** order[j]
-            for j in range(f.d)
-        ]
-        # fix the steps of all but the last coordinate, then contract the
-        # coefficients against every step of the last one at once
-        best = 0.0
-        for idx in iter_product(range(len(hs)), repeat=f.d - 1):
-            w, scale = A, 1.0
-            for j, i in enumerate(idx):
-                w = w * W[j][i]
-                scale *= hw[j][i]
-            best = max(best, float(np.max(np.sqrt(W[-1] @ w) * hw[-1])) * scale)
-        return best
+    K, A = f.K, f.abs2()
+    # (H, nnz) per-coordinate factors |e^{i k h} - 1|^{2 order}
+    W = [(4.0 * np.sin(0.5 * np.outer(hs, K[:, j])) ** 2) ** order[j] for j in range(f.d)]
+    # fix the steps of all but the last coordinate, then contract the
+    # coefficients against every step of the last one at once
     best = 0.0
-    g = replace(grid, self_check=False)
-    for idx in iter_product(range(len(hs)), repeat=f.d):
-        h = tuple(hs[i] for i in idx)
-        v = lp_norm(mixed_difference(f, order, h), p, g)
-        v *= math.prod(hw[j][idx[j]] for j in range(f.d))
-        best = max(best, v)
+    for idx in iter_product(range(len(hs)), repeat=f.d - 1):
+        w, scale = A, 1.0
+        for j, i in enumerate(idx):
+            w = w * W[j][i]
+            scale *= hw[j][i]
+        best = max(best, float(np.max(np.sqrt(W[-1] @ w) * hw[-1])) * scale)
     return best

@@ -305,24 +305,6 @@ def project_cross(f: TrigPoly, cross: BlockIndexSet) -> TrigPoly:
     return f.take(keep)
 
 
-def mixed_difference(f: TrigPoly, order: Sequence[int], h: Sequence[float]) -> TrigPoly:
-    """Mixed finite difference acting coefficient-wise.
-
-    The coefficient at k picks up the exact factor
-    prod_j (exp(i k_j h_j) - 1) ** order_j.
-    """
-    order = tuple(int(x) for x in order)
-    h = tuple(float(x) for x in h)
-    if len(order) != f.d or len(h) != f.d:
-        raise ValueError("dimension mismatch")
-    if any(o < 1 for o in order):
-        raise ValueError("difference orders must be >= 1")
-    mult = np.ones(f.nnz, dtype=complex)
-    for j, (oj, hj) in enumerate(zip(order, h)):
-        mult *= (np.exp(1j * (f.K[:, j] * hj)) - 1.0) ** oj
-    return f.take(slice(None), f.C * mult)
-
-
 def write_jsonl(path, f: TrigPoly) -> None:
     """JSON lines: a {"d": d} header, then one {"k", "re", "im"} per term."""
     with open(path, "w") as fh:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import best_approx_upper, fourier_sum_error
+from .approx import best_approx_upper
 from .blocks import SmoothParams, hyperbolic_cross
 from .extremal import shell_extremal
 from .poly import GridSpec, check_exponent
@@ -102,19 +102,16 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
                    grid: GridSpec = GridSpec()) -> list[SweepRow]:
     """Errors of the per-level extremal member across a range of cross levels.
 
-    For 1 < q < inf the Fourier-sum error is recorded (it matches the best
-    approximation in order there); for q in {1, inf} the certified upper
-    bound from the smooth aggregate is recorded instead.
+    Each level records ``best_approx_upper``: the Fourier-sum error for
+    1 < q < inf, where it is the best approximation in the sharp norm, and
+    the certified bound that also tries the smooth aggregate for q in {1, inf}.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
     rows = []
     for n in n_range:
         member = shell_extremal(n, params.d, params.r1, p, theta)
         cross = hyperbolic_cross(n, params, gamma_mode)
-        if 1 < q < math.inf:
-            err = fourier_sum_error(member, cross, q, grid)
-        else:
-            err = best_approx_upper(member, cross, params, q, grid)
+        err = best_approx_upper(member, cross, params, q, grid)
         rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 

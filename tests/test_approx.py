@@ -91,6 +91,21 @@ class TestBestApproxUpper:
             u = best_approx_upper(g, cross, params, 4.0)
             assert 0.5 * e <= u <= e * (1 + 1e-12)
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("gamma_mode", ["gamma", "gamma-prime"])
+    def test_sharp_norm_builds_no_aggregate(self, monkeypatch, q, gamma_mode):
+        # for 1 < q < inf the Fourier sum is the best approximation in the
+        # sharp norm, so the aggregate is never built and both fields agree
+        def no_aggregate(*args, **kwargs):
+            raise AssertionError("the smooth aggregate was built")
+
+        monkeypatch.setattr(approx, "smooth_aggregate", no_aggregate)
+        params = SmoothParams((1.0, 1.0))
+        cross = hyperbolic_cross(5, params, gamma_mode)
+        f = random_mixed_poly(np.random.default_rng(4), 2, max_shell=7)
+        res = approx_result(f, cross, params, q)
+        assert res.error_best_upper == res.error_fourier_sum > 0
+
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
             ApproxResult(10, 1.0, 2.0)

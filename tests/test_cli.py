@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -170,6 +171,24 @@ def test_norm_hrp_zero_h_points_exits_one(poly_file, capsys):
     assert "h_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("extra", "named"), [
+    ({"p": 3}, "p = 2 only, got p=3.0"), ({"p": "inf"}, "p = 2 only, got p=inf"),
+    ({"order": [2.9]}, "order must be whole numbers, got 2.9"),
+    ({"order": 2}, "order must be a list"),
+    ({"h_points": 8.7}, "h_points must be whole numbers, got 8.7"),
+    ({"h_points": "nan"}, "h_points must be whole numbers"),
+], ids=["p-3", "p-inf", "order-frac", "order-scalar", "h-frac", "h-nan"])
+def test_norm_hrp_bad_spec_exits_one_before_reading(tmp_path, capsys, monkeypatch, extra, named):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("stepcross.cli.read_jsonl", no_read)
+    spec = json.dumps({"kind": "hrp", "r": [1.0], "order": [2], **extra})
+    assert main(["norm", "--spec", spec, "--input", str(tmp_path / "f.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
 def test_norm_batch(poly_file, tmp_path, capsys):
     out = tmp_path / "norms.csv"
     assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--batch", poly_file,
@@ -195,6 +214,19 @@ def test_extremal_gen_c4_homogeneity(tmp_path):
         return read_jsonl(out)
 
     assert gen("7") == 7.0 * gen("1")
+
+
+@pytest.mark.parametrize("c4", ["nan", "inf", "-inf"])
+def test_extremal_gen_nonfinite_c4_exits_one(tmp_path, capsys, monkeypatch, c4):
+    def no_member(*args, **kwargs):
+        raise AssertionError("the member was built")
+
+    monkeypatch.setattr("stepcross.cli.shell_extremal", no_member)
+    out = tmp_path / "g.jsonl"
+    assert main(["extremal", "gen", "--family", "g", "--n", "5", "--d", "2", f"--c4={c4}",
+                 "--out", str(out)]) == 1
+    assert "--c4 must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -226,6 +258,26 @@ def test_approx_sweep_csv(tmp_path):
         "6,196,0.0084420116904780542,0.0084420116904780542,0.013531646934131853",
         "7,516,0.0039069226930335968,0.0039069226930335968,0.0061452075852456807",
     ]
+
+
+# sha256 of the CSV body (comment lines stripped) of two sweeps on the
+# gamma-prime cross, where best_ub was once the min with the smooth aggregate
+APPROX_SWEEP_GOLDEN = {
+    "T2-2.5": (["--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5"],
+               "fb058d4d280f9eda2a4535bc03ccca15c4ad3fd6d73cae4ef480d9a87a21400a"),
+    "T3-inf": (["--n-min", "5", "--n-max", "8", "--p", "inf", "--q", "inf"],
+               "9ed7383f11ded48e006975372c0592f37cb6b0ef87f504bf4a723b1bb74f48aa"),
+}
+
+
+@pytest.mark.parametrize("name", APPROX_SWEEP_GOLDEN)
+def test_approx_sweep_golden_digest(tmp_path, name):
+    argv, digest = APPROX_SWEEP_GOLDEN[name]
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", *argv, "--r", "1,2", "--gamma-mode", "gamma-prime",
+                 "--out", str(out)]) == 0
+    body = "".join(l + "\n" for l in out.read_text().splitlines() if not l.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(("p", "q", "tag"), [("2", "4", "T1"), ("2.5", "2.5", "T2"),
@@ -286,8 +338,32 @@ def test_rates_run_invalid_config_exits_one(tmp_path, capsys):
     assert "ordering" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("field", "value"), [("n_range", []), ("samples", 0)])
+def test_rates_run_family_without_levels_or_samples_exits_one(tmp_path, capsys, field, value):
+    cfg = {"theorem_tag": "T5-family", "d": 2, "r": [1.0, 1.0], "n_range": [6, 8],
+           "samples": 3, "output_path": str(tmp_path / "res"), field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["rates", "run", "--config", str(cfg_path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     assert main(["poly", "eval", "--input", str(tmp_path / "nope.jsonl")]) == 1
+
+
+@pytest.mark.parametrize(("header", "eps", "named"), [
+    ({"dim": 1, "p": 2.0}, "nan", "eps must be positive"),
+    ({"dim": 1, "p": "nan"}, "1.0", "p must be a real number >= 1"),
+], ids=["eps-nan", "p-nan"])
+def test_entropy_nan_exits_one(tmp_path, capsys, header, eps, named):
+    cloud = tmp_path / "cloud.jsonl"
+    lines = [json.dumps(header)] + [json.dumps({"v": [float(x)]}) for x in (0, 1, 2)]
+    cloud.write_text("\n".join(lines) + "\n")
+    assert main(["entropy", "--cloud", str(cloud), "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 def test_entropy_cloud(tmp_path, capsys):

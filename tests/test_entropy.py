@@ -105,3 +105,24 @@ def test_cloud_validation():
         CloudProblem([])
     with pytest.raises(ValueError):
         CloudProblem([[1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("fn", [covering_number_greedy, packing_number_greedy,
+                                covering_number_exact, packing_number_exact],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+def test_eps_rejected_before_any_distance(monkeypatch, fn, eps):
+    # with a NaN eps, dist <= eps is all False, so the greedy cover would
+    # never cover a point and never stop
+    def no_distances(self):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(CloudProblem, "distance_matrix", no_distances)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        fn(line_cloud(0, 1, 2), eps)
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_cloud_exponent_checked(p):
+    with pytest.raises(ValueError, match="p must be a real number >= 1"):
+        CloudProblem([[0.0], [1.0]], p=p)

@@ -58,6 +58,20 @@ class TestConfigValidation:
             ExperimentConfig(theorem_tag="T5-family", d=2, r=(1.0, 1.0),
                              n_range=(5, 7), output_path=str(tmp_path))
 
+    @pytest.mark.parametrize(("tag", "field", "value"), [
+        ("T5-family", "n_range", []), ("T1", "n_range", []),
+        ("T5-family", "samples", 0), ("nikolskii", "samples", -1),
+        ("entropy44", "samples", 2.5)])
+    def test_empty_or_nonpositive_counts_named_at_load(self, tmp_path, tag, field, value):
+        data = {"theorem_tag": tag, "r": [1.0, 1.0], field: value,
+                "output_path": str(tmp_path)}
+        if tag == "T1":
+            data.update(p=2.0, q=4.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.load(path)
+
     def test_json_roundtrip_with_inf(self, tmp_path):
         cfg = t1_config(tmp_path)
         data = cfg.to_json_dict()

@@ -10,8 +10,8 @@ from stepcross import poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridSpec, TrigPoly,
-                            blocks_of, eval_grid, mixed_difference,
-                            project_cross, read_jsonl, resolve_grid_dims, write_jsonl)
+                            blocks_of, eval_grid, project_cross, read_jsonl,
+                            resolve_grid_dims, write_jsonl)
 
 coeff_st = st.complex_numbers(min_magnitude=1e-6, max_magnitude=10,
                               allow_nan=False, allow_infinity=False)
@@ -27,11 +27,6 @@ def sharp_block(f, s):
     """Restriction of f to the dyadic block s: the oracle for ``blocks_of``."""
     return TrigPoly(f.d, {k: c for k, c in f.coeffs.items()
                           if all(2 ** (sj - 1) <= abs(kj) < 2**sj for kj, sj in zip(k, s))})
-
-
-def coeff_gap(f, g):
-    """Largest coefficient modulus of f - g."""
-    return max(map(abs, (f - g).coeffs.values()), default=0.0)
 
 
 class TestGridSpec:
@@ -289,57 +284,6 @@ class TestProjectCross:
         q = hyperbolic_cross(5, SmoothParams((1.0, 1.5)))
         p = project_cross(f, q)
         assert project_cross(p, q) == p
-
-
-class TestMixedDifference:
-    def test_first_order_factor(self):
-        h = 0.7
-        out = mixed_difference(TrigPoly.exponential((1,)), (1,), (h,))
-        assert out.coeffs[(1,)] == pytest.approx(np.exp(1j * h) - 1, rel=1e-14)
-
-    def test_second_order_at_pi(self):
-        out = mixed_difference(TrigPoly.exponential((1,)), (2,), (math.pi,))
-        assert out.coeffs[(1,)] == pytest.approx(4.0, abs=1e-12)
-
-    def test_zero_step_annihilates(self):
-        f = TrigPoly(2, {(1, 2): 1.0, (3, 4): 2.0})
-        assert mixed_difference(f, (1, 1), (0.0, 0.5)).is_zero()
-
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            mixed_difference(TrigPoly.exponential((1,)), (0,), (1.0,))
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_poly_st(2), st.tuples(st.integers(1, 3), st.integers(1, 3)),
-           st.tuples(st.floats(0.01, 6.0), st.floats(0.01, 6.0)))
-    def test_matches_per_coefficient_loop(self, f, order, h):
-        want = {}
-        for k, c in f.terms():
-            mult = 1.0 + 0.0j
-            for kj, oj, hj in zip(k, order, h):
-                mult *= (np.exp(1j * kj * hj) - 1.0) ** oj
-            want[k] = c * mult
-        # the array products may fuse a multiply-add where the scalar ones
-        # round twice: allow 50 units in the last place
-        got = mixed_difference(f, order, h).coeffs
-        assert all(abs(got.get(k, 0.0) - w) <= 50 * np.finfo(float).eps * abs(w)
-                   for k, w in want.items())
-        assert set(got) <= set(want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_poly_st(1), st.floats(0.01, 6.0))
-    def test_linear(self, f, h):
-        g = mixed_difference(f + f, (1,), (h,))
-        assert coeff_gap(g, mixed_difference(f, (1,), (h,)) * 2.0) <= 1e-12
-
-    def test_matches_pointwise_difference(self):
-        # oracle: evaluate f(x+h) - f(x) directly
-        f = TrigPoly(1, {(1,): 1.0, (4,): -2.0j})
-        h = 0.37
-        g = mixed_difference(f, (1,), (h,))
-        for x in (0.0, 1.2):
-            want = f.evaluate((x + h,)) - f.evaluate((x,))
-            assert g.evaluate((x,)) == pytest.approx(want, rel=1e-12)
 
 
 def test_jsonl_roundtrip(tmp_path):

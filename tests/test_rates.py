@@ -134,7 +134,7 @@ class TestSweep:
         rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma-prime", range(4, 8), grid=grid)
         assert all(r.error > 0 for r in rows)
 
-    # q = 2.5 records the Fourier-sum error, q = inf the best-upper bound
+    # every q records the best-upper bound; at q = 2.5 it is the Fourier-sum error
     @pytest.mark.parametrize("pq", [2.5, math.inf])
     def test_builds_each_cross_once(self, monkeypatch, pq):
         params = SmoothParams((1.0, 1.0))
@@ -153,10 +153,9 @@ class TestSweep:
             member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
             cross = hyperbolic_cross(r.n, params, "gamma")
             assert r.cardinality == cross.freq_count
+            assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
             if pq < math.inf:
                 assert r.error == approx.fourier_sum_error(member, cross, pq, grid)
-            else:
-                assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
