@@ -43,7 +43,7 @@ import numpy as np
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
 from .poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, check_exponent,
-                   check_grid_budget, eval_grid, resolve_grid_dims)
+                   check_grid_budget, eval_grid, is_int, resolve_grid_dims)
 
 FORMS = ("sharp", "smooth")
 CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
@@ -313,14 +313,16 @@ def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
     of the difference is exact from coefficients (Parseval): the coefficient
     at k picks up prod_j |exp(i k_j h_j) - 1|**order_j.
     """
+    if not all(map(is_int, order)):
+        raise ValueError(f"order must hold integers, got {order!r}")
+    if not (is_int(h_points) and h_points >= 1):
+        raise ValueError(f"h_points must be an integer >= 1, got {h_points!r}")
     order = tuple(int(x) for x in order)
     if len(order) != f.d or len(params.r) != f.d:
         raise ValueError("dimension mismatch")
     for oj, rj in zip(order, params.r):
         if oj <= rj:
             raise ValueError("difference order must exceed the smoothness in each coordinate")
-    if h_points < 1:
-        raise ValueError("h_points must be >= 1")
     hs = _h_grid(h_points)
     hw = [hs ** (-rj) for rj in params.r]
     K, A = f.K, f.abs2()

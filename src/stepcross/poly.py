@@ -10,6 +10,14 @@ Coefficients whose modulus falls below DROP_TOL are dropped so the
 representation stays canonically sparse.  Instances are treated as
 immutable values; ``coeffs`` and ``terms()`` are read-only views for
 callers outside the hot paths.
+
+``eval_grid`` samples a polynomial on a tensor grid by a staged (pruned)
+inverse FFT: one axis at a time, in ``scipy.fft.ifftn``'s order, and every
+stage but the last transforms only the grid lines that hold a coefficient.
+A block's spectrum fills a small part of its grid, so most lines are
+skipped.  The scale factor goes where ``ifftn`` applies it, so the values
+are ``ifftn``'s bit for bit; the last stage's input is the one buffer held
+beside the grid.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ class GridSpec:
     def __post_init__(self):
         ppd, over = self.points_per_dim, self.oversampling
         for name, ok, want in (
-            ("points_per_dim", ppd is None or (_is_int(ppd) and ppd >= 1),
+            ("points_per_dim", ppd is None or (is_int(ppd) and ppd >= 1),
              "None or an integer >= 1"),
             ("oversampling", _is_real(over) and over >= 1, "a finite real number >= 1"),
             ("self_check", isinstance(self.self_check, bool), "a bool"),
@@ -66,7 +74,8 @@ class GridSpec:
                 raise ValueError(f"GridSpec.{name} must be {want}, got {getattr(self, name)!r}")
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
+    """True for an integer of any integral type, but not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
@@ -269,19 +278,56 @@ def check_grid_budget(dims: Sequence[int]) -> None:
 
 
 def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
-    """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j.
+    """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j, as a new
+    C-contiguous, writable complex array of shape ``dims``.
 
-    Coefficients are scattered onto the N_1 x ... x N_d frequency grid and an
-    inverse FFT recovers the samples exactly.  ``dims`` must not alias f's
-    spectrum: size them with ``resolve_grid_dims``, and check any other dims
-    with ``check_grid_budget`` first.
+    Frequency k lands on index k mod N_j in each coordinate, and frequencies
+    that land on one index add up, so the values are exact for any dims >= 1
+    (they are those of f with its frequencies folded onto the grid).  Check
+    dims that ``resolve_grid_dims`` did not size with ``check_grid_budget``.
+
+    The inverse FFT runs one axis at a time in ``scipy.fft.ifftn``'s order
+    0, 1, ..., d-1, and an axis-a stage before the last transforms only the
+    lines that hold a nonzero: one per distinct residue tuple of coordinates
+    a+1..d-1 that some frequency has.  The last stage scatters its lines
+    onto the full grid and transforms along axis d-1 in place.  The factor
+    1/prod(dims), as pocketfft rounds it, scales the first stage's output,
+    where ``ifftn`` applies it, so the values equal ``ifftn``'s times
+    prod(dims) bit for bit (up to the sign of a zero).  Besides the grid,
+    the last stage's input is held while the grid is filled: at most
+    1/oversampling of the grid for a grid sized from the degree, up to a
+    whole grid for a dense spectrum on a ``points_per_dim`` grid.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != f.d:
         raise ValueError("grid dimension mismatch")
-    spec = np.zeros(dims, dtype=complex)
-    spec[tuple(np.mod(f.K[:, j], dims[j]) for j in range(f.d))] = f.C
-    out = scipy.fft.ifftn(spec, overwrite_x=True)
+    # vals[..., j] is line j, transformed along the axes before a; lines[j]
+    # is its flat index over the axes a..d-1 not yet transformed
+    vals = f.C
+    lines = np.ravel_multi_index(f.K.T, dims, mode="wrap")  # k mod N_j per coordinate
+    for a, n in enumerate(dims):
+        if a < f.d - 1:
+            tail = math.prod(dims[a + 1:])
+            at, rest = np.divmod(lines, tail)
+            occupied = np.zeros(tail, dtype=bool)
+            occupied[rest] = True
+            lines = occupied.nonzero()[0]
+            index = (..., at, lines.searchsorted(rest))
+        else:  # the last stage's one line set is the whole grid, even for f = 0
+            index = (..., lines, 0)
+            lines = [0]
+        spec = np.zeros(dims[:a + 1] + (len(lines),), dtype=complex)
+        if a == 0:  # the coefficients: frequencies that land on one index add up
+            np.add.at(spec, index, vals)
+        else:
+            spec[index] = vals
+        vals = scipy.fft.ifft(spec, axis=a, norm="forward", overwrite_x=True)
+        if a == 0:
+            # each part times the factor, as pocketfft scales: 1/N rounded
+            # from long double
+            parts = vals.view(np.float64)
+            np.multiply(parts, float(1 / np.longdouble(math.prod(dims))), out=parts)
+    out = vals.reshape(dims)
     out *= math.prod(dims)
     return out
 

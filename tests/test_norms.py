@@ -588,6 +588,24 @@ class TestDifferenceSeminorm:
         with pytest.raises(ValueError, match="h_points"):
             difference_seminorm(TrigPoly.exponential((1,)), params, (2,), h_points=0)
 
+    @pytest.mark.parametrize("order", [(2.9,), (2.0,), (True,), ("2",)])
+    def test_rejects_non_integral_order(self, order):
+        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
+        with pytest.raises(ValueError, match="order must hold integers"):
+            difference_seminorm(f, SmoothParams((1.0,)), order)
+
+    @pytest.mark.parametrize("h_points", [8.7, 8.0, True, "8", -1])
+    def test_rejects_h_points_not_an_int(self, h_points):
+        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
+        with pytest.raises(ValueError, match="h_points must be an integer >= 1"):
+            difference_seminorm(f, SmoothParams((1.0,)), (2,), h_points=h_points)
+
+    def test_accepts_numpy_integers(self):
+        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
+        params = SmoothParams((1.0,))
+        assert difference_seminorm(f, params, (np.int64(2),), h_points=np.int32(64)) == \
+            difference_seminorm(f, params, (2,))
+
     def test_takes_no_exponent_or_grid(self):
         # the seminorm is the exact L_2 one; no quadrature path is left
         assert list(inspect.signature(difference_seminorm).parameters) == [

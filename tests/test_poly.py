@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepcross import poly
+from stepcross import norms, poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridSpec, TrigPoly,
@@ -219,6 +220,104 @@ class TestEvalGrid:
         quad = float(np.mean(np.abs(vals) ** 2))
         exact = sum(abs(c) ** 2 for c in f.coeffs.values())
         assert quad == pytest.approx(exact, rel=1e-12)
+
+    def test_folded_frequencies_add_up(self):
+        # 1 and 5 both land on index 1 of a 4-point grid: f(0) = 2
+        f = TrigPoly(1, {(1,): 1.0, (5,): 1.0})
+        assert np.allclose(eval_grid(f, (4,)), [2, 2j, -2, -2j], atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(random_poly_st), st.data())
+    def test_values_exact_on_grids_that_fold(self, f, data):
+        # each N_j in 1..2*deg_j, below the 2*deg_j + 1 points that resolve f
+        dims = tuple(data.draw(st.integers(1, 2 * m)) for m in f.degree())
+        vals = eval_grid(f, dims)
+        scale = float(np.sum(np.abs(f.C)))
+        for _ in range(5):
+            idx = tuple(data.draw(st.integers(0, n - 1)) for n in dims)
+            x = [2 * math.pi * i / n for i, n in zip(idx, dims)]
+            assert vals[idx] == pytest.approx(f.evaluate(x), abs=1e-12 * scale)
+
+
+def dense_eval_grid(f, dims):
+    """The oracle for ``eval_grid``: the whole spectrum scattered onto the
+    grid, one ``ifftn`` over it, times the point count."""
+    spec = np.zeros(dims, dtype=complex)
+    np.add.at(spec, tuple(np.mod(f.K, dims).T), f.C)
+    out = scipy.fft.ifftn(spec, overwrite_x=True)
+    out *= math.prod(dims)
+    return out
+
+
+def dense_rectangle(shape):
+    """Every frequency of the box |k_j| <= shape_j, with distinct
+    coefficients, so every line of every stage holds a nonzero."""
+    K = np.array(list(itertools.product(*[range(-m, m + 1) for m in shape])))
+    return TrigPoly.from_arrays(K, np.arange(1, len(K) + 1) * (1 - 0.5j))
+
+
+class TestStagedTransform:
+    """``eval_grid`` equals the dense oracle bit for bit, and transforms only
+    the lines that hold a coefficient."""
+
+    @pytest.mark.parametrize("f,dims", [
+        (TrigPoly(1, {(-3,): 1 - 2j, (5,): 0.5, (0,): 2j}), (16,)),
+        (TrigPoly(2, {(-3, 4): 1.5, (2, -7): -1j, (0, 1): 0.25}), (20, 30)),
+        (TrigPoly(3, {(-1, 2, -3): 1.0, (4, -2, 1): 2 - 1j, (4, 2, 1): 3j}), (12, 10, 8)),
+        # lengths that are not next_fast_len values; 2731 is prime, where
+        # 1/N in double and in long double round apart
+        (TrigPoly(1, {(-30,): 1.0, (7,): 1j}), (2731,)),
+        (TrigPoly(2, {(-5, 6): 1.0, (3, -4): 2j, (3, 6): -1.0}), (13, 29)),
+        (TrigPoly(3, {(-2, 3, -4): 1.0, (1, -3, 5): 1j}), (7, 11, 13)),
+        (TrigPoly(2, {(-13, 4000): 1.0, (2, -3): 0.5j, (13, 4000): -2.0}), (28, 8192)),
+        (TrigPoly.exponential((-3, 5, 2), 1.5 - 0.5j), (9, 12, 10)),
+        (dense_rectangle((4,)), (9,)),
+        (dense_rectangle((3, 5)), (7, 11)),
+        (dense_rectangle((2, 3, 1)), (5, 8, 3)),
+        # no line to transform before the last stage, which fills the grid
+        (TrigPoly.zero(1), (5,)),
+        (TrigPoly.zero(2), (4, 6)),
+        (TrigPoly.zero(3), (3, 4, 5)),
+    ])
+    def test_matches_dense_oracle(self, f, dims):
+        assert np.array_equal(eval_grid(f, dims), dense_eval_grid(f, dims))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(random_poly_st), st.data())
+    def test_random_matches_dense_oracle(self, f, data):
+        dims = tuple(data.draw(st.integers(2 * m + 1, 4 * m + 8)) for m in f.degree())
+        assert np.array_equal(eval_grid(f, dims), dense_eval_grid(f, dims))
+
+    @pytest.mark.parametrize("f,dims", [
+        (TrigPoly(1, {(-3,): 1.0, (5,): 2.0}), (16,)),
+        (dirichlet_shell(5, 2), (64, 64)),
+        (TrigPoly(3, {(1, 2, 3): 1.0, (5, 2, 3): 1j, (1, -2, 3): 2.0, (4, 2, 19): 3.0}),
+         (16, 8, 16)),
+    ])
+    def test_first_stage_has_one_line_per_occupied_residue(self, monkeypatch, f, dims):
+        calls = []
+        ifft = scipy.fft.ifft
+
+        def spy(x, *args, axis=-1, **kwargs):
+            calls.append((axis, x.shape))
+            return ifft(x, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "ifft", spy)
+        vals = eval_grid(f, dims)
+        lines = len({tuple(k) for k in np.mod(f.K[:, 1:], dims[1:]).tolist()})
+        assert [axis for axis, _ in calls] == list(range(f.d))
+        assert calls[0][1] == (dims[0], lines)
+        assert np.array_equal(vals, dense_eval_grid(f, dims))
+
+    def test_result_is_a_fresh_grid_the_modulus_overwrites(self):
+        f = dirichlet_shell(5, 2)
+        vals = eval_grid(f, (256, 256))
+        assert vals.flags.c_contiguous and vals.flags.writeable and vals.shape == (256, 256)
+        assert vals.size > norms.MODULUS_SLICE
+        expected = np.abs(vals)
+        a = norms._modulus_in_place(vals)
+        assert np.shares_memory(a, vals)
+        assert np.array_equal(a, expected)
 
 
 class TestSharpBlocks:
