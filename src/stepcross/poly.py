@@ -12,16 +12,18 @@ immutable values; ``coeffs`` and ``terms()`` are read-only views for
 callers outside the hot paths.
 
 ``eval_grid`` samples a polynomial on a tensor grid by a staged (pruned)
-inverse FFT: one axis at a time, in ``scipy.fft.ifftn``'s order, and every
-stage but the last transforms only the grid lines that hold a coefficient.
-A block's spectrum fills a small part of its grid, so most lines are
-skipped.  The scale factor goes where ``ifftn`` applies it, so the values
-are ``ifftn``'s bit for bit; the last stage's input is the one buffer held
-beside the grid.
+inverse FFT with ``numpy.fft``: one axis at a time, in ``ifftn``'s order,
+and every stage but the last transforms only the grid lines that hold a
+coefficient.  A block's spectrum fills a small part of its grid, so most
+lines are skipped.  The scale factor goes where ``ifftn`` applies it, so the
+values are ``scipy.fft.ifftn``'s times the point count, bit for bit, as the
+tests check; the last stage's input is the one buffer held beside the grid.
+The package needs numpy alone at run time.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -30,7 +32,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .blocks import BlockIndexSet, block_indices, group_by_block, mean_zero_block_indices
 
@@ -252,8 +253,29 @@ def _modulus(C: np.ndarray) -> np.ndarray:
     return np.hypot(C.real, C.imag)
 
 
+def _smooth_numbers(limit: int) -> list[int]:
+    """The 11-smooth numbers up to ``limit`` in increasing order: the lengths
+    pocketfft's complex transform splits into its specialised passes."""
+    nums = [1]
+    for p in (2, 3, 5, 7, 11):
+        for i in range(len(nums)):  # times each power of p, up to the limit
+            m = nums[i] * p
+            while m <= limit:
+                nums.append(m)
+                m *= p
+    return sorted(nums)
+
+
+_FAST_LENS = _smooth_numbers(2 * MAX_POINTS)
+
+
 def _fast_len(n: int) -> int:
-    return scipy.fft.next_fast_len(int(n), real=False)
+    """The least 11-smooth length >= n, as ``scipy.fft.next_fast_len(n,
+    real=False)`` gives it; n itself above the table, where no grid fits the
+    budget."""
+    n = int(n)
+    i = bisect.bisect_left(_FAST_LENS, n)
+    return _FAST_LENS[i] if i < len(_FAST_LENS) else n
 
 
 def resolve_grid_dims(f: TrigPoly, grid: GridSpec) -> tuple[int, ...]:
@@ -286,15 +308,17 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     (they are those of f with its frequencies folded onto the grid).  Check
     dims that ``resolve_grid_dims`` did not size with ``check_grid_budget``.
 
-    The inverse FFT runs one axis at a time in ``scipy.fft.ifftn``'s order
-    0, 1, ..., d-1, and an axis-a stage before the last transforms only the
-    lines that hold a nonzero: one per distinct residue tuple of coordinates
-    a+1..d-1 that some frequency has.  The last stage scatters its lines
-    onto the full grid and transforms along axis d-1 in place.  The factor
-    1/prod(dims), as pocketfft rounds it, scales the first stage's output,
-    where ``ifftn`` applies it, so the values equal ``ifftn``'s times
-    prod(dims) bit for bit (up to the sign of a zero).  Besides the grid,
-    the last stage's input is held while the grid is filled: at most
+    The inverse FFT (``numpy.fft.ifft``, in place) runs one axis at a time
+    in ``ifftn``'s order 0, 1, ..., d-1, and an axis-a stage before the last
+    transforms only the lines that hold a nonzero: one per distinct residue
+    tuple of coordinates a+1..d-1 that some frequency has.  Each stage holds
+    its lines as the rows of its buffer, so every transform runs along a
+    contiguous axis.  The last stage scatters its lines onto the full grid
+    and transforms along axis d-1.  The factor 1/prod(dims), as pocketfft
+    rounds it, scales the first stage's output, where ``ifftn`` applies it,
+    so the values equal ``scipy.fft.ifftn``'s times prod(dims) bit for bit
+    (up to the sign of a zero), as the tests check.  Besides the grid, the
+    last stage's input is held while the grid is filled: at most
     1/oversampling of the grid for a grid sized from the degree, up to a
     whole grid for a dense spectrum on a ``points_per_dim`` grid.
     """
@@ -312,22 +336,23 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
             occupied = np.zeros(tail, dtype=bool)
             occupied[rest] = True
             lines = occupied.nonzero()[0]
-            index = (..., at, lines.searchsorted(rest))
+            index = (..., lines.searchsorted(rest), at)
         else:  # the last stage's one line set is the whole grid, even for f = 0
-            index = (..., lines, 0)
+            index = (..., 0, lines)
             lines = [0]
-        spec = np.zeros(dims[:a + 1] + (len(lines),), dtype=complex)
+        spec = np.zeros(dims[:a] + (len(lines), n), dtype=complex)
         if a == 0:  # the coefficients: frequencies that land on one index add up
             np.add.at(spec, index, vals)
         else:
             spec[index] = vals
-        vals = scipy.fft.ifft(spec, axis=a, norm="forward", overwrite_x=True)
+        np.fft.ifft(spec, norm="forward", out=spec)
         if a == 0:
             # each part times the factor, as pocketfft scales: 1/N rounded
             # from long double
-            parts = vals.view(np.float64)
+            parts = spec.view(np.float64)
             np.multiply(parts, float(1 / np.longdouble(math.prod(dims))), out=parts)
-    out = vals.reshape(dims)
+        vals = spec.swapaxes(-1, -2)
+    out = spec.reshape(dims)
     out *= math.prod(dims)
     return out
 

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,17 +300,17 @@ class TestStagedTransform:
     ])
     def test_first_stage_has_one_line_per_occupied_residue(self, monkeypatch, f, dims):
         calls = []
-        ifft = scipy.fft.ifft
+        ifft = np.fft.ifft
 
         def spy(x, *args, axis=-1, **kwargs):
-            calls.append((axis, x.shape))
+            calls.append((x.shape[axis], x.size // x.shape[axis]))  # line length, lines
             return ifft(x, *args, axis=axis, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "ifft", spy)
+        monkeypatch.setattr(np.fft, "ifft", spy)
         vals = eval_grid(f, dims)
         lines = len({tuple(k) for k in np.mod(f.K[:, 1:], dims[1:]).tolist()})
-        assert [axis for axis, _ in calls] == list(range(f.d))
-        assert calls[0][1] == (dims[0], lines)
+        assert [n for n, _ in calls] == list(dims)
+        assert calls[0] == (dims[0], lines)
         assert np.array_equal(vals, dense_eval_grid(f, dims))
 
     def test_result_is_a_fresh_grid_the_modulus_overwrites(self):
@@ -318,6 +322,35 @@ class TestStagedTransform:
         a = norms._modulus_in_place(vals)
         assert np.shares_memory(a, vals)
         assert np.array_equal(a, expected)
+
+
+class TestNumpyRuntime:
+    """The package runs on numpy alone; scipy is the tests' reference."""
+
+    def test_fast_len_matches_scipy(self):
+        rng = np.random.default_rng(13)
+        sampled = rng.integers(20_001, 2 * poly.MAX_POINTS + 1, size=2_000).tolist()
+        ns = [*range(1, 20_001), *sampled, 2 * poly.MAX_POINTS]
+        assert [n for n in ns if poly._fast_len(n) != scipy.fft.next_fast_len(n, real=False)] == []
+
+    @pytest.mark.parametrize("k", [(poly.MAX_POINTS,), (1, poly.MAX_POINTS)])
+    def test_degree_beyond_the_table_exceeds_the_budget(self, k):
+        f = TrigPoly.exponential(k)  # ceil(4 * (2 * 2**26 + 1)) is past the table
+        with pytest.raises(GridBudgetError, match="exceeds budget"):
+            resolve_grid_dims(f, GridSpec())
+
+    def test_fresh_interpreter_never_imports_scipy(self):
+        code = ("import sys\n"
+                "import stepcross, stepcross.cli\n"
+                "f = stepcross.TrigPoly(2, {(1, 3): 1.0, (-2, 5): 0.5j})\n"
+                "assert stepcross.lp_norm(f, 3.0) > 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(poly.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSharpBlocks:
