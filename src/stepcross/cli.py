@@ -27,7 +27,7 @@ from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, difference_seminorm, lp_norm
 from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
                    write_jsonl)
-from .rates import predicted_order, regimes, theory_exponents
+from .rates import predicted_order, regimes, sweep_extremal, theory_exponents
 
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
@@ -161,12 +161,18 @@ def cmd_approx(args) -> int:
                               n_range=(args.n_min, args.n_max), rng_seed=args.seed,
                               output_path=str(Path(args.out).parent))
     a_th, b_th = theory_exponents(p, q, theta, params, args.gamma_mode)
+    ns = range(args.n_min, args.n_max + 1)
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        member = shell_extremal(n, params.d, params.r1, p, theta)
-        res = approx_result(member, hyperbolic_cross(n, params, args.gamma_mode), params, q)
-        rows.append((n, res.cross_cardinality, res.error_fourier_sum, res.error_best_upper,
-                     predicted_order(n, a_th, b_th)))
+    if 1 < q < math.inf:
+        # the Fourier sum is the best approximation: both columns hold its error
+        for r in sweep_extremal(p, q, theta, params, args.gamma_mode, ns):
+            rows.append((r.n, r.cardinality, r.error, r.error, predicted_order(r.n, a_th, b_th)))
+    else:
+        for n in ns:
+            member = shell_extremal(n, params.d, params.r1, p, theta)
+            res = approx_result(member, hyperbolic_cross(n, params, args.gamma_mode), params, q)
+            rows.append((n, res.cross_cardinality, res.error_fourier_sum,
+                         res.error_best_upper, predicted_order(n, a_th, b_th)))
     write_csv(args.out, config, ("n", "M", "script_E", "best_ub", "predicted_order"), rows)
     print(args.out)
     return 0

@@ -28,8 +28,8 @@ from .entropy import (CloudProblem, covering_number_exact, covering_number_greed
 from .extremal import class_scale, shifted_rect_sample
 from .norms import (GridSpec, aggregate_block_norms, block_norms, bq1_norm, lp_norm,
                     nikolskii_check)
-from .rates import (fit_rates, predicted_order, regimes, sweep_extremal, theory_exponents,
-                    validate_hypotheses)
+from .rates import (fit_rates, local_log_powers, predicted_order, regimes, sweep_extremal,
+                    theory_exponents, validate_hypotheses)
 
 RATE_TAGS = ("T1", "T2", "T3", "T4")
 THEOREM_TAGS = RATE_TAGS + ("T5-family", "lemmaA", "nikolskii", "entropy44")
@@ -171,6 +171,8 @@ def run_rate_experiment(config: ExperimentConfig) -> dict:
         "config_hash": config.config_hash(),
         "free": dataclasses.asdict(fit_free),
         "slope_fixed": dataclasses.asdict(fit_fixed),
+        # [n, b] per level after the first, from the level before it
+        "local_log_power": local_log_powers(rows, a_th),
     }
     json_path = out_dir / f"{config.theorem_tag}_fit.json"
     with open(json_path, "w") as fh:

@@ -1,9 +1,12 @@
 """Test families used to probe the approximation rates from below.
 
 * ``dirichlet_shell``: unit coefficients on every frequency of the shell of
-  blocks with (s,1) = n; the worst-case building block for sharp cuts.
+  blocks with (s,1) = n; the worst-case building block for sharp cuts.  Its
+  block s is ``dirichlet_block(s)``, the product of the 1-D blocks D_{s_j}.
 * ``shell_extremal``: the shell polynomial scaled so its class norm stays in
   an n-independent band.
+* ``shell_scale``: the level-n scale 2**(-n alpha) n**(-(d-1)/theta) that
+  both families and the rate sweeps use.
 * ``shifted_rect_sample``: sums over the even shell of rectangle polynomials
   re-centered at the block anchors, with sup-normalized factors.
 """
@@ -30,6 +33,13 @@ def dirichlet_shell(n: int, d: int) -> TrigPoly:
     return TrigPoly.from_arrays(K, np.ones(len(K)))
 
 
+def dirichlet_block(s) -> TrigPoly:
+    """Unit coefficients on every frequency of block ``s``, both signs in
+    each coordinate: prod_j D_{s_j}(x_j)."""
+    K = _grid_rows(block_ranges(s))
+    return TrigPoly.from_arrays(K, np.ones(len(K)))
+
+
 def _grid_rows(axes) -> np.ndarray:
     """The Cartesian product of the 1-D integer ``axes`` as rows, in
     lexicographic order when each axis is increasing."""
@@ -48,17 +58,24 @@ def shell_extremal(n: int, d: int, r1: float, p: float, theta: float) -> TrigPol
     if not r1 > 0:
         raise ValueError(f"r1 must be positive, got r1={r1}")
     check_exponent(p)
+    return shell_scale(n, d, r1 + 1.0 - 1.0 / p, theta) * dirichlet_shell(n, d)
+
+
+def shell_scale(n: int, d: int, alpha: float, theta: float) -> float:
+    """2**(-n alpha) * n**(-(d-1)/theta), the level-n scale of the test
+    families: alpha = r1 + 1 - 1/p for ``shell_extremal``, alpha = r1 for
+    ``class_scale``.  theta must be a real number >= 1 (inf allowed); for
+    theta = inf the logarithmic factor is absent (exponent 0).
+    """
     check_exponent(theta, "theta")
     log_exp = 0.0 if math.isinf(theta) else (d - 1) / theta
-    return 2.0 ** (-n * (r1 + 1.0 - 1.0 / p)) * n**-log_exp * dirichlet_shell(n, d)
+    return 2.0 ** (-n * alpha) * float(n) ** -log_exp
 
 
 def class_scale(n: int, d: int, r1: float, theta: float) -> float:
     """Scaling that places the shifted-rectangle family inside the p=inf class;
     theta must be a real number >= 1 (inf allowed)."""
-    check_exponent(theta, "theta")
-    log_exp = 0.0 if math.isinf(theta) else (d - 1) / theta
-    return 2.0 ** (-n * r1) * float(n) ** -log_exp
+    return shell_scale(n, d, r1, theta)
 
 
 TPRIME_MODES = ("constant", "random-sign")

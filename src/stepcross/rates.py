@@ -1,6 +1,16 @@
 """Sweep the cross level, record errors, and fit the predicted order
 2**(-a n) * n**b against the measurements.
 
+The swept member is the scaled Dirichlet shell of ``shell_extremal``.  For
+1 < q < inf its error is computed without building it: the Fourier sum is
+the best approximation in the sharp block-sum norm, the shell's sharp block
+s is a product of 1-D Dirichlet blocks, so a level's error is the member's
+scale times the sum, over the shell blocks (none lies in the cross), of
+prod_j phi_q(s_j) with phi_q(s) = ||D_s||_q (``block_profile``).  A sweep
+computes each phi_q(s) once.  For q in {1, inf} (smooth blocks, which do not
+factor) the member is built, projected and measured, and that polynomial
+path is the tests' oracle for the profile path.
+
 Jointly estimating (a, b) from desk-scale n is ill conditioned because
 log2(n) drifts slowly, so the acceptance protocol pins a at its predicted
 value and fits only the logarithmic power and intercept; the free fit is
@@ -16,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .approx import best_approx_upper
-from .blocks import SmoothParams, hyperbolic_cross
-from .extremal import shell_extremal
+from .blocks import SmoothParams, compositions, hyperbolic_cross
+from .extremal import dirichlet_block, shell_extremal, shell_scale
+from .norms import lp_norm
 from .poly import GridSpec, check_exponent
 
 FIT_MODES = ("free", "slope-fixed")
@@ -97,21 +108,57 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
             raise ValueError("off-diagonal p < q regime uses the gamma cross")
 
 
+def block_profile(q: float, s: int, grid: GridSpec = GridSpec()) -> float:
+    """phi_q(s) = ||D_s||_q, the L_q norm of the 1-D Dirichlet block
+    ``dirichlet_block((s,))``: unit coefficients on 2**(s-1) <= |k| < 2**s.
+
+    Exact in closed form for q = 2 (Parseval, 2**(s/2)) and q = 4
+    (||D_s||_4**4 = 2**(3s-1) + 2**s, the number of k1 + k2 = k3 + k4 in the
+    block); any other q is the self-checked ``lp_norm`` on ``grid``.
+    """
+    if q == 2:
+        return 2.0 ** (s / 2)
+    if q == 4:
+        return (2.0 ** (3 * s - 1) + 2.0**s) ** 0.25
+    return lp_norm(dirichlet_block((s,)), q, grid)
+
+
 def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
                    gamma_mode: str, n_range: Sequence[int],
                    grid: GridSpec = GridSpec()) -> list[SweepRow]:
     """Errors of the per-level extremal member across a range of cross levels.
 
-    Each level records ``best_approx_upper``: the Fourier-sum error for
-    1 < q < inf, where it is the best approximation in the sharp norm, and
-    the certified bound that also tries the smooth aggregate for q in {1, inf}.
+    Each level records the error of ``best_approx_upper`` on
+    ``shell_extremal``: the Fourier-sum error for 1 < q < inf, where it is
+    the best approximation in the sharp norm, and the certified bound that
+    also tries the smooth aggregate for q in {1, inf}.
+
+    For 1 < q < inf no polynomial is built.  Every block of the level-n
+    cross has (s,1) < n, so the whole shell (s,1) = n lies outside it, and
+    the error is ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's
+    scale, times the sum over the shell blocks, in lexicographic order, of
+    prod_j ``block_profile(q, s_j, grid)``.  Each profile value is computed
+    once per sweep.  The values agree with the polynomial path up to
+    rounding for q in {2, 4} and within the self-check tolerance otherwise.
+    For q in {1, inf} each level builds the member and measures it.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
+    d = params.d
+    if min(n_range, default=d) < d:
+        raise ValueError(f"need n >= d for a nonempty shell, got n={min(n_range)}, d={d}")
+    profile: dict[int, float] = {}
     rows = []
     for n in n_range:
-        member = shell_extremal(n, params.d, params.r1, p, theta)
         cross = hyperbolic_cross(n, params, gamma_mode)
-        err = best_approx_upper(member, cross, params, q, grid)
+        if 1 < q < math.inf:
+            shell = compositions(n, d).tolist()
+            for sj in sorted({sj for s in shell for sj in s} - profile.keys()):
+                profile[sj] = block_profile(q, sj, grid)
+            total = sum((math.prod(profile[sj] for sj in s) for s in shell), 0.0)
+            err = shell_scale(n, d, params.r1 + 1.0 - 1.0 / p, theta) * total
+        else:
+            member = shell_extremal(n, d, params.r1, p, theta)
+            err = best_approx_upper(member, cross, params, q, grid)
         rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 
@@ -144,6 +191,14 @@ def fit_rates(rows: Sequence[SweepRow], mode: str,
     resid = y - (-a_hat * ns + b_hat * logn + c_hat)
     rms = float(np.sqrt(np.mean(resid**2)))
     return RateFit(a_hat, b_hat, c_hat, rms, float(a_theory), float(b_theory), mode)
+
+
+def local_log_powers(rows: Sequence[SweepRow], a_theory: float) -> list[tuple[int, float]]:
+    """(n, b) for each row after the first: the log power b that the
+    slope-fixed model 2**(-a_theory n) n**b gives between that row and the
+    one before it, log2(E_n / E_m) + a_theory (n - m) = b log2(n / m)."""
+    return [(r.n, (math.log2(r.error / prev.error) + a_theory * (r.n - prev.n))
+             / math.log2(r.n / prev.n)) for prev, r in zip(rows, rows[1:])]
 
 
 def predicted_order(n: float, a_theory: float, b_theory: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from stepcross.cli import main
-from stepcross.experiments import ExperimentConfig
+from stepcross.experiments import ExperimentConfig, run_experiment
 from stepcross.poly import TrigPoly, read_jsonl, write_jsonl
 
 
@@ -253,18 +254,34 @@ def test_approx_sweep_csv(tmp_path):
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines == [
         "n,M,script_E,best_ub,predicted_order",
-        "4,20,0.036362048011952371,0.036362048011952371,0.0625",
-        "5,68,0.017838512054543891,0.017838512054543891,0.029379711664737448",
-        "6,196,0.0084420116904780542,0.0084420116904780542,0.013531646934131853",
-        "7,516,0.0039069226930335968,0.0039069226930335968,0.0061452075852456807",
+        "4,20,0.036362048011952378,0.036362048011952378,0.0625",
+        "5,68,0.017838512054543895,0.017838512054543895,0.029379711664737448",
+        "6,196,0.0084420116904780559,0.0084420116904780559,0.013531646934131853",
+        "7,516,0.0039069226930335977,0.0039069226930335977,0.0061452075852456807",
     ]
+
+
+def csv_column(path, name):
+    with open(path) as fh:
+        return [row[name] for row in csv.DictReader(l for l in fh if not l.startswith("#"))]
+
+
+def test_approx_sweep_sharp_error_is_the_rate_experiments(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", "--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5",
+                 "--theta", "2", "--r", "1,1", "--out", str(out)]) == 0
+    res = run_experiment(ExperimentConfig(theorem_tag="T2", d=2, p=2.5, q=2.5, theta=2.0,
+                                          r=(1.0, 1.0), n_range=(5, 9),
+                                          output_path=str(tmp_path / "t2")))
+    assert csv_column(out, "script_E") == csv_column(res["csv"], "error")
+    assert csv_column(out, "best_ub") == csv_column(out, "script_E")
 
 
 # sha256 of the CSV body (comment lines stripped) of two sweeps on the
 # gamma-prime cross, where best_ub was once the min with the smooth aggregate
 APPROX_SWEEP_GOLDEN = {
     "T2-2.5": (["--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5"],
-               "fb058d4d280f9eda2a4535bc03ccca15c4ad3fd6d73cae4ef480d9a87a21400a"),
+               "a0667a7109380b79c8faa8a7e0d9793642015317ad4badbce780c108a06fcbfb"),
     "T3-inf": (["--n-min", "5", "--n-max", "8", "--p", "inf", "--q", "inf"],
                "9ed7383f11ded48e006975372c0592f37cb6b0ef87f504bf4a723b1bb74f48aa"),
 }
@@ -298,6 +315,7 @@ def test_approx_sweep_invalid_request_fails_before_computing(tmp_path, capsys, m
         raise AssertionError("a sweep level was computed")
 
     monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
+    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
     out = tmp_path / "sweep.csv"
     assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", "2", "--q", "4",
                  "--r", "0.2,0.2", "--out", str(out)]) == 1
@@ -310,6 +328,7 @@ def test_approx_sweep_empty_range_exits_one(tmp_path, capsys, monkeypatch):
         raise AssertionError("a sweep level was computed")
 
     monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
+    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
     out = tmp_path / "sweep.csv"
     assert main(["approx", "sweep", "--n-min", "8", "--n-max", "5", "--p", "2", "--q", "4",
                  "--r", "1.5,1.5", "--out", str(out)]) == 1

@@ -96,6 +96,8 @@ class TestRateExperiment:
         report = json.loads(open(out["json"]).read())
         assert report["slope_fixed"]["a_hat"] == 1.25
         assert abs(report["slope_fixed"]["b_hat"] - 1.0) < 0.35
+        assert [n for n, _ in report["local_log_power"]] == [5, 6, 7, 8]
+        assert all(abs(b - 1.0) < 0.5 for _, b in report["local_log_power"])
 
     def test_deterministic_bodies(self, tmp_path):
         out1 = run_experiment(t1_config(tmp_path, output_path=str(tmp_path / "a")))
@@ -160,10 +162,10 @@ GOLDEN = {
         "3f65dfb530434c1e7c5ab6e09533ea8274241848d8247d4479dcffcc5ee873db"),
     "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
                 n_range=(5, 8), rng_seed=7),
-        "099e0b9b667eef10e4d64e6ab8d32c34e6bfdc07a9c5a9aba914352e18425adb"),
+        "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),
     "T2": (dict(theorem_tag="T2", d=2, p=2.5, q=2.5, theta=2.0, r=(1.0, 1.0),
                 n_range=(5, 8)),
-        "4fb031572a633acbac861a3987e85381acc7731ea76346e8c8b99843e25c9727"),
+        "3c56e9111d345202db8ee8e0eab97534c9607f4ed3f5def2255ac5e09ad098d0"),
     "lemmaA": (dict(theorem_tag="lemmaA", d=2, r=(1.0, 2.0), alpha=1.0,
                     l_range=(8, 12)),
         "3ef0ae09bc267e208515e0f7afef2a61d61030d55040fdb13e7897844aba53c4"),
@@ -171,14 +173,14 @@ GOLDEN = {
         "a5511e9ab5c4e1cf3820c075c18349ae2ae2707ea28b836d37dc5915f32cd91e"),
     "T1-d1": (dict(theorem_tag="T1", d=1, p=2.0, q=4.0, theta=math.inf, r=(1.5,),
                    n_range=(5, 8), rng_seed=7),
-        "a4ad44dc250bf3b80b7f3d0caeeaa48bcf3a2cd864b6ec0024c191ad1bf5e1c7"),
+        "5fc5511804080380ae2aea407cbf9d885c707b8ff46cf09e33014a2979f30db2"),
     # the L_inf grid max and the smooth aggregate of the gamma-prime cross
     "T3-inf": (dict(theorem_tag="T3", d=2, p=math.inf, q=math.inf, theta=2.0, r=(1.0, 2.0),
                     gamma_mode="gamma-prime", n_range=(5, 8)),
         "83b5b736973fc4f3900575860c9473ce2afffd2f652da53198a4538e9e87d741"),
     "T4": (dict(theorem_tag="T4", d=2, p=4.0, q=2.0, theta=2.0, r=(1.0, 1.0),
                 n_range=(5, 8)),
-        "cd2d4fe48f1a6e2828565bfaad0285324733bf4025585e6176ccc08e8c181bbb"),
+        "74ebdfa9dbd00ba9798e85aa52017c356c5308bb55fe561cec320f09625fb192"),
 }
 
 

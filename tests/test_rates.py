@@ -5,10 +5,12 @@ import pytest
 
 from stepcross import approx, rates
 from stepcross.blocks import SmoothParams, hyperbolic_cross
-from stepcross.extremal import shell_extremal
+from stepcross.extremal import dirichlet_block, dirichlet_shell, shell_extremal
+from stepcross.norms import lp_norm
 from stepcross.poly import GridSpec
-from stepcross.rates import (RateFit, SweepRow, fit_rates, predicted_order,
-                             sweep_extremal, theory_exponents, validate_hypotheses)
+from stepcross.rates import (RateFit, SweepRow, block_profile, fit_rates, local_log_powers,
+                             predicted_order, sweep_extremal, theory_exponents,
+                             validate_hypotheses)
 
 
 def synthetic_rows(fn, ns):
@@ -153,14 +155,111 @@ class TestSweep:
             member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
             cross = hyperbolic_cross(r.n, params, "gamma")
             assert r.cardinality == cross.freq_count
-            assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
-            if pq < math.inf:
-                assert r.error == approx.fourier_sum_error(member, cross, pq, grid)
+            if pq == math.inf:
+                assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
+            else:
+                # the same 1-D grids on both paths; only the order of the
+                # product and of the 1/q power differs
+                for want in (approx.best_approx_upper(member, cross, params, pq, grid),
+                             approx.fourier_sum_error(member, cross, pq, grid)):
+                    assert r.error == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
         with pytest.raises(ValueError, match="1/p - 1/q"):
             sweep_extremal(2.0, 4.0, 2.0, params, "gamma", range(4, 9))
+
+
+def polynomial_rows(p, q, theta, params, gamma_mode, ns):
+    """The polynomial path: build the shell member, project it on the cross
+    and measure the remainder block by block."""
+    rows = []
+    for n in ns:
+        member = shell_extremal(n, params.d, params.r1, p, theta)
+        cross = hyperbolic_cross(n, params, gamma_mode)
+        rows.append((n, cross.freq_count, approx.best_approx_upper(member, cross, params, q)))
+    return rows
+
+
+class TestProfilePath:
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_closed_forms_match_lp_norm(self, s):
+        block = dirichlet_shell(s, 1)  # the shell (s,1) = s at d = 1 is the block D_s
+        assert block == dirichlet_block((s,))
+        assert block_profile(2.0, s) == pytest.approx(2.0 ** (s / 2), rel=1e-12, abs=0)
+        assert block_profile(2.0, s) == pytest.approx(lp_norm(block, 2.0), rel=1e-12, abs=0)
+        assert block_profile(4.0, s) ** 4 == pytest.approx(2 ** (3 * s - 1) + 2**s,
+                                                           rel=1e-12, abs=0)
+        assert block_profile(4.0, s) == pytest.approx(lp_norm(block, 4.0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(self_check=False)])
+    def test_other_q_is_lp_norm_on_the_grid(self, grid):
+        for s in (1, 4, 7):
+            assert block_profile(2.5, s, grid) == lp_norm(dirichlet_block((s,)), 2.5, grid)
+
+    @pytest.mark.parametrize(("p", "q", "theta", "r", "gamma_mode", "rtol"), [
+        (2.0, 4.0, 2.0, (1.5,), "gamma", 1e-12),
+        (4.0, 2.0, math.inf, (1.0,), "gamma", 1e-12),
+        (2.0, 4.0, 1.0, (1.5, 1.5), "gamma", 1e-12),
+        (4.0, 2.0, 2.0, (1.0, 1.0), "gamma", 1e-12),
+        (2.0, 2.0, 2.0, (1.0, 2.0), "gamma-prime", 1e-12),
+        (math.inf, 4.0, 2.0, (1.0, 2.0), "gamma-prime", 1e-12),
+        (2.0, 4.0, math.inf, (1.5, 1.5, 1.5), "gamma", 1e-12),
+        (4.0, 2.0, 1.0, (1.0, 1.0, 2.0), "gamma-prime", 1e-12),
+        (2.5, 2.5, 2.0, (1.0,), "gamma", 1e-6),
+        (2.5, 2.5, 2.0, (1.0, 1.0), "gamma", 1e-6),
+        (2.5, 2.5, math.inf, (1.0, 2.0), "gamma-prime", 1e-6),
+    ])
+    def test_matches_polynomial_path(self, p, q, theta, r, gamma_mode, rtol):
+        params = SmoothParams(r)
+        ns = range(max(params.d, 2), 10)
+        rows = sweep_extremal(p, q, theta, params, gamma_mode, ns)
+        for row, (n, card, want) in zip(rows, polynomial_rows(p, q, theta, params,
+                                                              gamma_mode, ns), strict=True):
+            assert (row.n, row.cardinality) == (n, card)
+            assert row.error == pytest.approx(want, rel=rtol, abs=0)
+
+    def test_builds_no_polynomial_and_each_profile_once(self, monkeypatch):
+        def no_member(*args, **kwargs):
+            raise AssertionError("the shell member was built")
+
+        computed = []
+
+        def counting(q, s, grid=GridSpec()):
+            computed.append(s)
+            return block_profile(q, s, grid)
+
+        monkeypatch.setattr(rates, "shell_extremal", no_member)
+        monkeypatch.setattr(rates, "best_approx_upper", no_member)
+        monkeypatch.setattr(rates, "block_profile", counting)
+        rows = sweep_extremal(2.5, 2.5, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(4, 8))
+        assert computed == [1, 2, 3, 4, 5, 6]
+        assert all(r.error > 0 for r in rows)
+
+    # the joint doubling of the product grid hits the point budget in these
+    # sweeps (at n = 6 and n = 9) although every 1-D factor converges
+    @pytest.mark.parametrize(("d", "p", "q", "ns"), [(3, 1.5, 3.0, range(5, 10)),
+                                                     (2, 1.5, 1.5, range(5, 11))])
+    def test_sweeps_past_the_joint_grid_budget(self, d, p, q, ns):
+        rows = sweep_extremal(p, q, 2.0, SmoothParams((1.0,) * d), "gamma", ns)
+        assert [r.n for r in rows] == list(ns)
+        assert all(math.isfinite(r.error) and r.error > 0 for r in rows)
+
+    @pytest.mark.parametrize("q", [2.5, math.inf])
+    def test_level_below_dimension_rejected_before_any_level(self, monkeypatch, q):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a sweep level was computed")
+
+        monkeypatch.setattr(rates, "hyperbolic_cross", no_level)
+        with pytest.raises(ValueError, match="n >= d"):
+            sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0, 1.0)), "gamma", range(4, 1, -1))
+
+
+def test_local_log_powers():
+    rows = synthetic_rows(lambda n: 3.0 * 2.0 ** (-1.25 * n) * n**0.7, range(5, 10))
+    out = local_log_powers(rows, 1.25)
+    assert [n for n, _ in out] == [6, 7, 8, 9]
+    assert all(b == pytest.approx(0.7, abs=1e-9) for _, b in out)
 
 
 def test_predicted_order():
