@@ -14,11 +14,10 @@ from .poly import (GridSpec, TrigPoly, blocks_of, eval_grid, project_cross,
                    read_jsonl, write_jsonl)
 from .kernels import (block_filter_coeff, smooth_aggregate, smooth_block,
                       smooth_blocks_of, vdp_coeff)
-from .norms import (QuadratureError, besov_mixed_norm, bq1_norm,
-                    difference_seminorm, lp_norm, nikolskii_check)
-from .approx import (ApproxResult, best_approx_upper, fourier_sum_error,
-                     projector_norm_probe, random_mixed_poly)
-from .extremal import class_scale, dirichlet_shell, shell_extremal, shifted_rect_sample
+from .norms import QuadratureError, besov_mixed_norm, bq1_norm, lp_norm, nikolskii_check
+from .approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
+                     random_mixed_poly)
+from .extremal import dirichlet_shell, shell_extremal, shifted_rect_sample
 from .rates import (RateFit, SweepRow, fit_rates, predicted_order,
                     sweep_extremal, theory_exponents)
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,

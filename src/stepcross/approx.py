@@ -1,7 +1,9 @@
 """Approximation errors of the step hyperbolic Fourier sum and certified
 upper bounds on the best approximation by cross polynomials.  For
 1 < q < inf the Fourier sum is itself the best approximation in the sharp
-block-sum norm, so only q in {1, inf} tries the smooth aggregate.
+block-sum norm, so only q in {1, inf} tries the smooth aggregate.  The
+aggregate of the level-n shell member is empty (each of its smooth-block
+indices has (s, gamma') >= n - (gamma', 1)), so there both errors agree.
 
 Both errors take the cross itself, as ``hyperbolic_cross`` builds it, so a
 caller that also needs the cross (a sweep's cardinality column) builds it once.
@@ -12,7 +14,6 @@ stand in for them, matching how the lower bounds are actually realized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +21,6 @@ from .blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from .kernels import smooth_aggregate
 from .norms import block_norms, bq1_norm
 from .poly import GridSpec, TrigPoly, project_cross
-
-
-@dataclass(frozen=True)
-class ApproxResult:
-    cross_cardinality: int
-    error_fourier_sum: float
-    error_best_upper: float
-
-    def __post_init__(self):
-        if self.error_best_upper > self.error_fourier_sum * (1 + 1e-9):
-            raise ValueError("best-approximation bound exceeds the Fourier-sum error")
 
 
 def default_form(q: float) -> str:
@@ -43,17 +33,16 @@ def fourier_sum_error(f: TrigPoly, cross: BlockIndexSet, q: float,
     return bq1_norm(f - project_cross(f, cross), q, default_form(q), grid)
 
 
-def approx_result(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
-                  grid: GridSpec = GridSpec()) -> ApproxResult:
-    """Fourier-sum error over a level-n cross and an upper bound for the best
-    approximation from it.
+def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
+                      grid: GridSpec = GridSpec()) -> float:
+    """Upper bound for the best approximation of f from a level-n cross.
 
-    For 1 < q < inf both fields hold the Fourier-sum error.  For q in
-    {1, inf} the bound is the minimum of it and the error of the smooth-block
-    aggregate, whose spectrum lies inside the gamma'-cross at level n; the
-    aggregate is admissible only for the gamma-prime mode, or when
-    gamma' = gamma (nu = d).  ``cross`` must come with its level, as
-    ``hyperbolic_cross`` builds it, and have dimension ``params.d``.
+    For 1 < q < inf it is the Fourier-sum error.  For q in {1, inf} it is
+    the minimum of that and the error of the smooth-block aggregate, whose
+    spectrum lies inside the gamma'-cross at level n; the aggregate is
+    admissible only for the gamma-prime mode, or when gamma' = gamma
+    (nu = d).  ``cross`` must come with its level, as ``hyperbolic_cross``
+    builds it, and have dimension ``params.d``.
     """
     if cross.n is None:
         raise ValueError("approximation bound needs a cross with a level (cross.n is None)")
@@ -61,16 +50,8 @@ def approx_result(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: fl
         raise ValueError(f"cross dimension {cross.d} differs from params.d = {params.d}")
     err = fourier_sum_error(f, cross, q, grid)
     if 1 < q < math.inf or (cross.gamma_mode != "gamma-prime" and params.nu != params.d):
-        return ApproxResult(cross.freq_count, err, err)
-    agg = bq1_norm(f - smooth_aggregate(f, cross.n, params), q, "smooth", grid)
-    return ApproxResult(cross.freq_count, err, min(err, agg))
-
-
-def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
-                      grid: GridSpec = GridSpec()) -> float:
-    """Upper bound for the best approximation from a level-n cross (see
-    ``approx_result``)."""
-    return approx_result(f, cross, params, q, grid).error_best_upper
+        return err
+    return min(err, bq1_norm(f - smooth_aggregate(f, cross.n, params), q, "smooth", grid))
 
 
 def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,

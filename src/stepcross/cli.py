@@ -10,21 +10,20 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .approx import approx_result, default_form
+from .approx import default_form
 from .blocks import GAMMA_MODES, TAIL_MODES, SmoothParams, hyperbolic_cross, write_blocks
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
 from .experiments import (ExperimentConfig, parse_extended, run_experiment, tail_sum_rows,
                           write_csv)
-from .extremal import class_scale, dirichlet_shell, shell_extremal, shifted_rect_sample
+from .extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from .kernels import vdp_coeff
-from .norms import besov_mixed_norm, bq1_norm, difference_seminorm, lp_norm
+from .norms import besov_mixed_norm, bq1_norm, lp_norm
 from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
                    write_jsonl)
 from .rates import predicted_order, regimes, sweep_extremal, theory_exponents
@@ -32,15 +31,6 @@ from .rates import predicted_order, regimes, sweep_extremal, theory_exponents
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
-
-
-def _whole(value, key: str) -> int:
-    """``value`` as an int; a value that is not a whole number is rejected,
-    naming the spec key it came from."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and float(value).is_integer()):
-        raise ValueError(f"the hrp spec's {key} must be whole numbers, got {value!r}")
-    return int(value)
 
 
 def _norm_callable(spec: dict):
@@ -64,16 +54,6 @@ def _norm_callable(spec: dict):
         q = parse_extended(spec["q"])
         form = spec.get("form", default_form(q))
         return lambda f: bq1_norm(f, q, form, grid_spec)
-    if kind == "hrp":
-        p = parse_extended(spec.get("p", 2))
-        if p != 2:
-            raise ValueError(f"the hrp seminorm is computed for p = 2 only, got p={p!r}")
-        params = SmoothParams(spec["r"])
-        if not isinstance(spec["order"], list):
-            raise ValueError(f"the hrp spec's order must be a list, got {spec['order']!r}")
-        order = tuple(_whole(x, "order") for x in spec["order"])
-        h_points = _whole(spec.get("h_points", 64), "h_points")
-        return lambda f: difference_seminorm(f, params, order, h_points)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -161,18 +141,10 @@ def cmd_approx(args) -> int:
                               n_range=(args.n_min, args.n_max), rng_seed=args.seed,
                               output_path=str(Path(args.out).parent))
     a_th, b_th = theory_exponents(p, q, theta, params, args.gamma_mode)
-    ns = range(args.n_min, args.n_max + 1)
-    rows = []
-    if 1 < q < math.inf:
-        # the Fourier sum is the best approximation: both columns hold its error
-        for r in sweep_extremal(p, q, theta, params, args.gamma_mode, ns):
-            rows.append((r.n, r.cardinality, r.error, r.error, predicted_order(r.n, a_th, b_th)))
-    else:
-        for n in ns:
-            member = shell_extremal(n, params.d, params.r1, p, theta)
-            res = approx_result(member, hyperbolic_cross(n, params, args.gamma_mode), params, q)
-            rows.append((n, res.cross_cardinality, res.error_fourier_sum,
-                         res.error_best_upper, predicted_order(n, a_th, b_th)))
+    # the member's smooth aggregate is empty: at every q both columns hold one error
+    rows = [(r.n, r.cardinality, r.error, r.error, predicted_order(r.n, a_th, b_th))
+            for r in sweep_extremal(p, q, theta, params, args.gamma_mode,
+                                    range(args.n_min, args.n_max + 1))]
     write_csv(args.out, config, ("n", "M", "script_E", "best_ub", "predicted_order"), rows)
     print(args.out)
     return 0
@@ -189,7 +161,7 @@ def cmd_extremal(args) -> int:
     else:
         # the scale checks theta before the sample is drawn
         theta = parse_extended(args.theta)
-        scale = class_scale(args.n, args.d, args.r1, theta) if args.scaled else 1
+        scale = shell_scale(args.n, args.d, args.r1, theta) if args.scaled else 1
         f = scale * shifted_rect_sample(args.n, args.d, args.mode, args.seed)
     write_jsonl(args.out, f)
     print(args.out)

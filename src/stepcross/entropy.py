@@ -144,6 +144,8 @@ def entropy_number_estimate(cloud: CloudProblem, k: int) -> float:
     radii = sorted(set(float(x) for x in dist[np.triu_indices(len(cloud), k=1)]))
     budget = 2**k
     feasible = [r for r in radii if r > 0]
+    if not feasible:
+        return 0.0  # coincident points: one ball of any radius covers them
     lo, hi = 0, len(feasible) - 1
     best = feasible[-1]
     while lo <= hi:

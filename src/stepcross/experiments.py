@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .approx import random_mixed_poly
-from .blocks import TAIL_MODES, SmoothParams, even_shell, weighted_tail_sums
+from .blocks import MAX_CROSS_LEVEL, TAIL_MODES, SmoothParams, even_shell, weighted_tail_sums
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
-from .extremal import class_scale, shifted_rect_sample
+from .extremal import shell_scale, shifted_rect_sample
 from .norms import (GridSpec, aggregate_block_norms, block_norms, bq1_norm, lp_norm,
                     nikolskii_check)
 from .rates import (fit_rates, local_log_powers, predicted_order, regimes, sweep_extremal,
@@ -72,8 +72,12 @@ class ExperimentConfig:
             raise ConfigError("smoothness vector length must equal d")
         if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):
             raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
-        if self.theorem_tag in RATE_TAGS + ("T5-family",) and not self.n_range:
-            raise ConfigError("n_range must name at least one level, got ()")
+        if self.theorem_tag in RATE_TAGS + ("T5-family",):
+            if not self.n_range:
+                raise ConfigError("n_range must name at least one level, got ()")
+            if max(self.n_range) > MAX_CROSS_LEVEL:
+                raise ConfigError(f"n_range level {max(self.n_range)} exceeds the cross level"
+                                  f" cap blocks.MAX_CROSS_LEVEL = {MAX_CROSS_LEVEL}")
         try:
             params = SmoothParams(self.r)
         except ValueError as exc:
@@ -235,7 +239,7 @@ def run_family_embedding(config: ExperimentConfig) -> dict:
             # block sups are theta-independent; rescale and aggregate per theta
             bn = block_norms(t, math.inf, "smooth", grid)
             for theta in thetas:
-                scale = class_scale(n, d, r1, theta)
+                scale = shell_scale(n, d, r1, theta)
                 scaled = [(s, scale * v) for s, v in bn]
                 norms[theta].append(aggregate_block_norms(scaled, params.r, theta))
         for theta in thetas:

@@ -5,8 +5,8 @@
   block s is ``dirichlet_block(s)``, the product of the 1-D blocks D_{s_j}.
 * ``shell_extremal``: the shell polynomial scaled so its class norm stays in
   an n-independent band.
-* ``shell_scale``: the level-n scale 2**(-n alpha) n**(-(d-1)/theta) that
-  both families and the rate sweeps use.
+* ``shell_scale``: the level-n scale 2**(-n alpha) n**(-(d-1)/theta) of both
+  families (alpha = r1 for the shifted rectangles) and the rate sweeps.
 * ``shifted_rect_sample``: sums over the even shell of rectangle polynomials
   re-centered at the block anchors, with sup-normalized factors.
 """
@@ -64,18 +64,12 @@ def shell_extremal(n: int, d: int, r1: float, p: float, theta: float) -> TrigPol
 def shell_scale(n: int, d: int, alpha: float, theta: float) -> float:
     """2**(-n alpha) * n**(-(d-1)/theta), the level-n scale of the test
     families: alpha = r1 + 1 - 1/p for ``shell_extremal``, alpha = r1 for
-    ``class_scale``.  theta must be a real number >= 1 (inf allowed); for
+    ``shifted_rect_sample``.  theta must be a real number >= 1 (inf allowed); for
     theta = inf the logarithmic factor is absent (exponent 0).
     """
     check_exponent(theta, "theta")
     log_exp = 0.0 if math.isinf(theta) else (d - 1) / theta
     return 2.0 ** (-n * alpha) * float(n) ** -log_exp
-
-
-def class_scale(n: int, d: int, r1: float, theta: float) -> float:
-    """Scaling that places the shifted-rectangle family inside the p=inf class;
-    theta must be a real number >= 1 (inf allowed)."""
-    return shell_scale(n, d, r1, theta)
 
 
 TPRIME_MODES = ("constant", "random-sign")

@@ -1,6 +1,6 @@
 """Norms on the torus: L_p, mixed-smoothness Besov norms in sharp and smooth
-block form, the block-sum norm that is stronger than L_q, the sup-form L_2
-difference seminorm, and the inequality check between different metrics.
+block form, the block-sum norm that is stronger than L_q, and the inequality
+check between different metrics.
 
 Numerical methods
 -----------------
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
 from .poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, check_exponent,
-                   check_grid_budget, eval_grid, is_int, resolve_grid_dims)
+                   check_grid_budget, eval_grid, resolve_grid_dims)
 
 FORMS = ("sharp", "smooth")
 CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
@@ -298,43 +297,3 @@ def nikolskii_check(t: TrigPoly, pairs: Sequence[tuple[float, float]],
         rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * norm[p]
         out.append((lhs, rhs, lhs <= rhs * (1 + 1e-9)))
     return out
-
-
-def _h_grid(h_points: int) -> np.ndarray:
-    return np.geomspace(2.0 * math.pi * 2.0**-20, 2.0 * math.pi, num=h_points, endpoint=False)
-
-
-def difference_seminorm(f: TrigPoly, params: SmoothParams, order: Sequence[int],
-                        h_points: int = 64) -> float:
-    """Sup-form seminorm: max over a log grid of steps h of
-    |mixed difference of f|_2 * prod h_j**(-r_j).
-
-    A lower estimate of the supremum over all h.  At each step the L_2 norm
-    of the difference is exact from coefficients (Parseval): the coefficient
-    at k picks up prod_j |exp(i k_j h_j) - 1|**order_j.
-    """
-    if not all(map(is_int, order)):
-        raise ValueError(f"order must hold integers, got {order!r}")
-    if not (is_int(h_points) and h_points >= 1):
-        raise ValueError(f"h_points must be an integer >= 1, got {h_points!r}")
-    order = tuple(int(x) for x in order)
-    if len(order) != f.d or len(params.r) != f.d:
-        raise ValueError("dimension mismatch")
-    for oj, rj in zip(order, params.r):
-        if oj <= rj:
-            raise ValueError("difference order must exceed the smoothness in each coordinate")
-    hs = _h_grid(h_points)
-    hw = [hs ** (-rj) for rj in params.r]
-    K, A = f.K, f.abs2()
-    # (H, nnz) per-coordinate factors |e^{i k h} - 1|^{2 order}
-    W = [(4.0 * np.sin(0.5 * np.outer(hs, K[:, j])) ** 2) ** order[j] for j in range(f.d)]
-    # fix the steps of all but the last coordinate, then contract the
-    # coefficients against every step of the last one at once
-    best = 0.0
-    for idx in iter_product(range(len(hs)), repeat=f.d - 1):
-        w, scale = A, 1.0
-        for j, i in enumerate(idx):
-            w = w * W[j][i]
-            scale *= hw[j][i]
-        best = max(best, float(np.max(np.sqrt(W[-1] @ w) * hw[-1])) * scale)
-    return best

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import best_approx_upper
-from .blocks import SmoothParams, compositions, hyperbolic_cross
+from .blocks import MAX_CROSS_LEVEL, SmoothParams, compositions, hyperbolic_cross
 from .extremal import dirichlet_block, shell_extremal, shell_scale
 from .norms import lp_norm
 from .poly import GridSpec, check_exponent
@@ -131,7 +131,8 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     Each level records the error of ``best_approx_upper`` on
     ``shell_extremal``: the Fourier-sum error for 1 < q < inf, where it is
     the best approximation in the sharp norm, and the certified bound that
-    also tries the smooth aggregate for q in {1, inf}.
+    also tries the smooth aggregate for q in {1, inf} (empty for this
+    member).  A level below d or above ``MAX_CROSS_LEVEL`` fails up front.
 
     For 1 < q < inf no polynomial is built.  Every block of the level-n
     cross has (s,1) < n, so the whole shell (s,1) = n lies outside it, and
@@ -146,6 +147,8 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     d = params.d
     if min(n_range, default=d) < d:
         raise ValueError(f"need n >= d for a nonempty shell, got n={min(n_range)}, d={d}")
+    if max(n_range, default=d) > MAX_CROSS_LEVEL:
+        raise ValueError(f"cross level n={max(n_range)} exceeds cap {MAX_CROSS_LEVEL}")
     profile: dict[int, float] = {}
     rows = []
     for n in n_range:

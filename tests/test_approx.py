@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from stepcross import approx
-from stepcross.approx import (ApproxResult, approx_result, best_approx_upper,
-                              fourier_sum_error, projector_norm_probe,
+from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
 from stepcross.blocks import BlockIndexSet, SmoothParams, hyperbolic_cross
 from stepcross.extremal import shell_extremal
@@ -95,7 +94,7 @@ class TestBestApproxUpper:
     @pytest.mark.parametrize("gamma_mode", ["gamma", "gamma-prime"])
     def test_sharp_norm_builds_no_aggregate(self, monkeypatch, q, gamma_mode):
         # for 1 < q < inf the Fourier sum is the best approximation in the
-        # sharp norm, so the aggregate is never built and both fields agree
+        # sharp norm, so the aggregate is never built and the bound is its error
         def no_aggregate(*args, **kwargs):
             raise AssertionError("the smooth aggregate was built")
 
@@ -103,21 +102,16 @@ class TestBestApproxUpper:
         params = SmoothParams((1.0, 1.0))
         cross = hyperbolic_cross(5, params, gamma_mode)
         f = random_mixed_poly(np.random.default_rng(4), 2, max_shell=7)
-        res = approx_result(f, cross, params, q)
-        assert res.error_best_upper == res.error_fourier_sum > 0
-
-    def test_result_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ApproxResult(10, 1.0, 2.0)
+        u = best_approx_upper(f, cross, params, q)
+        assert u == fourier_sum_error(f, cross, q) > 0
 
     def test_approx_result_consistency(self):
+        # the bound and the Fourier-sum error of one polynomial agree
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
         cross = hyperbolic_cross(4, params)
-        res = approx_result(f, cross, params, 2.0)
-        assert res.cross_cardinality == cross.freq_count
-        assert res.error_best_upper <= res.error_fourier_sum * (1 + 1e-9)
-        assert res.error_fourier_sum == pytest.approx(1.0, rel=1e-12)
+        u = best_approx_upper(f, cross, params, 2.0)
+        assert u == fourier_sum_error(f, cross, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(("cross", "condition"), [
         (BlockIndexSet(((1, 1),), 2), "n is None"),
@@ -130,7 +124,7 @@ class TestBestApproxUpper:
         monkeypatch.setattr(approx, "bq1_norm", no_norm)
         f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
         with pytest.raises(ValueError, match=condition):
-            approx_result(f, cross, SmoothParams((1.0, 1.0)), 2.0)
+            best_approx_upper(f, cross, SmoothParams((1.0, 1.0)), 2.0)
 
 
 class TestProjectorProbe:

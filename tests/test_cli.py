@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stepcross.cli import main
+from stepcross.cli import _norm_callable, build_parser, main
 from stepcross.experiments import ExperimentConfig, run_experiment
 from stepcross.poly import TrigPoly, read_jsonl, write_jsonl
 
@@ -166,30 +168,6 @@ def test_norm_without_input_exits_one(capsys):
     assert "--input" in err and "--batch" in err
 
 
-def test_norm_hrp_zero_h_points_exits_one(poly_file, capsys):
-    spec = json.dumps({"kind": "hrp", "r": [1.0], "order": [2], "h_points": 0})
-    assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
-    assert "h_points" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(("extra", "named"), [
-    ({"p": 3}, "p = 2 only, got p=3.0"), ({"p": "inf"}, "p = 2 only, got p=inf"),
-    ({"order": [2.9]}, "order must be whole numbers, got 2.9"),
-    ({"order": 2}, "order must be a list"),
-    ({"h_points": 8.7}, "h_points must be whole numbers, got 8.7"),
-    ({"h_points": "nan"}, "h_points must be whole numbers"),
-], ids=["p-3", "p-inf", "order-frac", "order-scalar", "h-frac", "h-nan"])
-def test_norm_hrp_bad_spec_exits_one_before_reading(tmp_path, capsys, monkeypatch, extra, named):
-    def no_read(*args, **kwargs):
-        raise AssertionError("the input was read")
-
-    monkeypatch.setattr("stepcross.cli.read_jsonl", no_read)
-    spec = json.dumps({"kind": "hrp", "r": [1.0], "order": [2], **extra})
-    assert main(["norm", "--spec", spec, "--input", str(tmp_path / "f.jsonl")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and named in captured.err
-
-
 def test_norm_batch(poly_file, tmp_path, capsys):
     out = tmp_path / "norms.csv"
     assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--batch", poly_file,
@@ -267,14 +245,16 @@ def csv_column(path, name):
 
 
 def test_approx_sweep_sharp_error_is_the_rate_experiments(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", "--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5",
-                 "--theta", "2", "--r", "1,1", "--out", str(out)]) == 0
-    res = run_experiment(ExperimentConfig(theorem_tag="T2", d=2, p=2.5, q=2.5, theta=2.0,
-                                          r=(1.0, 1.0), n_range=(5, 9),
-                                          output_path=str(tmp_path / "t2")))
-    assert csv_column(out, "script_E") == csv_column(res["csv"], "error")
-    assert csv_column(out, "best_ub") == csv_column(out, "script_E")
+    # T2 takes the sharp-form profile path, T3 (p = q = inf) the smooth one
+    for tag, pq, n_max in (("T2", "2.5", 9), ("T3", "inf", 8)):
+        out = tmp_path / f"{tag}.csv"
+        assert main(["approx", "sweep", "--n-min", "5", "--n-max", str(n_max), "--p", pq,
+                     "--q", pq, "--theta", "2", "--r", "1,1", "--out", str(out)]) == 0
+        res = run_experiment(ExperimentConfig(theorem_tag=tag, d=2, p=float(pq), q=float(pq),
+                                              theta=2.0, r=(1.0, 1.0), n_range=(5, n_max),
+                                              output_path=str(tmp_path / tag)))
+        assert csv_column(out, "script_E") == csv_column(res["csv"], "error")
+        assert csv_column(out, "best_ub") == csv_column(out, "script_E")
 
 
 # sha256 of the CSV body (comment lines stripped) of two sweeps on the
@@ -314,7 +294,6 @@ def test_approx_sweep_invalid_request_fails_before_computing(tmp_path, capsys, m
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep level was computed")
 
-    monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
     monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
     out = tmp_path / "sweep.csv"
     assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", "2", "--q", "4",
@@ -327,12 +306,23 @@ def test_approx_sweep_empty_range_exits_one(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep level was computed")
 
-    monkeypatch.setattr("stepcross.cli.approx_result", no_sweep)
     monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
     out = tmp_path / "sweep.csv"
     assert main(["approx", "sweep", "--n-min", "8", "--n-max", "5", "--p", "2", "--q", "4",
                  "--r", "1.5,1.5", "--out", str(out)]) == 1
     assert "n_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_approx_sweep_level_above_cap_exits_one(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep level was computed")
+
+    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["approx", "sweep", "--n-min", "5", "--n-max", "41", "--p", "2", "--q", "4",
+                 "--r", "1.5,1.5", "--out", str(out)]) == 1
+    assert "MAX_CROSS_LEVEL = 40" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -397,6 +387,14 @@ def test_entropy_cloud(tmp_path, capsys):
     assert float(capsys.readouterr().out) == 0.0
 
 
+def test_entropy_number_of_coincident_points(tmp_path, capsys):
+    cloud = tmp_path / "cloud.jsonl"
+    lines = [json.dumps({"dim": 2, "p": 2.0})] + [json.dumps({"v": [0.0, 0.0]})] * 3
+    cloud.write_text("\n".join(lines) + "\n")
+    assert main(["entropy", "--cloud", str(cloud), "--k", "0"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def test_lemma_a_table(capsys):
     rc = main(["lemma-a", "--alpha", "1.0", "--r", "1,2", "--l-min", "8",
                "--l-max", "10", "--mode", "gamma-on-gamma"])
@@ -438,3 +436,21 @@ def test_poly_project_nan_level_exits_one(poly_file, tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "n=nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def readme_cli_lines():
+    """The ``stepcross ...`` lines of README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("stepcross ")]
+
+
+def test_readme_cli_examples_parse():
+    # a command, flag or norm kind that the code drops but README still shows fails here
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if args.command == "norm":
+            _norm_callable(json.loads(args.spec))

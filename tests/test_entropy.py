@@ -80,6 +80,10 @@ class TestEntropyNumberEstimate:
     def test_enough_balls_gives_zero(self):
         assert entropy_number_estimate(line_cloud(0, 1, 2, 3), 2) == 0.0
 
+    def test_coincident_points_give_zero(self):
+        # no pairwise distance is positive: one ball of any radius covers
+        assert entropy_number_estimate(CloudProblem([[0.0, 0.0]] * 3), 0) == 0.0
+
     def test_two_points_center_restriction(self):
         # with centers restricted to the cloud the k=0 radius is the full
         # distance, twice the unrestricted midpoint value

@@ -53,6 +53,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="1/p - 1/q"):
             t1_config(tmp_path, r=(0.2, 0.2))
 
+    @pytest.mark.parametrize(("tag", "n_range"), [("T1", (5, 41)), ("T2", (5, 41)),
+                                                  ("T5-family", (6, 42))])
+    def test_level_above_cross_cap_named(self, tmp_path, tag, n_range):
+        pq = dict(p=2.0, q=4.0) if tag == "T1" else dict(p=2.5, q=2.5)
+        with pytest.raises(ConfigError, match="MAX_CROSS_LEVEL = 40"):
+            ExperimentConfig(theorem_tag=tag, d=2, r=(1.0, 1.0), n_range=n_range,
+                             output_path=str(tmp_path), **pq)
+
     def test_t5_needs_even_levels(self, tmp_path):
         with pytest.raises(ConfigError, match="even"):
             ExperimentConfig(theorem_tag="T5-family", d=2, r=(1.0, 1.0),

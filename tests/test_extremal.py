@@ -6,7 +6,7 @@ import pytest
 
 from stepcross.blocks import (SmoothParams, block_anchor, block_ranges, compositions, even_shell,
                               hyperbolic_cross)
-from stepcross.extremal import class_scale, dirichlet_shell, shell_extremal, shifted_rect_sample
+from stepcross.extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from stepcross.norms import besov_mixed_norm, bq1_norm, lp_norm
 from stepcross.poly import GridSpec, TrigPoly, eval_grid, project_cross, resolve_grid_dims
 
@@ -186,15 +186,16 @@ class TestShiftedRectFamily:
             vals = []
             for n in (6, 8, 10):
                 t = shifted_rect_sample(n, 2, "random-sign", rng)
-                f = class_scale(n, 2, 1.0, theta) * t
+                f = shell_scale(n, 2, 1.0, theta) * t
                 vals.append(besov_mixed_norm(f, params, math.inf, theta, "smooth"))
             assert max(vals) / min(vals) < 2.0
 
+    # the class scale of the family is shell_scale(n, d, r1, theta)
     @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0, math.nan])
     def test_class_scale_rejects_theta(self, theta):
         with pytest.raises(ValueError, match="theta must be a real number >= 1"):
-            class_scale(6, 2, 1.0, theta)
+            shell_scale(6, 2, 1.0, theta)
 
     def test_class_scale_values(self):
-        assert class_scale(6, 2, 1.0, math.inf) == pytest.approx(2.0**-6)
-        assert class_scale(6, 2, 1.0, 1.0) == pytest.approx(2.0**-6 / 6)
+        assert shell_scale(6, 2, 1.0, math.inf) == pytest.approx(2.0**-6)
+        assert shell_scale(6, 2, 1.0, 1.0) == pytest.approx(2.0**-6 / 6)

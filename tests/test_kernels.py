@@ -295,9 +295,16 @@ class TestSmoothAggregate:
 
     def test_filters_no_block_outside_the_cross(self, monkeypatch):
         # every smooth block of the level-n shell member lies outside the
-        # gamma'-cross at level n, so none is filtered
-        f = shell_extremal(10, 2, 1.0, math.inf, math.inf)
+        # gamma'-cross at level n, so none is filtered: a smooth block index
+        # s of a frequency in shell block m has s >= m - 1, hence
+        # (s, gamma') >= n - (gamma', 1), the aggregate's threshold
         calls = []
         monkeypatch.setattr(kernels, "smooth_block", lambda *a: calls.append(a))
+        f = shell_extremal(10, 2, 1.0, math.inf, math.inf)
         assert smooth_aggregate(f, 10, SmoothParams((1.0, 1.0))).is_zero()
+        for params in (SmoothParams((1.0,)), SmoothParams((1.0, 1.0)),
+                       SmoothParams((1.0, 1.0, 1.0)), SmoothParams((1.0, 2.0))):
+            for n in range(params.d, 10):
+                f = shell_extremal(n, params.d, params.r1, 2.0, 2.0)
+                assert smooth_aggregate(f, n, params).is_zero()
         assert calls == []

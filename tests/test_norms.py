@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import tracemalloc
@@ -6,48 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stepcross import norms, poly
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
-from stepcross.norms import (QuadratureError, _h_grid, _rank1_factors,
-                             aggregate_block_norms, besov_mixed_norm, bq1_norm,
-                             difference_seminorm, lp_norm, nikolskii_check)
+from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
+                             besov_mixed_norm, bq1_norm, lp_norm, nikolskii_check)
 from stepcross.poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, eval_grid,
                             resolve_grid_dims)
-
-
-def mixed_difference(f, order, h):
-    """Mixed finite difference acting coefficient-wise: the coefficient at k
-    picks up prod_j (exp(i k_j h_j) - 1) ** order_j.  The oracle for
-    ``difference_seminorm``."""
-    order = tuple(int(x) for x in order)
-    h = tuple(float(x) for x in h)
-    if len(order) != f.d or len(h) != f.d:
-        raise ValueError("dimension mismatch")
-    if any(o < 1 for o in order):
-        raise ValueError("difference orders must be >= 1")
-    mult = np.ones(f.nnz, dtype=complex)
-    for j, (oj, hj) in enumerate(zip(order, h)):
-        mult *= (np.exp(1j * (f.K[:, j] * hj)) - 1.0) ** oj
-    return f.take(slice(None), f.C * mult)
-
-
-def poly_st(d):
-    freq = st.tuples(*[st.integers(-40, 40).filter(lambda x: x != 0)] * d)
-    coeff = st.complex_numbers(min_magnitude=1e-6, max_magnitude=10,
-                               allow_nan=False, allow_infinity=False)
-    return st.dictionaries(freq, coeff, min_size=1, max_size=12).map(
-        lambda c: TrigPoly(d, c))
-
-
-def coeff_gap(f, g):
-    """Largest coefficient modulus of f - g."""
-    return max(map(abs, (f - g).coeffs.values()), default=0.0)
 
 
 def block_poly_1d(s):
@@ -564,129 +531,6 @@ class TestNikolskii:
         with pytest.raises(ValueError):
             nikolskii_check(f, NIKOLSKII_PAIRS + (bad,), GridSpec(self_check=False))
         assert calls == []
-
-
-class TestDifferenceSeminorm:
-    def test_zero(self):
-        params = SmoothParams((1.0,))
-        assert difference_seminorm(TrigPoly.zero(1), params, (2,)) == 0.0
-
-    def test_homogeneity(self):
-        params = SmoothParams((1.0,))
-        f = TrigPoly(1, {(2,): 1.0, (5,): 1.0j})
-        v1 = difference_seminorm(f, params, (2,))
-        v2 = difference_seminorm(3.0 * f, params, (2,))
-        assert v2 == pytest.approx(3 * v1, rel=1e-12)
-
-    def test_order_must_exceed_smoothness(self):
-        params = SmoothParams((2.0,))
-        with pytest.raises(ValueError):
-            difference_seminorm(TrigPoly.exponential((1,)), params, (2,))
-
-    def test_needs_a_step(self):
-        params = SmoothParams((1.0,))
-        with pytest.raises(ValueError, match="h_points"):
-            difference_seminorm(TrigPoly.exponential((1,)), params, (2,), h_points=0)
-
-    @pytest.mark.parametrize("order", [(2.9,), (2.0,), (True,), ("2",)])
-    def test_rejects_non_integral_order(self, order):
-        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
-        with pytest.raises(ValueError, match="order must hold integers"):
-            difference_seminorm(f, SmoothParams((1.0,)), order)
-
-    @pytest.mark.parametrize("h_points", [8.7, 8.0, True, "8", -1])
-    def test_rejects_h_points_not_an_int(self, h_points):
-        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
-        with pytest.raises(ValueError, match="h_points must be an integer >= 1"):
-            difference_seminorm(f, SmoothParams((1.0,)), (2,), h_points=h_points)
-
-    def test_accepts_numpy_integers(self):
-        f = TrigPoly(1, {(1,): 1.0, (4,): 1.0})
-        params = SmoothParams((1.0,))
-        assert difference_seminorm(f, params, (np.int64(2),), h_points=np.int32(64)) == \
-            difference_seminorm(f, params, (2,))
-
-    def test_takes_no_exponent_or_grid(self):
-        # the seminorm is the exact L_2 one; no quadrature path is left
-        assert list(inspect.signature(difference_seminorm).parameters) == [
-            "f", "params", "order", "h_points"]
-
-    def test_band_against_class_norm(self):
-        # sup-form vs smooth-block theta=inf class norm on the shell family
-        grid = GridSpec()
-        for d in (1, 2):
-            params = SmoothParams((1.0,) * d)
-            ratios = []
-            for n in range(d + 2, d + 6):
-                dn = dirichlet_shell(n, d)
-                semi = difference_seminorm(dn, params, (2,) * d)
-                cls = besov_mixed_norm(dn, params, 2.0, math.inf, "smooth", grid)
-                ratios.append(semi / cls)
-            assert max(ratios) / min(ratios) < 1.5
-
-    @pytest.mark.parametrize(("d", "h_points"), [(1, 16), (2, 16), (3, 8), (4, 5)])
-    def test_small_p2_matches_bruteforce(self, d, h_points):
-        # independent check of the fast path against direct per-h evaluation
-        f = TrigPoly(d, {(1, 2, -3, 4)[:d]: 1.0, (3, -1, 2, 1)[:d]: -2.0j})
-        params = SmoothParams((1.0,) * d)
-        order = (2,) * d
-        fast = difference_seminorm(f, params, order, h_points=h_points)
-        best = 0.0
-        for h in itertools.product(_h_grid(h_points), repeat=d):
-            v = lp_norm(mixed_difference(f, order, h), 2.0)
-            best = max(best, v * math.prod(hj**-1.0 for hj in h))
-        assert fast == pytest.approx(best, rel=1e-12)
-
-
-class TestMixedDifference:
-    def test_first_order_factor(self):
-        h = 0.7
-        out = mixed_difference(TrigPoly.exponential((1,)), (1,), (h,))
-        assert out.coeffs[(1,)] == pytest.approx(np.exp(1j * h) - 1, rel=1e-14)
-
-    def test_second_order_at_pi(self):
-        out = mixed_difference(TrigPoly.exponential((1,)), (2,), (math.pi,))
-        assert out.coeffs[(1,)] == pytest.approx(4.0, abs=1e-12)
-
-    def test_zero_step_annihilates(self):
-        f = TrigPoly(2, {(1, 2): 1.0, (3, 4): 2.0})
-        assert mixed_difference(f, (1, 1), (0.0, 0.5)).is_zero()
-
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            mixed_difference(TrigPoly.exponential((1,)), (0,), (1.0,))
-
-    @settings(max_examples=40, deadline=None)
-    @given(poly_st(2), st.tuples(st.integers(1, 3), st.integers(1, 3)),
-           st.tuples(st.floats(0.01, 6.0), st.floats(0.01, 6.0)))
-    def test_matches_per_coefficient_loop(self, f, order, h):
-        want = {}
-        for k, c in f.terms():
-            mult = 1.0 + 0.0j
-            for kj, oj, hj in zip(k, order, h):
-                mult *= (np.exp(1j * kj * hj) - 1.0) ** oj
-            want[k] = c * mult
-        # the array products may fuse a multiply-add where the scalar ones
-        # round twice: allow 50 units in the last place
-        got = mixed_difference(f, order, h).coeffs
-        assert all(abs(got.get(k, 0.0) - w) <= 50 * np.finfo(float).eps * abs(w)
-                   for k, w in want.items())
-        assert set(got) <= set(want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(poly_st(1), st.floats(0.01, 6.0))
-    def test_linear(self, f, h):
-        g = mixed_difference(f + f, (1,), (h,))
-        assert coeff_gap(g, mixed_difference(f, (1,), (h,)) * 2.0) <= 1e-12
-
-    def test_matches_pointwise_difference(self):
-        # oracle: evaluate f(x+h) - f(x) directly
-        f = TrigPoly(1, {(1,): 1.0, (4,): -2.0j})
-        h = 0.37
-        g = mixed_difference(f, (1,), (h,))
-        for x in (0.0, 1.2):
-            want = f.evaluate((x + h,)) - f.evaluate((x,))
-            assert g.evaluate((x,)) == pytest.approx(want, rel=1e-12)
 
 
 def test_aggregate_block_norms_matches_manual():

@@ -254,6 +254,15 @@ class TestProfilePath:
         with pytest.raises(ValueError, match="n >= d"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0, 1.0)), "gamma", range(4, 1, -1))
 
+    @pytest.mark.parametrize("q", [2.5, math.inf])
+    def test_level_above_cap_rejected_before_any_level(self, monkeypatch, q):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a sweep level was computed")
+
+        monkeypatch.setattr(rates, "hyperbolic_cross", no_level)
+        with pytest.raises(ValueError, match="n=41 exceeds cap 40"):
+            sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(5, 42))
+
 
 def test_local_log_powers():
     rows = synthetic_rows(lambda n: 3.0 * 2.0 ** (-1.25 * n) * n**0.7, range(5, 10))
