@@ -21,7 +21,7 @@ import numpy as np
 
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
 
-GAMMA_MODES = ("gamma", "gamma-prime", "ones")
+GAMMA_MODES = ("gamma", "gamma-prime")
 
 
 class TailTruncationError(RuntimeError):
@@ -89,8 +89,6 @@ class SmoothParams:
             return self.gamma
         if mode == "gamma-prime":
             return self.gamma_prime
-        if mode == "ones":
-            return (1.0,) * self.d
         raise ValueError(f"unknown gamma mode {mode!r}; expected one of {GAMMA_MODES}")
 
 

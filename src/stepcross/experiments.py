@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +21,14 @@ import numpy as np
 
 from . import __version__
 from .approx import random_mixed_poly
-from .blocks import MAX_CROSS_LEVEL, TAIL_MODES, SmoothParams, even_shell, weighted_tail_sums
+from .blocks import (GAMMA_MODES, MAX_CROSS_LEVEL, TAIL_MODES, SmoothParams, even_shell,
+                     weighted_tail_sums)
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
 from .extremal import shell_scale, shifted_rect_sample
 from .norms import (GridSpec, aggregate_block_norms, block_norms, bq1_norm, lp_norm,
                     nikolskii_check)
+from .poly import is_int
 from .rates import (fit_rates, local_log_powers, predicted_order, regimes, sweep_extremal,
                     theory_exponents, validate_hypotheses)
 
@@ -68,10 +69,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown theorem tag {self.theorem_tag!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema_version}")
+        for name, values in (("d", (self.d,)), ("rng_seed", (self.rng_seed,)),
+                             ("n_range", self.n_range), ("l_range", self.l_range)):
+            if not all(map(is_int, values)):
+                raise ConfigError(f"{name} must be integral, got {getattr(self, name)!r}")
         if len(self.r) != self.d:
             raise ConfigError("smoothness vector length must equal d")
-        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):
+        if not (is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if self.gamma_mode not in GAMMA_MODES:
+            raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}; expected one of"
+                              f" {GAMMA_MODES}")
         if self.theorem_tag in RATE_TAGS + ("T5-family",):
             if not self.n_range:
                 raise ConfigError("n_range must name at least one level, got ()")
@@ -159,6 +167,10 @@ def csv_body(path) -> str:
 def run_rate_experiment(config: ExperimentConfig) -> dict:
     params = config.params
     ns = list(range(config.n_range[0], config.n_range[-1] + 1))
+    # checked here, not in the config: ``approx sweep`` configs may hold fewer levels
+    if len(ns) < 4:
+        raise ConfigError(f"the rate fits need at least 4 levels, n_range {config.n_range}"
+                          f" gives {len(ns)}")
     rows = sweep_extremal(config.p, config.q, config.theta, params, config.gamma_mode, ns)
     a_th, b_th = theory_exponents(config.p, config.q, config.theta, params, config.gamma_mode)
     table = []

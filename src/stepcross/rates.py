@@ -2,14 +2,14 @@
 2**(-a n) * n**b against the measurements.
 
 The swept member is the scaled Dirichlet shell of ``shell_extremal``.  For
-1 < q < inf its error is computed without building it: the Fourier sum is
-the best approximation in the sharp block-sum norm, the shell's sharp block
-s is a product of 1-D Dirichlet blocks, so a level's error is the member's
-scale times the sum, over the shell blocks (none lies in the cross), of
-prod_j phi_q(s_j) with phi_q(s) = ||D_s||_q (``block_profile``).  A sweep
-computes each phi_q(s) once.  For q in {1, inf} (smooth blocks, which do not
-factor) the member is built, projected and measured, and that polynomial
-path is the tests' oracle for the profile path.
+q > 1 its error is the member's scale times the sum, over the shell blocks
+(none lies in the cross), of prod_j phi_q(s_j), phi_q(s) = ||D_s||_q
+(``block_profile``), each computed once per sweep: for q < inf the Fourier
+sum is the best sharp-norm approximation and a sharp block factors; for
+q = inf the member and every smooth filter are nonnegative, so its B_{inf,1}
+norm is f(0) and phi_inf(s) = 2**s.  For q = 1 (smooth blocks, which do not
+factor) the member is built, projected and measured; that polynomial path
+is the tests' oracle for the profile path.
 
 Jointly estimating (a, b) from desk-scale n is ill conditioned because
 log2(n) drifts slowly, so the acceptance protocol pins a at its predicted
@@ -29,7 +29,7 @@ from .approx import best_approx_upper
 from .blocks import MAX_CROSS_LEVEL, SmoothParams, compositions, hyperbolic_cross
 from .extremal import dirichlet_block, shell_extremal, shell_scale
 from .norms import lp_norm
-from .poly import GridSpec, check_exponent
+from .poly import check_exponent
 
 FIT_MODES = ("free", "slope-fixed")
 
@@ -108,40 +108,39 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
             raise ValueError("off-diagonal p < q regime uses the gamma cross")
 
 
-def block_profile(q: float, s: int, grid: GridSpec = GridSpec()) -> float:
+def block_profile(q: float, s: int) -> float:
     """phi_q(s) = ||D_s||_q, the L_q norm of the 1-D Dirichlet block
     ``dirichlet_block((s,))``: unit coefficients on 2**(s-1) <= |k| < 2**s.
 
-    Exact in closed form for q = 2 (Parseval, 2**(s/2)) and q = 4
+    Exact in closed form for q = inf (2**s, the block's term count, its
+    value at x = 0), q = 2 (Parseval, 2**(s/2)) and q = 4
     (||D_s||_4**4 = 2**(3s-1) + 2**s, the number of k1 + k2 = k3 + k4 in the
-    block); any other q is the self-checked ``lp_norm`` on ``grid``.
+    block); any other q is the self-checked ``lp_norm``.
     """
+    if q == math.inf:
+        return 2.0**s
     if q == 2:
         return 2.0 ** (s / 2)
     if q == 4:
         return (2.0 ** (3 * s - 1) + 2.0**s) ** 0.25
-    return lp_norm(dirichlet_block((s,)), q, grid)
+    return lp_norm(dirichlet_block((s,)), q)
 
 
 def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
-                   gamma_mode: str, n_range: Sequence[int],
-                   grid: GridSpec = GridSpec()) -> list[SweepRow]:
+                   gamma_mode: str, n_range: Sequence[int]) -> list[SweepRow]:
     """Errors of the per-level extremal member across a range of cross levels.
 
     Each level records the error of ``best_approx_upper`` on
-    ``shell_extremal``: the Fourier-sum error for 1 < q < inf, where it is
-    the best approximation in the sharp norm, and the certified bound that
-    also tries the smooth aggregate for q in {1, inf} (empty for this
-    member).  A level below d or above ``MAX_CROSS_LEVEL`` fails up front.
+    ``shell_extremal`` (whose smooth aggregate is empty).  A level below d
+    or above ``MAX_CROSS_LEVEL`` fails up front.
 
-    For 1 < q < inf no polynomial is built.  Every block of the level-n
-    cross has (s,1) < n, so the whole shell (s,1) = n lies outside it, and
-    the error is ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's
-    scale, times the sum over the shell blocks, in lexicographic order, of
-    prod_j ``block_profile(q, s_j, grid)``.  Each profile value is computed
-    once per sweep.  The values agree with the polynomial path up to
-    rounding for q in {2, 4} and within the self-check tolerance otherwise.
-    For q in {1, inf} each level builds the member and measures it.
+    For q > 1 no polynomial is built.  Every block of the level-n cross has
+    (s,1) < n, so the whole shell (s,1) = n lies outside it, and the error
+    is ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's scale, times
+    the sum over the shell blocks, in lexicographic order, of
+    prod_j ``block_profile(q, s_j)``.  It agrees with the polynomial path up
+    to rounding for q in {2, 4, inf} and within the self-check tolerance
+    otherwise.  For q = 1 each level builds the member and measures it.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
     d = params.d
@@ -153,15 +152,15 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     rows = []
     for n in n_range:
         cross = hyperbolic_cross(n, params, gamma_mode)
-        if 1 < q < math.inf:
+        if q > 1:
             shell = compositions(n, d).tolist()
             for sj in sorted({sj for s in shell for sj in s} - profile.keys()):
-                profile[sj] = block_profile(q, sj, grid)
+                profile[sj] = block_profile(q, sj)
             total = sum((math.prod(profile[sj] for sj in s) for s in shell), 0.0)
             err = shell_scale(n, d, params.r1 + 1.0 - 1.0 / p, theta) * total
         else:
             member = shell_extremal(n, d, params.r1, p, theta)
-            err = best_approx_upper(member, cross, params, q, grid)
+            err = best_approx_upper(member, cross, params, q)
         rows.append(SweepRow(n=n, cardinality=cross.freq_count, error=err))
     return rows
 

@@ -233,10 +233,9 @@ class TestHyperbolicCross:
 
     def test_gamma_modes(self):
         params = SmoothParams((1.0, 2.0))
-        ones = hyperbolic_cross(4, params, "ones")
         prime = hyperbolic_cross(4, params, "gamma-prime")
         gamma = hyperbolic_cross(4, params, "gamma")
-        assert set(gamma.blocks) <= set(prime.blocks) <= set(ones.blocks)
+        assert set(gamma.blocks) <= set(prime.blocks)
 
     def test_level_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -347,7 +347,9 @@ def test_rates_run_invalid_config_exits_one(tmp_path, capsys):
     assert "ordering" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(("field", "value"), [("n_range", []), ("samples", 0)])
+@pytest.mark.parametrize(("field", "value"), [
+    ("n_range", []), ("samples", 0), ("n_range", [6.5, 8]), ("n_range", ["6", 8]),
+    ("l_range", [10.5, 12]), ("samples", True), ("gamma_mode", "ones")])
 def test_rates_run_family_without_levels_or_samples_exits_one(tmp_path, capsys, field, value):
     cfg = {"theorem_tag": "T5-family", "d": 2, "r": [1.0, 1.0], "n_range": [6, 8],
            "samples": 3, "output_path": str(tmp_path / "res"), field: value}
@@ -355,6 +357,20 @@ def test_rates_run_family_without_levels_or_samples_exits_one(tmp_path, capsys, 
     cfg_path.write_text(json.dumps(cfg))
     assert main(["rates", "run", "--config", str(cfg_path)]) == 1
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_rates_run_too_few_levels_exits_one_before_any_level(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep level was computed")
+
+    monkeypatch.setattr("stepcross.experiments.sweep_extremal", no_sweep)
+    cfg = {"theorem_tag": "T1", "d": 2, "p": 2, "q": 4, "r": [1.5, 1.5], "n_range": [5, 7],
+           "output_path": str(tmp_path / "res")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["rates", "run", "--config", str(cfg_path)]) == 1
+    assert "at least 4 levels" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
 
 

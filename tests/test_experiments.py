@@ -69,7 +69,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(("tag", "field", "value"), [
         ("T5-family", "n_range", []), ("T1", "n_range", []),
         ("T5-family", "samples", 0), ("nikolskii", "samples", -1),
-        ("entropy44", "samples", 2.5)])
+        ("entropy44", "samples", 2.5), ("T1", "n_range", [5.5, 8]), ("T1", "n_range", ["6", 8]),
+        ("T5-family", "n_range", [6, 8.0]), ("lemmaA", "l_range", [10.5, 12]),
+        ("nikolskii", "samples", True), ("T1", "d", 2.0), ("entropy44", "rng_seed", 1.5),
+        ("T1", "gamma_mode", "bogus"), ("T1", "gamma_mode", "ones")])
     def test_empty_or_nonpositive_counts_named_at_load(self, tmp_path, tag, field, value):
         data = {"theorem_tag": tag, "r": [1.0, 1.0], field: value,
                 "output_path": str(tmp_path)}
@@ -182,10 +185,10 @@ GOLDEN = {
     "T1-d1": (dict(theorem_tag="T1", d=1, p=2.0, q=4.0, theta=math.inf, r=(1.5,),
                    n_range=(5, 8), rng_seed=7),
         "5fc5511804080380ae2aea407cbf9d885c707b8ff46cf09e33014a2979f30db2"),
-    # the L_inf grid max and the smooth aggregate of the gamma-prime cross
+    # p = q = inf on the gamma-prime cross: 1-D profile path, exact sup counts
     "T3-inf": (dict(theorem_tag="T3", d=2, p=math.inf, q=math.inf, theta=2.0, r=(1.0, 2.0),
                     gamma_mode="gamma-prime", n_range=(5, 8)),
-        "83b5b736973fc4f3900575860c9473ce2afffd2f652da53198a4538e9e87d741"),
+        "74f8c05ba91320680ca5f959441bf211c2e67d740909c5d90fb3303934ef786f"),
     "T4": (dict(theorem_tag="T4", d=2, p=4.0, q=2.0, theta=2.0, r=(1.0, 1.0),
                 n_range=(5, 8)),
         "74ebdfa9dbd00ba9798e85aa52017c356c5308bb55fe561cec320f09625fb192"),

@@ -408,7 +408,7 @@ class TestProjectCross:
         params = SmoothParams((1.0, 1.0))
         for n in (3, 5):
             g = dirichlet_shell(n, 2)
-            assert project_cross(g, hyperbolic_cross(n, params, "ones")).is_zero()
+            assert project_cross(g, hyperbolic_cross(n, params, "gamma")).is_zero()
 
     @settings(max_examples=30, deadline=None)
     @given(random_poly_st(2))

@@ -5,9 +5,8 @@ import pytest
 
 from stepcross import approx, rates
 from stepcross.blocks import SmoothParams, hyperbolic_cross
-from stepcross.extremal import dirichlet_block, dirichlet_shell, shell_extremal
+from stepcross.extremal import dirichlet_block, dirichlet_shell, shell_extremal, shell_scale
 from stepcross.norms import lp_norm
-from stepcross.poly import GridSpec
 from stepcross.rates import (RateFit, SweepRow, block_profile, fit_rates, local_log_powers,
                              predicted_order, sweep_extremal, theory_exponents,
                              validate_hypotheses)
@@ -130,17 +129,20 @@ class TestSweep:
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert all(rows[i].cardinality < rows[i + 1].cardinality for i in range(len(rows) - 1))
 
+    # at d = 1 the q = 1 levels run on the default grid (at d >= 2 they hit
+    # the grid budget)
     def test_extreme_q_uses_certified_upper_bound(self):
-        params = SmoothParams((1.0, 1.0))
-        grid = GridSpec(self_check=False, oversampling=8.0)
-        rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma-prime", range(4, 8), grid=grid)
-        assert all(r.error > 0 for r in rows)
+        params = SmoothParams((1.0,))
+        rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma", range(4, 8))
+        for r in rows:
+            member = shell_extremal(r.n, 1, 1.0, 1.0, 2.0)
+            cross = hyperbolic_cross(r.n, params, "gamma")
+            assert r.error == approx.best_approx_upper(member, cross, params, 1.0)
 
     # every q records the best-upper bound; at q = 2.5 it is the Fourier-sum error
     @pytest.mark.parametrize("pq", [2.5, math.inf])
     def test_builds_each_cross_once(self, monkeypatch, pq):
         params = SmoothParams((1.0, 1.0))
-        grid = GridSpec(self_check=False)
         built = []
 
         def counting(n, params, gamma_mode="gamma"):
@@ -148,21 +150,19 @@ class TestSweep:
             return hyperbolic_cross(n, params, gamma_mode)
 
         monkeypatch.setattr(rates, "hyperbolic_cross", counting)
-        rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7), grid=grid)
+        rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7))
         assert built == [4, 5, 6]
         monkeypatch.undo()
         for r in rows:
             member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
             cross = hyperbolic_cross(r.n, params, "gamma")
             assert r.cardinality == cross.freq_count
-            if pq == math.inf:
-                assert r.error == approx.best_approx_upper(member, cross, params, pq, grid)
-            else:
-                # the same 1-D grids on both paths; only the order of the
-                # product and of the 1/q power differs
-                for want in (approx.best_approx_upper(member, cross, params, pq, grid),
-                             approx.fourier_sum_error(member, cross, pq, grid)):
-                    assert r.error == pytest.approx(want, rel=1e-12, abs=0)
+            # 1-D profiles against the polynomial's product grids: equal up to
+            # rounding for q = inf, within the self-check tolerance for q = 2.5
+            for want in (approx.best_approx_upper(member, cross, params, pq),
+                         approx.fourier_sum_error(member, cross, pq)):
+                assert r.error == pytest.approx(want, rel=1e-15 if pq == math.inf else 1e-6,
+                                                abs=0)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
@@ -191,11 +191,14 @@ class TestProfilePath:
         assert block_profile(4.0, s) ** 4 == pytest.approx(2 ** (3 * s - 1) + 2**s,
                                                            rel=1e-12, abs=0)
         assert block_profile(4.0, s) == pytest.approx(lp_norm(block, 4.0), rel=1e-12, abs=0)
+        # unit coefficients: the value at x = 0, the term count, is the sup
+        assert block_profile(math.inf, s) == 2.0**s == block.nnz
+        assert block_profile(math.inf, s) == pytest.approx(lp_norm(block, math.inf),
+                                                           rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(self_check=False)])
-    def test_other_q_is_lp_norm_on_the_grid(self, grid):
+    def test_other_q_is_lp_norm(self):
         for s in (1, 4, 7):
-            assert block_profile(2.5, s, grid) == lp_norm(dirichlet_block((s,)), 2.5, grid)
+            assert block_profile(2.5, s) == lp_norm(dirichlet_block((s,)), 2.5)
 
     @pytest.mark.parametrize(("p", "q", "theta", "r", "gamma_mode", "rtol"), [
         (2.0, 4.0, 2.0, (1.5,), "gamma", 1e-12),
@@ -209,6 +212,11 @@ class TestProfilePath:
         (2.5, 2.5, 2.0, (1.0,), "gamma", 1e-6),
         (2.5, 2.5, 2.0, (1.0, 1.0), "gamma", 1e-6),
         (2.5, 2.5, math.inf, (1.0, 2.0), "gamma-prime", 1e-6),
+        (math.inf, math.inf, 2.0, (1.0,), "gamma", 1e-15),
+        (math.inf, math.inf, math.inf, (1.0, 1.0), "gamma", 1e-15),
+        (math.inf, math.inf, 2.0, (1.0, 2.0), "gamma-prime", 1e-15),
+        (math.inf, math.inf, 1.0, (1.0, 2.0), "gamma", 1e-15),
+        (math.inf, math.inf, 2.0, (1.0, 1.0, 1.0), "gamma", 1e-15),
     ])
     def test_matches_polynomial_path(self, p, q, theta, r, gamma_mode, rtol):
         params = SmoothParams(r)
@@ -219,22 +227,32 @@ class TestProfilePath:
             assert (row.n, row.cardinality) == (n, card)
             assert row.error == pytest.approx(want, rel=rtol, abs=0)
 
-    def test_builds_no_polynomial_and_each_profile_once(self, monkeypatch):
+    @pytest.mark.parametrize("q", [2.5, math.inf])
+    def test_builds_no_polynomial_and_each_profile_once(self, monkeypatch, q):
         def no_member(*args, **kwargs):
             raise AssertionError("the shell member was built")
 
         computed = []
 
-        def counting(q, s, grid=GridSpec()):
+        def counting(q, s):
             computed.append(s)
-            return block_profile(q, s, grid)
+            return block_profile(q, s)
 
         monkeypatch.setattr(rates, "shell_extremal", no_member)
         monkeypatch.setattr(rates, "best_approx_upper", no_member)
         monkeypatch.setattr(rates, "block_profile", counting)
-        rows = sweep_extremal(2.5, 2.5, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(4, 8))
+        rows = sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(4, 8))
         assert computed == [1, 2, 3, 4, 5, 6]
         assert all(r.error > 0 for r in rows)
+
+    # the error is the shell's term count 2**n C(n-1, d-1) times the scale
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sup_error_closed_form(self, d):
+        rows = sweep_extremal(math.inf, math.inf, 2.0, SmoothParams((1.0,) * d), "gamma",
+                              range(d, 41))
+        for r in rows:
+            want = shell_scale(r.n, d, 2.0, 2.0) * 2.0**r.n * math.comb(r.n - 1, d - 1)
+            assert r.error == pytest.approx(want, rel=1e-15, abs=0)
 
     # the joint doubling of the product grid hits the point budget in these
     # sweeps (at n = 6 and n = 9) although every 1-D factor converges
