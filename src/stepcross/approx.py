@@ -13,6 +13,7 @@ stand in for them, matching how the lower bounds are actually realized.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,6 +55,18 @@ def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q
     return min(err, bq1_norm(f - smooth_aggregate(f, cross.n, params), q, "smooth", grid))
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _candidate_blocks(max_shell: int, d: int,
+                      max_component: int | None) -> tuple[tuple[int, ...], ...]:
+    """Every block with (s,1) <= max_shell (and, if given, every component
+    <= max_component): lexicographic, then stably by shell."""
+    S = compositions(max_shell + 1, d + 1)[:, :d]
+    S = S[np.argsort(S.sum(axis=1), kind="stable")]
+    if max_component is not None:
+        S = S[S.max(axis=1) <= max_component]
+    return tuple(map(tuple, S.tolist()))
+
+
 def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
                       blocks_per_poly: int = 6, terms_per_block: int = 3,
                       max_component: int | None = None) -> TrigPoly:
@@ -62,23 +75,22 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     Draws ``blocks_per_poly`` blocks uniformly from all blocks with
     (s,1) <= max_shell (and, if given, every component <= max_component) and
     fills a few frequencies per block with standard complex Gaussian
-    coefficients.
+    coefficients; a frequency drawn twice keeps its last coefficient.  The
+    candidate blocks are listed once per (max_shell, d, max_component); the
+    draws, their order and so the polynomial of each generator state do not
+    depend on that.
     """
-    # every block with (s,1) <= max_shell, lexicographic, then stably by shell
-    S = compositions(max_shell + 1, d + 1)[:, :d]
-    S = S[np.argsort(S.sum(axis=1), kind="stable")]
-    if max_component is not None:
-        S = S[S.max(axis=1) <= max_component]
-    take = min(blocks_per_poly, len(S))
+    S = _candidate_blocks(max_shell, d, max_component)
+    integers, uniform, normal = rng.integers, rng.random, rng.standard_normal
     coeffs: dict[tuple[int, ...], complex] = {}
-    for idx in rng.choice(len(S), size=take, replace=False):
-        s = S[int(idx)].tolist()
+    for idx in rng.choice(len(S), size=min(blocks_per_poly, len(S)), replace=False):
+        s = S[idx]
         for _ in range(terms_per_block):
             k = []
             for sj in s:
-                mag = int(rng.integers(2 ** (sj - 1), 2**sj))
-                k.append(mag if rng.random() < 0.5 else -mag)
-            coeffs[tuple(k)] = complex(rng.standard_normal(), rng.standard_normal())
+                mag = int(integers(2 ** (sj - 1), 2**sj))
+                k.append(mag if uniform() < 0.5 else -mag)
+            coeffs[tuple(k)] = complex(normal(), normal())
     return TrigPoly(d, coeffs)
 
 

@@ -105,7 +105,7 @@ def block_indices(K: np.ndarray) -> np.ndarray:
 def mean_zero_block_indices(K: np.ndarray) -> np.ndarray:
     """``block_indices(K)``, rejecting a frequency with a zero component."""
     S = block_indices(K)
-    if not np.all(S):
+    if not S.all():
         k = tuple(K[np.argmin(S.all(axis=1))].tolist())
         raise ValueError(f"frequency {k} has a zero component (not in any dyadic block)")
     return S
@@ -118,7 +118,7 @@ def group_by_block(S: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
         return []
     order = np.lexsort(S.T[::-1])  # stable, so positions stay increasing
     S = S[order]
-    starts = np.flatnonzero(np.concatenate(([True], (S[1:] != S[:-1]).any(axis=1))))
+    starts = np.concatenate(([True], (S[1:] != S[:-1]).any(axis=1))).nonzero()[0]
     bounds = starts.tolist() + [len(S)]
     return [(tuple(s), order[a:b]) for s, a, b in zip(S[starts].tolist(), bounds, bounds[1:])]
 
@@ -247,7 +247,8 @@ def weighted_tail_sums(
     per l, with m = d resp. nu.
 
     Weights come from Python's ``2.0 ** x`` (NumPy's power may differ in the
-    last bit) and are added one at a time in lexicographic block order.
+    last bit), once per distinct x = (s, gamma) of a shell, and are added one
+    at a time in lexicographic block order.
     Raises ValueError at once if no shell up to ``TAIL_MAX_SHELL`` can
     certify the sums, and TailTruncationError if that shell is passed first.
     """
@@ -267,8 +268,10 @@ def weighted_tail_sums(
     values = np.zeros(len(ls))
     for m in range(d, TAIL_MAX_SHELL + 1):
         S = compositions(m, d)
-        # cumsum adds each (s, g) left to right, as a loop over the block does
-        weights = [2.0 ** (-alpha * x) for x in np.cumsum(S * params.gamma, axis=1)[:, -1].tolist()]
+        # cumsum adds each (s, g) left to right, as a loop over the block does;
+        # each distinct value's weight is computed once and mapped back
+        x, at = np.unique(np.cumsum(S * params.gamma, axis=1)[:, -1], return_inverse=True)
+        weights = np.array([2.0 ** (-alpha * v) for v in x.tolist()])[at]
         outside = np.cumsum(S * gamma_star, axis=1)[:, -1] >= np.array(ls)[:, None]
         # adding 0.0 for a block inside boundary l leaves its running sum as it is
         values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),

@@ -80,6 +80,11 @@ class ExperimentConfig:
         if self.gamma_mode not in GAMMA_MODES:
             raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}; expected one of"
                               f" {GAMMA_MODES}")
+        # a rate sweep and lemmaA run from a range's first entry to its last
+        for name, tags in (("n_range", RATE_TAGS), ("l_range", ("lemmaA",))):
+            if self.theorem_tag in tags and len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must hold two entries, the first and the last,"
+                                  f" got {getattr(self, name)!r}")
         if self.theorem_tag in RATE_TAGS + ("T5-family",):
             if not self.n_range:
                 raise ConfigError("n_range must name at least one level, got ()")
@@ -122,6 +127,8 @@ class ExperimentConfig:
                 data[key] = parse_extended(data[key])
         for key in ("r", "n_range", "l_range"):
             if key in data:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if unknown:

@@ -68,30 +68,34 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     """1-D polynomials g_j with f(x) = prod_j g_j(x_j), or None unless f's
     coefficient tensor has rank 1 up to ``RANK1_RTOL`` relatively.
 
-    The support must be a Cartesian product; then every coefficient is
-    compared with the product of the fibers through the largest one.  Costs
-    O(nnz) and evaluates nothing.
+    The support must be a Cartesian product, which is tested in O(nnz)
+    before any factor is built: K is sorted, so a product support splits
+    into runs of equal length, one per distinct first coordinate, that hold
+    the same rows of coordinates 1..d-1, and those rows are again a product.
+    Then C in K's order is the coefficient tensor, and every coefficient is
+    compared with the product of the fibers through the largest one.
+    Evaluates nothing.
     """
     if f.d == 1:
         return [f]
-    # K is sorted, so column 0 is nondecreasing: a new value starts where it steps
-    steps = np.empty(f.nnz, dtype=bool)
-    steps[0] = True
-    np.not_equal(f.K[1:, 0], f.K[:-1, 0], out=steps[1:])
-    axes, where = [f.K[steps, 0]], [np.cumsum(steps) - 1]
-    size = len(axes[0])
-    for j in range(1, f.d):
-        a, w = np.unique(f.K[:, j], return_inverse=True)
-        size *= len(a)
-        if size > f.nnz:
+    axes, rest = [], f.K
+    while rest.shape[1] > 1:
+        # rest is sorted, so column 0 is nondecreasing: a run starts where it steps
+        steps = np.empty(len(rest), dtype=bool)
+        steps[0] = True
+        np.not_equal(rest[1:, 0], rest[:-1, 0], out=steps[1:])
+        n0 = np.count_nonzero(steps)
+        run, uneven = divmod(len(rest), n0)
+        if uneven or not steps[::run].all():
             return None
-        axes.append(a)
-        where.append(w)
-    if size != f.nnz:
-        return None
+        slabs = rest[:, 1:].reshape(n0, run, -1)
+        if not (slabs == slabs[0]).all():
+            return None
+        axes.append(rest[steps, 0])
+        rest = slabs[0]
+    axes.append(rest[:, 0])
     shape = tuple(len(a) for a in axes)
-    T = np.empty(shape, dtype=complex)
-    T[tuple(where)] = f.C
+    T = f.C.reshape(shape)
     pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
     # fiber j runs along axis j through the pivot; all but the first are
     # divided by the pivot so that the product reproduces T
@@ -100,7 +104,7 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     outer = fibers[0]
     for u in fibers[1:]:
         outer = np.multiply.outer(outer, u)
-    if not np.all(np.abs(T - outer) <= RANK1_RTOL * np.abs(T)):
+    if not (np.abs(T - outer) <= RANK1_RTOL * np.abs(T)).all():
         return None
     return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
 
@@ -132,22 +136,23 @@ def _grid_stats(vals: np.ndarray, ps: Sequence[float]) -> dict[float, float]:
 
     The modulus overwrites the complex grid and the last power overwrites
     the modulus, so besides the grid's own buffer at most one power of the
-    modulus is held.
+    modulus is held.  A mean is the array's sum over its size, the same
+    reduction and division as ``np.mean`` without its wrapper.
     """
     a = _modulus_in_place(vals)
     stats, powers = {}, []
     for p in ps:
         if math.isinf(p):
-            stats[p] = float(np.max(a))
+            stats[p] = float(a.max())
         elif p == 1:
-            stats[p] = float(np.mean(a))
+            stats[p] = float(a.sum() / a.size)
         else:
             powers.append(p)
     for p in powers[:-1]:
-        stats[p] = float(np.mean(a**p))
+        stats[p] = float((a**p).sum() / a.size)
     if powers:
         a **= powers[-1]
-        stats[powers[-1]] = float(np.mean(a))
+        stats[powers[-1]] = float(a.sum() / a.size)
     return stats
 
 

@@ -128,22 +128,29 @@ class TrigPoly:
     def take(self, rows, C: np.ndarray | None = None) -> "TrigPoly":
         """The terms at ``rows`` (a slice, a boolean mask or increasing
         positions), with the coefficients ``C`` in place of theirs if given.
-        The frequencies stay in order, so nothing is sorted or summed."""
+        The frequencies stay in order, so nothing is sorted or summed.  Only
+        new coefficients pass the ``DROP_TOL`` filter: f's own passed it."""
         K = self.K[rows]
-        C = self.C[rows] if C is None else np.array(C, dtype=complex)
+        f = object.__new__(TrigPoly)
+        if C is None:
+            f._set(K, self.C[rows])
+            return f
+        C = np.array(C, dtype=complex)
         if C.shape != K.shape[:1]:
             raise ValueError(f"{len(C)} coefficients for {len(K)} terms")
-        f = object.__new__(TrigPoly)
         f._store(K, C)
         return f
 
     def _store(self, K: np.ndarray, C: np.ndarray) -> None:
-        """Set d, K and C read-only from sorted distinct rows, without the
-        coefficients below ``DROP_TOL``; K and C must not be shared with a
-        caller that writes to them."""
+        """``_set`` without the coefficients below ``DROP_TOL``."""
         keep = _modulus(C) >= DROP_TOL
         if np.count_nonzero(keep) < len(keep):
             K, C = K[keep], C[keep]
+        self._set(K, C)
+
+    def _set(self, K: np.ndarray, C: np.ndarray) -> None:
+        """Set d, K and C read-only from sorted distinct rows; K and C must
+        not be shared with a caller that writes to them."""
         K.setflags(write=False)
         C.setflags(write=False)
         object.__setattr__(self, "d", K.shape[1])
@@ -182,7 +189,7 @@ class TrigPoly:
 
     def is_mean_zero(self) -> bool:
         """True iff no stored frequency has a vanishing component."""
-        return bool(np.all(self.K))
+        return bool(self.K.all())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TrigPoly) and self.d == other.d
@@ -328,11 +335,13 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     # vals[..., j] is line j, transformed along the axes before a; lines[j]
     # is its flat index over the axes a..d-1 not yet transformed
     vals = f.C
-    lines = np.ravel_multi_index(f.K.T, dims, mode="wrap")  # k mod N_j per coordinate
+    R = np.mod(f.K, dims)  # k mod N_j per coordinate
+    # a frequency's position on axis 0, and its line's index over the other axes
+    at, lines = R[:, 0], (R[:, -1] if f.d < 3 else np.ravel_multi_index(R[:, 1:].T, dims[1:]))
     for a, n in enumerate(dims):
         if a < f.d - 1:
             tail = math.prod(dims[a + 1:])
-            at, rest = np.divmod(lines, tail)
+            at, rest = (at, lines) if a == 0 else np.divmod(lines, tail)
             occupied = np.zeros(tail, dtype=bool)
             occupied[rest] = True
             lines = occupied.nonzero()[0]

@@ -6,7 +6,7 @@ import pytest
 from stepcross import approx
 from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
-from stepcross.blocks import BlockIndexSet, SmoothParams, hyperbolic_cross
+from stepcross.blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import shell_extremal
 from stepcross.norms import bq1_norm, lp_norm
 from stepcross.poly import TrigPoly, blocks_of, project_cross
@@ -155,6 +155,24 @@ class TestProjectorProbe:
             projector_norm_probe(5, params, math.inf, samples=5)
 
 
+def reference_random_mixed_poly(rng, d, max_shell, max_component=None):
+    """The sampler with its candidate blocks listed afresh on every call."""
+    S = compositions(max_shell + 1, d + 1)[:, :d]
+    S = S[np.argsort(S.sum(axis=1), kind="stable")]
+    if max_component is not None:
+        S = S[S.max(axis=1) <= max_component]
+    coeffs = {}
+    for idx in rng.choice(len(S), size=min(6, len(S)), replace=False):
+        s = S[int(idx)].tolist()
+        for _ in range(3):
+            k = []
+            for sj in s:
+                mag = int(rng.integers(2 ** (sj - 1), 2**sj))
+                k.append(mag if rng.random() < 0.5 else -mag)
+            coeffs[tuple(k)] = complex(rng.standard_normal(), rng.standard_normal())
+    return TrigPoly(d, coeffs)
+
+
 class TestRandomSampler:
     def test_respects_caps(self):
         rng = np.random.default_rng(4)
@@ -168,3 +186,14 @@ class TestRandomSampler:
         rng = np.random.default_rng(5)
         assert all(random_mixed_poly(rng, d, max_shell=d + 3).is_mean_zero()
                    for d in (1, 2, 3))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("max_component", [None, 3])
+    def test_draws_as_the_loop_over_fresh_candidates(self, d, max_component):
+        # at d = 1 block 1 holds only k = 1 and -1, so frequencies repeat and
+        # the last draw must win
+        for seed in range(8):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # the later draws take the memoized candidates
+                assert random_mixed_poly(rng, d, 3 * d + 2, max_component=max_component) == (
+                    reference_random_mixed_poly(ref, d, 3 * d + 2, max_component))

@@ -360,6 +360,19 @@ def test_rates_run_family_without_levels_or_samples_exits_one(tmp_path, capsys, 
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(("tag", "field", "value"), [
+    ("T1", "n_range", 5), ("T1", "r", 1.0), ("lemmaA", "l_range", 10),
+    ("T1", "n_range", [5, 20, 8]), ("lemmaA", "l_range", [10, 12, 11])])
+def test_rates_run_malformed_range_exits_one(tmp_path, capsys, tag, field, value):
+    cfg = {"theorem_tag": tag, "d": 2, "p": 2, "q": 4, "r": [1.5, 1.5], "n_range": [5, 8],
+           "output_path": str(tmp_path / "res"), field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["rates", "run", "--config", str(cfg_path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_rates_run_too_few_levels_exits_one_before_any_level(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep level was computed")

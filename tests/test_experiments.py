@@ -72,7 +72,11 @@ class TestConfigValidation:
         ("entropy44", "samples", 2.5), ("T1", "n_range", [5.5, 8]), ("T1", "n_range", ["6", 8]),
         ("T5-family", "n_range", [6, 8.0]), ("lemmaA", "l_range", [10.5, 12]),
         ("nikolskii", "samples", True), ("T1", "d", 2.0), ("entropy44", "rng_seed", 1.5),
-        ("T1", "gamma_mode", "bogus"), ("T1", "gamma_mode", "ones")])
+        ("T1", "gamma_mode", "bogus"), ("T1", "gamma_mode", "ones"),
+        # a scalar where a list belongs, and a range of other than two entries
+        ("T1", "n_range", 5), ("T1", "r", 1.0), ("lemmaA", "l_range", 10),
+        ("T1", "n_range", [5, 20, 8]), ("T1", "n_range", [8]),
+        ("lemmaA", "l_range", [10, 12, 11])])
     def test_empty_or_nonpositive_counts_named_at_load(self, tmp_path, tag, field, value):
         data = {"theorem_tag": tag, "r": [1.0, 1.0], field: value,
                 "output_path": str(tmp_path)}
@@ -82,6 +86,14 @@ class TestConfigValidation:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.load(path)
+
+    @pytest.mark.parametrize("kw", [
+        dict(theorem_tag="T5-family", n_range=(6, 8, 10, 12)),  # a list of levels
+        dict(theorem_tag="T3", p=1.0, q=1.0, n_range=(5, 5)),  # one level, first = last
+        dict(theorem_tag="T2", p=2.5, q=2.5, n_range=(5, 6)),  # as ``approx sweep`` builds
+        dict(theorem_tag="lemmaA", l_range=(10, 20))])
+    def test_level_ranges_that_load(self, tmp_path, kw):
+        ExperimentConfig(d=2, r=(1.0, 1.0), output_path=str(tmp_path), **kw)
 
     def test_json_roundtrip_with_inf(self, tmp_path):
         cfg = t1_config(tmp_path)

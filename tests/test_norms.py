@@ -249,6 +249,18 @@ class TestLpNormsEngine:
             assert np.shares_memory(got, vals)
 
 
+    @pytest.mark.parametrize("ps", [(1.0,), (1.5,), (math.inf,), (1.0, 4.0, math.inf),
+                                    (1.5, 3.0, 4.0)])
+    @pytest.mark.parametrize("shape", [(7,), (3, 11), (norms.MODULUS_SLICE + 1,)])
+    def test_grid_stats_equal_numpy_mean_and_max(self, ps, shape):
+        rng = np.random.default_rng(len(ps) + len(shape))
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = np.abs(vals)
+        want = {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
+                for p in ps}
+        assert norms._grid_stats(vals.copy(), ps) == want
+
+
 class TestRankOneFactors:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_unique_construction(self, d):
@@ -272,6 +284,32 @@ class TestRankOneFactors:
             if want is not None:
                 assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
         assert any(_rank1_factors(f) is None for f in polys) == (d > 1)
+
+    @pytest.mark.parametrize(("support", "product"), [
+        ([(1, 1), (1, 3), (2, 1), (2, 3), (5, 1), (5, 3)], True),
+        ([(1, 1), (1, 2), (2, 1), (2, 3)], False),  # equal runs, the slabs differ
+        ([(1, 1), (1, 2), (2, 1)], False),  # runs of unequal length
+        ([(1, -2), (3, 4)], False),
+        ([(a, b, c) for a in (1, 2) for b in (-1, 2) for c in (1, 4, 6)], True),
+        # equal runs with equal slabs, but the slab {(1,1), (1,2), (2,1)} is no product
+        ([(a, b, c) for a in (1, 2) for b, c in ((1, 1), (1, 2), (2, 1))], False),
+        # equal runs of equal-length sub-runs whose slabs differ
+        ([(a, b, c) for a in (1, 2) for b, c in ((1, 1), (1, 2), (2, 1), (2, 3))], False),
+        ([(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 3)], False),  # slabs differ at the end
+    ])
+    def test_precheck_agrees_with_the_full_factorization(self, support, product):
+        rng = np.random.default_rng(len(support))
+        d = len(support[0])
+        axes = [sorted({k[j] for k in support}) for j in range(d)]
+        values = [dict(zip(a, rng.standard_normal(len(a)) + 1j)) for a in axes]
+        rank1 = TrigPoly(d, {k: math.prod(v[kj] for v, kj in zip(values, k))
+                             for k in support})
+        generic = TrigPoly(d, {k: complex(*rng.standard_normal(2)) for k in support})
+        for f, is_rank1 in ((rank1, product), (generic, False)):
+            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
+            assert (got is not None) == (want is not None) == is_rank1
+            if want is not None:
+                assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, math.inf])

@@ -163,6 +163,17 @@ class TestArrayContract:
         assert f.terms() == sorted(want.items())
         assert f.K.tolist() == [list(k) for k in sorted(want)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(freq2_st, any_coeff_st, max_size=30), st.data())
+    def test_take_equals_the_filtered_path(self, coeffs, data):
+        f = TrigPoly(2, coeffs)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=f.nnz, max_size=f.nnz)),
+                        dtype=bool)
+        for rows in (mask, np.flatnonzero(mask), slice(1, None, 2)):
+            got = f.take(rows)
+            assert got == f.take(rows, f.C[rows])
+            assert not (got.K.flags.writeable or got.C.flags.writeable)
+
     def test_repeated_rows_summed_in_order(self):
         K = np.array([[2, 1], [1, 1], [2, 1], [2, 1]])
         C = np.array([1e16, 5.0, -1e16, 1.0], dtype=complex)
