@@ -264,15 +264,17 @@ def weighted_tail_sums(
     if math.isinf(_tail_remainder_bound(TAIL_MAX_SHELL, d, alpha)):
         raise ValueError(f"tail sums at alpha={alpha}, d={d} cannot be certified within "
                          f"TAIL_MAX_SHELL={TAIL_MAX_SHELL} shells")
-    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
     values = np.zeros(len(ls))
     for m in range(d, TAIL_MAX_SHELL + 1):
         S = compositions(m, d)
         # cumsum adds each (s, g) left to right, as a loop over the block does;
         # each distinct value's weight is computed once and mapped back
-        x, at = np.unique(np.cumsum(S * params.gamma, axis=1)[:, -1], return_inverse=True)
+        sg = np.cumsum(S * params.gamma, axis=1)[:, -1]
+        x, at = np.unique(sg, return_inverse=True)
         weights = np.array([2.0 ** (-alpha * v) for v in x.tolist()])[at]
-        outside = np.cumsum(S * gamma_star, axis=1)[:, -1] >= np.array(ls)[:, None]
+        if mode == "gamma-prime-on-gamma":
+            sg = np.cumsum(S * params.gamma_prime, axis=1)[:, -1]
+        outside = sg >= np.array(ls)[:, None]
         # adding 0.0 for a block inside boundary l leaves its running sum as it is
         values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),
                            axis=1)[:, -1]

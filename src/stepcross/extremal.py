@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .blocks import block_anchor, block_ranges, compositions, even_shell
-from .poly import GridSpec, TrigPoly, check_exponent, eval_grid, resolve_grid_dims
+from .norms import lp_norm
+from .poly import GridSpec, TrigPoly, check_exponent
 
 
 def dirichlet_shell(n: int, d: int) -> TrigPoly:
@@ -82,8 +83,8 @@ def shifted_rect_sample(n: int, d: int, mode: str = "constant",
     For each block s in the shell, a factor polynomial of rectangular degree
     2**(s_j - 2) rides on the anchor frequency of the block.  ``constant``
     mode uses the factor 1; ``random-sign`` draws plus-minus-one coefficients
-    on the whole rectangle and rescales by the factor's oversampled grid max,
-    so the factor's sup is 1 on that grid.
+    on the whole rectangle and rescales by the factor's L_inf norm, its max
+    on the grid oversampled 8 times, so the factor's sup is 1 on that grid.
     """
     if mode not in TPRIME_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {TPRIME_MODES}")
@@ -101,8 +102,7 @@ def shifted_rect_sample(n: int, d: int, mode: str = "constant",
         rect = _grid_rows([range(-h, h + 1) for h in half])
         # one draw per rectangle frequency, in lexicographic order
         factor = TrigPoly.from_arrays(rect, rng.choice((-1.0, 1.0), size=len(rect)))
-        peak = float(np.max(np.abs(eval_grid(
-            factor, resolve_grid_dims(factor, GridSpec(oversampling=8.0))))))
+        peak = lp_norm(factor, math.inf, GridSpec(oversampling=8.0))
         K.append(anchor + factor.K)
         C.append(factor.C.real / peak)
     if not K:

@@ -21,6 +21,11 @@ Numerical methods
   of |f|^p is prod_j mean |g_j|^p over N_j points, and the grid max is
   prod_j max |g_j|.  The grids, the self-check and the point budget are the
   same as for the full grid, so values agree up to rounding.
+* A polynomial or rank-1 factor with real coefficients has f(-x) equal to
+  the conjugate of f(x), so rows m and N_0 - m of its grid carry the same
+  moduli.  Only rows 0..N_0//2 are evaluated: their max is the grid max,
+  and a mean counts every row but 0 and N_0/2 twice.  Values agree with the
+  full grid up to rounding.  Complex coefficients take the full grid.
 * Norms at several exponents compute each distinct p once, and exponents
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
@@ -106,7 +111,8 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
         outer = np.multiply.outer(outer, u)
     if not (np.abs(T - outer) <= RANK1_RTOL * np.abs(T)).all():
         return None
-    return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
+    # each axis is sorted and distinct, so the factors need no sorting or summing
+    return [TrigPoly.from_sorted(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
 # points per slice when the modulus of a grid overwrites the grid
@@ -130,7 +136,8 @@ def _modulus_in_place(vals: np.ndarray) -> np.ndarray:
     return a.reshape(vals.shape)
 
 
-def _grid_stats(vals: np.ndarray, ps: Sequence[float]) -> dict[float, float]:
+def _grid_stats(vals: np.ndarray, ps: Sequence[float], n0: int | None = None
+                ) -> dict[float, float]:
     """Mean of |vals|**p for each distinct p in ``ps``, or the max of |vals|
     at p = inf, keyed by p.
 
@@ -138,31 +145,57 @@ def _grid_stats(vals: np.ndarray, ps: Sequence[float]) -> dict[float, float]:
     the modulus, so besides the grid's own buffer at most one power of the
     modulus is held.  A mean is the array's sum over its size, the same
     reduction and division as ``np.mean`` without its wrapper.
+
+    With ``n0``, vals holds rows 0..n0//2 of a grid of n0 rows on which rows
+    m and n0 - m carry the same moduli, as for a polynomial with real
+    coefficients.  The max over those rows is the grid max, and a mean is
+    (2 S - E) / (grid size), from the sum S over those rows and the sum E
+    over the rows that map onto themselves: row 0, and row n0/2 for even n0.
     """
     a = _modulus_in_place(vals)
+    size = a.size if n0 is None else a.size // len(a) * n0
     stats, powers = {}, []
     for p in ps:
         if math.isinf(p):
             stats[p] = float(a.max())
         elif p == 1:
-            stats[p] = float(a.sum() / a.size)
+            stats[p] = float(_grid_sum(a, n0) / size)
         else:
             powers.append(p)
     for p in powers[:-1]:
-        stats[p] = float((a**p).sum() / a.size)
+        stats[p] = float(_grid_sum(a**p, n0) / size)
     if powers:
         a **= powers[-1]
-        stats[powers[-1]] = float(a.sum() / a.size)
+        stats[powers[-1]] = float(_grid_sum(a, n0) / size)
     return stats
+
+
+def _grid_sum(x: np.ndarray, n0: int | None) -> float:
+    """The sum over the grid of which x holds rows 0..n0//2 (all of it when
+    n0 is None), as ``_grid_stats`` describes."""
+    if n0 is None:
+        return x.sum()
+    edge = x[0] if n0 % 2 else x[0] + x[n0 // 2]  # a value for d = 1, a row for d > 1
+    return 2 * x.sum() - (edge if x.ndim == 1 else edge.sum())
+
+
+def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[float, float]:
+    """``_grid_stats`` of f over the ``dims`` grid.  If f's coefficients are
+    real, f(-x) is the conjugate of f(x), so rows m and N_0 - m of the grid
+    carry the same moduli, and rows 0..N_0//2 alone are evaluated."""
+    if np.count_nonzero(f.C.imag):
+        return _grid_stats(eval_grid(f, dims), ps)
+    n0 = dims[0]
+    return _grid_stats(eval_grid(f, dims, n0 // 2 + 1), ps, n0)
 
 
 def _quad_stats(f: TrigPoly, factors: list[TrigPoly] | None, ps: Sequence[float],
                 dims: Sequence[int]) -> dict[float, float]:
-    """``_grid_stats`` of f over the ``dims`` grid, from the 1-D factors of f
+    """``_poly_stats`` of f over the ``dims`` grid, from the 1-D factors of f
     on their own coordinate's points when it has them."""
     if factors is None:
-        return _grid_stats(eval_grid(f, dims), ps)
-    per_factor = [_grid_stats(eval_grid(g, (n,)), ps) for g, n in zip(factors, dims)]
+        return _poly_stats(f, ps, dims)
+    per_factor = [_poly_stats(g, ps, (n,)) for g, n in zip(factors, dims)]
     return {p: math.prod(stats[p] for stats in per_factor) for p in ps}
 
 

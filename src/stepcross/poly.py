@@ -18,6 +18,9 @@ coefficient.  A block's spectrum fills a small part of its grid, so most
 lines are skipped.  The scale factor goes where ``ifftn`` applies it, so the
 values are ``scipy.fft.ifftn``'s times the point count, bit for bit, as the
 tests check; the last stage's input is the one buffer held beside the grid.
+Given ``rows``, it returns the first ``rows`` rows of the grid alone, bit for
+bit those of the whole grid, and the stages after the first transform those
+rows alone.
 The package needs numpy alone at run time.
 """
 
@@ -98,7 +101,8 @@ class TrigPoly:
     ``TrigPoly(d, coeffs)`` takes a mapping from frequency tuples to
     coefficients; ``TrigPoly.from_arrays(K, C)`` takes the two arrays, rows in
     any order, and sums the coefficients of a repeated frequency in the order
-    given; ``f.take(rows, C)`` keeps some of f's terms, already in order.
+    given; ``TrigPoly.from_sorted(K, C)`` takes rows already in order;
+    ``f.take(rows, C)`` keeps some of f's terms, already in order.
     Every way drops the coefficients of modulus below ``DROP_TOL``.
     """
 
@@ -123,6 +127,16 @@ class TrigPoly:
                              f"got shapes {K.shape} and {C.shape}")
         f = object.__new__(TrigPoly)
         f._store(*_sorted_sums(K, C))
+        return f
+
+    @staticmethod
+    def from_sorted(K: np.ndarray, C: np.ndarray) -> "TrigPoly":
+        """``from_arrays`` for an int64 K whose rows are already strictly
+        increasing: nothing is copied, sorted or summed, only the ``DROP_TOL``
+        filter applies.  K and C become read-only, and the caller must not
+        write to them or to arrays they view."""
+        f = object.__new__(TrigPoly)
+        f._store(K, C)
         return f
 
     def take(self, rows, C: np.ndarray | None = None) -> "TrigPoly":
@@ -306,9 +320,11 @@ def check_grid_budget(dims: Sequence[int]) -> None:
         raise GridBudgetError(f"grid of {total} points exceeds budget {MAX_POINTS}")
 
 
-def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
+def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.ndarray:
     """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j, as a new
-    C-contiguous, writable complex array of shape ``dims``.
+    C-contiguous, writable complex array of shape ``dims``; with ``rows``
+    (an integer from 1 to N_0), rows 0..rows-1 of that grid alone, equal to
+    ``eval_grid(f, dims)[:rows]`` bit for bit.
 
     Frequency k lands on index k mod N_j in each coordinate, and frequencies
     that land on one index add up, so the values are exact for any dims >= 1
@@ -327,11 +343,18 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
     (up to the sign of a zero), as the tests check.  Besides the grid, the
     last stage's input is held while the grid is filled: at most
     1/oversampling of the grid for a grid sized from the degree, up to a
-    whole grid for a dense spectrum on a ``points_per_dim`` grid.
+    whole grid for a dense spectrum on a ``points_per_dim`` grid.  With
+    ``rows``, the first stage still transforms whole lines of axis 0, and
+    only their first ``rows`` values go on to the later stages.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != f.d:
         raise ValueError("grid dimension mismatch")
+    if rows is None:
+        rows = dims[0]
+    elif not (is_int(rows) and 1 <= rows <= dims[0]):
+        raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
+    shape = (rows,) + dims[1:]  # the part of the grid returned
     # vals[..., j] is line j, transformed along the axes before a; lines[j]
     # is its flat index over the axes a..d-1 not yet transformed
     vals = f.C
@@ -349,7 +372,7 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
         else:  # the last stage's one line set is the whole grid, even for f = 0
             index = (..., 0, lines)
             lines = [0]
-        spec = np.zeros(dims[:a] + (len(lines), n), dtype=complex)
+        spec = np.zeros(shape[:a] + (len(lines), n), dtype=complex)
         if a == 0:  # the coefficients: frequencies that land on one index add up
             np.add.at(spec, index, vals)
         else:
@@ -360,8 +383,8 @@ def eval_grid(f: TrigPoly, dims: Sequence[int]) -> np.ndarray:
             # from long double
             parts = spec.view(np.float64)
             np.multiply(parts, float(1 / np.longdouble(math.prod(dims))), out=parts)
-        vals = spec.swapaxes(-1, -2)
-    out = spec.reshape(dims)
+        vals = spec.swapaxes(-1, -2)[:rows]  # a no-op after the first stage
+    out = spec.reshape((-1,) + dims[1:])[:rows]  # d = 1 has transformed the whole line
     out *= math.prod(dims)
     return out
 

@@ -179,7 +179,7 @@ def test_entropy_chain_experiment(tmp_path):
 GOLDEN = {
     "T5-family": (dict(theorem_tag="T5-family", d=2, r=(1.0, 1.0), n_range=(6, 8),
                        samples=3, rng_seed=2),
-        "803e45387ccd582e8d0f86116f888f3c8cd2386051b5c982bfa48e1dfa01c4d3"),
+        "272eb878b7c5e3ae81ab25136efe1661dcd4de714542de0d72f43840aa990e25"),
     "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
                        rng_seed=1),
         "3f65dfb530434c1e7c5ab6e09533ea8274241848d8247d4479dcffcc5ee873db"),

@@ -25,8 +25,7 @@ def shifted_rect_oracle(n, d, rng):
                 for m in itertools.product(*[range(-2 ** (sj - 2), 2 ** (sj - 2) + 1)
                                              for sj in s])}
         factor = TrigPoly(d, rect)
-        peak = float(np.max(np.abs(eval_grid(
-            factor, resolve_grid_dims(factor, GridSpec(oversampling=8.0))))))
+        peak = lp_norm(factor, math.inf, GridSpec(oversampling=8.0))
         for m, c in rect.items():
             coeffs[tuple(a + x for a, x in zip(anchor, m))] = c / peak
     return TrigPoly(d, coeffs)

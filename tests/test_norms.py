@@ -130,15 +130,16 @@ class TestLpNorm:
         assert full ** (1 / 2.5) == pytest.approx(lp_norm(b, 2.5, g) ** 2, rel=1e-12)
 
 
-def random_rank1(rng, d, max_deg=4):
+def random_rank1(rng, d, max_deg=4, real=False):
     """Product of d random 1-D factors, each a dominant constant plus up to
-    three complex terms, so that no factor vanishes on the torus."""
+    three complex terms, so that no factor vanishes on the torus; with
+    ``real``, the real parts of the same draws."""
     factors = []
     for _ in range(d):
         ks = rng.choice(np.arange(1, max_deg + 1), size=3, replace=False) * rng.choice([-1, 1], 3)
         u = {0: complex(2.0, rng.standard_normal())}
         u.update({int(k): 0.4 * complex(*rng.standard_normal(2)) for k in ks})
-        factors.append(u)
+        factors.append({k: c.real for k, c in u.items()} if real else u)
     coeffs = {ks: math.prod(u[k] for u, k in zip(factors, ks))
               for ks in itertools.product(*factors)}
     return TrigPoly(d, coeffs)
@@ -148,9 +149,9 @@ def record_grids(monkeypatch):
     """Patch the norms module's eval_grid to record (poly dimension, dims)."""
     calls = []
 
-    def spy(f, dims):
+    def spy(f, dims, rows=None):
         calls.append((f.d, tuple(dims)))
-        return eval_grid(f, dims)
+        return eval_grid(f, dims, rows)
 
     monkeypatch.setattr(norms, "eval_grid", spy)
     return calls
@@ -221,6 +222,31 @@ class TestLpNormsEngine:
             assert d == 1 or _rank1_factors(rank2) is None
             for f in (rank1, rank2):
                 assert lp_norm(f, p, grid) == reference_lp_norm(f, p, grid)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.5, 4.0, math.inf])
+    @pytest.mark.parametrize("grid", [GridSpec(points_per_dim=24), GridSpec(points_per_dim=25),
+                                      GridSpec(self_check=False), GridSpec()],
+                             ids=["pinned-even", "pinned-odd", "unchecked", "self-checked"])
+    def test_real_coefficients_on_half_the_rows(self, monkeypatch, d, p, grid):
+        rng = np.random.default_rng(10 * d + 2)
+        rank1 = random_rank1(rng, d, real=True)
+        rank2 = rank1 + 0.3 * random_rank1(rng, d, real=True)
+        assert _rank1_factors(rank1) is not None
+        assert d == 1 or _rank1_factors(rank2) is None
+        shapes = []
+
+        def spy(g, dims, rows=None):
+            vals = eval_grid(g, dims, rows)
+            shapes.append((dims, vals.shape))
+            return vals
+
+        monkeypatch.setattr(norms, "eval_grid", spy)
+        for f in (rank1, rank2):
+            # the reference reduces full grids from the unpatched eval_grid
+            assert lp_norm(f, p, grid) == pytest.approx(reference_lp_norm(f, p, grid),
+                                                        rel=1e-14, abs=0)
+        assert shapes and all(shape == (dims[0] // 2 + 1,) + dims[1:] for dims, shape in shapes)
 
     def test_linf_grid_spec_built_only_for_linf(self, monkeypatch):
         # below oversampling 4 the L_inf grid needs its own GridSpec; a norm
@@ -310,6 +336,26 @@ class TestRankOneFactors:
             assert (got is not None) == (want is not None) == is_rank1
             if want is not None:
                 assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_factors_equal_from_arrays(self, d):
+        # the factors are built from sorted axes without from_arrays' sort
+        # and sum: each equals the from_arrays polynomial bit for bit
+        rng = np.random.default_rng(30 + d)
+        polys = [random_rank1(rng, d, real=real) for real in (False, True) for _ in range(4)]
+        # the fiber along axis 1 holds 1e-11 / 1e20, below DROP_TOL, which
+        # leaves that factor either way
+        T = [[1e20, 1e-11], [10.0, 1e-30]]
+        polys.append(TrigPoly(d, {(i, j) + (1,) * (d - 2): c for i, row in enumerate(T, 1)
+                                  for j, c in enumerate(row, 1)}))
+        for f in polys:
+            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
+            assert got is not None and want is not None and len(got) == d
+            for g, h in zip(got, want):
+                assert g.K.dtype == h.K.dtype and g.K.shape == h.K.shape
+                assert np.array_equal(g.K, h.K) and np.array_equal(g.C, h.C)
+                assert not (g.K.flags.writeable or g.C.flags.writeable)
+        assert polys[-1].nnz == 4 and _rank1_factors(polys[-1])[1].nnz == 1
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, math.inf])

@@ -324,6 +324,39 @@ class TestStagedTransform:
         assert calls[0] == (dims[0], lines)
         assert np.array_equal(vals, dense_eval_grid(f, dims))
 
+    @pytest.mark.parametrize("f,dims", [
+        (TrigPoly(1, {(-3,): 1.0, (5,): -2.0, (0,): 0.5}), (16,)),
+        (TrigPoly(1, {(-30,): 1.0, (7,): 1j}), (2731,)),
+        (dense_rectangle((3, 5)), (7, 11)),
+        (dirichlet_shell(5, 2), (64, 64)),
+        (TrigPoly(2, {(-5, 6): 1.0, (3, -4): 2j, (3, 6): -1.0}), (13, 29)),
+        (TrigPoly(2, {(-13, 4000): 1.0, (2, -3): -0.5, (13, 4000): -2.0}), (28, 8192)),
+        (dense_rectangle((2, 3, 1)), (5, 8, 3)),
+        (TrigPoly(3, {(-2, 3, -4): 1.0, (1, -3, 5): -1.5, (4, 2, 19): 3.0}), (12, 10, 40)),
+        (TrigPoly.zero(2), (4, 6)),
+    ])
+    def test_rows_are_a_prefix_bit_for_bit(self, f, dims):
+        full = eval_grid(f, dims)
+        for rows in (1, dims[0] // 2 + 1, dims[0]):
+            got = eval_grid(f, dims, rows)
+            assert got.shape == (rows,) + dims[1:] and np.array_equal(got, full[:rows])
+            assert got.flags.c_contiguous and got.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(random_poly_st), st.booleans(), st.data())
+    def test_random_rows_are_a_prefix(self, f, real, data):
+        if real:
+            f = TrigPoly.from_arrays(f.K, f.C.real)
+        dims = tuple(data.draw(st.integers(max(1, 2 * m - 3), 2 * m + 8)) for m in f.degree())
+        rows = data.draw(st.integers(1, dims[0]))
+        assert np.array_equal(eval_grid(f, dims, rows), eval_grid(f, dims)[:rows])
+
+    @pytest.mark.parametrize("rows", [0, 9, 2.5, True, -1, "4"], ids=repr)
+    def test_rows_out_of_range_named(self, rows):
+        f = TrigPoly(2, {(1, 2): 1.0, (-3, 1): 0.5})
+        with pytest.raises(ValueError, match=r"rows must be an integer from 1 to N_0 = 8"):
+            eval_grid(f, (8, 5), rows)
+
     def test_result_is_a_fresh_grid_the_modulus_overwrites(self):
         f = dirichlet_shell(5, 2)
         vals = eval_grid(f, (256, 256))
