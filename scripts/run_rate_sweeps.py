@@ -5,8 +5,8 @@ Writes CSV tables and JSON fit reports under results/ (override with --out).
 The first nine cases sweep --n-min..--n-max.  The reach cases sweep fixed
 ranges at d = 2 and d = 3: T1 (p = 2, q = 4, whose 1-D profiles are closed
 forms) to n = 20, and T2 (p = q = 2.5) while every 1-D profile has s <= 18,
-that is to n = 19 at d = 2 and n = 20 at d = 3; the self-checked profile at
-s = 18 takes a few seconds and under 1 GB.
+that is to n = 19 at d = 2 and n = 20 at d = 3; the panel quadrature of the
+profile at s = 18 takes about half a second and a few MB.
 """
 
 import argparse

@@ -2,7 +2,7 @@
 
 * ``dirichlet_shell``: unit coefficients on every frequency of the shell of
   blocks with (s,1) = n; the worst-case building block for sharp cuts.  Its
-  block s is ``dirichlet_block(s)``, the product of the 1-D blocks D_{s_j}.
+  block s is the product of the 1-D blocks D_{s_j} = ``dirichlet_shell(s_j, 1)``.
 * ``shell_extremal``: the shell polynomial scaled so its class norm stays in
   an n-independent band.
 * ``shell_scale``: the level-n scale 2**(-n alpha) n**(-(d-1)/theta) of both
@@ -31,13 +31,6 @@ def dirichlet_shell(n: int, d: int) -> TrigPoly:
     if not K:
         return TrigPoly.zero(d)
     K = np.concatenate(K)
-    return TrigPoly.from_arrays(K, np.ones(len(K)))
-
-
-def dirichlet_block(s) -> TrigPoly:
-    """Unit coefficients on every frequency of block ``s``, both signs in
-    each coordinate: prod_j D_{s_j}(x_j)."""
-    K = _grid_rows(block_ranges(s))
     return TrigPoly.from_arrays(K, np.ones(len(K)))
 
 

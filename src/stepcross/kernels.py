@@ -43,7 +43,12 @@ def vdp_coeff(l, k):
     l, a = np.asarray(l), np.abs(k)
     if np.any(l < 1):
         raise ValueError(f"kernel order must be >= 1, got l={l}")
-    return np.where(a <= l, 1.0, np.where(a < 2 * l, 1.0 - (a - l) / l, 0.0))[()]
+    return _vdp(l, a)[()]
+
+
+def _vdp(l, a):
+    """``vdp_coeff`` at |k| = a for an order l already checked."""
+    return np.where(a <= l, 1.0, np.where(a < 2 * l, 1.0 - (a - l) / l, 0.0))
 
 
 def block_filter_coeff(s, k, convention: str = "partition-exact"):
@@ -54,20 +59,32 @@ def block_filter_coeff(s, k, convention: str = "partition-exact"):
     s = np.asarray(s, dtype=np.int64)
     if np.any(s < 1):
         raise ValueError("block index components must be >= 1")
-    ladder = vdp_coeff(2**s, k) - vdp_coeff(2 ** (s - 1), k)
+    a = np.abs(k)
+    ladder = _vdp(2**s, a) - _vdp(2 ** (s - 1), a)
     if convention == "literal" or not np.any(s == 1):
-        return ladder
-    return np.where(s == 1, vdp_coeff(2, k) - (np.asarray(k) == 0), ladder)[()]
+        return ladder[()]
+    return np.where(s == 1, _vdp(2, a) - (a == 0), ladder)[()]
 
 
 def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exact") -> TrigPoly:
-    """Convolution of f with the product block filter for index ``s``."""
+    """Convolution of f with the product block filter for index ``s``: the
+    multipliers are those of ``block_filter_coeff``, bit for bit, with ``s``
+    checked once and each kernel of the ladder evaluated once per coordinate.
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     s = tuple(int(x) for x in s)
     if len(s) != f.d:
         raise ValueError("dimension mismatch")
+    if min(s, default=1) < 1:
+        raise ValueError("block index components must be >= 1")
     mult = np.ones(f.nnz)
     for j, sj in enumerate(s):
-        mult = mult * block_filter_coeff(sj, f.K[:, j], convention)
+        a = np.abs(f.K[:, j])
+        if sj == 1 and convention == "partition-exact":
+            mult = mult * (_vdp(2, a) - (a == 0))
+        else:
+            mult = mult * (_vdp(2**sj, a) - _vdp(2 ** (sj - 1), a))
     keep = mult != 0.0
     return f.take(keep, f.C[keep] * mult[keep])
 

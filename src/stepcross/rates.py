@@ -7,9 +7,12 @@ q > 1 its error is the member's scale times the sum, over the shell blocks
 (``block_profile``), each computed once per sweep: for q < inf the Fourier
 sum is the best sharp-norm approximation and a sharp block factors; for
 q = inf the member and every smooth filter are nonnegative, so its B_{inf,1}
-norm is f(0) and phi_inf(s) = 2**s.  For q = 1 (smooth blocks, which do not
-factor) the member is built, projected and measured; that polynomial path
-is the tests' oracle for the profile path.
+norm is f(0) and phi_inf(s) = 2**s.  phi_2 and phi_4 are closed forms too;
+any other q integrates |D_s|**q by Gauss-Legendre panels between the
+explicit zeros of D_s (``dirichlet_lq_mean``), so a sweep evaluates no grid.
+For q = 1 (smooth blocks, which do not factor) the member is built,
+projected and measured; that polynomial path is the tests' oracle for the
+profile path.
 
 Jointly estimating (a, b) from desk-scale n is ill conditioned because
 log2(n) drifts slowly, so the acceptance protocol pins a at its predicted
@@ -19,6 +22,7 @@ kept for diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,11 +31,12 @@ import numpy as np
 
 from .approx import best_approx_upper
 from .blocks import MAX_CROSS_LEVEL, SmoothParams, compositions, hyperbolic_cross
-from .extremal import dirichlet_block, shell_extremal, shell_scale
-from .norms import lp_norm
-from .poly import check_exponent
+from .extremal import shell_extremal, shell_scale
+from .poly import check_exponent, is_int
 
 FIT_MODES = ("free", "slope-fixed")
+GL_NODES = 32  # Gauss-Legendre nodes per panel of a Dirichlet block profile
+PANEL_CHUNK = 2048  # panels per profile step: 2**16 points, 0.5 MB per array
 
 
 @dataclass(frozen=True)
@@ -108,22 +113,83 @@ def validate_hypotheses(p: float, q: float, theta: float, params: SmoothParams,
             raise ValueError("off-diagonal p < q regime uses the gamma cross")
 
 
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, increasing, and weights of the n-point Gauss-Legendre rule on
+    [0, 1], read-only and computed once per n.
+
+    Newton's method on P_n(cos th) = sum_k g_k g_(n-k) cos((n-2k) th), with
+    g_k = (2k-1)!! / (2k)!!, in th from th_i = pi (4i-1) / (4n+2); each step
+    is one cos and one sin of an n x (n+1) array.  The step after one below
+    1e-10 leaves the roots at rounding.  The node is u = sin(th/2)**2 and the
+    weight 1 / (dP/dth)**2, half of 2 / ((1 - x**2) P_n'(x)**2) at
+    x = cos th, both taken at the final roots.
+    """
+    k = np.arange(n + 1)
+    g = np.cumprod(np.concatenate(([1.0], (2 * k[1:] - 1) / (2 * k[1:]))))
+    c, f = g * g[::-1], n - 2 * k
+    th = np.pi * (4 * np.arange(1, n + 1) - 1) / (4 * n + 2)
+    step = np.inf
+    while np.abs(step).max() >= 1e-10:
+        phase = np.multiply.outer(th, f)
+        step = (np.cos(phase) @ c) / -(np.sin(phase) @ (c * f))
+        th = th - step
+    dp = np.sin(np.multiply.outer(th, f)) @ (c * f)
+    u, w = np.sin(th / 2) ** 2, 1 / (dp * dp)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def dirichlet_lq_mean(q: float, s: int) -> float:
+    """||D_s||_q**q, the mean of |D_s|**q over the torus, by Gauss-Legendre
+    panels between the zeros of D_s.
+
+    D_s(x) = 2 cos(w x) sin(m x) / sin(x/2), with w = 3 * 2**(s-2) - 1/2 and
+    m = 2**(s-2), is even and 2pi-periodic, so the mean is 1/pi times the
+    integral over [0, pi].  There its zeros are pi (2j+1) / (2w) and pi i / m,
+    and between two consecutive ones |D_s|**q is analytic.  The substitution
+    x = lo + L (3u**2 - 2u**3) turns a zero |x - lo|**q at a panel end into
+    u**(2q) times an analytic factor, so ``GL_NODES`` nodes per panel give
+    the integral to rounding.  The 2**s or so panels are evaluated
+    ``PANEL_CHUNK`` at a time.
+    """
+    u, weights = gauss_legendre(GL_NODES)
+    t, cw = u * u * (3 - 2 * u), 6 * weights * u * (1 - u)
+    w2, m = 3 * 2 ** (s - 1) - 1, 2.0 ** (s - 2)
+    zeros = np.sort(np.concatenate((np.arange(1, w2, 2) / w2, np.arange(1, m) / m)))
+    edges = np.pi * np.concatenate(([0.0], zeros, [1.0]))
+    total = 0.0
+    for a in range(0, len(edges) - 1, PANEL_CHUNK):
+        ends = edges[a:a + PANEL_CHUNK + 1]
+        L = np.diff(ends)
+        x = ends[:-1, None] + L[:, None] * t
+        D = np.cos((w2 / 2) * x) * np.sin(m * x) / np.sin(x / 2)
+        total += np.abs(D) ** q @ cw @ L
+    return 2.0**q * total / np.pi
+
+
 def block_profile(q: float, s: int) -> float:
-    """phi_q(s) = ||D_s||_q, the L_q norm of the 1-D Dirichlet block
-    ``dirichlet_block((s,))``: unit coefficients on 2**(s-1) <= |k| < 2**s.
+    """phi_q(s) = ||D_s||_q, the L_q norm of the 1-D Dirichlet block, unit
+    coefficients on 2**(s-1) <= |k| < 2**s.
 
     Exact in closed form for q = inf (2**s, the block's term count, its
     value at x = 0), q = 2 (Parseval, 2**(s/2)) and q = 4
     (||D_s||_4**4 = 2**(3s-1) + 2**s, the number of k1 + k2 = k3 + k4 in the
-    block); any other q is the self-checked ``lp_norm``.
+    block); any other q is the panel quadrature ``dirichlet_lq_mean``, which
+    evaluates no grid.  q must be a real number >= 1 or inf and s an integer
+    >= 1; either fails before any work, naming it.
     """
+    check_exponent(q, "q")
+    if not (is_int(s) and s >= 1):
+        raise ValueError(f"s must be an integer >= 1, got {s!r}")
+    s = int(s)
     if q == math.inf:
         return 2.0**s
     if q == 2:
         return 2.0 ** (s / 2)
     if q == 4:
         return (2.0 ** (3 * s - 1) + 2.0**s) ** 0.25
-    return lp_norm(dirichlet_block((s,)), q)
+    return dirichlet_lq_mean(q, s) ** (1 / q)
 
 
 def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
@@ -139,8 +205,11 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     is ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's scale, times
     the sum over the shell blocks, in lexicographic order, of
     prod_j ``block_profile(q, s_j)``.  It agrees with the polynomial path up
-    to rounding for q in {2, 4, inf} and within the self-check tolerance
-    otherwise.  For q = 1 each level builds the member and measures it.
+    to rounding for q in {2, 4, inf}.  For other q the profiles are at
+    rounding and the polynomial path's self-checked quadrature is not: it
+    stops when one grid doubling moves it by at most ``norms.CHECK_RTOL``,
+    and on the 1-D block D_s at q = 2.5 it is off by up to 3.3e-7.  For
+    q = 1 each level builds the member and measures it.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
     d = params.d

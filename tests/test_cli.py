@@ -261,7 +261,7 @@ def test_approx_sweep_sharp_error_is_the_rate_experiments(tmp_path):
 # gamma-prime cross, where best_ub was once the min with the smooth aggregate
 APPROX_SWEEP_GOLDEN = {
     "T2-2.5": (["--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5"],
-               "a0667a7109380b79c8faa8a7e0d9793642015317ad4badbce780c108a06fcbfb"),
+               "40df32f38a09ed801b63bb87884396d9929d550f29cc705a9983026f90b2eebc"),
     "T3-inf": (["--n-min", "5", "--n-max", "8", "--p", "inf", "--q", "inf"],
                "9ed7383f11ded48e006975372c0592f37cb6b0ef87f504bf4a723b1bb74f48aa"),
 }

@@ -188,7 +188,7 @@ GOLDEN = {
         "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),
     "T2": (dict(theorem_tag="T2", d=2, p=2.5, q=2.5, theta=2.0, r=(1.0, 1.0),
                 n_range=(5, 8)),
-        "3c56e9111d345202db8ee8e0eab97534c9607f4ed3f5def2255ac5e09ad098d0"),
+        "5b12be8bdcce5b4ac1fb1d7a21181cb62689f7148afb7a6bbc2ed404d0929d4a"),
     "lemmaA": (dict(theorem_tag="lemmaA", d=2, r=(1.0, 2.0), alpha=1.0,
                     l_range=(8, 12)),
         "3ef0ae09bc267e208515e0f7afef2a61d61030d55040fdb13e7897844aba53c4"),

@@ -92,6 +92,29 @@ class TestBlockFilter:
         with pytest.raises(ValueError):
             smooth_block(TrigPoly.exponential((1,)), (1,), "other")
 
+    @pytest.mark.parametrize("convention", ["partition-exact", "literal"])
+    def test_smooth_block_multipliers_are_block_filter_coeff(self, convention):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3):
+            ks = rng.integers(-80, 81, size=(60, d))
+            # zero and unit coordinates, where the s_j = 1 filter depends on the convention
+            ks[:4, 0] = 0
+            ks[4:8] = rng.choice((-1, 1), size=(4, d))
+            f = TrigPoly.from_arrays(ks, rng.standard_normal(60) + 1j * rng.standard_normal(60))
+            for s in itertools.product(range(1, 8), repeat=d):
+                mult = np.ones(f.nnz)
+                for j, sj in enumerate(s):
+                    mult = mult * block_filter_coeff(sj, f.K[:, j], convention)
+                keep = mult != 0.0
+                got = smooth_block(f, s, convention)
+                assert np.array_equal(got.K, f.K[keep])
+                assert np.array_equal(got.C, f.C[keep] * mult[keep])
+
+    @pytest.mark.parametrize("s", [(0,), (2, 0), (-1, 3)])
+    def test_smooth_block_rejects_index_below_one(self, s):
+        with pytest.raises(ValueError, match="block index components must be >= 1"):
+            smooth_block(TrigPoly.exponential((3,) * len(s)), s)
+
 
 def reconstruct(f, convention):
     total = TrigPoly.zero(f.d)

@@ -5,11 +5,11 @@ import pytest
 
 from stepcross import approx, rates
 from stepcross.blocks import SmoothParams, hyperbolic_cross
-from stepcross.extremal import dirichlet_block, dirichlet_shell, shell_extremal, shell_scale
+from stepcross.extremal import dirichlet_shell, shell_extremal, shell_scale
 from stepcross.norms import lp_norm
-from stepcross.rates import (RateFit, SweepRow, block_profile, fit_rates, local_log_powers,
-                             predicted_order, sweep_extremal, theory_exponents,
-                             validate_hypotheses)
+from stepcross.rates import (RateFit, SweepRow, block_profile, dirichlet_lq_mean, fit_rates,
+                             gauss_legendre, local_log_powers, predicted_order, sweep_extremal,
+                             theory_exponents, validate_hypotheses)
 
 
 def synthetic_rows(fn, ns):
@@ -185,7 +185,6 @@ class TestProfilePath:
     @pytest.mark.parametrize("s", range(1, 11))
     def test_closed_forms_match_lp_norm(self, s):
         block = dirichlet_shell(s, 1)  # the shell (s,1) = s at d = 1 is the block D_s
-        assert block == dirichlet_block((s,))
         assert block_profile(2.0, s) == pytest.approx(2.0 ** (s / 2), rel=1e-12, abs=0)
         assert block_profile(2.0, s) == pytest.approx(lp_norm(block, 2.0), rel=1e-12, abs=0)
         assert block_profile(4.0, s) ** 4 == pytest.approx(2 ** (3 * s - 1) + 2**s,
@@ -196,9 +195,70 @@ class TestProfilePath:
         assert block_profile(math.inf, s) == pytest.approx(lp_norm(block, math.inf),
                                                            rel=1e-12, abs=0)
 
-    def test_other_q_is_lp_norm(self):
-        for s in (1, 4, 7):
-            assert block_profile(2.5, s) == lp_norm(dirichlet_block((s,)), 2.5)
+    # the panel rule itself, at the exponents whose closed forms block_profile returns
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_panels_match_closed_forms(self, s):
+        assert dirichlet_lq_mean(2.0, s) == pytest.approx(2.0**s, rel=1e-13, abs=0)
+        assert dirichlet_lq_mean(4.0, s) == pytest.approx(2.0 ** (3 * s - 1) + 2.0**s,
+                                                          rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.5, 3.0, 7.5])
+    def test_32_nodes_match_64(self, monkeypatch, q):
+        got = [dirichlet_lq_mean(q, s) for s in range(1, 13)]
+        monkeypatch.setattr(rates, "GL_NODES", 64)
+        want = [dirichlet_lq_mean(q, s) for s in range(1, 13)]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    # phi_q(s)**q / 2**(s(q-1)) tends to c_q; c_2.5 was integrated on the
+    # real line, from the limit kernel 2 (sin y - sin(y/2)) / y
+    def test_scaling_limit(self):
+        assert block_profile(2.5, 18) ** 2.5 / 2**27 == pytest.approx(0.7811018557,
+                                                                        rel=0, abs=1e-8)
+
+    # the self-checked quadrature of D_s, the profile's oracle, stops when one
+    # doubling moves it by at most CHECK_RTOL; its error at s <= 10 peaks at
+    # s = 3 (q = 1), 4 (q = 1.5), 5 (q = 2.5, 3) and 3 (q = 7.5)
+    @pytest.mark.parametrize(("q", "gap"), [(1.0, 1.6e-6), (1.5, 2.4e-6), (2.5, 3.4e-7),
+                                            (3.0, 9e-8), (7.5, 6e-11)])
+    def test_lp_norm_oracle_within_measured_gap(self, q, gap):
+        for s in range(1, 11):
+            assert block_profile(q, s) == pytest.approx(lp_norm(dirichlet_shell(s, 1), q),
+                                                        rel=gap, abs=0)
+
+    @pytest.mark.parametrize(("q", "s", "match"), [
+        (2.0, 0, "s must be"), (math.inf, -2, "s must be"), (4.0, 2.5, "s must be"),
+        (2.0, True, "s must be"), (2.5, 0, "s must be"), (2.5, "3", "s must be"),
+        (0.5, 3, "q must be"), (math.nan, 3, "q must be"), (True, 3, "q must be"),
+        ("2.5", 3, "q must be")])
+    def test_invalid_arguments_named(self, monkeypatch, q, s, match):
+        def no_work(*args):
+            raise AssertionError("a profile was integrated")
+
+        monkeypatch.setattr(rates, "dirichlet_lq_mean", no_work)
+        with pytest.raises(ValueError, match=match):
+            block_profile(q, s)
+
+    def test_accepts_numpy_integers(self):
+        assert block_profile(2.5, np.int64(6)) == block_profile(2.5, 6)
+
+    def test_gauss_legendre_rule(self):
+        u, w = gauss_legendre(32)
+        assert np.all(np.diff(u) > 0) and 0 < u[0] and u[-1] < 1
+        assert np.all(w > 0) and not u.flags.writeable and not w.flags.writeable
+        # exact on every polynomial of degree < 64
+        for m in range(64):
+            assert w @ u**m == pytest.approx(1 / (m + 1), rel=1e-14, abs=0)
+
+    def test_no_linalg_or_unique(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg or np.unique was called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np, "unique", forbidden)
+        monkeypatch.setattr(rates, "GL_NODES", 24)  # a rule not yet cached
+        assert dirichlet_lq_mean(2.0, 7) == pytest.approx(2.0**7, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(("p", "q", "theta", "r", "gamma_mode", "rtol"), [
         (2.0, 4.0, 2.0, (1.5,), "gamma", 1e-12),
