@@ -29,10 +29,19 @@ Numerical methods
 * Norms at several exponents compute each distinct p once, and exponents
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
-  value.  A self-checked non-even p then refines on its own grids.  The
-  modulus of a grid overwrites the grid and the last power overwrites the
-  modulus, so one grid-sized buffer is held (two when several powers share
-  the grid).
+  value.  A self-checked non-even p then refines on its own grids.
+* A grid of at most ``STREAM_POINTS`` points, and every d = 1 or rank-1
+  factor grid, is held whole: its modulus overwrites it and the last power
+  overwrites the modulus, so one grid-sized buffer is held (two when several
+  powers share the grid).
+* A d >= 2 grid of more than ``STREAM_POINTS`` points is never held whole.
+  numpy sums a float64 array pairwise over a fixed binary tree, so the
+  grid's flat index is walked down that tree to leaves of at most
+  ``SLICE_POINTS`` points; the last FFT stage (``GridLines.transform``)
+  runs on each leaf's lines into buffers allocated once per grid, and the
+  leaves' max and sums combine in tree order, bit for bit the whole
+  array's.  Besides the last stage's input a few leaf-sized buffers are
+  held.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -46,7 +55,7 @@ import numpy as np
 
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
-from .poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, check_exponent,
+from .poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of, check_exponent,
                    check_grid_budget, eval_grid, resolve_grid_dims)
 
 FORMS = ("sharp", "smooth")
@@ -78,8 +87,9 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     into runs of equal length, one per distinct first coordinate, that hold
     the same rows of coordinates 1..d-1, and those rows are again a product.
     Then C in K's order is the coefficient tensor, and every coefficient is
-    compared with the product of the fibers through the largest one.
-    Evaluates nothing.
+    compared with the product of the fibers through the largest one.  A
+    cross ratio of T's corners that no tensor passing that test can have
+    rejects most tensors of higher rank first, in O(1).  Evaluates nothing.
     """
     if f.d == 1:
         return [f]
@@ -101,7 +111,17 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     axes.append(rest[:, 0])
     shape = tuple(len(a) for a in axes)
     T = f.C.reshape(shape)
-    pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
+    # A tensor that passes the test below is T = (1 + e) P entrywise, with
+    # P the exact product of the fibers and |e| <= RANK1_RTOL up to
+    # rounding.  P's corners have P[0..0] P[-1..-1] = P[0,-1..] P[-1,0..], so
+    # T's corners are within 4.01 RANK1_RTOL |T[0..0] T[-1..-1]| of that: a
+    # tensor twice as far off is rejected here, before the pivot and fibers.
+    first, last = T[(0,) * f.d], T[(-1,) * f.d]
+    swapped = T[(0,) + (-1,) * (f.d - 1)] * T[(-1,) + (0,) * (f.d - 1)]
+    if abs(first * last - swapped) > 8 * RANK1_RTOL * abs(first * last):
+        return None
+    modulus = np.abs(T)
+    pivot = np.unravel_index(np.argmax(modulus), shape)
     # fiber j runs along axis j through the pivot; all but the first are
     # divided by the pivot so that the product reproduces T
     fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(f.d)]
@@ -109,14 +129,17 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     outer = fibers[0]
     for u in fibers[1:]:
         outer = np.multiply.outer(outer, u)
-    if not (np.abs(T - outer) <= RANK1_RTOL * np.abs(T)).all():
+    if not (np.abs(T - outer) <= RANK1_RTOL * modulus).all():
         return None
     # each axis is sorted and distinct, so the factors need no sorting or summing
     return [TrigPoly.from_sorted(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
-# points per slice when the modulus of a grid overwrites the grid
-MODULUS_SLICE = 1 << 15
+# the most points the modulus overwrites at a time, and the most points of a
+# leaf of a streamed grid
+SLICE_POINTS = 1 << 15
+# a d >= 2 grid of more points is reduced leaf by leaf and never held whole
+STREAM_POINTS = 1 << 19
 
 
 def _modulus_in_place(vals: np.ndarray) -> np.ndarray:
@@ -127,12 +150,12 @@ def _modulus_in_place(vals: np.ndarray) -> np.ndarray:
     Float slot i lies in complex element i // 2, which is read with slot i's
     slice or before it.  The values are those of np.abs(vals).
     """
-    if vals.size <= MODULUS_SLICE:
+    if vals.size <= SLICE_POINTS:
         return np.abs(vals)
     flat = vals.reshape(-1)
     a = flat.view(np.float64)[:flat.size]
-    for s in range(0, flat.size, MODULUS_SLICE):
-        a[s:s + MODULUS_SLICE] = np.abs(flat[s:s + MODULUS_SLICE])
+    for s in range(0, flat.size, SLICE_POINTS):
+        a[s:s + SLICE_POINTS] = np.abs(flat[s:s + SLICE_POINTS])
     return a.reshape(vals.shape)
 
 
@@ -179,14 +202,121 @@ def _grid_sum(x: np.ndarray, n0: int | None) -> float:
     return 2 * x.sum() - (edge if x.ndim == 1 else edge.sum())
 
 
+def _pairwise(leaf, lo: int, n: int) -> np.ndarray:
+    """The sums of n values from flat index lo on, in numpy's pairwise order,
+    where ``leaf(lo, n)`` returns them for at most ``SLICE_POINTS`` values.
+
+    numpy sums a contiguous float64 array over a fixed binary tree: n values
+    split into the first n/2, rounded down to a multiple of 8, and the rest,
+    down to blocks of 128 (``pairwise_sum`` in numpy's loops; N. J. Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, 4.2).
+    Each leaf's own ``sum`` walks its subtree, so the leaf sums added in tree
+    order equal the whole array's ``sum`` bit for bit, as the tests check.
+    """
+    if n <= SLICE_POINTS:
+        return leaf(lo, n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
+
+
+class _LineWindow:
+    """A buffer of consecutive grid lines from ``GridLines``, transformed by
+    its last stage as values are asked for.  Values are asked for in
+    increasing order, so the line that one request shares with the one
+    before is kept, not transformed again."""
+
+    def __init__(self, lines: GridLines):
+        self.lines = lines
+        self.buf = np.empty((SLICE_POINTS // lines.n + 2, lines.n), dtype=complex)
+        self.held = range(0)  # the lines buf holds, from its first row on
+
+    def values(self, lo: int, count: int) -> np.ndarray:
+        """Grid values lo..lo + count - 1 (count <= ``SLICE_POINTS``) in flat
+        order, a view of the buffer."""
+        n = self.lines.n
+        first, stop = lo // n, (lo + count - 1) // n + 1
+        kept = 0
+        if first in self.held:
+            kept = min(self.held.stop, stop) - first
+            at = first - self.held.start
+            self.buf[:kept] = self.buf[at:at + kept]
+        if first + kept < stop:
+            rest = self.buf[kept:stop - first]
+            rest.fill(0)
+            self.lines.transform(first + kept, rest)
+        self.held = range(first, stop)
+        return self.buf.reshape(-1)[lo - first * n:lo - first * n + count]
+
+
+class _LeafStats:
+    """Leaf sums of a grid that ``GridLines`` holds before its last stage.
+    The buffers are allocated once, so besides the last stage's input a norm
+    holds a few buffers of about ``SLICE_POINTS`` points.
+
+    With ``n0``, the grid holds rows 0..n0//2 of a grid of n0 rows, as in
+    ``_grid_stats``, and ``edges`` are the flat offsets of the rows that map
+    onto themselves, each read through its own window.
+    """
+
+    def __init__(self, lines: GridLines, ps: Sequence[float], n0: int | None):
+        self.sum_ps = [p for p in ps if not math.isinf(p)]
+        self.maxima = [] if len(self.sum_ps) < len(ps) else None
+        self.row = lines.points // lines.dims[0]  # points per row of the grid
+        self.edges = (0,) if n0 is None or n0 % 2 else (0, n0 // 2 * self.row)
+        self.windows = [_LineWindow(lines) for _ in self.edges]
+        self.mods = np.empty((len(self.edges), SLICE_POINTS))
+        self.powers = np.empty((len(self.edges), SLICE_POINTS))
+
+    def sums(self, lo: int, count: int) -> np.ndarray:
+        """The sums of |v| (p = 1) and |v|**p, in ``sum_ps`` order, over grid
+        values lo..lo + count - 1; the leaf's max joins ``maxima``."""
+        a = np.abs(self.windows[0].values(lo, count), out=self.mods[0, :count])
+        if self.maxima is not None:
+            self.maxima.append(a.max())
+        return self._power_sums([a], count)
+
+    def edge_sums(self, lo: int, count: int) -> np.ndarray:
+        """``sums`` over points lo..lo + count - 1 of the elementwise sum of
+        the edge rows, as ``_grid_sum`` adds them."""
+        mods = [np.abs(w.values(edge + lo, count), out=m[:count])
+                for edge, w, m in zip(self.edges, self.windows, self.mods)]
+        return self._power_sums(mods, count)
+
+    def _power_sums(self, mods: list[np.ndarray], count: int) -> np.ndarray:
+        out = []
+        for p in self.sum_ps:
+            xs = mods if p == 1 else [np.power(a, p, out=b[:count])
+                                      for a, b in zip(mods, self.powers)]
+            out.append((xs[0] if len(xs) == 1 else xs[0] + xs[1]).sum())
+        return np.array(out)
+
+
+def _streamed_stats(lines: GridLines, ps: Sequence[float], n0: int | None
+                    ) -> dict[float, float]:
+    """``_grid_stats`` of the grid that ``lines`` holds before its last
+    stage, bit for bit, without the grid: its sums are walked leaf by leaf
+    in numpy's pairwise order, and so are the edge rows' sums with ``n0``."""
+    leaves = _LeafStats(lines, ps, n0)
+    sums = _pairwise(leaves.sums, 0, lines.count * lines.n)
+    if n0 is not None:
+        sums = 2 * sums - _pairwise(leaves.edge_sums, 0, leaves.row)
+    stats = {p: float(s / lines.points) for p, s in zip(leaves.sum_ps, sums)}
+    if leaves.maxima is not None:
+        stats[math.inf] = float(np.max(leaves.maxima))
+    return stats
+
+
 def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[float, float]:
     """``_grid_stats`` of f over the ``dims`` grid.  If f's coefficients are
     real, f(-x) is the conjugate of f(x), so rows m and N_0 - m of the grid
-    carry the same moduli, and rows 0..N_0//2 alone are evaluated."""
-    if np.count_nonzero(f.C.imag):
-        return _grid_stats(eval_grid(f, dims), ps)
-    n0 = dims[0]
-    return _grid_stats(eval_grid(f, dims, n0 // 2 + 1), ps, n0)
+    carry the same moduli, and rows 0..N_0//2 alone are evaluated.  A d >= 2
+    grid of more than ``STREAM_POINTS`` points is reduced leaf by leaf
+    (``_streamed_stats``), with the same values bit for bit."""
+    n0 = None if np.count_nonzero(f.C.imag) else dims[0]
+    rows = None if n0 is None else n0 // 2 + 1
+    if f.d > 1 and math.prod(dims) > STREAM_POINTS:
+        return _streamed_stats(GridLines(f, dims, rows), ps, n0)
+    return _grid_stats(eval_grid(f, dims, rows), ps, n0)
 
 
 def _quad_stats(f: TrigPoly, factors: list[TrigPoly] | None, ps: Sequence[float],

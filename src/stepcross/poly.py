@@ -20,7 +20,10 @@ values are ``scipy.fft.ifftn``'s times the point count, bit for bit, as the
 tests check; the last stage's input is the one buffer held beside the grid.
 Given ``rows``, it returns the first ``rows`` rows of the grid alone, bit for
 bit those of the whole grid, and the stages after the first transform those
-rows alone.
+rows alone.  ``GridLines`` holds a grid between the two parts: after the
+stages over axes 0..d-2, and before the last one, which its ``transform``
+runs on any range of the grid's lines along axis d-1, bit for bit as on the
+whole grid, so a caller can reduce a grid without holding it.
 The package needs numpy alone at run time.
 """
 
@@ -320,6 +323,89 @@ def check_grid_budget(dims: Sequence[int]) -> None:
         raise GridBudgetError(f"grid of {total} points exceeds budget {MAX_POINTS}")
 
 
+class GridLines:
+    """A polynomial on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
+    along every axis but the last: the grid's lines along axis d-1, each
+    waiting for its last inverse FFT.  ``GridLines(f, dims, rows)`` runs the
+    pruned stages over axes 0..d-2 that ``eval_grid`` describes, and
+    ``transform(first, out)`` runs the last stage on lines first..first +
+    len(out) - 1 of the grid in flat order, bit for bit as on the whole grid.
+
+    ``count`` lines of ``n`` points make up the grid's first ``rows`` rows
+    (for d = 1, one line: the whole axis, of which the first ``rows`` points
+    are wanted), and ``points`` is prod(dims), the factor the last stage
+    scales by.  Between the stages only the last stage's input is held: the
+    lines that hold a nonzero, ``at`` on axis d-1.
+    """
+
+    __slots__ = ("dims", "count", "n", "points", "at", "src")
+
+    def __init__(self, f: TrigPoly, dims: Sequence[int], rows: int | None = None):
+        dims = tuple(int(n) for n in dims)
+        if len(dims) != f.d:
+            raise ValueError("grid dimension mismatch")
+        if rows is None:
+            rows = dims[0]
+        elif not (is_int(rows) and 1 <= rows <= dims[0]):
+            raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
+        shape = (rows,) + dims[1:]  # the part of the grid wanted
+        self.dims, self.n, self.points = dims, dims[-1], math.prod(dims)
+        self.count = math.prod(shape[:-1])
+        # vals[..., j] is line j, transformed along the axes before a; lines[j]
+        # is its flat index over the axes a..d-1 not yet transformed
+        vals = f.C
+        R = np.mod(f.K, dims)  # k mod N_j per coordinate
+        # a frequency's position on axis 0, and its line's index over the other axes
+        at, lines = R[:, 0], (R[:, -1] if f.d < 3 else np.ravel_multi_index(R[:, 1:].T, dims[1:]))
+        for a, n in enumerate(dims[:-1]):
+            tail = math.prod(dims[a + 1:])
+            at, rest = (at, lines) if a == 0 else np.divmod(lines, tail)
+            occupied = np.zeros(tail, dtype=bool)
+            occupied[rest] = True
+            lines = occupied.nonzero()[0]
+            spec = np.zeros(shape[:a] + (len(lines), n), dtype=complex)
+            index = (..., lines.searchsorted(rest), at)
+            if a == 0:  # the coefficients: frequencies that land on one index add up
+                np.add.at(spec, index, vals)
+            else:
+                spec[index] = vals
+            np.fft.ifft(spec, norm="forward", out=spec)
+            if a == 0:
+                _scale_first(spec, self.points)
+            vals = spec.swapaxes(-1, -2)[:rows]  # a no-op after the first stage
+        # the last stage's input: shape[:-1] + (lines,) for d > 1, the
+        # coefficients for d = 1
+        self.at, self.src = lines, vals
+
+    def transform(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Lines first..first + len(out) - 1 of the grid, transformed along
+        axis d-1 and scaled, written into ``out``, a C-contiguous complex
+        array of shape (lines, n) that holds zeros; returns ``out``.
+
+        All lines at once scatter the input as it is held; a range of them
+        gathers its own lines first.
+        """
+        if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
+            np.add.at(out, (0, self.at), self.src)
+        elif len(out) == self.count:
+            out.reshape(self.src.shape[:-1] + (self.n,))[..., self.at] = self.src
+        else:
+            lines = np.arange(first, first + len(out))
+            out[:, self.at] = self.src[np.unravel_index(lines, self.src.shape[:-1])]
+        np.fft.ifft(out, norm="forward", out=out)
+        if len(self.dims) == 1:
+            _scale_first(out, self.points)
+        out *= self.points
+        return out
+
+
+def _scale_first(spec: np.ndarray, points: int) -> None:
+    """Each part of the first stage's output times 1/points, rounded from
+    long double, as pocketfft scales."""
+    parts = spec.view(np.float64)
+    np.multiply(parts, float(1 / np.longdouble(points)), out=parts)
+
+
 def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.ndarray:
     """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j, as a new
     C-contiguous, writable complex array of shape ``dims``; with ``rows``
@@ -336,57 +422,21 @@ def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.n
     transforms only the lines that hold a nonzero: one per distinct residue
     tuple of coordinates a+1..d-1 that some frequency has.  Each stage holds
     its lines as the rows of its buffer, so every transform runs along a
-    contiguous axis.  The last stage scatters its lines onto the full grid
-    and transforms along axis d-1.  The factor 1/prod(dims), as pocketfft
-    rounds it, scales the first stage's output, where ``ifftn`` applies it,
-    so the values equal ``scipy.fft.ifftn``'s times prod(dims) bit for bit
-    (up to the sign of a zero), as the tests check.  Besides the grid, the
-    last stage's input is held while the grid is filled: at most
+    contiguous axis.  ``GridLines`` runs the stages before the last, and its
+    ``transform`` runs the last one on all lines: it scatters them onto the
+    full grid and transforms along axis d-1.  The factor 1/prod(dims), as
+    pocketfft rounds it, scales the first stage's output, where ``ifftn``
+    applies it, so the values equal ``scipy.fft.ifftn``'s times prod(dims)
+    bit for bit (up to the sign of a zero), as the tests check.  Besides the
+    grid, the last stage's input is held while the grid is filled: at most
     1/oversampling of the grid for a grid sized from the degree, up to a
     whole grid for a dense spectrum on a ``points_per_dim`` grid.  With
     ``rows``, the first stage still transforms whole lines of axis 0, and
     only their first ``rows`` values go on to the later stages.
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) != f.d:
-        raise ValueError("grid dimension mismatch")
-    if rows is None:
-        rows = dims[0]
-    elif not (is_int(rows) and 1 <= rows <= dims[0]):
-        raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
-    shape = (rows,) + dims[1:]  # the part of the grid returned
-    # vals[..., j] is line j, transformed along the axes before a; lines[j]
-    # is its flat index over the axes a..d-1 not yet transformed
-    vals = f.C
-    R = np.mod(f.K, dims)  # k mod N_j per coordinate
-    # a frequency's position on axis 0, and its line's index over the other axes
-    at, lines = R[:, 0], (R[:, -1] if f.d < 3 else np.ravel_multi_index(R[:, 1:].T, dims[1:]))
-    for a, n in enumerate(dims):
-        if a < f.d - 1:
-            tail = math.prod(dims[a + 1:])
-            at, rest = (at, lines) if a == 0 else np.divmod(lines, tail)
-            occupied = np.zeros(tail, dtype=bool)
-            occupied[rest] = True
-            lines = occupied.nonzero()[0]
-            index = (..., lines.searchsorted(rest), at)
-        else:  # the last stage's one line set is the whole grid, even for f = 0
-            index = (..., 0, lines)
-            lines = [0]
-        spec = np.zeros(shape[:a] + (len(lines), n), dtype=complex)
-        if a == 0:  # the coefficients: frequencies that land on one index add up
-            np.add.at(spec, index, vals)
-        else:
-            spec[index] = vals
-        np.fft.ifft(spec, norm="forward", out=spec)
-        if a == 0:
-            # each part times the factor, as pocketfft scales: 1/N rounded
-            # from long double
-            parts = spec.view(np.float64)
-            np.multiply(parts, float(1 / np.longdouble(math.prod(dims))), out=parts)
-        vals = spec.swapaxes(-1, -2)[:rows]  # a no-op after the first stage
-    out = spec.reshape((-1,) + dims[1:])[:rows]  # d = 1 has transformed the whole line
-    out *= math.prod(dims)
-    return out
+    lines = GridLines(f, dims, rows)
+    out = lines.transform(0, np.zeros((lines.count, lines.n), dtype=complex))
+    return out.reshape((-1,) + lines.dims[1:])[:rows]
 
 
 def blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:

@@ -13,8 +13,8 @@ from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
 from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
                              besov_mixed_norm, bq1_norm, lp_norm, nikolskii_check)
-from stepcross.poly import (GridBudgetError, GridSpec, TrigPoly, blocks_of, eval_grid,
-                            resolve_grid_dims)
+from stepcross.poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
+                            eval_grid, resolve_grid_dims)
 
 
 def block_poly_1d(s):
@@ -93,7 +93,8 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("p,grid,budget,points", [
         (20.0, GridSpec(), 100_000, 601 * 601), (4.0, GridSpec(oversampling=1.0), 4000, 121 * 121),
-        (math.inf, GridSpec(oversampling=1.0), 4000, 245 * 245)])
+        (math.inf, GridSpec(oversampling=1.0), 4000, 245 * 245),
+        (26.0, GridSpec(), 100_000, 781 * 781)])  # streamed: over norms.STREAM_POINTS
     def test_first_grid_over_budget_raises_before_any_grid(self, monkeypatch, p, grid, budget,
                                                            points):
         # the base grid is within the budget; the even-p grid, sized from p
@@ -146,14 +147,16 @@ def random_rank1(rng, d, max_deg=4, real=False):
 
 
 def record_grids(monkeypatch):
-    """Patch the norms module's eval_grid to record (poly dimension, dims)."""
+    """Patch ``norms._poly_stats``, which every grid a norm reduces passes
+    through whole or streamed, to record (poly dimension, dims)."""
     calls = []
+    poly_stats = norms._poly_stats
 
-    def spy(f, dims, rows=None):
+    def spy(f, ps, dims):
         calls.append((f.d, tuple(dims)))
-        return eval_grid(f, dims, rows)
+        return poly_stats(f, ps, dims)
 
-    monkeypatch.setattr(norms, "eval_grid", spy)
+    monkeypatch.setattr(norms, "_poly_stats", spy)
     return calls
 
 
@@ -204,6 +207,30 @@ def rank1_factors_by_unique(f):
     if not np.all(np.abs(T - outer) <= norms.RANK1_RTOL * np.abs(T)):
         return None
     return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
+
+
+def straddling_tensors(T, at):
+    """Copies of the rank-1 tensor T whose entry at ``at`` (off the fibers
+    through the largest entry) moves across the bound of the rank-1 test,
+    |T - outer| <= RANK1_RTOL |T|, in steps below one float step: the last
+    few inside the bound and the first few outside."""
+    pivot = np.unravel_index(np.argmax(np.abs(T)), T.shape)
+    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(T.ndim)]
+    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
+    outer = fibers[0]
+    for u in fibers[1:]:
+        outer = np.multiply.outer(outer, u)
+    o = outer[at:at + 1] if T.ndim == 1 else outer[at][None]
+    xs = [o * (1 + norms.RANK1_RTOL * (1 + k * 1e-5)) for k in range(-60, 61)]
+    inside = [bool(np.abs(x - o)[0] <= norms.RANK1_RTOL * np.abs(x)[0]) for x in xs]
+    flip = inside.index(False)
+    assert all(inside[:flip]) and not any(inside[flip:])
+    out = []
+    for x in xs[flip - 25:flip + 25]:
+        moved = T.copy()
+        moved[at] = x[0]
+        out.append(moved)
+    return out
 
 
 class TestLpNormsEngine:
@@ -262,8 +289,8 @@ class TestLpNormsEngine:
         lp_norm(f, math.inf, grid)
         assert [g.oversampling for g in built] == [4.0]
 
-    @pytest.mark.parametrize("shape", [(7,), (norms.MODULUS_SLICE,), (norms.MODULUS_SLICE + 1,),
-                                       (3, norms.MODULUS_SLICE - 5), (40, 50, 37)])
+    @pytest.mark.parametrize("shape", [(7,), (norms.SLICE_POINTS,), (norms.SLICE_POINTS + 1,),
+                                       (3, norms.SLICE_POINTS - 5), (40, 50, 37)])
     def test_modulus_overwrites_the_grid_bit_for_bit(self, shape):
         rng = np.random.default_rng(len(shape))
         vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
@@ -271,13 +298,13 @@ class TestLpNormsEngine:
         want = np.abs(vals)
         got = norms._modulus_in_place(vals)
         assert got.shape == shape and np.array_equal(got, want)
-        if vals.size > norms.MODULUS_SLICE:
+        if vals.size > norms.SLICE_POINTS:
             assert np.shares_memory(got, vals)
 
 
     @pytest.mark.parametrize("ps", [(1.0,), (1.5,), (math.inf,), (1.0, 4.0, math.inf),
                                     (1.5, 3.0, 4.0)])
-    @pytest.mark.parametrize("shape", [(7,), (3, 11), (norms.MODULUS_SLICE + 1,)])
+    @pytest.mark.parametrize("shape", [(7,), (3, 11), (norms.SLICE_POINTS + 1,)])
     def test_grid_stats_equal_numpy_mean_and_max(self, ps, shape):
         rng = np.random.default_rng(len(ps) + len(shape))
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -285,6 +312,106 @@ class TestLpNormsEngine:
         want = {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
                 for p in ps}
         assert norms._grid_stats(vals.copy(), ps) == want
+
+
+def random_spectrum(rng, d, deg, nnz, real=False):
+    """nnz random frequencies with |k_j| <= deg, coefficients real or complex."""
+    K = rng.integers(-deg, deg + 1, size=(nnz, d))
+    C = rng.standard_normal(nnz) + (0 if real else 1j * rng.standard_normal(nnz))
+    return TrigPoly.from_arrays(K, C)
+
+
+def leaf_tree_sum(a, leaf):
+    """a.sum() of a 1-D float64 array, walked leaf by leaf as the streamed
+    reduction walks a grid."""
+    return norms._pairwise(lambda lo, n: np.array([a[lo:lo + n].sum()]), 0, a.size)[0]
+
+
+def streamed_and_whole(f, dims, ps):
+    """``_streamed_stats`` of f's grid, and ``_grid_stats`` of the whole
+    eval_grid array, on half the rows for real coefficients."""
+    n0 = None if np.count_nonzero(f.C.imag) else dims[0]
+    rows = None if n0 is None else n0 // 2 + 1
+    return (norms._streamed_stats(GridLines(f, dims, rows), ps, n0),
+            norms._grid_stats(eval_grid(f, dims, rows), ps, n0))
+
+
+STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,)]
+
+
+class TestStreamedStats:
+    @pytest.mark.parametrize("leaf", [128, 1000, norms.SLICE_POINTS])
+    @pytest.mark.parametrize("dims", [
+        (40, 33, 29), (41, 30, 27),  # d = 3, even and odd N_0
+        (300, 257), (301, 256),  # d = 2
+        (4, 40000), (5, 33001),  # a last axis longer than the largest leaf
+    ], ids=str)
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_equals_whole_grid_stats(self, monkeypatch, leaf, dims, real):
+        # leaf boundaries fall inside lines, and a line spans several leaves
+        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
+        f = random_spectrum(np.random.default_rng(len(dims) + dims[0]), len(dims), 12, 40, real)
+        for ps in STREAM_PS:
+            got, want = streamed_and_whole(f, dims, ps)
+            assert got == want
+            if not real:  # the whole grid: np.mean and np.max themselves
+                a = np.abs(eval_grid(f, dims))
+                assert got == {p: float(np.max(a)) if math.isinf(p) else
+                               float(np.mean(a if p == 1 else a**p)) for p in ps}
+
+    @pytest.mark.parametrize("n", [129, 8193, 32769, 100_003, 1_000_000])
+    def test_numpy_sum_is_the_leaf_tree(self, n):
+        # the streamed reduction rests on numpy summing a contiguous float64
+        # array pairwise over a fixed tree; if numpy changes that, this fails
+        a = np.random.default_rng(n).random(n) * 10.0 ** np.arange(-3, 4).repeat(n // 7 + 1)[:n]
+        for leaf in (128, 1000, norms.SLICE_POINTS):
+            assert leaf_tree_sum(a, leaf) == a.sum()
+        assert leaf_tree_sum(a.reshape(-1, 1)[:, 0], 128) == a.reshape(1, -1).sum()
+
+    @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_grids_just_over_the_cutoff_stream(self, monkeypatch, d, ppd, real):
+        f = random_spectrum(np.random.default_rng(d), d, 10, 30, real)
+        ps = (1.0, 1.5, 4.0, math.inf)
+        results = {}
+        for n, streams in ((ppd - 1, False), (ppd, True)):
+            grid = GridSpec(points_per_dim=n)
+            assert (n**d > norms.STREAM_POINTS) == streams
+            streamed = []
+            monkeypatch.setattr(norms, "GridLines",
+                                lambda *args: streamed.append(args) or GridLines(*args))
+            results[n] = norms._lp_norms(f, ps, grid)
+            assert len(streamed) == streams
+            monkeypatch.setattr(norms, "STREAM_POINTS", poly.MAX_POINTS)  # the whole-grid path
+            assert norms._lp_norms(f, ps, grid) == results[n]
+            monkeypatch.undo()
+
+    def test_norm_on_a_large_grid_holds_no_grid(self):
+        # the parent held the whole complex grid (20.3 MB traced for 19.2 MB)
+        rng = np.random.default_rng(5)
+        f = random_mixed_poly(rng, 3, max_shell=6)
+        while math.prod(resolve_grid_dims(f, GridSpec())) < 1_000_000:
+            f = random_mixed_poly(rng, 3, max_shell=6)
+        grid_bytes = 16 * math.prod(resolve_grid_dims(f, GridSpec()))
+        tracemalloc.start()
+        try:
+            lp_norm(f, 1.5, GridSpec(self_check=False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_bytes / 4
+
+    def test_self_checked_norm_traces_under_10_mb(self):
+        # the parent traced 56.9 MB for this norm, whose doublings reach grids
+        # of several million points
+        f = random_mixed_poly(np.random.default_rng(8), 3, max_shell=6)
+        tracemalloc.start()
+        try:
+            lp_norm(f, 2.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
 
 class TestRankOneFactors:
@@ -336,6 +463,48 @@ class TestRankOneFactors:
             assert (got is not None) == (want is not None) == is_rank1
             if want is not None:
                 assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("shape", [(2, 9), (3, 1), (1, 6), (5, 7), (2, 3, 7), (1, 2, 5),
+                                       (3, 3, 1)], ids=str)
+    def test_corner_test_keeps_the_decision(self, shape):
+        # the corner test before the pivot must reject only tensors that the
+        # whole product rejects: random signs on a rank-1 tensor (the smooth
+        # blocks of random-sign members), and one entry moved to either side
+        # of the RANK1_RTOL bound, by steps below one float step, at each
+        # corner the test reads and off the corners.  The pivot is the last
+        # corner.
+        rng = np.random.default_rng(sum(shape))
+        d = len(shape)
+        signed, straddled = [], []
+        for _ in range(4):
+            axes = [np.sort(rng.choice(np.arange(1, 60), n, replace=False)) for n in shape]
+            vectors = [rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+                       for n in shape]
+            for u in vectors:
+                u[-1] = 2.0  # the largest entry of T is the last one
+            T = vectors[0]
+            for u in vectors[1:]:
+                T = np.multiply.outer(T, u)
+            K = np.array(list(itertools.product(*axes)))
+            tensors = [T, T * rng.choice([-1.0, 1.0], size=shape)]
+            corners = {(0,) * d, (0,) + tuple(n - 1 for n in shape[1:]),
+                       (shape[0] - 1,) + (0,) * (d - 1)}
+            for at in corners | {tuple(n // 2 for n in shape)}:
+                if at != tuple(n - 1 for n in shape):
+                    tensors += straddling_tensors(T, at)
+            decisions = []
+            for tensor in tensors:
+                f = TrigPoly.from_arrays(K, tensor.reshape(-1))
+                got, want = _rank1_factors(f), rank1_factors_by_unique(f)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+                decisions.append(got is None)
+            assert decisions[0] is False
+            signed.append(decisions[1])
+            straddled += decisions[2:]
+        if math.prod(shape) > max(shape):
+            assert any(signed) and any(straddled) and not all(straddled)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_factors_equal_from_arrays(self, d):
@@ -583,13 +752,17 @@ class TestNikolskii:
                 assert lhs == lp_norm(f, q, grid) and rhs == want
                 assert ok == (lhs <= rhs * (1 + 1e-9))
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_one_grid_for_every_pair(self, monkeypatch, d):
-        f = random_mixed_poly(np.random.default_rng(d), d, max_shell=6)
+    @pytest.mark.parametrize("d,seed", [pytest.param(2, 2, id="2"), pytest.param(3, 3, id="3"),
+                                        pytest.param(3, 5, id="3-streamed")])
+    def test_one_grid_for_every_pair(self, monkeypatch, d, seed):
+        f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
         assert _rank1_factors(f) is None
+        # seed 5 draws a grid that is reduced leaf by leaf
+        dims = resolve_grid_dims(f, GridSpec())
+        assert (math.prod(dims) > norms.STREAM_POINTS) == (seed == 5)
         calls = record_grids(monkeypatch)
         nikolskii_check(f, NIKOLSKII_PAIRS, GridSpec(self_check=False))
-        assert calls == [(d, resolve_grid_dims(f, GridSpec()))]
+        assert calls == [(d, dims)]
 
     def test_shared_grid_holds_one_grid_buffer(self):
         # the modulus overwrites the complex grid and the one power overwrites

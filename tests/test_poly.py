@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from stepcross import norms, poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
-from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridSpec, TrigPoly,
-                            blocks_of, eval_grid, project_cross, read_jsonl,
+from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridLines, GridSpec,
+                            TrigPoly, blocks_of, eval_grid, project_cross, read_jsonl,
                             resolve_grid_dims, write_jsonl)
 
 coeff_st = st.complex_numbers(min_magnitude=1e-6, max_magnitude=10,
@@ -342,6 +342,24 @@ class TestStagedTransform:
             assert got.shape == (rows,) + dims[1:] and np.array_equal(got, full[:rows])
             assert got.flags.c_contiguous and got.flags.writeable
 
+    @pytest.mark.parametrize("f,dims", [
+        (TrigPoly(2, {(-5, 6): 1.0, (3, -4): 2j, (3, 6): -1.0}), (13, 29)),
+        (TrigPoly(2, {(-13, 4000): 1.0, (2, -3): -0.5, (13, 4000): -2.0}), (28, 8192)),
+        (dense_rectangle((2, 3, 1)), (5, 8, 3)),
+        (TrigPoly(3, {(-2, 3, -4): 1.0, (1, -3, 5): -1.5, (4, 2, 19): 3.0}), (12, 10, 40)),
+        (TrigPoly.zero(3), (4, 6, 5)),
+    ])
+    def test_any_range_of_lines_equals_the_grid(self, f, dims):
+        # the last stage on lines first..first+k-1 alone gives those lines of
+        # the whole grid bit for bit, whatever rows of the grid are wanted
+        for rows in (dims[0], dims[0] // 2 + 1):
+            lines = GridLines(f, dims, rows)
+            grid = eval_grid(f, dims, rows).reshape(-1, dims[-1])
+            assert (lines.count, lines.n, lines.points) == (len(grid), dims[-1], math.prod(dims))
+            for first, k in ((0, 1), (1, 2), (lines.count - 3, 3), (2, lines.count - 4)):
+                out = lines.transform(first, np.zeros((k, dims[-1]), dtype=complex))
+                assert np.array_equal(out, grid[first:first + k])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(random_poly_st), st.booleans(), st.data())
     def test_random_rows_are_a_prefix(self, f, real, data):
@@ -361,7 +379,7 @@ class TestStagedTransform:
         f = dirichlet_shell(5, 2)
         vals = eval_grid(f, (256, 256))
         assert vals.flags.c_contiguous and vals.flags.writeable and vals.shape == (256, 256)
-        assert vals.size > norms.MODULUS_SLICE
+        assert vals.size > norms.SLICE_POINTS
         expected = np.abs(vals)
         a = norms._modulus_in_place(vals)
         assert np.shares_memory(a, vals)
