@@ -136,7 +136,7 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
 
 
 # the most points the modulus overwrites at a time, and the most points of a
-# leaf of a streamed grid
+# leaf of a streamed grid (at least 128, numpy's smallest pairwise block)
 SLICE_POINTS = 1 << 15
 # a d >= 2 grid of more points is reduced leaf by leaf and never held whole
 STREAM_POINTS = 1 << 19
@@ -298,7 +298,7 @@ def _streamed_stats(lines: GridLines, ps: Sequence[float], n0: int | None
     in numpy's pairwise order, and so are the edge rows' sums with ``n0``."""
     leaves = _LeafStats(lines, ps, n0)
     sums = _pairwise(leaves.sums, 0, lines.count * lines.n)
-    if n0 is not None:
+    if n0 is not None and leaves.sum_ps:
         sums = 2 * sums - _pairwise(leaves.edge_sums, 0, leaves.row)
     stats = {p: float(s / lines.points) for p, s in zip(leaves.sum_ps, sums)}
     if leaves.maxima is not None:

@@ -336,7 +336,7 @@ def streamed_and_whole(f, dims, ps):
             norms._grid_stats(eval_grid(f, dims, rows), ps, n0))
 
 
-STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,)]
+STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,), (math.inf,)]
 
 
 class TestStreamedStats:
@@ -351,11 +351,11 @@ class TestStreamedStats:
         # leaf boundaries fall inside lines, and a line spans several leaves
         monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
         f = random_spectrum(np.random.default_rng(len(dims) + dims[0]), len(dims), 12, 40, real)
+        a = np.abs(eval_grid(f, dims))
         for ps in STREAM_PS:
             got, want = streamed_and_whole(f, dims, ps)
             assert got == want
             if not real:  # the whole grid: np.mean and np.max themselves
-                a = np.abs(eval_grid(f, dims))
                 assert got == {p: float(np.max(a)) if math.isinf(p) else
                                float(np.mean(a if p == 1 else a**p)) for p in ps}
 
@@ -366,7 +366,9 @@ class TestStreamedStats:
         a = np.random.default_rng(n).random(n) * 10.0 ** np.arange(-3, 4).repeat(n // 7 + 1)[:n]
         for leaf in (128, 1000, norms.SLICE_POINTS):
             assert leaf_tree_sum(a, leaf) == a.sum()
-        assert leaf_tree_sum(a.reshape(-1, 1)[:, 0], 128) == a.reshape(1, -1).sum()
+        # a C-contiguous grid sums over its flat index the same way
+        grid = a[:n - n % 7].reshape(7, -1)
+        assert leaf_tree_sum(grid.reshape(-1), 1000) == grid.sum()
 
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -378,8 +380,12 @@ class TestStreamedStats:
             grid = GridSpec(points_per_dim=n)
             assert (n**d > norms.STREAM_POINTS) == streams
             streamed = []
-            monkeypatch.setattr(norms, "GridLines",
-                                lambda *args: streamed.append(args) or GridLines(*args))
+
+            def spy(*args):
+                streamed.append(args)
+                return GridLines(*args)
+
+            monkeypatch.setattr(norms, "GridLines", spy)
             results[n] = norms._lp_norms(f, ps, grid)
             assert len(streamed) == streams
             monkeypatch.setattr(norms, "STREAM_POINTS", poly.MAX_POINTS)  # the whole-grid path
@@ -387,7 +393,7 @@ class TestStreamedStats:
             monkeypatch.undo()
 
     def test_norm_on_a_large_grid_holds_no_grid(self):
-        # the parent held the whole complex grid (20.3 MB traced for 19.2 MB)
+        # reduced whole, this 1.8M-point grid alone takes 28.8 MB
         rng = np.random.default_rng(5)
         f = random_mixed_poly(rng, 3, max_shell=6)
         while math.prod(resolve_grid_dims(f, GridSpec())) < 1_000_000:
@@ -402,8 +408,8 @@ class TestStreamedStats:
         assert peak <= grid_bytes / 4
 
     def test_self_checked_norm_traces_under_10_mb(self):
-        # the parent traced 56.9 MB for this norm, whose doublings reach grids
-        # of several million points
+        # this norm's doublings reach grids of millions of points, 60 MB
+        # traced when each is reduced whole
         f = random_mixed_poly(np.random.default_rng(8), 3, max_shell=6)
         tracemalloc.start()
         try:
