@@ -321,7 +321,7 @@ def random_spectrum(rng, d, deg, nnz, real=False):
     return TrigPoly.from_arrays(K, C)
 
 
-def leaf_tree_sum(a, leaf):
+def leaf_tree_sum(a):
     """a.sum() of a 1-D float64 array, walked leaf by leaf as the streamed
     reduction walks a grid."""
     return norms._pairwise(lambda lo, n: np.array([a[lo:lo + n].sum()]), 0, a.size)[0]
@@ -359,16 +359,36 @@ class TestStreamedStats:
                 assert got == {p: float(np.max(a)) if math.isinf(p) else
                                float(np.mean(a if p == 1 else a**p)) for p in ps}
 
+    @pytest.mark.parametrize("leaf", [128, 1000])
+    @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000)], ids=str)
+    def test_each_line_is_transformed_once(self, monkeypatch, leaf, dims):
+        # a line that two leaves share is kept from one to the next; with
+        # complex coefficients no edge rows are walked
+        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
+        f = random_spectrum(np.random.default_rng(1), len(dims), 12, 40)
+        done = []
+        transform = GridLines.transform
+
+        def spy(self, first, out):
+            done.extend(range(first, first + len(out)))
+            return transform(self, first, out)
+
+        monkeypatch.setattr(GridLines, "transform", spy)
+        lines = GridLines(f, dims)
+        norms._streamed_stats(lines, (1.0, math.inf), None)
+        assert done == list(range(lines.count))
+
+    @pytest.mark.parametrize("leaf", [128, 1000, norms.SLICE_POINTS])
     @pytest.mark.parametrize("n", [129, 8193, 32769, 100_003, 1_000_000])
-    def test_numpy_sum_is_the_leaf_tree(self, n):
+    def test_numpy_sum_is_the_leaf_tree(self, monkeypatch, n, leaf):
         # the streamed reduction rests on numpy summing a contiguous float64
         # array pairwise over a fixed tree; if numpy changes that, this fails
+        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
         a = np.random.default_rng(n).random(n) * 10.0 ** np.arange(-3, 4).repeat(n // 7 + 1)[:n]
-        for leaf in (128, 1000, norms.SLICE_POINTS):
-            assert leaf_tree_sum(a, leaf) == a.sum()
+        assert leaf_tree_sum(a) == a.sum()
         # a C-contiguous grid sums over its flat index the same way
         grid = a[:n - n % 7].reshape(7, -1)
-        assert leaf_tree_sum(grid.reshape(-1), 1000) == grid.sum()
+        assert leaf_tree_sum(grid.reshape(-1)) == grid.sum()
 
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
