@@ -5,10 +5,10 @@ block-sum norm, so only q in {1, inf} tries the smooth aggregate.  The
 aggregate of the level-n shell member is empty (each of its smooth-block
 indices has (s, gamma') >= n - (gamma', 1)), so there both errors agree.
 
-Both errors take the cross itself, as ``hyperbolic_cross`` builds it, so a
-caller that also needs the cross (a sweep's cardinality column) builds it once.
-The class-level suprema are never optimized over; the extremal families
-stand in for them, matching how the lower bounds are actually realized.
+Both errors take the cross as ``hyperbolic_cross`` builds it; a rate sweep's
+cardinality column reads the key of ``cross_level`` and builds no cross.  The
+class-level suprema are never optimized over; the extremal families stand in
+for them, matching how the lower bounds are actually realized.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ the set of frequencies ``k`` with ``2**(s_j-1) <= |k_j| < 2**s_j`` in every
 coordinate.  A dyadic shell, the blocks with (s,1) = m, is an int64 array with
 one block per row in lexicographic order (``compositions``).  Step hyperbolic
 crosses, even shells and the weighted tail sums used by the rate predictions
-all filter such arrays.  A block s lies in the level-n cross when every
-running sum s_1 g_1 + ... + s_j g_j, added left to right from 0.0, plus the
-least remaining tail g_{j+1} + ... + g_d stays strictly below n.
+all filter such arrays.  One key per block, ``cross_level``, decides both
+the crosses and the tails: a block lies in the level-n cross iff its key is
+below n, and in the tail at n otherwise.
 """
 
 from __future__ import annotations
@@ -135,10 +135,6 @@ def block_ranges(s: Sequence[int]) -> list[tuple[int, ...]]:
     return ranges
 
 
-def block_cardinality(s: Sequence[int]) -> int:
-    return 2 ** sum(int(x) for x in s)
-
-
 def compositions(total: int, parts: int) -> np.ndarray:
     """The ``parts``-tuples of positive integers summing to ``total`` as rows of
     an int64 array in lexicographic order: the gaps between 0, each
@@ -168,10 +164,6 @@ class BlockIndexSet:
             raise ValueError("duplicate blocks")
         object.__setattr__(self, "_lookup", seen)
 
-    @property
-    def freq_count(self) -> int:
-        return sum(block_cardinality(s) for s in self.blocks)
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -182,23 +174,29 @@ class BlockIndexSet:
         return tuple(s) in self._lookup
 
 
-def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
-    """Step hyperbolic cross: all blocks s with (s, gamma*) < n, in
-    lexicographic order, by the membership rule of the module docstring.
+def cross_level(S: np.ndarray, gamma: Sequence[float]) -> np.ndarray:
+    """The cross rule's key of each row s of the block array ``S``: the max
+    over j of the running sum s_1 g_1 + ... + s_j g_j, added left to right,
+    plus the least remaining tail g_{j+1} + ... + g_d.  Block s lies in the
+    level-n cross iff its key < n.  With every g_j >= 1 it is >= (s,1)."""
+    running, key = 0.0, -math.inf
+    for j, g in enumerate(gamma):
+        running = running + S[:, j] * g
+        key = np.maximum(key, running + sum(gamma[j + 1:]))
+    return key
 
-    Returns an empty set (not an error) when no block qualifies.
-    """
+
+def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
+    """Step hyperbolic cross: the blocks s with (s, gamma*) < n by the key of
+    ``cross_level``, in lexicographic order; an empty set when none qualifies."""
     if not math.isfinite(n):
         raise ValueError(f"cross level n must be finite, got n={n}")
     if n > MAX_CROSS_LEVEL:
         raise ValueError(f"cross level n={n} exceeds cap {MAX_CROSS_LEVEL}")
-    gamma = params.gamma_for(gamma_mode)
     d = params.d
-    # gamma* >= 1, so every member has (s,1) < n; a slack last part turns
-    # the shells d..ceil(n)-1 into one lexicographic array
+    # key >= (s,1), so the cross lies in the shells d..ceil(n)-1; a slack part joins them
     S = compositions(math.ceil(n), d + 1)[:, :d]
-    tails = [sum(gamma[j + 1:]) for j in range(d)]
-    S = S[(np.cumsum(S * gamma, axis=1) + tails < n).all(axis=1)]
+    S = S[cross_level(S, params.gamma_for(gamma_mode)) < n]
     return BlockIndexSet(tuple(map(tuple, S.tolist())), d, n=float(n), gamma_mode=gamma_mode)
 
 
@@ -231,18 +229,15 @@ def _tail_remainder_bound(m: int, d: int, alpha: float) -> float:
     return (m + 1) ** (d - 1) * x ** (m + 1) / (1.0 - q)
 
 
-def weighted_tail_sums(
-    alpha: float,
-    params: SmoothParams,
-    ls: Sequence[float],
-    mode: str = "gamma-on-gamma",
-) -> list[tuple[float, float]]:
-    """Sums of 2**(-alpha*(s,gamma)) over blocks outside each cross boundary l.
+def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
+                       mode: str = "gamma-on-gamma") -> list[tuple[float, float]]:
+    """Sums of 2**(-alpha*(s,gamma)) over the tail at each boundary l, the
+    complement of the level-l cross: the blocks whose ``cross_level`` key,
+    on gamma in ``gamma-on-gamma`` mode and on gamma' in
+    ``gamma-prime-on-gamma`` mode, is >= l.
 
-    The constraint is (s, gamma) >= l in ``gamma-on-gamma`` mode and
-    (s, gamma') >= l in ``gamma-prime-on-gamma`` mode; the weight always uses
-    gamma.  One enumeration of the shells (s,1)=m serves every l; it stops
-    once the remaining tail is provably below ``TAIL_REL_TOL`` of the smallest
+    One enumeration of the shells (s,1)=m serves every l; it stops once the
+    remaining tail is provably below ``TAIL_REL_TOL`` of the smallest
     accumulated value.  Returns ``(value, value / (2**(-alpha*l) * l**(m-1)))``
     per l, with m = d resp. nu.
 
@@ -260,6 +255,8 @@ def weighted_tail_sums(
     if not ls or not all(0 < l < math.inf for l in ls):
         raise ValueError(f"boundaries ls must be nonempty, finite and positive, got {ls}")
     d = params.d
+    gamma_star, power = ((params.gamma, d) if mode == "gamma-on-gamma"
+                         else (params.gamma_prime, params.nu))
     # the remainder bound falls with m: infinite at the last shell means at every shell
     if math.isinf(_tail_remainder_bound(TAIL_MAX_SHELL, d, alpha)):
         raise ValueError(f"tail sums at alpha={alpha}, d={d} cannot be certified within "
@@ -272,9 +269,7 @@ def weighted_tail_sums(
         sg = np.cumsum(S * params.gamma, axis=1)[:, -1]
         x, at = np.unique(sg, return_inverse=True)
         weights = np.array([2.0 ** (-alpha * v) for v in x.tolist()])[at]
-        if mode == "gamma-prime-on-gamma":
-            sg = np.cumsum(S * params.gamma_prime, axis=1)[:, -1]
-        outside = sg >= np.array(ls)[:, None]
+        outside = cross_level(S, gamma_star) >= np.array(ls)[:, None]
         # adding 0.0 for a block inside boundary l leaves its running sum as it is
         values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),
                            axis=1)[:, -1]
@@ -282,11 +277,8 @@ def weighted_tail_sums(
         if values.min() > 0.0 and bound < TAIL_REL_TOL * values.min():
             break
     else:
-        raise TailTruncationError(
-            f"tail sums not converged after shell {TAIL_MAX_SHELL} (bound {bound:.3e})",
-            partial=float(values.min()),
-        )
-    power = d if mode == "gamma-on-gamma" else params.nu
+        raise TailTruncationError(f"tail sums not converged after shell {TAIL_MAX_SHELL} "
+                                  f"(bound {bound:.3e})", partial=float(values.min()))
     return [(v, v / (2.0 ** (-alpha * l) * l ** (power - 1)))
             for v, l in zip(values.tolist(), ls)]
 

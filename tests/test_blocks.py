@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from stepcross.blocks import (GAMMA_MODES, TAIL_MAX_SHELL, TAIL_REL_TOL, BlockIndexSet,
                               SmoothParams, TailTruncationError, _tail_remainder_bound,
-                              block_anchor, block_cardinality, block_indices, block_ranges,
-                              compositions, even_shell, hyperbolic_cross, weighted_tail_sums,
+                              block_anchor, block_indices, block_ranges, compositions,
+                              cross_level, even_shell, hyperbolic_cross, weighted_tail_sums,
                               write_blocks)
 from stepcross.poly import TrigPoly, project_cross
 
@@ -34,10 +34,22 @@ def dot(s, g):
     return acc
 
 
+def freq_count(cross):
+    """Oracle: the number of frequencies in the blocks of ``cross``."""
+    return sum(2 ** sum(s) for s in cross)
+
+
+def least_tails(gamma):
+    """The least remaining tail after each coordinate j, g_{j+1} + ... + g_d,
+    added left to right from 0.0."""
+    return [dot((1,) * (len(gamma) - j - 1), gamma[j + 1:]) for j in range(len(gamma))]
+
+
 def recursive_cross(n, params, gamma_mode):
     """Oracle: the cross as a coordinate-by-coordinate recursion, which keeps
     s_j while the running sum plus the least remaining tail stays below n."""
     gamma = params.gamma_for(gamma_mode)
+    tails = least_tails(gamma)
     d = params.d
     out = []
 
@@ -45,9 +57,8 @@ def recursive_cross(n, params, gamma_mode):
         if coord == d:
             out.append(tuple(acc))
             return
-        tail_min = dot((1,) * (d - coord - 1), gamma[coord + 1:])
         sj = 1
-        while partial + gamma[coord] * sj + tail_min < n:
+        while partial + gamma[coord] * sj + tails[coord] < n:
             rec(coord + 1, acc + [sj], partial + gamma[coord] * sj)
             sj += 1
 
@@ -55,18 +66,29 @@ def recursive_cross(n, params, gamma_mode):
     return tuple(out)
 
 
+def outside_cross(s, gamma, tails, n):
+    """Oracle: s lies outside the level-n cross when, at some coordinate, the
+    recursion's running sum plus the least remaining tail reaches n."""
+    partial = 0.0
+    for sj, g, tail in zip(s, gamma, tails):
+        partial = partial + g * sj
+        if not partial + tail < n:
+            return True
+    return False
+
+
 def scalar_tail_sums(alpha, params, ls, mode):
     """Oracle: the tail sums block by block and boundary by boundary, with the
     stopping rule of ``weighted_tail_sums``; returns the values only."""
     gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
+    tails = least_tails(gamma_star)
     d = params.d
     values = [0.0] * len(ls)
     for m in itertools.count(d):
         for comp in composition_tuples(m, d):
-            g_star = dot(comp, gamma_star)
             w = 2.0 ** (-alpha * dot(comp, params.gamma))
             for i, l in enumerate(ls):
-                if g_star >= l:
+                if outside_cross(comp, gamma_star, tails, l):
                     values[i] += w
         bound = _tail_remainder_bound(m, d, alpha)
         if min(values) > 0.0 and bound < TAIL_REL_TOL * min(values):
@@ -153,7 +175,7 @@ class TestDyadicBlocks:
         # exhaustive per-coordinate enumeration oracle
         want = {(a, b) for a in (-3, -2, 2, 3) for b in (-1, 1)}
         assert block_freqs((2, 1)) == want
-        assert len(want) == block_cardinality((2, 1)) == 8
+        assert len(want) == 8
 
     @pytest.mark.parametrize("s", [(1,), (4,), (2, 3), (1, 1, 2), (3, 2, 1)])
     def test_cardinality(self, s):
@@ -208,21 +230,21 @@ class TestHyperbolicCross:
     def test_d1_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0,)))
         assert q.blocks == ((1,), (2,), (3,))
-        assert q.freq_count == 2 + 4 + 8
+        assert freq_count(q) == 2 + 4 + 8
 
     def test_d2_isotropic_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0, 1.0)))
         assert set(q.blocks) == {(1, 1), (1, 2), (2, 1)}
-        assert q.freq_count == 20
+        assert freq_count(q) == 20
 
     def test_d2_anisotropic_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0, 2.0)))
         assert q.blocks == ((1, 1),)
-        assert q.freq_count == 4
+        assert freq_count(q) == 4
 
     def test_empty_cross_is_silent(self):
         q = hyperbolic_cross(1, SmoothParams((1.0, 1.0)))
-        assert len(q) == 0 and q.freq_count == 0
+        assert len(q) == 0 and freq_count(q) == 0
 
     def test_monotone_in_n(self):
         params = SmoothParams((1.0, 1.5))
@@ -266,14 +288,32 @@ class TestHyperbolicCross:
         cross = hyperbolic_cross(n, params, gamma_mode)
         assert cross.blocks == recursive_cross(n, params, gamma_mode)
 
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.lists(st.sampled_from((0.6, 1.0, 1.3, 1.5, 2.0, 3.1, 4.0)) | st.floats(0.3, 4.0),
+                      min_size=1, max_size=3).map(sorted),
+           gamma_mode=st.sampled_from(GAMMA_MODES), total=st.integers(1, 16))
+    @example(r=[1.5, 2.0, 4.0], gamma_mode="gamma-prime", total=6)
+    def test_key_is_the_recursions_rule(self, r, gamma_mode, total):
+        # every block of the shells below ``total``: key < n decides as the
+        # recursion does at each level n, and the key is never below (s,1),
+        # which lets a caller enumerate a level-n cross from the shells below n
+        params = SmoothParams(r)
+        gamma = params.gamma_for(gamma_mode)
+        tails = least_tails(gamma)
+        S = compositions(total, params.d + 1)[:, :params.d]
+        key = cross_level(S, gamma)
+        assert key.shape == (len(S),) and (key >= S.sum(axis=1)).all()
+        for n in range(1, total + 1):
+            assert list(key < n) == [not outside_cross(s, gamma, tails, n) for s in S.tolist()]
+
     def test_cardinality_order_band(self):
-        # freq_count / (2^n n^(d-1)) stays in a narrow band
+        # the frequency count / (2^n n^(d-1)) stays in a narrow band
         for d in (2, 3):
             params = SmoothParams((1.0,) * d)
             ratios = []
             for n in range(8, 21):
                 q = hyperbolic_cross(n, params)
-                ratios.append(q.freq_count / (2.0**n * n ** (d - 1)))
+                ratios.append(freq_count(q) / (2.0**n * n ** (d - 1)))
             assert max(ratios) / min(ratios) <= 4.0
 
     def test_contains_freq(self):
@@ -385,10 +425,28 @@ class TestWeightedTailSum:
            alpha=st.sampled_from((0.6, 1.0, 1.45, 2.5)) | st.floats(0.6, 3.0),
            ls=st.lists(st.floats(0.5, 12.0) | st.integers(1, 12), min_size=1, max_size=3),
            mode=st.sampled_from(("gamma-on-gamma", "gamma-prime-on-gamma")))
+    @example(r=[1.5, 2.0, 4.0], alpha=1.0, ls=[7], mode="gamma-prime-on-gamma")
     def test_equals_the_scalar_loop(self, r, alpha, ls, mode):
         params = SmoothParams(r)
         got = [v for v, _ in weighted_tail_sums(alpha, params, ls, mode)]
         assert got == scalar_tail_sums(alpha, params, [float(l) for l in ls], mode)
+
+    # every block lies in exactly one of the level-l cross and the tail at l:
+    # the cross's weights plus the tail at l add up to the tail at 1/2, which
+    # holds every block, over the same shells.  At r = (1.5, 2, 4) the block
+    # (l-3, 1, 1) of l = 6, 7, 8 has (s, gamma') < l but leaves the cross.
+    @pytest.mark.parametrize(("r", "mode"), [((1.5, 2.0, 4.0), "gamma-prime-on-gamma"),
+                                             ((1.5, 2.0, 4.0), "gamma-on-gamma"),
+                                             ((1.0, 1.0, 2.0), "gamma-prime-on-gamma"),
+                                             ((1.0, 3.0), "gamma-prime-on-gamma")])
+    def test_tail_is_the_complement_of_the_cross(self, r, mode):
+        params, alpha, ls = SmoothParams(r), 1.0, range(3, 13)
+        gamma_mode = "gamma" if mode == "gamma-on-gamma" else "gamma-prime"
+        (total, _), *tails = weighted_tail_sums(alpha, params, [0.5, *ls], mode)
+        for l, (tail, _) in zip(ls, tails):
+            inside = sum(2.0 ** (-alpha * dot(s, params.gamma))
+                         for s in hyperbolic_cross(l, params, gamma_mode))
+            assert inside + tail == pytest.approx(total, rel=1e-12, abs=0), f"l={l}"
 
     def test_criterion_08_cases_bit_for_bit(self):
         # float.hex of every value and ratio of the twelve criterion-08 sums,

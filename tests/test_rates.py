@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from stepcross.norms import lp_norm
 from stepcross.rates import (RateFit, SweepRow, block_profile, dirichlet_lq_mean, fit_rates,
                              gauss_legendre, local_log_powers, predicted_order, sweep_extremal,
                              theory_exponents, validate_hypotheses)
+
+
+def freq_count(cross):
+    """Oracle: the number of frequencies in the blocks of ``cross``."""
+    return sum(2 ** sum(s) for s in cross)
 
 
 def synthetic_rows(fn, ns):
@@ -141,28 +147,60 @@ class TestSweep:
 
     # every q records the best-upper bound; at q = 2.5 it is the Fourier-sum error
     @pytest.mark.parametrize("pq", [2.5, math.inf])
-    def test_builds_each_cross_once(self, monkeypatch, pq):
+    def test_profile_path_builds_no_cross(self, monkeypatch, pq):
         params = SmoothParams((1.0, 1.0))
-        built = []
 
-        def counting(n, params, gamma_mode="gamma"):
-            built.append(n)
-            return hyperbolic_cross(n, params, gamma_mode)
+        def no_cross(*args, **kwargs):
+            raise AssertionError("a cross was built")
 
-        monkeypatch.setattr(rates, "hyperbolic_cross", counting)
+        monkeypatch.setattr(rates, "hyperbolic_cross", no_cross)
         rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7))
-        assert built == [4, 5, 6]
         monkeypatch.undo()
+        assert [r.n for r in rows] == [4, 5, 6]
         for r in rows:
             member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
             cross = hyperbolic_cross(r.n, params, "gamma")
-            assert r.cardinality == cross.freq_count
+            assert r.cardinality == freq_count(cross)
             # 1-D profiles against the polynomial's product grids: equal up to
             # rounding for q = inf, within the self-check tolerance for q = 2.5
             for want in (approx.best_approx_upper(member, cross, params, pq),
                          approx.fourier_sum_error(member, cross, pq)):
                 assert r.error == pytest.approx(want, rel=1e-15 if pq == math.inf else 1e-6,
                                                 abs=0)
+
+    # the cardinality column reads the key of every block once; the cross
+    # itself is the oracle, and at q = inf the error is the shell's term count
+    # 2**n C(n-1, d-1) times the scale, in either gamma mode
+    @pytest.mark.parametrize("r", [(1.0,), (1.0, 1.0), (1.5, 2.0), (1.0, 1.0, 1.0),
+                                   (1.5, 2.0, 4.0), (1.0, 1.0, 2.0)], ids=str)
+    @pytest.mark.parametrize("gamma_mode", ["gamma", "gamma-prime"])
+    def test_cardinality_counts_the_cross(self, monkeypatch, r, gamma_mode):
+        params, d = SmoothParams(r), len(r)
+
+        def no_cross(*args, **kwargs):
+            raise AssertionError("a cross was built")
+
+        monkeypatch.setattr(rates, "hyperbolic_cross", no_cross)
+        rows = sweep_extremal(math.inf, math.inf, 2.0, params, gamma_mode, range(d, 41))
+        monkeypatch.undo()
+        assert [row.n for row in rows] == list(range(d, 41))
+        for row in rows:
+            assert row.cardinality == freq_count(hyperbolic_cross(row.n, params, gamma_mode))
+            want = (shell_scale(row.n, d, params.r1 + 1.0, 2.0) * 2.0**row.n
+                    * math.comb(row.n - 1, d - 1))
+            assert row.error == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("levels", [[5.5], [5.0], [True, 5], [5, "6"], [5, 6.0, 7]],
+                             ids=str)
+    def test_non_integer_level_rejected_before_any_level(self, monkeypatch, levels):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a sweep level was computed")
+
+        for name in ("cross_level", "compositions", "block_profile"):
+            monkeypatch.setattr(rates, name, no_level)
+        bad = next(n for n in levels if not isinstance(n, int) or isinstance(n, bool))
+        with pytest.raises(ValueError, match=re.escape(f"integers, got n={bad!r}")):
+            sweep_extremal(math.inf, math.inf, 2.0, SmoothParams((1.0, 1.0)), "gamma", levels)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
@@ -177,7 +215,7 @@ def polynomial_rows(p, q, theta, params, gamma_mode, ns):
     for n in ns:
         member = shell_extremal(n, params.d, params.r1, p, theta)
         cross = hyperbolic_cross(n, params, gamma_mode)
-        rows.append((n, cross.freq_count, approx.best_approx_upper(member, cross, params, q)))
+        rows.append((n, freq_count(cross), approx.best_approx_upper(member, cross, params, q)))
     return rows
 
 
@@ -328,7 +366,8 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        monkeypatch.setattr(rates, "hyperbolic_cross", no_level)
+        for name in ("cross_level", "compositions", "block_profile"):
+            monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n >= d"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0, 1.0)), "gamma", range(4, 1, -1))
 
@@ -337,7 +376,8 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        monkeypatch.setattr(rates, "hyperbolic_cross", no_level)
+        for name in ("cross_level", "compositions", "block_profile"):
+            monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n=41 exceeds cap 40"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(5, 42))
 

@@ -1,6 +1,7 @@
 """Each experiment script starts: it imports what it uses from the package
 and parses ``--help``.  The reach guard only parses the scripts, so an import
-that a signature change breaks fails here."""
+that a signature change breaks fails here.  ``csv_bodies.py`` prints the
+digests that the experiment goldens pin."""
 
 import os
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_experiments import GOLDEN
+
+from stepcross.experiments import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("run_*.py"))
@@ -18,10 +22,25 @@ def test_scripts_found():
                                          "run_rate_sweeps.py"]
 
 
+def run_script(script, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help_exits_zero(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_csv_bodies_prints_the_golden_digest(tmp_path):
+    kw, digest = GOLDEN["lemmaA"]
+    run_experiment(ExperimentConfig(output_path=str(tmp_path / "lemmaA"), **kw))
+    # a provenance line is not part of the body
+    with (tmp_path / "lemmaA" / "lemmaA_ratios.csv").open("a") as fh:
+        fh.write("# appended comment\n")
+    proc = run_script(ROOT / "scripts" / "csv_bodies.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{digest}  lemmaA/lemmaA_ratios.csv\n"
