@@ -179,11 +179,17 @@ def cross_level(S: np.ndarray, gamma: Sequence[float]) -> np.ndarray:
     over j of the running sum s_1 g_1 + ... + s_j g_j, added left to right,
     plus the least remaining tail g_{j+1} + ... + g_d.  Block s lies in the
     level-n cross iff its key < n.  With every g_j >= 1 it is >= (s,1)."""
+    return _key_and_sum(S, gamma)[0]
+
+
+def _key_and_sum(S: np.ndarray, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``cross_level``'s key of each row s of ``S``, and its last running
+    sum (s, gamma), added left to right from 0.0."""
     running, key = 0.0, -math.inf
     for j, g in enumerate(gamma):
         running = running + S[:, j] * g
         key = np.maximum(key, running + sum(gamma[j + 1:]))
-    return key
+    return key, running
 
 
 def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
@@ -264,12 +270,15 @@ def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
     values = np.zeros(len(ls))
     for m in range(d, TAIL_MAX_SHELL + 1):
         S = compositions(m, d)
-        # cumsum adds each (s, g) left to right, as a loop over the block does;
-        # each distinct value's weight is computed once and mapped back
-        sg = np.cumsum(S * params.gamma, axis=1)[:, -1]
+        # (s, g) is added left to right, as a loop over the block does, and in
+        # gamma-on-gamma mode the key's running sums end in it; each distinct
+        # value's weight is computed once and mapped back
+        key, sg = _key_and_sum(S, gamma_star)
+        if mode != "gamma-on-gamma":
+            sg = _key_and_sum(S, params.gamma)[1]
         x, at = np.unique(sg, return_inverse=True)
         weights = np.array([2.0 ** (-alpha * v) for v in x.tolist()])[at]
-        outside = cross_level(S, gamma_star) >= np.array(ls)[:, None]
+        outside = key >= np.array(ls)[:, None]
         # adding 0.0 for a block inside boundary l leaves its running sum as it is
         values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),
                            axis=1)[:, -1]

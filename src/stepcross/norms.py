@@ -30,18 +30,16 @@ Numerical methods
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
   value.  A self-checked non-even p then refines on its own grids.
-* A grid of at most ``STREAM_POINTS`` points, and every d = 1 or rank-1
-  factor grid, is held whole: its modulus overwrites it and the last power
-  overwrites the modulus, so one grid-sized buffer is held (two when several
-  powers share the grid).
-* A d >= 2 grid of more than ``STREAM_POINTS`` points is never held whole.
-  numpy sums a float64 array pairwise over a fixed binary tree, so the
-  grid's flat index is walked down that tree to leaves of at most
-  ``SLICE_POINTS`` points; the last FFT stage (``GridLines.transform``)
-  runs on each leaf's lines into buffers allocated once per grid, and the
-  leaves' max and sums combine in tree order, bit for bit the whole
-  array's.  Besides the last stage's input a few leaf-sized buffers are
-  held.
+* A grid of at most ``SLICE_POINTS`` values evaluated is one leaf, from
+  ``eval_grid``.  A larger one, of any d and a rank-1 factor's line
+  included, is reduced leaf by leaf: numpy sums a float64 array pairwise
+  over a fixed binary tree, so the grid's flat index is walked down that
+  tree to leaves of at most ``SLICE_POINTS`` points, the last FFT stage
+  (``GridLines.transform``) runs once on each line as the leaves reach it,
+  and the leaves' max and sums combine in tree order, bit for bit the whole
+  array's.  Besides the last stage's input it holds up to two leaves' worth
+  of lines (for d = 1 the whole line), a few leaf-sized arrays and the
+  powers of the rows that map onto themselves.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -135,74 +133,13 @@ def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
     return [TrigPoly.from_sorted(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
-# the most points the modulus overwrites at a time, and the most points of a
-# leaf of a streamed grid (at least 128, numpy's smallest pairwise block)
+# the most points of a leaf: a grid of at most this many wanted values is one
+# leaf, evaluated by eval_grid, and a larger one is walked leaf by leaf (at
+# least 128, numpy's smallest pairwise block)
 SLICE_POINTS = 1 << 15
-# a d >= 2 grid of more points is reduced leaf by leaf and never held whole
-STREAM_POINTS = 1 << 19
 
 
-def _modulus_in_place(vals: np.ndarray) -> np.ndarray:
-    """|vals| written over the front half of vals' own complex buffer, one
-    slice at a time, so no second grid-sized array is allocated (a grid of
-    one slice or less takes np.abs, which costs less per call).
-
-    Float slot i lies in complex element i // 2, which is read with slot i's
-    slice or before it.  The values are those of np.abs(vals).
-    """
-    if vals.size <= SLICE_POINTS:
-        return np.abs(vals)
-    flat = vals.reshape(-1)
-    a = flat.view(np.float64)[:flat.size]
-    for s in range(0, flat.size, SLICE_POINTS):
-        a[s:s + SLICE_POINTS] = np.abs(flat[s:s + SLICE_POINTS])
-    return a.reshape(vals.shape)
-
-
-def _grid_stats(vals: np.ndarray, ps: Sequence[float], n0: int | None = None
-                ) -> dict[float, float]:
-    """Mean of |vals|**p for each distinct p in ``ps``, or the max of |vals|
-    at p = inf, keyed by p.
-
-    The modulus overwrites the complex grid and the last power overwrites
-    the modulus, so besides the grid's own buffer at most one power of the
-    modulus is held.  A mean is the array's sum over its size, the same
-    reduction and division as ``np.mean`` without its wrapper.
-
-    With ``n0``, vals holds rows 0..n0//2 of a grid of n0 rows on which rows
-    m and n0 - m carry the same moduli, as for a polynomial with real
-    coefficients.  The max over those rows is the grid max, and a mean is
-    (2 S - E) / (grid size), from the sum S over those rows and the sum E
-    over the rows that map onto themselves: row 0, and row n0/2 for even n0.
-    """
-    a = _modulus_in_place(vals)
-    size = a.size if n0 is None else a.size // len(a) * n0
-    stats, powers = {}, []
-    for p in ps:
-        if math.isinf(p):
-            stats[p] = float(a.max())
-        elif p == 1:
-            stats[p] = float(_grid_sum(a, n0) / size)
-        else:
-            powers.append(p)
-    for p in powers[:-1]:
-        stats[p] = float(_grid_sum(a**p, n0) / size)
-    if powers:
-        a **= powers[-1]
-        stats[powers[-1]] = float(_grid_sum(a, n0) / size)
-    return stats
-
-
-def _grid_sum(x: np.ndarray, n0: int | None) -> float:
-    """The sum over the grid of which x holds rows 0..n0//2 (all of it when
-    n0 is None), as ``_grid_stats`` describes."""
-    if n0 is None:
-        return x.sum()
-    edge = x[0] if n0 % 2 else x[0] + x[n0 // 2]  # a value for d = 1, a row for d > 1
-    return 2 * x.sum() - (edge if x.ndim == 1 else edge.sum())
-
-
-def _pairwise(leaf, lo: int, n: int) -> np.ndarray:
+def _pairwise(leaf, lo: int, n: int) -> list:
     """The sums of n values from flat index lo on, in numpy's pairwise order,
     where ``leaf(lo, n)`` returns them for at most ``SLICE_POINTS`` values.
 
@@ -216,18 +153,21 @@ def _pairwise(leaf, lo: int, n: int) -> np.ndarray:
     if n <= SLICE_POINTS:
         return leaf(lo, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
+    return [x + y for x, y in zip(_pairwise(leaf, lo, half), _pairwise(leaf, lo + half, n - half))]
 
 
 class _LineWindow:
     """A buffer of consecutive grid lines from ``GridLines``, transformed by
     its last stage as values are asked for.  Values are asked for in
-    increasing order, so the line that one request shares with the one
-    before is kept, not transformed again."""
+    increasing order; a request that runs past the lines held keeps the
+    ones it shares with them and fills the rest of the buffer, so each line
+    is transformed once, and in batches of up to ``2 * SLICE_POINTS``
+    points."""
 
     def __init__(self, lines: GridLines):
         self.lines = lines
-        self.buf = np.empty((SLICE_POINTS // lines.n + 2, lines.n), dtype=complex)
+        self.buf = np.empty((min(2 * SLICE_POINTS // lines.n + 2, lines.count), lines.n),
+                            dtype=complex)
         self.held = range(0)  # the lines buf holds, from its first row on
 
     def values(self, lo: int, count: int) -> np.ndarray:
@@ -235,88 +175,92 @@ class _LineWindow:
         order, a view of the buffer."""
         n = self.lines.n
         first, stop = lo // n, (lo + count - 1) // n + 1
-        kept = 0
-        if first in self.held:
-            kept = min(self.held.stop, stop) - first
-            at = first - self.held.start
-            self.buf[:kept] = self.buf[at:at + kept]
-        if first + kept < stop:
-            rest = self.buf[kept:stop - first]
+        if stop > self.held.stop:
+            kept = max(self.held.stop - first, 0)
+            shift = first - self.held.start
+            if kept and shift:
+                self.buf[:kept] = self.buf[shift:shift + kept]
+            end = min(first + len(self.buf), self.lines.count)
+            rest = self.buf[kept:end - first]
             rest.fill(0)
             self.lines.transform(first + kept, rest)
-        self.held = range(first, stop)
-        return self.buf.reshape(-1)[lo - first * n:lo - first * n + count]
+            self.held = range(first, end)
+        at = lo - self.held.start * n
+        return self.buf.reshape(-1)[at:at + count]
 
 
 class _LeafStats:
-    """Leaf sums of a grid that ``GridLines`` holds before its last stage.
-    The buffers are allocated once, so besides the last stage's input a norm
-    holds a few buffers of about ``SLICE_POINTS`` points.
+    """Leaf by leaf, the sums of |v| (p = 1) and |v|**p, in ``sum_ps`` order,
+    over ``size`` values v that ``values(lo, count)`` returns, and the
+    leaves' maxima when ``ps`` holds inf.  With ``edges``, for each p,
+    ``kept`` holds the powers of the first ``row`` values and, with two
+    edges, of the last ``row``, in the pieces the walk passes them in."""
 
-    With ``n0``, the grid holds rows 0..n0//2 of a grid of n0 rows, as in
-    ``_grid_stats``, and ``edges`` are the flat offsets of the rows that map
-    onto themselves, each read through its own window.
-    """
-
-    def __init__(self, lines: GridLines, ps: Sequence[float], n0: int | None):
+    def __init__(self, values, ps: Sequence[float], size: int, row: int, edges: int):
+        self.values, self.size, self.row, self.edges = values, size, row, edges
         self.sum_ps = [p for p in ps if not math.isinf(p)]
         self.maxima = [] if len(self.sum_ps) < len(ps) else None
-        self.row = lines.points // lines.dims[0]  # points per row of the grid
-        self.edges = (0,) if n0 is None or n0 % 2 else (0, n0 // 2 * self.row)
-        self.windows = [_LineWindow(lines) for _ in self.edges]
-        self.mods = np.empty((len(self.edges), SLICE_POINTS))
-        self.powers = np.empty((len(self.edges), SLICE_POINTS))
+        self.kept = [([], []) for _ in self.sum_ps]
 
-    def sums(self, lo: int, count: int) -> np.ndarray:
-        """The sums of |v| (p = 1) and |v|**p, in ``sum_ps`` order, over grid
-        values lo..lo + count - 1; the leaf's max joins ``maxima``."""
-        a = np.abs(self.windows[0].values(lo, count), out=self.mods[0, :count])
+    def sums(self, lo: int, count: int) -> list:
+        """The sums over values lo..lo + count - 1; the leaf's max joins
+        ``maxima``."""
+        a = np.abs(self.values(lo, count))
         if self.maxima is not None:
-            self.maxima.append(a.max())
-        return self._power_sums([a], count)
-
-    def edge_sums(self, lo: int, count: int) -> np.ndarray:
-        """``sums`` over points lo..lo + count - 1 of the elementwise sum of
-        the edge rows, as ``_grid_sum`` adds them."""
-        mods = [np.abs(w.values(edge + lo, count), out=m[:count])
-                for edge, w, m in zip(self.edges, self.windows, self.mods)]
-        return self._power_sums(mods, count)
-
-    def _power_sums(self, mods: list[np.ndarray], count: int) -> np.ndarray:
+            self.maxima.append(np.maximum.reduce(a))
+        head = self.edges and lo < self.row
+        tail = self.edges == 2 and lo + count > self.size - self.row  # past the last row's start
         out = []
-        for p in self.sum_ps:
-            xs = mods if p == 1 else [np.power(a, p, out=b[:count])
-                                      for a, b in zip(mods, self.powers)]
-            out.append((xs[0] if len(xs) == 1 else xs[0] + xs[1]).sum())
-        return np.array(out)
+        for p, (first, last) in zip(self.sum_ps, self.kept):
+            x = a if p == 1 else a**p
+            out.append(np.add.reduce(x))  # x.sum() of a flat array, without its wrapper
+            if head:
+                first.append(x[:self.row - lo])
+            if tail:
+                last.append(x[max(self.size - self.row - lo, 0):])
+        return out
 
 
-def _streamed_stats(lines: GridLines, ps: Sequence[float], n0: int | None
-                    ) -> dict[float, float]:
-    """``_grid_stats`` of the grid that ``lines`` holds before its last
-    stage, bit for bit, without the grid: its sums are walked leaf by leaf
-    in numpy's pairwise order, and so are the edge rows' sums with ``n0``."""
-    leaves = _LeafStats(lines, ps, n0)
-    sums = _pairwise(leaves.sums, 0, lines.count * lines.n)
-    if n0 is not None and leaves.sum_ps:
-        sums = 2 * sums - _pairwise(leaves.edge_sums, 0, leaves.row)
-    stats = {p: float(s / lines.points) for p, s in zip(leaves.sum_ps, sums)}
-    if leaves.maxima is not None:
-        stats[math.inf] = float(np.max(leaves.maxima))
-    return stats
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The pieces of a row as one array."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[float, float]:
-    """``_grid_stats`` of f over the ``dims`` grid.  If f's coefficients are
-    real, f(-x) is the conjugate of f(x), so rows m and N_0 - m of the grid
-    carry the same moduli, and rows 0..N_0//2 alone are evaluated.  A d >= 2
-    grid of more than ``STREAM_POINTS`` points is reduced leaf by leaf
-    (``_streamed_stats``), with the same values bit for bit."""
-    n0 = None if np.count_nonzero(f.C.imag) else dims[0]
-    rows = None if n0 is None else n0 // 2 + 1
-    if f.d > 1 and math.prod(dims) > STREAM_POINTS:
-        return _streamed_stats(GridLines(f, dims, rows), ps, n0)
-    return _grid_stats(eval_grid(f, dims, rows), ps, n0)
+    """Mean of |f|**p over the ``dims`` grid for each distinct p in ``ps``,
+    or the max of |f| at p = inf, keyed by p.
+
+    If f's coefficients are real, f(-x) is the conjugate of f(x), so rows m
+    and N_0 - m of the grid carry the same moduli, and rows 0..N_0//2 alone
+    are evaluated.  Their max is the grid max, and a mean is (2 S - E) /
+    (grid size), from the sum S over those rows and the sum E of the rows
+    that map onto themselves, row 0 and, for even N_0, row N_0/2 (the last
+    one evaluated), added elementwise.  A grid of at most ``SLICE_POINTS``
+    values evaluated is one leaf, from ``eval_grid``; a larger one is walked
+    through a ``_LineWindow``.  Either way each sum is the whole array's
+    ``sum`` bit for bit, and a mean divides it by the grid size, as
+    ``np.mean`` does.
+    """
+    n0, row = dims[0], math.prod(dims[1:])
+    real = not np.count_nonzero(f.C.imag)
+    rows = n0 // 2 + 1 if real else n0
+    if rows * row > SLICE_POINTS:
+        values = _LineWindow(GridLines(f, dims, rows)).values
+    else:
+        grid = eval_grid(f, dims, rows).reshape(-1)
+        values = lambda lo, count: grid
+    edges = 2 - n0 % 2 if real else 0
+    leaves = _LeafStats(values, ps, rows * row, row, edges)
+    stats = {}
+    for p, s, (first, last) in zip(leaves.sum_ps, _pairwise(leaves.sums, 0, rows * row),
+                                   leaves.kept):
+        if edges:
+            e = _joined(first) if edges == 1 else _joined(first) + _joined(last)
+            s = 2 * s - (e[0] if row == 1 else np.add.reduce(e))  # a row of one value for d = 1
+        stats[p] = float(s / (n0 * row))
+    if leaves.maxima is not None:
+        stats[math.inf] = float(max(leaves.maxima))
+    return stats
 
 
 def _quad_stats(f: TrigPoly, factors: list[TrigPoly] | None, ps: Sequence[float],

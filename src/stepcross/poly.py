@@ -23,7 +23,8 @@ bit those of the whole grid, and the stages after the first transform those
 rows alone.  ``GridLines`` holds a grid between the two parts: after the
 stages over axes 0..d-2, and before the last one, which its ``transform``
 runs on any range of the grid's lines along axis d-1, bit for bit as on the
-whole grid, so a caller can reduce a grid without holding it.
+whole grid, so a caller can reduce a grid a few lines at a time (for d = 1
+the one line is the whole axis).
 The package needs numpy alone at run time.
 """
 
@@ -83,7 +84,8 @@ class GridSpec:
 
 def is_int(v) -> bool:
     """True for an integer of any integral type, but not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    # a Python int, the common case, skips the slower abstract-class test
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:
@@ -335,13 +337,17 @@ class GridLines:
     (for d = 1, one line: the whole axis, of which the first ``rows`` points
     are wanted), and ``points`` is prod(dims), the factor the last stage
     scales by.  Between the stages only the last stage's input is held: the
-    lines that hold a nonzero, ``at`` on axis d-1.
+    lines that hold a nonzero, ``at`` on axis d-1.  A dim that is not an
+    integer >= 1, or ``rows`` out of range, is rejected before any work.
     """
 
     __slots__ = ("dims", "count", "n", "points", "at", "src")
 
     def __init__(self, f: TrigPoly, dims: Sequence[int], rows: int | None = None):
-        dims = tuple(int(n) for n in dims)
+        for n in dims:
+            if not (is_int(n) and n >= 1):
+                raise ValueError(f"grid dims must be integers >= 1, got {n!r} in {tuple(dims)!r}")
+        dims = tuple(map(int, dims))
         if len(dims) != f.d:
             raise ValueError("grid dimension mismatch")
         if rows is None:

@@ -94,7 +94,7 @@ class TestLpNorm:
     @pytest.mark.parametrize("p,grid,budget,points", [
         (20.0, GridSpec(), 100_000, 601 * 601), (4.0, GridSpec(oversampling=1.0), 4000, 121 * 121),
         (math.inf, GridSpec(oversampling=1.0), 4000, 245 * 245),
-        (26.0, GridSpec(), 100_000, 781 * 781)])  # streamed: over norms.STREAM_POINTS
+        (26.0, GridSpec(), 100_000, 781 * 781)])  # a grid walked leaf by leaf
     def test_first_grid_over_budget_raises_before_any_grid(self, monkeypatch, p, grid, budget,
                                                            points):
         # the base grid is within the budget; the even-p grid, sized from p
@@ -148,7 +148,7 @@ def random_rank1(rng, d, max_deg=4, real=False):
 
 def record_grids(monkeypatch):
     """Patch ``norms._poly_stats``, which every grid a norm reduces passes
-    through whole or streamed, to record (poly dimension, dims)."""
+    through, to record (poly dimension, dims)."""
     calls = []
     poly_stats = norms._poly_stats
 
@@ -289,29 +289,16 @@ class TestLpNormsEngine:
         lp_norm(f, math.inf, grid)
         assert [g.oversampling for g in built] == [4.0]
 
-    @pytest.mark.parametrize("shape", [(7,), (norms.SLICE_POINTS,), (norms.SLICE_POINTS + 1,),
-                                       (3, norms.SLICE_POINTS - 5), (40, 50, 37)])
-    def test_modulus_overwrites_the_grid_bit_for_bit(self, shape):
-        rng = np.random.default_rng(len(shape))
-        vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
-            -3, 4, size=shape)
-        want = np.abs(vals)
-        got = norms._modulus_in_place(vals)
-        assert got.shape == shape and np.array_equal(got, want)
-        if vals.size > norms.SLICE_POINTS:
-            assert np.shares_memory(got, vals)
-
-
     @pytest.mark.parametrize("ps", [(1.0,), (1.5,), (math.inf,), (1.0, 4.0, math.inf),
                                     (1.5, 3.0, 4.0)])
     @pytest.mark.parametrize("shape", [(7,), (3, 11), (norms.SLICE_POINTS + 1,)])
     def test_grid_stats_equal_numpy_mean_and_max(self, ps, shape):
-        rng = np.random.default_rng(len(ps) + len(shape))
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a = np.abs(vals)
+        # complex coefficients: the whole grid, one leaf or walked
+        f = random_spectrum(np.random.default_rng(len(ps) + len(shape)), len(shape), 3, 9)
+        a = np.abs(eval_grid(f, shape))
         want = {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
                 for p in ps}
-        assert norms._grid_stats(vals.copy(), ps) == want
+        assert norms._poly_stats(f, ps, shape) == want
 
 
 def random_spectrum(rng, d, deg, nnz, real=False):
@@ -322,67 +309,95 @@ def random_spectrum(rng, d, deg, nnz, real=False):
 
 
 def leaf_tree_sum(a):
-    """a.sum() of a 1-D float64 array, walked leaf by leaf as the streamed
-    reduction walks a grid."""
+    """a.sum() of a 1-D float64 array, walked leaf by leaf as a norm walks a
+    grid."""
     return norms._pairwise(lambda lo, n: np.array([a[lo:lo + n].sum()]), 0, a.size)[0]
 
 
-def streamed_and_whole(f, dims, ps):
-    """``_streamed_stats`` of f's grid, and ``_grid_stats`` of the whole
-    eval_grid array, on half the rows for real coefficients."""
-    n0 = None if np.count_nonzero(f.C.imag) else dims[0]
-    rows = None if n0 is None else n0 // 2 + 1
-    return (norms._streamed_stats(GridLines(f, dims, rows), ps, n0),
-            norms._grid_stats(eval_grid(f, dims, rows), ps, n0))
+def whole_grid_stats(f, ps, dims):
+    """``_poly_stats`` written out on the whole ``eval_grid`` array: np.mean
+    and np.max of |f| for complex coefficients; for real ones the max over
+    rows 0..N_0//2 and (2 S - E) / prod(dims), with S their sum and E the sum
+    of rows 0 and N_0/2 (even N_0 only) added elementwise."""
+    if np.count_nonzero(f.C.imag):
+        a = np.abs(eval_grid(f, dims))
+        return {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
+                for p in ps}
+    n0 = dims[0]
+    a = np.abs(eval_grid(f, dims, n0 // 2 + 1))
+    out = {}
+    for p in ps:
+        x = a if p == 1 or math.isinf(p) else a**p
+        edge = x[0] if n0 % 2 else x[0] + x[n0 // 2]
+        out[p] = float(np.max(a) if math.isinf(p) else
+                       (2 * np.sum(x) - np.sum(edge)) / math.prod(dims))
+    return out
 
 
 STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,), (math.inf,)]
+LEAVES = [128, 1000, norms.SLICE_POINTS]
 
 
 class TestStreamedStats:
-    @pytest.mark.parametrize("leaf", [128, 1000, norms.SLICE_POINTS])
+    @pytest.mark.parametrize("leaf", LEAVES)
     @pytest.mark.parametrize("dims", [
         (40, 33, 29), (41, 30, 27),  # d = 3, even and odd N_0
         (300, 257), (301, 256),  # d = 2
         (4, 40000), (5, 33001),  # a last axis longer than the largest leaf
+        (12, 60000),  # an edge row longer than the largest leaf
+        (2**15 + 1,), (100_003,), (2**20,),  # d = 1 lines over one leaf, odd and even
+        # SLICE_POINTS and SLICE_POINTS + 1 points, all of them (complex) or
+        # rows 0..N_0//2 (real) evaluated
+        (2**15,), (128, 256), (99, 331), (510, 128), (196, 331),
     ], ids=str)
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_equals_whole_grid_stats(self, monkeypatch, leaf, dims, real):
         # leaf boundaries fall inside lines, and a line spans several leaves
-        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
         f = random_spectrum(np.random.default_rng(len(dims) + dims[0]), len(dims), 12, 40, real)
-        a = np.abs(eval_grid(f, dims))
-        for ps in STREAM_PS:
-            got, want = streamed_and_whole(f, dims, ps)
-            assert got == want
-            if not real:  # the whole grid: np.mean and np.max themselves
-                assert got == {p: float(np.max(a)) if math.isinf(p) else
-                               float(np.mean(a if p == 1 else a**p)) for p in ps}
+        whole = whole_grid_stats(f, set().union(*STREAM_PS), dims)
+        want = [{p: whole[p] for p in ps} for ps in STREAM_PS]
+        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
+        assert [norms._poly_stats(f, ps, dims) for ps in STREAM_PS] == want
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_rank1_factor_grids_over_a_leaf(self, monkeypatch, leaf, real):
+        # each factor is a d = 1 line of more points than the largest leaf
+        f = random_rank1(np.random.default_rng(leaf), 2, real=real)
+        factors = _rank1_factors(f)
+        dims = (40_000, 2**15 + 3)
+        whole = [whole_grid_stats(g, set().union(*STREAM_PS), (n,)) for g, n in zip(factors, dims)]
+        want = [{p: math.prod(w[p] for w in whole) for p in ps} for ps in STREAM_PS]
+        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
+        assert [norms._quad_stats(f, factors, ps, dims) for ps in STREAM_PS] == want
 
     @pytest.mark.parametrize("leaf", [128, 1000])
-    @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000)], ids=str)
+    @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000), (41, 30, 27), (5, 33001),
+                                      (80, 81, 83), (81, 80, 83), (12, 60000), (13, 45000)],
+                             ids=str)
     def test_each_line_is_transformed_once(self, monkeypatch, leaf, dims):
-        # a line that two leaves share is kept from one to the next; with
-        # complex coefficients no edge rows are walked
+        # a line that two leaves share is kept from one to the next, and the
+        # rows that map onto themselves are kept as the walk passes them
         monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
-        f = random_spectrum(np.random.default_rng(1), len(dims), 12, 40)
-        done = []
         transform = GridLines.transform
+        for real in (False, True):
+            f = random_spectrum(np.random.default_rng(1), len(dims), 12, 40, real)
+            done = []
 
-        def spy(self, first, out):
-            done.extend(range(first, first + len(out)))
-            return transform(self, first, out)
+            def spy(self, first, out):
+                done.extend(range(first, first + len(out)))
+                return transform(self, first, out)
 
-        monkeypatch.setattr(GridLines, "transform", spy)
-        lines = GridLines(f, dims)
-        norms._streamed_stats(lines, (1.0, math.inf), None)
-        assert done == list(range(lines.count))
+            monkeypatch.setattr(GridLines, "transform", spy)
+            norms._poly_stats(f, (1.0, 2.5, math.inf), dims)
+            rows = dims[0] // 2 + 1 if real else dims[0]
+            assert done == list(range(rows * math.prod(dims[1:-1])))
 
-    @pytest.mark.parametrize("leaf", [128, 1000, norms.SLICE_POINTS])
+    @pytest.mark.parametrize("leaf", LEAVES)
     @pytest.mark.parametrize("n", [129, 8193, 32769, 100_003, 1_000_000])
     def test_numpy_sum_is_the_leaf_tree(self, monkeypatch, n, leaf):
-        # the streamed reduction rests on numpy summing a contiguous float64
-        # array pairwise over a fixed tree; if numpy changes that, this fails
+        # the leaf walk rests on numpy summing a contiguous float64 array
+        # pairwise over a fixed tree; if numpy changes that, this fails
         monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
         a = np.random.default_rng(n).random(n) * 10.0 ** np.arange(-3, 4).repeat(n // 7 + 1)[:n]
         assert leaf_tree_sum(a) == a.sum()
@@ -393,24 +408,20 @@ class TestStreamedStats:
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_grids_just_over_the_cutoff_stream(self, monkeypatch, d, ppd, real):
+        # grids on both sides of 2^19 points are walked the same way, and a
+        # grid of one leaf is evaluated whole by eval_grid
         f = random_spectrum(np.random.default_rng(d), d, 10, 30, real)
-        ps = (1.0, 1.5, 4.0, math.inf)
-        results = {}
-        for n, streams in ((ppd - 1, False), (ppd, True)):
+        ps = (1.0, 1.5, math.inf)
+        walked, whole = [], []
+        monkeypatch.setattr(norms, "GridLines", lambda *a: walked.append(a) or GridLines(*a))
+        monkeypatch.setattr(norms, "eval_grid", lambda *a: whole.append(a) or eval_grid(*a))
+        for n in (ppd - 1, ppd, 32):
             grid = GridSpec(points_per_dim=n)
-            assert (n**d > norms.STREAM_POINTS) == streams
-            streamed = []
-
-            def spy(*args):
-                streamed.append(args)
-                return GridLines(*args)
-
-            monkeypatch.setattr(norms, "GridLines", spy)
-            results[n] = norms._lp_norms(f, ps, grid)
-            assert len(streamed) == streams
-            monkeypatch.setattr(norms, "STREAM_POINTS", poly.MAX_POINTS)  # the whole-grid path
-            assert norms._lp_norms(f, ps, grid) == results[n]
-            monkeypatch.undo()
+            assert norms._lp_norms(f, ps, grid) == {
+                p: stat if math.isinf(p) else stat ** (1 / p)
+                for p, stat in whole_grid_stats(f, ps, (n,) * d).items()}
+        assert [a[1] for a in walked] == [(ppd - 1,) * d, (ppd,) * d]
+        assert [a[1] for a in whole] == [(32,) * d]
 
     def test_norm_on_a_large_grid_holds_no_grid(self):
         # reduced whole, this 1.8M-point grid alone takes 28.8 MB
@@ -783,9 +794,9 @@ class TestNikolskii:
     def test_one_grid_for_every_pair(self, monkeypatch, d, seed):
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
         assert _rank1_factors(f) is None
-        # seed 5 draws a grid that is reduced leaf by leaf
+        # the d = 3 grids are walked leaf by leaf, seed 5's over 2^19 points
         dims = resolve_grid_dims(f, GridSpec())
-        assert (math.prod(dims) > norms.STREAM_POINTS) == (seed == 5)
+        assert (math.prod(dims) > norms.SLICE_POINTS) == (d == 3)
         calls = record_grids(monkeypatch)
         nikolskii_check(f, NIKOLSKII_PAIRS, GridSpec(self_check=False))
         assert calls == [(d, dims)]

@@ -11,7 +11,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepcross import norms, poly
+from stepcross import poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridLines, GridSpec,
@@ -375,15 +375,20 @@ class TestStagedTransform:
         with pytest.raises(ValueError, match=r"rows must be an integer from 1 to N_0 = 8"):
             eval_grid(f, (8, 5), rows)
 
-    def test_result_is_a_fresh_grid_the_modulus_overwrites(self):
+    @pytest.mark.parametrize("bad", [4.9, 5.0, "7", True, 0, -3, None], ids=repr)
+    def test_dims_not_integers_named_before_any_work(self, monkeypatch, bad):
+        f = TrigPoly(2, {(1, 2): 1.0, (-3, 1): 0.5})
+        monkeypatch.setattr(np.fft, "ifft", None)  # any transform would raise TypeError
+        for dims in ((bad, 5), (5, bad)):
+            with pytest.raises(ValueError, match=rf"dims must be integers >= 1, got {bad!r} in "):
+                eval_grid(f, dims)
+        monkeypatch.undo()
+        assert np.array_equal(eval_grid(f, (np.int64(5), 4)), eval_grid(f, (5, 4)))
+
+    def test_result_is_a_fresh_writable_grid(self):
         f = dirichlet_shell(5, 2)
         vals = eval_grid(f, (256, 256))
         assert vals.flags.c_contiguous and vals.flags.writeable and vals.shape == (256, 256)
-        assert vals.size > norms.SLICE_POINTS
-        expected = np.abs(vals)
-        a = norms._modulus_in_place(vals)
-        assert np.shares_memory(a, vals)
-        assert np.array_equal(a, expected)
 
 
 class TestNumpyRuntime:
