@@ -14,10 +14,11 @@ their indices and ``smooth_aggregate`` filters and sums only those inside a
 gamma'-cross.  The kernel and filter coefficients take integer arrays, so
 every filter is applied to a whole coordinate column of ``f.K`` at once.
 
-Two conventions are defined, in ``block_filter_coeff`` and ``smooth_block``.
-``literal`` takes the ladder rung at s = 1 as V_2 - V_1, which annihilates
-the frequencies |k| = 1 and therefore cannot reproduce every mean-zero
-polynomial from its filtered pieces; it is kept for comparison only.
+Two conventions are defined, in the one rung formula that
+``block_filter_coeff`` and ``smooth_block`` share.  ``literal`` takes the
+ladder rung at s = 1 as V_2 - V_1, which annihilates the frequencies
+|k| = 1 and therefore cannot reproduce every mean-zero polynomial from its
+filtered pieces; it is kept for comparison only.
 ``partition-exact`` replaces the subtracted V_1 by the pure mean projection,
 so that summing the filters over all block indices reproduces any mean-zero
 polynomial exactly.  Every norm, error and experiment uses
@@ -59,11 +60,21 @@ def block_filter_coeff(s, k, convention: str = "partition-exact"):
     s = np.asarray(s, dtype=np.int64)
     if np.any(s < 1):
         raise ValueError("block index components must be >= 1")
-    a = np.abs(k)
+    return _rung(s, np.abs(k), convention)[()]
+
+
+def _rung(s, a, convention: str):
+    """The block-s filter multiplier at |k| = a, for s >= 1 already checked:
+    the ladder rung V_{2^s} - V_{2^(s-1)}, and under ``partition-exact`` the
+    rung V_2 - [k = 0] where s = 1.  ``s`` is an int, which evaluates only
+    the rung it takes, or an int64 array broadcast with a."""
+    exact = convention == "partition-exact" and s == 1  # a bool unless s is an array
+    if exact is True:
+        return _vdp(2, a) - (a == 0)
     ladder = _vdp(2**s, a) - _vdp(2 ** (s - 1), a)
-    if convention == "literal" or not np.any(s == 1):
-        return ladder[()]
-    return np.where(s == 1, _vdp(2, a) - (a == 0), ladder)[()]
+    if exact is False or not exact.any():
+        return ladder
+    return np.where(exact, _vdp(2, a) - (a == 0), ladder)
 
 
 def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exact") -> TrigPoly:
@@ -80,11 +91,7 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
         raise ValueError("block index components must be >= 1")
     mult = np.ones(f.nnz)
     for j, sj in enumerate(s):
-        a = np.abs(f.K[:, j])
-        if sj == 1 and convention == "partition-exact":
-            mult = mult * (_vdp(2, a) - (a == 0))
-        else:
-            mult = mult * (_vdp(2**sj, a) - _vdp(2 ** (sj - 1), a))
+        mult = mult * _rung(sj, np.abs(f.K[:, j]), convention)
     keep = mult != 0.0
     return f.take(keep, f.C[keep] * mult[keep])
 

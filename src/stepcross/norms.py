@@ -16,30 +16,24 @@ Numerical methods
 * No grid may hold more than ``poly.MAX_POINTS`` points: a first grid over
   it raises GridBudgetError before any evaluation, a doubling over it ends
   the self-check with QuadratureError.
-* A polynomial whose coefficient tensor has rank 1, f(x) = prod_j g_j(x_j),
-  is sampled through its 1-D factors: on an N_1 x ... x N_d grid the mean
-  of |f|^p is prod_j mean |g_j|^p over N_j points, and the grid max is
-  prod_j max |g_j|.  The grids, the self-check and the point budget are the
-  same as for the full grid, so values agree up to rounding.
-* A polynomial or rank-1 factor with real coefficients has f(-x) equal to
-  the conjugate of f(x), so rows m and N_0 - m of its grid carry the same
-  moduli.  Only rows 0..N_0//2 are evaluated: their max is the grid max,
-  and a mean counts every row but 0 and N_0/2 twice.  Values agree with the
-  full grid up to rounding.  Complex coefficients take the full grid.
+* A polynomial with real coefficients has f(-x) equal to the conjugate of
+  f(x), so rows m and N_0 - m of its grid carry the same moduli.  Only rows
+  0..N_0//2 are evaluated: their max is the grid max, and a mean counts
+  every row but 0 and N_0/2 twice.  Values agree with the full grid up to
+  rounding.  Complex coefficients take the full grid.
 * Norms at several exponents compute each distinct p once, and exponents
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
   value.  A self-checked non-even p then refines on its own grids.
 * A grid of at most ``SLICE_POINTS`` values evaluated is one leaf, from
-  ``eval_grid``.  A larger one, of any d and a rank-1 factor's line
-  included, is reduced leaf by leaf: numpy sums a float64 array pairwise
-  over a fixed binary tree, so the grid's flat index is walked down that
-  tree to leaves of at most ``SLICE_POINTS`` points, the last FFT stage
-  (``GridLines.transform``) runs once on each line as the leaves reach it,
-  and the leaves' max and sums combine in tree order, bit for bit the whole
-  array's.  Besides the last stage's input it holds up to two leaves' worth
-  of lines (for d = 1 the whole line), a few leaf-sized arrays and the
-  powers of the rows that map onto themselves.
+  ``eval_grid``.  A larger one, of any d, is reduced leaf by leaf: numpy
+  sums a float64 array pairwise over a fixed binary tree, so the grid's
+  flat index is walked down that tree to leaves of at most ``SLICE_POINTS``
+  points, the last FFT stage (``GridLines.transform``) runs once on each
+  line as the leaves reach it, and the leaves' max and sums combine in tree
+  order, bit for bit the whole array's.  Besides the last stage's input it
+  holds up to two leaves' worth of lines (for d = 1 the whole line), a few
+  leaf-sized arrays and the powers of the rows that map onto themselves.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -71,66 +65,6 @@ def _check_form(form: str, p: float) -> None:
         raise ValueError(f"unknown block form {form!r}; expected one of {FORMS}")
     if form == "sharp" and not (1 < p < math.inf):
         raise ValueError("sharp block form requires 1 < p < inf")
-
-
-RANK1_RTOL = 1e-12
-
-
-def _rank1_factors(f: TrigPoly) -> list[TrigPoly] | None:
-    """1-D polynomials g_j with f(x) = prod_j g_j(x_j), or None unless f's
-    coefficient tensor has rank 1 up to ``RANK1_RTOL`` relatively.
-
-    The support must be a Cartesian product, which is tested in O(nnz)
-    before any factor is built: K is sorted, so a product support splits
-    into runs of equal length, one per distinct first coordinate, that hold
-    the same rows of coordinates 1..d-1, and those rows are again a product.
-    Then C in K's order is the coefficient tensor, and every coefficient is
-    compared with the product of the fibers through the largest one.  A
-    cross ratio of T's corners that no tensor passing that test can have
-    rejects most tensors of higher rank first, in O(1).  Evaluates nothing.
-    """
-    if f.d == 1:
-        return [f]
-    axes, rest = [], f.K
-    while rest.shape[1] > 1:
-        # rest is sorted, so column 0 is nondecreasing: a run starts where it steps
-        steps = np.empty(len(rest), dtype=bool)
-        steps[0] = True
-        np.not_equal(rest[1:, 0], rest[:-1, 0], out=steps[1:])
-        n0 = np.count_nonzero(steps)
-        run, uneven = divmod(len(rest), n0)
-        if uneven or not steps[::run].all():
-            return None
-        slabs = rest[:, 1:].reshape(n0, run, -1)
-        if not (slabs == slabs[0]).all():
-            return None
-        axes.append(rest[steps, 0])
-        rest = slabs[0]
-    axes.append(rest[:, 0])
-    shape = tuple(len(a) for a in axes)
-    T = f.C.reshape(shape)
-    # A tensor that passes the test below is T = (1 + e) P entrywise, with
-    # P the exact product of the fibers and |e| <= RANK1_RTOL up to
-    # rounding.  P's corners have P[0..0] P[-1..-1] = P[0,-1..] P[-1,0..], so
-    # T's corners are within 4.01 RANK1_RTOL |T[0..0] T[-1..-1]| of that: a
-    # tensor twice as far off is rejected here, before the pivot and fibers.
-    first, last = T[(0,) * f.d], T[(-1,) * f.d]
-    swapped = T[(0,) + (-1,) * (f.d - 1)] * T[(-1,) + (0,) * (f.d - 1)]
-    if abs(first * last - swapped) > 8 * RANK1_RTOL * abs(first * last):
-        return None
-    modulus = np.abs(T)
-    pivot = np.unravel_index(np.argmax(modulus), shape)
-    # fiber j runs along axis j through the pivot; all but the first are
-    # divided by the pivot so that the product reproduces T
-    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(f.d)]
-    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
-    outer = fibers[0]
-    for u in fibers[1:]:
-        outer = np.multiply.outer(outer, u)
-    if not (np.abs(T - outer) <= RANK1_RTOL * modulus).all():
-        return None
-    # each axis is sorted and distinct, so the factors need no sorting or summing
-    return [TrigPoly.from_sorted(a[:, None], u) for a, u in zip(axes, fibers)]
 
 
 # the most points of a leaf: a grid of at most this many wanted values is one
@@ -263,16 +197,6 @@ def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[f
     return stats
 
 
-def _quad_stats(f: TrigPoly, factors: list[TrigPoly] | None, ps: Sequence[float],
-                dims: Sequence[int]) -> dict[float, float]:
-    """``_poly_stats`` of f over the ``dims`` grid, from the 1-D factors of f
-    on their own coordinate's points when it has them."""
-    if factors is None:
-        return _poly_stats(f, ps, dims)
-    per_factor = [_poly_stats(g, ps, (n,)) for g, n in zip(factors, dims)]
-    return {p: math.prod(stats[p] for stats in per_factor) for p in ps}
-
-
 def _is_even(p: float) -> bool:
     return p == int(p) and int(p) % 2 == 0
 
@@ -282,8 +206,8 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
     keyed by p.
 
     Each distinct p is computed once, and the exponents whose first grid has
-    the same dims share one evaluation of f (or of its rank-1 factors).  A
-    self-checked non-even p then refines on its own.
+    the same dims share one evaluation of f.  A self-checked non-even p then
+    refines on its own.
     """
     for p in ps:
         check_exponent(p)
@@ -299,7 +223,6 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
             todo.append(p)
     if not todo:
         return norms
-    factors = _rank1_factors(f)
     base = resolve_grid_dims(f, grid)
     groups: dict[tuple[int, ...], list[float]] = {}
     for p in todo:
@@ -315,17 +238,16 @@ def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, f
             dims = base
         groups.setdefault(dims, []).append(p)
     for dims, group in groups.items():
-        for p, stat in _quad_stats(f, factors, group, dims).items():
+        for p, stat in _poly_stats(f, group, dims).items():
             norms[p] = stat if math.isinf(p) else stat ** (1.0 / p)
     if grid.points_per_dim is None and grid.self_check:
         for p in todo:
             if not (math.isinf(p) or _is_even(p)):
-                norms[p] = _refine(f, factors, p, base, norms[p])
+                norms[p] = _refine(f, p, base, norms[p])
     return norms
 
 
-def _refine(f: TrigPoly, factors: list[TrigPoly] | None, p: float, base: tuple[int, ...],
-            prev: float) -> float:
+def _refine(f: TrigPoly, p: float, base: tuple[int, ...], prev: float) -> float:
     """Doubling self-check of the L_p quadrature whose value on ``base`` is
     ``prev``: refine until one doubling changes it by at most ``CHECK_RTOL``."""
     # refine by exact doubling of the base grid so successive grids nest
@@ -338,7 +260,7 @@ def _refine(f: TrigPoly, factors: list[TrigPoly] | None, p: float, base: tuple[i
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={CHECK_RTOL} (last value {prev:.6e})"
             ) from exc
-        cur = _quad_stats(f, factors, (p,), dims)[p] ** (1.0 / p)
+        cur = _poly_stats(f, (p,), dims)[p] ** (1.0 / p)
         if abs(cur - prev) <= CHECK_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur

@@ -106,8 +106,7 @@ class TrigPoly:
     ``TrigPoly(d, coeffs)`` takes a mapping from frequency tuples to
     coefficients; ``TrigPoly.from_arrays(K, C)`` takes the two arrays, rows in
     any order, and sums the coefficients of a repeated frequency in the order
-    given; ``TrigPoly.from_sorted(K, C)`` takes rows already in order;
-    ``f.take(rows, C)`` keeps some of f's terms, already in order.
+    given; ``f.take(rows, C)`` keeps some of f's terms, already in order.
     Every way drops the coefficients of modulus below ``DROP_TOL``.
     """
 
@@ -132,16 +131,6 @@ class TrigPoly:
                              f"got shapes {K.shape} and {C.shape}")
         f = object.__new__(TrigPoly)
         f._store(*_sorted_sums(K, C))
-        return f
-
-    @staticmethod
-    def from_sorted(K: np.ndarray, C: np.ndarray) -> "TrigPoly":
-        """``from_arrays`` for an int64 K whose rows are already strictly
-        increasing: nothing is copied, sorted or summed, only the ``DROP_TOL``
-        filter applies.  K and C become read-only, and the caller must not
-        write to them or to arrays they view."""
-        f = object.__new__(TrigPoly)
-        f._store(K, C)
         return f
 
     def take(self, rows, C: np.ndarray | None = None) -> "TrigPoly":

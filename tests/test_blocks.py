@@ -419,13 +419,16 @@ class TestWeightedTailSum:
         with pytest.raises(ValueError, match=named):
             weighted_tail_sums(alpha, SmoothParams((1.0, 1.0, 1.0)), ls)
 
-    @settings(max_examples=40, deadline=None)
+    # fixed draws, since random ones moved the run time more than tenfold;
+    # d = 3 at alpha = 0.6 with three boundaries at 12 is the costliest corner
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(r=st.lists(st.sampled_from((0.7, 1.0, 1.3, 1.7, 2.2, 3.1)), min_size=1,
                       max_size=3).map(sorted),
            alpha=st.sampled_from((0.6, 1.0, 1.45, 2.5)) | st.floats(0.6, 3.0),
            ls=st.lists(st.floats(0.5, 12.0) | st.integers(1, 12), min_size=1, max_size=3),
            mode=st.sampled_from(("gamma-on-gamma", "gamma-prime-on-gamma")))
     @example(r=[1.5, 2.0, 4.0], alpha=1.0, ls=[7], mode="gamma-prime-on-gamma")
+    @example(r=[0.7, 1.0, 1.3], alpha=0.6, ls=[12, 12, 12], mode="gamma-prime-on-gamma")
     def test_equals_the_scalar_loop(self, r, alpha, ls, mode):
         params = SmoothParams(r)
         got = [v for v, _ in weighted_tail_sums(alpha, params, ls, mode)]

@@ -8,11 +8,11 @@ import pytest
 
 from stepcross import norms, poly
 from stepcross.approx import random_mixed_poly
-from stepcross.blocks import SmoothParams, block_ranges
+from stepcross.blocks import SmoothParams
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
-from stepcross.norms import (QuadratureError, _rank1_factors, aggregate_block_norms,
-                             besov_mixed_norm, bq1_norm, lp_norm, nikolskii_check)
+from stepcross.norms import (QuadratureError, aggregate_block_norms, besov_mixed_norm, bq1_norm,
+                             lp_norm, nikolskii_check)
 from stepcross.poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
                             eval_grid, resolve_grid_dims)
 
@@ -62,7 +62,7 @@ class TestLpNorm:
         def fail(*args):
             raise AssertionError("work done before the exponent was checked")
 
-        for name in ("_rank1_factors", "resolve_grid_dims", "eval_grid"):
+        for name in ("_poly_stats", "resolve_grid_dims", "eval_grid"):
             monkeypatch.setattr(norms, name, fail)
         with pytest.raises(ValueError, match="p must be a real number >= 1"):
             lp_norm(f, p)
@@ -161,17 +161,12 @@ def record_grids(monkeypatch):
 
 
 def reference_lp_norm(f, p, grid):
-    """L_p by the single-exponent rule written out: each grid from eval_grid
-    (on the rank-1 factors when there are any), reduced by hand."""
-    factors = _rank1_factors(f)
+    """L_p by the single-exponent rule written out: each grid of f from
+    eval_grid, reduced by hand."""
 
     def stat(dims):
-        pieces = [(f, dims)] if factors is None else [(g, (n,)) for g, n in zip(factors, dims)]
-        out = 1
-        for g, g_dims in pieces:
-            a = np.abs(eval_grid(g, g_dims))
-            out *= float(a.max()) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
-        return out
+        a = np.abs(eval_grid(f, dims))
+        return float(a.max()) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
 
     if math.isinf(p):
         return stat(resolve_grid_dims(f, replace(grid, oversampling=max(4.0, grid.oversampling))))
@@ -188,51 +183,6 @@ def reference_lp_norm(f, p, grid):
         prev = cur
 
 
-def rank1_factors_by_unique(f):
-    """The rank-1 test with np.unique on every coordinate."""
-    if f.d == 1:
-        return [f]
-    axes, where = zip(*(np.unique(f.K[:, j], return_inverse=True) for j in range(f.d)))
-    shape = tuple(len(a) for a in axes)
-    if math.prod(shape) != f.nnz:
-        return None
-    T = np.empty(shape, dtype=complex)
-    T[where] = f.C
-    pivot = np.unravel_index(np.argmax(np.abs(T)), shape)
-    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(f.d)]
-    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
-    outer = fibers[0]
-    for u in fibers[1:]:
-        outer = np.multiply.outer(outer, u)
-    if not np.all(np.abs(T - outer) <= norms.RANK1_RTOL * np.abs(T)):
-        return None
-    return [TrigPoly.from_arrays(a[:, None], u) for a, u in zip(axes, fibers)]
-
-
-def straddling_tensors(T, at):
-    """Copies of the rank-1 tensor T whose entry at ``at`` (off the fibers
-    through the largest entry) moves across the bound of the rank-1 test,
-    |T - outer| <= RANK1_RTOL |T|, in steps below one float step: the last
-    few inside the bound and the first few outside."""
-    pivot = np.unravel_index(np.argmax(np.abs(T)), T.shape)
-    fibers = [T[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(T.ndim)]
-    fibers[1:] = [u / T[pivot] for u in fibers[1:]]
-    outer = fibers[0]
-    for u in fibers[1:]:
-        outer = np.multiply.outer(outer, u)
-    o = outer[at:at + 1] if T.ndim == 1 else outer[at][None]
-    xs = [o * (1 + norms.RANK1_RTOL * (1 + k * 1e-5)) for k in range(-60, 61)]
-    inside = [bool(np.abs(x - o)[0] <= norms.RANK1_RTOL * np.abs(x)[0]) for x in xs]
-    flip = inside.index(False)
-    assert all(inside[:flip]) and not any(inside[flip:])
-    out = []
-    for x in xs[flip - 25:flip + 25]:
-        moved = T.copy()
-        moved[at] = x[0]
-        out.append(moved)
-    return out
-
-
 class TestLpNormsEngine:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 4.0, math.inf])
@@ -245,8 +195,6 @@ class TestLpNormsEngine:
             rank1 = random_rank1(rng, d)
             # a second product term on the same support makes rank 2
             rank2 = rank1 + 0.3 * random_rank1(rng, d)
-            assert _rank1_factors(rank1) is not None
-            assert d == 1 or _rank1_factors(rank2) is None
             for f in (rank1, rank2):
                 assert lp_norm(f, p, grid) == reference_lp_norm(f, p, grid)
 
@@ -259,8 +207,6 @@ class TestLpNormsEngine:
         rng = np.random.default_rng(10 * d + 2)
         rank1 = random_rank1(rng, d, real=True)
         rank2 = rank1 + 0.3 * random_rank1(rng, d, real=True)
-        assert _rank1_factors(rank1) is not None
-        assert d == 1 or _rank1_factors(rank2) is None
         shapes = []
 
         def spy(g, dims, rows=None):
@@ -359,18 +305,6 @@ class TestStreamedStats:
         monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
         assert [norms._poly_stats(f, ps, dims) for ps in STREAM_PS] == want
 
-    @pytest.mark.parametrize("leaf", LEAVES)
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_rank1_factor_grids_over_a_leaf(self, monkeypatch, leaf, real):
-        # each factor is a d = 1 line of more points than the largest leaf
-        f = random_rank1(np.random.default_rng(leaf), 2, real=real)
-        factors = _rank1_factors(f)
-        dims = (40_000, 2**15 + 3)
-        whole = [whole_grid_stats(g, set().union(*STREAM_PS), (n,)) for g, n in zip(factors, dims)]
-        want = [{p: math.prod(w[p] for w in whole) for p in ps} for ps in STREAM_PS]
-        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
-        assert [norms._quad_stats(f, factors, ps, dims) for ps in STREAM_PS] == want
-
     @pytest.mark.parametrize("leaf", [128, 1000])
     @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000), (41, 30, 27), (5, 33001),
                                       (80, 81, 83), (81, 80, 83), (12, 60000), (13, 45000)],
@@ -452,116 +386,8 @@ class TestStreamedStats:
 
 
 class TestRankOneFactors:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_unique_construction(self, d):
-        rng = np.random.default_rng(20 + d)
-        polys = []
-        for _ in range(4):
-            f = random_rank1(rng, d)
-            k, c = f.terms()[-1]
-            polys += [
-                f,
-                f + 0.3 * random_rank1(rng, d),  # rank 2
-                TrigPoly(d, {**f.coeffs, k: c * (1 + 1e-9)}),  # perturbed
-                TrigPoly(d, dict(f.terms()[:-1])),  # support not a product
-                random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2)),
-                f.take(np.arange(0, f.nnz, 2)),  # sparse: the count bound trips early
-            ]
-        polys.append(TrigPoly.exponential((3,) * d, 2.0 - 1.0j))
-        for f in polys:
-            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
-        assert any(_rank1_factors(f) is None for f in polys) == (d > 1)
-
-    @pytest.mark.parametrize(("support", "product"), [
-        ([(1, 1), (1, 3), (2, 1), (2, 3), (5, 1), (5, 3)], True),
-        ([(1, 1), (1, 2), (2, 1), (2, 3)], False),  # equal runs, the slabs differ
-        ([(1, 1), (1, 2), (2, 1)], False),  # runs of unequal length
-        ([(1, -2), (3, 4)], False),
-        ([(a, b, c) for a in (1, 2) for b in (-1, 2) for c in (1, 4, 6)], True),
-        # equal runs with equal slabs, but the slab {(1,1), (1,2), (2,1)} is no product
-        ([(a, b, c) for a in (1, 2) for b, c in ((1, 1), (1, 2), (2, 1))], False),
-        # equal runs of equal-length sub-runs whose slabs differ
-        ([(a, b, c) for a in (1, 2) for b, c in ((1, 1), (1, 2), (2, 1), (2, 3))], False),
-        ([(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 3)], False),  # slabs differ at the end
-    ])
-    def test_precheck_agrees_with_the_full_factorization(self, support, product):
-        rng = np.random.default_rng(len(support))
-        d = len(support[0])
-        axes = [sorted({k[j] for k in support}) for j in range(d)]
-        values = [dict(zip(a, rng.standard_normal(len(a)) + 1j)) for a in axes]
-        rank1 = TrigPoly(d, {k: math.prod(v[kj] for v, kj in zip(values, k))
-                             for k in support})
-        generic = TrigPoly(d, {k: complex(*rng.standard_normal(2)) for k in support})
-        for f, is_rank1 in ((rank1, product), (generic, False)):
-            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
-            assert (got is not None) == (want is not None) == is_rank1
-            if want is not None:
-                assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
-
-    @pytest.mark.parametrize("shape", [(2, 9), (3, 1), (1, 6), (5, 7), (2, 3, 7), (1, 2, 5),
-                                       (3, 3, 1)], ids=str)
-    def test_corner_test_keeps_the_decision(self, shape):
-        # the corner test before the pivot must reject only tensors that the
-        # whole product rejects: random signs on a rank-1 tensor (the smooth
-        # blocks of random-sign members), and one entry moved to either side
-        # of the RANK1_RTOL bound, by steps below one float step, at each
-        # corner the test reads and off the corners.  The pivot is the last
-        # corner.
-        rng = np.random.default_rng(sum(shape))
-        d = len(shape)
-        signed, straddled = [], []
-        for _ in range(4):
-            axes = [np.sort(rng.choice(np.arange(1, 60), n, replace=False)) for n in shape]
-            vectors = [rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
-                       for n in shape]
-            for u in vectors:
-                u[-1] = 2.0  # the largest entry of T is the last one
-            T = vectors[0]
-            for u in vectors[1:]:
-                T = np.multiply.outer(T, u)
-            K = np.array(list(itertools.product(*axes)))
-            tensors = [T, T * rng.choice([-1.0, 1.0], size=shape)]
-            corners = {(0,) * d, (0,) + tuple(n - 1 for n in shape[1:]),
-                       (shape[0] - 1,) + (0,) * (d - 1)}
-            for at in corners | {tuple(n // 2 for n in shape)}:
-                if at != tuple(n - 1 for n in shape):
-                    tensors += straddling_tensors(T, at)
-            decisions = []
-            for tensor in tensors:
-                f = TrigPoly.from_arrays(K, tensor.reshape(-1))
-                got, want = _rank1_factors(f), rank1_factors_by_unique(f)
-                assert (got is None) == (want is None)
-                if want is not None:
-                    assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
-                decisions.append(got is None)
-            assert decisions[0] is False
-            signed.append(decisions[1])
-            straddled += decisions[2:]
-        if math.prod(shape) > max(shape):
-            assert any(signed) and any(straddled) and not all(straddled)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_factors_equal_from_arrays(self, d):
-        # the factors are built from sorted axes without from_arrays' sort
-        # and sum: each equals the from_arrays polynomial bit for bit
-        rng = np.random.default_rng(30 + d)
-        polys = [random_rank1(rng, d, real=real) for real in (False, True) for _ in range(4)]
-        # the fiber along axis 1 holds 1e-11 / 1e20, below DROP_TOL, which
-        # leaves that factor either way
-        T = [[1e20, 1e-11], [10.0, 1e-30]]
-        polys.append(TrigPoly(d, {(i, j) + (1,) * (d - 2): c for i, row in enumerate(T, 1)
-                                  for j, c in enumerate(row, 1)}))
-        for f in polys:
-            got, want = _rank1_factors(f), rank1_factors_by_unique(f)
-            assert got is not None and want is not None and len(got) == d
-            for g, h in zip(got, want):
-                assert g.K.dtype == h.K.dtype and g.K.shape == h.K.shape
-                assert np.array_equal(g.K, h.K) and np.array_equal(g.C, h.C)
-                assert not (g.K.flags.writeable or g.C.flags.writeable)
-        assert polys[-1].nnz == 4 and _rank1_factors(polys[-1])[1].nnz == 1
+    """A product f(x) = prod_j g_j(x_j) of 1-D factors is reduced on its own
+    grid, like any other polynomial."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, math.inf])
@@ -569,47 +395,20 @@ class TestRankOneFactors:
                              ids=["pinned", "self-checked"])
     def test_matches_full_grid(self, monkeypatch, d, p, grid):
         rng = np.random.default_rng(d)
-        for _ in range(3):
-            f = random_rank1(rng, d)
-            calls = record_grids(monkeypatch)
-            got = lp_norm(f, p, grid)
-            assert calls and all(fd == 1 for fd, _ in calls)
-            dims = tuple(n for _, (n,) in calls[-d:])
-            vals = np.abs(eval_grid(f, dims))
-            want = vals.max() if math.isinf(p) else float(np.mean(vals**p)) ** (1 / p)
-            assert got == pytest.approx(want, rel=1e-13)
-
-    def test_rejects_rank_two_and_perturbed(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        f = random_rank1(rng, 2)
-        assert _rank1_factors(f) is not None
-        # same product support, plus a second rank-1 term: rank 2
-        a = {k1: rng.standard_normal() for k1, _ in f.coeffs}
-        b = {k2: rng.standard_normal() for _, k2 in f.coeffs}
-        g = TrigPoly(2, {(k1, k2): c + a[k1] * b[k2] for (k1, k2), c in f.coeffs.items()})
-        # one coefficient moved by 1e-9 relative
-        k, c = f.terms()[3]
-        h = TrigPoly(2, {**f.coeffs, k: c * (1 + 1e-9)})
-        for poly in (g, h):
-            assert _rank1_factors(poly) is None
-            calls = record_grids(monkeypatch)
-            lp_norm(poly, 2.5)
-            assert calls and all(fd == 2 for fd, _ in calls)
+        calls = record_grids(monkeypatch)
+        for real in (False, True):
+            for _ in range(8):
+                f = random_rank1(rng, d, real=real)
+                calls.clear()
+                got = lp_norm(f, p, grid)
+                assert calls and all(fd == d for fd, _ in calls)
+                stat = whole_grid_stats(f, (p,), calls[-1][1])[p]
+                assert got == (stat if math.isinf(p) else stat ** (1 / p))
 
     def test_shell_smooth_block_l1_still_hits_budget(self):
         comp = smooth_block(dirichlet_shell(5, 2), (1, 2))
         with pytest.raises(QuadratureError, match="hit the grid budget"):
             lp_norm(comp, 1.0)
-
-    def test_unit_block_needs_no_full_grid(self):
-        f = TrigPoly(2, {k: 1.0 for k in itertools.product(*block_ranges((7, 7)))})
-        tracemalloc.start()
-        try:
-            lp_norm(f, 2.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
 
 
 class TestBesovNorm:
@@ -793,7 +592,6 @@ class TestNikolskii:
                                         pytest.param(3, 5, id="3-streamed")])
     def test_one_grid_for_every_pair(self, monkeypatch, d, seed):
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
-        assert _rank1_factors(f) is None
         # the d = 3 grids are walked leaf by leaf, seed 5's over 2^19 points
         dims = resolve_grid_dims(f, GridSpec())
         assert (math.prod(dims) > norms.SLICE_POINTS) == (d == 3)
