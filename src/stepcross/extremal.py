@@ -9,10 +9,17 @@
   families (alpha = r1 for the shifted rectangles) and the rate sweeps.
 * ``shifted_rect_sample``: sums over the even shell of rectangle polynomials
   re-centered at the block anchors, with sup-normalized factors.
+
+Every member of a level has the same frequencies, so what they share is
+built once per (n, d) and kept for the last level asked for: the constant
+member, each block's unit rectangle factor, and the sorted frequency matrix
+of a random-sign member with the permutation that sorts its blocks' terms
+into it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,20 +91,38 @@ def shifted_rect_sample(n: int, d: int, mode: str = "constant",
     if n % 2 != 0:
         raise ValueError("shell level must be even")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    K, C = [], []
-    for s in even_shell(n, d):
-        anchor = np.array(block_anchor(s), dtype=np.int64)
-        if mode == "constant":
-            K.append(anchor[None, :])
-            C.append(np.ones(1))
-            continue
-        half = [2 ** (sj - 2) for sj in s]
-        rect = _grid_rows([range(-h, h + 1) for h in half])
+    constant, factors, support = _level_support(n, d)
+    if mode == "constant":
+        return constant
+    C = np.empty(support.nnz)
+    for unit, at in factors:
         # one draw per rectangle frequency, in lexicographic order
-        factor = TrigPoly.from_arrays(rect, rng.choice((-1.0, 1.0), size=len(rect)))
-        peak = lp_norm(factor, math.inf, GridSpec(oversampling=8.0))
-        K.append(anchor + factor.K)
-        C.append(factor.C.real / peak)
-    if not K:
-        return TrigPoly.zero(d)
-    return TrigPoly.from_arrays(np.concatenate(K), np.concatenate(C))
+        signs = rng.choice((-1.0, 1.0), size=unit.nnz)
+        peak = lp_norm(unit.take(slice(None), signs), math.inf, GridSpec(oversampling=8.0))
+        C[at] = signs / peak
+    return support.take(slice(None), C)
+
+
+@functools.lru_cache(maxsize=1)
+def _level_support(n: int, d: int) -> tuple[TrigPoly, tuple[tuple[TrigPoly, np.ndarray], ...],
+                                            TrigPoly]:
+    """What every level-n member shares, for an even n: the constant member;
+    per block of ``even_shell(n, d)``, the rectangle factor with unit
+    coefficients and the positions of its shifted terms in a random-sign
+    member; and that member's support, with unit coefficients.  Blocks of one
+    even shell differ by at least 2 in some component, so their shifted
+    rectangles share no frequency and the member has every term of each."""
+    shell = even_shell(n, d)
+    anchors = np.array([block_anchor(s) for s in shell], dtype=np.int64).reshape(-1, d)
+    rects = [_grid_rows([range(-2 ** (sj - 2), 2 ** (sj - 2) + 1) for sj in s]) for s in shell]
+    # an empty shell (n < 2d) stacks no rows: anchors is then 0 x d
+    K = np.concatenate([a + R for a, R in zip(anchors, rects)] or [anchors])
+    order = np.lexsort(K.T[::-1])
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))  # where each stacked term lands once sorted
+    at.setflags(write=False)
+    ends = np.cumsum([len(R) for R in rects], dtype=np.int64)
+    factors = tuple((TrigPoly.from_arrays(R, np.ones(len(R))), at[end - len(R):end])
+                    for R, end in zip(rects, ends))
+    return (TrigPoly.from_arrays(anchors, np.ones(len(anchors))), factors,
+            TrigPoly.from_arrays(K[order], np.ones(len(K))))

@@ -14,6 +14,13 @@ their indices and ``smooth_aggregate`` filters and sums only those inside a
 gamma'-cross.  The kernel and filter coefficients take integer arrays, so
 every filter is applied to a whole coordinate column of ``f.K`` at once.
 
+A run of polynomials on one support (the random-sign members of one family
+level) is filed once: the module keeps the filing of the last support it
+split, keyed by that support's frequency matrix, and the multipliers that
+``smooth_block`` formed on its groups, keyed by (s, convention) and checked
+against the group's frequencies.  Only one support is held; the next
+polynomial with other frequencies replaces it.
+
 Two conventions are defined, in the one rung formula that
 ``block_filter_coeff`` and ``smooth_block`` share.  ``literal`` takes the
 ladder rung at s = 1 as V_2 - V_1, which annihilates the frequencies
@@ -81,6 +88,8 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
     """Convolution of f with the product block filter for index ``s``: the
     multipliers are those of ``block_filter_coeff``, bit for bit, with ``s``
     checked once and each kernel of the ladder evaluated once per coordinate.
+    The multipliers formed on a group of the last support split are kept, and
+    a polynomial with that group's frequencies takes them again.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
@@ -89,9 +98,14 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
         raise ValueError("dimension mismatch")
     if min(s, default=1) < 1:
         raise ValueError("block index components must be >= 1")
-    mult = np.ones(f.nnz)
-    for j, sj in enumerate(s):
-        mult = mult * _rung(sj, np.abs(f.K[:, j]), convention)
+    held = _last.mults.get((s, convention))
+    if held is not None and np.array_equal(held[0], f.K):
+        mult = held[1]
+    else:
+        mult = np.ones(f.nnz)
+        for j, sj in enumerate(s):
+            mult = mult * _rung(sj, np.abs(f.K[:, j]), convention)
+        _last.hold(f.K, s, convention, mult)
     keep = mult != 0.0
     return f.take(keep, f.C[keep] * mult[keep])
 
@@ -120,13 +134,43 @@ def _filter_rows(f: TrigPoly) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
         yield s, np.sort(rows[at])
 
 
+class _Filing:
+    """The filing of one support, as ``_filter_rows`` gives it, with the
+    multipliers ``smooth_block`` formed on its groups: ``rows[s]`` are the
+    positions filed under s, in order of s, and ``mults[s, convention]`` is
+    (group s's frequencies, their multipliers)."""
+
+    __slots__ = ("K", "rows", "mults")
+
+    def __init__(self):
+        self.K, self.rows, self.mults = np.zeros((0, 0), dtype=np.int64), {}, {}
+
+    def of(self, f: TrigPoly) -> dict[tuple[int, ...], np.ndarray]:
+        """f's filing: the one held if f has the frequencies filed last, else
+        ``_filter_rows(f)``, which replaces it and the multipliers."""
+        if not np.array_equal(f.K, self.K):
+            rows = dict(_filter_rows(f))
+            self.K, self.rows, self.mults = f.K, rows, {}
+        return self.rows
+
+    def hold(self, K: np.ndarray, s: tuple[int, ...], convention: str, mult: np.ndarray) -> None:
+        """Keep the multipliers of filter s on K if K is group s's frequencies."""
+        rows = self.rows.get(s)
+        if rows is not None and np.array_equal(self.K[rows], K):
+            mult.setflags(write=False)
+            self.mults[s, convention] = (K, mult)
+
+
+_last = _Filing()  # the last support split
+
+
 def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
     """Every nonzero smooth block of f, sorted by block index: the smooth
     counterpart of ``poly.blocks_of``.  One pass files each term under the
     filter indices that do not vanish on it, and ``smooth_block`` filters
-    each group alone.
+    each group alone.  A support filed last is not filed again.
     """
-    split = ((s, smooth_block(f.take(rows), s)) for s, rows in _filter_rows(f))
+    split = ((s, smooth_block(f.take(rows), s)) for s, rows in _last.of(f).items())
     return {s: comp for s, comp in split if not comp.is_zero()}
 
 
@@ -144,7 +188,7 @@ def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
     gp = params.gamma_prime
     threshold = n - sum(gp)
     out = TrigPoly.zero(f.d)
-    for s, rows in _filter_rows(f):
+    for s, rows in _last.of(f).items():
         if sum(sj * gj for sj, gj in zip(s, gp)) < threshold:
             out = out + smooth_block(f.take(rows), s)
     return out

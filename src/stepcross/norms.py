@@ -87,6 +87,7 @@ def _pairwise(leaf, lo: int, n: int) -> list:
     if n <= SLICE_POINTS:
         return leaf(lo, n)
     half = n // 2 - n // 2 % 8
+    # one thread: the right half in a second thread took family's L_inf norms 58-70 -> 110-116 ms
     return [x + y for x, y in zip(_pairwise(leaf, lo, half), _pairwise(leaf, lo + half, n - half))]
 
 

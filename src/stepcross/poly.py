@@ -378,12 +378,15 @@ class GridLines:
         array of shape (lines, n) that holds zeros; returns ``out``.
 
         All lines at once scatter the input as it is held; a range of them
-        gathers its own lines first.
+        takes its slice of the input's rows for d = 2 and gathers its own
+        lines first for d >= 3.
         """
         if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
             np.add.at(out, (0, self.at), self.src)
         elif len(out) == self.count:
             out.reshape(self.src.shape[:-1] + (self.n,))[..., self.at] = self.src
+        elif len(self.dims) == 2:  # line j is row j of the input
+            out[:, self.at] = self.src[first:first + len(out)]
         else:
             lines = np.arange(first, first + len(out))
             out[:, self.at] = self.src[np.unravel_index(lines, self.src.shape[:-1])]

@@ -31,6 +31,27 @@ def shifted_rect_oracle(n, d, rng):
     return TrigPoly(d, coeffs)
 
 
+def shifted_rect_loop(n, d, mode, rng):
+    """The member built block by block, with the rectangle rebuilt and the
+    whole member sorted on every call."""
+    K, C = [], []
+    for s in even_shell(n, d):
+        anchor = np.array(block_anchor(s), dtype=np.int64)
+        if mode == "constant":
+            K.append(anchor[None, :])
+            C.append(np.ones(1))
+            continue
+        rect = np.array(list(itertools.product(*[range(-2 ** (sj - 2), 2 ** (sj - 2) + 1)
+                                                 for sj in s])), dtype=np.int64)
+        factor = TrigPoly.from_arrays(rect, rng.choice((-1.0, 1.0), size=len(rect)))
+        peak = lp_norm(factor, math.inf, GridSpec(oversampling=8.0))
+        K.append(anchor + factor.K)
+        C.append(factor.C.real / peak)
+    if not K:
+        return TrigPoly.zero(d)
+    return TrigPoly.from_arrays(np.concatenate(K), np.concatenate(C))
+
+
 class TestDirichletShell:
     def test_d1_block(self):
         f = dirichlet_shell(3, 1)
@@ -149,6 +170,26 @@ class TestShiftedRectFamily:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert shifted_rect_sample(n, d, "random-sign", rng) == shifted_rect_oracle(n, d, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["constant", "random-sign"])
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 6), (2, 8), (2, 10), (2, 12),
+                                     (3, 4), (3, 6), (3, 8), (3, 10), (3, 12)])
+    def test_equals_the_block_loop_bit_for_bit(self, d, n, mode):
+        # levels in turn, so each is built afresh, then members of a level
+        # already built; the d = 3, n = 4 shell is empty
+        for seed in (0, 7, 2024):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for m in (n, n - 2, n, n) if n > 4 else (n, n):
+                t, want = shifted_rect_sample(m, d, mode, rng), shifted_rect_loop(m, d, mode, ref)
+                assert t.d == want.d and t.nnz == want.nnz
+                assert t.K.tobytes() == want.K.tobytes() and t.C.tobytes() == want.C.tobytes()
+            assert rng.random() == ref.random()
+
+    def test_members_of_a_level_share_their_frequencies(self):
+        rng = np.random.default_rng(4)
+        a, b = (shifted_rect_sample(8, 2, "random-sign", rng) for _ in range(2))
+        assert np.shares_memory(a.K, b.K) and not np.array_equal(a.C, b.C)
+        assert shifted_rect_sample(8, 2, "constant") is shifted_rect_sample(8, 2, "constant")
 
     def test_random_sign_factor_sup_normalized(self):
         # reconstruct one factor and check its oversampled grid max is 1

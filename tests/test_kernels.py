@@ -8,8 +8,8 @@ from stepcross import kernels
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import shell_extremal, shifted_rect_sample
-from stepcross.kernels import (block_filter_coeff, filter_support_blocks, smooth_aggregate,
-                               smooth_block, smooth_blocks_of, vdp_coeff)
+from stepcross.kernels import (CONVENTIONS, block_filter_coeff, filter_support_blocks,
+                               smooth_aggregate, smooth_block, smooth_blocks_of, vdp_coeff)
 from stepcross.norms import block_norms, lp_norm
 from stepcross.poly import GridSpec, TrigPoly
 
@@ -245,6 +245,60 @@ class TestSmoothBlocksOf:
     def test_rejects_zero_component(self):
         with pytest.raises(ValueError, match="zero component"):
             smooth_blocks_of(TrigPoly(2, {(0, 3): 1.0}))
+
+    @staticmethod
+    def fresh_split(monkeypatch, f):
+        """``smooth_blocks_of(f)`` with nothing held from an earlier split."""
+        monkeypatch.setattr(kernels, "_last", kernels._Filing())
+        return smooth_blocks_of(f)
+
+    @staticmethod
+    def assert_same_split(got, want):
+        assert list(got) == list(want)
+        for s, comp in got.items():
+            assert comp.K.tobytes() == want[s].K.tobytes()
+            assert comp.C.tobytes() == want[s].C.tobytes()
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (12, 2), (8, 3)])
+    def test_repeated_support_splits_as_a_fresh_one(self, monkeypatch, n, d):
+        # two members of one level, another level's member between them
+        rng = np.random.default_rng(n + d)
+        a, b = (shifted_rect_sample(n, d, "random-sign", rng) for _ in range(2))
+        other = shifted_rect_sample(n - 2, d, "random-sign", rng)
+        order = (a, b, other, b, a)
+        got = [smooth_blocks_of(f) for f in order]
+        for f, split in zip(order, got):
+            self.assert_same_split(split, self.fresh_split(monkeypatch, f))
+
+    def test_held_multipliers_keep_their_convention(self, monkeypatch):
+        # frequencies with |k_j| = 1, where the two conventions differ
+        f = TrigPoly(2, {(1, 3): 1.0, (-1, -6): 2.0, (2, 1): -0.5j, (5, -1): 1.5})
+        groups = list(kernels._filter_rows(f))
+        want = {c: [smooth_block(f.take(rows), s, c) for s, rows in groups] for c in CONVENTIONS}
+        self.assert_same_split(smooth_blocks_of(f), self.fresh_split(monkeypatch, f))
+        for c in reversed(CONVENTIONS):
+            assert [smooth_block(f.take(rows), s, c) for s, rows in groups] == want[c]
+        self.assert_same_split(smooth_blocks_of(f), self.fresh_split(monkeypatch, f))
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (8, 3)])
+    def test_repeated_support_is_filed_and_filtered_once(self, monkeypatch, n, d):
+        monkeypatch.setattr(kernels, "_last", kernels._Filing())
+        filter_rows, rung, block = kernels._filter_rows, kernels._rung, kernels.smooth_block
+        filed, formed, called = [], [], []
+        monkeypatch.setattr(kernels, "_filter_rows", lambda f: filed.append(f.nnz) or filter_rows(f))
+        # smooth_block takes one int s_j per coordinate; the filing passes arrays
+        monkeypatch.setattr(kernels, "_rung", lambda s, a, c: (
+            formed.append(s) if isinstance(s, int) else None) or rung(s, a, c))
+        monkeypatch.setattr(kernels, "smooth_block",
+                            lambda g, s, *args: called.append(s) or block(g, s, *args))
+        rng = np.random.default_rng(5)
+        members = [shifted_rect_sample(n, d, "random-sign", rng) for _ in range(3)]
+        for t in members:
+            smooth_blocks_of(t)
+        groups = [s for s, _ in filter_rows(members[0])]
+        assert filed == [members[0].nnz]
+        assert formed == [sj for s in groups for sj in s]
+        assert called == groups * 3
 
 
 class TestKernelL1:
