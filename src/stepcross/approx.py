@@ -20,8 +20,8 @@ import numpy as np
 
 from .blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from .kernels import smooth_aggregate
-from .norms import block_norms, bq1_norm
-from .poly import GridSpec, TrigPoly, project_cross
+from .norms import bq1_norm, lp_norms
+from .poly import GridSpec, TrigPoly, blocks_of, is_int, project_cross
 
 
 def default_form(q: float) -> str:
@@ -78,8 +78,16 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     coefficients; a frequency drawn twice keeps its last coefficient.  The
     candidate blocks are listed once per (max_shell, d, max_component); the
     draws, their order and so the polynomial of each generator state do not
-    depend on that.
+    depend on that.  A request that could only give the zero polynomial (no
+    block, or none or no term drawn) is rejected before any draw.
     """
+    for name, value, low in (("d", d, 1), ("max_shell", max_shell, d),
+                             ("blocks_per_poly", blocks_per_poly, 1),
+                             ("terms_per_block", terms_per_block, 1)):
+        if not (is_int(value) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (max_component is None or is_int(max_component) and max_component >= 1):
+        raise ValueError(f"max_component must be None or an integer >= 1, got {max_component!r}")
     S = _candidate_blocks(max_shell, d, max_component)
     integers, uniform, normal = rng.integers, rng.random, rng.standard_normal
     coeffs: dict[tuple[int, ...], complex] = {}
@@ -101,17 +109,28 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
 
     The Fourier sum drops whole blocks, so each ratio is a subset sum over
     the same nonnegative per-block values and cannot exceed 1 regardless of
-    quadrature accuracy; the grid below is therefore kept cheap.
+    quadrature accuracy; the grid below is therefore kept cheap.  Every
+    sample is drawn first, in the generator's order, and the block
+    components of all of them go to one ``lp_norms`` call.  A request that
+    draws nothing, or only zero polynomials (int(n) + 2 < d), is rejected
+    before any draw.
     """
     if not (1 < q < math.inf):
         raise ValueError("projector probe requires 1 < q < inf (sharp form)")
+    if not (is_int(samples) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if int(n) + 2 < params.d:
+        raise ValueError(f"the sampled shells (s,1) <= int(n) + 2 = {int(n) + 2} hold no block "
+                         f"at d = {params.d}")
     grid = GridSpec(oversampling=2.0, self_check=False)
     rng = np.random.default_rng(rng_seed)
     cross = hyperbolic_cross(n, params)
+    splits = [blocks_of(random_mixed_poly(rng, params.d, max_shell=int(n) + 2))
+              for _ in range(samples)]
+    values = iter(lp_norms([comp for split in splits for comp in split.values()], q, grid))
     worst = 0.0
-    for _ in range(samples):
-        f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)
-        per_block = block_norms(f, q, "sharp", grid)
+    for split in splits:
+        per_block = [(s, next(values)) for s in split]
         total = sum(v for _, v in per_block)
         if total == 0.0:
             continue

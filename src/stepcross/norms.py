@@ -25,15 +25,27 @@ Numerical methods
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
   value.  A self-checked non-even p then refines on its own grids.
-* A grid of at most ``SLICE_POINTS`` values evaluated is one leaf, from
-  ``eval_grid``.  A larger one, of any d, is reduced leaf by leaf: numpy
-  sums a float64 array pairwise over a fixed binary tree, so the grid's
-  flat index is walked down that tree to leaves of at most ``SLICE_POINTS``
-  points, the last FFT stage (``GridLines.transform``) runs once on each
-  line as the leaves reach it, and the leaves' max and sums combine in tree
-  order, bit for bit the whole array's.  Besides the last stage's input it
-  holds up to two leaves' worth of lines (for d = 1 the whole line), a few
-  leaf-sized arrays and the powers of the rows that map onto themselves.
+* A grid of at most ``SLICE_POINTS`` values evaluated is one leaf.  Norms
+  of many polynomials (``lp_norms``; ``block_norms`` takes its components
+  that way) evaluate the leaves whose grids have the same dims and whose
+  coefficients are of one kind, real or complex, as one stack: a leading
+  axis that no FFT stage transforms, so each stage is one ``ifft`` call
+  over every polynomial's lines, and one ``abs``, power and
+  ``np.add.reduce(..., -1)`` pass over the stack, of at most
+  ``2 * SLICE_POINTS`` values.  Each line's FFT and each row's pairwise
+  sum are the operations of the polynomial alone, so every value is bit
+  for bit its own ``lp_norm``; one polynomial is a stack of one.  Every
+  first grid is sized and checked against the budget before any is
+  evaluated, and the self-check's doublings refine one polynomial at a
+  time.  A larger grid, of any d, is reduced leaf by leaf, one polynomial
+  at a time: numpy sums a float64 array pairwise over a fixed binary tree,
+  so the grid's flat index is walked down that tree to leaves of at most
+  ``SLICE_POINTS`` points, the last FFT stage (``GridLines.transform``)
+  runs once on each line as the leaves reach it, and the leaves' max and
+  sums combine in tree order, bit for bit the whole array's.  Besides the
+  last stage's input it holds up to two leaves' worth of lines (for d = 1
+  the whole line), a few leaf-sized arrays and the powers of the rows that
+  map onto themselves.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -68,8 +80,9 @@ def _check_form(form: str, p: float) -> None:
 
 
 # the most points of a leaf: a grid of at most this many wanted values is one
-# leaf, evaluated by eval_grid, and a larger one is walked leaf by leaf (at
-# least 128, numpy's smallest pairwise block)
+# leaf, evaluated by eval_grid in a stack of up to twice as many values, and a
+# larger one is walked leaf by leaf (at least 128, numpy's smallest pairwise
+# block)
 SLICE_POINTS = 1 << 15
 
 
@@ -126,44 +139,51 @@ class _LineWindow:
 
 class _LeafStats:
     """Leaf by leaf, the sums of |v| (p = 1) and |v|**p, in ``sum_ps`` order,
-    over ``size`` values v that ``values(lo, count)`` returns, and the
-    leaves' maxima when ``ps`` holds inf.  With ``edges``, for each p,
-    ``kept`` holds the powers of the first ``row`` values and, with two
-    edges, of the last ``row``, in the pieces the walk passes them in."""
+    over the ``size`` values v of each polynomial of a stack, which
+    ``values(lo, count)`` returns as an array of shape (polynomials, count);
+    and, when ``ps`` holds inf, the maximum of |v|, ``top``.  Each sum is
+    one pairwise reduction along a row, so every polynomial's sum is its
+    row's flat ``sum``.  With ``edges``, for each p, ``kept`` holds the
+    powers of the first ``row`` values and, with two edges, of the last
+    ``row``, in the pieces the walk passes them in."""
 
     def __init__(self, values, ps: Sequence[float], size: int, row: int, edges: int):
         self.values, self.size, self.row, self.edges = values, size, row, edges
         self.sum_ps = [p for p in ps if not math.isinf(p)]
-        self.maxima = [] if len(self.sum_ps) < len(ps) else None
+        self.top = None
+        self.tops = len(self.sum_ps) < len(ps)
         self.kept = [([], []) for _ in self.sum_ps]
 
     def sums(self, lo: int, count: int) -> list:
-        """The sums over values lo..lo + count - 1; the leaf's max joins
-        ``maxima``."""
+        """The sums over values lo..lo + count - 1, one per polynomial; the
+        leaf's maxima join ``top``."""
         a = np.abs(self.values(lo, count))
-        if self.maxima is not None:
-            self.maxima.append(np.maximum.reduce(a))
+        if self.tops:
+            top = np.maximum.reduce(a, -1)
+            self.top = top if self.top is None else np.maximum(self.top, top)
         head = self.edges and lo < self.row
         tail = self.edges == 2 and lo + count > self.size - self.row  # past the last row's start
         out = []
         for p, (first, last) in zip(self.sum_ps, self.kept):
             x = a if p == 1 else a**p
-            out.append(np.add.reduce(x))  # x.sum() of a flat array, without its wrapper
+            out.append(np.add.reduce(x, -1))  # each row's x.sum(), without its wrapper
             if head:
-                first.append(x[:self.row - lo])
+                first.append(x[:, :self.row - lo])
             if tail:
-                last.append(x[max(self.size - self.row - lo, 0):])
+                last.append(x[:, max(self.size - self.row - lo, 0):])
         return out
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The pieces of a row as one array."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The pieces of the rows as one array."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[float, float]:
-    """Mean of |f|**p over the ``dims`` grid for each distinct p in ``ps``,
-    or the max of |f| at p = inf, keyed by p.
+def _grid_stats(fs: Sequence[TrigPoly], ps: Sequence[float],
+                dims: Sequence[int]) -> list[dict[float, float]]:
+    """For each f in ``fs``, the mean of |f|**p over the ``dims`` grid for
+    each distinct p in ``ps``, or the max of |f| at p = inf, keyed by p.
+    The fs all have real coefficients or all have complex ones.
 
     If f's coefficients are real, f(-x) is the conjugate of f(x), so rows m
     and N_0 - m of the grid carry the same moduli, and rows 0..N_0//2 alone
@@ -171,80 +191,105 @@ def _poly_stats(f: TrigPoly, ps: Sequence[float], dims: Sequence[int]) -> dict[f
     (grid size), from the sum S over those rows and the sum E of the rows
     that map onto themselves, row 0 and, for even N_0, row N_0/2 (the last
     one evaluated), added elementwise.  A grid of at most ``SLICE_POINTS``
-    values evaluated is one leaf, from ``eval_grid``; a larger one is walked
-    through a ``_LineWindow``.  Either way each sum is the whole array's
-    ``sum`` bit for bit, and a mean divides it by the grid size, as
-    ``np.mean`` does.
+    values evaluated is one leaf: the fs are evaluated in stacks of at most
+    ``2 * SLICE_POINTS`` values, one ``eval_grid`` call each, and a stack is
+    reduced along its rows, one polynomial's values each.  A larger grid is
+    walked through a ``_LineWindow``, one polynomial at a time.  Either way
+    each sum is the whole array's ``sum`` bit for bit, and a mean divides it
+    by the grid size, as ``np.mean`` does.
     """
     n0, row = dims[0], math.prod(dims[1:])
-    real = not np.count_nonzero(f.C.imag)
+    real = not np.count_nonzero(fs[0].C.imag)
     rows = n0 // 2 + 1 if real else n0
-    if rows * row > SLICE_POINTS:
-        values = _LineWindow(GridLines(f, dims, rows)).values
-    else:
-        grid = eval_grid(f, dims, rows).reshape(-1)
-        values = lambda lo, count: grid
+    size, points = rows * row, n0 * row
     edges = 2 - n0 % 2 if real else 0
-    leaves = _LeafStats(values, ps, rows * row, row, edges)
-    stats = {}
-    for p, s, (first, last) in zip(leaves.sum_ps, _pairwise(leaves.sums, 0, rows * row),
-                                   leaves.kept):
-        if edges:
-            e = _joined(first) if edges == 1 else _joined(first) + _joined(last)
-            s = 2 * s - (e[0] if row == 1 else np.add.reduce(e))  # a row of one value for d = 1
-        stats[p] = float(s / (n0 * row))
-    if leaves.maxima is not None:
-        stats[math.inf] = float(max(leaves.maxima))
-    return stats
+    step = 1 if size > SLICE_POINTS else 2 * SLICE_POINTS // size
+    out = []
+    for at in range(0, len(fs), step):
+        stack = fs[at:at + step]
+        if size > SLICE_POINTS:
+            window = _LineWindow(GridLines(stack[0], dims, rows)).values
+            values = lambda lo, count: window(lo, count).reshape(1, -1)
+        else:
+            grid = eval_grid(stack, dims, rows).reshape(len(stack), -1)
+            values = lambda lo, count: grid
+        leaves = _LeafStats(values, ps, size, row, edges)
+        stats = [{} for _ in stack]
+        for p, s, (first, last) in zip(leaves.sum_ps, _pairwise(leaves.sums, 0, size),
+                                       leaves.kept):
+            s = s.tolist()  # Python floats round as float64 arrays do
+            if edges:
+                e = _joined(first) if edges == 1 else _joined(first) + _joined(last)
+                e = e[:, 0] if row == 1 else np.add.reduce(e, -1)  # d = 1: one value
+                s = [2 * v - w for v, w in zip(s, e.tolist())]
+            for st, v in zip(stats, s):
+                st[p] = v / points  # as np.mean divides
+        if leaves.tops:
+            for st, v in zip(stats, leaves.top.tolist()):
+                st[math.inf] = v
+        out += stats
+    return out
 
 
 def _is_even(p: float) -> bool:
     return p == int(p) and int(p) % 2 == 0
 
 
-def _lp_norms(f: TrigPoly, ps: Sequence[float], grid: GridSpec) -> dict[float, float]:
-    """L_p norms of f for each p in ``ps``, as ``lp_norm`` computes them,
-    keyed by p.
+def _lp_norms(fs: Sequence[TrigPoly], ps: Sequence[float],
+              grid: GridSpec) -> list[dict[float, float]]:
+    """L_p norms of each f in ``fs`` for each p in ``ps``, as ``lp_norm``
+    computes them, keyed by p.
 
-    Each distinct p is computed once, and the exponents whose first grid has
-    the same dims share one evaluation of f.  A self-checked non-even p then
-    refines on its own.
+    For each f, each distinct p is computed once, and the exponents whose
+    first grid has the same dims share one evaluation of f.  The first grids
+    of all the fs are sized and checked against the budget before any is
+    evaluated, and those with the same dims, exponents and coefficient kind
+    are reduced together by ``_grid_stats``.  A self-checked non-even p then
+    refines on its own, one polynomial at a time, in order.
     """
     for p in ps:
         check_exponent(p)
-    if f.is_zero():
-        return dict.fromkeys(ps, 0.0)
-    norms: dict[float, float] = {}
-    todo = []
-    for p in dict.fromkeys(ps):
-        if p == 2:
-            # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
-            norms[p] = math.sqrt(sum(f.abs2().tolist()))
-        else:
-            todo.append(p)
-    if not todo:
-        return norms
-    base = resolve_grid_dims(f, grid)
-    groups: dict[tuple[int, ...], list[float]] = {}
-    for p in todo:
-        if math.isinf(p):
-            # L_inf forces oversampling >= 4; from there its grid is the base grid
-            dims = base if grid.oversampling >= 4 else resolve_grid_dims(
-                f, replace(grid, oversampling=4.0))
-        elif _is_even(p):
-            # |f|^p is itself a trigonometric polynomial of degree p*deg
-            dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
-            check_grid_budget(dims)
-        else:
-            dims = base
-        groups.setdefault(dims, []).append(p)
-    for dims, group in groups.items():
-        for p, stat in _poly_stats(f, group, dims).items():
-            norms[p] = stat if math.isinf(p) else stat ** (1.0 / p)
-    if grid.points_per_dim is None and grid.self_check:
+    ps = dict.fromkeys(ps)  # each distinct p once, in order
+    todo = [p for p in ps if p != 2]
+    # L_inf forces oversampling >= 4; from there its grid is the base grid
+    inf_grid = replace(grid, oversampling=4.0) if (
+        grid.oversampling < 4 and math.inf in todo) else grid
+    norms: list[dict[float, float]] = []
+    bases = []  # (f's place, its base dims) of the fs with a grid
+    jobs: dict[tuple, list[int]] = {}  # (dims, exponents, real) -> places in fs
+    for i, f in enumerate(fs):
+        if f.is_zero():
+            norms.append(dict.fromkeys(ps, 0.0))
+            continue
+        # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
+        norms.append({2: math.sqrt(sum(f.abs2().tolist()))} if len(todo) < len(ps) else {})
+        if not todo:
+            continue
+        base = resolve_grid_dims(f, grid)
+        groups: dict[tuple[int, ...], list[float]] = {}
         for p in todo:
-            if not (math.isinf(p) or _is_even(p)):
-                norms[p] = _refine(f, p, base, norms[p])
+            if math.isinf(p):
+                dims = base if inf_grid is grid else resolve_grid_dims(f, inf_grid)
+            elif _is_even(p):
+                # |f|^p is itself a trigonometric polynomial of degree p*deg
+                dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
+                check_grid_budget(dims)
+            else:
+                dims = base
+            groups.setdefault(dims, []).append(p)
+        real = not np.count_nonzero(f.C.imag)
+        for dims, group in groups.items():
+            jobs.setdefault((dims, tuple(group), real), []).append(i)
+        bases.append((i, base))
+    for (dims, group, _), places in jobs.items():
+        for i, stats in zip(places, _grid_stats([fs[i] for i in places], group, dims)):
+            for p, stat in stats.items():
+                norms[i][p] = stat if math.isinf(p) else stat ** (1.0 / p)
+    if grid.points_per_dim is None and grid.self_check:
+        checked = [p for p in todo if not (math.isinf(p) or _is_even(p))]
+        for i, base in bases:
+            for p in checked:
+                norms[i][p] = _refine(fs[i], p, base, norms[i][p])
     return norms
 
 
@@ -261,7 +306,7 @@ def _refine(f: TrigPoly, p: float, base: tuple[int, ...], prev: float) -> float:
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={CHECK_RTOL} (last value {prev:.6e})"
             ) from exc
-        cur = _poly_stats(f, (p,), dims)[p] ** (1.0 / p)
+        cur = _grid_stats((f,), (p,), dims)[0][p] ** (1.0 / p)
         if abs(cur - prev) <= CHECK_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
@@ -273,7 +318,13 @@ def _refine(f: TrigPoly, p: float, base: tuple[int, ...], prev: float) -> float:
 
 def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
     """L_p norm with the normalized measure (2*pi)**(-d) dx."""
-    return _lp_norms(f, (p,), grid)[p]
+    return _lp_norms((f,), (p,), grid)[0][p]
+
+
+def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> list[float]:
+    """The L_p norm of each polynomial in ``fs``, each bit for bit its
+    ``lp_norm``; polynomials whose grids share dims are evaluated together."""
+    return [norm[p] for norm in _lp_norms(fs, (p,), grid)]
 
 
 def block_norms(f: TrigPoly, p: float, form: str,
@@ -283,7 +334,7 @@ def block_norms(f: TrigPoly, p: float, form: str,
     if not f.is_mean_zero():
         raise ValueError("polynomial must have mean zero in every variable")
     split = blocks_of(f) if form == "sharp" else smooth_blocks_of(f)
-    return [(s, lp_norm(comp, p, grid)) for s, comp in split.items()]
+    return list(zip(split, lp_norms(list(split.values()), p, grid)))
 
 
 def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],
@@ -323,7 +374,7 @@ def nikolskii_check(t: TrigPoly, pairs: Sequence[tuple[float, float]],
         check_exponent(q, "q")
         if not p < q:
             raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
-    norm = _lp_norms(t, [x for pair in pairs for x in pair], grid)
+    norm = _lp_norms((t,), [x for pair in pairs for x in pair], grid)[0]
     degs = tuple(max(1, m) for m in t.degree())
     out = []
     for p, q in pairs:

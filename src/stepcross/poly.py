@@ -24,7 +24,10 @@ rows alone.  ``GridLines`` holds a grid between the two parts: after the
 stages over axes 0..d-2, and before the last one, which its ``transform``
 runs on any range of the grid's lines along axis d-1, bit for bit as on the
 whole grid, so a caller can reduce a grid a few lines at a time (for d = 1
-the one line is the whole axis).
+the one line is the whole axis).  Both take a stack, a sequence of
+polynomials of one dimension, in place of one polynomial: the stack is a
+leading axis that no stage transforms, so each stage is one transform over
+the lines of every polynomial, and each grid is bit for bit its own.
 The package needs numpy alone at run time.
 """
 
@@ -315,47 +318,69 @@ def check_grid_budget(dims: Sequence[int]) -> None:
 
 
 class GridLines:
-    """A polynomial on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
+    """Polynomials on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
     along every axis but the last: the grid's lines along axis d-1, each
     waiting for its last inverse FFT.  ``GridLines(f, dims, rows)`` runs the
     pruned stages over axes 0..d-2 that ``eval_grid`` describes, and
     ``transform(first, out)`` runs the last stage on lines first..first +
-    len(out) - 1 of the grid in flat order, bit for bit as on the whole grid.
+    len(out) - 1 in flat order, bit for bit as on the whole grid.
 
-    ``count`` lines of ``n`` points make up the grid's first ``rows`` rows
-    (for d = 1, one line: the whole axis, of which the first ``rows`` points
-    are wanted), and ``points`` is prod(dims), the factor the last stage
-    scales by.  Between the stages only the last stage's input is held: the
-    lines that hold a nonzero, ``at`` on axis d-1.  A dim that is not an
-    integer >= 1, or ``rows`` out of range, is rejected before any work.
+    ``f`` is one polynomial or a stack of them, a sequence of polynomials of
+    one dimension d.  The stack is a leading axis that no stage transforms:
+    each stage transforms the lines of every polynomial in one call, and
+    polynomial i's lines follow those of polynomial i - 1.  ``count`` lines
+    of ``n`` points make up the first ``rows`` rows of every grid (for d = 1,
+    one line per polynomial: the whole axis, of which the first ``rows``
+    points are wanted), and ``points`` is prod(dims), the factor the last
+    stage scales by.  Between the stages only the last stage's input is held:
+    the lines that hold a nonzero, ``at`` on axis d-1 (offset by n times the
+    polynomial's place in a stack).  A range of lines shorter than all of
+    them is for one polynomial only.  A dim that is not an integer >= 1,
+    ``rows`` out of range or an empty stack is rejected before any work.
     """
 
-    __slots__ = ("dims", "count", "n", "points", "at", "src")
+    __slots__ = ("dims", "count", "n", "points", "at", "src", "stack")
 
-    def __init__(self, f: TrigPoly, dims: Sequence[int], rows: int | None = None):
+    def __init__(self, f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
+                 rows: int | None = None):
         for n in dims:
             if not (is_int(n) and n >= 1):
                 raise ValueError(f"grid dims must be integers >= 1, got {n!r} in {tuple(dims)!r}")
         dims = tuple(map(int, dims))
-        if len(dims) != f.d:
+        fs = (f,) if isinstance(f, TrigPoly) else tuple(f)
+        if not fs:
+            raise ValueError("an empty stack has no grid")
+        if fs[0].d != len(dims) or len(fs) > 1 and any(g.d != len(dims) for g in fs):
             raise ValueError("grid dimension mismatch")
         if rows is None:
             rows = dims[0]
         elif not (is_int(rows) and 1 <= rows <= dims[0]):
             raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
-        shape = (rows,) + dims[1:]  # the part of the grid wanted
+        shape = (rows,) + dims[1:]  # the part of each grid wanted
+        B = self.stack = len(fs)
         self.dims, self.n, self.points = dims, dims[-1], math.prod(dims)
-        self.count = math.prod(shape[:-1])
+        self.count = B * math.prod(shape[:-1])
+        K, vals = (fs[0].K, fs[0].C) if B == 1 else (
+            np.concatenate([g.K for g in fs]), np.concatenate([g.C for g in fs]))
         # vals[..., j] is line j, transformed along the axes before a; lines[j]
-        # is its flat index over the axes a..d-1 not yet transformed
-        vals = f.C
-        R = np.mod(f.K, dims)  # k mod N_j per coordinate
+        # is its flat index over the stack and the axes a..d-1 not yet transformed
+        R = np.mod(K, dims)  # k mod N_j per coordinate
         # a frequency's position on axis 0, and its line's index over the other axes
-        at, lines = R[:, 0], (R[:, -1] if f.d < 3 else np.ravel_multi_index(R[:, 1:].T, dims[1:]))
+        at, lines = R[:, 0], (R[:, -1] if len(dims) < 3 else
+                              np.ravel_multi_index(R[:, 1:].T, dims[1:]))
+        if B > 1:
+            width = math.prod(dims[1:]) if len(dims) > 1 else dims[0]
+            lines = lines + np.repeat(np.arange(B) * width, [g.nnz for g in fs])
         for a, n in enumerate(dims[:-1]):
             tail = math.prod(dims[a + 1:])
-            at, rest = (at, lines) if a == 0 else np.divmod(lines, tail)
-            occupied = np.zeros(tail, dtype=bool)
+            if a == 0:
+                rest = lines
+            else:
+                at, rest = np.divmod(lines, tail)
+                if B > 1:  # the polynomial's place in the stack goes on with rest
+                    place, at = np.divmod(at, n)
+                    rest += place * tail
+            occupied = np.zeros(B * tail, dtype=bool)
             occupied[rest] = True
             lines = occupied.nonzero()[0]
             spec = np.zeros(shape[:a] + (len(lines), n), dtype=complex)
@@ -382,9 +407,14 @@ class GridLines:
         lines first for d >= 3.
         """
         if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
-            np.add.at(out, (0, self.at), self.src)
+            np.add.at(out.reshape(-1), self.at, self.src)
         elif len(out) == self.count:
-            out.reshape(self.src.shape[:-1] + (self.n,))[..., self.at] = self.src
+            if self.stack == 1:
+                out.reshape(self.src.shape[:-1] + (self.n,))[..., self.at] = self.src
+            else:
+                place, at = np.divmod(self.at, self.n)
+                grid = out.reshape((self.stack,) + self.src.shape[:-1] + (self.n,))
+                grid[place, ..., at] = np.moveaxis(self.src, -1, 0)
         elif len(self.dims) == 2:  # line j is row j of the input
             out[:, self.at] = self.src[first:first + len(out)]
         else:
@@ -404,11 +434,15 @@ def _scale_first(spec: np.ndarray, points: int) -> None:
     np.multiply(parts, float(1 / np.longdouble(points)), out=parts)
 
 
-def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.ndarray:
+def eval_grid(f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
+              rows: int | None = None) -> np.ndarray:
     """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j, as a new
     C-contiguous, writable complex array of shape ``dims``; with ``rows``
     (an integer from 1 to N_0), rows 0..rows-1 of that grid alone, equal to
-    ``eval_grid(f, dims)[:rows]`` bit for bit.
+    ``eval_grid(f, dims)[:rows]`` bit for bit.  Given a stack, a sequence of
+    B polynomials of one dimension, their grids follow each other along
+    axis 0, shape (B * rows,) + dims[1:], each bit for bit its polynomial's
+    own, and every stage transforms the whole stack in one call.
 
     Frequency k lands on index k mod N_j in each coordinate, and frequencies
     that land on one index add up, so the values are exact for any dims >= 1
@@ -434,7 +468,9 @@ def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.n
     """
     lines = GridLines(f, dims, rows)
     out = lines.transform(0, np.zeros((lines.count, lines.n), dtype=complex))
-    return out.reshape((-1,) + lines.dims[1:])[:rows]
+    if len(lines.dims) == 1:  # one line per polynomial, of which rows points are wanted
+        out = np.ascontiguousarray(out[:, :rows])
+    return out.reshape((-1,) + lines.dims[1:])
 
 
 def blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:

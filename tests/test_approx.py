@@ -9,7 +9,7 @@ from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_no
 from stepcross.blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import shell_extremal
 from stepcross.norms import bq1_norm, lp_norm
-from stepcross.poly import TrigPoly, blocks_of, project_cross
+from stepcross.poly import GridSpec, TrigPoly, blocks_of, project_cross
 
 
 class TestFourierSumError:
@@ -153,6 +153,81 @@ class TestProjectorProbe:
             projector_norm_probe(5, params, 1.0, samples=5)
         with pytest.raises(ValueError):
             projector_norm_probe(5, params, math.inf, samples=5)
+
+
+def reference_projector_norm_probe(n, params, q, samples, rng_seed=0):
+    """The probe as one loop over samples: draw a polynomial, then one
+    ``lp_norm`` per block, and its ratio before the next draw."""
+    grid = GridSpec(oversampling=2.0, self_check=False)
+    rng = np.random.default_rng(rng_seed)
+    cross = hyperbolic_cross(n, params)
+    worst = 0.0
+    for _ in range(samples):
+        f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)
+        per_block = [(s, lp_norm(comp, q, grid)) for s, comp in blocks_of(f).items()]
+        total = sum(v for _, v in per_block)
+        if total == 0.0:
+            continue
+        kept = sum(v for s, v in per_block if s in cross)
+        worst = max(worst, kept / total)
+    return worst
+
+
+class TestProjectorProbeReference:
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 6), (3, 4.5)])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    def test_equals_the_per_sample_loop(self, d, n, q, samples):
+        params = SmoothParams((1.0,) * d)
+        for seed in (3,) if samples == 200 else (0, 5, 11):
+            assert projector_norm_probe(n, params, q, samples, rng_seed=seed) == (
+                reference_projector_norm_probe(n, params, q, samples, rng_seed=seed))
+
+    def test_components_go_to_one_norm_call(self, monkeypatch):
+        calls = []
+        lp_norms = approx.lp_norms
+        monkeypatch.setattr(approx, "lp_norms", lambda fs, q, grid: calls.append(len(fs)) or
+                            lp_norms(fs, q, grid))
+        projector_norm_probe(5, SmoothParams((1.0, 1.0)), 1.5, 20, rng_seed=2)
+        assert len(calls) == 1 and calls[0] >= 20
+
+
+class TestRejectsEmptyRequests:
+    @pytest.mark.parametrize("samples", [0, -3, True, 2.5, "3", None], ids=repr)
+    def test_probe_samples(self, monkeypatch, samples):
+        monkeypatch.setattr(approx, "random_mixed_poly", None)  # any draw raises TypeError
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            projector_norm_probe(5, SmoothParams((1.0, 1.0)), 1.5, samples)
+
+    @pytest.mark.parametrize("d,n", [(2, -1), (2, -1.5), (3, 0.9)])
+    def test_probe_level_below_every_block(self, monkeypatch, d, n):
+        monkeypatch.setattr(approx, "random_mixed_poly", None)
+        with pytest.raises(ValueError, match=r"int\(n\) \+ 2 = .* hold no block"):
+            projector_norm_probe(n, SmoothParams((1.0,) * d), 1.5, 5)
+
+    @pytest.mark.parametrize("kwargs,condition", [
+        ({"d": 2, "max_shell": 1}, "max_shell must be an integer >= 2"),
+        ({"d": 3, "max_shell": 2}, "max_shell must be an integer >= 3"),
+        ({"d": 2, "max_shell": 6.0}, "max_shell must be an integer"),
+        ({"d": 0, "max_shell": 4}, "d must be an integer >= 1"),
+        ({"d": True, "max_shell": 4}, "d must be an integer >= 1"),
+        ({"d": 2, "max_shell": 6, "blocks_per_poly": 0}, "blocks_per_poly must be an integer >= 1"),
+        ({"d": 2, "max_shell": 6, "terms_per_block": -1},
+         "terms_per_block must be an integer >= 1"),
+        ({"d": 2, "max_shell": 6, "max_component": 0},
+         "max_component must be None or an integer >= 1"),
+    ])
+    def test_sampler_that_can_only_draw_zero(self, kwargs, condition):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=condition):
+            random_mixed_poly(rng, **kwargs)
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    def test_sampler_at_the_smallest_valid_request(self):
+        f = random_mixed_poly(np.random.default_rng(1), 2, 2, blocks_per_poly=1, terms_per_block=1,
+                              max_component=1)
+        assert f.nnz == 1 and np.all(np.abs(f.K) == 1)
 
 
 def reference_random_mixed_poly(rng, d, max_shell, max_component=None):

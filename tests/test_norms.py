@@ -12,7 +12,7 @@ from stepcross.blocks import SmoothParams
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
 from stepcross.norms import (QuadratureError, aggregate_block_norms, besov_mixed_norm, bq1_norm,
-                             lp_norm, nikolskii_check)
+                             lp_norm, lp_norms, nikolskii_check)
 from stepcross.poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
                             eval_grid, resolve_grid_dims)
 
@@ -62,7 +62,7 @@ class TestLpNorm:
         def fail(*args):
             raise AssertionError("work done before the exponent was checked")
 
-        for name in ("_poly_stats", "resolve_grid_dims", "eval_grid"):
+        for name in ("_grid_stats", "resolve_grid_dims", "eval_grid"):
             monkeypatch.setattr(norms, name, fail)
         with pytest.raises(ValueError, match="p must be a real number >= 1"):
             lp_norm(f, p)
@@ -147,16 +147,16 @@ def random_rank1(rng, d, max_deg=4, real=False):
 
 
 def record_grids(monkeypatch):
-    """Patch ``norms._poly_stats``, which every grid a norm reduces passes
-    through, to record (poly dimension, dims)."""
+    """Patch ``norms._grid_stats``, which every grid a norm reduces passes
+    through, to record (poly dimension, dims) once per polynomial."""
     calls = []
-    poly_stats = norms._poly_stats
+    grid_stats = norms._grid_stats
 
-    def spy(f, ps, dims):
-        calls.append((f.d, tuple(dims)))
-        return poly_stats(f, ps, dims)
+    def spy(fs, ps, dims):
+        calls.extend((f.d, tuple(dims)) for f in fs)
+        return grid_stats(fs, ps, dims)
 
-    monkeypatch.setattr(norms, "_poly_stats", spy)
+    monkeypatch.setattr(norms, "_grid_stats", spy)
     return calls
 
 
@@ -244,7 +244,7 @@ class TestLpNormsEngine:
         a = np.abs(eval_grid(f, shape))
         want = {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
                 for p in ps}
-        assert norms._poly_stats(f, ps, shape) == want
+        assert norms._grid_stats([f], ps, shape) == [want]
 
 
 def random_spectrum(rng, d, deg, nnz, real=False):
@@ -261,8 +261,9 @@ def leaf_tree_sum(a):
 
 
 def whole_grid_stats(f, ps, dims):
-    """``_poly_stats`` written out on the whole ``eval_grid`` array: np.mean
-    and np.max of |f| for complex coefficients; for real ones the max over
+    """``_grid_stats`` of one polynomial written out on the whole
+    ``eval_grid`` array: np.mean and np.max of |f| for complex
+    coefficients; for real ones the max over
     rows 0..N_0//2 and (2 S - E) / prod(dims), with S their sum and E the sum
     of rows 0 and N_0/2 (even N_0 only) added elementwise."""
     if np.count_nonzero(f.C.imag):
@@ -303,7 +304,7 @@ class TestStreamedStats:
         whole = whole_grid_stats(f, set().union(*STREAM_PS), dims)
         want = [{p: whole[p] for p in ps} for ps in STREAM_PS]
         monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
-        assert [norms._poly_stats(f, ps, dims) for ps in STREAM_PS] == want
+        assert [norms._grid_stats([f], ps, dims)[0] for ps in STREAM_PS] == want
 
     @pytest.mark.parametrize("leaf", [128, 1000])
     @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000), (41, 30, 27), (5, 33001),
@@ -323,7 +324,7 @@ class TestStreamedStats:
                 return transform(self, first, out)
 
             monkeypatch.setattr(GridLines, "transform", spy)
-            norms._poly_stats(f, (1.0, 2.5, math.inf), dims)
+            norms._grid_stats([f], (1.0, 2.5, math.inf), dims)
             rows = dims[0] // 2 + 1 if real else dims[0]
             assert done == list(range(rows * math.prod(dims[1:-1])))
 
@@ -351,9 +352,9 @@ class TestStreamedStats:
         monkeypatch.setattr(norms, "eval_grid", lambda *a: whole.append(a) or eval_grid(*a))
         for n in (ppd - 1, ppd, 32):
             grid = GridSpec(points_per_dim=n)
-            assert norms._lp_norms(f, ps, grid) == {
+            assert norms._lp_norms([f], ps, grid) == [{
                 p: stat if math.isinf(p) else stat ** (1 / p)
-                for p, stat in whole_grid_stats(f, ps, (n,) * d).items()}
+                for p, stat in whole_grid_stats(f, ps, (n,) * d).items()}]
         assert [a[1] for a in walked] == [(ppd - 1,) * d, (ppd,) * d]
         assert [a[1] for a in whole] == [(32,) * d]
 
@@ -383,6 +384,120 @@ class TestStreamedStats:
         finally:
             tracemalloc.stop()
         assert peak <= 10e6
+
+
+def same_dims_polys(rng, d, deg, count, real):
+    """``count`` random polynomials of degree ``deg`` in every coordinate,
+    whose grids therefore share dims, with real or complex coefficients."""
+    polys = []
+    for _ in range(count):
+        K = rng.integers(-deg, deg + 1, size=(6, d))
+        K[0] = rng.choice([-deg, deg], d)  # pins the degree
+        C = rng.standard_normal(6) + (0 if real else 1j * rng.standard_normal(6))
+        polys.append(TrigPoly.from_arrays(K, C))
+    return polys
+
+
+def record_stacks(monkeypatch):
+    """Patch ``norms.eval_grid`` to record the number of polynomials and the
+    values of every stack it evaluates."""
+    stacks = []
+
+    def spy(fs, dims, rows=None):
+        vals = eval_grid(fs, dims, rows)
+        stacks.append((len(fs), vals.size))
+        return vals
+
+    monkeypatch.setattr(norms, "eval_grid", spy)
+    return stacks
+
+
+class TestStackedNorms:
+    """Polynomials whose grids share dims and coefficient kind are evaluated
+    and reduced in stacks, each value bit for bit its own ``lp_norm``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 4.0, math.inf])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_stack_equals_one_at_a_time(self, monkeypatch, d, p, real):
+        rng = np.random.default_rng(10 * d + real)
+        fs = same_dims_polys(rng, d, 5 if d < 3 else 2, 9, real)
+        fs[3:3] = [TrigPoly.zero(d), TrigPoly.zero(d)]
+        grid = GridSpec(oversampling=2.0, self_check=False)
+        want = [lp_norm(f, p, grid) for f in fs]
+        stacks = record_stacks(monkeypatch)
+        assert lp_norms(fs, p, grid) == want
+        if p == 2:  # Parseval evaluates no grid
+            assert stacks == []
+        else:
+            # every nonzero polynomial once, most of them in a stack with others
+            assert sum(n for n, _ in stacks) == 9 and max(n for n, _ in stacks) >= 3
+        assert all(size <= 2 * norms.SLICE_POINTS for _, size in stacks)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_self_checked_stack_refines_each_alone(self, monkeypatch, d, p):
+        rng = np.random.default_rng(d)
+        # sums of products without zeros, so the self-check converges
+        fs = [random_rank1(rng, d, max_deg=3) + 0.3 * random_rank1(rng, d, max_deg=3)
+              for _ in range(4)]
+        assert len({resolve_grid_dims(f, GridSpec()) for f in fs}) == 1
+        want = [lp_norm(f, p) for f in fs]
+        calls = []
+        grid_stats = norms._grid_stats
+        monkeypatch.setattr(norms, "_grid_stats",
+                            lambda gs, ps, dims: calls.append(len(gs)) or grid_stats(gs, ps, dims))
+        assert lp_norms(fs, p) == want
+        # the base grids together, then each polynomial's doublings alone
+        assert calls[0] == 4 and len(calls) >= 5 and set(calls[1:]) == {1}
+
+    @pytest.mark.parametrize("d,ppd,real,walked", [
+        (1, 32768, False, False), (1, 32769, False, True),
+        (1, 65535, True, False), (1, 65536, True, True),
+        (2, 181, False, False), (2, 182, False, True),
+        (2, 255, True, False), (2, 256, True, True),
+        (3, 32, False, False), (3, 33, False, True),
+        (3, 39, True, False), (3, 40, True, True),
+    ])
+    def test_grids_at_the_leaf_size(self, monkeypatch, d, ppd, real, walked):
+        # grids of at most SLICE_POINTS values evaluated go two to a stack,
+        # larger ones are walked one polynomial at a time
+        fs = same_dims_polys(np.random.default_rng(ppd), d, 10, 3, real)
+        grid = GridSpec(points_per_dim=ppd)
+        ps = (1.0, 2.5, math.inf)
+        want = [[lp_norm(f, p, grid) for p in ps] for f in fs]
+        stacks = record_stacks(monkeypatch)
+        lines = []
+        monkeypatch.setattr(norms, "GridLines", lambda *a: lines.append(a) or GridLines(*a))
+        assert [list(v.values()) for v in norms._lp_norms(fs, ps, grid)] == want
+        if walked:
+            assert stacks == [] and [a[0] for a in lines] == fs
+        else:
+            assert [n for n, _ in stacks] == [2, 1] and lines == []
+
+    def test_mixed_polynomials_keep_their_order(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        fs = [f for d in (1, 2, 3) for real in (False, True) for deg in (3, 4)
+              for f in same_dims_polys(rng, d, deg, 2, real)]
+        fs = [fs[i] for i in rng.permutation(len(fs))] + [TrigPoly.zero(2)]
+        grid = GridSpec(oversampling=2.0, self_check=False)
+        want = [lp_norm(f, 3.0, grid) for f in fs]
+        stacks = record_stacks(monkeypatch)
+        assert lp_norms(fs, 3.0, grid) == want
+        assert sorted(n for n, _ in stacks) == [2] * 12
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_numpy_row_sums_are_flat_sums(self, rows):
+        # a stack is reduced along its rows; this rests on numpy summing each
+        # row of a C-contiguous array pairwise, as it sums the row alone
+        rng = np.random.default_rng(rows)
+        sizes = list(range(1, 301)) + [128 * k + j for k in range(3, 17) for j in (-1, 0, 1)]
+        for n in sizes:
+            x = rng.random((rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, n))
+            assert np.add.reduce(x, -1).tolist() == [row.copy().sum() for row in x]
+            # the first row of a real polynomial's grid is reduced as a view
+            k = max(n // 3, 1)
+            assert np.add.reduce(x[:, :k], -1).tolist() == [row[:k].copy().sum() for row in x]
 
 
 class TestRankOneFactors:

@@ -369,6 +369,43 @@ class TestStagedTransform:
         rows = data.draw(st.integers(1, dims[0]))
         assert np.array_equal(eval_grid(f, dims, rows), eval_grid(f, dims)[:rows])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(random_poly_st(d), min_size=1,
+                                                        max_size=5)),
+           st.booleans(), st.data())
+    def test_stack_is_each_grid_in_turn(self, fs, real, data):
+        # frequencies that fold onto one index, zero polynomials and rows that
+        # cut the grid included; signed zeros compared too
+        if real:
+            fs = [TrigPoly.from_arrays(f.K, f.C.real) for f in fs]
+        fs.insert(data.draw(st.integers(0, len(fs))), TrigPoly.zero(fs[0].d))
+        dims = tuple(data.draw(st.integers(1, 30)) for _ in range(fs[0].d))
+        rows = data.draw(st.integers(1, dims[0]))
+        got = eval_grid(fs, dims, rows)
+        want = np.concatenate([eval_grid(f, dims, rows) for f in fs])
+        assert got.shape == want.shape == (len(fs) * rows,) + dims[1:]
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.view(float).tobytes() == want.view(float).tobytes()
+
+    def test_stack_transforms_each_stage_once(self, monkeypatch):
+        fs = [dirichlet_shell(5, 2), TrigPoly(2, {(-13, 4): 1.0, (2, -3): 0.5j}),
+              TrigPoly.zero(2), dense_rectangle((3, 5))]
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda x, *a, **k: calls.append(x.shape) or
+                            ifft(x, *a, **k))
+        got = eval_grid(fs, (64, 48))
+        # the first stage's lines: those of each polynomial, in turn
+        lines = sum(len({k for k in np.mod(f.K[:, 1], 48).tolist()}) for f in fs)
+        assert calls == [(lines, 64), (4 * 64, 48)]
+        assert np.array_equal(got, np.concatenate([dense_eval_grid(f, (64, 48)) for f in fs]))
+
+    @pytest.mark.parametrize("fs", [[], [TrigPoly.zero(2), TrigPoly.zero(3)]],
+                             ids=["empty", "mixed-d"])
+    def test_stack_of_one_dimension(self, fs):
+        with pytest.raises(ValueError, match="empty stack|dimension mismatch"):
+            eval_grid(fs, (4, 6))
+
     @pytest.mark.parametrize("rows", [0, 9, 2.5, True, -1, "4"], ids=repr)
     def test_rows_out_of_range_named(self, rows):
         f = TrigPoly(2, {(1, 2): 1.0, (-3, 1): 0.5})
