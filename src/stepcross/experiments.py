@@ -26,7 +26,8 @@ from .blocks import (GAMMA_MODES, MAX_CROSS_LEVEL, TAIL_MODES, SmoothParams, eve
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       packing_number_exact, packing_number_greedy)
 from .extremal import shell_scale, shifted_rect_sample
-from .norms import (GridSpec, aggregate_block_norms, block_norms, bq1_norm, lp_norm,
+from .kernels import smooth_filing
+from .norms import (GridSpec, aggregate_block_norms, bq1_norm, lp_norm, lp_norms,
                     nikolskii_check)
 from .poly import is_int
 from .rates import (fit_rates, local_log_powers, predicted_order, regimes, sweep_extremal,
@@ -253,13 +254,17 @@ def run_family_embedding(config: ExperimentConfig) -> dict:
         b11 = bq1_norm(t_const, 1.0, "smooth", grid)
         summary["const"][n] = (len(shell), l2_sq, b11)
         norms = {theta: [] for theta in thetas}
+        filing = None
         for _ in range(config.samples):
             t = shifted_rect_sample(n, d, "random-sign", rng)
+            if filing is None:  # a level's members share one support: extremal._level_support
+                filing = smooth_filing(t)
+            comps = [t.take(at, t.C[at] * mult) for _, at, mult in filing]
             # block sups are theta-independent; rescale and aggregate per theta
-            bn = block_norms(t, math.inf, "smooth", grid)
+            sups = lp_norms(comps, math.inf, grid)
             for theta in thetas:
                 scale = shell_scale(n, d, r1, theta)
-                scaled = [(s, scale * v) for s, v in bn]
+                scaled = [(s, scale * v) for (s, _, _), v in zip(filing, sups)]
                 norms[theta].append(aggregate_block_norms(scaled, params.r, theta))
         for theta in thetas:
             vals = norms[theta]

@@ -6,20 +6,16 @@ ramp band is empty).  The block filter attached to a block index s is, per
 coordinate, the difference of two consecutive kernels in the dyadic ladder;
 convolving with it is plain coefficient multiplication.
 
-``smooth_block(f, s)`` is that multiplication for one block index and the
-only place the filter product is computed.  ``smooth_blocks_of(f)`` splits f
-into all of its nonzero smooth blocks in one pass over the coefficients, the
-smooth counterpart of ``poly.blocks_of``; ``filter_support_blocks`` lists
-their indices and ``smooth_aggregate`` filters and sums only those inside a
-gamma'-cross.  The kernel and filter coefficients take integer arrays, so
-every filter is applied to a whole coordinate column of ``f.K`` at once.
-
-A run of polynomials on one support (the random-sign members of one family
-level) is filed once: the module keeps the filing of the last support it
-split, keyed by that support's frequency matrix, and the multipliers that
-``smooth_block`` formed on its groups, keyed by (s, convention) and checked
-against the group's frequencies.  Only one support is held; the next
-polynomial with other frequencies replaces it.
+``smooth_block(f, s)`` is that multiplication for one block index.
+``smooth_blocks_of(f)`` splits f into all of its nonzero smooth blocks in one
+pass over the coefficients, the smooth counterpart of ``poly.blocks_of``;
+``filter_support_blocks`` lists their indices and ``smooth_aggregate``
+filters and sums only those inside a gamma'-cross.  ``smooth_filing(f)``
+returns that pass with each group's multipliers, so a caller with many
+polynomials on f's frequencies files and filters them once.  The filter
+product is formed in one place, ``_multipliers``.  The kernel and filter
+coefficients take integer arrays, so every filter is applied to a whole
+coordinate column of ``f.K`` at once.
 
 Two conventions are defined, in the one rung formula that
 ``block_filter_coeff`` and ``smooth_block`` share.  ``literal`` takes the
@@ -40,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .blocks import SmoothParams, group_by_block, mean_zero_block_indices
-from .poly import TrigPoly
+from .poly import TrigPoly, is_int
 
 CONVENTIONS = ("partition-exact", "literal")
 
@@ -64,10 +60,12 @@ def block_filter_coeff(s, k, convention: str = "partition-exact"):
     and ``k`` may be integer arrays (broadcast together)."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    s = np.asarray(s, dtype=np.int64)
-    if np.any(s < 1):
+    a = np.asarray(s)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"block index components must be integers, got s={s!r}")
+    if np.any(a < 1):
         raise ValueError("block index components must be >= 1")
-    return _rung(s, np.abs(k), convention)[()]
+    return _rung(a.astype(np.int64), np.abs(k), convention)[()]
 
 
 def _rung(s, a, convention: str):
@@ -88,26 +86,28 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
     """Convolution of f with the product block filter for index ``s``: the
     multipliers are those of ``block_filter_coeff``, bit for bit, with ``s``
     checked once and each kernel of the ladder evaluated once per coordinate.
-    The multipliers formed on a group of the last support split are kept, and
-    a polynomial with that group's frequencies takes them again.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    s = tuple(int(x) for x in s)
+    if not all(is_int(x) for x in s):
+        raise ValueError(f"block index components must be integers, got s={s!r}")
+    s = tuple(map(int, s))
     if len(s) != f.d:
         raise ValueError("dimension mismatch")
     if min(s, default=1) < 1:
         raise ValueError("block index components must be >= 1")
-    held = _last.mults.get((s, convention))
-    if held is not None and np.array_equal(held[0], f.K):
-        mult = held[1]
-    else:
-        mult = np.ones(f.nnz)
-        for j, sj in enumerate(s):
-            mult = mult * _rung(sj, np.abs(f.K[:, j]), convention)
-        _last.hold(f.K, s, convention, mult)
+    mult = _multipliers(f.K, s, convention)
     keep = mult != 0.0
     return f.take(keep, f.C[keep] * mult[keep])
+
+
+def _multipliers(K: np.ndarray, s: tuple[int, ...], convention: str) -> np.ndarray:
+    """The block-s filter's multiplier at each frequency row of K, for s and
+    the convention already checked: the one place the product is formed."""
+    mult = np.ones(len(K))
+    for j, sj in enumerate(s):
+        mult = mult * _rung(sj, np.abs(K[:, j]), convention)
+    return mult
 
 
 def _filter_rows(f: TrigPoly) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -134,43 +134,26 @@ def _filter_rows(f: TrigPoly) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
         yield s, np.sort(rows[at])
 
 
-class _Filing:
-    """The filing of one support, as ``_filter_rows`` gives it, with the
-    multipliers ``smooth_block`` formed on its groups: ``rows[s]`` are the
-    positions filed under s, in order of s, and ``mults[s, convention]`` is
-    (group s's frequencies, their multipliers)."""
+def smooth_filing(f: TrigPoly) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """(s, rows, multipliers) for every group of f's filing, sorted by s.
 
-    __slots__ = ("K", "rows", "mults")
-
-    def __init__(self):
-        self.K, self.rows, self.mults = np.zeros((0, 0), dtype=np.int64), {}, {}
-
-    def of(self, f: TrigPoly) -> dict[tuple[int, ...], np.ndarray]:
-        """f's filing: the one held if f has the frequencies filed last, else
-        ``_filter_rows(f)``, which replaces it and the multipliers."""
-        if not np.array_equal(f.K, self.K):
-            rows = dict(_filter_rows(f))
-            self.K, self.rows, self.mults = f.K, rows, {}
-        return self.rows
-
-    def hold(self, K: np.ndarray, s: tuple[int, ...], convention: str, mult: np.ndarray) -> None:
-        """Keep the multipliers of filter s on K if K is group s's frequencies."""
-        rows = self.rows.get(s)
-        if rows is not None and np.array_equal(self.K[rows], K):
-            mult.setflags(write=False)
-            self.mults[s, convention] = (K, mult)
-
-
-_last = _Filing()  # the last support split
+    Block s of any g with f's frequencies is then
+    ``g.take(rows, g.C[rows] * multipliers)``, bit for bit
+    ``smooth_block(g.take(rows), s)``: no filter annihilates a term of its
+    group, so ``smooth_block`` keeps every row.
+    """
+    return [(s, rows, _multipliers(f.K[rows], s, "partition-exact"))
+            for s, rows in _filter_rows(f)]
 
 
 def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
     """Every nonzero smooth block of f, sorted by block index: the smooth
     counterpart of ``poly.blocks_of``.  One pass files each term under the
     filter indices that do not vanish on it, and ``smooth_block`` filters
-    each group alone.  A support filed last is not filed again.
+    each group alone.  Every call files f afresh; ``smooth_filing`` keeps a
+    filing for the polynomials that share f's frequencies.
     """
-    split = ((s, smooth_block(f.take(rows), s)) for s, rows in _last.of(f).items())
+    split = ((s, smooth_block(f.take(rows), s)) for s, rows in _filter_rows(f))
     return {s: comp for s, comp in split if not comp.is_zero()}
 
 
@@ -188,7 +171,7 @@ def smooth_aggregate(f: TrigPoly, n: float, params: SmoothParams) -> TrigPoly:
     gp = params.gamma_prime
     threshold = n - sum(gp)
     out = TrigPoly.zero(f.d)
-    for s, rows in _last.of(f).items():
+    for s, rows in _filter_rows(f):
         if sum(sj * gj for sj, gj in zip(s, gp)) < threshold:
             out = out + smooth_block(f.take(rows), s)
     return out

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from stepcross import experiments, kernels
 from stepcross.experiments import (ConfigError, ExperimentConfig, csv_body,
                                    run_experiment)
+from stepcross.extremal import shifted_rect_sample
+from stepcross.norms import block_norms
+from stepcross.poly import GridSpec
 
 
 def t1_config(tmp_path, **overrides):
@@ -165,6 +169,82 @@ def test_family_embedding_experiment(tmp_path):
         assert l2sq == pytest.approx(shell, rel=1e-12)
         assert b11 >= 0.99 * l2sq
     assert all(lo > 0 for lo, _, _ in summary["norm_range"].values())
+
+
+FAMILY_LEVELS = pytest.mark.parametrize("d,n_range", [(2, (6, 8, 10, 12)), (3, (4, 6, 8))],
+                                        ids=["d2", "d3"])
+
+
+def run_family(tmp_path, d, n_range):
+    return run_experiment(ExperimentConfig(theorem_tag="T5-family", d=d, r=(1.0,) * d,
+                                           n_range=n_range, samples=3, rng_seed=d,
+                                           output_path=str(tmp_path)))
+
+
+class TestFamilyFiling:
+    """The family files each level's shared support once (d = 3 starts with
+    the empty n = 4 shell, whose filing is empty)."""
+
+    @FAMILY_LEVELS
+    def test_member_sups_are_block_norms(self, monkeypatch, tmp_path, d, n_range):
+        members, got, filing = [], [], []
+        sample, file_level, lp_norms = (experiments.shifted_rect_sample,
+                                        experiments.smooth_filing, experiments.lp_norms)
+
+        def spy_sample(*args):
+            t = sample(*args)
+            if args[2] == "random-sign":
+                members.append(t)
+            return t
+
+        def spy_filing(f):
+            filing[:] = file_level(f)
+            return filing[:]
+
+        def spy_norms(comps, p, grid):
+            sups = lp_norms(comps, p, grid)
+            got.append([(s, v) for (s, _, _), v in zip(filing, sups)])
+            return sups
+
+        monkeypatch.setattr(experiments, "shifted_rect_sample", spy_sample)
+        monkeypatch.setattr(experiments, "smooth_filing", spy_filing)
+        monkeypatch.setattr(experiments, "lp_norms", spy_norms)
+        run_family(tmp_path, d, n_range)
+        assert len(members) == len(got) == 3 * len(n_range)
+        for t, sups in zip(members, got):
+            assert sups == block_norms(t, math.inf, "smooth", GridSpec())
+
+    @FAMILY_LEVELS
+    def test_each_level_is_filed_and_filtered_once(self, monkeypatch, tmp_path, d, n_range):
+        log = []
+        sample, filter_rows, multipliers = (experiments.shifted_rect_sample,
+                                            kernels._filter_rows, kernels._multipliers)
+        monkeypatch.setattr(experiments, "shifted_rect_sample",
+                            lambda *args: log.append((args[2], args[0])) or sample(*args))
+        monkeypatch.setattr(kernels, "_filter_rows",
+                            lambda f: log.append(("filed", f.K.tobytes())) or filter_rows(f))
+        monkeypatch.setattr(kernels, "_multipliers", lambda K, s, c: log.append(
+            ("formed", K.tobytes(), s)) or multipliers(K, s, c))
+        run_family(tmp_path, d, n_range)
+        # a level's member work runs from its first random-sign draw to the
+        # next level's constant member
+        levels, level = {}, None
+        for event in log:
+            if event[0] == "random-sign":
+                level = levels.setdefault(event[1], [])
+            elif event[0] == "constant":
+                level = None
+            elif level is not None:
+                level.append(event)
+        assert list(levels) == list(n_range)
+        for n, events in levels.items():
+            support = shifted_rect_sample(n, d, "random-sign")
+            groups = list(filter_rows(support))
+            assert [e for e in events if e[0] == "filed"] == [("filed", support.K.tobytes())]
+            assert [e for e in events if e[0] == "formed"] == [
+                ("formed", support.K[rows].tobytes(), s) for s, rows in groups]
+            # only the empty d = 3, n = 4 shell files no group
+            assert bool(groups) is ((d, n) != (3, 4))
 
 
 def test_entropy_chain_experiment(tmp_path):

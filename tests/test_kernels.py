@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from stepcross import kernels
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, block_ranges
 from stepcross.extremal import shell_extremal, shifted_rect_sample
-from stepcross.kernels import (CONVENTIONS, block_filter_coeff, filter_support_blocks,
-                               smooth_aggregate, smooth_block, smooth_blocks_of, vdp_coeff)
+from stepcross.kernels import (block_filter_coeff, filter_support_blocks, smooth_aggregate,
+                               smooth_block, smooth_blocks_of, smooth_filing, vdp_coeff)
 from stepcross.norms import block_norms, lp_norm
 from stepcross.poly import GridSpec, TrigPoly
 
@@ -17,6 +18,11 @@ from stepcross.poly import GridSpec, TrigPoly
 def coeff_gap(f, g):
     """Largest coefficient modulus of f - g."""
     return max(map(abs, (f - g).coeffs.values()), default=0.0)
+
+
+def same_bytes(f, g):
+    """f and g have the same frequencies and coefficients, bit for bit."""
+    return f.K.tobytes() == g.K.tobytes() and f.C.tobytes() == g.C.tobytes()
 
 
 def filter_poly_1d(s):
@@ -114,6 +120,28 @@ class TestBlockFilter:
     def test_smooth_block_rejects_index_below_one(self, s):
         with pytest.raises(ValueError, match="block index components must be >= 1"):
             smooth_block(TrigPoly.exponential((3,) * len(s)), s)
+
+    @pytest.mark.parametrize("s", [(1.5, 2.7), (2.0, 3), (True, 2), (2, np.float64(3.0)),
+                                   (np.bool_(True), 1), ("2", 1)])
+    def test_smooth_block_rejects_non_integer_index(self, monkeypatch, s):
+        monkeypatch.setattr(kernels, "_rung", lambda *a: pytest.fail("formed a multiplier"))
+        with pytest.raises(ValueError, match=re.escape(f"must be integers, got s={s!r}")):
+            smooth_block(TrigPoly.exponential((3, 5)), s)
+
+    @pytest.mark.parametrize("s", [1.9, 2.0, True, np.float32(1.0), np.array([1, 2.5]),
+                                   np.array([True, False]), [1, 2.0]])
+    def test_block_filter_coeff_rejects_non_integer_index(self, s):
+        with pytest.raises(ValueError, match="block index components must be integers, got s="):
+            block_filter_coeff(s, 3)
+
+    def test_integer_types_of_any_width_are_indices(self):
+        f = TrigPoly(2, {(3, 5): 1.0, (-6, 2): 2.0j})
+        want = smooth_block(f, (2, 3))
+        for s in (np.array([2, 3]), (np.int32(2), np.uint8(3)), [2, np.int64(3)]):
+            assert same_bytes(smooth_block(f, s), want)
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            got = block_filter_coeff(np.array([1, 2, 3], dtype=dtype), 3)
+            assert got.tolist() == [block_filter_coeff(s, 3) for s in (1, 2, 3)]
 
 
 def reconstruct(f, convention):
@@ -246,59 +274,42 @@ class TestSmoothBlocksOf:
         with pytest.raises(ValueError, match="zero component"):
             smooth_blocks_of(TrigPoly(2, {(0, 3): 1.0}))
 
-    @staticmethod
-    def fresh_split(monkeypatch, f):
-        """``smooth_blocks_of(f)`` with nothing held from an earlier split."""
-        monkeypatch.setattr(kernels, "_last", kernels._Filing())
-        return smooth_blocks_of(f)
 
+class TestSmoothFiling:
     @staticmethod
-    def assert_same_split(got, want):
-        assert list(got) == list(want)
-        for s, comp in got.items():
-            assert comp.K.tobytes() == want[s].K.tobytes()
-            assert comp.C.tobytes() == want[s].C.tobytes()
+    def assert_filing_splits(f, g):
+        """g has f's frequencies: f's filing gives g's blocks, bit for bit."""
+        filing = smooth_filing(f)
+        assert [(s, rows.tolist()) for s, rows, _ in filing] == [
+            (s, rows.tolist()) for s, rows in kernels._filter_rows(f)]
+        split = {}
+        for s, rows, mult in filing:
+            block = g.take(rows, g.C[rows] * mult)
+            assert same_bytes(block, smooth_block(g.take(rows), s))
+            split[s] = block
+        want = smooth_blocks_of(g)
+        assert list(split) == list(want)
+        assert all(same_bytes(split[s], comp) for s, comp in want.items())
 
-    @pytest.mark.parametrize("n,d", [(8, 2), (12, 2), (8, 3)])
-    def test_repeated_support_splits_as_a_fresh_one(self, monkeypatch, n, d):
-        # two members of one level, another level's member between them
+    @SHIFTED_RECT_MEMBERS
+    def test_members_of_one_level(self, n, d, mode):
         rng = np.random.default_rng(n + d)
-        a, b = (shifted_rect_sample(n, d, "random-sign", rng) for _ in range(2))
-        other = shifted_rect_sample(n - 2, d, "random-sign", rng)
-        order = (a, b, other, b, a)
-        got = [smooth_blocks_of(f) for f in order]
-        for f, split in zip(order, got):
-            self.assert_same_split(split, self.fresh_split(monkeypatch, f))
+        f = shifted_rect_sample(n, d, mode, rng)
+        self.assert_filing_splits(f, f)
+        if mode == "random-sign":
+            self.assert_filing_splits(f, shifted_rect_sample(n, d, mode, rng))
 
-    def test_held_multipliers_keep_their_convention(self, monkeypatch):
-        # frequencies with |k_j| = 1, where the two conventions differ
-        f = TrigPoly(2, {(1, 3): 1.0, (-1, -6): 2.0, (2, 1): -0.5j, (5, -1): 1.5})
-        groups = list(kernels._filter_rows(f))
-        want = {c: [smooth_block(f.take(rows), s, c) for s, rows in groups] for c in CONVENTIONS}
-        self.assert_same_split(smooth_blocks_of(f), self.fresh_split(monkeypatch, f))
-        for c in reversed(CONVENTIONS):
-            assert [smooth_block(f.take(rows), s, c) for s, rows in groups] == want[c]
-        self.assert_same_split(smooth_blocks_of(f), self.fresh_split(monkeypatch, f))
-
-    @pytest.mark.parametrize("n,d", [(8, 2), (8, 3)])
-    def test_repeated_support_is_filed_and_filtered_once(self, monkeypatch, n, d):
-        monkeypatch.setattr(kernels, "_last", kernels._Filing())
-        filter_rows, rung, block = kernels._filter_rows, kernels._rung, kernels.smooth_block
-        filed, formed, called = [], [], []
-        monkeypatch.setattr(kernels, "_filter_rows", lambda f: filed.append(f.nnz) or filter_rows(f))
-        # smooth_block takes one int s_j per coordinate; the filing passes arrays
-        monkeypatch.setattr(kernels, "_rung", lambda s, a, c: (
-            formed.append(s) if isinstance(s, int) else None) or rung(s, a, c))
-        monkeypatch.setattr(kernels, "smooth_block",
-                            lambda g, s, *args: called.append(s) or block(g, s, *args))
-        rng = np.random.default_rng(5)
-        members = [shifted_rect_sample(n, d, "random-sign", rng) for _ in range(3)]
-        for t in members:
-            smooth_blocks_of(t)
-        groups = [s for s, _ in filter_rows(members[0])]
-        assert filed == [members[0].nnz]
-        assert formed == [sj for s in groups for sj in s]
-        assert called == groups * 3
+    def test_random_polys(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 3):
+            for _ in range(10):
+                # components on powers of two, where some filters vanish
+                ks = rng.integers(1, 200, size=(12, d))
+                pow2 = 2 ** rng.integers(0, 8, size=(12, d))
+                ks = np.where(rng.random((12, d)) < 0.5, ks, pow2) * rng.choice((-1, 1), size=(12, d))
+                f = TrigPoly(d, {tuple(map(int, k)): complex(*rng.standard_normal(2)) for k in ks})
+                g = f.take(slice(None), rng.standard_normal(f.nnz) + 1j * rng.standard_normal(f.nnz))
+                self.assert_filing_splits(f, g)
 
 
 class TestKernelL1:

@@ -1,8 +1,9 @@
 """Static checks on the package source: every name a module imports is used,
 no module imports another stepcross module's private (underscore) name,
 every function is reached from outside the unit tests, no import or
-function definition hides inside a function, and only ``poly.py`` reads a polynomial through its dict
-views (``.coeffs``, ``.terms()``) instead of its arrays.
+function definition hides inside a function, only ``poly.py`` reads a polynomial through its dict
+views (``.coeffs``, ``.terms()``) instead of its arrays, and no module keeps
+hidden state in a module-level instance of a package class.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
@@ -207,3 +208,38 @@ def test_guard_sees_a_dict_view():
     tree = ast.parse("coeffs = {}\nx = f.coeffs[(1,)]\nfor k, c in g.terms():\n    pass\n"
                      "y = f.C, f.K\n")
     assert dict_view_uses(tree) == {".coeffs": 2, ".terms": 3}
+
+
+def package_classes() -> frozenset[str]:
+    """Names of the classes defined at the top level of any package module."""
+    trees = (ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py"))
+    return frozenset(node.name for tree in trees for node in tree.body
+                     if isinstance(node, ast.ClassDef))
+
+
+def module_instances(tree: ast.Module, classes) -> dict[str, int]:
+    """Target -> line of every module-level binding whose value calls one of
+    ``classes``; functions that build a value, such as ``functools`` caches
+    and ``poly._smooth_numbers``, are not classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            calls = (c.func for c in ast.walk(node.value) if isinstance(c, ast.Call))
+            if any(getattr(f, "id", getattr(f, "attr", None)) in classes for f in calls):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update((ast.unparse(t), node.lineno) for t in targets)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_instances(path):
+    held = module_instances(ast.parse(path.read_text(), filename=str(path)), package_classes())
+    assert not held, f"{path.name} keeps module-level instances of package classes: {held}"
+
+
+def test_guard_sees_a_module_level_instance():
+    tree = ast.parse("import functools\nfrom . import poly\nclass Box:\n    pass\n"
+                     "held = Box()\nitems: list = [poly.Box(1)]\nLENS = sorted((2, 1))\n"
+                     "cached = functools.lru_cache(maxsize=1)(sorted)\n"
+                     "def f():\n    local = Box()\n")
+    assert module_instances(tree, {"Box"}) == {"held": 5, "items": 6}
