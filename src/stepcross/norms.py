@@ -25,9 +25,9 @@ Numerical methods
   whose first grid has the same dims (L_inf, even p and the base grid often
   do) share one evaluation of it; each value is bit for bit the one-exponent
   value.  A self-checked non-even p then refines on its own grids.
-* A grid of at most ``SLICE_POINTS`` values evaluated is one leaf.  Norms
+* A grid of at most ``SLICE_POINTS`` values evaluated is one batch.  Norms
   of many polynomials (``lp_norms``; ``block_norms`` takes its components
-  that way) evaluate the leaves whose grids have the same dims and whose
+  that way) evaluate the grids that have the same dims and whose
   coefficients are of one kind, real or complex, as one stack: a leading
   axis that no FFT stage transforms, so each stage is one ``ifft`` call
   over every polynomial's lines, and one ``abs``, power and
@@ -37,15 +37,19 @@ Numerical methods
   for bit its own ``lp_norm``; one polynomial is a stack of one.  Every
   first grid is sized and checked against the budget before any is
   evaluated, and the self-check's doublings refine one polynomial at a
-  time.  A larger grid, of any d, is reduced leaf by leaf, one polynomial
-  at a time: numpy sums a float64 array pairwise over a fixed binary tree,
-  so the grid's flat index is walked down that tree to leaves of at most
-  ``SLICE_POINTS`` points, the last FFT stage (``GridLines.transform``)
-  runs once on each line as the leaves reach it, and the leaves' max and
-  sums combine in tree order, bit for bit the whole array's.  Besides the
-  last stage's input it holds up to two leaves' worth of lines (for d = 1
-  the whole line), a few leaf-sized arrays and the powers of the rows that
-  map onto themselves.
+  time.
+* A larger grid, of any d, is reduced one polynomial at a time in batches
+  of at most ``SLICE_POINTS`` values: runs of whole rows; runs of lines
+  inside one row when a row holds more; runs of points of one line when a
+  line holds more (for d = 1, the one line).  The last FFT stage
+  (``GridLines.transform``) runs once on each line as its batch comes, each
+  batch takes one max and one sum per exponent, and a polynomial's sum is
+  the correctly rounded ``math.fsum`` of its batch sums (J. R. Shewchuk,
+  *Discrete Comput. Geom.* 18, 1997).  It differs from the whole array's
+  pairwise ``np.sum`` only at rounding.  Besides the last stage's input it
+  holds one batch's values, moduli and powers (the complex values of a
+  whole line when a line holds more than a batch) and, for real
+  coefficients, the powers of row 0 until row N_0/2 comes.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -79,153 +83,106 @@ def _check_form(form: str, p: float) -> None:
         raise ValueError("sharp block form requires 1 < p < inf")
 
 
-# the most points of a leaf: a grid of at most this many wanted values is one
-# leaf, evaluated by eval_grid in a stack of up to twice as many values, and a
-# larger one is walked leaf by leaf (at least 128, numpy's smallest pairwise
-# block)
+# the most values of a batch: a grid of at most this many wanted values is
+# one batch, evaluated by eval_grid in a stack of up to twice as many values,
+# and a larger one is reduced in batches of at most this many
 SLICE_POINTS = 1 << 15
 
 
-def _pairwise(leaf, lo: int, n: int) -> list:
-    """The sums of n values from flat index lo on, in numpy's pairwise order,
-    where ``leaf(lo, n)`` returns them for at most ``SLICE_POINTS`` values.
+def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
+    """Rows 0..rows-1 of f's ``dims`` grid in batches of at most
+    ``SLICE_POINTS`` values, in flat order: (flat index of the first value,
+    the values as an array of shape (1, count)).
 
-    numpy sums a contiguous float64 array over a fixed binary tree: n values
-    split into the first n/2, rounded down to a multiple of 8, and the rest,
-    down to blocks of 128 (``pairwise_sum`` in numpy's loops; N. J. Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, 4.2).
-    Each leaf's own ``sum`` walks its subtree, so the leaf sums added in tree
-    order equal the whole array's ``sum`` bit for bit, as the tests check.
+    The grid's trailing blocks are its rows, the slices of a row along the
+    next axis, and so on down to lines and points.  A batch is a run of the
+    largest of them that hold at most ``SLICE_POINTS`` values, inside one
+    block of the next size up.  The last FFT stage runs once on each line,
+    on all the lines of a batch at once, or on one line at a time when a
+    line holds more than ``SLICE_POINTS`` values (for d = 1 the whole axis,
+    of which the first ``rows`` points are wanted).
     """
-    if n <= SLICE_POINTS:
-        return leaf(lo, n)
-    half = n // 2 - n // 2 % 8
-    # one thread: the right half in a second thread took family's L_inf norms 58-70 -> 110-116 ms
-    return [x + y for x, y in zip(_pairwise(leaf, lo, half), _pairwise(leaf, lo + half, n - half))]
+    lines = GridLines(f, dims, rows)
+    n, size = lines.n, rows * math.prod(dims[1:])
+    blocks = [size] + [math.prod(dims[a:]) for a in range(1, len(dims) + 1)]
+    a = next(a for a in range(1, len(blocks)) if blocks[a] <= SLICE_POINTS)
+    step = SLICE_POINTS // blocks[a] * blocks[a]  # values per batch
+    group = max(step // n, 1)  # lines per transform
+    span = max(blocks[a - 1] // n, 1)  # lines a batch stays inside
+    buf = np.empty((min(group, lines.count), n), dtype=complex)
+    for start in range(0, lines.count, span):
+        for first in range(start, start + span, group):
+            out = buf[:min(group, start + span - first)]
+            out.fill(0)
+            values = lines.transform(first, out).reshape(1, -1)[:, :size]
+            for at in range(0, values.shape[1], step):
+                yield first * n + at, values[:, at:at + step]
 
 
-class _LineWindow:
-    """A buffer of consecutive grid lines from ``GridLines``, transformed by
-    its last stage as values are asked for.  Values are asked for in
-    increasing order; a request that runs past the lines held keeps the
-    ones it shares with them and fills the rest of the buffer, so each line
-    is transformed once, and in batches of up to ``2 * SLICE_POINTS``
-    points."""
-
-    def __init__(self, lines: GridLines):
-        self.lines = lines
-        self.buf = np.empty((min(2 * SLICE_POINTS // lines.n + 2, lines.count), lines.n),
-                            dtype=complex)
-        self.held = range(0)  # the lines buf holds, from its first row on
-
-    def values(self, lo: int, count: int) -> np.ndarray:
-        """Grid values lo..lo + count - 1 (count <= ``SLICE_POINTS``) in flat
-        order, a view of the buffer."""
-        n = self.lines.n
-        first, stop = lo // n, (lo + count - 1) // n + 1
-        if stop > self.held.stop:
-            kept = max(self.held.stop - first, 0)
-            shift = first - self.held.start
-            if kept and shift:
-                self.buf[:kept] = self.buf[shift:shift + kept]
-            end = min(first + len(self.buf), self.lines.count)
-            rest = self.buf[kept:end - first]
-            rest.fill(0)
-            self.lines.transform(first + kept, rest)
-            self.held = range(first, end)
-        at = lo - self.held.start * n
-        return self.buf.reshape(-1)[at:at + count]
-
-
-class _LeafStats:
-    """Leaf by leaf, the sums of |v| (p = 1) and |v|**p, in ``sum_ps`` order,
-    over the ``size`` values v of each polynomial of a stack, which
-    ``values(lo, count)`` returns as an array of shape (polynomials, count);
-    and, when ``ps`` holds inf, the maximum of |v|, ``top``.  Each sum is
-    one pairwise reduction along a row, so every polynomial's sum is its
-    row's flat ``sum``.  With ``edges``, for each p, ``kept`` holds the
-    powers of the first ``row`` values and, with two edges, of the last
-    ``row``, in the pieces the walk passes them in."""
-
-    def __init__(self, values, ps: Sequence[float], size: int, row: int, edges: int):
-        self.values, self.size, self.row, self.edges = values, size, row, edges
-        self.sum_ps = [p for p in ps if not math.isinf(p)]
-        self.top = None
-        self.tops = len(self.sum_ps) < len(ps)
-        self.kept = [([], []) for _ in self.sum_ps]
-
-    def sums(self, lo: int, count: int) -> list:
-        """The sums over values lo..lo + count - 1, one per polynomial; the
-        leaf's maxima join ``top``."""
-        a = np.abs(self.values(lo, count))
-        if self.tops:
-            top = np.maximum.reduce(a, -1)
-            self.top = top if self.top is None else np.maximum(self.top, top)
-        head = self.edges and lo < self.row
-        tail = self.edges == 2 and lo + count > self.size - self.row  # past the last row's start
-        out = []
-        for p, (first, last) in zip(self.sum_ps, self.kept):
-            x = a if p == 1 else a**p
-            out.append(np.add.reduce(x, -1))  # each row's x.sum(), without its wrapper
-            if head:
-                first.append(x[:, :self.row - lo])
-            if tail:
-                last.append(x[:, max(self.size - self.row - lo, 0):])
-        return out
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The pieces of the rows as one array."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
-def _grid_stats(fs: Sequence[TrigPoly], ps: Sequence[float],
-                dims: Sequence[int]) -> list[dict[float, float]]:
+def _grid_stats(fs: Sequence[TrigPoly], ps: Sequence[float], dims: Sequence[int],
+                real: bool) -> list[dict[float, float]]:
     """For each f in ``fs``, the mean of |f|**p over the ``dims`` grid for
     each distinct p in ``ps``, or the max of |f| at p = inf, keyed by p.
-    The fs all have real coefficients or all have complex ones.
+    The fs all have ``real`` coefficients or all have complex ones.
 
     If f's coefficients are real, f(-x) is the conjugate of f(x), so rows m
     and N_0 - m of the grid carry the same moduli, and rows 0..N_0//2 alone
     are evaluated.  Their max is the grid max, and a mean is (2 S - E) /
     (grid size), from the sum S over those rows and the sum E of the rows
     that map onto themselves, row 0 and, for even N_0, row N_0/2 (the last
-    one evaluated), added elementwise.  A grid of at most ``SLICE_POINTS``
-    values evaluated is one leaf: the fs are evaluated in stacks of at most
-    ``2 * SLICE_POINTS`` values, one ``eval_grid`` call each, and a stack is
-    reduced along its rows, one polynomial's values each.  A larger grid is
-    walked through a ``_LineWindow``, one polynomial at a time.  Either way
-    each sum is the whole array's ``sum`` bit for bit, and a mean divides it
-    by the grid size, as ``np.mean`` does.
+    one evaluated), added elementwise.
+
+    A grid of at most ``SLICE_POINTS`` values evaluated is one batch: the fs
+    are evaluated in stacks of at most ``2 * SLICE_POINTS`` values, one
+    ``eval_grid`` call each, and a stack is reduced along its rows, one
+    polynomial's values each, so each sum is the flat array's ``sum`` bit
+    for bit.  A larger grid is reduced one polynomial at a time, in the
+    batches of ``_batches``.  Each batch takes one max and one sum per
+    exponent, and E one sum per batch of row 0, over that part of row 0
+    added elementwise to the same part of row N_0/2; a polynomial's
+    2 S - E, or S, is the correctly rounded ``math.fsum`` of these sums.  A
+    mean divides it by the grid size, as ``np.mean`` does.
     """
     n0, row = dims[0], math.prod(dims[1:])
-    real = not np.count_nonzero(fs[0].C.imag)
     rows = n0 // 2 + 1 if real else n0
     size, points = rows * row, n0 * row
     edges = 2 - n0 % 2 if real else 0
-    step = 1 if size > SLICE_POINTS else 2 * SLICE_POINTS // size
+    sum_ps = [p for p in ps if not math.isinf(p)]
+    if size > SLICE_POINTS:
+        groups = ((1, _batches(f, dims, rows)) for f in fs)
+    else:
+        step = 2 * SLICE_POINTS // size
+        groups = ((len(stack), [(0, eval_grid(stack, dims, rows).reshape(len(stack), -1))])
+                  for stack in (fs[at:at + step] for at in range(0, len(fs), step)))
     out = []
-    for at in range(0, len(fs), step):
-        stack = fs[at:at + step]
-        if size > SLICE_POINTS:
-            window = _LineWindow(GridLines(stack[0], dims, rows)).values
-            values = lambda lo, count: window(lo, count).reshape(1, -1)
-        else:
-            grid = eval_grid(stack, dims, rows).reshape(len(stack), -1)
-            values = lambda lo, count: grid
-        leaves = _LeafStats(values, ps, size, row, edges)
-        stats = [{} for _ in stack]
-        for p, s, (first, last) in zip(leaves.sum_ps, _pairwise(leaves.sums, 0, size),
-                                       leaves.kept):
-            s = s.tolist()  # Python floats round as float64 arrays do
-            if edges:
-                e = _joined(first) if edges == 1 else _joined(first) + _joined(last)
-                e = e[:, 0] if row == 1 else np.add.reduce(e, -1)  # d = 1: one value
-                s = [2 * v - w for v, w in zip(s, e.tolist())]
-            for st, v in zip(stats, s):
-                st[p] = v / points  # as np.mean divides
-        if leaves.tops:
-            for st, v in zip(stats, leaves.top.tolist()):
+    for count, batches in groups:
+        top = None
+        sums = {p: [] for p in sum_ps}  # per p, the terms of each polynomial's 2 S - E, or S
+        heads = {p: [] for p in sum_ps}  # per p, the row 0 parts waiting for row N_0/2's
+        for lo, v in batches:
+            a = np.abs(v)
+            if len(sum_ps) < len(ps):
+                m = np.maximum.reduce(a, -1)
+                top = m if top is None else np.maximum(top, m)
+            for p in sum_ps:
+                x = a if p == 1 else a**p
+                s = np.add.reduce(x, -1)  # each row's x.sum(), without its wrapper
+                sums[p].append(2 * s if edges else s)
+                if edges == 1 and lo < row:
+                    sums[p].append(-np.add.reduce(x[:, :row - lo], -1))
+                elif edges == 2:
+                    if lo < row:
+                        heads[p].append(x[:, :row - lo])
+                    if lo + x.shape[1] > size - row:
+                        last = x[:, max(size - row - lo, 0):]
+                        sums[p].append(-np.add.reduce(heads[p].pop(0) + last, -1))
+            a = x = None  # freed before the next batch's are made
+        stats = [{} for _ in range(count)]
+        for p in sum_ps:
+            for st, terms in zip(stats, zip(*(s.tolist() for s in sums[p]))):
+                st[p] = math.fsum(terms) / points  # as np.mean divides
+        if top is not None:
+            for st, v in zip(stats, top.tolist()):
                 st[math.inf] = v
         out += stats
     return out
@@ -255,7 +212,7 @@ def _lp_norms(fs: Sequence[TrigPoly], ps: Sequence[float],
     inf_grid = replace(grid, oversampling=4.0) if (
         grid.oversampling < 4 and math.inf in todo) else grid
     norms: list[dict[float, float]] = []
-    bases = []  # (f's place, its base dims) of the fs with a grid
+    bases = []  # (f's place, its base dims, its coefficient kind) of the fs with a grid
     jobs: dict[tuple, list[int]] = {}  # (dims, exponents, real) -> places in fs
     for i, f in enumerate(fs):
         if f.is_zero():
@@ -280,22 +237,23 @@ def _lp_norms(fs: Sequence[TrigPoly], ps: Sequence[float],
         real = not np.count_nonzero(f.C.imag)
         for dims, group in groups.items():
             jobs.setdefault((dims, tuple(group), real), []).append(i)
-        bases.append((i, base))
-    for (dims, group, _), places in jobs.items():
-        for i, stats in zip(places, _grid_stats([fs[i] for i in places], group, dims)):
+        bases.append((i, base, real))
+    for (dims, group, real), places in jobs.items():
+        for i, stats in zip(places, _grid_stats([fs[i] for i in places], group, dims, real)):
             for p, stat in stats.items():
                 norms[i][p] = stat if math.isinf(p) else stat ** (1.0 / p)
     if grid.points_per_dim is None and grid.self_check:
         checked = [p for p in todo if not (math.isinf(p) or _is_even(p))]
-        for i, base in bases:
+        for i, base, real in bases:
             for p in checked:
-                norms[i][p] = _refine(fs[i], p, base, norms[i][p])
+                norms[i][p] = _refine(fs[i], p, base, real, norms[i][p])
     return norms
 
 
-def _refine(f: TrigPoly, p: float, base: tuple[int, ...], prev: float) -> float:
+def _refine(f: TrigPoly, p: float, base: tuple[int, ...], real: bool, prev: float) -> float:
     """Doubling self-check of the L_p quadrature whose value on ``base`` is
-    ``prev``: refine until one doubling changes it by at most ``CHECK_RTOL``."""
+    ``prev``: refine until one doubling changes it by at most ``CHECK_RTOL``.
+    ``real`` tells whether f's coefficients are real."""
     # refine by exact doubling of the base grid so successive grids nest
     for level in range(1, MAX_REFINE + 1):
         dims = tuple(n * 2**level for n in base)
@@ -306,7 +264,7 @@ def _refine(f: TrigPoly, p: float, base: tuple[int, ...], prev: float) -> float:
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={CHECK_RTOL} (last value {prev:.6e})"
             ) from exc
-        cur = _grid_stats((f,), (p,), dims)[0][p] ** (1.0 / p)
+        cur = _grid_stats((f,), (p,), dims, real)[0][p] ** (1.0 / p)
         if abs(cur - prev) <= CHECK_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur

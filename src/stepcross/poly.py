@@ -22,12 +22,13 @@ Given ``rows``, it returns the first ``rows`` rows of the grid alone, bit for
 bit those of the whole grid, and the stages after the first transform those
 rows alone.  ``GridLines`` holds a grid between the two parts: after the
 stages over axes 0..d-2, and before the last one, which its ``transform``
-runs on any range of the grid's lines along axis d-1, bit for bit as on the
-whole grid, so a caller can reduce a grid a few lines at a time (for d = 1
-the one line is the whole axis).  Both take a stack, a sequence of
-polynomials of one dimension, in place of one polynomial: the stack is a
-leading axis that no stage transforms, so each stage is one transform over
-the lines of every polynomial, and each grid is bit for bit its own.
+runs on whole rows of the grid or on lines inside one row, along axis d-1,
+bit for bit as on the whole grid, so a caller can reduce a grid a few lines
+at a time (for d = 1 the one line is the whole axis).  Both take a stack, a
+sequence of polynomials of one dimension, in place of one polynomial: the
+stack is a leading axis that no stage transforms, so each stage is one
+transform over the lines of every polynomial, and each grid is bit for bit
+its own.
 The package needs numpy alone at run time.
 """
 
@@ -232,6 +233,9 @@ class TrigPoly:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"point has {x.size} coordinates, expected d = {self.d}")
+        for j, v in enumerate(x.tolist(), start=1):
+            if not math.isfinite(v):
+                raise ValueError(f"point coordinate {j} is {v}, expected a finite number")
         return sum(c * np.exp(1j * float(np.dot(k, x))) for k, c in self.terms())
 
     def __repr__(self):
@@ -334,9 +338,10 @@ class GridLines:
     points are wanted), and ``points`` is prod(dims), the factor the last
     stage scales by.  Between the stages only the last stage's input is held:
     the lines that hold a nonzero, ``at`` on axis d-1 (offset by n times the
-    polynomial's place in a stack).  A range of lines shorter than all of
-    them is for one polynomial only.  A dim that is not an integer >= 1,
-    ``rows`` out of range or an empty stack is rejected before any work.
+    polynomial's place in a stack).  A stack's lines are transformed all at
+    once; a range of them is for one polynomial only.  A dim that is not an
+    integer >= 1, ``rows`` out of range or an empty stack is rejected before
+    any work.
     """
 
     __slots__ = ("dims", "count", "n", "points", "at", "src", "stack")
@@ -402,24 +407,30 @@ class GridLines:
         axis d-1 and scaled, written into ``out``, a C-contiguous complex
         array of shape (lines, n) that holds zeros; returns ``out``.
 
-        All lines at once scatter the input as it is held; a range of them
-        takes its slice of the input's rows for d = 2 and gathers its own
-        lines first for d >= 3.
+        A stack scatters all its lines at once.  For one polynomial of
+        d >= 2 the range is read as a view of the input: from each leading
+        axis whose one index holds the whole range, that index, and then
+        whole indices of the next axis (whole rows, or a run of lines inside
+        one row); any other range is rejected.
         """
         if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
             np.add.at(out.reshape(-1), self.at, self.src)
-        elif len(out) == self.count:
-            if self.stack == 1:
-                out.reshape(self.src.shape[:-1] + (self.n,))[..., self.at] = self.src
-            else:
-                place, at = np.divmod(self.at, self.n)
-                grid = out.reshape((self.stack,) + self.src.shape[:-1] + (self.n,))
-                grid[place, ..., at] = np.moveaxis(self.src, -1, 0)
-        elif len(self.dims) == 2:  # line j is row j of the input
-            out[:, self.at] = self.src[first:first + len(out)]
+        elif self.stack > 1:
+            place, at = np.divmod(self.at, self.n)
+            grid = out.reshape((self.stack,) + self.src.shape[:-1] + (self.n,))
+            grid[place, ..., at] = np.moveaxis(self.src, -1, 0)
         else:
-            lines = np.arange(first, first + len(out))
-            out[:, self.at] = self.src[np.unravel_index(lines, self.src.shape[:-1])]
+            src, lo = self.src, first
+            while True:
+                inner = math.prod(src.shape[1:-1])  # lines per index of src's first axis
+                if src.ndim == 2 or (lo + len(out) - 1) // inner != lo // inner:
+                    break
+                src, lo = src[lo // inner], lo % inner
+            if lo % inner or len(out) % inner:
+                raise ValueError(f"lines {first}..{first + len(out) - 1} are neither whole "
+                                 "rows nor a run of lines inside one row")
+            src = src[lo // inner:(lo + len(out)) // inner]
+            out.reshape(src.shape[:-1] + (self.n,))[..., self.at] = src
         np.fft.ifft(out, norm="forward", out=out)
         if len(self.dims) == 1:
             _scale_first(out, self.points)

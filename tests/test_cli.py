@@ -80,6 +80,15 @@ def test_poly_eval_at_wrong_dimension_names_d(tmp_path, capsys):
     assert captured.out == "" and "3 coordinates, expected d = 2" in captured.err
 
 
+@pytest.mark.parametrize("at,name", [("1,nan", "2 is nan"), ("inf,0", "1 is inf")])
+def test_poly_eval_at_non_finite_point_exits_one(tmp_path, capsys, at, name):
+    path = tmp_path / "f2.jsonl"
+    write_jsonl(path, TrigPoly(2, {(1, 2): 1.0}))
+    assert main(["poly", "eval", "--input", str(path), "--at", at]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"point coordinate {name}, expected a finite" in captured.err
+
+
 def test_poly_project_without_level_exits_one(poly_file, capsys):
     assert main(["poly", "project", "--input", poly_file, "--r", "1"]) == 1
     assert "--n" in capsys.readouterr().err

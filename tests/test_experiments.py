@@ -262,7 +262,7 @@ GOLDEN = {
         "272eb878b7c5e3ae81ab25136efe1661dcd4de714542de0d72f43840aa990e25"),
     "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
                        rng_seed=1),
-        "3f65dfb530434c1e7c5ab6e09533ea8274241848d8247d4479dcffcc5ee873db"),
+        "1257ffcfc690e366ad279f4a67846fca3bad09b25c536df66caf6f435b77cf9e"),
     "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
                 n_range=(5, 8), rng_seed=7),
         "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),

@@ -94,7 +94,7 @@ class TestLpNorm:
     @pytest.mark.parametrize("p,grid,budget,points", [
         (20.0, GridSpec(), 100_000, 601 * 601), (4.0, GridSpec(oversampling=1.0), 4000, 121 * 121),
         (math.inf, GridSpec(oversampling=1.0), 4000, 245 * 245),
-        (26.0, GridSpec(), 100_000, 781 * 781)])  # a grid walked leaf by leaf
+        (26.0, GridSpec(), 100_000, 781 * 781)])  # a grid reduced in batches
     def test_first_grid_over_budget_raises_before_any_grid(self, monkeypatch, p, grid, budget,
                                                            points):
         # the base grid is within the budget; the even-p grid, sized from p
@@ -152,21 +152,24 @@ def record_grids(monkeypatch):
     calls = []
     grid_stats = norms._grid_stats
 
-    def spy(fs, ps, dims):
+    def spy(fs, ps, dims, real):
         calls.extend((f.d, tuple(dims)) for f in fs)
-        return grid_stats(fs, ps, dims)
+        return grid_stats(fs, ps, dims, real)
 
     monkeypatch.setattr(norms, "_grid_stats", spy)
     return calls
 
 
 def reference_lp_norm(f, p, grid):
-    """L_p by the single-exponent rule written out: each grid of f from
-    eval_grid, reduced by hand."""
+    """L_p by the single-exponent rule written out: each whole grid of f from
+    eval_grid, reduced by hand in the batches of ``batch_cuts``."""
 
     def stat(dims):
-        a = np.abs(eval_grid(f, dims))
-        return float(a.max()) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
+        a = np.abs(eval_grid(f, dims)).reshape(-1)
+        if math.isinf(p):
+            return float(a.max())
+        x = a if p == 1 else a**p
+        return math.fsum(x[lo:hi].sum() for lo, hi in batch_cuts(dims, dims[0])) / a.size
 
     if math.isinf(p):
         return stat(resolve_grid_dims(f, replace(grid, oversampling=max(4.0, grid.oversampling))))
@@ -239,12 +242,14 @@ class TestLpNormsEngine:
                                     (1.5, 3.0, 4.0)])
     @pytest.mark.parametrize("shape", [(7,), (3, 11), (norms.SLICE_POINTS + 1,)])
     def test_grid_stats_equal_numpy_mean_and_max(self, ps, shape):
-        # complex coefficients: the whole grid, one leaf or walked
+        # complex coefficients: the whole grid, one batch or walked
         f = random_spectrum(np.random.default_rng(len(ps) + len(shape)), len(shape), 3, 9)
-        a = np.abs(eval_grid(f, shape))
-        want = {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
-                for p in ps}
-        assert norms._grid_stats([f], ps, shape) == [want]
+        want = numpy_grid_stats(f, ps, shape)
+        got = norms._grid_stats([f], ps, shape, False)[0]
+        # one batch is the whole array's; a walked grid's sums move only at rounding
+        assert got == (want if math.prod(shape) <= norms.SLICE_POINTS else
+                       whole_grid_stats(f, ps, shape))
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def random_spectrum(rng, d, deg, nnz, real=False):
@@ -254,66 +259,99 @@ def random_spectrum(rng, d, deg, nnz, real=False):
     return TrigPoly.from_arrays(K, C)
 
 
-def leaf_tree_sum(a):
-    """a.sum() of a 1-D float64 array, walked leaf by leaf as a norm walks a
-    grid."""
-    return norms._pairwise(lambda lo, n: np.array([a[lo:lo + n].sum()]), 0, a.size)[0]
+def batch_cuts(dims, rows):
+    """The flat ranges (lo, hi) of the batches that ``_grid_stats`` sums
+    rows 0..rows-1 of a ``dims`` grid in: the whole range if it holds at
+    most SLICE_POINTS values; else runs of the largest trailing blocks (rows,
+    lines, points) of at most SLICE_POINTS values, each run inside one block
+    of the next size up."""
+    size = rows * math.prod(dims[1:])
+    if size <= norms.SLICE_POINTS:
+        return [(0, size)]
+    blocks = [size] + [math.prod(dims[a:]) for a in range(1, len(dims) + 1)]
+    a = next(a for a in range(1, len(blocks)) if blocks[a] <= norms.SLICE_POINTS)
+    step = norms.SLICE_POINTS // blocks[a] * blocks[a]
+    return [(lo, min(lo + step, start + blocks[a - 1]))
+            for start in range(0, size, blocks[a - 1])
+            for lo in range(start, start + blocks[a - 1], step)]
 
 
 def whole_grid_stats(f, ps, dims):
     """``_grid_stats`` of one polynomial written out on the whole
-    ``eval_grid`` array: np.mean and np.max of |f| for complex
-    coefficients; for real ones the max over
-    rows 0..N_0//2 and (2 S - E) / prod(dims), with S their sum and E the sum
-    of rows 0 and N_0/2 (even N_0 only) added elementwise."""
-    if np.count_nonzero(f.C.imag):
-        a = np.abs(eval_grid(f, dims))
-        return {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
-                for p in ps}
-    n0 = dims[0]
-    a = np.abs(eval_grid(f, dims, n0 // 2 + 1))
+    ``eval_grid`` array (rows 0..N_0//2 of it for real coefficients): the
+    max of |f|, and a mean that is the fsum of the np.sum of each batch of
+    ``batch_cuts``, over prod(dims).  For real coefficients the fsum takes
+    twice each batch sum and, for each batch of row 0, minus the np.sum of
+    that part of row 0 plus (even N_0 only) the same part of row N_0/2."""
+    real = not np.count_nonzero(f.C.imag)
+    n0, row = dims[0], math.prod(dims[1:])
+    rows = n0 // 2 + 1 if real else n0
+    a = np.abs(eval_grid(f, dims, rows)).reshape(-1)
+    cuts = batch_cuts(dims, rows)
     out = {}
     for p in ps:
-        x = a if p == 1 or math.isinf(p) else a**p
-        edge = x[0] if n0 % 2 else x[0] + x[n0 // 2]
-        out[p] = float(np.max(a) if math.isinf(p) else
-                       (2 * np.sum(x) - np.sum(edge)) / math.prod(dims))
+        if math.isinf(p):
+            out[p] = float(a.max())
+            continue
+        x = a if p == 1 else a**p
+        terms = [x[lo:hi].sum() for lo, hi in cuts]
+        if real:
+            last = x.size - row if n0 % 2 == 0 else None  # row N_0/2
+            terms = [2 * t for t in terms] + [
+                -(x[lo:hi] if last is None else x[lo:hi] + x[last + lo:last + hi]).sum()
+                for lo, hi in ((lo, min(hi, row)) for lo, hi in cuts if lo < row)]
+        out[p] = math.fsum(terms) / math.prod(dims)
     return out
 
 
+def numpy_grid_stats(f, ps, dims):
+    """np.mean of |f|**p and np.max of |f| over the whole ``eval_grid``
+    array."""
+    a = np.abs(eval_grid(f, dims))
+    return {p: float(np.max(a)) if math.isinf(p) else float(np.mean(a if p == 1 else a**p))
+            for p in ps}
+
+
 STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,), (math.inf,)]
-LEAVES = [128, 1000, norms.SLICE_POINTS]
+BATCHES = [128, 1000, norms.SLICE_POINTS]
 
 
 class TestStreamedStats:
-    @pytest.mark.parametrize("leaf", LEAVES)
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("dims", [
         (40, 33, 29), (41, 30, 27),  # d = 3, even and odd N_0
         (300, 257), (301, 256),  # d = 2
-        (4, 40000), (5, 33001),  # a last axis longer than the largest leaf
-        (12, 60000),  # an edge row longer than the largest leaf
-        (2**15 + 1,), (100_003,), (2**20,),  # d = 1 lines over one leaf, odd and even
+        (4, 40000), (5, 33001),  # a last axis longer than the largest batch
+        (12, 60000),  # an edge row longer than the largest batch
+        (2**15 + 1,), (100_003,), (2**20,),  # d = 1 lines over one batch, odd and even
         # SLICE_POINTS and SLICE_POINTS + 1 points, all of them (complex) or
         # rows 0..N_0//2 (real) evaluated
         (2**15,), (128, 256), (99, 331), (510, 128), (196, 331),
     ], ids=str)
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_equals_whole_grid_stats(self, monkeypatch, leaf, dims, real):
-        # leaf boundaries fall inside lines, and a line spans several leaves
+    def test_equals_whole_grid_stats(self, monkeypatch, batch, dims, real):
+        # batches of whole rows, of lines inside a row, and of points of one
+        # line, which for d = 1 is the whole axis
         f = random_spectrum(np.random.default_rng(len(dims) + dims[0]), len(dims), 12, 40, real)
+        monkeypatch.setattr(norms, "SLICE_POINTS", batch)
         whole = whole_grid_stats(f, set().union(*STREAM_PS), dims)
         want = [{p: whole[p] for p in ps} for ps in STREAM_PS]
-        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
-        assert [norms._grid_stats([f], ps, dims)[0] for ps in STREAM_PS] == want
+        got = [norms._grid_stats([f], ps, dims, real)[0] for ps in STREAM_PS]
+        assert got == want
+        # within rounding of the whole array's mean and max
+        numpy = numpy_grid_stats(f, set().union(*STREAM_PS), dims)
+        for stats in got:
+            for p, v in stats.items():
+                assert v == pytest.approx(numpy[p], rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("leaf", [128, 1000])
+    @pytest.mark.parametrize("batch", [128, 1000])
     @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000), (41, 30, 27), (5, 33001),
                                       (80, 81, 83), (81, 80, 83), (12, 60000), (13, 45000)],
                              ids=str)
-    def test_each_line_is_transformed_once(self, monkeypatch, leaf, dims):
-        # a line that two leaves share is kept from one to the next, and the
-        # rows that map onto themselves are kept as the walk passes them
-        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
+    def test_each_line_is_transformed_once(self, monkeypatch, batch, dims):
+        # in flat order, whether a batch holds whole rows, lines of a row or
+        # part of one line
+        monkeypatch.setattr(norms, "SLICE_POINTS", batch)
         transform = GridLines.transform
         for real in (False, True):
             f = random_spectrum(np.random.default_rng(1), len(dims), 12, 40, real)
@@ -324,27 +362,15 @@ class TestStreamedStats:
                 return transform(self, first, out)
 
             monkeypatch.setattr(GridLines, "transform", spy)
-            norms._grid_stats([f], (1.0, 2.5, math.inf), dims)
+            norms._grid_stats([f], (1.0, 2.5, math.inf), dims, real)
             rows = dims[0] // 2 + 1 if real else dims[0]
             assert done == list(range(rows * math.prod(dims[1:-1])))
-
-    @pytest.mark.parametrize("leaf", LEAVES)
-    @pytest.mark.parametrize("n", [129, 8193, 32769, 100_003, 1_000_000])
-    def test_numpy_sum_is_the_leaf_tree(self, monkeypatch, n, leaf):
-        # the leaf walk rests on numpy summing a contiguous float64 array
-        # pairwise over a fixed tree; if numpy changes that, this fails
-        monkeypatch.setattr(norms, "SLICE_POINTS", leaf)
-        a = np.random.default_rng(n).random(n) * 10.0 ** np.arange(-3, 4).repeat(n // 7 + 1)[:n]
-        assert leaf_tree_sum(a) == a.sum()
-        # a C-contiguous grid sums over its flat index the same way
-        grid = a[:n - n % 7].reshape(7, -1)
-        assert leaf_tree_sum(grid.reshape(-1)) == grid.sum()
 
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_grids_just_over_the_cutoff_stream(self, monkeypatch, d, ppd, real):
         # grids on both sides of 2^19 points are walked the same way, and a
-        # grid of one leaf is evaluated whole by eval_grid
+        # grid of one batch is evaluated whole by eval_grid
         f = random_spectrum(np.random.default_rng(d), d, 10, 30, real)
         ps = (1.0, 1.5, math.inf)
         walked, whole = [], []
@@ -372,6 +398,20 @@ class TestStreamedStats:
         finally:
             tracemalloc.stop()
         assert peak <= grid_bytes / 4
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_long_line_holds_no_moduli_whole(self, real):
+        # a d = 1 line is transformed whole, 16 bytes a point; its moduli and
+        # powers, 8 bytes a point each, are made one batch at a time
+        n = 1 << 20
+        f = random_spectrum(np.random.default_rng(6), 1, 40, 30, real)
+        tracemalloc.start()
+        try:
+            norms._grid_stats([f], (1.0, 2.5, math.inf), (n,), real)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + 2 * n
 
     def test_self_checked_norm_traces_under_10_mb(self):
         # this norm's doublings reach grids of millions of points, 60 MB
@@ -445,8 +485,8 @@ class TestStackedNorms:
         want = [lp_norm(f, p) for f in fs]
         calls = []
         grid_stats = norms._grid_stats
-        monkeypatch.setattr(norms, "_grid_stats",
-                            lambda gs, ps, dims: calls.append(len(gs)) or grid_stats(gs, ps, dims))
+        monkeypatch.setattr(norms, "_grid_stats", lambda gs, ps, dims, real: calls.append(len(gs))
+                            or grid_stats(gs, ps, dims, real))
         assert lp_norms(fs, p) == want
         # the base grids together, then each polynomial's doublings alone
         assert calls[0] == 4 and len(calls) >= 5 and set(calls[1:]) == {1}
@@ -707,7 +747,7 @@ class TestNikolskii:
                                         pytest.param(3, 5, id="3-streamed")])
     def test_one_grid_for_every_pair(self, monkeypatch, d, seed):
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
-        # the d = 3 grids are walked leaf by leaf, seed 5's over 2^19 points
+        # the d = 3 grids are reduced in batches, seed 5's over 2^19 points
         dims = resolve_grid_dims(f, GridSpec())
         assert (math.prod(dims) > norms.SLICE_POINTS) == (d == 3)
         calls = record_grids(monkeypatch)

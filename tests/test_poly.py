@@ -89,6 +89,14 @@ class TestTrigPolyBasics:
         with pytest.raises(ValueError, match="expected d = 2"):
             f.evaluate(x)
 
+    @pytest.mark.parametrize("x,j,v", [((math.nan, 0.0), 1, "nan"), ((1.0, math.inf), 2, "inf"),
+                                       ((1.0, -math.inf), 2, "-inf")])
+    def test_evaluate_rejects_non_finite_coordinate(self, monkeypatch, x, j, v):
+        f = TrigPoly(2, {(1, 2): 1.0})
+        monkeypatch.setattr(np, "exp", None)  # no term is evaluated
+        with pytest.raises(ValueError, match=f"coordinate {j} is {v}, expected a finite"):
+            f.evaluate(x)
+
 
 # small frequencies, so that random pairs share some
 freq2_st = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -350,15 +358,21 @@ class TestStagedTransform:
         (TrigPoly.zero(3), (4, 6, 5)),
     ])
     def test_any_range_of_lines_equals_the_grid(self, f, dims):
-        # the last stage on lines first..first+k-1 alone gives those lines of
-        # the whole grid bit for bit, whatever rows of the grid are wanted
+        # the last stage on lines first..first+k-1 alone, any range of whole
+        # rows or of lines inside one row, gives those lines of the whole
+        # grid bit for bit, whatever rows of the grid are wanted
+        per = math.prod(dims[1:-1])  # lines per row
         for rows in (dims[0], dims[0] // 2 + 1):
             lines = GridLines(f, dims, rows)
             grid = eval_grid(f, dims, rows).reshape(-1, dims[-1])
             assert (lines.count, lines.n, lines.points) == (len(grid), dims[-1], math.prod(dims))
-            for first, k in ((0, 1), (1, 2), (lines.count - 3, 3), (2, lines.count - 4)):
+            for first, k in ((0, 1), (1, 2), (lines.count - 3, 3), (per, lines.count - 2 * per),
+                             (0, lines.count)):
                 out = lines.transform(first, np.zeros((k, dims[-1]), dtype=complex))
                 assert np.array_equal(out, grid[first:first + k])
+            if per > 1:  # across a row's end, neither whole rows nor inside one
+                with pytest.raises(ValueError, match="neither whole rows"):
+                    lines.transform(per - 1, np.zeros((2, dims[-1]), dtype=complex))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(random_poly_st), st.booleans(), st.data())
