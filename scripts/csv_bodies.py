@@ -17,7 +17,12 @@ column with a changed cell, the count and the largest relative change
       lhs: 1 cells, max rel 1.1e-16
 
 A file under one directory only, or with another header or row shape, is
-named as such.  The exit status is 1 when any body differs, else 0.
+named as such.  The exit status is 1 when any body differs, else 0.  With
+``--max-rel TOL`` as well, a body whose changed cells are all numbers, each
+within TOL relative, does not count as differing, so a run that may move
+numbers only at rounding states its tolerance as a command:
+
+    python scripts/csv_bodies.py new --against old --max-rel 1e-15
 """
 
 import argparse
@@ -32,22 +37,25 @@ from stepcross.experiments import csv_body
 
 
 def relative_change(old: str, new: str) -> float | None:
-    """|new - old| / |old| of two cells, inf when only old is 0, None when
-    either is not a number."""
+    """|new - old| / |old| of two cells, inf when they differ and old is 0
+    or either is not finite, None when either is not a number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
         return None
-    return abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
 
 
-def cell_changes(old: str, new: str) -> list[str]:
+def cell_changes(old: str, new: str) -> tuple[list[str], float | None]:
     """Lines describing how CSV body ``new`` differs from ``old``, which
-    differ."""
+    differ, and the largest relative change of a cell: None when a text
+    cell, the header or the row shape changed."""
     a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
     if (len(a) != len(b) or a[:1] != b[:1]
             or any(len(x) != len(y) for x, y in zip(a, b))):
-        return ["header or row shape changed"]
+        return ["header or row shape changed"], None
     header, counts, worst = a[0], [0] * len(a[0]), [0.0] * len(a[0])
     for x, y in zip(a[1:], b[1:]):
         for j, (u, v) in enumerate(zip(x, y)):
@@ -60,7 +68,7 @@ def cell_changes(old: str, new: str) -> list[str]:
     for name, k, w in zip(header, counts, worst):
         if k:
             lines.append(f"  {name}: {k} cells, " + ("text" if w is None else f"max rel {w:.2g}"))
-    return lines
+    return lines, None if None in worst else max(worst)
 
 
 def main():
@@ -68,7 +76,12 @@ def main():
     ap.add_argument("dir", type=Path, metavar="DIR")
     ap.add_argument("--against", type=Path, metavar="OLD_DIR",
                     help="print the changed cells of each CSV body that differs from OLD_DIR's")
+    ap.add_argument("--max-rel", type=float, metavar="TOL",
+                    help="with --against, exit 0 when every changed cell is a number "
+                         "within TOL relative")
     args = ap.parse_args()
+    if args.max_rel is not None and (args.against is None or not args.max_rel >= 0):
+        ap.error("--max-rel needs --against and a number TOL >= 0")
     if args.against is None:
         for path in sorted(args.dir.rglob("*.csv")):
             digest = hashlib.sha256(csv_body(path).encode()).hexdigest()
@@ -84,9 +97,9 @@ def main():
             continue
         before, after = csv_body(old[rel]), csv_body(new[rel])
         if before != after:
-            first, *rest = cell_changes(before, after)
+            (first, *rest), worst = cell_changes(before, after)
             print(f"{rel}: {first}", *rest, sep="\n")
-            differ = True
+            differ |= args.max_rel is None or worst is None or not worst <= args.max_rel
     return int(differ)
 
 

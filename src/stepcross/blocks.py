@@ -13,6 +13,7 @@ below n, and in the tail at n otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
@@ -22,6 +23,20 @@ import numpy as np
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
 
 GAMMA_MODES = ("gamma", "gamma-prime")
+
+
+def is_int(v) -> bool:
+    """True for an integer of any integral type, but not a bool."""
+    # a Python int, the common case, skips the slower abstract-class test
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def int_tuple(v: Sequence, what: str, name: str) -> tuple[int, ...]:
+    """``v`` as a tuple of Python ints; a component that is not an integer
+    (``is_int``) is an error naming ``v``, the ``what`` called ``name``."""
+    if not all(map(is_int, v)):
+        raise ValueError(f"{what} components must be integers, got {name}={v!r}")
+    return tuple(map(int, v))
 
 
 class TailTruncationError(RuntimeError):
@@ -127,7 +142,7 @@ def block_ranges(s: Sequence[int]) -> list[tuple[int, ...]]:
     """Per-coordinate frequencies of block ``s``: -2**s_j < k_j <= -2**(s_j-1)
     then 2**(s_j-1) <= k_j < 2**s_j, in increasing order."""
     ranges = []
-    for sj in map(int, s):
+    for sj in int_tuple(s, "block index", "s"):
         if sj < 1:
             raise ValueError("block index components must be >= 1")
         lo, hi = 2 ** (sj - 1), 2**sj
@@ -215,7 +230,7 @@ def even_shell(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 def block_anchor(s: Sequence[int]) -> tuple[int, ...]:
     """The frequency 2**(s_j-1) + 2**(s_j-2) used to re-center a block's rectangle."""
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s, "block index", "s")
     if any(sj < 2 for sj in s):
         raise ValueError("block anchor needs all components >= 2")
     return tuple(2 ** (sj - 1) + 2 ** (sj - 2) for sj in s)

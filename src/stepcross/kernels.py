@@ -35,8 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import SmoothParams, group_by_block, mean_zero_block_indices
-from .poly import TrigPoly, is_int
+from .blocks import SmoothParams, group_by_block, int_tuple, mean_zero_block_indices
+from .poly import TrigPoly
 
 CONVENTIONS = ("partition-exact", "literal")
 
@@ -89,9 +89,7 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if not all(is_int(x) for x in s):
-        raise ValueError(f"block index components must be integers, got s={s!r}")
-    s = tuple(map(int, s))
+    s = int_tuple(s, "block index", "s")
     if len(s) != f.d:
         raise ValueError("dimension mismatch")
     if min(s, default=1) < 1:

@@ -11,24 +11,12 @@ representation stays canonically sparse.  Instances are treated as
 immutable values; ``coeffs`` and ``terms()`` are read-only views for
 callers outside the hot paths.
 
-``eval_grid`` samples a polynomial on a tensor grid by a staged (pruned)
-inverse FFT with ``numpy.fft``: one axis at a time, in ``ifftn``'s order,
-and every stage but the last transforms only the grid lines that hold a
-coefficient.  A block's spectrum fills a small part of its grid, so most
-lines are skipped.  The scale factor goes where ``ifftn`` applies it, so the
-values are ``scipy.fft.ifftn``'s times the point count, bit for bit, as the
-tests check; the last stage's input is the one buffer held beside the grid.
-Given ``rows``, it returns the first ``rows`` rows of the grid alone, bit for
-bit those of the whole grid, and the stages after the first transform those
-rows alone.  ``GridLines`` holds a grid between the two parts: after the
-stages over axes 0..d-2, and before the last one, which its ``transform``
-runs on whole rows of the grid or on lines inside one row, along axis d-1,
-bit for bit as on the whole grid, so a caller can reduce a grid a few lines
-at a time (for d = 1 the one line is the whole axis).  Both take a stack, a
-sequence of polynomials of one dimension, in place of one polynomial: the
-stack is a leading axis that no stage transforms, so each stage is one
-transform over the lines of every polynomial, and each grid is bit for bit
-its own.
+``eval_grid`` samples one polynomial, or a stack of them, on a tensor grid
+by a staged (pruned) unnormalized inverse FFT with ``numpy.fft``: every
+stage but the last transforms only the grid lines that hold a coefficient,
+and no stage scales, so the values are f's, bit for bit
+``scipy.fft.ifftn(spec, norm="forward")``.  ``GridLines`` holds a grid
+before its last stage, so a caller can reduce it a few lines at a time.
 The package needs numpy alone at run time.
 """
 
@@ -39,12 +27,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockIndexSet, block_indices, group_by_block, mean_zero_block_indices
+from .blocks import (BlockIndexSet, block_indices, group_by_block, int_tuple, is_int,
+                     mean_zero_block_indices)
 
 DROP_TOL = 1e-30
 MAX_POINTS = 1 << 26  # the most points of any grid a polynomial is evaluated on
@@ -86,12 +76,6 @@ class GridSpec:
                 raise ValueError(f"GridSpec.{name} must be {want}, got {getattr(self, name)!r}")
 
 
-def is_int(v) -> bool:
-    """True for an integer of any integral type, but not a bool."""
-    # a Python int, the common case, skips the slower abstract-class test
-    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
@@ -111,25 +95,34 @@ class TrigPoly:
     coefficients; ``TrigPoly.from_arrays(K, C)`` takes the two arrays, rows in
     any order, and sums the coefficients of a repeated frequency in the order
     given; ``f.take(rows, C)`` keeps some of f's terms, already in order.
-    Every way drops the coefficients of modulus below ``DROP_TOL``.
+    Every way drops the coefficients of modulus below ``DROP_TOL``.  A
+    frequency component that is not an integer (``is_int``) or a new
+    coefficient that is not finite is an error naming it.
     """
 
     __slots__ = ("d", "K", "C")
 
     def __init__(self, d: int, coeffs: Mapping[tuple[int, ...], complex] | None = None):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (is_int(d) and d >= 1):
+            raise ValueError(f"dimension must be an integer >= 1, got d={d!r}")
         coeffs = coeffs or {}
         bad = next((k for k in coeffs if len(k) != d), None)
         if bad is not None:
             raise ValueError(f"frequency {tuple(bad)} has dimension {len(bad)}, expected {d}")
+        if not all(map(is_int, chain.from_iterable(coeffs))):
+            for k in coeffs:
+                int_tuple(k, "frequency", "k")
         K = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), d)
         C = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
         self._store(*_sorted_sums(K, C))
 
     @staticmethod
     def from_arrays(K: np.ndarray, C: np.ndarray) -> "TrigPoly":
-        K, C = np.array(K, dtype=np.int64), np.array(C, dtype=complex)
+        K, C = np.asarray(K), np.array(C, dtype=complex)
+        if K.size and K.dtype.kind not in "iu":
+            raise ValueError(f"frequencies must be integers, got a {K.dtype} array "
+                             f"starting {K.flat[:3].tolist()}")
+        K = np.array(K, dtype=np.int64)
         if K.ndim != 2 or K.shape[1] < 1 or C.shape != K.shape[:1]:
             raise ValueError(f"need an nnz x d frequency matrix and nnz coefficients, "
                              f"got shapes {K.shape} and {C.shape}")
@@ -154,8 +147,15 @@ class TrigPoly:
         return f
 
     def _store(self, K: np.ndarray, C: np.ndarray) -> None:
-        """``_set`` without the coefficients below ``DROP_TOL``."""
-        keep = _modulus(C) >= DROP_TOL
+        """``_set`` without the coefficients below ``DROP_TOL``; a coefficient
+        that is not finite is an error naming its frequency."""
+        mod = _modulus(C)  # not finite iff a part is not
+        finite = np.isfinite(mod)
+        if np.count_nonzero(finite) < len(finite):
+            i = np.argmin(finite)
+            raise ValueError(f"coefficient {C[i]} of frequency {tuple(K[i].tolist())} "
+                             "is not finite")
+        keep = mod >= DROP_TOL
         if np.count_nonzero(keep) < len(keep):
             K, C = K[keep], C[keep]
         self._set(K, C)
@@ -247,7 +247,7 @@ class TrigPoly:
 
     @staticmethod
     def exponential(k: Sequence[int], c: complex = 1.0) -> "TrigPoly":
-        k = tuple(int(x) for x in k)
+        k = int_tuple(k, "frequency", "k")
         return TrigPoly(len(k), {k: c})
 
 
@@ -324,10 +324,11 @@ def check_grid_budget(dims: Sequence[int]) -> None:
 class GridLines:
     """Polynomials on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
     along every axis but the last: the grid's lines along axis d-1, each
-    waiting for its last inverse FFT.  ``GridLines(f, dims, rows)`` runs the
-    pruned stages over axes 0..d-2 that ``eval_grid`` describes, and
-    ``transform(first, out)`` runs the last stage on lines first..first +
-    len(out) - 1 in flat order, bit for bit as on the whole grid.
+    waiting for its last unnormalized inverse FFT.  ``GridLines(f, dims,
+    rows)`` runs the pruned stages over axes 0..d-2 that ``eval_grid``
+    describes, and ``transform(first, out)`` runs the last stage on lines
+    first..first + len(out) - 1 in flat order, bit for bit as on the whole
+    grid.  No stage scales.
 
     ``f`` is one polynomial or a stack of them, a sequence of polynomials of
     one dimension d.  The stack is a leading axis that no stage transforms:
@@ -335,16 +336,15 @@ class GridLines:
     polynomial i's lines follow those of polynomial i - 1.  ``count`` lines
     of ``n`` points make up the first ``rows`` rows of every grid (for d = 1,
     one line per polynomial: the whole axis, of which the first ``rows``
-    points are wanted), and ``points`` is prod(dims), the factor the last
-    stage scales by.  Between the stages only the last stage's input is held:
-    the lines that hold a nonzero, ``at`` on axis d-1 (offset by n times the
-    polynomial's place in a stack).  A stack's lines are transformed all at
-    once; a range of them is for one polynomial only.  A dim that is not an
-    integer >= 1, ``rows`` out of range or an empty stack is rejected before
-    any work.
+    points are wanted).  Between the stages only the last stage's input is
+    held: the lines that hold a nonzero, ``at`` on axis d-1 (offset by n
+    times the polynomial's place in a stack).  A stack's lines are
+    transformed all at once; a range of them is for one polynomial only.  A
+    dim that is not an integer >= 1, ``rows`` out of range or an empty stack
+    is rejected before any work.
     """
 
-    __slots__ = ("dims", "count", "n", "points", "at", "src", "stack")
+    __slots__ = ("dims", "count", "n", "at", "src", "stack")
 
     def __init__(self, f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
                  rows: int | None = None):
@@ -363,7 +363,7 @@ class GridLines:
             raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
         shape = (rows,) + dims[1:]  # the part of each grid wanted
         B = self.stack = len(fs)
-        self.dims, self.n, self.points = dims, dims[-1], math.prod(dims)
+        self.dims, self.n = dims, dims[-1]
         self.count = B * math.prod(shape[:-1])
         K, vals = (fs[0].K, fs[0].C) if B == 1 else (
             np.concatenate([g.K for g in fs]), np.concatenate([g.C for g in fs]))
@@ -395,8 +395,6 @@ class GridLines:
             else:
                 spec[index] = vals
             np.fft.ifft(spec, norm="forward", out=spec)
-            if a == 0:
-                _scale_first(spec, self.points)
             vals = spec.swapaxes(-1, -2)[:rows]  # a no-op after the first stage
         # the last stage's input: shape[:-1] + (lines,) for d > 1, the
         # coefficients for d = 1
@@ -404,7 +402,7 @@ class GridLines:
 
     def transform(self, first: int, out: np.ndarray) -> np.ndarray:
         """Lines first..first + len(out) - 1 of the grid, transformed along
-        axis d-1 and scaled, written into ``out``, a C-contiguous complex
+        axis d-1 (f's values), written into ``out``, a C-contiguous complex
         array of shape (lines, n) that holds zeros; returns ``out``.
 
         A stack scatters all its lines at once.  For one polynomial of
@@ -431,18 +429,7 @@ class GridLines:
                                  "rows nor a run of lines inside one row")
             src = src[lo // inner:(lo + len(out)) // inner]
             out.reshape(src.shape[:-1] + (self.n,))[..., self.at] = src
-        np.fft.ifft(out, norm="forward", out=out)
-        if len(self.dims) == 1:
-            _scale_first(out, self.points)
-        out *= self.points
-        return out
-
-
-def _scale_first(spec: np.ndarray, points: int) -> None:
-    """Each part of the first stage's output times 1/points, rounded from
-    long double, as pocketfft scales."""
-    parts = spec.view(np.float64)
-    np.multiply(parts, float(1 / np.longdouble(points)), out=parts)
+        return np.fft.ifft(out, norm="forward", out=out)
 
 
 def eval_grid(f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
@@ -460,22 +447,22 @@ def eval_grid(f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
     (they are those of f with its frequencies folded onto the grid).  Check
     dims that ``resolve_grid_dims`` did not size with ``check_grid_budget``.
 
-    The inverse FFT (``numpy.fft.ifft``, in place) runs one axis at a time
-    in ``ifftn``'s order 0, 1, ..., d-1, and an axis-a stage before the last
-    transforms only the lines that hold a nonzero: one per distinct residue
-    tuple of coordinates a+1..d-1 that some frequency has.  Each stage holds
-    its lines as the rows of its buffer, so every transform runs along a
-    contiguous axis.  ``GridLines`` runs the stages before the last, and its
+    The unnormalized inverse FFT (``numpy.fft.ifft`` with
+    ``norm="forward"``, in place) runs one axis at a time in ``ifftn``'s
+    order 0, 1, ..., d-1, and an axis-a stage before the last transforms only
+    the lines that hold a nonzero: one per distinct residue tuple of
+    coordinates a+1..d-1 that some frequency has.  Each stage holds its lines
+    as the rows of its buffer, so every transform runs along a contiguous
+    axis.  ``GridLines`` runs the stages before the last, and its
     ``transform`` runs the last one on all lines: it scatters them onto the
-    full grid and transforms along axis d-1.  The factor 1/prod(dims), as
-    pocketfft rounds it, scales the first stage's output, where ``ifftn``
-    applies it, so the values equal ``scipy.fft.ifftn``'s times prod(dims)
-    bit for bit (up to the sign of a zero), as the tests check.  Besides the
-    grid, the last stage's input is held while the grid is filled: at most
-    1/oversampling of the grid for a grid sized from the degree, up to a
-    whole grid for a dense spectrum on a ``points_per_dim`` grid.  With
-    ``rows``, the first stage still transforms whole lines of axis 0, and
-    only their first ``rows`` values go on to the later stages.
+    full grid and transforms along axis d-1.  No stage scales, so the values
+    equal ``scipy.fft.ifftn(spec, norm="forward")`` bit for bit (up to the
+    sign of a zero), as the tests check.  Besides the grid, the last stage's
+    input is held while the grid is filled: at most 1/oversampling of the
+    grid for a grid sized from the degree, up to a whole grid for a dense
+    spectrum on a ``points_per_dim`` grid.  With ``rows``, the first stage
+    still transforms whole lines of axis 0, and only their first ``rows``
+    values go on to the later stages.
     """
     lines = GridLines(f, dims, rows)
     out = lines.transform(0, np.zeros((lines.count, lines.n), dtype=complex))
@@ -512,18 +499,28 @@ def write_jsonl(path, f: TrigPoly) -> None:
 
 
 def read_jsonl(path) -> TrigPoly:
-    """Inverse of ``write_jsonl``; a frequency given twice is an error."""
+    """Inverse of ``write_jsonl``; a line that is not such a record, a
+    frequency given twice, a component of ``k`` that is not an integer or a
+    part ``re`` or ``im`` that is not a number is an error naming its line."""
     with open(path) as fh:
         header = json.loads(fh.readline())
-        d = int(header["d"])
+        d = header.get("d") if isinstance(header, dict) else None
         coeffs = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            k = tuple(int(x) for x in rec["k"])
+            if not (isinstance(rec, dict) and rec.keys() >= {"k", "re", "im"}
+                    and isinstance(rec["k"], list)):
+                raise ValueError(f'{path}: line {lineno} is not a {{"k", "re", "im"}} record')
+            k, parts = tuple(rec["k"]), (rec["re"], rec["im"])
+            if not all(map(is_int, k)):
+                raise ValueError(f"{path}: line {lineno} has frequency {rec['k']}, "
+                                 "expected integers")
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in parts):
+                raise ValueError(f"{path}: line {lineno} has re, im = {parts}, expected numbers")
             if k in coeffs:
                 raise ValueError(f"{path}: line {lineno} repeats frequency {list(k)}")
-            coeffs[k] = complex(rec["re"], rec["im"])
+            coeffs[k] = complex(*parts)
     return TrigPoly(d, coeffs)

@@ -212,6 +212,11 @@ class TestDyadicBlocks:
         with pytest.raises(ValueError):
             block_ranges((0, 1))
 
+    @pytest.mark.parametrize("s", [(1.5,), (2, 2.0), (True, 2), ("3",)])
+    def test_rejects_non_integral_index(self, s):
+        with pytest.raises(ValueError, match=r"block index components must be integers, got s="):
+            block_ranges(s)
+
     def test_block_of_zero_component(self):
         # index 0 marks a coordinate in no block
         assert block_indices(np.array([[0, 3], [-1, 0]])).tolist() == [[0, 2], [1, 0]]
@@ -360,6 +365,11 @@ class TestBlockAnchor:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             block_anchor((1, 3))
+
+    @pytest.mark.parametrize("s", [(2.7, 3), (3, 3.0), (True, 3), ("3", 3)])
+    def test_rejects_non_integral_index(self, s):
+        with pytest.raises(ValueError, match=r"block index components must be integers, got s="):
+            block_anchor(s)
 
 
 CRITERION_08_DIGEST = "f661ecfbc93ba56834f8e2b47d55230ea0800def7788cee31d4ad63684398d77"

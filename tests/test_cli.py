@@ -158,6 +158,35 @@ def test_norm_repeated_frequency_exits_one(tmp_path, capsys):
     assert "line 3" in captured.err and "[3]" in captured.err
 
 
+@pytest.mark.parametrize("bad,p,named", [
+    ('"re": NaN, "im": 0.0', "2", "coefficient (nan+0j) of frequency (1, 2) is not finite"),
+    ('"re": Infinity, "im": 0.0', "Infinity", "coefficient (inf+0j) of frequency (1, 2)"),
+    ('"re": 1.0, "im": -Infinity', "2", "coefficient (1-infj) of frequency (1, 2)"),
+])
+def test_norm_non_finite_coefficient_exits_one(tmp_path, capsys, bad, p, named):
+    path = tmp_path / "f.jsonl"
+    path.write_text(f'{{"d": 2}}\n{{"k": [1, 2], {bad}}}\n'
+                    '{"k": [3, -1], "re": 1.0, "im": 0.0}\n')
+    spec = json.dumps({"kind": "lp", "p": float(p)})
+    assert main(["norm", "--spec", spec, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("record,named", [
+    ('{"k": [1.5], "re": 1.0, "im": 0.0}', "line 3 has frequency [1.5], expected integers"),
+    ('{"k": [2], "re": "x", "im": 0.0}', "line 3 has re, im = ('x', 0.0), expected numbers"),
+    ('{"k": 2, "re": 1.0, "im": 0.0}', 'line 3 is not a {"k", "re", "im"} record'),
+    ('{"k": [2], "re": 1.0}', 'line 3 is not a {"k", "re", "im"} record'),
+])
+def test_norm_bad_record_exits_one(tmp_path, capsys, record, named):
+    path = tmp_path / "f.jsonl"
+    path.write_text(f'{{"d": 1}}\n{{"k": [3], "re": 1.0, "im": 0.0}}\n{record}\n')
+    assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
 @pytest.mark.parametrize("p", ["nan", "-inf"])
 @pytest.mark.parametrize("poly", [TrigPoly(1, {(1,): 1.0, (4,): 1.0}), TrigPoly.zero(1)],
                          ids=["nonzero", "empty"])

@@ -259,10 +259,10 @@ def test_entropy_chain_experiment(tmp_path):
 GOLDEN = {
     "T5-family": (dict(theorem_tag="T5-family", d=2, r=(1.0, 1.0), n_range=(6, 8),
                        samples=3, rng_seed=2),
-        "272eb878b7c5e3ae81ab25136efe1661dcd4de714542de0d72f43840aa990e25"),
+        "d99bafdc0c9f549b2831a4af9bc4c32ba3a71ad0d5eb19f8c4aa6f91b3a377da"),
     "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
                        rng_seed=1),
-        "1257ffcfc690e366ad279f4a67846fca3bad09b25c536df66caf6f435b77cf9e"),
+        "438e3ea91c1d6ce8ad2a61e941092d21757ee1a38013e7caca6f1dae97282f55"),
     "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
                 n_range=(5, 8), rng_seed=7),
         "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),

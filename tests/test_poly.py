@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from stepcross import poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
+from stepcross.norms import lp_norm
 from stepcross.poly import (DROP_TOL, AliasingError, GridBudgetError, GridLines, GridSpec,
                             TrigPoly, blocks_of, eval_grid, project_cross, read_jsonl,
                             resolve_grid_dims, write_jsonl)
@@ -188,6 +191,35 @@ class TestArrayContract:
         # left to right, (1e16 - 1e16) + 1 = 1; 1e16 + (-1e16 + 1) would round to 0
         assert TrigPoly.from_arrays(K, C).terms() == [((1, 1), 5.0), ((2, 1), 1.0)]
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf),
+                                     complex(math.nan, 0.0)])
+    def test_non_finite_coefficient_named(self, bad):
+        f = TrigPoly(2, {(3, -1): 1.0, (1, 2): 2j})
+        for build in (lambda: TrigPoly(2, {(1, 2): bad, (3, -1): 1.0}),
+                      lambda: TrigPoly.from_arrays([[3, -1], [1, 2]], [1.0, bad]),
+                      lambda: f.take([0, 1], [bad, 1.0]),
+                      lambda: f * bad):
+            with pytest.raises(ValueError, match=r"of frequency \(1, 2\) is not finite"):
+                build()
+
+    @pytest.mark.parametrize("k", [(1.5, 2), (True, 2), ("3", 2), (np.float64(2.0), 2)])
+    def test_non_integral_frequency_named(self, k):
+        with pytest.raises(ValueError, match=r"frequency components must be integers, got k="):
+            TrigPoly(2, {(1, 1): 1.0, k: 1.0})
+        with pytest.raises(ValueError, match=r"frequency components must be integers, got k="):
+            TrigPoly.exponential(k)
+
+    def test_integral_numpy_frequency_accepted(self):
+        f = TrigPoly(2, {(np.int64(3), np.int32(-1)): 1.0})
+        assert f == TrigPoly.exponential((np.int64(3), -1)) == TrigPoly(2, {(3, -1): 1.0})
+
+    def test_float_frequency_array_named(self):
+        with pytest.raises(ValueError, match="frequencies must be integers, got a float64"):
+            TrigPoly.from_arrays(np.array([[1.5, 2.0]]), [1.0])
+        # an empty array of any type has no frequency to check
+        assert TrigPoly.from_arrays(np.zeros((0, 2)), []) == TrigPoly.zero(2)
+
     def test_read_only(self):
         f = TrigPoly(1, {(1,): 1.0})
         with pytest.raises(TypeError):
@@ -244,6 +276,26 @@ class TestEvalGrid:
         exact = sum(abs(c) ** 2 for c in f.coeffs.values())
         assert quad == pytest.approx(exact, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+        st.tuples(*[st.integers(-40, 40)] * d),
+        st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12)),
+        st.sampled_from([1.0, 1.5, 2.0, 4.0]))
+    def test_value_at_origin_is_the_coefficient_sum(self, coeffs, over):
+        # integer coefficients add up exactly in every stage, and no stage
+        # scales, so f(0) is their sum with no rounding at all
+        f = TrigPoly(len(next(iter(coeffs))), coeffs)
+        dims = resolve_grid_dims(f, GridSpec(oversampling=over))
+        assert eval_grid(f, dims)[(0,) * f.d] == f.C.sum()
+
+    @pytest.mark.parametrize("d,top", [(1, 16), (2, 9), (3, 7)])
+    def test_dirichlet_sup_is_the_term_count(self, d, top):
+        # unit coefficients: the grid max is f(0), the term count, exactly
+        for n in range(d, top + 1):
+            f = dirichlet_shell(n, d)
+            for g in [f, *blocks_of(f).values()]:
+                assert lp_norm(g, math.inf) == g.nnz
+
     def test_folded_frequencies_add_up(self):
         # 1 and 5 both land on index 1 of a 4-point grid: f(0) = 2
         f = TrigPoly(1, {(1,): 1.0, (5,): 1.0})
@@ -264,12 +316,10 @@ class TestEvalGrid:
 
 def dense_eval_grid(f, dims):
     """The oracle for ``eval_grid``: the whole spectrum scattered onto the
-    grid, one ``ifftn`` over it, times the point count."""
+    grid, one unnormalized ``ifftn`` over it."""
     spec = np.zeros(dims, dtype=complex)
     np.add.at(spec, tuple(np.mod(f.K, dims).T), f.C)
-    out = scipy.fft.ifftn(spec, overwrite_x=True)
-    out *= math.prod(dims)
-    return out
+    return scipy.fft.ifftn(spec, norm="forward", overwrite_x=True)
 
 
 def dense_rectangle(shape):
@@ -288,7 +338,7 @@ class TestStagedTransform:
         (TrigPoly(2, {(-3, 4): 1.5, (2, -7): -1j, (0, 1): 0.25}), (20, 30)),
         (TrigPoly(3, {(-1, 2, -3): 1.0, (4, -2, 1): 2 - 1j, (4, 2, 1): 3j}), (12, 10, 8)),
         # lengths that are not next_fast_len values; 2731 is prime, where
-        # 1/N in double and in long double round apart
+        # 1/N in double and in long double round apart: no stage may scale
         (TrigPoly(1, {(-30,): 1.0, (7,): 1j}), (2731,)),
         (TrigPoly(2, {(-5, 6): 1.0, (3, -4): 2j, (3, 6): -1.0}), (13, 29)),
         (TrigPoly(3, {(-2, 3, -4): 1.0, (1, -3, 5): 1j}), (7, 11, 13)),
@@ -365,7 +415,7 @@ class TestStagedTransform:
         for rows in (dims[0], dims[0] // 2 + 1):
             lines = GridLines(f, dims, rows)
             grid = eval_grid(f, dims, rows).reshape(-1, dims[-1])
-            assert (lines.count, lines.n, lines.points) == (len(grid), dims[-1], math.prod(dims))
+            assert (lines.count, lines.n) == (len(grid), dims[-1])
             for first, k in ((0, 1), (1, 2), (lines.count - 3, 3), (per, lines.count - 2 * per),
                              (0, lines.count)):
                 out = lines.transform(first, np.zeros((k, dims[-1]), dtype=complex))
@@ -534,6 +584,30 @@ class TestProjectCross:
         q = hyperbolic_cross(5, SmoothParams((1.0, 1.5)))
         p = project_cross(f, q)
         assert project_cross(p, q) == p
+
+
+@pytest.mark.parametrize("line,named", [
+    ('{"k": [1.5, 2], "re": 1.0, "im": 0.0}', "has frequency [1.5, 2], expected integers"),
+    ('{"k": [true, 2], "re": 1.0, "im": 0.0}', "has frequency [True, 2], expected integers"),
+    ('{"k": [1, 2], "re": "1", "im": 0.0}', "has re, im = ('1', 0.0), expected numbers"),
+    ('{"k": [1, 2], "re": 1.0, "im": null}', "has re, im = (1.0, None), expected numbers"),
+    ('{"k": [1, 2], "re": 1.0}', 'is not a {"k", "re", "im"} record'),
+    ('{"k": 3, "re": 1.0, "im": 0.0}', 'is not a {"k", "re", "im"} record'),
+    ('[1, 2]', 'is not a {"k", "re", "im"} record'),
+])
+def test_read_jsonl_names_the_bad_line(tmp_path, line, named):
+    path = tmp_path / "poly.jsonl"
+    path.write_text(f'{{"d": 2}}\n{{"k": [3, -1], "re": 1.0, "im": 0.0}}\n{line}\n')
+    with pytest.raises(ValueError, match=f"line 3 {re.escape(named)}"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("d", [1.5, 2.7, True, "2", None])
+def test_read_jsonl_rejects_a_non_integral_dimension(tmp_path, d):
+    path = tmp_path / "poly.jsonl"
+    path.write_text(f'{{"d": {json.dumps(d)}}}\n{{"k": [3, -1], "re": 1.0, "im": 0.0}}\n')
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1, got d="):
+        read_jsonl(path)
 
 
 def test_jsonl_roundtrip(tmp_path):

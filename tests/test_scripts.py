@@ -4,6 +4,7 @@ that a signature change breaks fails here.  ``csv_bodies.py`` prints the
 digests that the experiment goldens pin, and the changed cells of bodies
 that differ."""
 
+import math
 import os
 import subprocess
 import sys
@@ -67,3 +68,35 @@ def test_csv_bodies_against_counts_changed_cells(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == (f"lemmaA/lemmaA_ratios.csv: 1 of {5 * rows} cells changed\n"
                            "  value: 1 cells, max rel 1\n")
+
+
+@pytest.mark.parametrize("cell,tol,code", [
+    ("next", "1e-15", 0),  # one ulp up: about 1e-16 relative
+    ("next", "0", 1),
+    ("double", "1e-15", 1),
+    ("double", "1", 0),
+    ("nan", "1e300", 1),
+    ("text", "1e300", 1),
+])
+def test_csv_bodies_max_rel_bounds_the_changed_cells(tmp_path, cell, tol, code):
+    kw, _ = GOLDEN["lemmaA"]
+    for run in ("old", "new"):
+        run_experiment(ExperimentConfig(output_path=str(tmp_path / run / "lemmaA"), **kw))
+    path = tmp_path / "new" / "lemmaA" / "lemmaA_ratios.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    cells = lines[at].split(",")
+    value = float(cells[3])
+    cells[3] = {"next": repr(math.nextafter(value, math.inf)), "double": repr(2 * value),
+                "nan": "nan", "text": "x"}[cell]
+    lines[at] = ",".join(cells)
+    path.write_text("".join(lines))
+    proc = run_script(ROOT / "scripts" / "csv_bodies.py", str(tmp_path / "new"),
+                      "--against", str(tmp_path / "old"), "--max-rel", tol)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith("lemmaA/lemmaA_ratios.csv: 1 of ")
+
+
+def test_csv_bodies_max_rel_needs_against(tmp_path):
+    proc = run_script(ROOT / "scripts" / "csv_bodies.py", str(tmp_path), "--max-rel", "1e-15")
+    assert proc.returncode == 2 and "--max-rel needs --against" in proc.stderr
