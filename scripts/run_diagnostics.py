@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Smaller diagnostic experiments: tail-sum ratio tables, the projector-norm
-probe, the different-metrics inequality, and the covering/packing chain."""
+probe, the different-metrics inequality (with each pair's least certified
+margin rhs/lhs), and the covering/packing chain."""
 
 import argparse
 from pathlib import Path
@@ -25,7 +26,9 @@ def main():
     cfg = ExperimentConfig(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=500,
                            rng_seed=args.seed, output_path=str(out_dir / "nikolskii"))
     res = run_experiment(cfg)
-    print("nikolskii:", res["csv"], "all_ok:", res["all_ok"])
+    # the least certified margin per pair shrinks before a verdict flips
+    margins = ", ".join(f"({p:g}, {q:g}) {m:.2f}" for (p, q), m in res["margins"].items())
+    print("nikolskii:", res["csv"], "all_ok:", res["all_ok"], "least rhs/lhs:", margins)
 
     cfg = ExperimentConfig(theorem_tag="entropy44", samples=50, rng_seed=args.seed,
                            output_path=str(out_dir / "entropy"))

@@ -23,6 +23,7 @@ The package needs numpy alone at run time.
 from __future__ import annotations
 
 import bisect
+import cmath
 import json
 import math
 import numbers
@@ -224,7 +225,12 @@ class TrigPoly:
         return self.take(slice(None), -self.C)
 
     def __mul__(self, scalar) -> "TrigPoly":
-        return self.take(slice(None), complex(scalar) * self.C)
+        c = complex(scalar)
+        if not self.is_zero() and not cmath.isfinite(c):
+            # as _store names it, before numpy warns of inf times a zero part
+            raise ValueError(f"coefficient {c * complex(self.C[0])} of frequency "
+                             f"{tuple(self.K[0].tolist())} is not finite")
+        return self.take(slice(None), c * self.C)
 
     __rmul__ = __mul__
 

@@ -262,7 +262,7 @@ GOLDEN = {
         "d99bafdc0c9f549b2831a4af9bc4c32ba3a71ad0d5eb19f8c4aa6f91b3a377da"),
     "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
                        rng_seed=1),
-        "438e3ea91c1d6ce8ad2a61e941092d21757ee1a38013e7caca6f1dae97282f55"),
+        "67a789386d4871e811b7c5b75f7e5f6e8234dfbac8a764efacbc9e59d26e2e6e"),
     "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
                 n_range=(5, 8), rng_seed=7),
         "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepcross import norms, poly
 from stepcross.approx import random_mixed_poly
@@ -36,6 +38,29 @@ class TestLpNorm:
         m = 6
         f = TrigPoly(1, {(k,): 1.0 for k in range(-m, m + 1)})
         assert lp_norm(f, math.inf) == pytest.approx(2 * m + 1, rel=1e-12)
+
+    def test_nonnegative_sup_is_the_coefficient_sum(self, monkeypatch):
+        # every Dirichlet shell and sharp block whose L_inf grid has at most
+        # 2^20 points (d = 1 to n = 17, d = 2 to n = 14, d = 3 to n = 11):
+        # the sum, with no grid, equals the grid max bit for bit
+        polys = []
+        for d, n_top in ((1, 17), (2, 14), (3, 11)):
+            for n in range(d, n_top + 1):
+                shell = dirichlet_shell(n, d)
+                polys += [shell] + list(blocks_of(shell).values())
+        polys = [f for f in polys
+                 if math.prod(poly._fast_len(8 * m + 4) for m in f.degree()) <= 1 << 20]
+        want = [norms._grid_stats((f,), (math.inf,), resolve_grid_dims(f, GridSpec()), True)[0]
+                [math.inf] for f in polys]
+        calls = record_grids(monkeypatch)
+        assert [lp_norm(f, math.inf) for f in polys] == want
+        assert calls == [] and len(polys) == 300
+        # a grid of 8e8 points would be over the budget; the sum needs none
+        assert lp_norm(TrigPoly(1, {(0,): 0.5, (10**8,): 2.25}), math.inf) == 2.75
+        # a negative or complex coefficient still takes the grid
+        for c in (-1.0, 1j):
+            lp_norm(TrigPoly(1, {(0,): 2.0, (1,): c}), math.inf)
+        assert calls == [(1, (12,)), (1, (12,))]
 
     def test_two_cosine_l1_analytic(self):
         # (1/2pi) integral |2 cos x| dx = 4/pi
@@ -98,8 +123,9 @@ class TestLpNorm:
     def test_first_grid_over_budget_raises_before_any_grid(self, monkeypatch, p, grid, budget,
                                                            points):
         # the base grid is within the budget; the even-p grid, sized from p
-        # times the degree, and the L_inf grid, sized from oversampling 4, are not
-        f = TrigPoly(2, {(30, 30): 1.0, (1, -2): 0.5})
+        # times the degree, and the L_inf grid, sized from oversampling 4, are
+        # not (a negative coefficient, since a nonnegative f's sup needs none)
+        f = TrigPoly(2, {(30, 30): 1.0, (1, -2): -0.5})
         assert math.prod(resolve_grid_dims(f, grid)) <= budget < points
         calls = record_grids(monkeypatch)
         monkeypatch.setattr(poly, "MAX_POINTS", budget)
@@ -470,8 +496,11 @@ class TestStackedNorms:
         if p == 2:  # Parseval evaluates no grid
             assert stacks == []
         else:
-            # every nonzero polynomial once, most of them in a stack with others
-            assert sum(n for n, _ in stacks) == 9 and max(n for n, _ in stacks) >= 3
+            # every nonzero polynomial once, most of them in a stack with
+            # others, but at p = inf none whose coefficients are all >= 0
+            grids = sum(not (f.is_zero() or math.isinf(p) and real and min(f.C.real) >= 0)
+                        for f in fs)
+            assert sum(n for n, _ in stacks) == grids >= 8 and max(n for n, _ in stacks) >= 3
         assert all(size <= 2 * norms.SLICE_POINTS for _, size in stacks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -556,6 +585,9 @@ class TestRankOneFactors:
                 f = random_rank1(rng, d, real=real)
                 calls.clear()
                 got = lp_norm(f, p, grid)
+                if math.isinf(p) and real and min(f.C.real) >= 0:  # the sup is f(0)
+                    assert calls == [] and got == math.fsum(f.C.real.tolist())
+                    continue
                 assert calls and all(fd == d for fd, _ in calls)
                 stat = whole_grid_stats(f, (p,), calls[-1][1])[p]
                 assert got == (stat if math.isinf(p) else stat ** (1 / p))
@@ -712,11 +744,10 @@ class TestNikolskii:
 
     def test_property_random(self):
         rng = np.random.default_rng(5)
-        grid = GridSpec(self_check=False)
         for i in range(60):
             d = 1 + i % 3
             f = random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2))
-            results = nikolskii_check(f, NIKOLSKII_PAIRS, grid)
+            results = nikolskii_check(f, NIKOLSKII_PAIRS)
             assert len(results) == 3
             for _, _, ok in results:
                 assert ok
@@ -725,33 +756,66 @@ class TestNikolskii:
         with pytest.raises(ValueError):
             nikolskii_check(TrigPoly.exponential((1,)), ((2.0, 2.0),))
 
-    @pytest.mark.parametrize("grid", [GridSpec(self_check=False), GridSpec()],
-                             ids=["unchecked", "self-checked"])
-    def test_pairs_match_one_norm_at_a_time(self, grid):
-        rng = np.random.default_rng(8)
-        pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (1.0, math.inf))
-        # sums of two products without zeros, so the self-check converges
-        polys = [random_rank1(rng, d) + 0.3 * random_rank1(rng, d) for d in (1, 2, 3)]
-        if not grid.self_check:
-            polys += [random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2)) for d in (1, 2, 3)]
-        for f in polys:
-            d = f.d
-            degs = [max(1, m) for m in f.degree()]
-            for (p, q), (lhs, rhs, ok) in zip(pairs, nikolskii_check(f, pairs, grid)):
-                qinv = 0.0 if math.isinf(q) else 1.0 / q
-                want = 2.0**d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lp_norm(f, p, grid)
-                assert lhs == lp_norm(f, q, grid) and rhs == want
-                assert ok == (lhs <= rhs * (1 + 1e-9))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), dense=st.booleans(), real=st.booleans())
+    def test_bounds_bracket_the_estimates(self, data, d, dense, real):
+        # a product of 1-D factors, each a constant larger than the sum of its
+        # other terms' moduli, has no zero, so the self-checks converge
+        part = st.floats(-1.0, 1.0)
+        factors = []
+        for _ in range(d):
+            ks = (list(range(-3, 4)) if dense else
+                  data.draw(st.lists(st.integers(-12, 12), min_size=1, max_size=3, unique=True)))
+            u = {k: complex(data.draw(part), 0.0 if real else data.draw(part)) for k in ks}
+            scale = max(1.0, 2 * sum(abs(c) for k, c in u.items() if k))
+            u = {k: c / scale for k, c in u.items()}
+            u[0] = 1.0 + data.draw(st.floats(0.0, 1.0))
+            factors.append(u)
+        f = TrigPoly(d, {ks: math.prod(u[k] for u, k in zip(factors, ks))
+                         for ks in itertools.product(*factors)})
+        pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (1.0, math.inf), (3.0, 6.0), (4.0, 8.0))
+        degs = [max(1, m) for m in f.degree()]
+        results = nikolskii_check(f, pairs)
+        assert all(ok for _, _, ok in results[:len(NIKOLSKII_PAIRS)])
+        for (p, q), (lhs, rhs, ok) in zip(pairs, results):
+            qinv = 0.0 if math.isinf(q) else 1.0 / q
+            const = 2.0**d * math.prod(m ** (1.0 / p - qinv) for m in degs)
+            assert ok == (lhs <= rhs * (1 + 1e-9))
+            est_q, est_p = lp_norm(f, q), lp_norm(f, p)
+            if q in (2.0, 4.0):
+                assert lhs == pytest.approx(est_q, rel=1e-12)
+            else:
+                assert lhs >= est_q * (1 - 1e-12)
+            assert rhs / const <= est_p * (1 + 1e-9)
+            if p in (2.0, 4.0):
+                assert rhs / const == pytest.approx(est_p, rel=1e-12)
 
-    @pytest.mark.parametrize("d,seed", [pytest.param(2, 2, id="2"), pytest.param(3, 3, id="3"),
-                                        pytest.param(3, 5, id="3-streamed")])
-    def test_one_grid_for_every_pair(self, monkeypatch, d, seed):
+    def test_estimate_passes_where_certificate_fails(self):
+        # D_2 at (1, inf), C = 4: the grid values pass, 5 <= 4 * 1.642 = 6.57,
+        # but the certified lower bound of the L_1 norm does not,
+        # 5 > 4 * ||D_2||_2**3 / ||D_2||_4**2 = 4 * 5**1.5 / 85**0.5 = 4.85
+        d2 = TrigPoly(1, {(k,): 1.0 for k in range(-2, 3)})
+        assert lp_norm(d2, math.inf) <= 4 * lp_norm(d2, 1.0)
+        [(lhs, rhs, ok)] = nikolskii_check(d2, ((1.0, math.inf),))
+        assert lhs == 5.0 and rhs == pytest.approx(4 * 5**1.5 / 85**0.5, rel=1e-14)
+        assert not ok
+        # D_1 at (1, inf), C = 2: the inequality itself fails, since
+        # ||D_1||_inf = 3 > 2 ||D_1||_1 = 2 (1/3 + 2 sqrt(3) / pi) = 2.872
+        d1 = TrigPoly(1, {(k,): 1.0 for k in range(-1, 2)})
+        assert lp_norm(d1, math.inf) > 2 * (1 / 3 + 2 * math.sqrt(3) / math.pi)
+        [(lhs, rhs, ok)] = nikolskii_check(d1, ((1.0, math.inf),))
+        assert lhs == 3.0 and rhs <= 2.872 and not ok
+
+    @pytest.mark.parametrize("d,seed,streamed", [pytest.param(2, 2, False, id="2"),
+                                                 pytest.param(3, 3, False, id="3"),
+                                                 pytest.param(3, 5, True, id="3-streamed")])
+    def test_one_grid_for_every_pair(self, monkeypatch, d, seed, streamed):
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
-        # the d = 3 grids are reduced in batches, seed 5's over 2^19 points
-        dims = resolve_grid_dims(f, GridSpec())
-        assert (math.prod(dims) > norms.SLICE_POINTS) == (d == 3)
+        # the exact L_4 grid, seed 5's reduced in batches over 85,050 points
+        dims = resolve_grid_dims(f, GridSpec(oversampling=2.0))
+        assert (math.prod(dims) > norms.SLICE_POINTS) == streamed
         calls = record_grids(monkeypatch)
-        nikolskii_check(f, NIKOLSKII_PAIRS, GridSpec(self_check=False))
+        nikolskii_check(f, NIKOLSKII_PAIRS)
         assert calls == [(d, dims)]
 
     def test_shared_grid_holds_one_grid_buffer(self):
@@ -764,7 +828,7 @@ class TestNikolskii:
         points = math.prod(resolve_grid_dims(t, GridSpec()))
         tracemalloc.start()
         try:
-            nikolskii_check(t, NIKOLSKII_PAIRS, GridSpec(self_check=False))
+            nikolskii_check(t, NIKOLSKII_PAIRS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -776,7 +840,7 @@ class TestNikolskii:
         f = random_mixed_poly(np.random.default_rng(1), 2, max_shell=6)
         calls = record_grids(monkeypatch)
         with pytest.raises(ValueError):
-            nikolskii_check(f, NIKOLSKII_PAIRS + (bad,), GridSpec(self_check=False))
+            nikolskii_check(f, NIKOLSKII_PAIRS + (bad,))
         assert calls == []
 
 

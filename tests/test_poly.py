@@ -191,7 +191,7 @@ class TestArrayContract:
         # left to right, (1e16 - 1e16) + 1 = 1; 1e16 + (-1e16 + 1) would round to 0
         assert TrigPoly.from_arrays(K, C).terms() == [((1, 1), 5.0), ((2, 1), 1.0)]
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    @pytest.mark.filterwarnings("error")  # no numpy warning before the named error
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf),
                                      complex(math.nan, 0.0)])
     def test_non_finite_coefficient_named(self, bad):

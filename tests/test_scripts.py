@@ -4,6 +4,7 @@ that a signature change breaks fails here.  ``csv_bodies.py`` prints the
 digests that the experiment goldens pin, and the changed cells of bodies
 that differ."""
 
+import csv
 import math
 import os
 import subprocess
@@ -100,3 +101,18 @@ def test_csv_bodies_max_rel_bounds_the_changed_cells(tmp_path, cell, tol, code):
 def test_csv_bodies_max_rel_needs_against(tmp_path):
     proc = run_script(ROOT / "scripts" / "csv_bodies.py", str(tmp_path), "--max-rel", "1e-15")
     assert proc.returncode == 2 and "--max-rel needs --against" in proc.stderr
+
+
+def test_diagnostics_prints_least_certified_margins(tmp_path):
+    proc = run_script(ROOT / "scripts" / "run_diagnostics.py", "--seed", "5", "--out",
+                      str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    [line] = [x for x in proc.stdout.splitlines() if x.startswith("nikolskii:")]
+    least = {}
+    with (tmp_path / "nikolskii" / "nikolskii.csv").open() as fh:
+        for row in csv.DictReader(x for x in fh if not x.startswith("#")):
+            pair = f"({float(row['p']):g}, {float(row['q']):g})"
+            least[pair] = min(least.get(pair, math.inf), float(row["rhs"]) / float(row["lhs"]))
+    assert list(least) == ["(1, 2)", "(2, 4)", "(2, inf)"]
+    margins = ", ".join(f"{pair} {m:.2f}" for pair, m in least.items())
+    assert line.endswith(f" all_ok: True least rhs/lhs: {margins}")
