@@ -790,6 +790,34 @@ class TestNikolskii:
             if p in (2.0, 4.0):
                 assert rhs / const == pytest.approx(est_p, rel=1e-12)
 
+    @pytest.mark.parametrize("grid", [GridSpec(self_check=False), GridSpec()],
+                             ids=["unchecked", "self-checked"])
+    def test_pairs_match_one_norm_at_a_time(self, grid):
+        # a list of pairs gives each pair's verdict checked on its own, and
+        # each bound sits on the right side of lp_norm's estimate on ``grid``
+        rng = np.random.default_rng(8)
+        pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (1.0, math.inf))
+        # sums of two products without zeros, so the self-check converges
+        polys = [random_rank1(rng, d) + 0.3 * random_rank1(rng, d) for d in (1, 2, 3)]
+        if not grid.self_check:
+            polys += [random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2)) for d in (1, 2, 3)]
+        for f in polys:
+            degs = [max(1, m) for m in f.degree()]
+            for (p, q), (lhs, rhs, ok) in zip(pairs, nikolskii_check(f, pairs)):
+                assert nikolskii_check(f, ((p, q),)) == [(lhs, rhs, ok)]
+                qinv = 0.0 if math.isinf(q) else 1.0 / q
+                const = 2.0**f.d * math.prod(m ** (1.0 / p - qinv) for m in degs)
+                assert ok == (lhs <= rhs * (1 + 1e-9))
+                est_q, est_p = lp_norm(f, q, grid), lp_norm(f, p, grid)
+                if q in (2.0, 4.0):
+                    assert lhs == pytest.approx(est_q, rel=1e-12)
+                else:
+                    assert lhs >= est_q * (1 - 1e-12)
+                if p in (2.0, 4.0):
+                    assert rhs / const == pytest.approx(est_p, rel=1e-12)
+                else:
+                    assert rhs / const <= est_p * (1 + 1e-9)
+
     def test_estimate_passes_where_certificate_fails(self):
         # D_2 at (1, inf), C = 4: the grid values pass, 5 <= 4 * 1.642 = 6.57,
         # but the certified lower bound of the L_1 norm does not,
