@@ -23,10 +23,6 @@ Numerical methods
   0..N_0//2 are evaluated: their max is the grid max, and a mean counts
   every row but 0 and N_0/2 twice.  Values agree with the full grid up to
   rounding.  Complex coefficients take the full grid.
-* Norms at several exponents compute each distinct p once, and exponents
-  whose first grid has the same dims (L_inf, even p and the base grid often
-  do) share one evaluation of it; each value is bit for bit the one-exponent
-  value.  A self-checked non-even p then refines on its own grids.
 * A grid of at most ``SLICE_POINTS`` values evaluated is one batch.  Norms
   of many polynomials (``lp_norms``; ``block_norms`` takes its components
   that way) evaluate the grids that have the same dims and whose
@@ -45,11 +41,11 @@ Numerical methods
   inside one row when a row holds more; runs of points of one line when a
   line holds more (for d = 1, the one line).  The last FFT stage
   (``GridLines.transform``) runs once on each line as its batch comes, each
-  batch takes one max and one sum per exponent, and a polynomial's sum is
-  the correctly rounded ``math.fsum`` of its batch sums (J. R. Shewchuk,
-  *Discrete Comput. Geom.* 18, 1997).  It differs from the whole array's
-  pairwise ``np.sum`` only at rounding.  Besides the last stage's input it
-  holds one batch's values, moduli and powers (the complex values of a
+  batch takes one max or one sum, and a polynomial's sum is the correctly
+  rounded ``math.fsum`` of its batch sums (J. R. Shewchuk, *Discrete
+  Comput. Geom.* 18, 1997).  It differs from the whole array's pairwise
+  ``np.sum`` only at rounding.  Besides the last stage's input it holds one
+  batch's values and moduli, raised to p in place (the complex values of a
   whole line when a line holds more than a batch) and, for real
   coefficients, the powers of row 0 until row N_0/2 comes.
 * An exponent that is not a real number >= 1 is rejected before any work.
@@ -121,11 +117,11 @@ def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
                 yield first * n + at, values[:, at:at + step]
 
 
-def _grid_stats(fs: Sequence[TrigPoly], ps: Sequence[float], dims: Sequence[int],
-                real: bool) -> list[dict[float, float]]:
-    """For each f in ``fs``, the mean of |f|**p over the ``dims`` grid for
-    each distinct p in ``ps``, or the max of |f| at p = inf, keyed by p.
-    The fs all have ``real`` coefficients or all have complex ones.
+def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
+                real: bool) -> list[float]:
+    """For each f in ``fs``, the mean of |f|**p over the ``dims`` grid, or
+    the max of |f| at p = inf.  The fs all have ``real`` coefficients or all
+    have complex ones.
 
     If f's coefficients are real, f(-x) is the conjugate of f(x), so rows m
     and N_0 - m of the grid carry the same moduli, and rows 0..N_0//2 alone
@@ -139,122 +135,92 @@ def _grid_stats(fs: Sequence[TrigPoly], ps: Sequence[float], dims: Sequence[int]
     ``eval_grid`` call each, and a stack is reduced along its rows, one
     polynomial's values each, so each sum is the flat array's ``sum`` bit
     for bit.  A larger grid is reduced one polynomial at a time, in the
-    batches of ``_batches``.  Each batch takes one max and one sum per
-    exponent, and E one sum per batch of row 0, over that part of row 0
-    added elementwise to the same part of row N_0/2; a polynomial's
-    2 S - E, or S, is the correctly rounded ``math.fsum`` of these sums.  A
-    mean divides it by the grid size, as ``np.mean`` does.
+    batches of ``_batches``.  Each batch takes one max or one sum, and E one
+    sum per batch of row 0, over that part of row 0 added elementwise to the
+    same part of row N_0/2; a polynomial's 2 S - E, or S, is the correctly
+    rounded ``math.fsum`` of these sums.  A mean divides it by the grid
+    size, as ``np.mean`` does.
     """
     n0, row = dims[0], math.prod(dims[1:])
     rows = n0 // 2 + 1 if real else n0
     size, points = rows * row, n0 * row
     edges = 2 - n0 % 2 if real else 0
-    sum_ps = [p for p in ps if not math.isinf(p)]
     if size > SLICE_POINTS:
-        groups = ((1, _batches(f, dims, rows)) for f in fs)
+        groups = (_batches(f, dims, rows) for f in fs)
     else:
         step = 2 * SLICE_POINTS // size
-        groups = ((len(stack), [(0, eval_grid(stack, dims, rows).reshape(len(stack), -1))])
+        groups = ([(0, eval_grid(stack, dims, rows).reshape(len(stack), -1))]
                   for stack in (fs[at:at + step] for at in range(0, len(fs), step)))
     out = []
-    for count, batches in groups:
-        top = None
-        sums = {p: [] for p in sum_ps}  # per p, the terms of each polynomial's 2 S - E, or S
-        heads = {p: [] for p in sum_ps}  # per p, the row 0 parts waiting for row N_0/2's
+    for batches in groups:
+        terms = []  # each batch's max, or the terms of each polynomial's 2 S - E, or S
+        heads = []  # the row 0 parts waiting for row N_0/2's
         for lo, v in batches:
-            a = np.abs(v)
-            if len(sum_ps) < len(ps):
-                m = np.maximum.reduce(a, -1)
-                top = m if top is None else np.maximum(top, m)
-            for p in sum_ps:
-                x = a if p == 1 else a**p
+            x = np.abs(v)
+            if math.isinf(p):
+                terms.append(np.maximum.reduce(x, -1))
+            else:
+                if p != 1:
+                    x **= p
                 s = np.add.reduce(x, -1)  # each row's x.sum(), without its wrapper
-                sums[p].append(2 * s if edges else s)
+                terms.append(2 * s if edges else s)
                 if edges == 1 and lo < row:
-                    sums[p].append(-np.add.reduce(x[:, :row - lo], -1))
+                    terms.append(-np.add.reduce(x[:, :row - lo], -1))
                 elif edges == 2:
                     if lo < row:
-                        heads[p].append(x[:, :row - lo])
+                        heads.append(x[:, :row - lo])
                     if lo + x.shape[1] > size - row:
                         last = x[:, max(size - row - lo, 0):]
-                        sums[p].append(-np.add.reduce(heads[p].pop(0) + last, -1))
-            a = x = None  # freed before the next batch's are made
-        stats = [{} for _ in range(count)]
-        for p in sum_ps:
-            for st, terms in zip(stats, zip(*(s.tolist() for s in sums[p]))):
-                st[p] = math.fsum(terms) / points  # as np.mean divides
-        if top is not None:
-            for st, v in zip(stats, top.tolist()):
-                st[math.inf] = v
-        out += stats
+                        terms.append(-np.add.reduce(heads.pop(0) + last, -1))
+            x = None  # freed before the next batch's are made
+        cols = zip(*(t.tolist() for t in terms))
+        out += [max(c) for c in cols] if math.isinf(p) else [math.fsum(c) / points for c in cols]
     return out
 
 
 def _is_even(p: float) -> bool:
-    return p == int(p) and int(p) % 2 == 0
+    return p % 2 == 0
 
 
-def _lp_norms(fs: Sequence[TrigPoly], ps: Sequence[float],
-              grid: GridSpec) -> list[dict[float, float]]:
-    """L_p norms of each f in ``fs`` for each p in ``ps``, as ``lp_norm``
-    computes them, keyed by p.
+def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> list[float]:
+    """The L_p norm of each polynomial in ``fs``, each bit for bit the value
+    it has alone (``lp_norm`` is a list of one).
 
-    For each f, each distinct p is computed once, and the exponents whose
-    first grid has the same dims share one evaluation of f.  The first grids
-    of all the fs are sized and checked against the budget before any is
-    evaluated, and those with the same dims, exponents and coefficient kind
-    are reduced together by ``_grid_stats``.  A self-checked non-even p then
-    refines on its own, one polynomial at a time, in order.
+    The first grids of all the fs are sized and checked against the budget
+    before any is evaluated, and those with the same dims and coefficient
+    kind are reduced together by ``_grid_stats``.  A self-checked non-even p
+    then refines on its own, one polynomial at a time, in order.
     """
-    for p in ps:
-        check_exponent(p)
-    ps = dict.fromkeys(ps)  # each distinct p once, in order
-    todo = [p for p in ps if p != 2]
-    # L_inf forces oversampling >= 4; from there its grid is the base grid
-    inf_grid = replace(grid, oversampling=4.0) if (
-        grid.oversampling < 4 and math.inf in todo) else grid
-    norms: list[dict[float, float]] = []
+    check_exponent(p)
+    if math.isinf(p) and grid.oversampling < 4:
+        grid = replace(grid, oversampling=4.0)  # L_inf forces oversampling >= 4
+    norms = [0.0] * len(fs)
     bases = []  # (f's place, its base dims, its coefficient kind) of the fs with a grid
-    jobs: dict[tuple, list[int]] = {}  # (dims, exponents, real) -> places in fs
+    jobs: dict[tuple, list[int]] = {}  # (dims, real) -> places in fs
     for i, f in enumerate(fs):
         if f.is_zero():
-            norms.append(dict.fromkeys(ps, 0.0))
             continue
-        # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
-        norms.append({2: math.sqrt(sum(f.abs2().tolist()))} if len(todo) < len(ps) else {})
-        if not todo:
+        if p == 2:
+            # summed left to right, like the scalar sum(abs(c) ** 2 for c in C)
+            norms[i] = math.sqrt(sum(f.abs2().tolist()))
             continue
         real = not np.count_nonzero(f.C.imag)
-        need = todo
-        if math.inf in todo and real and not np.count_nonzero(f.C.real < 0):
-            norms[i][math.inf] = _abs_sum(f)  # the sup is f(0)
-            need = [p for p in todo if not math.isinf(p)]
-            if not need:
-                continue
-        base = resolve_grid_dims(f, grid)
-        groups: dict[tuple[int, ...], list[float]] = {}
-        for p in need:
-            if math.isinf(p):
-                dims = base if inf_grid is grid else resolve_grid_dims(f, inf_grid)
-            elif _is_even(p):
-                # |f|^p is itself a trigonometric polynomial of degree p*deg
-                dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
-                check_grid_budget(dims)
-            else:
-                dims = base
-            groups.setdefault(dims, []).append(p)
-        for dims, group in groups.items():
-            jobs.setdefault((dims, tuple(group), real), []).append(i)
+        if math.isinf(p) and real and not np.count_nonzero(f.C.real < 0):
+            norms[i] = _abs_sum(f)  # the sup is f(0)
+            continue
+        dims = base = resolve_grid_dims(f, grid)
+        if _is_even(p):
+            # |f|^p is itself a trigonometric polynomial of degree p*deg
+            dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
+            check_grid_budget(dims)
+        jobs.setdefault((dims, real), []).append(i)
         bases.append((i, base, real))
-    for (dims, group, real), places in jobs.items():
-        for i, stats in zip(places, _grid_stats([fs[i] for i in places], group, dims, real)):
-            for p, stat in stats.items():
-                norms[i][p] = stat if math.isinf(p) else stat ** (1.0 / p)
-    if grid.points_per_dim is None and grid.self_check:
-        checked = [p for p in todo if not (math.isinf(p) or _is_even(p))]
+    for (dims, real), places in jobs.items():
+        for i, stat in zip(places, _grid_stats([fs[i] for i in places], p, dims, real)):
+            norms[i] = stat if math.isinf(p) else stat ** (1.0 / p)
+    if grid.points_per_dim is None and grid.self_check and not (math.isinf(p) or _is_even(p)):
         for i, base, real in bases:
-            for p in checked:
-                norms[i][p] = _refine(fs[i], p, base, real, norms[i][p])
+            norms[i] = _refine(fs[i], p, base, real, norms[i])
     return norms
 
 
@@ -272,7 +238,7 @@ def _refine(f: TrigPoly, p: float, base: tuple[int, ...], real: bool, prev: floa
                 f"L_{p} quadrature hit the grid budget before reaching "
                 f"rtol={CHECK_RTOL} (last value {prev:.6e})"
             ) from exc
-        cur = _grid_stats((f,), (p,), dims, real)[0][p] ** (1.0 / p)
+        cur = _grid_stats((f,), p, dims, real)[0] ** (1.0 / p)
         if abs(cur - prev) <= CHECK_RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
@@ -284,13 +250,7 @@ def _refine(f: TrigPoly, p: float, base: tuple[int, ...], real: bool, prev: floa
 
 def lp_norm(f: TrigPoly, p: float, grid: GridSpec = GridSpec()) -> float:
     """L_p norm with the normalized measure (2*pi)**(-d) dx."""
-    return _lp_norms((f,), (p,), grid)[0][p]
-
-
-def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> list[float]:
-    """The L_p norm of each polynomial in ``fs``, each bit for bit its
-    ``lp_norm``; polynomials whose grids share dims are evaluated together."""
-    return [norm[p] for norm in _lp_norms(fs, (p,), grid)]
+    return lp_norms((f,), p, grid)[0]
 
 
 def block_norms(f: TrigPoly, p: float, form: str,
@@ -305,11 +265,18 @@ def block_norms(f: TrigPoly, p: float, form: str,
 
 def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],
                           r: Sequence[float], theta: float) -> float:
-    """l_theta aggregation of 2**(s.r)-weighted per-block norms."""
+    """l_theta aggregation of 2**(s.r)-weighted per-block norms.
+
+    When the largest term's theta-th power lies outside 2**±900, where the
+    powers could overflow or underflow, every term is divided by the
+    largest first; inside, the powers are taken as they are."""
     terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in per_block]
-    if math.isinf(theta):
-        return max(terms, default=0.0)
-    return sum(t**theta for t in terms) ** (1.0 / theta)
+    top = max(terms, default=0.0)
+    if math.isinf(theta) or not 0 < top < math.inf:
+        return top
+    if abs(theta * math.log2(top)) < 900:
+        return sum(t**theta for t in terms) ** (1.0 / theta)
+    return top * sum((t / top) ** theta for t in terms) ** (1.0 / theta)
 
 
 def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,
@@ -362,8 +329,7 @@ def nikolskii_check(t: TrigPoly,
         check_exponent(q, "q")
         if not p < q:
             raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
-    norm = _lp_norms((t,), (2.0, 4.0), GridSpec(oversampling=2.0))[0]
-    l2, l4, s = norm[2.0], norm[4.0], _abs_sum(t)
+    l2, l4, s = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0)), _abs_sum(t)
     degs = tuple(max(1, m) for m in t.degree())
     out = []
     for p, q in pairs:

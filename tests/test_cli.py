@@ -113,6 +113,15 @@ def test_norm_besov(poly_file, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(10.0, rel=1e-9)
 
 
+def test_norm_besov_large_weight_finite_theta(tmp_path, capsys):
+    # e_40 lies in block 6, weight 2**180; its 8th power is above the largest double
+    path = tmp_path / "e40.jsonl"
+    write_jsonl(path, TrigPoly.exponential((40,)))
+    spec = '{"kind":"besov","r":[30],"p":2,"theta":8}'
+    assert main(["norm", "--spec", spec, "--input", str(path)]) == 0
+    assert float(capsys.readouterr().out) == 2.0**180
+
+
 @pytest.mark.parametrize("spec,condition", [
     ({"p": 2, "theta": 0.5}, "theta"),
     ({"p": 1, "theta": 1, "form": "sharp"}, "sharp block form"),

@@ -50,8 +50,8 @@ class TestLpNorm:
                 polys += [shell] + list(blocks_of(shell).values())
         polys = [f for f in polys
                  if math.prod(poly._fast_len(8 * m + 4) for m in f.degree()) <= 1 << 20]
-        want = [norms._grid_stats((f,), (math.inf,), resolve_grid_dims(f, GridSpec()), True)[0]
-                [math.inf] for f in polys]
+        want = [norms._grid_stats((f,), math.inf, resolve_grid_dims(f, GridSpec()), True)[0]
+                for f in polys]
         calls = record_grids(monkeypatch)
         assert [lp_norm(f, math.inf) for f in polys] == want
         assert calls == [] and len(polys) == 300
@@ -178,9 +178,9 @@ def record_grids(monkeypatch):
     calls = []
     grid_stats = norms._grid_stats
 
-    def spy(fs, ps, dims, real):
+    def spy(fs, p, dims, real):
         calls.extend((f.d, tuple(dims)) for f in fs)
-        return grid_stats(fs, ps, dims, real)
+        return grid_stats(fs, p, dims, real)
 
     monkeypatch.setattr(norms, "_grid_stats", spy)
     return calls
@@ -271,7 +271,7 @@ class TestLpNormsEngine:
         # complex coefficients: the whole grid, one batch or walked
         f = random_spectrum(np.random.default_rng(len(ps) + len(shape)), len(shape), 3, 9)
         want = numpy_grid_stats(f, ps, shape)
-        got = norms._grid_stats([f], ps, shape, False)[0]
+        got = {p: norms._grid_stats([f], p, shape, False)[0] for p in ps}
         # one batch is the whole array's; a walked grid's sums move only at rounding
         assert got == (want if math.prod(shape) <= norms.SLICE_POINTS else
                        whole_grid_stats(f, ps, shape))
@@ -338,7 +338,7 @@ def numpy_grid_stats(f, ps, dims):
             for p in ps}
 
 
-STREAM_PS = [(1.0,), (1.5, 3.0), (1.0, 4.0, math.inf), (2.5,), (math.inf,)]
+STREAM_PS = (1.0, 1.5, 2.5, 3.0, 4.0, math.inf)
 BATCHES = [128, 1000, norms.SLICE_POINTS]
 
 
@@ -360,15 +360,12 @@ class TestStreamedStats:
         # line, which for d = 1 is the whole axis
         f = random_spectrum(np.random.default_rng(len(dims) + dims[0]), len(dims), 12, 40, real)
         monkeypatch.setattr(norms, "SLICE_POINTS", batch)
-        whole = whole_grid_stats(f, set().union(*STREAM_PS), dims)
-        want = [{p: whole[p] for p in ps} for ps in STREAM_PS]
-        got = [norms._grid_stats([f], ps, dims, real)[0] for ps in STREAM_PS]
-        assert got == want
+        got = {p: norms._grid_stats([f], p, dims, real)[0] for p in STREAM_PS}
+        assert got == whole_grid_stats(f, STREAM_PS, dims)
         # within rounding of the whole array's mean and max
-        numpy = numpy_grid_stats(f, set().union(*STREAM_PS), dims)
-        for stats in got:
-            for p, v in stats.items():
-                assert v == pytest.approx(numpy[p], rel=1e-15, abs=0)
+        numpy = numpy_grid_stats(f, STREAM_PS, dims)
+        for p, v in got.items():
+            assert v == pytest.approx(numpy[p], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("batch", [128, 1000])
     @pytest.mark.parametrize("dims", [(40, 33, 29), (4, 40000), (41, 30, 27), (5, 33001),
@@ -388,15 +385,17 @@ class TestStreamedStats:
                 return transform(self, first, out)
 
             monkeypatch.setattr(GridLines, "transform", spy)
-            norms._grid_stats([f], (1.0, 2.5, math.inf), dims, real)
             rows = dims[0] // 2 + 1 if real else dims[0]
-            assert done == list(range(rows * math.prod(dims[1:-1])))
+            for p in (1.0, 2.5, math.inf):
+                done.clear()
+                norms._grid_stats([f], p, dims, real)
+                assert done == list(range(rows * math.prod(dims[1:-1])))
 
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_grids_just_over_the_cutoff_stream(self, monkeypatch, d, ppd, real):
-        # grids on both sides of 2^19 points are walked the same way, and a
-        # grid of one batch is evaluated whole by eval_grid
+        # grids on both sides of 2^19 points are walked the same way, once
+        # per exponent, and a grid of one batch is evaluated whole by eval_grid
         f = random_spectrum(np.random.default_rng(d), d, 10, 30, real)
         ps = (1.0, 1.5, math.inf)
         walked, whole = [], []
@@ -404,11 +403,11 @@ class TestStreamedStats:
         monkeypatch.setattr(norms, "eval_grid", lambda *a: whole.append(a) or eval_grid(*a))
         for n in (ppd - 1, ppd, 32):
             grid = GridSpec(points_per_dim=n)
-            assert norms._lp_norms([f], ps, grid) == [{
-                p: stat if math.isinf(p) else stat ** (1 / p)
-                for p, stat in whole_grid_stats(f, ps, (n,) * d).items()}]
-        assert [a[1] for a in walked] == [(ppd - 1,) * d, (ppd,) * d]
-        assert [a[1] for a in whole] == [(32,) * d]
+            for p, stat in whole_grid_stats(f, ps, (n,) * d).items():
+                assert lp_norms([f], p, grid) == [
+                    stat if math.isinf(p) else stat ** (1 / p)]
+        assert [a[1] for a in walked] == [(ppd - 1,) * d] * 3 + [(ppd,) * d] * 3
+        assert [a[1] for a in whole] == [(32,) * d] * 3
 
     def test_norm_on_a_large_grid_holds_no_grid(self):
         # reduced whole, this 1.8M-point grid alone takes 28.8 MB
@@ -425,6 +424,25 @@ class TestStreamedStats:
             tracemalloc.stop()
         assert peak <= grid_bytes / 4
 
+    def test_walked_sup_frees_each_batch(self):
+        # a walked L_inf holds one batch's moduli at a time, as a walked L_1
+        # does: keeping the last batch's while the next is made would trace
+        # one more batch, 8 * SLICE_POINTS bytes
+        rng = np.random.default_rng(5)
+        g = random_mixed_poly(rng, 3, max_shell=6)
+        while math.prod(resolve_grid_dims(g, GridSpec())) < 1_000_000:
+            g = random_mixed_poly(rng, 3, max_shell=6)
+        assert np.count_nonzero(g.C.imag)
+        peaks = []
+        for p, grid in ((1.0, GridSpec(self_check=False)), (math.inf, GridSpec())):
+            tracemalloc.start()
+            try:
+                lp_norm(g, p, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * norms.SLICE_POINTS
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_long_line_holds_no_moduli_whole(self, real):
         # a d = 1 line is transformed whole, 16 bytes a point; its moduli and
@@ -433,7 +451,8 @@ class TestStreamedStats:
         f = random_spectrum(np.random.default_rng(6), 1, 40, 30, real)
         tracemalloc.start()
         try:
-            norms._grid_stats([f], (1.0, 2.5, math.inf), (n,), real)
+            for p in (1.0, 2.5, math.inf):
+                norms._grid_stats([f], p, (n,), real)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -514,8 +533,8 @@ class TestStackedNorms:
         want = [lp_norm(f, p) for f in fs]
         calls = []
         grid_stats = norms._grid_stats
-        monkeypatch.setattr(norms, "_grid_stats", lambda gs, ps, dims, real: calls.append(len(gs))
-                            or grid_stats(gs, ps, dims, real))
+        monkeypatch.setattr(norms, "_grid_stats", lambda gs, p, dims, real: calls.append(len(gs))
+                            or grid_stats(gs, p, dims, real))
         assert lp_norms(fs, p) == want
         # the base grids together, then each polynomial's doublings alone
         assert calls[0] == 4 and len(calls) >= 5 and set(calls[1:]) == {1}
@@ -530,19 +549,19 @@ class TestStackedNorms:
     ])
     def test_grids_at_the_leaf_size(self, monkeypatch, d, ppd, real, walked):
         # grids of at most SLICE_POINTS values evaluated go two to a stack,
-        # larger ones are walked one polynomial at a time
+        # larger ones are walked one polynomial at a time, once per exponent
         fs = same_dims_polys(np.random.default_rng(ppd), d, 10, 3, real)
         grid = GridSpec(points_per_dim=ppd)
         ps = (1.0, 2.5, math.inf)
-        want = [[lp_norm(f, p, grid) for p in ps] for f in fs]
+        want = [[lp_norm(f, p, grid) for f in fs] for p in ps]
         stacks = record_stacks(monkeypatch)
         lines = []
         monkeypatch.setattr(norms, "GridLines", lambda *a: lines.append(a) or GridLines(*a))
-        assert [list(v.values()) for v in norms._lp_norms(fs, ps, grid)] == want
+        assert [lp_norms(fs, p, grid) for p in ps] == want
         if walked:
-            assert stacks == [] and [a[0] for a in lines] == fs
+            assert stacks == [] and [a[0] for a in lines] == fs * 3
         else:
-            assert [n for n, _ in stacks] == [2, 1] and lines == []
+            assert [n for n, _ in stacks] == [2, 1] * 3 and lines == []
 
     def test_mixed_polynomials_keep_their_order(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -876,3 +895,47 @@ def test_aggregate_block_norms_matches_manual():
     bn = [((1,), 2.0), ((3,), 1.0)]
     assert aggregate_block_norms(bn, (1.0,), 1.0) == pytest.approx(2 * 2 + 8 * 1)
     assert aggregate_block_norms(bn, (1.0,), math.inf) == pytest.approx(8.0)
+
+
+def random_block_norms(rng, d):
+    """Up to 11 (block, norm) pairs of dimension d, norms from 1e-8 to 1e8."""
+    return [(tuple(int(s) for s in rng.integers(1, 12, d)),
+             float(rng.random() * 10.0 ** rng.integers(-8, 9)))
+            for _ in range(int(rng.integers(1, 12)))]
+
+
+class TestAggregateBlockNorms:
+    def test_tiny_norms_do_not_underflow(self):
+        # the squares of 2e-200 and 4e-200 are below the smallest double
+        bn = [((1,), 1e-200), ((2,), 1e-200)]
+        assert aggregate_block_norms(bn, (1.0,), 2.0) == pytest.approx(math.sqrt(20) * 1e-200,
+                                                                       rel=1e-15, abs=0)
+
+    def test_large_theta_does_not_overflow(self):
+        # 2**180 to the 8th power is above the largest double
+        assert aggregate_block_norms([((6,), 1.0)], (30.0,), 8.0) == 2.0**180
+        # ... and 0.75 to the 2000th power below the smallest
+        bn = [((0,), 0.75), ((0,), 0.5)]
+        assert aggregate_block_norms(bn, (1.0,), 2000.0) == pytest.approx(0.75, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_plain_powers_bit_for_bit(self, theta):
+        # inside 2**±900 the terms are not rescaled, so the values are the
+        # unscaled formula's exactly
+        rng = np.random.default_rng(int(theta))
+        for _ in range(2000):
+            d = int(rng.integers(1, 4))
+            bn, r = random_block_norms(rng, d), tuple(rng.random(d) * 3)
+            terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in bn]
+            want = sum(t**theta for t in terms) ** (1.0 / theta)
+            assert aggregate_block_norms(bn, r, theta) == want
+
+    @pytest.mark.parametrize("scale", [2.0**900, 2.0**-900], ids=["2^900", "2^-900"])
+    def test_homogeneous_far_from_one(self, scale):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            bn, r = random_block_norms(rng, d), tuple(rng.random(d) * 3)
+            scaled = [(s, scale * v) for s, v in bn]
+            assert aggregate_block_norms(scaled, r, 8.0) == pytest.approx(
+                scale * aggregate_block_norms(bn, r, 8.0), rel=1e-14, abs=0)
