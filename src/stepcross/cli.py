@@ -26,7 +26,6 @@ from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, lp_norm
 from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
                    write_jsonl)
-from .rates import predicted_order, regimes, sweep_extremal, theory_exponents
 
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
@@ -132,24 +131,6 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def cmd_approx(args) -> int:
-    params = SmoothParams(_parse_rvec(args.r))
-    theta = parse_extended(args.theta)
-    p, q = parse_extended(args.p), parse_extended(args.q)
-    config = ExperimentConfig(theorem_tag=regimes(p, q, params.d)[0], d=params.d, p=p, q=q,
-                              theta=theta, r=params.r, gamma_mode=args.gamma_mode,
-                              n_range=(args.n_min, args.n_max), rng_seed=args.seed,
-                              output_path=str(Path(args.out).parent))
-    a_th, b_th = theory_exponents(p, q, theta, params, args.gamma_mode)
-    # the member's smooth aggregate is empty: at every q both columns hold one error
-    rows = [(r.n, r.cardinality, r.error, r.error, predicted_order(r.n, a_th, b_th))
-            for r in sweep_extremal(p, q, theta, params, args.gamma_mode,
-                                    range(args.n_min, args.n_max + 1))]
-    write_csv(args.out, config, ("n", "M", "script_E", "best_ub", "predicted_order"), rows)
-    print(args.out)
-    return 0
-
-
 def cmd_extremal(args) -> int:
     if args.family == "dn":
         f = dirichlet_shell(args.n, args.d)
@@ -169,11 +150,9 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    config = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        config = ExperimentConfig.from_json_dict({**config.to_json_dict(), "rng_seed": args.seed})
-    if args.out is not None:
-        config = ExperimentConfig.from_json_dict({**config.to_json_dict(), "output_path": args.out})
+    given = {"rng_seed": args.seed, "output_path": args.out}
+    config = dataclasses.replace(ExperimentConfig.load(args.config),
+                                 **{k: v for k, v in given.items() if v is not None})
     result = run_experiment(config)
     if args.emit_plot_script:
         script = Path(config.output_path) / "plot_rates.py"
@@ -217,7 +196,7 @@ def cmd_lemma_a(args) -> int:
     if args.out:
         config = ExperimentConfig(theorem_tag="lemmaA", d=params.d, r=params.r,
                                   alpha=args.alpha, l_range=(args.l_min, args.l_max),
-                                  rng_seed=args.seed, output_path=str(Path(args.out).parent))
+                                  output_path=str(Path(args.out).parent))
         write_csv(args.out, config, ("mode", "alpha", "l", "value", "normalized_ratio"), rows)
         print(args.out)
     else:
@@ -268,19 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--out")
     p_norm.set_defaults(func=cmd_norm)
 
-    p_approx = sub.add_parser("approx", help="error sweep for the extremal family")
-    p_approx.add_argument("action", choices=("sweep",))
-    p_approx.add_argument("--n-min", type=int, required=True)
-    p_approx.add_argument("--n-max", type=int, required=True)
-    p_approx.add_argument("--p", required=True)
-    p_approx.add_argument("--q", required=True)
-    p_approx.add_argument("--theta", default="inf")
-    p_approx.add_argument("--r", required=True)
-    p_approx.add_argument("--gamma-mode", choices=GAMMA_MODES, default="gamma")
-    p_approx.add_argument("--seed", type=int, default=0)
-    p_approx.add_argument("--out", required=True)
-    p_approx.set_defaults(func=cmd_approx)
-
     p_ext = sub.add_parser("extremal", help="generate a test-family member")
     p_ext.add_argument("action", choices=("gen",))
     p_ext.add_argument("--family", choices=("dn", "g", "tprime"), required=True)
@@ -317,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--l-min", type=int, default=10)
     p_lem.add_argument("--l-max", type=int, default=20)
     p_lem.add_argument("--mode", choices=TAIL_MODES + ("both",), default="both")
-    p_lem.add_argument("--seed", type=int, default=0)
     p_lem.add_argument("--out")
     p_lem.set_defaults(func=cmd_lemma_a)
 

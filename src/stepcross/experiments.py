@@ -175,7 +175,7 @@ def csv_body(path) -> str:
 def run_rate_experiment(config: ExperimentConfig) -> dict:
     params = config.params
     ns = list(range(config.n_range[0], config.n_range[-1] + 1))
-    # checked here, not in the config: ``approx sweep`` configs may hold fewer levels
+    # checked here, not in the config: a one-level config sweeps its level alone
     if len(ns) < 4:
         raise ConfigError(f"the rate fits need at least 4 levels, n_range {config.n_range}"
                           f" gives {len(ns)}")

@@ -269,14 +269,16 @@ def aggregate_block_norms(per_block: Sequence[tuple[tuple[int, ...], float]],
 
     When the largest term's theta-th power lies outside 2**±900, where the
     powers could overflow or underflow, every term is divided by the
-    largest first; inside, the powers are taken as they are."""
+    largest first; inside, the powers are taken as they are.  The theta = 2
+    root is ``math.sqrt``, correctly rounded."""
     terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in per_block]
     top = max(terms, default=0.0)
     if math.isinf(theta) or not 0 < top < math.inf:
         return top
+    root = math.sqrt if theta == 2 else lambda S: S ** (1.0 / theta)
     if abs(theta * math.log2(top)) < 900:
-        return sum(t**theta for t in terms) ** (1.0 / theta)
-    return top * sum((t / top) ** theta for t in terms) ** (1.0 / theta)
+        return root(sum(t**theta for t in terms))
+    return top * root(sum((t / top) ** theta for t in terms))
 
 
 def besov_mixed_norm(f: TrigPoly, params: SmoothParams, p: float, theta: float,

@@ -411,12 +411,15 @@ class GridLines:
         axis d-1 (f's values), written into ``out``, a C-contiguous complex
         array of shape (lines, n) that holds zeros; returns ``out``.
 
-        A stack scatters all its lines at once.  For one polynomial of
-        d >= 2 the range is read as a view of the input: from each leading
-        axis whose one index holds the whole range, that index, and then
-        whole indices of the next axis (whole rows, or a run of lines inside
-        one row); any other range is rejected.
+        A stack, or a grid of d = 1, scatters all its lines at once.  For one
+        polynomial of d >= 2 the range is read as a view of the input: from
+        each leading axis whose one index holds the whole range, that index,
+        and then whole indices of the next axis (whole rows, or a run of
+        lines inside one row).  Any other range is rejected.
         """
+        if (self.stack > 1 or len(self.dims) == 1) and (first, len(out)) != (0, self.count):
+            raise ValueError(f"lines {first}..{first + len(out) - 1} are not the whole stack,"
+                             f" lines 0..{self.count - 1}")
         if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
             np.add.at(out.reshape(-1), self.at, self.src)
         elif self.stack > 1:

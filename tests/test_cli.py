@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from stepcross.cli import _norm_callable, build_parser, main
-from stepcross.experiments import ExperimentConfig, run_experiment
+from stepcross.experiments import ExperimentConfig
 from stepcross.poly import TrigPoly, read_jsonl, write_jsonl
 
 
@@ -271,19 +272,14 @@ def test_extremal_gen_bad_exponent_exits_one(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
-def test_approx_sweep_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = main(["approx", "sweep", "--n-min", "4", "--n-max", "7", "--p", "2",
-               "--q", "4", "--theta", "2", "--r", "1.5,1.5", "--out", str(out)])
-    assert rc == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines == [
-        "n,M,script_E,best_ub,predicted_order",
-        "4,20,0.036362048011952378,0.036362048011952378,0.0625",
-        "5,68,0.017838512054543895,0.017838512054543895,0.029379711664737448",
-        "6,196,0.0084420116904780559,0.0084420116904780559,0.013531646934131853",
-        "7,516,0.0039069226930335977,0.0039069226930335977,0.0061452075852456807",
-    ]
+def rates_run(tmp_path, name="res", argv=(), **cfg):
+    """``stepcross rates run`` on a config of these fields; (exit code, the
+    output directory, the config as the run read it)."""
+    cfg = {"d": 2, "r": [1.5, 1.5], "output_path": str(tmp_path / name), **cfg}
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["rates", "run", "--config", str(cfg_path), *argv])
+    return rc, tmp_path / name, cfg
 
 
 def csv_column(path, name):
@@ -291,86 +287,72 @@ def csv_column(path, name):
         return [row[name] for row in csv.DictReader(l for l in fh if not l.startswith("#"))]
 
 
-def test_approx_sweep_sharp_error_is_the_rate_experiments(tmp_path):
-    # T2 takes the sharp-form profile path, T3 (p = q = inf) the smooth one
-    for tag, pq, n_max in (("T2", "2.5", 9), ("T3", "inf", 8)):
-        out = tmp_path / f"{tag}.csv"
-        assert main(["approx", "sweep", "--n-min", "5", "--n-max", str(n_max), "--p", pq,
-                     "--q", pq, "--theta", "2", "--r", "1,1", "--out", str(out)]) == 0
-        res = run_experiment(ExperimentConfig(theorem_tag=tag, d=2, p=float(pq), q=float(pq),
-                                              theta=2.0, r=(1.0, 1.0), n_range=(5, n_max),
-                                              output_path=str(tmp_path / tag)))
-        assert csv_column(out, "script_E") == csv_column(res["csv"], "error")
-        assert csv_column(out, "best_ub") == csv_column(out, "script_E")
+def test_rates_run_t1_csv(tmp_path, capsys):
+    rc, res, _ = rates_run(tmp_path, theorem_tag="T1", p=2, q=4, theta=2, n_range=[4, 7])
+    assert rc == 0
+    csv_path = res / "T1_rates.csv"
+    assert csv_column(csv_path, "n") == ["4", "5", "6", "7"]
+    assert csv_column(csv_path, "M") == ["20", "68", "196", "516"]
+    assert csv_column(csv_path, "error") == [
+        "0.036362048011952378", "0.017838512054543895", "0.0084420116904780559",
+        "0.0039069226930335977"]
+    assert csv_column(csv_path, "predicted") == [
+        "0.0625", "0.029379711664737448", "0.013531646934131853", "0.0061452075852456807"]
 
 
-# sha256 of the CSV body (comment lines stripped) of two sweeps on the
-# gamma-prime cross, where best_ub was once the min with the smooth aggregate
+# sha256 of the body of two sweeps on the gamma-prime cross, as the rate CSV
+# once printed it with the error twice: n,M,script_E,best_ub,predicted_order
+# (best_ub was once the min with the smooth aggregate)
 APPROX_SWEEP_GOLDEN = {
-    "T2-2.5": (["--n-min", "5", "--n-max", "9", "--p", "2.5", "--q", "2.5"],
+    "T2-2.5": (dict(theorem_tag="T2", p=2.5, q=2.5, n_range=[5, 9]),
                "40df32f38a09ed801b63bb87884396d9929d550f29cc705a9983026f90b2eebc"),
-    "T3-inf": (["--n-min", "5", "--n-max", "8", "--p", "inf", "--q", "inf"],
+    "T3-inf": (dict(theorem_tag="T3", p="inf", q="inf", n_range=[5, 8]),
                "9ed7383f11ded48e006975372c0592f37cb6b0ef87f504bf4a723b1bb74f48aa"),
 }
 
 
 @pytest.mark.parametrize("name", APPROX_SWEEP_GOLDEN)
-def test_approx_sweep_golden_digest(tmp_path, name):
-    argv, digest = APPROX_SWEEP_GOLDEN[name]
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", *argv, "--r", "1,2", "--gamma-mode", "gamma-prime",
-                 "--out", str(out)]) == 0
-    body = "".join(l + "\n" for l in out.read_text().splitlines() if not l.startswith("#"))
+def test_approx_sweep_golden_digest(tmp_path, capsys, name):
+    cfg, digest = APPROX_SWEEP_GOLDEN[name]
+    rc, res, _ = rates_run(tmp_path, r=[1, 2], gamma_mode="gamma-prime", **cfg)
+    assert rc == 0
+    columns = [csv_column(res / f"{cfg['theorem_tag']}_rates.csv", c)
+               for c in ("n", "M", "error", "predicted")]
+    body = "n,M,script_E,best_ub,predicted_order\n" + "".join(
+        f"{n},{m},{e},{e},{pred}\n" for n, m, e, pred in zip(*columns))
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(("p", "q", "tag"), [("2", "4", "T1"), ("2.5", "2.5", "T2"),
-                                          ("inf", "inf", "T3"), ("4", "2", "T4")])
-def test_approx_sweep_tags_regime(tmp_path, p, q, tag):
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", p, "--q", q,
-                 "--r", "1.5,1.5", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    config = ExperimentConfig(theorem_tag=tag, d=2, p=float(p), q=float(q), r=(1.5, 1.5),
-                              n_range=(4, 5), rng_seed=0, output_path=str(tmp_path))
+@pytest.mark.parametrize(("p", "q", "tag"), [(2, 4, "T1"), (2.5, 2.5, "T2"),
+                                          ("inf", "inf", "T3"), (4, 2, "T4")])
+def test_rates_run_hashes_the_regime_tag(tmp_path, capsys, p, q, tag):
+    rc, res, cfg = rates_run(tmp_path, theorem_tag=tag, p=p, q=q, n_range=[4, 7])
+    assert rc == 0
+    lines = (res / f"{tag}_rates.csv").read_text().splitlines()
+    config = ExperimentConfig.from_json_dict(cfg)
     assert lines[0] == f"# config_hash: {config.config_hash()}"
-    assert len([l for l in lines if not l.startswith("#")]) == 3
+    assert len([l for l in lines if not l.startswith("#")]) == 5
+    # the same (p, q) under another regime's tag is refused
+    other = "T2" if tag == "T1" else "T1"
+    assert rates_run(tmp_path, "other", theorem_tag=other, p=p, q=q, n_range=[4, 7])[0] == 1
+    assert f"does not match regime {other}" in capsys.readouterr().err
 
 
-def test_approx_sweep_invalid_request_fails_before_computing(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(("cfg", "named"), [
+    (dict(r=[0.2, 0.2], n_range=[4, 7]), "1/p - 1/q"),
+    (dict(n_range=[8, 5]), "n_range must not end below its first level"),
+    (dict(n_range=[5, 41]), "MAX_CROSS_LEVEL = 40"),
+], ids=["bad-r", "empty-range", "level-41"])
+def test_rates_run_invalid_sweep_exits_one_before_any_level(tmp_path, capsys, monkeypatch,
+                                                            cfg, named):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep level was computed")
 
-    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", "--n-min", "4", "--n-max", "5", "--p", "2", "--q", "4",
-                 "--r", "0.2,0.2", "--out", str(out)]) == 1
-    assert "1/p - 1/q" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_approx_sweep_empty_range_exits_one(tmp_path, capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep level was computed")
-
-    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", "--n-min", "8", "--n-max", "5", "--p", "2", "--q", "4",
-                 "--r", "1.5,1.5", "--out", str(out)]) == 1
-    assert "n_range" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_approx_sweep_level_above_cap_exits_one(tmp_path, capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep level was computed")
-
-    monkeypatch.setattr("stepcross.cli.sweep_extremal", no_sweep)
-    out = tmp_path / "sweep.csv"
-    assert main(["approx", "sweep", "--n-min", "5", "--n-max", "41", "--p", "2", "--q", "4",
-                 "--r", "1.5,1.5", "--out", str(out)]) == 1
-    assert "MAX_CROSS_LEVEL = 40" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr("stepcross.experiments.sweep_extremal", no_sweep)
+    rc, res, _ = rates_run(tmp_path, theorem_tag="T1", p=2, q=4, **cfg)
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not res.exists()
 
 
 def test_rates_run_with_config(tmp_path, capsys):
@@ -383,6 +365,18 @@ def test_rates_run_with_config(tmp_path, capsys):
     assert (tmp_path / "res" / "T1_rates.csv").exists()
     assert (tmp_path / "res" / "T1_fit.json").exists()
     assert (tmp_path / "res" / "plot_rates.py").exists()
+
+
+def test_rates_run_seed_and_out_replace_the_config_fields(tmp_path, capsys):
+    out = tmp_path / "elsewhere"
+    rc, res, cfg = rates_run(tmp_path, theorem_tag="T1", p=2, q=4, n_range=[4, 7],
+                             argv=("--seed", "7", "--out", str(out)))
+    assert rc == 0 and not res.exists()
+    lines = (out / "T1_rates.csv").read_text().splitlines()
+    config = ExperimentConfig.from_json_dict({**cfg, "rng_seed": 7, "output_path": str(out)})
+    assert lines[:2] == [f"# config_hash: {config.config_hash()}", "# seed: 7"]
+    fit = json.loads((out / "T1_fit.json").read_text())
+    assert ExperimentConfig.from_json_dict(fit["config"]) == config
 
 
 def test_rates_run_invalid_config_exits_one(tmp_path, capsys):
@@ -479,6 +473,18 @@ def test_lemma_a_table(capsys):
     assert len(lines) == 3 and lines[0].startswith("gamma-on-gamma,1.0,8,")
 
 
+def test_lemma_a_csv_has_no_seed_to_set(tmp_path, capsys):
+    # the tail sums draw nothing: the provenance seed is the config default
+    out = tmp_path / "lemma.csv"
+    argv = ["lemma-a", "--alpha", "1.0", "--r", "1,2", "--l-min", "8", "--l-max", "10",
+            "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "# seed: 0" and len(lines) == 5 + 2 * 3
+    with pytest.raises(SystemExit):
+        main(argv + ["--seed", "3"])
+
+
 def test_cross_dump(tmp_path):
     out = tmp_path / "blocks.txt"
     assert main(["cross", "--n", "4", "--r", "1,1", "--out", str(out)]) == 0
@@ -523,10 +529,16 @@ def readme_cli_lines():
 
 
 def test_readme_cli_examples_parse():
-    # a command, flag or norm kind that the code drops but README still shows fails here
+    # a command, flag or norm kind that the code drops but README still shows
+    # fails here, and so does a command that README does not show
     lines = readme_cli_lines()
     assert len(lines) >= 10
+    shown = set()
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])
+        shown.add(args.command)
         if args.command == "norm":
             _norm_callable(json.loads(args.spec))
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(commands)

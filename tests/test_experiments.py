@@ -94,7 +94,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(theorem_tag="T5-family", n_range=(6, 8, 10, 12)),  # a list of levels
         dict(theorem_tag="T3", p=1.0, q=1.0, n_range=(5, 5)),  # one level, first = last
-        dict(theorem_tag="T2", p=2.5, q=2.5, n_range=(5, 6)),  # as ``approx sweep`` builds
+        dict(theorem_tag="T2", p=2.5, q=2.5, n_range=(5, 6)),  # two levels: too few to fit
         dict(theorem_tag="lemmaA", l_range=(10, 20))])
     def test_level_ranges_that_load(self, tmp_path, kw):
         ExperimentConfig(d=2, r=(1.0, 1.0), output_path=str(tmp_path), **kw)

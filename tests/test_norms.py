@@ -921,14 +921,20 @@ class TestAggregateBlockNorms:
     @pytest.mark.parametrize("theta", [1.0, 2.0])
     def test_plain_powers_bit_for_bit(self, theta):
         # inside 2**±900 the terms are not rescaled, so the values are the
-        # unscaled formula's exactly
+        # unscaled formula's exactly, with the theta = 2 root a square root
         rng = np.random.default_rng(int(theta))
         for _ in range(2000):
             d = int(rng.integers(1, 4))
             bn, r = random_block_norms(rng, d), tuple(rng.random(d) * 3)
             terms = [2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in bn]
-            want = sum(t**theta for t in terms) ** (1.0 / theta)
+            total = sum(t**theta for t in terms)
+            want = math.sqrt(total) if theta == 2 else total ** (1.0 / theta)
             assert aggregate_block_norms(bn, r, theta) == want
+
+    def test_theta_two_root_is_correctly_rounded(self):
+        # the sum's ** 0.5 is one ulp above its correctly rounded square root
+        bn = [((1,), 1 / 7), ((2,), 13 / 3)]
+        assert aggregate_block_norms(bn, (1.0,), 2.0) == 17.335687961471432
 
     @pytest.mark.parametrize("scale", [2.0**900, 2.0**-900], ids=["2^900", "2^-900"])
     def test_homogeneous_far_from_one(self, scale):

@@ -424,6 +424,27 @@ class TestStagedTransform:
                 with pytest.raises(ValueError, match="neither whole rows"):
                     lines.transform(per - 1, np.zeros((2, dims[-1]), dtype=complex))
 
+    @pytest.mark.parametrize("fs,dims", [
+        ([dirichlet_shell(3, 2), TrigPoly(2, {(-3, 1): 0.5j})], (8, 8)),
+        ([TrigPoly(1, {(2,): 1.0}), TrigPoly(1, {(-5,): 2.0})], (16,)),
+        ([TrigPoly(1, {(2,): 1.0, (-5,): 2.0})], (16,)),
+    ], ids=["stack-d2", "stack-d1", "one-d1"])
+    def test_stack_takes_only_all_its_lines(self, fs, dims):
+        # a stack, or a d = 1 grid, scatters all its lines at once: a later
+        # first line or a part of the lines is named, and out stays untouched
+        lines = GridLines(fs, dims)
+        n, count = lines.n, lines.count
+        grid = eval_grid(fs, dims).reshape(-1, n)
+        for first, k in ((1, count), (5, count), (0, count - 1), (count // 2, count - count // 2)):
+            if k < 1 or (first, k) == (0, count):
+                continue
+            out = np.zeros((k, n), dtype=complex)
+            with pytest.raises(ValueError, match=rf"lines {first}\.\.{first + k - 1} are not the"
+                                                 rf" whole stack, lines 0\.\.{count - 1}"):
+                lines.transform(first, out)
+            assert not out.any()
+        assert np.array_equal(lines.transform(0, np.zeros((count, n), dtype=complex)), grid)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(random_poly_st), st.booleans(), st.data())
     def test_random_rows_are_a_prefix(self, f, real, data):
