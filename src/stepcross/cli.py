@@ -19,8 +19,8 @@ from .approx import default_form
 from .blocks import GAMMA_MODES, TAIL_MODES, SmoothParams, hyperbolic_cross, write_blocks
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
-from .experiments import (ExperimentConfig, parse_extended, run_experiment, tail_sum_rows,
-                          write_csv)
+from .experiments import (RATE_TAGS, ExperimentConfig, parse_extended, run_experiment,
+                          tail_sum_rows, write_csv)
 from .extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, lp_norm
@@ -153,6 +153,9 @@ def cmd_rates(args) -> int:
     given = {"rng_seed": args.seed, "output_path": args.out}
     config = dataclasses.replace(ExperimentConfig.load(args.config),
                                  **{k: v for k, v in given.items() if v is not None})
+    if args.emit_plot_script and config.theorem_tag not in RATE_TAGS:
+        raise ValueError(f"--emit-plot-script plots a rate CSV, and theorem_tag "
+                         f"{config.theorem_tag!r} is none of the rate tags {RATE_TAGS}")
     result = run_experiment(config)
     if args.emit_plot_script:
         script = Path(config.output_path) / "plot_rates.py"

@@ -225,8 +225,8 @@ def run_nikolskii(config: ExperimentConfig) -> dict:
     ``config.samples`` random polynomials at the pairs (1, 2), (2, 4) and
     (2, inf).
 
-    In each CSV row ``lhs`` is exact at q in {2, 4} (Parseval, even-p
-    quadrature) and an upper bound at q = inf (sum |c_k|); ``rhs`` is exact
+    In each CSV row ``lhs`` is exact at q in {2, 4} (Parseval on t and on
+    t * t) and an upper bound at q = inf (sum |c_k|); ``rhs`` is exact
     at p = 2 and a lower bound at p = 1 (C L2**3 / L4**2), so ``ok`` = 1
     proves the inequality for that polynomial.  These three pairs hold for
     every polynomial: with m_j = max(1, deg_j), nnz <= prod(2 deg_j + 1) <=

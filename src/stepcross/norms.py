@@ -310,8 +310,8 @@ def nikolskii_check(t: TrigPoly,
     and the degree bound n_j = max(1, max_k |k_j|).  Per pair this returns
     (upper(q), C * lower(p), upper(q) <= C * lower(p) * (1 + 1e-9)), where
     upper(q) >= |t|_q and lower(p) <= |t|_p are built from three numbers:
-    L2 by Parseval, the exact L4 by even-p quadrature, and S = sum |c_k| >=
-    |t|_inf.  By log-convexity of |t|_r in 1/r,
+    L2 by Parseval, the exact L4, and S = sum |c_k| >= |t|_inf.  By
+    log-convexity of |t|_r in 1/r,
 
     * upper(q) is L2 for q <= 2, L2**(1-th) L4**th with th = 2 - 4/q for
       2 < q <= 4, L4**(4/q) S**(1-4/q) for 4 < q < inf, and S at q = inf;
@@ -322,8 +322,14 @@ def nikolskii_check(t: TrigPoly,
     So upper(q) is exact at q in {2, 4}, lower(p) at p in {2, 4}, and a True
     verdict proves the inequality for t.  A False one may be the bounds'
     slack or, as for the Dirichlet kernel D_1 at (1, inf), where |D_1|_inf
-    = 3 > 2 |D_1|_1, a case the constant does not cover.  The only grid is
-    the L4 grid, of _fast_len(4 m_j + 2) >= 4 m_j + 1 points per dimension.
+    = 3 > 2 |D_1|_1, a case the constant does not cover.
+
+    L4 is exact either way: L4**4 = |t**2|_2**2, so a t of at most
+    sqrt(SLICE_POINTS) terms, whose square t * t has at most SLICE_POINTS
+    terms, takes L4 from Parseval on the square and evaluates no grid.  A
+    denser t, such as a Dirichlet kernel of over 181 terms, takes the even-p
+    quadrature on its L4 grid of _fast_len(4 m_j + 2) >= 4 m_j + 1 points
+    per dimension.
     Every pair is validated before any work.
     """
     for p, q in pairs:
@@ -331,7 +337,11 @@ def nikolskii_check(t: TrigPoly,
         check_exponent(q, "q")
         if not p < q:
             raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
-    l2, l4, s = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0)), _abs_sum(t)
+    l2, s = lp_norm(t, 2.0), _abs_sum(t)
+    if t.nnz ** 2 <= SLICE_POINTS:  # t * t is no larger than one grid batch
+        l4 = math.sqrt(lp_norm(t * t, 2.0))
+    else:
+        l4 = lp_norm(t, 4.0, GridSpec(oversampling=2.0))
     degs = tuple(max(1, m) for m in t.degree())
     out = []
     for p, q in pairs:

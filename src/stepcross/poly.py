@@ -4,12 +4,12 @@ A polynomial is a finite map from integer frequency vectors to complex
 coefficients, f(x) = sum_k c_k exp(i k.x) on [0, 2pi)^d.  It is stored as two
 arrays: the frequencies as the rows of an int64 matrix ``K`` in strictly
 increasing lexicographic order, and the coefficients as a complex vector
-``C`` in the same order, so every per-coefficient operation (sums, block
-splits, projections, the grid scatter) is a NumPy operation on whole arrays.
-Coefficients whose modulus falls below DROP_TOL are dropped so the
-representation stays canonically sparse.  Instances are treated as
-immutable values; ``coeffs`` and ``terms()`` are read-only views for
-callers outside the hot paths.
+``C`` in the same order, so every per-coefficient operation (sums,
+products, block splits, projections, the grid scatter) is a NumPy operation
+on whole arrays.  Coefficients whose modulus falls below DROP_TOL are
+dropped so the representation stays canonically sparse.  Instances are
+treated as immutable values; ``coeffs`` and ``terms()`` are read-only views
+for callers outside the hot paths.
 
 ``eval_grid`` samples one polynomial, or a stack of them, on a tensor grid
 by a staged (pruned) unnormalized inverse FFT with ``numpy.fft``: every
@@ -36,6 +36,7 @@ import numpy as np
 
 from .blocks import (BlockIndexSet, block_indices, group_by_block, int_tuple, is_int,
                      mean_zero_block_indices)
+from .sparse import cauchy_product, sorted_sums
 
 DROP_TOL = 1e-30
 MAX_POINTS = 1 << 26  # the most points of any grid a polynomial is evaluated on
@@ -95,10 +96,11 @@ class TrigPoly:
     ``TrigPoly(d, coeffs)`` takes a mapping from frequency tuples to
     coefficients; ``TrigPoly.from_arrays(K, C)`` takes the two arrays, rows in
     any order, and sums the coefficients of a repeated frequency in the order
-    given; ``f.take(rows, C)`` keeps some of f's terms, already in order.
-    Every way drops the coefficients of modulus below ``DROP_TOL``.  A
-    frequency component that is not an integer (``is_int``) or a new
-    coefficient that is not finite is an error naming it.
+    given; ``f.take(rows, C)`` keeps some of f's terms, already in order;
+    ``f * g`` is the product of two polynomials.  Every way drops the
+    coefficients of modulus below ``DROP_TOL``.  A frequency component that
+    is not an integer (``is_int``) or a new coefficient that is not finite is
+    an error naming it.
     """
 
     __slots__ = ("d", "K", "C")
@@ -115,7 +117,7 @@ class TrigPoly:
                 int_tuple(k, "frequency", "k")
         K = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), d)
         C = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-        self._store(*_sorted_sums(K, C))
+        self._store(*sorted_sums(K, C))
 
     @staticmethod
     def from_arrays(K: np.ndarray, C: np.ndarray) -> "TrigPoly":
@@ -128,7 +130,7 @@ class TrigPoly:
             raise ValueError(f"need an nnz x d frequency matrix and nnz coefficients, "
                              f"got shapes {K.shape} and {C.shape}")
         f = object.__new__(TrigPoly)
-        f._store(*_sorted_sums(K, C))
+        f._store(*sorted_sums(K, C))
         return f
 
     def take(self, rows, C: np.ndarray | None = None) -> "TrigPoly":
@@ -224,8 +226,14 @@ class TrigPoly:
     def __neg__(self) -> "TrigPoly":
         return self.take(slice(None), -self.C)
 
-    def __mul__(self, scalar) -> "TrigPoly":
-        c = complex(scalar)
+    def __mul__(self, other) -> "TrigPoly":
+        """f times a scalar, or the product f g of two polynomials
+        (``sparse.cauchy_product``, of at most ``MAX_POINTS`` pairs)."""
+        if isinstance(other, TrigPoly):
+            f = object.__new__(TrigPoly)
+            f._store(*cauchy_product(self.K, self.C, other.K, other.C, MAX_POINTS))
+            return f
+        c = complex(other)
         if not self.is_zero() and not cmath.isfinite(c):
             # as _store names it, before numpy warns of inf times a zero part
             raise ValueError(f"coefficient {c * complex(self.C[0])} of frequency "
@@ -255,25 +263,6 @@ class TrigPoly:
     def exponential(k: Sequence[int], c: complex = 1.0) -> "TrigPoly":
         k = int_tuple(k, "frequency", "k")
         return TrigPoly(len(k), {k: c})
-
-
-def _sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K's rows sorted and made distinct, each with the sum, left to right in
-    the given order, of the coefficients C of its copies."""
-    if len(K) < 2:
-        return K, C
-    order = np.lexsort(K.T[::-1])  # stable: copies keep their order
-    K, C = K[order], C[order]
-    new = np.logical_or.reduce(K[1:] != K[:-1], axis=1)
-    if np.count_nonzero(new) == len(new):
-        return K, C
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    runs = np.diff(starts, append=len(K))
-    total = C[starts]
-    for i in range(1, int(runs.max())):
-        more = runs > i
-        total[more] += C[starts[more] + i]
-    return K[starts], total
 
 
 def _modulus(C: np.ndarray) -> np.ndarray:

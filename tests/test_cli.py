@@ -367,6 +367,25 @@ def test_rates_run_with_config(tmp_path, capsys):
     assert (tmp_path / "res" / "plot_rates.py").exists()
 
 
+@pytest.mark.parametrize("cfg", [dict(theorem_tag="lemmaA", l_range=[3, 6]),
+                                 dict(theorem_tag="nikolskii", samples=3),
+                                 dict(theorem_tag="T5-family", n_range=[6, 8], samples=3)],
+                         ids=["lemmaA", "nikolskii", "T5-family"])
+def test_rates_run_plot_script_of_a_non_rate_tag_exits_one_before_any_work(
+        tmp_path, capsys, monkeypatch, cfg):
+    # plot_rates.py reads the rate CSV's columns, which only a rate tag writes
+    def no_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("stepcross.cli.run_experiment", no_run)
+    rc, res, read = rates_run(tmp_path, argv=("--emit-plot-script",), **cfg)
+    ExperimentConfig.from_json_dict(read)  # a valid config
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"theorem_tag {cfg['theorem_tag']!r}" in err and "('T1', 'T2', 'T3', 'T4')" in err
+    assert not res.exists()
+
+
 def test_rates_run_seed_and_out_replace_the_config_fields(tmp_path, capsys):
     out = tmp_path / "elsewhere"
     rc, res, cfg = rates_run(tmp_path, theorem_tag="T1", p=2, q=4, n_range=[4, 7],

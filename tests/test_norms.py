@@ -857,21 +857,55 @@ class TestNikolskii:
                                                  pytest.param(3, 3, False, id="3"),
                                                  pytest.param(3, 5, True, id="3-streamed")])
     def test_one_grid_for_every_pair(self, monkeypatch, d, seed, streamed):
+        # a sparse t takes its exact L_4 from t * t and evaluates no grid, not
+        # even the L_4 grid that seed 5's would reduce in batches over 85,050
+        # points
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
-        # the exact L_4 grid, seed 5's reduced in batches over 85,050 points
+        assert f.nnz ** 2 <= norms.SLICE_POINTS
         dims = resolve_grid_dims(f, GridSpec(oversampling=2.0))
         assert (math.prod(dims) > norms.SLICE_POINTS) == streamed
         calls = record_grids(monkeypatch)
         nikolskii_check(f, NIKOLSKII_PAIRS)
-        assert calls == [(d, dims)]
+        assert calls == []
 
-    def test_shared_grid_holds_one_grid_buffer(self):
-        # the modulus overwrites the complex grid and the one power overwrites
-        # the modulus, so the peak is the grid's own 16 bytes a point
+    @pytest.mark.parametrize("shape", [(100,), (7, 7), (3, 2, 3)], ids=["1", "2", "3"])
+    def test_dense_takes_the_one_l4_grid(self, monkeypatch, shape):
+        # over sqrt(SLICE_POINTS) terms: the exact L_4 on its grid, equal to
+        # Parseval on t * t
+        rng = np.random.default_rng(len(shape))
+        K = np.array(list(itertools.product(*[range(-m, m + 1) for m in shape])))
+        t = TrigPoly.from_arrays(K, rng.normal(size=len(K)) + 1j * rng.normal(size=len(K)))
+        assert t.nnz ** 2 > norms.SLICE_POINTS
+        calls = record_grids(monkeypatch)
+        [_, (l4, _, _), _] = nikolskii_check(t, NIKOLSKII_PAIRS)
+        assert calls == [(t.d, resolve_grid_dims(t, GridSpec(oversampling=2.0)))]
+        assert l4 == pytest.approx(math.sqrt(lp_norm(t * t, 2.0)), rel=1e-12)
+
+    def test_product_holds_its_pairs_only(self):
+        # the square's arrays are a few per pair; the L_4 grid would be 45,360
+        # points of 16 bytes
         rng = np.random.default_rng(4)
         t = random_mixed_poly(rng, 3, max_shell=6)
         while math.prod(resolve_grid_dims(t, GridSpec())) < 200_000:
             t = random_mixed_poly(rng, 3, max_shell=6)
+        assert t.nnz ** 2 <= norms.SLICE_POINTS
+        tracemalloc.start()
+        try:
+            nikolskii_check(t, NIKOLSKII_PAIRS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * t.nnz ** 2
+
+    def test_shared_grid_holds_one_grid_buffer(self):
+        # the modulus overwrites the complex grid and the one power overwrites
+        # the modulus, so the peak is the grid's own 16 bytes a point; a sum of
+        # draws of over sqrt(SLICE_POINTS) terms takes the L_4 grid
+        rng = np.random.default_rng(4)
+        t = random_mixed_poly(rng, 3, max_shell=6)
+        while (t.nnz ** 2 <= norms.SLICE_POINTS
+               or math.prod(resolve_grid_dims(t, GridSpec())) < 200_000):
+            t = t + random_mixed_poly(rng, 3, max_shell=6)
         points = math.prod(resolve_grid_dims(t, GridSpec()))
         tracemalloc.start()
         try:

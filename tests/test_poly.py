@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepcross import poly
+from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell
 from stepcross.norms import lp_norm
@@ -228,6 +230,90 @@ class TestArrayContract:
             f.C[0] = 2.0
         with pytest.raises(ValueError):
             f.K[0, 0] = 2
+
+
+def cauchy_oracle(f, g):
+    """f g as a dict, the c_a c_b of each k_a + k_b summed in a loop over
+    the pairs, with the coefficients that cancel dropped."""
+    out = {}
+    for ka, ca in f.terms():
+        for kb, cb in g.terms():
+            k = tuple(a + b for a, b in zip(ka, kb))
+            out[k] = out.get(k, 0.0) + ca * cb
+    return oracle(out.items())
+
+
+def random_support(rng, d, dense):
+    """A dense box of frequencies, or a few scattered over a wide one."""
+    if dense:
+        m = {1: 6, 2: 3, 3: 2}[d]
+        return [k for k in itertools.product(range(-m, m + 1), repeat=d) if rng.random() < 0.8]
+    return [tuple(k) for k in rng.integers(-30, 31, (int(rng.integers(1, 15)), d)).tolist()]
+
+
+class TestProduct:
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_pair_loop(self, d, dense):
+        rng = np.random.default_rng(10 * d + dense)
+        for _ in range(20):
+            f, g = (TrigPoly(d, {k: complex(*rng.integers(-9, 10, 2))
+                                 for k in random_support(rng, d, dense)}) for _ in range(2))
+            # integer parts: every sum is exact, so bit for bit
+            assert (f * g).coeffs == cauchy_oracle(f, g)
+            f, g = (TrigPoly(d, {k: complex(*rng.normal(size=2))
+                                 for k in random_support(rng, d, dense)}) for _ in range(2))
+            got, want = (f * g).coeffs, cauchy_oracle(f, g)
+            assert got.keys() == want.keys()
+            scale = max(map(abs, f.C)) * max(map(abs, g.C)) * min(f.nnz, g.nnz)
+            for k, c in got.items():
+                assert abs(c - want[k]) <= 1e-14 * scale
+
+    def test_frequency_box_beyond_int64_keys(self):
+        # the box of every k_a + k_b holds over 2**63 points
+        f = TrigPoly(3, {(2**40, -2**40, 5): 1.0, (1, 2, 3): 2j, (-2**40, 7, 2**40): 3.0})
+        assert (f * f).coeffs == cauchy_oracle(f, f)
+
+    def test_frequencies_past_int64_rejected(self):
+        f = TrigPoly(1, {(2**62,): 1.0, (1,): 1.0})
+        with pytest.raises(ValueError, match="outside int64"):
+            f * f
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_either_side(self, d):
+        f = TrigPoly(d, {(1,) * d: 2.0, (-3,) * d: 1j})
+        zero = TrigPoly.zero(d)
+        assert (f * zero) == (zero * f) == (zero * zero) == zero
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            TrigPoly.exponential((1, 2)) * TrigPoly.exponential((1,))
+
+    def test_pairs_over_budget_rejected_before_any_allocation(self):
+        n = math.isqrt(poly.MAX_POINTS) + 1
+        f = TrigPoly.from_arrays(np.arange(n).reshape(n, 1), np.ones(n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"has {n * n} pairs, over the budget"):
+                f * f
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the pairs' coefficients alone would take 1 GB
+
+    @pytest.mark.parametrize("c", [0.5, -2j, 3 - 1e-3j])
+    def test_one_constant_term_is_the_scalar(self, c):
+        f = TrigPoly(2, {(1, 2): 1 + 1j, (-3, 1): 2.0, (0, 5): -0.25j})
+        assert f * TrigPoly.exponential((0, 0), c) == c * f == f * c
+
+    def test_l4_is_parseval_on_the_square(self):
+        rng = np.random.default_rng(12)
+        polys = [random_mixed_poly(rng, d, max_shell=min(7, 3 * d + 2))
+                 for d in (1, 2, 3) for _ in range(20)]
+        polys += [dense_rectangle(shape) * dense_rectangle(shape[::-1])
+                  for shape in ((6,), (3, 4), (2, 1, 3))]
+        for t in polys:
+            assert math.sqrt(lp_norm(t * t, 2.0)) == pytest.approx(lp_norm(t, 4.0), rel=1e-12)
 
 
 class TestEvalGrid:
