@@ -56,15 +56,16 @@ def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _candidate_blocks(max_shell: int, d: int,
-                      max_component: int | None) -> tuple[tuple[int, ...], ...]:
+def _candidate_blocks(max_shell: int, d: int, max_component: int | None) -> np.ndarray:
     """Every block with (s,1) <= max_shell (and, if given, every component
-    <= max_component): lexicographic, then stably by shell."""
+    <= max_component) as the rows of a read-only int64 array: lexicographic,
+    then stably by shell.  Read-only because every call shares it."""
     S = compositions(max_shell + 1, d + 1)[:, :d]
     S = S[np.argsort(S.sum(axis=1), kind="stable")]
     if max_component is not None:
         S = S[S.max(axis=1) <= max_component]
-    return tuple(map(tuple, S.tolist()))
+    S.setflags(write=False)
+    return S
 
 
 def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
@@ -72,14 +73,19 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
                       max_component: int | None = None) -> TrigPoly:
     """Sparse random polynomial touching blocks on both sides of a cross cut.
 
-    Draws ``blocks_per_poly`` blocks uniformly from all blocks with
-    (s,1) <= max_shell (and, if given, every component <= max_component) and
-    fills a few frequencies per block with standard complex Gaussian
-    coefficients; a frequency drawn twice keeps its last coefficient.  The
-    candidate blocks are listed once per (max_shell, d, max_component); the
-    draws, their order and so the polynomial of each generator state do not
-    depend on that.  A request that could only give the zero polynomial (no
-    block, or none or no term drawn) is rejected before any draw.
+    Draws, in this order and each as one array: ``blocks_per_poly``
+    distinct blocks, uniformly from all blocks with (s,1) <= max_shell (and,
+    if given, every component <= max_component); for each of the
+    ``terms_per_block`` terms per block, in block order, the magnitudes
+    |k_j| uniform on [2**(s_j-1), 2**s_j), as ``rng.integers`` draws them;
+    the signs of k_j, each fair; and standard complex Gaussian
+    coefficients, real and imaginary part of each term in turn.  A
+    frequency drawn twice holds the sum of its coefficients, as
+    ``TrigPoly.from_arrays`` adds repeats.  The candidate blocks are listed
+    once per (max_shell, d, max_component); the draws, and so the
+    polynomial of each generator state, do not depend on that.  A request
+    that could only give the zero polynomial (no block, or none or no term
+    drawn) is rejected before any draw.
     """
     for name, value, low in (("d", d, 1), ("max_shell", max_shell, d),
                              ("blocks_per_poly", blocks_per_poly, 1),
@@ -89,17 +95,12 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     if not (max_component is None or is_int(max_component) and max_component >= 1):
         raise ValueError(f"max_component must be None or an integer >= 1, got {max_component!r}")
     S = _candidate_blocks(max_shell, d, max_component)
-    integers, uniform, normal = rng.integers, rng.random, rng.standard_normal
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for idx in rng.choice(len(S), size=min(blocks_per_poly, len(S)), replace=False):
-        s = S[idx]
-        for _ in range(terms_per_block):
-            k = []
-            for sj in s:
-                mag = int(integers(2 ** (sj - 1), 2**sj))
-                k.append(mag if uniform() < 0.5 else -mag)
-            coeffs[tuple(k)] = complex(normal(), normal())
-    return TrigPoly(d, coeffs)
+    blocks = S[rng.choice(len(S), size=min(blocks_per_poly, len(S)), replace=False)]
+    low = 2 ** (np.repeat(blocks, terms_per_block, axis=0) - 1)
+    # the draws of integers(low, 2 * low), with no 2 * low to overflow at s_j = 63
+    mag = low + rng.integers(low)
+    K = np.where(rng.random(low.shape) < 0.5, mag, -mag)
+    return TrigPoly.from_arrays(K, rng.standard_normal((len(K), 2)).view(complex)[:, 0])
 
 
 def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,

@@ -238,7 +238,8 @@ class TrigPoly:
             # as _store names it, before numpy warns of inf times a zero part
             raise ValueError(f"coefficient {c * complex(self.C[0])} of frequency "
                              f"{tuple(self.K[0].tolist())} is not finite")
-        return self.take(slice(None), c * self.C)
+        with np.errstate(over="ignore", invalid="ignore"):  # _store names what is not finite
+            return self.take(slice(None), c * self.C)
 
     __rmul__ = __mul__
 

@@ -62,14 +62,15 @@ def cauchy_product(Kf: np.ndarray, Cf: np.ndarray, Kg: np.ndarray, Cg: np.ndarra
     hi = [a + b for a, b in zip(Kf.max(0).tolist(), Kg.max(0).tolist())]
     if min(lo) < -2**63 or max(hi) >= 2**63:
         raise ValueError(f"the product's frequencies span {lo}..{hi}, outside int64")
-    C = np.multiply.outer(Cf, Cg).reshape(-1)
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    if math.prod(widths) >= 2**63:
-        return sorted_sums((Kf[:, None] + Kg).reshape(-1, d), C)
-    strides = np.array([math.prod(widths[j + 1:]) for j in range(d)], dtype=np.int64)
-    keys = np.add.outer((Kf - lo_f) @ strides, (Kg - lo_g) @ strides).reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    a, b = np.divmod(order[starts], len(Kg))  # the first pair of each distinct sum
-    return Kf[a] + Kg[b], np.add.reduceat(C[order], starts)
+    with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
+        C = np.multiply.outer(Cf, Cg).reshape(-1)
+        widths = [b - a + 1 for a, b in zip(lo, hi)]
+        if math.prod(widths) >= 2**63:
+            return sorted_sums((Kf[:, None] + Kg).reshape(-1, d), C)
+        strides = np.array([math.prod(widths[j + 1:]) for j in range(d)], dtype=np.int64)
+        keys = np.add.outer((Kf - lo_f) @ strides, (Kg - lo_g) @ strides).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        a, b = np.divmod(order[starts], len(Kg))  # the first pair of each distinct sum
+        return Kf[a] + Kg[b], np.add.reduceat(C[order], starts)

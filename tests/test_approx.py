@@ -212,7 +212,10 @@ class TestRejectsEmptyRequests:
         ({"d": 0, "max_shell": 4}, "d must be an integer >= 1"),
         ({"d": True, "max_shell": 4}, "d must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "blocks_per_poly": 0}, "blocks_per_poly must be an integer >= 1"),
+        ({"d": 1, "max_shell": 0}, "max_shell must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "terms_per_block": -1},
+         "terms_per_block must be an integer >= 1"),
+        ({"d": 2, "max_shell": 6, "terms_per_block": 0},
          "terms_per_block must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "max_component": 0},
          "max_component must be None or an integer >= 1"),
@@ -236,16 +239,11 @@ def reference_random_mixed_poly(rng, d, max_shell, max_component=None):
     S = S[np.argsort(S.sum(axis=1), kind="stable")]
     if max_component is not None:
         S = S[S.max(axis=1) <= max_component]
-    coeffs = {}
-    for idx in rng.choice(len(S), size=min(6, len(S)), replace=False):
-        s = S[int(idx)].tolist()
-        for _ in range(3):
-            k = []
-            for sj in s:
-                mag = int(rng.integers(2 ** (sj - 1), 2**sj))
-                k.append(mag if rng.random() < 0.5 else -mag)
-            coeffs[tuple(k)] = complex(rng.standard_normal(), rng.standard_normal())
-    return TrigPoly(d, coeffs)
+    s = np.repeat(S[rng.choice(len(S), size=min(6, len(S)), replace=False)], 3, axis=0)
+    mag = rng.integers(2 ** (s - 1), 2**s)
+    K = np.where(rng.random(s.shape) < 0.5, mag, -mag)
+    z = rng.standard_normal((len(K), 2))
+    return TrigPoly.from_arrays(K, z[:, 0] + 1j * z[:, 1])
 
 
 class TestRandomSampler:
@@ -265,10 +263,32 @@ class TestRandomSampler:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("max_component", [None, 3])
     def test_draws_as_the_loop_over_fresh_candidates(self, d, max_component):
-        # at d = 1 block 1 holds only k = 1 and -1, so frequencies repeat and
-        # the last draw must win
         for seed in range(8):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # the later draws take the memoized candidates
                 assert random_mixed_poly(rng, d, 3 * d + 2, max_component=max_component) == (
                     reference_random_mixed_poly(ref, d, 3 * d + 2, max_component))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_terms_lie_in_the_distinct_drawn_blocks(self, d):
+        S = approx._candidate_blocks(3 * d + 2, d, None)
+        for seed in range(20):
+            rows = np.random.default_rng(seed).choice(len(S), size=min(6, len(S)), replace=False)
+            split = blocks_of(random_mixed_poly(np.random.default_rng(seed), d, 3 * d + 2))
+            assert sorted(split) == sorted(map(tuple, S[rows].tolist()))
+            assert all(1 <= g.nnz <= 3 for g in split.values())
+
+    def test_repeated_frequency_holds_the_sum_of_its_draws(self):
+        # at d = 1 block 1 holds only k = 1 and -1, so five terms repeat one
+        for seed in range(10):
+            f = random_mixed_poly(np.random.default_rng(seed), 1, 1, blocks_per_poly=1,
+                                  terms_per_block=5)
+            rng = np.random.default_rng(seed)
+            rng.choice(1, size=1, replace=False)
+            rng.integers(np.ones((5, 1), dtype=np.int64))  # each magnitude is 1
+            ks = np.where(rng.random((5, 1)) < 0.5, 1, -1)[:, 0].tolist()
+            z = rng.standard_normal((5, 2))
+            want = {}
+            for k, c in zip(ks, (z[:, 0] + 1j * z[:, 1]).tolist()):
+                want[k,] = want[k,] + c if (k,) in want else c
+            assert dict(f.coeffs) == want

@@ -262,7 +262,7 @@ GOLDEN = {
         "d99bafdc0c9f549b2831a4af9bc4c32ba3a71ad0d5eb19f8c4aa6f91b3a377da"),
     "nikolskii": (dict(theorem_tag="nikolskii", d=2, r=(1.0, 1.0), samples=30,
                        rng_seed=1),
-        "1771318706164251c9a31c0d8b22ac2f8e0589dc050ce0fa6e911fb0f0e71ea9"),
+        "deb073bbb83a2e121ace35f71ab717ae5b2ee40fb8ff4f9afb47aac4e69b3ff6"),
     "T1": (dict(theorem_tag="T1", d=2, p=2.0, q=4.0, theta=math.inf, r=(1.5, 1.5),
                 n_range=(5, 8), rng_seed=7),
         "8b1835fad7be36dac9ddbe69230267e00793c1fbc6ce617d1f2559bddb875781"),

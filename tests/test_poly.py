@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,17 @@ class TestProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             TrigPoly.exponential((1, 2)) * TrigPoly.exponential((1,))
+
+    @pytest.mark.parametrize("f,g,k", [
+        (TrigPoly(1, {(1,): 1e200, (2,): 1.0}), None, 2),  # a pair's product overflows
+        (TrigPoly(1, {(1,): 1e154, (2,): 1e154}), None, 3),  # a sum of pairs overflows
+        (TrigPoly(1, {(1,): 1e200}), 1e200, 1),  # the scalar path
+    ], ids=["pair", "sum", "scalar"])
+    def test_overflow_raises_the_named_error_alone(self, f, g, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"of frequency \({k},\) is not finite"):
+                f * (f if g is None else g)
 
     def test_pairs_over_budget_rejected_before_any_allocation(self):
         n = math.isqrt(poly.MAX_POINTS) + 1
