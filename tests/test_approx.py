@@ -212,13 +212,13 @@ class TestRejectsEmptyRequests:
         ({"d": 0, "max_shell": 4}, "d must be an integer >= 1"),
         ({"d": True, "max_shell": 4}, "d must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "blocks_per_poly": 0}, "blocks_per_poly must be an integer >= 1"),
-        ({"d": 1, "max_shell": 0}, "max_shell must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "terms_per_block": -1},
-         "terms_per_block must be an integer >= 1"),
-        ({"d": 2, "max_shell": 6, "terms_per_block": 0},
          "terms_per_block must be an integer >= 1"),
         ({"d": 2, "max_shell": 6, "max_component": 0},
          "max_component must be None or an integer >= 1"),
+        ({"d": 1, "max_shell": 0}, "max_shell must be an integer >= 1"),
+        ({"d": 2, "max_shell": 6, "terms_per_block": 0},
+         "terms_per_block must be an integer >= 1"),
     ])
     def test_sampler_that_can_only_draw_zero(self, kwargs, condition):
         rng = np.random.default_rng(1)
