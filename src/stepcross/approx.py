@@ -18,10 +18,12 @@ import math
 
 import numpy as np
 
-from .blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
+from .blocks import (BlockIndexSet, SmoothParams, check_cross_level, compositions, cross_level,
+                     mean_zero_block_indices)
 from .kernels import smooth_aggregate
-from .norms import bq1_norm, lp_norms
-from .poly import GridSpec, TrigPoly, blocks_of, is_int, project_cross
+from .norms import bq1_norm, even_norms, lp_bounds
+from .poly import GridSpec, TrigPoly, is_int, project_cross
+from .sparse import run_sums, sort_runs
 
 
 def default_form(q: float) -> str:
@@ -105,16 +107,18 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
 
 def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
                          rng_seed: int = 0) -> float:
-    """Max over random polynomials of |S_Q f| / |f| in the sharp block-sum norm,
-    Q the level-n gamma cross.
+    """Max over random polynomials f of |S_Q f| / |f| in the sharp block-sum
+    norm, Q the level-n gamma cross: exact at q = 2, and a certified upper
+    bound at any other q.
 
-    The Fourier sum drops whole blocks, so each ratio is a subset sum over
-    the same nonnegative per-block values and cannot exceed 1 regardless of
-    quadrature accuracy; the grid below is therefore kept cheap.  Every
-    sample is drawn first, in the generator's order, and the block
-    components of all of them go to one ``lp_norms`` call.  A request that
-    draws nothing, or only zero polynomials (int(n) + 2 < d), is rejected
-    before any draw.
+    The samples are drawn first, in the generator's order, and their terms
+    grouped by (sample, block) with one stable sort.  Each block component's
+    exact L_2 and L_4 (``even_norms``, no grid) bracket its L_q between lo
+    and hi (``lp_bounds``).  A sample's ratio is its sum of hi over the
+    blocks in Q (``cross_level`` key below n) over the block-order sum of hi
+    inside Q and lo outside: at least the exact ratio, and at most 1.  A
+    request that draws nothing, or only zero polynomials (int(n) + 2 < d),
+    or names an unusable level is rejected before any draw.
     """
     if not (1 < q < math.inf):
         raise ValueError("projector probe requires 1 < q < inf (sharp form)")
@@ -123,18 +127,20 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
     if int(n) + 2 < params.d:
         raise ValueError(f"the sampled shells (s,1) <= int(n) + 2 = {int(n) + 2} hold no block "
                          f"at d = {params.d}")
-    grid = GridSpec(oversampling=2.0, self_check=False)
+    check_cross_level(n)
     rng = np.random.default_rng(rng_seed)
-    cross = hyperbolic_cross(n, params)
-    splits = [blocks_of(random_mixed_poly(rng, params.d, max_shell=int(n) + 2))
-              for _ in range(samples)]
-    values = iter(lp_norms([comp for split in splits for comp in split.values()], q, grid))
-    worst = 0.0
-    for split in splits:
-        per_block = [(s, next(values)) for s in split]
-        total = sum(v for _, v in per_block)
-        if total == 0.0:
-            continue
-        kept = sum(v for s, v in per_block if s in cross)
-        worst = max(worst, kept / total)
-    return worst
+    fs = [random_mixed_poly(rng, params.d, max_shell=int(n) + 2) for _ in range(samples)]
+    K = np.concatenate([f.K for f in fs])
+    sample = np.repeat(np.arange(samples), [f.nnz for f in fs])
+    order, keys, starts = sort_runs(np.column_stack((sample, mean_zero_block_indices(K))))
+    C = np.concatenate([f.C for f in fs])[order]
+    l2, l4 = even_norms(K[order], C, starts)
+    s = run_sums(np.abs(C), starts).tolist()
+    lo, hi = np.array([lp_bounds(q, *v) for v in zip(l2, l4, s)]).reshape(-1, 2).T
+    blocks = keys[starts]  # (sample, s) of each component
+    inside = cross_level(blocks[:, 1:], params.gamma) < n
+    first = np.searchsorted(blocks[:, 0], np.arange(samples))  # each sample's first block
+    kept = run_sums(np.where(inside, hi, 0.0), first)
+    total = run_sums(np.where(inside, hi, lo), first)
+    some = total != 0.0
+    return float(np.max(kept[some] / total[some], initial=0.0))

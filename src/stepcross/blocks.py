@@ -207,13 +207,18 @@ def _key_and_sum(S: np.ndarray, gamma: Sequence[float]) -> tuple[np.ndarray, np.
     return key, running
 
 
-def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
-    """Step hyperbolic cross: the blocks s with (s, gamma*) < n by the key of
-    ``cross_level``, in lexicographic order; an empty set when none qualifies."""
+def check_cross_level(n: float) -> None:
+    """Reject a cross level that is not finite or exceeds ``MAX_CROSS_LEVEL``."""
     if not math.isfinite(n):
         raise ValueError(f"cross level n must be finite, got n={n}")
     if n > MAX_CROSS_LEVEL:
         raise ValueError(f"cross level n={n} exceeds cap {MAX_CROSS_LEVEL}")
+
+
+def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
+    """Step hyperbolic cross: the blocks s with (s, gamma*) < n by the key of
+    ``cross_level``, in lexicographic order; an empty set when none qualifies."""
+    check_cross_level(n)
     d = params.d
     # key >= (s,1), so the cross lies in the shells d..ceil(n)-1; a slack part joins them
     S = compositions(math.ceil(n), d + 1)[:, :d]

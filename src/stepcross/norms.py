@@ -48,6 +48,8 @@ Numerical methods
   batch's values and moduli, raised to p in place (the complex values of a
   whole line when a line holds more than a batch) and, for real
   coefficients, the powers of row 0 until row N_0/2 comes.
+* ``even_norms`` takes the exact L_2 and L_4 of many sparse polynomials
+  with no grid, and ``lp_bounds`` brackets any L_p from them.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -61,8 +63,9 @@ import numpy as np
 
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
-from .poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of, check_exponent,
-                   check_grid_budget, eval_grid, resolve_grid_dims)
+from .poly import (DROP_TOL, GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
+                   check_exponent, check_grid_budget, eval_grid, resolve_grid_dims)
+from .sparse import cauchy_squares, run_sums
 
 FORMS = ("sharp", "smooth")
 CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
@@ -301,6 +304,51 @@ def _abs_sum(f: TrigPoly) -> float:
     return math.fsum(np.abs(f.C).tolist())
 
 
+def even_norms(K: np.ndarray, C: np.ndarray,
+               starts: np.ndarray) -> tuple[list[float], list[float]]:
+    """Parseval's L_2 and the exact L_4 of each polynomial f_i whose
+    canonical terms are the run (K, C)[starts[i]:starts[i + 1]], the last to
+    the end, bit for bit ``lp_norm(f_i, 2)`` and ``sqrt(lp_norm(f_i * f_i,
+    2))``, with no grid: the squares come from ``sparse.cauchy_squares``, in
+    chunks of at most ``SLICE_POINTS`` pairs, drop and reject coefficients
+    as ``TrigPoly`` does, and each |c|**2 is ``TrigPoly.abs2``'s, added left
+    to right as ``lp_norm`` adds them."""
+    run, Ks, Cs = cauchy_squares(K, C, starts, SLICE_POINTS)
+    mod = np.hypot(Cs.real, Cs.imag)
+    finite = np.isfinite(mod)
+    if np.count_nonzero(finite) < len(finite):
+        i = np.argmin(finite)
+        raise ValueError(f"coefficient {Cs[i]} of frequency {tuple(Ks[i].tolist())} of a "
+                         "square is not finite")
+    # one pass adds the |c|**2 of every run, then those of every square
+    sums = run_sums(np.concatenate((np.float_power(np.hypot(C.real, C.imag), 2),
+                                    np.where(mod >= DROP_TOL, np.float_power(mod, 2), 0.0))),
+                    np.concatenate((starts, len(C) + np.searchsorted(run, np.arange(len(starts))))))
+    return np.sqrt(sums[:len(starts)]).tolist(), np.sqrt(np.sqrt(sums[len(starts):])).tolist()
+
+
+def lp_bounds(p: float, l2: float, l4: float, s: float) -> tuple[float, float]:
+    """(lower, upper) around |f|_p from the Python floats L2 = |f|_2,
+    L4 = |f|_4 and S = sum |c_k| >= |f|_inf, by log-convexity of |f|_r in
+    1/r (Hardy, Littlewood and Polya, *Inequalities*, 1934): upper is L2 for
+    p <= 2, L2**(4/p-1) L4**(2-4/p) up to p = 4, L4**(4/p) S**(1-4/p) above
+    (S at p = inf); lower is L2**(4/p-1) / L4**(4/p-2) for p < 2 (Hoelder),
+    L2 for 2 <= p < 4 and L4 from p = 4.  Both are exact at p in {2, 4}, up
+    to rounding.  The powers are Python's, which ``np.power`` does not
+    always match in the last bit."""
+    if p <= 2:
+        upper = l2
+    elif p <= 4:
+        upper = l2 ** (4 / p - 1) * l4 ** (2 - 4 / p)
+    else:
+        upper = l4 ** (4 / p) * s ** (1 - 4 / p)  # S at p = inf
+    if p < 2:
+        lower = l2 ** (4 / p - 1) / l4 ** (4 / p - 2) if l2 else 0.0
+    else:
+        lower = l2 if p < 4 else l4
+    return lower, upper
+
+
 def nikolskii_check(t: TrigPoly,
                     pairs: Sequence[tuple[float, float]]) -> list[tuple[float, float, bool]]:
     """Certified different-metrics inequality for a polynomial of
@@ -309,27 +357,19 @@ def nikolskii_check(t: TrigPoly,
     The inequality is |t|_q <= C |t|_p with C = 2**d * prod n_j**(1/p - 1/q)
     and the degree bound n_j = max(1, max_k |k_j|).  Per pair this returns
     (upper(q), C * lower(p), upper(q) <= C * lower(p) * (1 + 1e-9)), where
-    upper(q) >= |t|_q and lower(p) <= |t|_p are built from three numbers:
-    L2 by Parseval, the exact L4, and S = sum |c_k| >= |t|_inf.  By
-    log-convexity of |t|_r in 1/r,
+    upper(q) >= |t|_q and lower(p) <= |t|_p are ``lp_bounds``' from three
+    numbers: L2 by Parseval, the exact L4, and S = sum |c_k| >= |t|_inf,
+    correctly rounded.  So upper(q) is exact at q in {2, 4}, lower(p) at p
+    in {2, 4}, and a True verdict proves the inequality for t.  A False one
+    may be the bounds' slack or, as for the Dirichlet kernel D_1 at
+    (1, inf), where |D_1|_inf = 3 > 2 |D_1|_1, a case the constant does not
+    cover.
 
-    * upper(q) is L2 for q <= 2, L2**(1-th) L4**th with th = 2 - 4/q for
-      2 < q <= 4, L4**(4/q) S**(1-4/q) for 4 < q < inf, and S at q = inf;
-    * lower(p) is (L2 / L4**th)**(1/(1-th)) = L2**(4/p-1) / L4**(4/p-2)
-      with th = (1/p - 1/2) / (1/p - 1/4) for p < 2 (Hoelder; L2**3 / L4**2
-      at p = 1), L2 for 2 <= p < 4, and L4 for p >= 4.
-
-    So upper(q) is exact at q in {2, 4}, lower(p) at p in {2, 4}, and a True
-    verdict proves the inequality for t.  A False one may be the bounds'
-    slack or, as for the Dirichlet kernel D_1 at (1, inf), where |D_1|_inf
-    = 3 > 2 |D_1|_1, a case the constant does not cover.
-
-    L4 is exact either way: L4**4 = |t**2|_2**2, so a t of at most
-    sqrt(SLICE_POINTS) terms, whose square t * t has at most SLICE_POINTS
-    terms, takes L4 from Parseval on the square and evaluates no grid.  A
-    denser t, such as a Dirichlet kernel of over 181 terms, takes the even-p
-    quadrature on its L4 grid of _fast_len(4 m_j + 2) >= 4 m_j + 1 points
-    per dimension.
+    L2 and L4 are exact either way: a t of at most sqrt(SLICE_POINTS) terms,
+    whose square t * t has at most SLICE_POINTS pairs, takes both from
+    ``even_norms`` and evaluates no grid.  A denser t, such as a Dirichlet
+    kernel of over 181 terms, takes L4 from the even-p quadrature on its L4
+    grid of _fast_len(4 m_j + 2) >= 4 m_j + 1 points per dimension.
     Every pair is validated before any work.
     """
     for p, q in pairs:
@@ -337,24 +377,15 @@ def nikolskii_check(t: TrigPoly,
         check_exponent(q, "q")
         if not p < q:
             raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
-    l2, s = lp_norm(t, 2.0), _abs_sum(t)
     if t.nnz ** 2 <= SLICE_POINTS:  # t * t is no larger than one grid batch
-        l4 = math.sqrt(lp_norm(t * t, 2.0))
+        (l2,), (l4,) = even_norms(t.K, t.C, np.zeros(1, dtype=np.int64))
     else:
-        l4 = lp_norm(t, 4.0, GridSpec(oversampling=2.0))
+        l2, l4 = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0))
+    s = _abs_sum(t)
     degs = tuple(max(1, m) for m in t.degree())
     out = []
     for p, q in pairs:
-        if q <= 2:
-            upper = l2
-        elif q <= 4:
-            upper = l2 ** (4 / q - 1) * l4 ** (2 - 4 / q)
-        else:
-            upper = l4 ** (4 / q) * s ** (1 - 4 / q)  # S at q = inf
-        if p < 2:
-            lower = l2 ** (4 / p - 1) / l4 ** (4 / p - 2) if l2 else 0.0
-        else:
-            lower = l2 if p < 4 else l4
+        upper, lower = lp_bounds(q, l2, l4, s)[1], lp_bounds(p, l2, l4, s)[0]
         qinv = 0.0 if math.isinf(q) else 1.0 / q
         rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lower
         out.append((upper, rhs, upper <= rhs * (1 + 1e-9)))

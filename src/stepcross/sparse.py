@@ -4,8 +4,9 @@ A polynomial's terms are two arrays (``poly.TrigPoly``): the frequencies as
 the rows of an int64 matrix ``K`` in strictly increasing lexicographic
 order, and the coefficients ``C`` in the same order.  ``sorted_sums`` brings
 terms given in any order to that form, summing the coefficients of a
-repeated frequency, and ``cauchy_product`` multiplies two such forms.
-Neither drops small coefficients; ``TrigPoly`` does.
+repeated frequency, ``cauchy_product`` multiplies two such forms and
+``cauchy_squares`` squares many, each a run of terms.  None drops small
+coefficients; ``TrigPoly`` does.
 """
 
 from __future__ import annotations
@@ -13,6 +14,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def sort_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable sorting order of int64 ``keys`` (or of matrix rows, taken
+    lexicographically), the sorted keys, and where each run of equal keys
+    starts among them."""
+    if keys.ndim == 1:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = keys[1:] != keys[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1])  # stable: equal rows keep their order
+        keys = keys[order]
+        new = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
+    return order, keys, np.flatnonzero(np.concatenate(([len(keys) > 0], new)))
 
 
 def sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -28,10 +44,23 @@ def sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(np.concatenate(([True], new)))
     runs = np.diff(starts, append=len(K))
     total = C[starts]
-    for i in range(1, int(runs.max())):
-        more = runs > i
-        total[more] += C[starts[more] + i]
+    with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
+        for i in range(1, int(runs.max())):
+            more = runs > i
+            total[more] += C[starts[more] + i]
     return K[starts], total
+
+
+def _strides(lo: list[int], hi: list[int]) -> np.ndarray | None:
+    """The strides of mixed-radix keys in the box lo..hi, last coordinate
+    fastest, or None for a box of 2**63 points or more; a box outside int64
+    is rejected."""
+    if min(lo) < -2**63 or max(hi) >= 2**63:
+        raise ValueError(f"the product's frequencies span {lo}..{hi}, outside int64")
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(widths) >= 2**63:
+        return None
+    return np.array([math.prod(widths[j + 1:]) for j in range(len(widths))], dtype=np.int64)
 
 
 def cauchy_product(Kf: np.ndarray, Cf: np.ndarray, Kg: np.ndarray, Cg: np.ndarray,
@@ -44,9 +73,10 @@ def cauchy_product(Kf: np.ndarray, Cf: np.ndarray, Kg: np.ndarray, Cg: np.ndarra
     the key of k_a + k_b is the sum of k_a's and k_b's offset keys.  One
     stable sort of the nnz(f) nnz(g) keys brings equal frequencies together
     and ``np.add.reduceat`` sums each run, pairwise as numpy reduces.  A box
-    of 2**63 points or more has no int64 key, and its pairs go through
-    ``sorted_sums``.  A dimension mismatch, more pairs than ``limit`` or a
-    product frequency outside int64 is rejected before any work.
+    of 2**63 points or more has no int64 key, and ``np.lexsort`` sorts its
+    pairs' frequencies instead, for the same sums.  A dimension mismatch,
+    more pairs than ``limit`` or a product frequency outside int64 is
+    rejected before any work.
     """
     d = Kf.shape[1]
     if Kg.shape[1] != d:
@@ -58,19 +88,77 @@ def cauchy_product(Kf: np.ndarray, Cf: np.ndarray, Kg: np.ndarray, Cg: np.ndarra
     if not pairs:
         return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=complex)
     lo_f, lo_g = Kf.min(0), Kg.min(0)
-    lo = [a + b for a, b in zip(lo_f.tolist(), lo_g.tolist())]
-    hi = [a + b for a, b in zip(Kf.max(0).tolist(), Kg.max(0).tolist())]
-    if min(lo) < -2**63 or max(hi) >= 2**63:
-        raise ValueError(f"the product's frequencies span {lo}..{hi}, outside int64")
+    strides = _strides([a + b for a, b in zip(lo_f.tolist(), lo_g.tolist())],
+                       [a + b for a, b in zip(Kf.max(0).tolist(), Kg.max(0).tolist())])
     with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
         C = np.multiply.outer(Cf, Cg).reshape(-1)
-        widths = [b - a + 1 for a, b in zip(lo, hi)]
-        if math.prod(widths) >= 2**63:
-            return sorted_sums((Kf[:, None] + Kg).reshape(-1, d), C)
-        strides = np.array([math.prod(widths[j + 1:]) for j in range(d)], dtype=np.int64)
-        keys = np.add.outer((Kf - lo_f) @ strides, (Kg - lo_g) @ strides).reshape(-1)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        if strides is None:
+            keys = (Kf[:, None] + Kg).reshape(-1, d)
+        else:
+            keys = np.add.outer((Kf - lo_f) @ strides, (Kg - lo_g) @ strides).reshape(-1)
+        order, _, starts = sort_runs(keys)
         a, b = np.divmod(order[starts], len(Kg))  # the first pair of each distinct sum
         return Kf[a] + Kg[b], np.add.reduceat(C[order], starts)
+
+
+def cauchy_squares(K: np.ndarray, C: np.ndarray, starts: np.ndarray,
+                   limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of f_i f_i for the polynomials f_i whose canonical terms
+    are the runs (K, C)[starts[i]:starts[i + 1]], the last to the end: each
+    term's run i, frequency and coefficient, run after run, each run in
+    canonical order and bit for bit ``cauchy_product`` of the run with
+    itself.
+
+    A pair's key is ``cauchy_product``'s with the run as a leading
+    coordinate.  One stable sort and one ``np.add.reduceat`` take the pairs
+    of whole runs, at most ``limit`` pairs at a time, and sum each run's as
+    ``cauchy_product`` sums one.  A run of one term is multiplied as numpy
+    multiplies a 1 x 1 outer product.  A run of over ``limit`` pairs or a
+    square outside int64 is rejected before any work.
+    """
+    lengths = np.concatenate((starts[1:], [len(K)])) - starts
+    if lengths.max(initial=0) ** 2 > limit:
+        raise ValueError(f"a square of {lengths.max()} terms has {lengths.max() ** 2} pairs, "
+                         f"over the budget of {limit}")
+    if not len(K):
+        return np.zeros(0, dtype=np.int64), K, C
+    lo = K.min(0)
+    strides = _strides([0] + [2 * v for v in lo.tolist()],
+                       [len(starts) - 1] + [2 * v for v in K.max(0).tolist()])
+    offset = None if strides is None else (K - lo) @ strides[1:]
+    run = np.repeat(np.arange(len(starts)), lengths)  # each term's run
+    reps = lengths[run]  # the pairs (a, b) of each term a
+    head = np.cumsum(reps) - reps  # the number of the first of them
+    skip = head - starts[run]  # pair (a, b) is number b + skip[a]
+    done = np.cumsum(lengths**2)  # the pairs of runs 0..i
+    parts, r0 = [], 0
+    while r0 < len(starts):
+        r1 = int(np.searchsorted(done, done[r0] - lengths[r0] ** 2 + limit, "right"))
+        t0, t1 = starts[r0], starts[r1] if r1 < len(starts) else len(K)
+        a = np.repeat(np.arange(t0, t1), reps[t0:t1])
+        b = np.arange(head[t0], head[t0] + len(a)) - skip[a]
+        with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
+            Cp = C[a] * C[b]
+            one = reps[a] == 1
+            x, y = C.real[a[one]], C.imag[a[one]]
+            # numpy multiplies a 1 x 1 outer product with no fused operations
+            Cp.real[one], Cp.imag[one] = x * x - y * y, x * y + y * x
+            keys = (np.column_stack((run[a], K[a] + K[b])) if offset is None
+                    else run[a] * strides[0] + offset[a] + offset[b])
+            order, _, sums = sort_runs(keys)
+            pair = order[sums]  # the first pair of each distinct sum
+            parts.append((run[a[pair]], K[a[pair]] + K[b[pair]], np.add.reduceat(Cp[order], sums)))
+        r0 = r1
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run x[starts[i]:starts[i + 1]] of a float array, the
+    last to the end, added left to right as Python's ``sum`` adds a list
+    (up to the sign of a zero sum): the runs are the columns of a
+    zero-padded matrix, which ``np.cumsum`` adds down."""
+    lengths = np.concatenate((starts[1:], [len(x)])) - starts
+    run = np.repeat(np.arange(len(starts)), lengths)
+    M = np.zeros((max(lengths.max(initial=0), 1), len(starts)))
+    M[np.arange(len(x)) - starts[run], run] = x
+    return np.cumsum(M, axis=0)[-1]

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from stepcross import approx
+from stepcross import approx, norms, sparse
 from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
 from stepcross.blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import shell_extremal
-from stepcross.norms import bq1_norm, lp_norm
-from stepcross.poly import GridSpec, TrigPoly, blocks_of, project_cross
+from stepcross.norms import bq1_norm, lp_bounds, lp_norm
+from stepcross.poly import TrigPoly, blocks_of, project_cross
 
 
 class TestFourierSumError:
@@ -156,21 +156,33 @@ class TestProjectorProbe:
 
 
 def reference_projector_norm_probe(n, params, q, samples, rng_seed=0):
-    """The probe as one loop over samples: draw a polynomial, then one
-    ``lp_norm`` per block, and its ratio before the next draw."""
-    grid = GridSpec(oversampling=2.0, self_check=False)
+    """The probe as one loop over samples: draw a polynomial, bound each
+    block component's L_q by ``lp_bounds`` from its own ``lp_norm(comp, 2)``
+    and ``lp_norm(comp * comp, 2)``, and take the sample's ratio before the
+    next draw."""
     rng = np.random.default_rng(rng_seed)
     cross = hyperbolic_cross(n, params)
     worst = 0.0
     for _ in range(samples):
         f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)
-        per_block = [(s, lp_norm(comp, q, grid)) for s, comp in blocks_of(f).items()]
-        total = sum(v for _, v in per_block)
+        per_block = []
+        for s, comp in blocks_of(f).items():
+            l2, l4 = lp_norm(comp, 2.0), math.sqrt(lp_norm(comp * comp, 2.0))
+            lo, hi = lp_bounds(q, l2, l4, sum(np.abs(comp.C).tolist()))
+            per_block.append((s in cross, lo, hi))
+        total = sum(hi if inside else lo for inside, lo, hi in per_block)
         if total == 0.0:
             continue
-        kept = sum(v for s, v in per_block if s in cross)
+        kept = sum(hi for inside, _, hi in per_block if inside)
         worst = max(worst, kept / total)
     return worst
+
+
+# the probe's q = 2 outputs before its block norms came from even moments,
+# when every block norm was lp_norm(comp, 2), at samples = 40
+PROBE_Q2 = {(1, 5, 2): 0.7567425468751737, (2, 4, 0): 0.4686268346227361,
+            (2, 6.5, 3): 0.8224380147233539, (3, 5, 11): 0.4844266062517921,
+            (2, 8, 7): 0.8963468718350104}
 
 
 class TestProjectorProbeReference:
@@ -183,13 +195,34 @@ class TestProjectorProbeReference:
             assert projector_norm_probe(n, params, q, samples, rng_seed=seed) == (
                 reference_projector_norm_probe(n, params, q, samples, rng_seed=seed))
 
-    def test_components_go_to_one_norm_call(self, monkeypatch):
+    @pytest.mark.parametrize("d,n,seed", list(PROBE_Q2), ids=str)
+    def test_q2_outputs_are_the_parseval_ratios(self, d, n, seed):
+        got = projector_norm_probe(n, SmoothParams((1.0,) * d), 2.0, 40, rng_seed=seed)
+        assert got == PROBE_Q2[d, n, seed]
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_reduces_no_grid(self, monkeypatch, q):
         calls = []
-        lp_norms = approx.lp_norms
-        monkeypatch.setattr(approx, "lp_norms", lambda fs, q, grid: calls.append(len(fs)) or
-                            lp_norms(fs, q, grid))
-        projector_norm_probe(5, SmoothParams((1.0, 1.0)), 1.5, 20, rng_seed=2)
-        assert len(calls) == 1 and calls[0] >= 20
+        grid_stats = norms._grid_stats
+        monkeypatch.setattr(norms, "_grid_stats", lambda fs, p, dims, real: calls.append(dims)
+                            or grid_stats(fs, p, dims, real))
+        assert projector_norm_probe(5, SmoothParams((1.0, 1.0)), q, 20, rng_seed=2) > 0
+        assert calls == []
+
+    def test_wide_boxes_take_the_lexsort_path(self, monkeypatch):
+        # at n = 40 and d = 3 the blocks reach (s,1) = 42, so the (run,
+        # frequency) box of a chunk of squares has no int64 keys
+        params = SmoothParams((1.0, 1.0, 1.0))
+        sort_runs, rows = sparse.sort_runs, []
+        monkeypatch.setattr(sparse, "sort_runs", lambda keys: rows.append(keys.ndim == 2)
+                            or sort_runs(keys))
+        got = [projector_norm_probe(40, params, q, 2, rng_seed=seed)
+               for q in (1.5, 3.0) for seed in (1, 2, 3)]
+        assert rows and all(rows)
+        monkeypatch.undo()
+        assert got == [reference_projector_norm_probe(40, params, q, 2, rng_seed=seed)
+                       for q in (1.5, 3.0) for seed in (1, 2, 3)]
+        assert min(got) < 1
 
 
 class TestRejectsEmptyRequests:

@@ -745,6 +745,61 @@ class TestDyadicShellNorms:
         assert max(vals) / min(vals) < 4.0
 
 
+def block_components(rng, d, count):
+    """The sharp block components of random sparse polynomials, 1-3 terms
+    each, the last fifth cut to their first term."""
+    comps = []
+    while len(comps) < count:
+        comps += blocks_of(random_mixed_poly(rng, d, max_shell=d + 2)).values()
+    cut = count - count // 5
+    return comps[:cut] + [f.take(slice(0, 1)) for f in comps[cut:count]]
+
+
+def runs_of(fs):
+    """The terms of the polynomials ``fs`` one after another, and where each starts."""
+    return (np.concatenate([f.K for f in fs]), np.concatenate([f.C for f in fs]),
+            np.cumsum([0] + [f.nnz for f in fs[:-1]]))
+
+
+class TestEvenMomentBounds:
+    @pytest.mark.parametrize("whole", [False, True], ids=["components", "polynomials"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_even_norms_are_parseval_on_each_and_its_square(self, d, whole):
+        rng = np.random.default_rng(d)
+        fs = ([random_mixed_poly(rng, d, max_shell=3 * d + 2) for _ in range(30)] if whole
+              else block_components(rng, d, 60))
+        l2, l4 = norms.even_norms(*runs_of(fs))
+        assert l2 == [lp_norm(f, 2.0) for f in fs]
+        assert l4 == [math.sqrt(lp_norm(f * f, 2.0)) for f in fs]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lower_equals_upper_at_two_and_four(self, d):
+        fs = block_components(np.random.default_rng(10 + d), d, 40)
+        for f, l2, l4 in zip(fs, *norms.even_norms(*runs_of(fs))):
+            s = norms._abs_sum(f)
+            assert norms.lp_bounds(2.0, l2, l4, s) == (l2, l2)
+            assert norms.lp_bounds(4.0, l2, l4, s) == (l4, l4)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brackets_hold_the_self_checked_norm(self, d, p):
+        # a component with zeros can take the L_1.5 self-check past the grid
+        # budget; every one whose self-check converges lies in its bracket
+        fs = block_components(np.random.default_rng(20 + d), d, 25)
+        checked = 0
+        for f, l2, l4 in zip(fs, *norms.even_norms(*runs_of(fs))):
+            # where the bounds meet, for one term, each may round past the other
+            lo, hi = norms.lp_bounds(p, l2, l4, norms._abs_sum(f))
+            assert lo <= hi * (1 + 1e-14)
+            try:
+                est = lp_norm(f, p)
+            except QuadratureError:
+                continue
+            assert lo * (1 - 1e-9) <= est <= hi * (1 + 1e-9)
+            checked += 1
+        assert checked >= 20
+
+
 NIKOLSKII_PAIRS = ((1.0, 2.0), (2.0, 4.0), (2.0, math.inf))
 
 

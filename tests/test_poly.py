@@ -301,6 +301,17 @@ class TestProduct:
             with pytest.raises(ValueError, match=rf"of frequency \({k},\) is not finite"):
                 f * (f if g is None else g)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrigPoly(1, {(1,): 1e308}) + TrigPoly(1, {(1,): 1e308}),
+        lambda: TrigPoly.from_arrays(np.array([[1], [2], [1]]), np.array([1e308, 1.0, 1e308])),
+    ], ids=["add", "from_arrays"])
+    def test_sum_overflow_raises_the_named_error_alone(self, make):
+        # the repeated frequency's coefficients sum to inf in sparse.sorted_sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"of frequency \(1,\) is not finite"):
+                make()
+
     def test_pairs_over_budget_rejected_before_any_allocation(self):
         n = math.isqrt(poly.MAX_POINTS) + 1
         f = TrigPoly.from_arrays(np.arange(n).reshape(n, 1), np.ones(n))
