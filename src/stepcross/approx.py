@@ -124,10 +124,10 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
         raise ValueError("projector probe requires 1 < q < inf (sharp form)")
     if not (is_int(samples) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    check_cross_level(n)
     if int(n) + 2 < params.d:
         raise ValueError(f"the sampled shells (s,1) <= int(n) + 2 = {int(n) + 2} hold no block "
                          f"at d = {params.d}")
-    check_cross_level(n)
     rng = np.random.default_rng(rng_seed)
     fs = [random_mixed_poly(rng, params.d, max_shell=int(n) + 2) for _ in range(samples)]
     K = np.concatenate([f.K for f in fs])

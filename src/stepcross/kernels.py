@@ -17,15 +17,11 @@ product is formed in one place, ``_multipliers``.  The kernel and filter
 coefficients take integer arrays, so every filter is applied to a whole
 coordinate column of ``f.K`` at once.
 
-Two conventions are defined, in the one rung formula that
-``block_filter_coeff`` and ``smooth_block`` share.  ``literal`` takes the
-ladder rung at s = 1 as V_2 - V_1, which annihilates the frequencies
-|k| = 1 and therefore cannot reproduce every mean-zero polynomial from its
-filtered pieces; it is kept for comparison only.
-``partition-exact`` replaces the subtracted V_1 by the pure mean projection,
-so that summing the filters over all block indices reproduces any mean-zero
-polynomial exactly.  Every norm, error and experiment uses
-``partition-exact``, and so does everything else in this module.
+The filters follow one convention, ``partition-exact``, in the one rung
+formula that ``block_filter_coeff`` and ``smooth_block`` share: at s = 1
+the rung is V_2 minus the pure mean projection, not the ladder's V_2 - V_1,
+which annihilates the frequencies |k| = 1.  So summing the filters over all
+block indices reproduces any mean-zero polynomial exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import numpy as np
 from .blocks import SmoothParams, group_by_block, int_tuple, mean_zero_block_indices
 from .poly import TrigPoly
 
-CONVENTIONS = ("partition-exact", "literal")
+CONVENTIONS = ("partition-exact",)
 
 
 def vdp_coeff(l, k):
@@ -65,21 +61,21 @@ def block_filter_coeff(s, k, convention: str = "partition-exact"):
         raise ValueError(f"block index components must be integers, got s={s!r}")
     if np.any(a < 1):
         raise ValueError("block index components must be >= 1")
-    return _rung(a.astype(np.int64), np.abs(k), convention)[()]
+    return _rung(a.astype(np.int64), np.abs(k))[()]
 
 
-def _rung(s, a, convention: str):
+def _rung(s, a):
     """The block-s filter multiplier at |k| = a, for s >= 1 already checked:
-    the ladder rung V_{2^s} - V_{2^(s-1)}, and under ``partition-exact`` the
-    rung V_2 - [k = 0] where s = 1.  ``s`` is an int, which evaluates only
-    the rung it takes, or an int64 array broadcast with a."""
-    exact = convention == "partition-exact" and s == 1  # a bool unless s is an array
-    if exact is True:
+    the ladder rung V_{2^s} - V_{2^(s-1)}, and V_2 - [k = 0] where s = 1.
+    ``s`` is an int, which evaluates only the rung it takes, or an int64
+    array broadcast with a."""
+    first = s == 1  # a bool unless s is an array
+    if first is True:
         return _vdp(2, a) - (a == 0)
     ladder = _vdp(2**s, a) - _vdp(2 ** (s - 1), a)
-    if exact is False or not exact.any():
+    if first is False or not first.any():
         return ladder
-    return np.where(exact, _vdp(2, a) - (a == 0), ladder)
+    return np.where(first, _vdp(2, a) - (a == 0), ladder)
 
 
 def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exact") -> TrigPoly:
@@ -94,17 +90,17 @@ def smooth_block(f: TrigPoly, s: Sequence[int], convention: str = "partition-exa
         raise ValueError("dimension mismatch")
     if min(s, default=1) < 1:
         raise ValueError("block index components must be >= 1")
-    mult = _multipliers(f.K, s, convention)
+    mult = _multipliers(f.K, s)
     keep = mult != 0.0
     return f.take(keep, f.C[keep] * mult[keep])
 
 
-def _multipliers(K: np.ndarray, s: tuple[int, ...], convention: str) -> np.ndarray:
-    """The block-s filter's multiplier at each frequency row of K, for s and
-    the convention already checked: the one place the product is formed."""
+def _multipliers(K: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
+    """The block-s filter's multiplier at each frequency row of K, for s
+    already checked: the one place the product is formed."""
     mult = np.ones(len(K))
     for j, sj in enumerate(s):
-        mult = mult * _rung(sj, np.abs(K[:, j]), convention)
+        mult = mult * _rung(sj, np.abs(K[:, j]))
     return mult
 
 
@@ -140,8 +136,7 @@ def smooth_filing(f: TrigPoly) -> list[tuple[tuple[int, ...], np.ndarray, np.nda
     ``smooth_block(g.take(rows), s)``: no filter annihilates a term of its
     group, so ``smooth_block`` keeps every row.
     """
-    return [(s, rows, _multipliers(f.K[rows], s, "partition-exact"))
-            for s, rows in _filter_rows(f)]
+    return [(s, rows, _multipliers(f.K[rows], s)) for s, rows in _filter_rows(f)]
 
 
 def smooth_blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:

@@ -25,17 +25,15 @@ Numerical methods
   rounding.  Complex coefficients take the full grid.
 * A grid of at most ``SLICE_POINTS`` values evaluated is one batch.  Norms
   of many polynomials (``lp_norms``; ``block_norms`` takes its components
-  that way) evaluate the grids that have the same dims and whose
-  coefficients are of one kind, real or complex, as one stack: a leading
-  axis that no FFT stage transforms, so each stage is one ``ifft`` call
-  over every polynomial's lines, and one ``abs``, power and
-  ``np.add.reduce(..., -1)`` pass over the stack, of at most
-  ``2 * SLICE_POINTS`` values.  Each line's FFT and each row's pairwise
-  sum are the operations of the polynomial alone, so every value is bit
-  for bit its own ``lp_norm``; one polynomial is a stack of one.  Every
-  first grid is sized and checked against the budget before any is
-  evaluated, and the self-check's doublings refine one polynomial at a
-  time.
+  that way) reduce the grids that have the same dims and whose
+  coefficients are of one kind, real or complex, as one stack of at most
+  ``2 * SLICE_POINTS`` values: ``eval_grid`` evaluates each polynomial
+  alone into its row of the stack, and one ``abs``, power and
+  ``np.add.reduce(..., -1)`` pass reduces the stack.  Each row's pairwise
+  sum is the operation of the polynomial alone, so every value is bit for
+  bit its own ``lp_norm``; one polynomial is a stack of one.  Every first
+  grid is sized and checked against the budget before any is evaluated,
+  and the self-check's doublings refine one polynomial at a time.
 * A larger grid, of any d, is reduced one polynomial at a time in batches
   of at most ``SLICE_POINTS`` values: runs of whole rows; runs of lines
   inside one row when a row holds more; runs of points of one line when a
@@ -85,8 +83,8 @@ def _check_form(form: str, p: float) -> None:
 
 
 # the most values of a batch: a grid of at most this many wanted values is
-# one batch, evaluated by eval_grid in a stack of up to twice as many values,
-# and a larger one is reduced in batches of at most this many
+# one batch, reduced in a stack of up to twice as many values, and a larger
+# one is reduced in batches of at most this many
 SLICE_POINTS = 1 << 15
 
 
@@ -120,6 +118,21 @@ def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
                 yield first * n + at, values[:, at:at + step]
 
 
+def _stack(fs: Sequence[TrigPoly], dims: Sequence[int], rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of each f's ``dims`` grid, from ``eval_grid``, as the
+    rows of one array of shape (len(fs), values).
+
+    Besides taking one reduction pass for many small grids, the stack keeps
+    the heap warm: freeing a block this large, mapped on its own, raises
+    glibc's mmap and trim thresholds, so later buffers up to its size are
+    reused from the heap, not mapped, trimmed and faulted in again for
+    every polynomial."""
+    stack = np.empty((len(fs), rows * math.prod(dims[1:])), dtype=complex)
+    for f, values in zip(fs, stack):
+        values[:] = eval_grid(f, dims, rows).reshape(-1)
+    return stack
+
+
 def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
                 real: bool) -> list[float]:
     """For each f in ``fs``, the mean of |f|**p over the ``dims`` grid, or
@@ -134,15 +147,14 @@ def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
     one evaluated), added elementwise.
 
     A grid of at most ``SLICE_POINTS`` values evaluated is one batch: the fs
-    are evaluated in stacks of at most ``2 * SLICE_POINTS`` values, one
-    ``eval_grid`` call each, and a stack is reduced along its rows, one
-    polynomial's values each, so each sum is the flat array's ``sum`` bit
-    for bit.  A larger grid is reduced one polynomial at a time, in the
-    batches of ``_batches``.  Each batch takes one max or one sum, and E one
-    sum per batch of row 0, over that part of row 0 added elementwise to the
-    same part of row N_0/2; a polynomial's 2 S - E, or S, is the correctly
-    rounded ``math.fsum`` of these sums.  A mean divides it by the grid
-    size, as ``np.mean`` does.
+    go in stacks of at most ``2 * SLICE_POINTS`` values (``_stack``), and a
+    stack is reduced along its rows, one polynomial's values each, so each
+    sum is the flat array's ``sum`` bit for bit.  A larger grid is reduced
+    one polynomial at a time, in the batches of ``_batches``.  Each batch
+    takes one max or one sum, and E one sum per batch of row 0, over that
+    part of row 0 added elementwise to the same part of row N_0/2; a
+    polynomial's 2 S - E, or S, is the correctly rounded ``math.fsum`` of
+    these sums.  A mean divides it by the grid size, as ``np.mean`` does.
     """
     n0, row = dims[0], math.prod(dims[1:])
     rows = n0 // 2 + 1 if real else n0
@@ -152,8 +164,7 @@ def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
         groups = (_batches(f, dims, rows) for f in fs)
     else:
         step = 2 * SLICE_POINTS // size
-        groups = ([(0, eval_grid(stack, dims, rows).reshape(len(stack), -1))]
-                  for stack in (fs[at:at + step] for at in range(0, len(fs), step)))
+        groups = ([(0, _stack(fs[at:at + step], dims, rows))] for at in range(0, len(fs), step))
     out = []
     for batches in groups:
         terms = []  # each batch's max, or the terms of each polynomial's 2 S - E, or S

@@ -11,12 +11,12 @@ dropped so the representation stays canonically sparse.  Instances are
 treated as immutable values; ``coeffs`` and ``terms()`` are read-only views
 for callers outside the hot paths.
 
-``eval_grid`` samples one polynomial, or a stack of them, on a tensor grid
-by a staged (pruned) unnormalized inverse FFT with ``numpy.fft``: every
-stage but the last transforms only the grid lines that hold a coefficient,
-and no stage scales, so the values are f's, bit for bit
-``scipy.fft.ifftn(spec, norm="forward")``.  ``GridLines`` holds a grid
-before its last stage, so a caller can reduce it a few lines at a time.
+``eval_grid`` samples a polynomial on a tensor grid by a staged (pruned)
+unnormalized inverse FFT with ``numpy.fft``: every stage but the last
+transforms only the grid lines that hold a coefficient, and no stage
+scales, so the values are f's, bit for bit ``scipy.fft.ifftn(spec,
+norm="forward")``.  ``GridLines`` holds a grid before its last stage, so a
+caller can reduce it a few lines at a time.
 The package needs numpy alone at run time.
 """
 
@@ -318,7 +318,7 @@ def check_grid_budget(dims: Sequence[int]) -> None:
 
 
 class GridLines:
-    """Polynomials on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
+    """A polynomial on the uniform tensor grid x_j = 2*pi*j/N_j, transformed
     along every axis but the last: the grid's lines along axis d-1, each
     waiting for its last unnormalized inverse FFT.  ``GridLines(f, dims,
     rows)`` runs the pruned stages over axes 0..d-2 that ``eval_grid``
@@ -326,62 +326,42 @@ class GridLines:
     first..first + len(out) - 1 in flat order, bit for bit as on the whole
     grid.  No stage scales.
 
-    ``f`` is one polynomial or a stack of them, a sequence of polynomials of
-    one dimension d.  The stack is a leading axis that no stage transforms:
-    each stage transforms the lines of every polynomial in one call, and
-    polynomial i's lines follow those of polynomial i - 1.  ``count`` lines
-    of ``n`` points make up the first ``rows`` rows of every grid (for d = 1,
-    one line per polynomial: the whole axis, of which the first ``rows``
+    ``count`` lines of ``n`` points make up the first ``rows`` rows of the
+    grid (for d = 1, one line: the whole axis, of which the first ``rows``
     points are wanted).  Between the stages only the last stage's input is
-    held: the lines that hold a nonzero, ``at`` on axis d-1 (offset by n
-    times the polynomial's place in a stack).  A stack's lines are
-    transformed all at once; a range of them is for one polynomial only.  A
-    dim that is not an integer >= 1, ``rows`` out of range or an empty stack
-    is rejected before any work.
+    held: the lines that hold a nonzero, ``at`` on axis d-1.  ``f`` that is
+    not one ``TrigPoly`` is a TypeError, and a dim that is not an integer
+    >= 1 or ``rows`` out of range a ValueError, before any work.
     """
 
-    __slots__ = ("dims", "count", "n", "at", "src", "stack")
+    __slots__ = ("dims", "count", "n", "at", "src")
 
-    def __init__(self, f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
-                 rows: int | None = None):
+    def __init__(self, f: TrigPoly, dims: Sequence[int], rows: int | None = None):
+        if not isinstance(f, TrigPoly):
+            raise TypeError(f"a grid holds one TrigPoly, got a {type(f).__name__}")
         for n in dims:
             if not (is_int(n) and n >= 1):
                 raise ValueError(f"grid dims must be integers >= 1, got {n!r} in {tuple(dims)!r}")
         dims = tuple(map(int, dims))
-        fs = (f,) if isinstance(f, TrigPoly) else tuple(f)
-        if not fs:
-            raise ValueError("an empty stack has no grid")
-        if fs[0].d != len(dims) or len(fs) > 1 and any(g.d != len(dims) for g in fs):
+        if f.d != len(dims):
             raise ValueError("grid dimension mismatch")
         if rows is None:
             rows = dims[0]
         elif not (is_int(rows) and 1 <= rows <= dims[0]):
             raise ValueError(f"rows must be an integer from 1 to N_0 = {dims[0]}, got {rows!r}")
-        shape = (rows,) + dims[1:]  # the part of each grid wanted
-        B = self.stack = len(fs)
+        shape = (rows,) + dims[1:]  # the part of the grid wanted
         self.dims, self.n = dims, dims[-1]
-        self.count = B * math.prod(shape[:-1])
-        K, vals = (fs[0].K, fs[0].C) if B == 1 else (
-            np.concatenate([g.K for g in fs]), np.concatenate([g.C for g in fs]))
+        self.count = math.prod(shape[:-1])
         # vals[..., j] is line j, transformed along the axes before a; lines[j]
-        # is its flat index over the stack and the axes a..d-1 not yet transformed
-        R = np.mod(K, dims)  # k mod N_j per coordinate
+        # is its flat index over the axes a..d-1 not yet transformed
+        vals, R = f.C, np.mod(f.K, dims)  # k mod N_j per coordinate
         # a frequency's position on axis 0, and its line's index over the other axes
         at, lines = R[:, 0], (R[:, -1] if len(dims) < 3 else
                               np.ravel_multi_index(R[:, 1:].T, dims[1:]))
-        if B > 1:
-            width = math.prod(dims[1:]) if len(dims) > 1 else dims[0]
-            lines = lines + np.repeat(np.arange(B) * width, [g.nnz for g in fs])
         for a, n in enumerate(dims[:-1]):
             tail = math.prod(dims[a + 1:])
-            if a == 0:
-                rest = lines
-            else:
-                at, rest = np.divmod(lines, tail)
-                if B > 1:  # the polynomial's place in the stack goes on with rest
-                    place, at = np.divmod(at, n)
-                    rest += place * tail
-            occupied = np.zeros(B * tail, dtype=bool)
+            at, rest = (at, lines) if a == 0 else np.divmod(lines, tail)
+            occupied = np.zeros(tail, dtype=bool)
             occupied[rest] = True
             lines = occupied.nonzero()[0]
             spec = np.zeros(shape[:a] + (len(lines), n), dtype=complex)
@@ -401,21 +381,17 @@ class GridLines:
         axis d-1 (f's values), written into ``out``, a C-contiguous complex
         array of shape (lines, n) that holds zeros; returns ``out``.
 
-        A stack, or a grid of d = 1, scatters all its lines at once.  For one
-        polynomial of d >= 2 the range is read as a view of the input: from
-        each leading axis whose one index holds the whole range, that index,
-        and then whole indices of the next axis (whole rows, or a run of
-        lines inside one row).  Any other range is rejected.
+        A grid of d = 1 scatters its one line whole.  For d >= 2 the range
+        is read as a view of the input: from each leading axis whose one
+        index holds the whole range, that index, and then whole indices of
+        the next axis (whole rows, or a run of lines inside one row).  Any
+        other range is rejected.
         """
-        if (self.stack > 1 or len(self.dims) == 1) and (first, len(out)) != (0, self.count):
-            raise ValueError(f"lines {first}..{first + len(out) - 1} are not the whole stack,"
-                             f" lines 0..{self.count - 1}")
         if len(self.dims) == 1:  # the coefficients: frequencies on one index add up
+            if (first, len(out)) != (0, 1):
+                raise ValueError(f"lines {first}..{first + len(out) - 1} are not the whole"
+                                 " d = 1 grid, line 0")
             np.add.at(out.reshape(-1), self.at, self.src)
-        elif self.stack > 1:
-            place, at = np.divmod(self.at, self.n)
-            grid = out.reshape((self.stack,) + self.src.shape[:-1] + (self.n,))
-            grid[place, ..., at] = np.moveaxis(self.src, -1, 0)
         else:
             src, lo = self.src, first
             while True:
@@ -431,15 +407,11 @@ class GridLines:
         return np.fft.ifft(out, norm="forward", out=out)
 
 
-def eval_grid(f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
-              rows: int | None = None) -> np.ndarray:
+def eval_grid(f: TrigPoly, dims: Sequence[int], rows: int | None = None) -> np.ndarray:
     """Values of f on the uniform tensor grid x_j = 2*pi*j/N_j, as a new
     C-contiguous, writable complex array of shape ``dims``; with ``rows``
     (an integer from 1 to N_0), rows 0..rows-1 of that grid alone, equal to
-    ``eval_grid(f, dims)[:rows]`` bit for bit.  Given a stack, a sequence of
-    B polynomials of one dimension, their grids follow each other along
-    axis 0, shape (B * rows,) + dims[1:], each bit for bit its polynomial's
-    own, and every stage transforms the whole stack in one call.
+    ``eval_grid(f, dims)[:rows]`` bit for bit.
 
     Frequency k lands on index k mod N_j in each coordinate, and frequencies
     that land on one index add up, so the values are exact for any dims >= 1
@@ -465,7 +437,7 @@ def eval_grid(f: TrigPoly | Sequence[TrigPoly], dims: Sequence[int],
     """
     lines = GridLines(f, dims, rows)
     out = lines.transform(0, np.zeros((lines.count, lines.n), dtype=complex))
-    if len(lines.dims) == 1:  # one line per polynomial, of which rows points are wanted
+    if len(lines.dims) == 1:  # one line, of which rows points are wanted
         out = np.ascontiguousarray(out[:, :rows])
     return out.reshape((-1,) + lines.dims[1:])
 
@@ -498,18 +470,22 @@ def write_jsonl(path, f: TrigPoly) -> None:
 
 
 def read_jsonl(path) -> TrigPoly:
-    """Inverse of ``write_jsonl``; a line that is not such a record, a
-    frequency given twice, a component of ``k`` that is not an integer or a
-    part ``re`` or ``im`` that is not a number is an error naming its line."""
+    """Inverse of ``write_jsonl``; a line that is not JSON, a header without
+    an integer d >= 1, a line that is not a term record, a frequency given
+    twice or of another dimension, a component of ``k`` that is not an
+    integer or a part ``re`` or ``im`` that is not a number is an error
+    naming the path and its line."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        header = _json_line(path, 1, fh.readline())
         d = header.get("d") if isinstance(header, dict) else None
+        if not (is_int(d) and d >= 1):
+            raise ValueError(f"{path}: line 1: dimension must be an integer >= 1, got d={d!r}")
         coeffs = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = _json_line(path, lineno, line)
             if not (isinstance(rec, dict) and rec.keys() >= {"k", "re", "im"}
                     and isinstance(rec["k"], list)):
                 raise ValueError(f'{path}: line {lineno} is not a {{"k", "re", "im"}} record')
@@ -517,9 +493,21 @@ def read_jsonl(path) -> TrigPoly:
             if not all(map(is_int, k)):
                 raise ValueError(f"{path}: line {lineno} has frequency {rec['k']}, "
                                  "expected integers")
+            if len(k) != d:
+                raise ValueError(f"{path}: line {lineno} has frequency {rec['k']} of dimension "
+                                 f"{len(k)}, expected d = {d}")
             if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in parts):
                 raise ValueError(f"{path}: line {lineno} has re, im = {parts}, expected numbers")
             if k in coeffs:
                 raise ValueError(f"{path}: line {lineno} repeats frequency {list(k)}")
             coeffs[k] = complex(*parts)
     return TrigPoly(d, coeffs)
+
+
+def _json_line(path, lineno: int, line: str):
+    """Line ``lineno`` of ``path`` parsed as JSON, or an error naming both."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno} is not JSON: {exc.msg} at column "
+                         f"{exc.colno}") from None

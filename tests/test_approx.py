@@ -238,6 +238,12 @@ class TestRejectsEmptyRequests:
         with pytest.raises(ValueError, match=r"int\(n\) \+ 2 = .* hold no block"):
             projector_norm_probe(n, SmoothParams((1.0,) * d), 1.5, 5)
 
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_probe_level_not_finite(self, monkeypatch, n):
+        monkeypatch.setattr(approx, "random_mixed_poly", None)
+        with pytest.raises(ValueError, match="cross level n must be finite"):
+            projector_norm_probe(n, SmoothParams((1.0, 1.0)), 1.5, 5)
+
     @pytest.mark.parametrize("kwargs,condition", [
         ({"d": 2, "max_shell": 1}, "max_shell must be an integer >= 2"),
         ({"d": 3, "max_shell": 2}, "max_shell must be an integer >= 3"),

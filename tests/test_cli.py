@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shlex
 import time
 from pathlib import Path
@@ -188,13 +189,21 @@ def test_norm_non_finite_coefficient_exits_one(tmp_path, capsys, bad, p, named):
     ('{"k": [2], "re": "x", "im": 0.0}', "line 3 has re, im = ('x', 0.0), expected numbers"),
     ('{"k": 2, "re": 1.0, "im": 0.0}', 'line 3 is not a {"k", "re", "im"} record'),
     ('{"k": [2], "re": 1.0}', 'line 3 is not a {"k", "re", "im"} record'),
+    ('{"k": [2], "re": 1.0, "im": }', "line 3 is not JSON: Expecting value at column 29"),
+    ('{"k": [1, 2], "re": 1.0, "im": 0.0}',
+     "line 3 has frequency [1, 2] of dimension 2, expected d = 1"),
+    ('{"d": 1.0}', "line 1: dimension must be an integer >= 1, got d=1.0"),
 ])
 def test_norm_bad_record_exits_one(tmp_path, capsys, record, named):
+    # the record stands on the line the error names
+    lines = ['{"d": 1}', '{"k": [3], "re": 1.0, "im": 0.0}']
+    at = int(re.match(r"line (\d+)", named).group(1))
+    lines[at - 1:at] = [record]
     path = tmp_path / "f.jsonl"
-    path.write_text(f'{{"d": 1}}\n{{"k": [3], "re": 1.0, "im": 0.0}}\n{record}\n')
+    path.write_text("\n".join(lines) + "\n")
     assert main(["norm", "--spec", '{"kind":"lp","p":2}', "--input", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and named in captured.err
+    assert captured.out == "" and f"{path}: {named}" in captured.err
 
 
 @pytest.mark.parametrize("p", ["nan", "-inf"])

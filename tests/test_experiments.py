@@ -223,8 +223,8 @@ class TestFamilyFiling:
                             lambda *args: log.append((args[2], args[0])) or sample(*args))
         monkeypatch.setattr(kernels, "_filter_rows",
                             lambda f: log.append(("filed", f.K.tobytes())) or filter_rows(f))
-        monkeypatch.setattr(kernels, "_multipliers", lambda K, s, c: log.append(
-            ("formed", K.tobytes(), s)) or multipliers(K, s, c))
+        monkeypatch.setattr(kernels, "_multipliers", lambda K, s: log.append(
+            ("formed", K.tobytes(), s)) or multipliers(K, s))
         run_family(tmp_path, d, n_range)
         # a level's member work runs from its first random-sign draw to the
         # next level's constant member

@@ -57,31 +57,24 @@ class TestVdpCoeff:
 
 
 class TestBlockFilter:
-    def test_literal_ramp_value(self):
-        # order-4 kernel is 1 at k=3, order-2 kernel is 1/2
-        assert block_filter_coeff(2, 3, "literal") == pytest.approx(0.5)
-
-    def test_literal_kills_unit_frequencies(self):
-        assert block_filter_coeff(1, 1, "literal") == 0.0
-
     def test_partition_exact_keeps_unit_frequencies(self):
         assert block_filter_coeff(1, 1, "partition-exact") == 1.0
         assert block_filter_coeff(1, 0, "partition-exact") == 0.0
 
     def test_smooth_block_examples(self):
+        # order-4 kernel is 1 at k=3, order-2 kernel is 1/2
         f = TrigPoly.exponential((3,))
-        assert smooth_block(f, (2,), "literal") == 0.5 * f
+        assert smooth_block(f, (2,), "partition-exact") == 0.5 * f
         e1 = TrigPoly.exponential((1,))
-        assert smooth_block(e1, (1,), "literal").is_zero()
         assert smooth_block(e1, (1,), "partition-exact") == e1
 
-    @pytest.mark.parametrize("convention", ["partition-exact", "literal"])
+    @pytest.mark.parametrize("convention", ["partition-exact"])
     def test_smooth_block_matches_per_coefficient_loop(self, convention):
         def vdp(l, k):
             return 1.0 if abs(k) <= l else 1.0 - (abs(k) - l) / l if abs(k) < 2 * l else 0.0
 
         def rung(s, k):
-            if s == 1 and convention == "partition-exact":
+            if s == 1:
                 return vdp(2, k) - (1.0 if k == 0 else 0.0)
             return vdp(2**s, k) - vdp(2 ** (s - 1), k)
 
@@ -95,15 +88,18 @@ class TestBlockFilter:
                 assert smooth_block(f, s, convention) == TrigPoly(d, want)
 
     def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            smooth_block(TrigPoly.exponential((1,)), (1,), "other")
+        for convention in ("other", "literal"):
+            with pytest.raises(ValueError, match=f"unknown convention '{convention}'"):
+                smooth_block(TrigPoly.exponential((1,)), (1,), convention)
+            with pytest.raises(ValueError, match=f"unknown convention '{convention}'"):
+                block_filter_coeff(1, 1, convention)
 
-    @pytest.mark.parametrize("convention", ["partition-exact", "literal"])
+    @pytest.mark.parametrize("convention", ["partition-exact"])
     def test_smooth_block_multipliers_are_block_filter_coeff(self, convention):
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
             ks = rng.integers(-80, 81, size=(60, d))
-            # zero and unit coordinates, where the s_j = 1 filter depends on the convention
+            # zero and unit coordinates, where the s_j = 1 filter leaves the ladder
             ks[:4, 0] = 0
             ks[4:8] = rng.choice((-1, 1), size=(4, d))
             f = TrigPoly.from_arrays(ks, rng.standard_normal(60) + 1j * rng.standard_normal(60))
@@ -161,12 +157,6 @@ class TestPartitionOfUnity:
                                  for k, a, b in zip(ks, rng.standard_normal(8),
                                                     rng.standard_normal(8))})
                 assert coeff_gap(reconstruct(f, "partition-exact"), f) <= 1e-13
-
-    def test_literal_mode_loses_unit_frequencies(self):
-        f = TrigPoly(2, {(1, 5): 1.0})
-        assert reconstruct(f, "literal").is_zero()
-        g = TrigPoly(2, {(4, 5): 1.0})
-        assert coeff_gap(reconstruct(g, "literal"), g) <= 1e-14
 
     def test_scalar_coefficient_sums_to_one(self):
         for k in range(1, 1025):

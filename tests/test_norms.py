@@ -484,16 +484,17 @@ def same_dims_polys(rng, d, deg, count, real):
 
 
 def record_stacks(monkeypatch):
-    """Patch ``norms.eval_grid`` to record the number of polynomials and the
-    values of every stack it evaluates."""
+    """Patch ``norms._stack`` to record the number of polynomials and the
+    values of every stack that ``norms`` reduces."""
     stacks = []
+    stack_of = norms._stack
 
-    def spy(fs, dims, rows=None):
-        vals = eval_grid(fs, dims, rows)
-        stacks.append((len(fs), vals.size))
-        return vals
+    def spy(fs, dims, rows):
+        stack = stack_of(fs, dims, rows)
+        stacks.append((len(stack), stack.size))
+        return stack
 
-    monkeypatch.setattr(norms, "eval_grid", spy)
+    monkeypatch.setattr(norms, "_stack", spy)
     return stacks
 
 

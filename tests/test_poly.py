@@ -533,26 +533,20 @@ class TestStagedTransform:
                 with pytest.raises(ValueError, match="neither whole rows"):
                     lines.transform(per - 1, np.zeros((2, dims[-1]), dtype=complex))
 
-    @pytest.mark.parametrize("fs,dims", [
-        ([dirichlet_shell(3, 2), TrigPoly(2, {(-3, 1): 0.5j})], (8, 8)),
-        ([TrigPoly(1, {(2,): 1.0}), TrigPoly(1, {(-5,): 2.0})], (16,)),
-        ([TrigPoly(1, {(2,): 1.0, (-5,): 2.0})], (16,)),
-    ], ids=["stack-d2", "stack-d1", "one-d1"])
-    def test_stack_takes_only_all_its_lines(self, fs, dims):
-        # a stack, or a d = 1 grid, scatters all its lines at once: a later
-        # first line or a part of the lines is named, and out stays untouched
-        lines = GridLines(fs, dims)
-        n, count = lines.n, lines.count
-        grid = eval_grid(fs, dims).reshape(-1, n)
-        for first, k in ((1, count), (5, count), (0, count - 1), (count // 2, count - count // 2)):
-            if k < 1 or (first, k) == (0, count):
-                continue
-            out = np.zeros((k, n), dtype=complex)
+    def test_d1_takes_only_its_whole_line(self):
+        # a d = 1 grid scatters its one line whole: a later first line or
+        # more lines is named, and out stays untouched
+        f = TrigPoly(1, {(2,): 1.0, (-5,): 2.0})
+        lines = GridLines(f, (16,))
+        assert (lines.count, lines.n) == (1, 16)
+        for first, k in ((1, 1), (5, 1), (0, 2)):
+            out = np.zeros((k, 16), dtype=complex)
             with pytest.raises(ValueError, match=rf"lines {first}\.\.{first + k - 1} are not the"
-                                                 rf" whole stack, lines 0\.\.{count - 1}"):
+                                                 r" whole d = 1 grid, line 0"):
                 lines.transform(first, out)
             assert not out.any()
-        assert np.array_equal(lines.transform(0, np.zeros((count, n), dtype=complex)), grid)
+        got = lines.transform(0, np.zeros((1, 16), dtype=complex))
+        assert np.array_equal(got.reshape(-1), eval_grid(f, (16,)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(random_poly_st), st.booleans(), st.data())
@@ -563,42 +557,13 @@ class TestStagedTransform:
         rows = data.draw(st.integers(1, dims[0]))
         assert np.array_equal(eval_grid(f, dims, rows), eval_grid(f, dims)[:rows])
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda d: st.lists(random_poly_st(d), min_size=1,
-                                                        max_size=5)),
-           st.booleans(), st.data())
-    def test_stack_is_each_grid_in_turn(self, fs, real, data):
-        # frequencies that fold onto one index, zero polynomials and rows that
-        # cut the grid included; signed zeros compared too
-        if real:
-            fs = [TrigPoly.from_arrays(f.K, f.C.real) for f in fs]
-        fs.insert(data.draw(st.integers(0, len(fs))), TrigPoly.zero(fs[0].d))
-        dims = tuple(data.draw(st.integers(1, 30)) for _ in range(fs[0].d))
-        rows = data.draw(st.integers(1, dims[0]))
-        got = eval_grid(fs, dims, rows)
-        want = np.concatenate([eval_grid(f, dims, rows) for f in fs])
-        assert got.shape == want.shape == (len(fs) * rows,) + dims[1:]
-        assert got.flags.c_contiguous and got.flags.writeable
-        assert got.view(float).tobytes() == want.view(float).tobytes()
-
-    def test_stack_transforms_each_stage_once(self, monkeypatch):
-        fs = [dirichlet_shell(5, 2), TrigPoly(2, {(-13, 4): 1.0, (2, -3): 0.5j}),
-              TrigPoly.zero(2), dense_rectangle((3, 5))]
-        calls = []
-        ifft = np.fft.ifft
-        monkeypatch.setattr(np.fft, "ifft", lambda x, *a, **k: calls.append(x.shape) or
-                            ifft(x, *a, **k))
-        got = eval_grid(fs, (64, 48))
-        # the first stage's lines: those of each polynomial, in turn
-        lines = sum(len({k for k in np.mod(f.K[:, 1], 48).tolist()}) for f in fs)
-        assert calls == [(lines, 64), (4 * 64, 48)]
-        assert np.array_equal(got, np.concatenate([dense_eval_grid(f, (64, 48)) for f in fs]))
-
-    @pytest.mark.parametrize("fs", [[], [TrigPoly.zero(2), TrigPoly.zero(3)]],
-                             ids=["empty", "mixed-d"])
-    def test_stack_of_one_dimension(self, fs):
-        with pytest.raises(ValueError, match="empty stack|dimension mismatch"):
-            eval_grid(fs, (4, 6))
+    @pytest.mark.parametrize("fs", [[], [TrigPoly.zero(2), TrigPoly.zero(3)],
+                                    (TrigPoly.zero(2),)], ids=["empty", "mixed-d", "one"])
+    def test_sequence_rejected_before_any_work(self, monkeypatch, fs):
+        monkeypatch.setattr(np.fft, "ifft", None)  # any transform would raise TypeError
+        for evaluate in (eval_grid, GridLines):
+            with pytest.raises(TypeError, match=rf"one TrigPoly, got a {type(fs).__name__}$"):
+                evaluate(fs, (4, 6))
 
     @pytest.mark.parametrize("rows", [0, 9, 2.5, True, -1, "4"], ids=repr)
     def test_rows_out_of_range_named(self, rows):
