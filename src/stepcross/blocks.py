@@ -39,14 +39,6 @@ def int_tuple(v: Sequence, what: str, name: str) -> tuple[int, ...]:
     return tuple(map(int, v))
 
 
-class TailTruncationError(RuntimeError):
-    """Raised when a weighted tail sum cannot reach the target accuracy."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
-
-
 @dataclass(frozen=True)
 class SmoothParams:
     """Smoothness vector with its derived scaling vectors.
@@ -194,17 +186,19 @@ def cross_level(S: np.ndarray, gamma: Sequence[float]) -> np.ndarray:
     over j of the running sum s_1 g_1 + ... + s_j g_j, added left to right,
     plus the least remaining tail g_{j+1} + ... + g_d.  Block s lies in the
     level-n cross iff its key < n.  With every g_j >= 1 it is >= (s,1)."""
-    return _key_and_sum(S, gamma)[0]
-
-
-def _key_and_sum(S: np.ndarray, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``cross_level``'s key of each row s of ``S``, and its last running
-    sum (s, gamma), added left to right from 0.0."""
     running, key = 0.0, -math.inf
     for j, g in enumerate(gamma):
         running = running + S[:, j] * g
         key = np.maximum(key, running + sum(gamma[j + 1:]))
-    return key, running
+    return key
+
+
+def cross_candidates(n: float, d: int, gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every block that a cross of level at most n can hold, in lexicographic
+    order, with its ``cross_level`` key on ``gamma``.  The key is >= (s,1),
+    so these are the shells d..ceil(n)-1, and a slack part joins them."""
+    S = compositions(math.ceil(n), d + 1)[:, :d]
+    return S, cross_level(S, gamma)
 
 
 def check_cross_level(n: float) -> None:
@@ -219,11 +213,9 @@ def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") 
     """Step hyperbolic cross: the blocks s with (s, gamma*) < n by the key of
     ``cross_level``, in lexicographic order; an empty set when none qualifies."""
     check_cross_level(n)
-    d = params.d
-    # key >= (s,1), so the cross lies in the shells d..ceil(n)-1; a slack part joins them
-    S = compositions(math.ceil(n), d + 1)[:, :d]
-    S = S[cross_level(S, params.gamma_for(gamma_mode)) < n]
-    return BlockIndexSet(tuple(map(tuple, S.tolist())), d, n=float(n), gamma_mode=gamma_mode)
+    S, key = cross_candidates(n, params.d, params.gamma_for(gamma_mode))
+    return BlockIndexSet(tuple(map(tuple, S[key < n].tolist())), params.d, n=float(n),
+                         gamma_mode=gamma_mode)
 
 
 def even_shell(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -242,17 +234,14 @@ def block_anchor(s: Sequence[int]) -> tuple[int, ...]:
 
 
 TAIL_MODES = ("gamma-on-gamma", "gamma-prime-on-gamma")
-TAIL_REL_TOL = 1e-12
-TAIL_MAX_SHELL = 600
 
 
-def _tail_remainder_bound(m: int, d: int, alpha: float) -> float:
-    """Upper bound for sum over (s,1) > m of 2**(-alpha*(s,1))."""
-    x = 2.0**-alpha
-    q = x * ((m + 2) / (m + 1)) ** (d - 1)
-    if q >= 1.0:
-        return math.inf
-    return (m + 1) ** (d - 1) * x ** (m + 1) / (1.0 - q)
+def _powers_of_two(alpha: float, g: float, size: int) -> np.ndarray:
+    """2**(-alpha g t) for t = 0..size-1, within one rounding of the fraction
+    and one of ``pow`` each: the exponent is split exactly at its integer part."""
+    (na, da), (ng, dg) = alpha.as_integer_ratio(), g.as_integer_ratio()
+    parts = (divmod(t * na * ng, da * dg) for t in range(size))
+    return np.array([math.ldexp(2.0 ** (-rest / (da * dg)), -whole) for whole, rest in parts])
 
 
 def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
@@ -260,18 +249,21 @@ def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
     """Sums of 2**(-alpha*(s,gamma)) over the tail at each boundary l, the
     complement of the level-l cross: the blocks whose ``cross_level`` key,
     on gamma in ``gamma-on-gamma`` mode and on gamma' in
-    ``gamma-prime-on-gamma`` mode, is >= l.
+    ``gamma-prime-on-gamma`` mode, is >= l.  Returns ``(value, value /
+    (2**(-alpha*l) * l**(m-1)))`` per l, with m = d resp. nu.
 
-    One enumeration of the shells (s,1)=m serves every l; it stops once the
-    remaining tail is provably below ``TAIL_REL_TOL`` of the smallest
-    accumulated value.  Returns ``(value, value / (2**(-alpha*l) * l**(m-1)))``
-    per l, with m = d resp. nu.
-
-    Weights come from Python's ``2.0 ** x`` (NumPy's power may differ in the
-    last bit), once per distinct x = (s, gamma) of a shell, and are added one
-    at a time in lexicographic block order.
-    Raises ValueError at once if no shell up to ``TAIL_MAX_SHELL`` can
-    certify the sums, and TailTruncationError if that shell is passed first.
+    The sums are exact: the key grows with each s_j, so the tail at l is the
+    disjoint union over k of the blocks whose prefix p = (s_1..s_{k-1}) has
+    (p, 1, ..., 1) inside the cross (any p at k = 1), whose s_k exceeds the
+    count c_p of the s_k with (p, s_k, 1, ..., 1) inside, and whose later
+    coordinates are free.  With the 1-D tails G_j(t) = 2**(-alpha gamma_j t)
+    / -expm1(-alpha gamma_j ln 2), and membership ``hyperbolic_cross``'s,
+        tail(l) = sum_k sum_p 2**(-alpha (p, gamma)) G_k(c_p + 1) prod_{j>k} G_j(1).
+    The terms are positive and added by ``math.fsum``, so with ``pow`` and
+    ``expm1`` within one ulp each value is within (9 d + 1) 2**-53 of the
+    exact sum, relatively.  Raises ValueError before any enumeration for a
+    boundary above ``MAX_CROSS_LEVEL`` or with 2**(-alpha*l) below the normal
+    floats, and after it where a value, ratio or term is not a normal float.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got alpha={alpha}")
@@ -280,36 +272,41 @@ def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
     ls = [float(l) for l in ls]
     if not ls or not all(0 < l < math.inf for l in ls):
         raise ValueError(f"boundaries ls must be nonempty, finite and positive, got {ls}")
-    d = params.d
-    gamma_star, power = ((params.gamma, d) if mode == "gamma-on-gamma"
+    tiny = 2.0**-1022  # the least normal float
+    for l in ls:
+        check_cross_level(l)
+        if 2.0 ** (-alpha * l) < tiny:
+            raise ValueError(f"tail sum at alpha={alpha}, l={l}: 2**(-alpha*l) is not normal")
+    d, gamma = params.d, params.gamma
+    gamma_star, power = ((gamma, d) if mode == "gamma-on-gamma"
                          else (params.gamma_prime, params.nu))
-    # the remainder bound falls with m: infinite at the last shell means at every shell
-    if math.isinf(_tail_remainder_bound(TAIL_MAX_SHELL, d, alpha)):
-        raise ValueError(f"tail sums at alpha={alpha}, d={d} cannot be certified within "
-                         f"TAIL_MAX_SHELL={TAIL_MAX_SHELL} shells")
-    values = np.zeros(len(ls))
-    for m in range(d, TAIL_MAX_SHELL + 1):
-        S = compositions(m, d)
-        # (s, g) is added left to right, as a loop over the block does, and in
-        # gamma-on-gamma mode the key's running sums end in it; each distinct
-        # value's weight is computed once and mapped back
-        key, sg = _key_and_sum(S, gamma_star)
-        if mode != "gamma-on-gamma":
-            sg = _key_and_sum(S, params.gamma)[1]
-        x, at = np.unique(sg, return_inverse=True)
-        weights = np.array([2.0 ** (-alpha * v) for v in x.tolist()])[at]
-        outside = key >= np.array(ls)[:, None]
-        # adding 0.0 for a block inside boundary l leaves its running sum as it is
-        values = np.cumsum(np.column_stack((values, np.where(outside, weights, 0.0))),
-                           axis=1)[:, -1]
-        bound = _tail_remainder_bound(m, d, alpha)
-        if values.min() > 0.0 and bound < TAIL_REL_TOL * values.min():
-            break
-    else:
-        raise TailTruncationError(f"tail sums not converged after shell {TAIL_MAX_SHELL} "
-                                  f"(bound {bound:.3e})", partial=float(values.min()))
-    return [(v, v / (2.0 ** (-alpha * l) * l ** (power - 1)))
-            for v, l in zip(values.tolist(), ls)]
+    top = max(*ls, d + 1)  # so that every piece has the row (1, ..., 1)
+    S, key = cross_candidates(top, d, gamma_star)
+    inside = key[:, None] < np.array(ls)
+    terms, real = [], []
+    with np.errstate(all="ignore"):  # a result that is not normal is rejected below
+        W = [_powers_of_two(alpha, g, math.ceil(top) + 1) for g in gamma]
+        G = [w / -math.expm1(-alpha * g * math.log(2)) for w, g in zip(W, gamma)]
+        for k in range(d):
+            rows = (S[:, k + 1:] == 1).all(axis=1)  # the blocks (p, s_k, 1, ..., 1)
+            Sk = S[rows]
+            starts = np.flatnonzero(np.concatenate(([True], (Sk[1:, :k] != Sk[:-1, :k]).any(1))))
+            count = np.add.reduceat(inside[rows], starts)  # c_p at each l
+            weight = math.prod((W[j][Sk[starts, j]] for j in range(k)), start=np.ones(len(starts)))
+            free = math.prod(G[j][1] for j in range(k + 1, d))
+            terms.append(weight[:, None] * G[k][count + 1] * free)
+            real.append((count > 0) | (k == 0))
+        terms, real = np.concatenate(terms), np.concatenate(real)
+        low = np.where(real, terms, math.inf).min(axis=0).tolist()
+    out = []
+    for l, column, least in zip(ls, np.where(real, terms, 0.0).T.tolist(), low):
+        value = math.fsum(column)
+        ratio = value / (2.0 ** (-alpha * l) * l ** (power - 1))
+        if not (tiny <= least and value < math.inf and tiny <= ratio < math.inf):
+            raise ValueError(f"tail sum at alpha={alpha}, l={l} is not a normal float: "
+                             f"value {value}, ratio {ratio}, least term {least}")
+        out.append((value, ratio))
+    return out
 
 
 def write_blocks(path, blockset: BlockIndexSet | Iterable[Sequence[int]]) -> None:

@@ -86,11 +86,12 @@ class ExperimentConfig:
             if self.theorem_tag in tags and len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} must hold two entries, the first and the last,"
                                   f" got {getattr(self, name)!r}")
-        if self.theorem_tag in RATE_TAGS + ("T5-family",):
-            if not self.n_range:
-                raise ConfigError("n_range must name at least one level, got ()")
-            if max(self.n_range) > MAX_CROSS_LEVEL:
-                raise ConfigError(f"n_range level {max(self.n_range)} exceeds the cross level"
+        for name, tags in (("n_range", RATE_TAGS + ("T5-family",)), ("l_range", ("lemmaA",))):
+            levels = getattr(self, name) if self.theorem_tag in tags else (0,)
+            if not levels:
+                raise ConfigError(f"{name} must name at least one level, got ()")
+            if max(levels) > MAX_CROSS_LEVEL:
+                raise ConfigError(f"{name} level {max(levels)} exceeds the cross level"
                                   f" cap blocks.MAX_CROSS_LEVEL = {MAX_CROSS_LEVEL}")
         try:
             params = SmoothParams(self.r)

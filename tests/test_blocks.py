@@ -2,16 +2,15 @@ import hashlib
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepcross.blocks import (GAMMA_MODES, TAIL_MAX_SHELL, TAIL_REL_TOL, BlockIndexSet,
-                              SmoothParams, TailTruncationError, _tail_remainder_bound,
-                              block_anchor, block_indices, block_ranges, compositions,
-                              cross_level, even_shell, hyperbolic_cross, weighted_tail_sums,
-                              write_blocks)
+from stepcross.blocks import (GAMMA_MODES, BlockIndexSet, SmoothParams, block_anchor,
+                              block_indices, block_ranges, compositions, cross_level, even_shell,
+                              hyperbolic_cross, weighted_tail_sums, write_blocks)
 from stepcross.poly import TrigPoly, project_cross
 
 
@@ -77,22 +76,31 @@ def outside_cross(s, gamma, tails, n):
     return False
 
 
-def scalar_tail_sums(alpha, params, ls, mode):
-    """Oracle: the tail sums block by block and boundary by boundary, with the
-    stopping rule of ``weighted_tail_sums``; returns the values only."""
-    gamma_star = params.gamma if mode == "gamma-on-gamma" else params.gamma_prime
-    tails = least_tails(gamma_star)
-    d = params.d
-    values = [0.0] * len(ls)
-    for m in itertools.count(d):
-        for comp in composition_tuples(m, d):
-            w = 2.0 ** (-alpha * dot(comp, params.gamma))
-            for i, l in enumerate(ls):
-                if outside_cross(comp, gamma_star, tails, l):
-                    values[i] += w
-        bound = _tail_remainder_bound(m, d, alpha)
-        if min(values) > 0.0 and bound < TAIL_REL_TOL * min(values):
-            return values
+def exact_tail_sums(alpha, params, ls, mode):
+    """Oracle: the tail sums at 40 digits, as the sum of prod_j
+    1 / (2**(alpha gamma_j) - 1) over all blocks minus the sum over the
+    blocks of ``hyperbolic_cross``, each weight from the exact (s, gamma)."""
+    gamma_mode = "gamma" if mode == "gamma-on-gamma" else "gamma-prime"
+    with mpmath.workdps(40):
+        a, g = mpmath.mpf(alpha), [mpmath.mpf(x) for x in params.gamma]
+        total = mpmath.fprod(1 / (2 ** (a * x) - 1) for x in g)
+        weights = {}
+        out = []
+        for l in ls:
+            cross = hyperbolic_cross(l, params, gamma_mode)
+            for s in set(cross.blocks) - weights.keys():
+                weights[s] = 2 ** (-a * mpmath.fsum(sj * x for sj, x in zip(s, g)))
+            out.append(total - mpmath.fsum(weights[s] for s in cross))
+        return out
+
+
+def assert_exact(alpha, params, ls, mode):
+    """Each value of ``weighted_tail_sums`` lies within the docstring's
+    (9 d + 1) 2**-53 of the 40-digit oracle, relatively."""
+    got = weighted_tail_sums(alpha, params, ls, mode)
+    bound = (9 * params.d + 1) * 2.0**-53
+    for l, (value, _), want in zip(ls, got, exact_tail_sums(alpha, params, ls, mode)):
+        assert abs(mpmath.mpf(value) - want) <= bound * want, (l, value, want)
 
 
 class TestSmoothParams:
@@ -372,7 +380,7 @@ class TestBlockAnchor:
             block_anchor(s)
 
 
-CRITERION_08_DIGEST = "f661ecfbc93ba56834f8e2b47d55230ea0800def7788cee31d4ad63684398d77"
+CRITERION_08_DIGEST = "891c9552ff3fe8884e5840ce5e439d2375f56ca0f663511f0e4c732824a685bc"
 
 
 class TestWeightedTailSum:
@@ -420,7 +428,10 @@ class TestWeightedTailSum:
     @pytest.mark.parametrize("alpha,ls,named", [
         (math.nan, [10], "alpha=nan"), (math.inf, [10], "alpha=inf"), (-1.0, [10], "alpha=-1"),
         (1.0, [], "ls"), (1.0, [10, 0], "ls"), (1.0, [-2], "ls"), (1.0, [math.nan], "nan"),
-        (1.0, [5, math.inf], "inf")])
+        (1.0, [5, math.inf], "inf"), (1.0, [700], "n=700.0 exceeds cap 40"),
+        (1.0, [10, 40.5], "n=40.5 exceeds cap 40"),
+        # 2**(-alpha*l) leaves the normal floats where alpha * l > 1022
+        (30.0, [30, 35], r"alpha=30.0, l=35.0: 2\*\*\(-alpha\*l\) is not normal")])
     def test_rejects_before_any_shell(self, monkeypatch, alpha, ls, named):
         def no_shell(*args):
             raise AssertionError("a shell was enumerated")
@@ -429,8 +440,7 @@ class TestWeightedTailSum:
         with pytest.raises(ValueError, match=named):
             weighted_tail_sums(alpha, SmoothParams((1.0, 1.0, 1.0)), ls)
 
-    # fixed draws, since random ones moved the run time more than tenfold;
-    # d = 3 at alpha = 0.6 with three boundaries at 12 is the costliest corner
+    # fixed draws, since random ones moved the run time more than tenfold
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(r=st.lists(st.sampled_from((0.7, 1.0, 1.3, 1.7, 2.2, 3.1)), min_size=1,
                       max_size=3).map(sorted),
@@ -439,10 +449,17 @@ class TestWeightedTailSum:
            mode=st.sampled_from(("gamma-on-gamma", "gamma-prime-on-gamma")))
     @example(r=[1.5, 2.0, 4.0], alpha=1.0, ls=[7], mode="gamma-prime-on-gamma")
     @example(r=[0.7, 1.0, 1.3], alpha=0.6, ls=[12, 12, 12], mode="gamma-prime-on-gamma")
-    def test_equals_the_scalar_loop(self, r, alpha, ls, mode):
-        params = SmoothParams(r)
-        got = [v for v, _ in weighted_tail_sums(alpha, params, ls, mode)]
-        assert got == scalar_tail_sums(alpha, params, [float(l) for l in ls], mode)
+    def test_equals_the_exact_sum(self, r, alpha, ls, mode):
+        assert_exact(alpha, SmoothParams(r), ls, mode)
+
+    # from alphas that no shell walk could certify to ones where the tail is
+    # so small a part of the total that total minus inside loses digits in
+    # floats (the oracle's 40 digits absorb that)
+    @pytest.mark.parametrize("alpha", [0.002, 0.01, 0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("mode", ["gamma-on-gamma", "gamma-prime-on-gamma"])
+    @pytest.mark.parametrize("r", [(1.0, 1.5), (1.0, 1.0, 2.0)])
+    def test_equals_the_exact_sum_at_every_alpha(self, r, mode, alpha):
+        assert_exact(alpha, SmoothParams(r), (1, 3.5, 10, 15, 20), mode)
 
     # every block lies in exactly one of the level-l cross and the tail at l:
     # the cross's weights plus the tail at l add up to the tail at 1/2, which
@@ -462,8 +479,7 @@ class TestWeightedTailSum:
             assert inside + tail == pytest.approx(total, rel=1e-12, abs=0), f"l={l}"
 
     def test_criterion_08_cases_bit_for_bit(self):
-        # float.hex of every value and ratio of the twelve criterion-08 sums,
-        # as the block-by-block loop computed them
+        # float.hex of every value and ratio of the twelve criterion-08 sums
         cases = [("gamma-on-gamma", SmoothParams((1.0, 1.0))),
                  ("gamma-on-gamma", SmoothParams((1.0, 1.0, 1.0))),
                  ("gamma-prime-on-gamma", SmoothParams((1.0, 4.0), gamma_prime=(1.0, 2.0))),
@@ -473,24 +489,18 @@ class TestWeightedTailSum:
                 for v, r in weighted_tail_sums(alpha, params, range(10, 21), mode)]
         assert hashlib.sha256(repr(bits).encode()).hexdigest() == CRITERION_08_DIGEST
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_uncertifiable_sum_rejected_before_any_shell(self, monkeypatch, d):
-        # at alpha = 1e-3 the remainder bound is infinite at the last shell,
-        # hence at every shell, so no shell can certify the sum
-        def no_shell(*args):
-            raise AssertionError("a shell was enumerated")
+    # a shell walk could not certify these: at 1e-3 its remainder bound was
+    # infinite at every shell up to 600, at 3e-3 (d = 2) too large at the last
+    @pytest.mark.parametrize(("alpha", "d"), [(1e-3, 2), (1e-3, 3), (3e-3, 2)])
+    def test_small_alpha_is_exact(self, alpha, d):
+        assert_exact(alpha, SmoothParams((1.0,) * d), [10], "gamma-on-gamma")
 
-        monkeypatch.setattr("stepcross.blocks.compositions", no_shell)
-        with pytest.raises(ValueError, match=f"alpha=0.001, d={d} .* TAIL_MAX_SHELL=600"):
-            weighted_tail_sums(1e-3, SmoothParams((1.0,) * d), [10])
-
-    def test_truncation_budget_error_carries_partial(self):
-        # at alpha = 3e-3, d = 2 the remainder bound at the last shell is
-        # finite (about 4.1e5) but far above the sum, so the walk runs out
-        assert 0 < _tail_remainder_bound(TAIL_MAX_SHELL, 2, 3e-3) < math.inf
-        with pytest.raises(TailTruncationError) as err:
-            weighted_tail_sums(3e-3, SmoothParams((1.0, 1.0)), [10])
-        assert err.value.partial > 0
+    # the G_j overflow at alpha = 1e-300, d = 3 (each about 1.4e300), and at
+    # r = (1, 200), alpha = 10 the sum, all of it outside the cross, is 2**-2010
+    @pytest.mark.parametrize(("alpha", "r"), [(1e-300, (1.0, 1.0, 1.0)), (10.0, (1.0, 200.0))])
+    def test_sum_outside_the_normal_floats_named(self, alpha, r):
+        with pytest.raises(ValueError, match=f"alpha={alpha}, l=10.0 is not a normal float"):
+            weighted_tail_sums(alpha, SmoothParams(r), [10])
 
 
 def test_block_serialization_roundtrip(tmp_path):

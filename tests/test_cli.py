@@ -531,7 +531,8 @@ def test_cross_bad_r_exits_one(capsys):
     (["lemma-a", "--alpha", "nan", "--r", "1,1,1"], "alpha=nan"),
     (["lemma-a", "--alpha", "1", "--r", "1,1", "--l-min", "10", "--l-max", "5"], "nonempty"),
     (["lemma-a", "--alpha", "1", "--r", "1,1", "--l-min", "0", "--l-max", "3"], "positive"),
-], ids=["r-nan", "r-inf", "n-nan", "alpha-nan", "l-range-empty", "l-zero"])
+    (["lemma-a", "--alpha", "1", "--r", "1,1,1", "--l-max", "41"], "n=41.0 exceeds cap 40"),
+], ids=["r-nan", "r-inf", "n-nan", "alpha-nan", "l-range-empty", "l-zero", "l-above-cap"])
 def test_invalid_block_numbers_exit_one_at_once(capsys, argv, named):
     start = time.perf_counter()
     assert main(argv) == 1

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from stepcross import experiments, kernels
+from stepcross import experiments, kernels, norms
+from stepcross.approx import projector_norm_probe
+from stepcross.blocks import SmoothParams
 from stepcross.experiments import (ConfigError, ExperimentConfig, csv_body,
                                    run_experiment)
 from stepcross.extremal import shifted_rect_sample
@@ -58,12 +60,14 @@ class TestConfigValidation:
             t1_config(tmp_path, r=(0.2, 0.2))
 
     @pytest.mark.parametrize(("tag", "n_range"), [("T1", (5, 41)), ("T2", (5, 41)),
-                                                  ("T5-family", (6, 42))])
+                                                  ("T5-family", (6, 42)), ("lemmaA", (10, 41))])
     def test_level_above_cross_cap_named(self, tmp_path, tag, n_range):
         pq = dict(p=2.0, q=4.0) if tag == "T1" else dict(p=2.5, q=2.5)
-        with pytest.raises(ConfigError, match="MAX_CROSS_LEVEL = 40"):
-            ExperimentConfig(theorem_tag=tag, d=2, r=(1.0, 1.0), n_range=n_range,
-                             output_path=str(tmp_path), **pq)
+        field = "l_range" if tag == "lemmaA" else "n_range"  # lemmaA's range is of boundaries
+        named = f"{field} level {n_range[-1]} .*MAX_CROSS_LEVEL = 40"
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(theorem_tag=tag, d=2, r=(1.0, 1.0), output_path=str(tmp_path),
+                             **{field: n_range}, **pq)
 
     def test_t5_needs_even_levels(self, tmp_path):
         with pytest.raises(ConfigError, match="even"):
@@ -271,7 +275,7 @@ GOLDEN = {
         "5b12be8bdcce5b4ac1fb1d7a21181cb62689f7148afb7a6bbc2ed404d0929d4a"),
     "lemmaA": (dict(theorem_tag="lemmaA", d=2, r=(1.0, 2.0), alpha=1.0,
                     l_range=(8, 12)),
-        "3ef0ae09bc267e208515e0f7afef2a61d61030d55040fdb13e7897844aba53c4"),
+        "fffa691d569be7eea19b8f580543f13a8fab67652ca6fae1e904771cf0473912"),
     "entropy44": (dict(theorem_tag="entropy44", samples=10, rng_seed=3),
         "a5511e9ab5c4e1cf3820c075c18349ae2ae2707ea28b836d37dc5915f32cd91e"),
     "T1-d1": (dict(theorem_tag="T1", d=1, p=2.0, q=4.0, theta=math.inf, r=(1.5,),
@@ -292,3 +296,34 @@ def test_csv_body_golden_digest(tmp_path, name):
     kw, digest = GOLDEN[name]
     out = run_experiment(ExperimentConfig(output_path=str(tmp_path), **kw))
     assert hashlib.sha256(csv_body(out["csv"]).encode()).hexdigest() == digest
+
+
+# Every grid reduction of each experiment output and of the projector probe,
+# as (run, p, "checked" when its p self-checks, else "unchecked").  A grid
+# value is an estimate, so a change that adds a row here adds an estimate to
+# an output, and one that removes a row certifies one.
+GRID_USE = {
+    ("T5-family", math.inf, "unchecked"),  # smooth-block sups and factor scales
+    ("T5-family", 1.0, "checked"),  # the constant member's B_{1,1} norm
+    ("T3-q1", 1.0, "checked"),  # the member's L_1 error (at d >= 2 it fails)
+}
+
+
+def test_grid_use_table(tmp_path, monkeypatch):
+    runs = {name: kw for name, (kw, _) in GOLDEN.items()}
+    runs["T3-q1"] = dict(theorem_tag="T3", d=1, p=1.0, q=1.0, theta=2.0, r=(1.0,),
+                         n_range=(5, 8))
+    grids, refined = set(), set()
+    grid_stats, refine = norms._grid_stats, norms._refine
+    # the spies file each grid under ``run``, the name of the run in progress
+    monkeypatch.setattr(norms, "_grid_stats",
+                        lambda fs, p, *a: grids.add((run, p)) or grid_stats(fs, p, *a))
+    monkeypatch.setattr(norms, "_refine",
+                        lambda f, p, *a: refined.add((run, p)) or refine(f, p, *a))
+    for run, kw in runs.items():
+        run_experiment(ExperimentConfig(output_path=str(tmp_path / run), **kw))
+    run = "probe"
+    for q in (1.5, 2.0, 3.0):
+        projector_norm_probe(5, SmoothParams((1.0, 1.0)), q, 8, rng_seed=1)
+    assert {(run, p, "checked" if (run, p) in refined else "unchecked")
+            for run, p in grids} == GRID_USE

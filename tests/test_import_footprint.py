@@ -1,8 +1,9 @@
 """The rate sweeps' profile path loads no module beyond numpy's core.
 
 Importing ``numpy.polynomial`` alone costs a few milliseconds and scipy far
-more, which a fresh process pays on every run.  The check runs in a
-subprocess so that modules other tests loaded do not count.
+more, which a fresh process pays on every run.  mpmath, which the tests use
+for reference values, is no dependency of the package either.  The check
+runs in a subprocess so that modules other tests loaded do not count.
 """
 
 import os
@@ -17,7 +18,7 @@ import stepcross
 from stepcross.rates import block_profile
 block_profile(2.5, 9)
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
+             if m.split(".")[0] in ("scipy", "mpmath") or m.startswith("numpy.polynomial")))
 """
 
 
