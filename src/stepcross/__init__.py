@@ -8,8 +8,8 @@ scale.
 
 __version__ = "0.1.0"
 
-from .blocks import (BlockIndexSet, SmoothParams, block_anchor, block_indices,
-                     even_shell, hyperbolic_cross, weighted_tail_sums)
+from .blocks import (SmoothParams, block_anchor, block_indices, even_shell,
+                     hyperbolic_cross, weighted_tail_sums)
 from .poly import (GridSpec, TrigPoly, blocks_of, eval_grid, project_cross,
                    read_jsonl, write_jsonl)
 from .kernels import (block_filter_coeff, smooth_aggregate, smooth_block,

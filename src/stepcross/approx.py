@@ -5,8 +5,9 @@ block-sum norm, so only q in {1, inf} tries the smooth aggregate.  The
 aggregate of the level-n shell member is empty (each of its smooth-block
 indices has (s, gamma') >= n - (gamma', 1)), so there both errors agree.
 
-Both errors take the cross as ``hyperbolic_cross`` builds it; a rate sweep's
-cardinality column reads the key of ``cross_level`` and builds no cross.  The
+Both errors take the cross by its level, mode and smoothness, and keep a
+term when the key of ``cross_level`` puts its block inside, as a rate
+sweep's cardinality column counts blocks; no cross is built.  The
 class-level suprema are never optimized over; the extremal families stand in
 for them, matching how the lower bounds are actually realized.
 """
@@ -18,11 +19,11 @@ import math
 
 import numpy as np
 
-from .blocks import (BlockIndexSet, SmoothParams, check_cross_level, compositions, cross_level,
+from .blocks import (SmoothParams, check_cross_level, compositions, cross_level,
                      mean_zero_block_indices)
 from .kernels import smooth_aggregate
 from .norms import bq1_norm, even_norms, lp_bounds
-from .poly import GridSpec, TrigPoly, is_int, project_cross
+from .poly import TrigPoly, is_int, project_cross
 from .sparse import run_sums, sort_runs
 
 
@@ -30,31 +31,26 @@ def default_form(q: float) -> str:
     return "sharp" if 1 < q < math.inf else "smooth"
 
 
-def fourier_sum_error(f: TrigPoly, cross: BlockIndexSet, q: float,
-                      grid: GridSpec = GridSpec()) -> float:
-    """Block-sum norm of f minus its Fourier sum over ``cross``."""
-    return bq1_norm(f - project_cross(f, cross), q, default_form(q), grid)
+def fourier_sum_error(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
+                      q: float) -> float:
+    """Block-sum norm of f minus its Fourier sum over the level-n cross."""
+    return bq1_norm(f - project_cross(f, n, params, gamma_mode), q, default_form(q))
 
 
-def best_approx_upper(f: TrigPoly, cross: BlockIndexSet, params: SmoothParams, q: float,
-                      grid: GridSpec = GridSpec()) -> float:
-    """Upper bound for the best approximation of f from a level-n cross.
+def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: str,
+                      q: float) -> float:
+    """Upper bound for the best approximation of f from the level-n cross.
 
     For 1 < q < inf it is the Fourier-sum error.  For q in {1, inf} it is
     the minimum of that and the error of the smooth-block aggregate, whose
     spectrum lies inside the gamma'-cross at level n; the aggregate is
     admissible only for the gamma-prime mode, or when gamma' = gamma
-    (nu = d).  ``cross`` must come with its level, as ``hyperbolic_cross``
-    builds it, and have dimension ``params.d``.
+    (nu = d).
     """
-    if cross.n is None:
-        raise ValueError("approximation bound needs a cross with a level (cross.n is None)")
-    if cross.d != params.d:
-        raise ValueError(f"cross dimension {cross.d} differs from params.d = {params.d}")
-    err = fourier_sum_error(f, cross, q, grid)
-    if 1 < q < math.inf or (cross.gamma_mode != "gamma-prime" and params.nu != params.d):
+    err = fourier_sum_error(f, n, params, gamma_mode, q)
+    if 1 < q < math.inf or (gamma_mode != "gamma-prime" and params.nu != params.d):
         return err
-    return min(err, bq1_norm(f - smooth_aggregate(f, cross.n, params), q, "smooth", grid))
+    return min(err, bq1_norm(f - smooth_aggregate(f, n, params), q, "smooth"))
 
 
 @functools.lru_cache(maxsize=64, typed=True)

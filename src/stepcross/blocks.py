@@ -16,9 +16,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from .sparse import sort_runs
 
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
 
@@ -121,11 +123,7 @@ def mean_zero_block_indices(K: np.ndarray) -> np.ndarray:
 def group_by_block(S: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """The distinct rows of the block-index matrix ``S`` in lexicographic
     order, each with the increasing positions at which it occurs."""
-    if not len(S):
-        return []
-    order = np.lexsort(S.T[::-1])  # stable, so positions stay increasing
-    S = S[order]
-    starts = np.concatenate(([True], (S[1:] != S[:-1]).any(axis=1))).nonzero()[0]
+    order, S, starts = sort_runs(S)  # stable, so positions stay increasing
     bounds = starts.tolist() + [len(S)]
     return [(tuple(s), order[a:b]) for s, a, b in zip(S[starts].tolist(), bounds, bounds[1:])]
 
@@ -156,31 +154,6 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=0, append=total)
 
 
-@dataclass(frozen=True)
-class BlockIndexSet:
-    """A finite set of block indices plus bookkeeping about its frequency set."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    d: int
-    n: float | None = None
-    gamma_mode: str | None = None
-
-    def __post_init__(self):
-        seen = set(self.blocks)
-        if len(seen) != len(self.blocks):
-            raise ValueError("duplicate blocks")
-        object.__setattr__(self, "_lookup", seen)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.blocks)
-
-    def __contains__(self, s) -> bool:
-        return tuple(s) in self._lookup
-
-
 def cross_level(S: np.ndarray, gamma: Sequence[float]) -> np.ndarray:
     """The cross rule's key of each row s of the block array ``S``: the max
     over j of the running sum s_1 g_1 + ... + s_j g_j, added left to right,
@@ -209,13 +182,13 @@ def check_cross_level(n: float) -> None:
         raise ValueError(f"cross level n={n} exceeds cap {MAX_CROSS_LEVEL}")
 
 
-def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> BlockIndexSet:
+def hyperbolic_cross(n: float, params: SmoothParams, gamma_mode: str = "gamma") -> np.ndarray:
     """Step hyperbolic cross: the blocks s with (s, gamma*) < n by the key of
-    ``cross_level``, in lexicographic order; an empty set when none qualifies."""
+    ``cross_level``, as the rows of an int64 array in lexicographic order;
+    no rows when none qualifies."""
     check_cross_level(n)
     S, key = cross_candidates(n, params.d, params.gamma_for(gamma_mode))
-    return BlockIndexSet(tuple(map(tuple, S[key < n].tolist())), params.d, n=float(n),
-                         gamma_mode=gamma_mode)
+    return S[key < n]
 
 
 def even_shell(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -309,7 +282,7 @@ def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
     return out
 
 
-def write_blocks(path, blockset: BlockIndexSet | Iterable[Sequence[int]]) -> None:
+def write_blocks(path, blockset: Iterable[Sequence[int]]) -> None:
     """One block per line, components space separated, lexicographic order."""
     blocks = sorted(tuple(int(x) for x in s) for s in blockset)
     with open(path, "w") as fh:

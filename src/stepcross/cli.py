@@ -96,8 +96,7 @@ def cmd_poly(args) -> int:
     if args.n is None:
         raise ValueError("poly project needs the cross level --n")
     params = SmoothParams(_parse_rvec(args.r))
-    cross = hyperbolic_cross(args.n, params, args.gamma_mode)
-    g = project_cross(f, cross)
+    g = project_cross(f, args.n, params, args.gamma_mode)
     write_jsonl(args.out or "projected.jsonl", g)
     print(args.out or "projected.jsonl")
     return 0
@@ -215,7 +214,7 @@ def cmd_cross(args) -> int:
         write_blocks(args.out, cross)
         print(args.out)
     else:
-        for s in cross:
+        for s in cross.tolist():
             print(" ".join(str(x) for x in s))
     return 0
 

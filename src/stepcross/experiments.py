@@ -107,6 +107,12 @@ class ExperimentConfig:
                     f"(p, q) = ({self.p}, {self.q}) does not match regime {self.theorem_tag}")
             if self.n_range[-1] < self.n_range[0]:
                 raise ConfigError(f"n_range must not end below its first level, got {self.n_range}")
+        if self.theorem_tag == "lemmaA":
+            if not 1 <= self.l_range[0] <= self.l_range[-1]:
+                raise ConfigError(f"l_range must start at a boundary >= 1 and not end below it,"
+                                  f" got {self.l_range}")
+            if not 0 < self.alpha < math.inf:
+                raise ConfigError(f"alpha must be finite and positive, got alpha={self.alpha}")
         if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
             raise ConfigError("T5-family needs even shell levels")
 

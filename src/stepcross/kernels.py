@@ -51,11 +51,9 @@ def _vdp(l, a):
     return np.where(a <= l, 1.0, np.where(a < 2 * l, 1.0 - (a - l) / l, 0.0))
 
 
-def block_filter_coeff(s, k, convention: str = "partition-exact"):
+def block_filter_coeff(s, k):
     """Per-coordinate multiplier of the block-s filter at frequency k; ``s``
     and ``k`` may be integer arrays (broadcast together)."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     a = np.asarray(s)
     if a.dtype.kind not in "iu":
         raise ValueError(f"block index components must be integers, got s={s!r}")

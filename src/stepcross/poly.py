@@ -34,8 +34,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import (BlockIndexSet, block_indices, group_by_block, int_tuple, is_int,
-                     mean_zero_block_indices)
+from .blocks import (SmoothParams, block_indices, check_cross_level, cross_level, group_by_block,
+                     int_tuple, is_int, mean_zero_block_indices)
 from .sparse import cauchy_product, sorted_sums
 
 DROP_TOL = 1e-30
@@ -450,15 +450,17 @@ def blocks_of(f: TrigPoly) -> dict[tuple[int, ...], TrigPoly]:
     return {s: f.take(rows) for s, rows in group_by_block(mean_zero_block_indices(f.K))}
 
 
-def project_cross(f: TrigPoly, cross: BlockIndexSet) -> TrigPoly:
-    """Fourier sum over the cross: keep coefficients whose block lies in it."""
-    if f.d != cross.d:
+def project_cross(f: TrigPoly, n: float, params: SmoothParams,
+                  gamma_mode: str = "gamma") -> TrigPoly:
+    """Fourier sum over the level-n cross ``hyperbolic_cross(n, params,
+    gamma_mode)``: keep the terms whose block has every component >= 1 and
+    a ``cross_level`` key below n."""
+    check_cross_level(n)
+    gamma = params.gamma_for(gamma_mode)
+    if f.d != params.d:
         raise ValueError("dimension mismatch")
-    keep = np.zeros(f.nnz, dtype=bool)
-    # a block index with a zero component (a frequency in no block) is in no cross
-    for s, rows in group_by_block(block_indices(f.K)):
-        keep[rows] = s in cross
-    return f.take(keep)
+    S = block_indices(f.K)  # 0 in a zero component, which lies in no block
+    return f.take(S.all(axis=1) & (cross_level(S, gamma) < n))
 
 
 def write_jsonl(path, f: TrigPoly) -> None:

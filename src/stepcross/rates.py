@@ -12,8 +12,9 @@ any other q integrates |D_s|**q by Gauss-Legendre panels between the
 explicit zeros of D_s (``dirichlet_lq_mean``), so a sweep evaluates no grid.
 For q = 1 (smooth blocks, which do not factor) the member is built,
 projected and measured; that polynomial path is the tests' oracle for the
-profile path.  The cardinality column counts each cross from the key of
-``cross_level``, so only q = 1 builds a cross.
+profile path.  The cardinality column counts each cross, and the q = 1
+path keeps the member's terms, by the key of ``cross_level``, so no sweep
+builds a cross.
 
 Jointly estimating (a, b) from desk-scale n is ill conditioned because
 log2(n) drifts slowly, so the acceptance protocol pins a at its predicted
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import best_approx_upper
-from .blocks import MAX_CROSS_LEVEL, SmoothParams, compositions, cross_level, hyperbolic_cross
+from .blocks import SmoothParams, check_cross_level, compositions, cross_candidates
 from .extremal import shell_extremal, shell_scale
 from .poly import check_exponent, is_int
 
@@ -200,18 +201,20 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
     Each level records the error of ``best_approx_upper`` on
     ``shell_extremal`` (whose smooth aggregate is empty) and the level-n
     cross's frequency count, the sum of 2**(s,1) over the blocks whose
-    ``cross_level`` key is below n, with one key per block and sweep.  A
-    level that is not an integer, or lies below d or above
-    ``MAX_CROSS_LEVEL``, fails up front.
+    ``cross_level`` key is below n, with one key per block and sweep
+    (``cross_candidates``).  No level builds a cross.  A level that is not
+    an integer, or lies below d or above ``MAX_CROSS_LEVEL``, fails up
+    front.
 
-    For q > 1 neither a polynomial nor a cross is built.  Every block of the
-    level-n cross has (s,1) < n, so none of the shell (s,1) = n lies in it,
-    and the error is ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the
-    member's scale, times the sum over the shell blocks, in lexicographic
-    order, of prod_j ``block_profile(q, s_j)``.  It agrees with the
+    For q > 1 no polynomial is built.  Every block of the level-n cross has
+    (s,1) < n, so none of the shell (s,1) = n lies in it, and the error is
+    ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's scale, times
+    the sum over the shell blocks, in lexicographic order, of prod_j
+    ``block_profile(q, s_j)``.  It agrees with the
     polynomial path to rounding for q in {2, 4, inf}, and otherwise to that
     path's self-checked quadrature, off by up to 3.3e-7 on the 1-D block D_s
-    at q = 2.5.  For q = 1 each level builds the member and the cross.
+    at q = 2.5.  For q = 1 each level builds the member, and
+    ``best_approx_upper`` keeps its terms by the same key.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
     d = params.d
@@ -220,11 +223,10 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
             raise ValueError(f"cross levels must be integers, got n={n!r}")
     if min(n_range, default=d) < d:
         raise ValueError(f"need n >= d for a nonempty shell, got n={min(n_range)}, d={d}")
-    if max(n_range, default=d) > MAX_CROSS_LEVEL:
-        raise ValueError(f"cross level n={max(n_range)} exceeds cap {MAX_CROSS_LEVEL}")
-    # every block of a level-n cross has (s,1) < n <= max(n_range)
-    S = compositions(max(n_range, default=d), d + 1)[:, :d]
-    key, count = cross_level(S, params.gamma_for(gamma_mode)), 2 ** S.sum(axis=1)
+    top = max(n_range, default=d)
+    check_cross_level(top)
+    S, key = cross_candidates(top, d, params.gamma_for(gamma_mode))
+    count = 2 ** S.sum(axis=1)
     profile: dict[int, float] = {}
     rows = []
     for n in n_range:
@@ -236,7 +238,7 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
             err = shell_scale(n, d, params.r1 + 1.0 - 1.0 / p, theta) * total
         else:
             member = shell_extremal(n, d, params.r1, p, theta)
-            err = best_approx_upper(member, hyperbolic_cross(n, params, gamma_mode), params, q)
+            err = best_approx_upper(member, n, params, gamma_mode, q)
         rows.append(SweepRow(n=n, cardinality=int(count[key < n].sum()), error=err))
     return rows
 

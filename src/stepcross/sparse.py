@@ -36,12 +36,10 @@ def sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the given order, of the coefficients C of its copies."""
     if len(K) < 2:
         return K, C
-    order = np.lexsort(K.T[::-1])  # stable: copies keep their order
-    K, C = K[order], C[order]
-    new = np.logical_or.reduce(K[1:] != K[:-1], axis=1)
-    if np.count_nonzero(new) == len(new):
+    order, K, starts = sort_runs(K)  # stable: copies keep their order
+    C = C[order]
+    if len(starts) == len(K):
         return K, C
-    starts = np.flatnonzero(np.concatenate(([True], new)))
     runs = np.diff(starts, append=len(K))
     total = C[starts]
     with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite

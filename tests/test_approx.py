@@ -6,7 +6,7 @@ import pytest
 from stepcross import approx, norms, sparse
 from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
                               random_mixed_poly)
-from stepcross.blocks import BlockIndexSet, SmoothParams, compositions, hyperbolic_cross
+from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
 from stepcross.extremal import shell_extremal
 from stepcross.norms import bq1_norm, lp_bounds, lp_norm
 from stepcross.poly import TrigPoly, blocks_of, project_cross
@@ -16,7 +16,7 @@ class TestFourierSumError:
     def test_zero_inside_cross(self):
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0, (2, -1): 3.0})
-        assert fourier_sum_error(f, hyperbolic_cross(5, params, "gamma"), 2.0) == 0.0
+        assert fourier_sum_error(f, 5, params, "gamma", 2.0) == 0.0
 
     def test_single_coefficient_projection_oracle(self):
         # membership oracle: exp(i 2^m x) sits in block m+1, which the
@@ -26,68 +26,70 @@ class TestFourierSumError:
             f = TrigPoly.exponential((2**m,))
             for n in range(2, m + 4):
                 want = 0.0 if m + 1 < n else 1.0
-                got = fourier_sum_error(f, hyperbolic_cross(n, params, "gamma"), 2.0)
+                got = fourier_sum_error(f, n, params, "gamma", 2.0)
                 assert got == pytest.approx(want, abs=1e-13)
 
     def test_extremal_error_is_full_norm(self):
         params = SmoothParams((1.5, 1.5))
         g = shell_extremal(6, 2, 1.5, 2.0, 2.0)
-        err = fourier_sum_error(g, hyperbolic_cross(6, params, "gamma"), 4.0)
+        err = fourier_sum_error(g, 6, params, "gamma", 4.0)
         assert err == pytest.approx(bq1_norm(g, 4.0, "sharp"), rel=1e-12)
 
     def test_idempotence(self):
-        cross = hyperbolic_cross(5, SmoothParams((1.0, 1.0)), "gamma")
+        cross = (5, SmoothParams((1.0, 1.0)), "gamma")
         rng = np.random.default_rng(0)
         for _ in range(10):
             f = random_mixed_poly(rng, 2, max_shell=7)
-            assert fourier_sum_error(project_cross(f, cross), cross, 2.0) == 0.0
+            assert fourier_sum_error(project_cross(f, *cross), *cross, 2.0) == 0.0
 
     def test_triangle_inequality(self):
-        cross = hyperbolic_cross(5, SmoothParams((1.0, 1.0)), "gamma")
+        cross = (5, SmoothParams((1.0, 1.0)), "gamma")
         rng = np.random.default_rng(1)
         for _ in range(15):
             f = random_mixed_poly(rng, 2, max_shell=7)
             g = random_mixed_poly(rng, 2, max_shell=7)
-            lhs = fourier_sum_error(f + g, cross, 2.0)
-            rhs = fourier_sum_error(f, cross, 2.0) + fourier_sum_error(g, cross, 2.0)
+            lhs = fourier_sum_error(f + g, *cross, 2.0)
+            rhs = fourier_sum_error(f, *cross, 2.0) + fourier_sum_error(g, *cross, 2.0)
             assert lhs <= rhs + 1e-9
 
     def test_hand_built_cross_drops_the_blocks_outside(self):
-        # a cross with no level: the error is the sum of f's sharp-block
-        # norms over the blocks it leaves out
-        cross = BlockIndexSet(((1, 1), (1, 3), (2, 2), (3, 1)), 2)
+        # the level-6 cross at r = (1, 2), s_1 + 2 s_2 < 6, listed by hand:
+        # the error is the sum of f's sharp-block norms over the blocks it
+        # leaves out
+        params = SmoothParams((1.0, 2.0))
+        cross = {(1, 1), (2, 1), (3, 1), (1, 2)}
+        assert set(map(tuple, hyperbolic_cross(6, params).tolist())) == cross
         rng = np.random.default_rng(6)
         for _ in range(5):
             f = random_mixed_poly(rng, 2, max_shell=6)
             want = sum(lp_norm(comp, 3.0) for s, comp in blocks_of(f).items()
                        if s not in cross)
-            assert fourier_sum_error(f, cross, 3.0) == pytest.approx(want, rel=1e-12)
+            assert want > 0
+            got = fourier_sum_error(f, 6, params, "gamma", 3.0)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestBestApproxUpper:
     def test_never_exceeds_fourier_sum_error(self):
         params = SmoothParams((1.0, 2.0))
-        cross = hyperbolic_cross(6, params, "gamma-prime")
         rng = np.random.default_rng(2)
         for _ in range(15):
             f = random_mixed_poly(rng, 2, max_shell=7)
-            e = fourier_sum_error(f, cross, 2.0)
-            u = best_approx_upper(f, cross, params, 2.0)
+            e = fourier_sum_error(f, 6, params, "gamma-prime", 2.0)
+            u = best_approx_upper(f, 6, params, "gamma-prime", 2.0)
             assert u <= e * (1 + 1e-12)
 
     def test_zero_inside_cross(self):
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0})
-        cross = hyperbolic_cross(5, params, "gamma-prime")
-        assert best_approx_upper(f, cross, params, 2.0) == 0.0
+        assert best_approx_upper(f, 5, params, "gamma-prime", 2.0) == 0.0
 
     def test_ratio_band_on_extremal_family(self):
         params = SmoothParams((1.5, 1.5))
         for n in (5, 7):
             g = shell_extremal(n, 2, 1.5, 2.0, 2.0)
-            cross = hyperbolic_cross(n, params, "gamma")
-            e = fourier_sum_error(g, cross, 4.0)
-            u = best_approx_upper(g, cross, params, 4.0)
+            e = fourier_sum_error(g, n, params, "gamma", 4.0)
+            u = best_approx_upper(g, n, params, "gamma", 4.0)
             assert 0.5 * e <= u <= e * (1 + 1e-12)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
@@ -100,46 +102,44 @@ class TestBestApproxUpper:
 
         monkeypatch.setattr(approx, "smooth_aggregate", no_aggregate)
         params = SmoothParams((1.0, 1.0))
-        cross = hyperbolic_cross(5, params, gamma_mode)
         f = random_mixed_poly(np.random.default_rng(4), 2, max_shell=7)
-        u = best_approx_upper(f, cross, params, q)
-        assert u == fourier_sum_error(f, cross, q) > 0
+        u = best_approx_upper(f, 5, params, gamma_mode, q)
+        assert u == fourier_sum_error(f, 5, params, gamma_mode, q) > 0
 
     def test_approx_result_consistency(self):
         # the bound and the Fourier-sum error of one polynomial agree
         params = SmoothParams((1.0, 1.0))
         f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
-        cross = hyperbolic_cross(4, params)
-        u = best_approx_upper(f, cross, params, 2.0)
-        assert u == fourier_sum_error(f, cross, 2.0) == pytest.approx(1.0, rel=1e-12)
+        u = best_approx_upper(f, 4, params, "gamma", 2.0)
+        want = pytest.approx(1.0, rel=1e-12)
+        assert u == fourier_sum_error(f, 4, params, "gamma", 2.0) == want
 
-    @pytest.mark.parametrize(("cross", "condition"), [
-        (BlockIndexSet(((1, 1),), 2), "n is None"),
-        (hyperbolic_cross(5, SmoothParams((1.0,))), "params.d"),
-    ], ids=["no-level", "wrong-dimension"])
-    def test_rejects_an_unusable_cross_before_any_norm(self, monkeypatch, cross, condition):
+    @pytest.mark.parametrize(("r", "n", "condition"), [
+        ((1.0,), 5, "dimension mismatch"),
+        ((1.0, 1.0), 41, "exceeds cap 40"),
+        ((1.0, 1.0), math.inf, "must be finite"),
+    ], ids=["wrong-dimension", "above-cap", "not-finite"])
+    def test_rejects_an_unusable_cross_before_any_norm(self, monkeypatch, r, n, condition):
         def no_norm(*args, **kwargs):
             raise AssertionError("a norm was computed")
 
         monkeypatch.setattr(approx, "bq1_norm", no_norm)
         f = TrigPoly(2, {(1, 1): 1.0, (16, 16): 1.0})
         with pytest.raises(ValueError, match=condition):
-            best_approx_upper(f, cross, SmoothParams((1.0, 1.0)), 2.0)
+            best_approx_upper(f, n, SmoothParams(r), "gamma", 2.0)
 
 
 class TestProjectorProbe:
     def test_single_block_inside_gives_one(self):
         params = SmoothParams((1.0, 1.0))
-        q = hyperbolic_cross(5, params)
         f = TrigPoly(2, {(1, 1): 1.0, (1, -1): 2.0})
-        kept = bq1_norm(project_cross(f, q), 2.0, "sharp")
+        kept = bq1_norm(project_cross(f, 5, params), 2.0, "sharp")
         assert kept / bq1_norm(f, 2.0, "sharp") == pytest.approx(1.0, rel=1e-14)
 
     def test_single_block_outside_gives_zero(self):
         params = SmoothParams((1.0, 1.0))
-        q = hyperbolic_cross(4, params)
         f = TrigPoly(2, {(16, 16): 1.0})
-        assert project_cross(f, q).is_zero()
+        assert project_cross(f, 4, params).is_zero()
 
     def test_probe_never_exceeds_one(self):
         params = SmoothParams((1.0, 1.0))
@@ -161,7 +161,7 @@ def reference_projector_norm_probe(n, params, q, samples, rng_seed=0):
     and ``lp_norm(comp * comp, 2)``, and take the sample's ratio before the
     next draw."""
     rng = np.random.default_rng(rng_seed)
-    cross = hyperbolic_cross(n, params)
+    cross = set(map(tuple, hyperbolic_cross(n, params).tolist()))
     worst = 0.0
     for _ in range(samples):
         f = random_mixed_poly(rng, params.d, max_shell=int(n) + 2)

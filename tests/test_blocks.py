@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepcross.blocks import (GAMMA_MODES, BlockIndexSet, SmoothParams, block_anchor,
+from stepcross.blocks import (GAMMA_MODES, SmoothParams, block_anchor,
                               block_indices, block_ranges, compositions, cross_level, even_shell,
                               hyperbolic_cross, weighted_tail_sums, write_blocks)
 from stepcross.poly import TrigPoly, project_cross
@@ -33,9 +33,14 @@ def dot(s, g):
     return acc
 
 
+def rows(S):
+    """The rows of the int64 array ``S`` as a tuple of int tuples."""
+    return tuple(map(tuple, S.tolist()))
+
+
 def freq_count(cross):
     """Oracle: the number of frequencies in the blocks of ``cross``."""
-    return sum(2 ** sum(s) for s in cross)
+    return sum(2 ** sum(s) for s in rows(cross))
 
 
 def least_tails(gamma):
@@ -88,9 +93,9 @@ def exact_tail_sums(alpha, params, ls, mode):
         out = []
         for l in ls:
             cross = hyperbolic_cross(l, params, gamma_mode)
-            for s in set(cross.blocks) - weights.keys():
+            for s in set(rows(cross)) - weights.keys():
                 weights[s] = 2 ** (-a * mpmath.fsum(sj * x for sj, x in zip(s, g)))
-            out.append(total - mpmath.fsum(weights[s] for s in cross))
+            out.append(total - mpmath.fsum(weights[s] for s in rows(cross)))
         return out
 
 
@@ -242,35 +247,35 @@ class TestDyadicBlocks:
 class TestHyperbolicCross:
     def test_d1_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0,)))
-        assert q.blocks == ((1,), (2,), (3,))
+        assert q.dtype == np.int64 and rows(q) == ((1,), (2,), (3,))
         assert freq_count(q) == 2 + 4 + 8
 
     def test_d2_isotropic_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0, 1.0)))
-        assert set(q.blocks) == {(1, 1), (1, 2), (2, 1)}
+        assert rows(q) == ((1, 1), (1, 2), (2, 1))  # lexicographic
         assert freq_count(q) == 20
 
     def test_d2_anisotropic_example(self):
         q = hyperbolic_cross(4, SmoothParams((1.0, 2.0)))
-        assert q.blocks == ((1, 1),)
+        assert rows(q) == ((1, 1),)
         assert freq_count(q) == 4
 
     def test_empty_cross_is_silent(self):
         q = hyperbolic_cross(1, SmoothParams((1.0, 1.0)))
-        assert len(q) == 0 and freq_count(q) == 0
+        assert q.shape == (0, 2) and freq_count(q) == 0
 
     def test_monotone_in_n(self):
         params = SmoothParams((1.0, 1.5))
         for n in range(2, 10):
-            small = set(hyperbolic_cross(n, params).blocks)
-            big = set(hyperbolic_cross(n + 1, params).blocks)
+            small = set(rows(hyperbolic_cross(n, params)))
+            big = set(rows(hyperbolic_cross(n + 1, params)))
             assert small <= big
 
     def test_gamma_modes(self):
         params = SmoothParams((1.0, 2.0))
         prime = hyperbolic_cross(4, params, "gamma-prime")
         gamma = hyperbolic_cross(4, params, "gamma")
-        assert set(gamma.blocks) <= set(prime.blocks)
+        assert set(rows(gamma)) <= set(rows(prime))
 
     def test_level_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -288,7 +293,7 @@ class TestHyperbolicCross:
         gp = params.gamma_prime
         assert dot((4, 1, 1), gp) < 7 and 4 + (gp[1] + gp[2]) == 7.0
         cross = hyperbolic_cross(7, params, "gamma-prime")
-        assert (4, 1, 1) not in cross and (3, 1, 1) in cross
+        assert (4, 1, 1) not in rows(cross) and (3, 1, 1) in rows(cross)
 
     @settings(max_examples=300, deadline=None)
     @given(r=st.lists(st.sampled_from((0.6, 1.0, 1.1, 1.3, 1.5, 1.7, 2.0, 2.2, 3.1, 4.0))
@@ -299,7 +304,7 @@ class TestHyperbolicCross:
     def test_matches_the_recursion(self, r, gamma_mode, n):
         params = SmoothParams(r)
         cross = hyperbolic_cross(n, params, gamma_mode)
-        assert cross.blocks == recursive_cross(n, params, gamma_mode)
+        assert rows(cross) == recursive_cross(n, params, gamma_mode)
 
     @settings(max_examples=100, deadline=None)
     @given(r=st.lists(st.sampled_from((0.6, 1.0, 1.3, 1.5, 2.0, 3.1, 4.0)) | st.floats(0.3, 4.0),
@@ -331,13 +336,8 @@ class TestHyperbolicCross:
 
     def test_contains_freq(self):
         # the cross holds a frequency iff the Fourier sum over it keeps it
-        q = hyperbolic_cross(4, SmoothParams((1.0, 1.0)))
         f = TrigPoly(2, {k: 1.0 for k in ((1, 1), (-3, 1), (8, 8), (0, 1))})
-        assert set(project_cross(f, q).coeffs) == {(1, 1), (-3, 1)}
-
-    def test_duplicate_blocks_rejected(self):
-        with pytest.raises(ValueError):
-            BlockIndexSet(((1, 1), (1, 1)), 2)
+        assert set(project_cross(f, 4, SmoothParams((1.0, 1.0))).coeffs) == {(1, 1), (-3, 1)}
 
 
 class TestEvenShell:
@@ -475,7 +475,7 @@ class TestWeightedTailSum:
         (total, _), *tails = weighted_tail_sums(alpha, params, [0.5, *ls], mode)
         for l, (tail, _) in zip(ls, tails):
             inside = sum(2.0 ** (-alpha * dot(s, params.gamma))
-                         for s in hyperbolic_cross(l, params, gamma_mode))
+                         for s in rows(hyperbolic_cross(l, params, gamma_mode)))
             assert inside + tail == pytest.approx(total, rel=1e-12, abs=0), f"l={l}"
 
     def test_criterion_08_cases_bit_for_bit(self):
@@ -508,6 +508,6 @@ def test_block_serialization_roundtrip(tmp_path):
     path = tmp_path / "blocks.txt"
     write_blocks(path, q)
     text = path.read_text().splitlines()
-    assert tuple(tuple(int(tok) for tok in line.split()) for line in text) == q.blocks
+    assert tuple(tuple(int(tok) for tok in line.split()) for line in text) == rows(q)
     assert text[0] == "1 1"
     assert all(len(line.split()) == 2 for line in text)

@@ -84,7 +84,12 @@ class TestConfigValidation:
         # a scalar where a list belongs, and a range of other than two entries
         ("T1", "n_range", 5), ("T1", "r", 1.0), ("lemmaA", "l_range", 10),
         ("T1", "n_range", [5, 20, 8]), ("T1", "n_range", [8]),
-        ("lemmaA", "l_range", [10, 12, 11])])
+        ("lemmaA", "l_range", [10, 12, 11]),
+        # a tail boundary below 1 or a range that ends below its start, and an
+        # alpha that is not finite and positive
+        ("lemmaA", "l_range", [0, 5]), ("lemmaA", "l_range", [-2, 5]),
+        ("lemmaA", "l_range", [12, 10]), ("lemmaA", "alpha", "nan"), ("lemmaA", "alpha", 0),
+        ("lemmaA", "alpha", -1.0), ("lemmaA", "alpha", "inf")])
     def test_empty_or_nonpositive_counts_named_at_load(self, tmp_path, tag, field, value):
         data = {"theorem_tag": tag, "r": [1.0, 1.0], field: value,
                 "output_path": str(tmp_path)}

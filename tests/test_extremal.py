@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.blocks import (SmoothParams, block_anchor, block_ranges, compositions, even_shell,
-                              hyperbolic_cross)
+from stepcross.blocks import SmoothParams, block_anchor, block_ranges, compositions, even_shell
 from stepcross.extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from stepcross.norms import besov_mixed_norm, bq1_norm, lp_norm
 from stepcross.poly import GridSpec, TrigPoly, eval_grid, project_cross, resolve_grid_dims
@@ -103,8 +102,8 @@ class TestShellExtremal:
         params = SmoothParams((1.5, 1.5))
         for n in (4, 6):
             g = shell_extremal(n, 2, 1.5, 2.0, 2.0)
-            assert project_cross(g, hyperbolic_cross(n, params, "gamma")).is_zero()
-            assert project_cross(g, hyperbolic_cross(n, params, "gamma-prime")).is_zero()
+            assert project_cross(g, n, params, "gamma").is_zero()
+            assert project_cross(g, n, params, "gamma-prime").is_zero()
 
     def test_class_norm_band_over_n(self):
         # the scaling keeps the class norm in an n-independent band

@@ -58,8 +58,8 @@ class TestVdpCoeff:
 
 class TestBlockFilter:
     def test_partition_exact_keeps_unit_frequencies(self):
-        assert block_filter_coeff(1, 1, "partition-exact") == 1.0
-        assert block_filter_coeff(1, 0, "partition-exact") == 0.0
+        assert block_filter_coeff(1, 1) == 1.0
+        assert block_filter_coeff(1, 0) == 0.0
 
     def test_smooth_block_examples(self):
         # order-4 kernel is 1 at k=3, order-2 kernel is 1/2
@@ -91,8 +91,6 @@ class TestBlockFilter:
         for convention in ("other", "literal"):
             with pytest.raises(ValueError, match=f"unknown convention '{convention}'"):
                 smooth_block(TrigPoly.exponential((1,)), (1,), convention)
-            with pytest.raises(ValueError, match=f"unknown convention '{convention}'"):
-                block_filter_coeff(1, 1, convention)
 
     @pytest.mark.parametrize("convention", ["partition-exact"])
     def test_smooth_block_multipliers_are_block_filter_coeff(self, convention):
@@ -106,7 +104,7 @@ class TestBlockFilter:
             for s in itertools.product(range(1, 8), repeat=d):
                 mult = np.ones(f.nnz)
                 for j, sj in enumerate(s):
-                    mult = mult * block_filter_coeff(sj, f.K[:, j], convention)
+                    mult = mult * block_filter_coeff(sj, f.K[:, j])
                 keep = mult != 0.0
                 got = smooth_block(f, s, convention)
                 assert np.array_equal(got.K, f.K[keep])
@@ -160,7 +158,7 @@ class TestPartitionOfUnity:
 
     def test_scalar_coefficient_sums_to_one(self):
         for k in range(1, 1025):
-            total = sum(block_filter_coeff(s, k, "partition-exact") for s in range(1, 13))
+            total = sum(block_filter_coeff(s, k) for s in range(1, 13))
             assert total == 1.0  # dyadic ramps are exact in binary floating point
 
 

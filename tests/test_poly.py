@@ -656,29 +656,47 @@ class TestSharpBlocks:
 class TestProjectCross:
     def test_fixed_point(self):
         params = SmoothParams((1.0, 1.0))
-        q = hyperbolic_cross(4, params)
         f = TrigPoly(2, {(1, 1): 1.0, (-2, 1): 2.0})
-        assert project_cross(f, q) == f
+        assert project_cross(f, 4, params) == f
 
     def test_membership_example(self):
         # (1,1) lies in block (1,1); (8,8) in block (4,4) with (s,1)=8 >= 4
         params = SmoothParams((1.0, 1.0))
-        q = hyperbolic_cross(4, params)
         f = TrigPoly(2, {(1, 1): 1.0, (8, 8): 1.0})
-        assert project_cross(f, q) == TrigPoly(2, {(1, 1): 1.0})
+        assert project_cross(f, 4, params) == TrigPoly(2, {(1, 1): 1.0})
 
     def test_shell_annihilation(self):
         params = SmoothParams((1.0, 1.0))
         for n in (3, 5):
             g = dirichlet_shell(n, 2)
-            assert project_cross(g, hyperbolic_cross(n, params, "gamma")).is_zero()
+            assert project_cross(g, n, params, "gamma").is_zero()
 
     @settings(max_examples=30, deadline=None)
     @given(random_poly_st(2))
     def test_idempotent(self, f):
-        q = hyperbolic_cross(5, SmoothParams((1.0, 1.5)))
-        p = project_cross(f, q)
-        assert project_cross(p, q) == p
+        params = SmoothParams((1.0, 1.5))
+        p = project_cross(f, 5, params)
+        assert project_cross(p, 5, params) == p
+
+    @pytest.mark.parametrize("r", [(1.0,), (1.0, 1.0), (1.0, 2.0), (1.5, 2.0), (1.0, 1.0, 1.0),
+                                   (1.0, 1.0, 2.0), (1.5, 2.0, 4.0)], ids=str)
+    @pytest.mark.parametrize("gamma_mode", ["gamma", "gamma-prime"])
+    def test_keeps_the_blocks_of_hyperbolic_cross(self, r, gamma_mode):
+        # oracle: a term stays iff its block is a row of the enumerated cross;
+        # a frequency with a zero component lies in no block, so in no cross
+        params, d = SmoothParams(r), len(r)
+        rng = np.random.default_rng(17)
+        zeros = TrigPoly(d, {(0,) * d: 1.0, (0,) + (1,) * (d - 1): 2.0, (1,) * (d - 1) + (0,): 3.0})
+        kept = dropped = 0
+        for n in (d, d + 0.5, 4, 5.25, 7, 9.9, 12):
+            f = random_mixed_poly(rng, d, max_shell=int(n) + 2, blocks_per_poly=8) + zeros
+            cross = set(map(tuple, hyperbolic_cross(n, params, gamma_mode).tolist()))
+            want = {k: c for k, c in f.terms()
+                    if tuple(abs(kj).bit_length() for kj in k) in cross}
+            got = project_cross(f, n, params, gamma_mode)
+            assert got == TrigPoly(d, want)
+            kept, dropped = kept + got.nnz, dropped + f.nnz - got.nnz
+        assert kept > 0 and dropped > 0
 
 
 @pytest.mark.parametrize("line,named", [

@@ -15,7 +15,7 @@ from stepcross.rates import (RateFit, SweepRow, block_profile, dirichlet_lq_mean
 
 def freq_count(cross):
     """Oracle: the number of frequencies in the blocks of ``cross``."""
-    return sum(2 ** sum(s) for s in cross)
+    return sum(2 ** sum(s) for s in cross.tolist())
 
 
 def synthetic_rows(fn, ns):
@@ -142,29 +142,24 @@ class TestSweep:
         rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma", range(4, 8))
         for r in rows:
             member = shell_extremal(r.n, 1, 1.0, 1.0, 2.0)
-            cross = hyperbolic_cross(r.n, params, "gamma")
-            assert r.error == approx.best_approx_upper(member, cross, params, 1.0)
+            assert r.error == approx.best_approx_upper(member, r.n, params, "gamma", 1.0)
 
-    # every q records the best-upper bound; at q = 2.5 it is the Fourier-sum error
+    # every q records the best-upper bound; at q = 2.5 it is the Fourier-sum
+    # error.  The sweep reads its blocks and keys from ``cross_candidates``
+    # alone: no cross builder is reachable from it
     @pytest.mark.parametrize("pq", [2.5, math.inf])
-    def test_profile_path_builds_no_cross(self, monkeypatch, pq):
+    def test_profile_path_builds_no_cross(self, pq):
         params = SmoothParams((1.0, 1.0))
-
-        def no_cross(*args, **kwargs):
-            raise AssertionError("a cross was built")
-
-        monkeypatch.setattr(rates, "hyperbolic_cross", no_cross)
+        assert not hasattr(rates, "hyperbolic_cross")
         rows = sweep_extremal(pq, pq, 2.0, params, "gamma", range(4, 7))
-        monkeypatch.undo()
         assert [r.n for r in rows] == [4, 5, 6]
         for r in rows:
             member = shell_extremal(r.n, 2, 1.0, pq, 2.0)
-            cross = hyperbolic_cross(r.n, params, "gamma")
-            assert r.cardinality == freq_count(cross)
+            assert r.cardinality == freq_count(hyperbolic_cross(r.n, params, "gamma"))
             # 1-D profiles against the polynomial's product grids: equal up to
             # rounding for q = inf, within the self-check tolerance for q = 2.5
-            for want in (approx.best_approx_upper(member, cross, params, pq),
-                         approx.fourier_sum_error(member, cross, pq)):
+            for want in (approx.best_approx_upper(member, r.n, params, "gamma", pq),
+                         approx.fourier_sum_error(member, r.n, params, "gamma", pq)):
                 assert r.error == pytest.approx(want, rel=1e-15 if pq == math.inf else 1e-6,
                                                 abs=0)
 
@@ -174,15 +169,9 @@ class TestSweep:
     @pytest.mark.parametrize("r", [(1.0,), (1.0, 1.0), (1.5, 2.0), (1.0, 1.0, 1.0),
                                    (1.5, 2.0, 4.0), (1.0, 1.0, 2.0)], ids=str)
     @pytest.mark.parametrize("gamma_mode", ["gamma", "gamma-prime"])
-    def test_cardinality_counts_the_cross(self, monkeypatch, r, gamma_mode):
+    def test_cardinality_counts_the_cross(self, r, gamma_mode):
         params, d = SmoothParams(r), len(r)
-
-        def no_cross(*args, **kwargs):
-            raise AssertionError("a cross was built")
-
-        monkeypatch.setattr(rates, "hyperbolic_cross", no_cross)
         rows = sweep_extremal(math.inf, math.inf, 2.0, params, gamma_mode, range(d, 41))
-        monkeypatch.undo()
         assert [row.n for row in rows] == list(range(d, 41))
         for row in rows:
             assert row.cardinality == freq_count(hyperbolic_cross(row.n, params, gamma_mode))
@@ -196,7 +185,7 @@ class TestSweep:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_level", "compositions", "block_profile"):
+        for name in ("cross_candidates", "compositions", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         bad = next(n for n in levels if not isinstance(n, int) or isinstance(n, bool))
         with pytest.raises(ValueError, match=re.escape(f"integers, got n={bad!r}")):
@@ -215,7 +204,8 @@ def polynomial_rows(p, q, theta, params, gamma_mode, ns):
     for n in ns:
         member = shell_extremal(n, params.d, params.r1, p, theta)
         cross = hyperbolic_cross(n, params, gamma_mode)
-        rows.append((n, freq_count(cross), approx.best_approx_upper(member, cross, params, q)))
+        rows.append((n, freq_count(cross),
+                     approx.best_approx_upper(member, n, params, gamma_mode, q)))
     return rows
 
 
@@ -366,7 +356,7 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_level", "compositions", "block_profile"):
+        for name in ("cross_candidates", "compositions", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n >= d"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0, 1.0)), "gamma", range(4, 1, -1))
@@ -376,7 +366,7 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_level", "compositions", "block_profile"):
+        for name in ("cross_candidates", "compositions", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n=41 exceeds cap 40"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(5, 42))
