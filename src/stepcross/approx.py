@@ -23,8 +23,8 @@ from .blocks import (SmoothParams, check_cross_level, compositions, cross_level,
                      mean_zero_block_indices)
 from .kernels import smooth_aggregate
 from .norms import bq1_norm, even_norms, lp_bounds
-from .poly import TrigPoly, is_int, project_cross
-from .sparse import run_sums, sort_runs
+from .poly import TrigPoly, is_int, kept_terms, project_cross
+from .sparse import run_starts, run_sums, sorted_sums
 
 
 def default_form(q: float) -> str:
@@ -66,10 +66,11 @@ def _candidate_blocks(max_shell: int, d: int, max_component: int | None) -> np.n
     return S
 
 
-def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
-                      blocks_per_poly: int = 6, terms_per_block: int = 3,
-                      max_component: int | None = None) -> TrigPoly:
-    """Sparse random polynomial touching blocks on both sides of a cross cut.
+def random_mixed_terms(rng: np.random.Generator, d: int, max_shell: int,
+                       blocks_per_poly: int = 6, terms_per_block: int = 3,
+                       max_component: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (K, C) of a sparse random polynomial touching blocks on both
+    sides of a cross cut, as drawn: unsorted, with repeats.
 
     Draws, in this order and each as one array: ``blocks_per_poly``
     distinct blocks, uniformly from all blocks with (s,1) <= max_shell (and,
@@ -77,13 +78,11 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     ``terms_per_block`` terms per block, in block order, the magnitudes
     |k_j| uniform on [2**(s_j-1), 2**s_j), as ``rng.integers`` draws them;
     the signs of k_j, each fair; and standard complex Gaussian
-    coefficients, real and imaginary part of each term in turn.  A
-    frequency drawn twice holds the sum of its coefficients, as
-    ``TrigPoly.from_arrays`` adds repeats.  The candidate blocks are listed
-    once per (max_shell, d, max_component); the draws, and so the
-    polynomial of each generator state, do not depend on that.  A request
-    that could only give the zero polynomial (no block, or none or no term
-    drawn) is rejected before any draw.
+    coefficients, real and imaginary part of each term in turn.  The
+    candidate blocks are listed once per (max_shell, d, max_component); the
+    draws, and so the terms of each generator state, do not depend on that.
+    A request that could only give the zero polynomial (no block, or none
+    or no term drawn) is rejected before any draw.
     """
     for name, value, low in (("d", d, 1), ("max_shell", max_shell, d),
                              ("blocks_per_poly", blocks_per_poly, 1),
@@ -98,7 +97,32 @@ def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
     # the draws of integers(low, 2 * low), with no 2 * low to overflow at s_j = 63
     mag = low + rng.integers(low)
     K = np.where(rng.random(low.shape) < 0.5, mag, -mag)
-    return TrigPoly.from_arrays(K, rng.standard_normal((len(K), 2)).view(complex)[:, 0])
+    return K, rng.standard_normal((len(K), 2)).view(complex)[:, 0]
+
+
+def random_mixed_poly(rng: np.random.Generator, d: int, max_shell: int,
+                      blocks_per_poly: int = 6, terms_per_block: int = 3,
+                      max_component: int | None = None) -> TrigPoly:
+    """The polynomial of ``random_mixed_terms``' draw, built by
+    ``TrigPoly.from_arrays``: the same generator calls in the same order,
+    so the generator is left in the same state.  A frequency drawn twice
+    holds the sum of its coefficients, added in draw order, and a term of
+    modulus below ``DROP_TOL`` is dropped.
+    """
+    return TrigPoly.from_arrays(*random_mixed_terms(rng, d, max_shell, blocks_per_poly,
+                                                    terms_per_block, max_component))
+
+
+def _sample_terms(draws: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """``TrigPoly.from_arrays`` of each mean-zero draw, bit for bit, in one
+    pass: rows (i, s, k) of sample i, block s and frequency k, sorted, and
+    their coefficients (repeats added in draw order by ``sorted_sums``)."""
+    K = np.concatenate([k for k, _ in draws])
+    sample = np.repeat(np.arange(len(draws)), [len(k) for k, _ in draws])
+    keys, C = sorted_sums(np.column_stack((sample, mean_zero_block_indices(K), K)),
+                          np.concatenate([c for _, c in draws]))
+    keep = kept_terms(keys[:, -K.shape[1]:], C)[1]
+    return keys[keep], C[keep]
 
 
 def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
@@ -107,10 +131,15 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
     norm, Q the level-n gamma cross: exact at q = 2, and a certified upper
     bound at any other q.
 
-    The samples are drawn first, in the generator's order, and their terms
-    grouped by (sample, block) with one stable sort.  Each block component's
-    exact L_2 and L_4 (``even_norms``, no grid) bracket its L_q between lo
-    and hi (``lp_bounds``).  A sample's ratio is its sum of hi over the
+    The samples' raw terms are drawn first (``random_mixed_terms``, in the
+    generator's order, so each sample is the ``random_mixed_poly`` of its
+    generator state) and made canonical all at once (``_sample_terms``): one
+    stable sort keyed by (sample, block, k) adds repeats in draw order, and
+    ``kept_terms`` applies ``TrigPoly``'s finiteness and ``DROP_TOL`` rule,
+    so no ``TrigPoly`` is built.  The sorted terms fall into runs of one
+    (sample, block).  Each block component's exact L_2 and L_4
+    (``even_norms``, no grid) bracket its L_q between lo and hi
+    (``lp_bounds``).  A sample's ratio is its sum of hi over the
     blocks in Q (``cross_level`` key below n) over the block-order sum of hi
     inside Q and lo outside: at least the exact ratio, and at most 1.  A
     request that draws nothing, or only zero polynomials (int(n) + 2 < d),
@@ -125,15 +154,13 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
         raise ValueError(f"the sampled shells (s,1) <= int(n) + 2 = {int(n) + 2} hold no block "
                          f"at d = {params.d}")
     rng = np.random.default_rng(rng_seed)
-    fs = [random_mixed_poly(rng, params.d, max_shell=int(n) + 2) for _ in range(samples)]
-    K = np.concatenate([f.K for f in fs])
-    sample = np.repeat(np.arange(samples), [f.nnz for f in fs])
-    order, keys, starts = sort_runs(np.column_stack((sample, mean_zero_block_indices(K))))
-    C = np.concatenate([f.C for f in fs])[order]
-    l2, l4 = even_norms(K[order], C, starts)
+    keys, C = _sample_terms([random_mixed_terms(rng, params.d, max_shell=int(n) + 2)
+                             for _ in range(samples)])
+    starts = run_starts(keys[:, :params.d + 1])  # each (sample, s)'s first term
+    l2, l4 = even_norms(keys[:, params.d + 1:], C, starts)
     s = run_sums(np.abs(C), starts).tolist()
     lo, hi = np.array([lp_bounds(q, *v) for v in zip(l2, l4, s)]).reshape(-1, 2).T
-    blocks = keys[starts]  # (sample, s) of each component
+    blocks = keys[starts, :params.d + 1]  # (sample, s) of each component
     inside = cross_level(blocks[:, 1:], params.gamma) < n
     first = np.searchsorted(blocks[:, 0], np.arange(samples))  # each sample's first block
     kept = run_sums(np.where(inside, hi, 0.0), first)

@@ -55,14 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
-from .poly import (DROP_TOL, GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
-                   check_exponent, check_grid_budget, eval_grid, resolve_grid_dims)
+from .poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of, check_exponent,
+                   check_grid_budget, eval_grid, kept_terms, resolve_grid_dims)
 from .sparse import cauchy_squares, run_sums
 
 FORMS = ("sharp", "smooth")
@@ -86,6 +86,8 @@ def _check_form(form: str, p: float) -> None:
 # one batch, reduced in a stack of up to twice as many values, and a larger
 # one is reduced in batches of at most this many
 SLICE_POINTS = 1 << 15
+# most square pairs in a ``nikolskii_checks`` group: its memory stays below a probe's
+GROUP_PAIRS = SLICE_POINTS // 4
 
 
 def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
@@ -325,15 +327,10 @@ def even_norms(K: np.ndarray, C: np.ndarray,
     as ``TrigPoly`` does, and each |c|**2 is ``TrigPoly.abs2``'s, added left
     to right as ``lp_norm`` adds them."""
     run, Ks, Cs = cauchy_squares(K, C, starts, SLICE_POINTS)
-    mod = np.hypot(Cs.real, Cs.imag)
-    finite = np.isfinite(mod)
-    if np.count_nonzero(finite) < len(finite):
-        i = np.argmin(finite)
-        raise ValueError(f"coefficient {Cs[i]} of frequency {tuple(Ks[i].tolist())} of a "
-                         "square is not finite")
+    mod, keep = kept_terms(Ks, Cs, "of a square ")
     # one pass adds the |c|**2 of every run, then those of every square
     sums = run_sums(np.concatenate((np.float_power(np.hypot(C.real, C.imag), 2),
-                                    np.where(mod >= DROP_TOL, np.float_power(mod, 2), 0.0))),
+                                    np.where(keep, np.float_power(mod, 2), 0.0))),
                     np.concatenate((starts, len(C) + np.searchsorted(run, np.arange(len(starts))))))
     return np.sqrt(sums[:len(starts)]).tolist(), np.sqrt(np.sqrt(sums[len(starts):])).tolist()
 
@@ -360,8 +357,33 @@ def lp_bounds(p: float, l2: float, l4: float, s: float) -> tuple[float, float]:
     return lower, upper
 
 
-def nikolskii_check(t: TrigPoly,
-                    pairs: Sequence[tuple[float, float]]) -> list[tuple[float, float, bool]]:
+def _nikolskii_pairs(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """``pairs`` read once into a list, each (p, q) validated."""
+    pairs = list(pairs)
+    for p, q in pairs:
+        check_exponent(p)
+        check_exponent(q, "q")
+        if not p < q:
+            raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
+    return pairs
+
+
+def _nikolskii_verdicts(t: TrigPoly, l2: float, l4: float,
+                        pairs: list[tuple[float, float]]) -> list[tuple[float, float, bool]]:
+    """``nikolskii_check``'s verdicts for t from its exact L2 and L4."""
+    s = _abs_sum(t)
+    degs = tuple(max(1, m) for m in t.degree())
+    out = []
+    for p, q in pairs:
+        upper, lower = lp_bounds(q, l2, l4, s)[1], lp_bounds(p, l2, l4, s)[0]
+        qinv = 0.0 if math.isinf(q) else 1.0 / q
+        rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lower
+        out.append((upper, rhs, upper <= rhs * (1 + 1e-9)))
+    return out
+
+
+def nikolskii_check(t: TrigPoly, pairs: Iterable[tuple[float, float]]
+                    ) -> list[tuple[float, float, bool]]:
     """Certified different-metrics inequality for a polynomial of
     rectangular degree n, one (p, q) pair after another.
 
@@ -377,27 +399,51 @@ def nikolskii_check(t: TrigPoly,
     cover.
 
     L2 and L4 are exact either way: a t of at most sqrt(SLICE_POINTS) terms,
-    whose square t * t has at most SLICE_POINTS pairs, takes both from
-    ``even_norms`` and evaluates no grid.  A denser t, such as a Dirichlet
+    whose square t * t has at most SLICE_POINTS pairs, is ``nikolskii_checks``
+    of the one t and evaluates no grid.  A denser t, such as a Dirichlet
     kernel of over 181 terms, takes L4 from the even-p quadrature on its L4
     grid of _fast_len(4 m_j + 2) >= 4 m_j + 1 points per dimension.
-    Every pair is validated before any work.
+    ``pairs`` is read once, and every pair is validated before any work.
     """
-    for p, q in pairs:
-        check_exponent(p)
-        check_exponent(q, "q")
-        if not p < q:
-            raise ValueError(f"requires 1 <= p < q, got p={p!r}, q={q!r}")
+    pairs = _nikolskii_pairs(pairs)
     if t.nnz ** 2 <= SLICE_POINTS:  # t * t is no larger than one grid batch
-        (l2,), (l4,) = even_norms(t.K, t.C, np.zeros(1, dtype=np.int64))
-    else:
-        l2, l4 = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0))
-    s = _abs_sum(t)
-    degs = tuple(max(1, m) for m in t.degree())
-    out = []
-    for p, q in pairs:
-        upper, lower = lp_bounds(q, l2, l4, s)[1], lp_bounds(p, l2, l4, s)[0]
-        qinv = 0.0 if math.isinf(q) else 1.0 / q
-        rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lower
-        out.append((upper, rhs, upper <= rhs * (1 + 1e-9)))
+        return nikolskii_checks((t,), pairs)[0]
+    l2, l4 = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0))
+    return _nikolskii_verdicts(t, l2, l4, pairs)
+
+
+def nikolskii_checks(ts: Sequence[TrigPoly], pairs: Iterable[tuple[float, float]]
+                     ) -> list[list[tuple[float, float, bool]]]:
+    """``nikolskii_check(t, pairs)`` of each t in ``ts``, bit for bit and in
+    order, with the fixed cost of ``even_norms`` paid per group, not per t.
+    ``pairs`` is read once, and every pair is validated before any work.
+
+    The ts whose square has at most SLICE_POINTS pairs are taken in order of
+    d (stably) and cut into groups of one d and at most ``GROUP_PAIRS``
+    square pairs (a t of more is a group alone); each group takes the L2
+    and L4 of all its ts from one ``even_norms`` call over their runs, so a
+    group holds no more memory than one probe.  A t's moments do not depend
+    on its group.  Each denser t is certified alone by ``nikolskii_check``,
+    on its L4 grid, so neither function calls the other for the same t.
+    """
+    pairs = _nikolskii_pairs(pairs)
+    out: list = [None] * len(ts)
+    groups: list[list[int]] = []
+    size = 0  # square pairs of the last group
+    for i in sorted(range(len(ts)), key=lambda i: ts[i].d):
+        n = ts[i].nnz ** 2
+        if n > SLICE_POINTS:
+            out[i] = nikolskii_check(ts[i], pairs)
+            continue
+        if not groups or ts[groups[-1][0]].d != ts[i].d or size + n > GROUP_PAIRS:
+            groups.append([])
+            size = 0
+        groups[-1].append(i)
+        size += n
+    for group in groups:
+        starts = np.cumsum([0] + [ts[i].nnz for i in group[:-1]], dtype=np.int64)
+        l2, l4 = even_norms(np.concatenate([ts[i].K for i in group]),
+                            np.concatenate([ts[i].C for i in group]), starts)
+        for i, a, b in zip(group, l2, l4):
+            out[i] = _nikolskii_verdicts(ts[i], a, b, pairs)
     return out

@@ -150,15 +150,8 @@ class TrigPoly:
         return f
 
     def _store(self, K: np.ndarray, C: np.ndarray) -> None:
-        """``_set`` without the coefficients below ``DROP_TOL``; a coefficient
-        that is not finite is an error naming its frequency."""
-        mod = _modulus(C)  # not finite iff a part is not
-        finite = np.isfinite(mod)
-        if np.count_nonzero(finite) < len(finite):
-            i = np.argmin(finite)
-            raise ValueError(f"coefficient {C[i]} of frequency {tuple(K[i].tolist())} "
-                             "is not finite")
-        keep = mod >= DROP_TOL
+        """``_set`` with the terms that ``kept_terms`` keeps."""
+        keep = kept_terms(K, C)[1]
         if np.count_nonzero(keep) < len(keep):
             K, C = K[keep], C[keep]
         self._set(K, C)
@@ -269,6 +262,20 @@ class TrigPoly:
 def _modulus(C: np.ndarray) -> np.ndarray:
     """|c| per coefficient by hypot, as Python's abs(complex) computes it."""
     return np.hypot(C.real, C.imag)
+
+
+def kept_terms(K: np.ndarray, C: np.ndarray, whose: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """|c| of each coefficient (``_modulus``) and which terms (K, C) a
+    ``TrigPoly`` keeps: those of modulus >= ``DROP_TOL``.  A coefficient
+    that is not finite is an error naming it, its frequency and ``whose``
+    it is."""
+    mod = _modulus(C)  # not finite iff a part is not
+    finite = np.isfinite(mod)
+    if np.count_nonzero(finite) < len(finite):
+        i = np.argmin(finite)
+        raise ValueError(f"coefficient {C[i]} of frequency {tuple(K[i].tolist())} {whose}"
+                         "is not finite")
+    return mod, mod >= DROP_TOL
 
 
 def _smooth_numbers(limit: int) -> list[int]:

@@ -20,15 +20,18 @@ def sort_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A stable sorting order of int64 ``keys`` (or of matrix rows, taken
     lexicographically), the sorted keys, and where each run of equal keys
     starts among them."""
-    if keys.ndim == 1:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = keys[1:] != keys[:-1]
-    else:
-        order = np.lexsort(keys.T[::-1])  # stable: equal rows keep their order
-        keys = keys[order]
-        new = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
-    return order, keys, np.flatnonzero(np.concatenate(([len(keys) > 0], new)))
+    # lexsort is stable too: equal rows keep their order
+    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    return order, keys, run_starts(keys)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal sorted keys (or matrix rows) starts."""
+    new = keys[1:] != keys[:-1]
+    if keys.ndim > 1:
+        new = np.logical_or.reduce(new, axis=1)
+    return np.flatnonzero(np.concatenate(([len(keys) > 0], new)))
 
 
 def sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,13 @@ import pytest
 
 from stepcross import approx, norms, sparse
 from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_norm_probe,
-                              random_mixed_poly)
-from stepcross.blocks import SmoothParams, compositions, hyperbolic_cross
+                              random_mixed_poly, random_mixed_terms)
+from stepcross.blocks import (SmoothParams, compositions, hyperbolic_cross,
+                              mean_zero_block_indices)
 from stepcross.extremal import shell_extremal
 from stepcross.norms import bq1_norm, lp_bounds, lp_norm
-from stepcross.poly import TrigPoly, blocks_of, project_cross
+from stepcross.poly import DROP_TOL, TrigPoly, blocks_of, project_cross
+from stepcross.sparse import sort_runs
 
 
 class TestFourierSumError:
@@ -225,22 +227,89 @@ class TestProjectorProbeReference:
         assert min(got) < 1
 
 
+def sample_polys_by_block(draws):
+    """Each draw's ``TrigPoly.from_arrays``, its terms stably sorted by
+    block: (sample, K, C) per sample."""
+    out = []
+    for i, (K, C) in enumerate(draws):
+        f = TrigPoly.from_arrays(K, C)
+        order = sort_runs(mean_zero_block_indices(f.K))[0]
+        out.append((i, f.K[order], f.C[order]))
+    return out
+
+
+class TestSampleTerms:
+    def check(self, draws):
+        keys, C = approx._sample_terms(draws)
+        d = draws[0][0].shape[1]
+        assert keys.dtype == np.int64 and keys.shape == (len(C), 2 * d + 1)
+        for i, K, want in sample_polys_by_block(draws):
+            rows = keys[:, 0] == i
+            assert np.array_equal(keys[rows, d + 1:], K)
+            assert C[rows].tobytes() == want.tobytes()  # bit for bit
+            assert np.array_equal(keys[rows, 1:d + 1], mean_zero_block_indices(K))
+        order = np.lexsort(keys.T[::-1])
+        assert np.array_equal(order, np.arange(len(keys)))  # sorted by (sample, block, k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_each_samples_poly(self, d):
+        # a small max_shell with many terms per block repeats frequencies
+        rng = np.random.default_rng(d)
+        for max_shell, terms in ((d, 9), (d + 1, 7), (3 * d + 2, 3)):
+            draws = [random_mixed_terms(rng, d, max_shell, terms_per_block=terms)
+                     for _ in range(25)]
+            assert any(len(TrigPoly.from_arrays(*dr).C) < len(dr[1]) for dr in draws)
+            self.check(draws)
+
+    def test_small_and_cancelled_coefficients_are_dropped(self):
+        K = np.array([[3, 1], [1, 1], [3, 1], [-2, 5], [1, 1]])
+        draws = [(K, np.array([0.5, 1e-31, -0.5, 2.0, 1e-40j])),  # (3, 1) cancels
+                 (K[:2], np.array([DROP_TOL, DROP_TOL / 2], dtype=complex)),
+                 (K[1:2], np.array([1e-35j]))]  # a sample that drops to zero
+        keys, C = approx._sample_terms(draws)
+        assert keys.tolist() == [[0, 2, 3, -2, 5], [1, 2, 1, 3, 1]]
+        assert C.tolist() == [2.0, DROP_TOL]
+        self.check(draws)
+
+    @pytest.mark.parametrize("c", [math.inf, complex(1.0, math.nan)], ids=repr)
+    def test_non_finite_coefficient_named(self, c):
+        K = np.array([[5], [-3], [5]])
+        draws = [(K[:1], np.array([1.0 + 0j])), (K, np.array([1.0, 2.0, c], dtype=complex))]
+        with pytest.raises(ValueError, match="is not finite") as want:
+            TrigPoly.from_arrays(*draws[1])
+        with pytest.raises(ValueError, match="is not finite") as got:
+            approx._sample_terms(draws)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_poly_is_the_raw_draw(self, d):
+        for seed in range(6):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for kwargs in ({}, {"terms_per_block": 8, "max_component": 2}):
+                f = random_mixed_poly(rng, d, d + 2, **kwargs)
+                K, C = random_mixed_terms(ref, d, d + 2, **kwargs)
+                g = TrigPoly.from_arrays(K, C)
+                assert f == g and f.C.tobytes() == g.C.tobytes()
+                assert K.dtype == np.int64 and len(K) == len(C)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestRejectsEmptyRequests:
     @pytest.mark.parametrize("samples", [0, -3, True, 2.5, "3", None], ids=repr)
     def test_probe_samples(self, monkeypatch, samples):
-        monkeypatch.setattr(approx, "random_mixed_poly", None)  # any draw raises TypeError
+        monkeypatch.setattr(approx, "random_mixed_terms", None)  # any draw raises TypeError
         with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             projector_norm_probe(5, SmoothParams((1.0, 1.0)), 1.5, samples)
 
     @pytest.mark.parametrize("d,n", [(2, -1), (2, -1.5), (3, 0.9)])
     def test_probe_level_below_every_block(self, monkeypatch, d, n):
-        monkeypatch.setattr(approx, "random_mixed_poly", None)
+        monkeypatch.setattr(approx, "random_mixed_terms", None)
         with pytest.raises(ValueError, match=r"int\(n\) \+ 2 = .* hold no block"):
             projector_norm_probe(n, SmoothParams((1.0,) * d), 1.5, 5)
 
     @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan], ids=repr)
     def test_probe_level_not_finite(self, monkeypatch, n):
-        monkeypatch.setattr(approx, "random_mixed_poly", None)
+        monkeypatch.setattr(approx, "random_mixed_terms", None)
         with pytest.raises(ValueError, match="cross level n must be finite"):
             projector_norm_probe(n, SmoothParams((1.0, 1.0)), 1.5, 5)
 

@@ -14,7 +14,7 @@ from stepcross.blocks import SmoothParams
 from stepcross.extremal import dirichlet_shell
 from stepcross.kernels import smooth_block
 from stepcross.norms import (QuadratureError, aggregate_block_norms, besov_mixed_norm, bq1_norm,
-                             lp_norm, lp_norms, nikolskii_check)
+                             lp_norm, lp_norms, nikolskii_check, nikolskii_checks)
 from stepcross.poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
                             eval_grid, resolve_grid_dims)
 
@@ -978,6 +978,59 @@ class TestNikolskii:
         calls = record_grids(monkeypatch)
         with pytest.raises(ValueError):
             nikolskii_check(f, NIKOLSKII_PAIRS + (bad,))
+        assert calls == []
+
+
+def verdict_bits(results):
+    """Each (lhs, rhs, ok) with its floats as hex, so == compares bits."""
+    return [[(lhs.hex(), rhs.hex(), ok) for lhs, rhs, ok in checks] for checks in results]
+
+
+class TestNikolskiiChecks:
+    def test_pairs_may_be_a_generator(self):
+        t = TrigPoly(1, {(1,): 1.0, (3,): 2.0})
+        got = nikolskii_check(t, (pq for pq in [(1.0, 2.0), (2.0, 4.0)]))
+        assert len(got) == 2 and got == nikolskii_check(t, [(1.0, 2.0), (2.0, 4.0)])
+        assert nikolskii_checks([t, t], iter([(2.0, math.inf)])) == (
+            [nikolskii_check(t, [(2.0, math.inf)])] * 2)
+
+    def test_equals_one_polynomial_at_a_time(self, monkeypatch):
+        # d = 1..3 interleaved, zero polynomials, a dense t (the grid L_4
+        # path) and sparse ones of 150 terms, whose squares alone overfill a
+        # group, so d = 2 takes several groups
+        rng = np.random.default_rng(40)
+        K = np.array(list(itertools.product(range(-7, 8), range(-7, 8))))  # 225 terms
+        dense = TrigPoly.from_arrays(K, rng.normal(size=len(K)))
+        wide = [TrigPoly.from_arrays(rng.integers(-60, 61, (150, 2)), rng.normal(size=150))
+                for _ in range(2)]
+        ts = [random_mixed_poly(rng, 1 + i % 3, max_shell=min(7, 3 * (1 + i % 3) + 2))
+              for i in range(90)]
+        ts[5:5] = [TrigPoly.zero(2), wide[0], dense]
+        ts[40:40] = [TrigPoly.zero(1), wide[1], TrigPoly.zero(3)]
+        assert dense.nnz ** 2 > norms.SLICE_POINTS >= max(t.nnz for t in wide) ** 2
+        groups = []
+        even_norms = norms.even_norms
+        monkeypatch.setattr(norms, "even_norms", lambda K, C, starts: groups.append(
+            (K.shape[1], np.diff(starts, append=len(K)).tolist())) or even_norms(K, C, starts))
+        pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (3.0, 6.0))
+        got = nikolskii_checks(ts, pairs)
+        assert sum(len(nnz) for _, nnz in groups) == len(ts) - 1  # all but the dense t
+        assert sum(d == 2 for d, _ in groups) >= 3
+        for _, nnz in groups:
+            assert len(nnz) == 1 or sum(n * n for n in nnz) <= norms.GROUP_PAIRS
+        monkeypatch.undo()
+        assert verdict_bits(got) == verdict_bits([nikolskii_check(t, pairs) for t in ts])
+        assert got[5] == [(0.0, 0.0, True)] * len(pairs)
+
+    def test_empty_table(self):
+        assert nikolskii_checks([], NIKOLSKII_PAIRS) == []
+
+    def test_bad_pair_raises_before_any_norm(self, monkeypatch):
+        monkeypatch.setattr(norms, "even_norms", None)  # any norm raises TypeError
+        calls = record_grids(monkeypatch)
+        ts = [TrigPoly.exponential((1, 2)), TrigPoly(1, {(k,): 1.0 for k in range(-99, 100)})]
+        with pytest.raises(ValueError, match="requires 1 <= p < q"):
+            nikolskii_checks(ts, iter(NIKOLSKII_PAIRS + ((4.0, 2.0),)))
         assert calls == []
 
 
