@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .blocks import block_anchor, block_ranges, compositions, even_shell
-from .norms import lp_norm
+from .norms import lp_norms
 from .poly import GridSpec, TrigPoly, check_exponent
 
 
@@ -94,12 +94,13 @@ def shifted_rect_sample(n: int, d: int, mode: str = "constant",
     constant, factors, support = _level_support(n, d)
     if mode == "constant":
         return constant
+    # one draw per rectangle frequency, in lexicographic order, factor by factor
+    signs = [rng.choice((-1.0, 1.0), size=unit.nnz) for unit, _ in factors]
+    peaks = lp_norms([unit.take(slice(None), s) for (unit, _), s in zip(factors, signs)],
+                     math.inf, GridSpec(oversampling=8.0))
     C = np.empty(support.nnz)
-    for unit, at in factors:
-        # one draw per rectangle frequency, in lexicographic order
-        signs = rng.choice((-1.0, 1.0), size=unit.nnz)
-        peak = lp_norm(unit.take(slice(None), signs), math.inf, GridSpec(oversampling=8.0))
-        C[at] = signs / peak
+    for (_, at), s, peak in zip(factors, signs, peaks):
+        C[at] = s / peak
     return support.take(slice(None), C)
 
 

@@ -46,6 +46,13 @@ Numerical methods
   batch's values and moduli, raised to p in place (the complex values of a
   whole line when a line holds more than a batch) and, for real
   coefficients, the powers of row 0 until row N_0/2 comes.
+* The batched grids of one call, grouped by dims and coefficient kind, are
+  shared between the calling thread and one helper thread when there are
+  two or more groups and the process may use more than one CPU: numpy's
+  FFT, ``abs``, power and sums release the GIL.  One thread reduces a whole
+  group, in the same operations as alone, so every value is bit for bit
+  the same.  Stacks stay on the calling thread, which alone calls
+  ``eval_grid``.  Two batches (about 1 MB) can be in flight.
 * ``even_norms`` takes the exact L_2 and L_4 of many sparse polynomials
   with no grid, and ``lp_bounds`` brackets any L_p from them.
 * An exponent that is not a real number >= 1 is rejected before any work.
@@ -54,6 +61,8 @@ Numerical methods
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -120,6 +129,12 @@ def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
                 yield first * n + at, values[:, at:at + step]
 
 
+def _rows(dims: Sequence[int], real: bool) -> int:
+    """Rows of a ``dims`` grid that are evaluated: 0..N_0//2 for real
+    coefficients, all N_0 for complex ones."""
+    return dims[0] // 2 + 1 if real else dims[0]
+
+
 def _stack(fs: Sequence[TrigPoly], dims: Sequence[int], rows: int) -> np.ndarray:
     """Rows 0..rows-1 of each f's ``dims`` grid, from ``eval_grid``, as the
     rows of one array of shape (len(fs), values).
@@ -158,8 +173,7 @@ def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
     polynomial's 2 S - E, or S, is the correctly rounded ``math.fsum`` of
     these sums.  A mean divides it by the grid size, as ``np.mean`` does.
     """
-    n0, row = dims[0], math.prod(dims[1:])
-    rows = n0 // 2 + 1 if real else n0
+    n0, row, rows = dims[0], math.prod(dims[1:]), _rows(dims, real)
     size, points = rows * row, n0 * row
     edges = 2 - n0 % 2 if real else 0
     if size > SLICE_POINTS:
@@ -204,8 +218,9 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
 
     The first grids of all the fs are sized and checked against the budget
     before any is evaluated, and those with the same dims and coefficient
-    kind are reduced together by ``_grid_stats``.  A self-checked non-even p
-    then refines on its own, one polynomial at a time, in order.
+    kind are reduced together by ``_grid_stats``, the batched ones on two
+    threads (``_reduce``).  A self-checked non-even p then refines on its
+    own, one polynomial at a time, in order, on the calling thread.
     """
     check_exponent(p)
     if math.isinf(p) and grid.oversampling < 4:
@@ -231,13 +246,66 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
             check_grid_budget(dims)
         jobs.setdefault((dims, real), []).append(i)
         bases.append((i, base, real))
-    for (dims, real), places in jobs.items():
-        for i, stat in zip(places, _grid_stats([fs[i] for i in places], p, dims, real)):
+    for places, stats in zip(jobs.values(), _reduce(fs, p, jobs)):
+        for i, stat in zip(places, stats):
             norms[i] = stat if math.isinf(p) else stat ** (1.0 / p)
     if grid.points_per_dim is None and grid.self_check and not (math.isinf(p) or _is_even(p)):
         for i, base, real in bases:
             norms[i] = _refine(fs[i], p, base, real, norms[i])
     return norms
+
+
+def _reduce(fs: Sequence[TrigPoly], p: float, jobs: dict[tuple, list[int]]) -> list[list[float]]:
+    """Each job's ``_grid_stats``, in job order: a job, (dims, real) ->
+    places in ``fs``, is the polynomials there whose grids have those dims
+    and coefficient kind.
+
+    The stacked jobs, of at most ``SLICE_POINTS`` values evaluated, run on
+    the calling thread.  The batched ones run on it too and, when there are
+    two or more and the process may use more than one CPU, on one helper
+    thread: both take jobs from one iterator, whose next step CPython takes
+    whole under the GIL, and each writes its own job's slot.  The helper is
+    joined before this returns, an exception it raised is raised here, and
+    after an exception in either thread the other takes no new job.
+    """
+    items = list(jobs.items())
+    stats: list = [None] * len(items)
+    stacked, batched = [], []
+    for k, ((dims, real), _) in enumerate(items):
+        (batched if _rows(dims, real) * math.prod(dims[1:]) > SLICE_POINTS else stacked).append(k)
+    shared, errors, helper = iter(batched), [], None
+    if len(batched) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        helper = threading.Thread(target=_run_jobs, args=(fs, p, items, shared, stats, errors))
+        helper.start()
+    try:
+        _run_jobs(fs, p, items, stacked, stats)
+        _run_jobs(fs, p, items, shared, stats)
+    finally:
+        for _ in shared:  # after an error here, the helper ends with its current job
+            pass
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return stats
+
+
+def _run_jobs(fs: Sequence[TrigPoly], p: float, items: list, ks: Iterable[int], stats: list,
+              errors: list | None = None) -> None:
+    """Job k of ``items``' ``_grid_stats`` into ``stats[k]``, for each k of
+    ``ks`` in turn.  Given ``errors`` (on the helper thread), an exception is
+    appended there, and the jobs left in ``ks`` are taken so that the
+    calling thread stops."""
+    try:
+        for k in ks:
+            (dims, real), places = items[k]
+            stats[k] = _grid_stats([fs[i] for i in places], p, dims, real)
+    except BaseException as exc:  # raised again on the calling thread
+        if errors is None:
+            raise
+        errors.append(exc)
+        for _ in ks:
+            pass
 
 
 def _refine(f: TrigPoly, p: float, base: tuple[int, ...], real: bool, prev: float) -> float:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
 
 import pytest
 
@@ -332,3 +335,32 @@ def test_grid_use_table(tmp_path, monkeypatch):
         projector_norm_probe(5, SmoothParams((1.0, 1.0)), q, 8, rng_seed=1)
     assert {(run, p, "checked" if (run, p) in refined else "unchecked")
             for run, p in grids} == GRID_USE
+
+
+def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # perfbench's Tracer keeps one span stack, so every function it wraps
+    # must run on the thread that calls run_experiment, while the batched
+    # grids of a norm call are shared with a helper thread
+    runs = {}
+    traced = ((norms, "eval_grid"), (norms, "lp_norm"), (kernels, "smooth_block"),
+              (norms, "_grid_stats"))
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "stepcross"]
+    for owner, name in traced:
+        fn = getattr(owner, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            runs.setdefault(_name, set()).add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        for module in modules:  # every binding, as the Tracer patches them
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, spy)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a helper on any machine
+    run_experiment(ExperimentConfig(theorem_tag="T5-family", d=2, r=(1.0, 1.0), n_range=(10, 12),
+                                    samples=2, rng_seed=5, output_path=str(tmp_path)))
+    main = {threading.get_ident()}
+    assert runs["eval_grid"] == runs["lp_norm"] == runs["smooth_block"] == main
+    assert started and len(runs["_grid_stats"]) > len(main)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -587,6 +590,117 @@ class TestStackedNorms:
             # the first row of a real polynomial's grid is reduced as a view
             k = max(n // 3, 1)
             assert np.add.reduce(x[:, :k], -1).tolist() == [row[:k].copy().sum() for row in x]
+
+
+def nonvanishing_polys(rng, d, degs, real):
+    """For each degree in ``degs``, a polynomial of that degree in every
+    coordinate: the constant 4 and five terms of modulus below 0.6 each, so
+    that it has no zero and the self-check converges in a few doublings.
+    Real coefficients include -0.5, so that the sup takes a grid."""
+    polys = []
+    for deg in degs:
+        K = rng.integers(-deg, deg + 1, size=(6, d))
+        K[0], K[1] = 0, rng.choice([-deg, deg], d)  # the constant, and the pinned degree
+        C = 0.4 * (rng.uniform(-1, 1, 6) + (0 if real else 1j * rng.uniform(-1, 1, 6)))
+        C[0], C[1] = 4.0, -0.5
+        polys.append(TrigPoly.from_arrays(K, C))
+    return polys
+
+
+def batched(dims, real):
+    """Whether a grid is reduced in batches: over SLICE_POINTS values evaluated."""
+    return norms._rows(dims, real) * math.prod(dims[1:]) > norms.SLICE_POINTS
+
+
+def spy_jobs(monkeypatch, raise_on=None):
+    """Patch ``norms._grid_stats`` to record the thread of each batched call.
+    Each thread's first one waits, at most 10 s, until a second thread
+    makes one, so that a helper, if started, and the calling thread both
+    run a job.  ``raise_on``, "helper" or "caller", makes that thread's
+    first batched call raise then."""
+    threads = []
+    both = threading.Barrier(2)
+    grid_stats = norms._grid_stats
+    main = threading.get_ident()
+
+    def spy(fs, p, dims, real):
+        me = threading.get_ident()
+        if batched(dims, real):
+            first = me not in threads
+            threads.append(me)
+            if first:
+                try:
+                    both.wait(10)
+                except threading.BrokenBarrierError:
+                    pass  # no second thread: ``threads`` shows it
+                if raise_on == ("caller" if me == main else "helper"):
+                    raise RuntimeError(f"job failed on the {raise_on} thread")
+        return grid_stats(fs, p, dims, real)
+
+    monkeypatch.setattr(norms, "_grid_stats", spy)
+    # two CPUs, whatever the machine offers, so that the helper is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return threads
+
+
+class TestThreadedNorms:
+    """The batched grids of one ``lp_norms`` call are reduced by the calling
+    thread and one helper, each value bit for bit as on one thread."""
+
+    DEGS = {1: (8300, 9000), 2: (35, 40), 3: (5, 6)}
+
+    def mixed(self, d):
+        rng = np.random.default_rng(50 + d)
+        fs = [f for real in (False, True) for f in nonvanishing_polys(rng, d, self.DEGS[d], real)]
+        fs.insert(2, same_dims_polys(rng, d, 2, 1, False)[0])  # a stack, on the calling thread
+        return fs
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+    def test_equals_one_at_a_time(self, monkeypatch, d, p):
+        fs = self.mixed(d)
+        jobs = {(resolve_grid_dims(f, GridSpec()), not f.C.imag.any()) for f in fs}
+        assert sum(batched(*job) for job in jobs) == 4
+        want = [lp_norm(f, p) for f in fs]
+        before = threading.active_count()
+        threads = spy_jobs(monkeypatch)
+        assert lp_norms(fs, p) == want
+        assert len(set(threads)) == 2 and threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_error_in_either_thread_is_raised(self, monkeypatch, where):
+        fs = self.mixed(2)
+        before = threading.active_count()
+        threads = spy_jobs(monkeypatch, raise_on=where)
+        with pytest.raises(RuntimeError, match=f"on the {where} thread"):
+            lp_norms(fs, 1.5)
+        assert len(set(threads)) == 2 and threading.active_count() == before
+
+    def test_each_job_runs_once_under_rapid_switching(self, monkeypatch):
+        # both threads take jobs from one iterator: with the interpreter
+        # switching threads every microsecond, no job runs twice or not at all
+        fs = nonvanishing_polys(np.random.default_rng(8), 2, range(30, 60, 2), False)
+        want = [lp_norm(f, math.inf) for f in fs]
+        calls = record_grids(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = lp_norms(fs, math.inf)
+        finally:
+            sys.setswitchinterval(interval)
+        grids = [(2, resolve_grid_dims(f, GridSpec())) for f in fs]  # (d, dims) of each f
+        assert got == want and len(set(grids)) >= 8 and sorted(calls) == sorted(grids)
+
+    @pytest.mark.parametrize("cpus,count", [({0}, None), ({0, 1}, 1)],
+                             ids=["one-cpu", "one-batched-job"])
+    def test_no_helper_for_one_cpu_or_one_batched_job(self, monkeypatch, cpus, count):
+        fs = self.mixed(2)[:count]
+        want = [lp_norm(f, math.inf) for f in fs]
+        started = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        assert lp_norms(fs, math.inf) == want and started == []
 
 
 class TestRankOneFactors:
