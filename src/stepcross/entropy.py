@@ -3,16 +3,26 @@ estimates.
 
 Ball centers are restricted to cloud points, which keeps every computation
 combinatorial; by the triangle inequality the restricted covering number is
-within a factor-2 radius of the unrestricted one.  Exhaustive subset oracles
-are capped at 12 points; the greedy routines scale beyond that and bracket
-the exact values (covering from above, packing from below).
+within a factor-2 radius of the unrestricted one.  The greedy routines scale
+to any cloud and bracket the exact values (covering from above, packing
+from below).
+
+The exact values come from subset tables, capped at 12 points, so a table
+has at most 2^12 = 4,096 rows.  Row S, read as a bitmask (bit i for point
+i), holds the OR of the eps-neighbour bitmasks of the points in S; the
+table starts as the one row of the empty set and doubles once per point,
+its new half being the old one ORed with that point's mask.  The covering
+number is the least popcount of a row whose union is the whole cloud; the
+packing number is the largest popcount of a row S that meets no member's
+neighbour mask (neighbours other than the member itself).  A cloud with a
+non-finite coordinate is rejected, naming the point: its distances are NaN
+or inf, and a NaN puts a point within eps of nothing, not even itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +51,9 @@ class CloudProblem:
             raise ValueError("cloud must be nonempty")
         if len({len(row) for row in pts}) != 1:
             raise ValueError("cloud points must share a dimension")
+        for i, row in enumerate(pts):
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"cloud point {i} has a non-finite coordinate: {row!r}")
         check_exponent(p)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p", float(p))
@@ -90,43 +103,34 @@ def packing_number_greedy(cloud: CloudProblem, eps: float) -> tuple[int, list[in
     return len(reps), reps
 
 
-def covering_number_exact(cloud: CloudProblem, eps: float) -> int:
-    """Minimum number of cloud-centered eps-balls covering the cloud."""
+def _subset_table(cloud: CloudProblem, eps: float, name: str,
+                  self_too: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 table of the OR of the eps-neighbour bitmasks of each
+    subset's points, with each point's own bit if ``self_too``, and each
+    subset's popcount, both indexed by the subset's bitmask (module
+    docstring).  eps and the cap are checked before any distance."""
     _check_eps(eps)
     m = len(cloud)
     if m > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive covering capped at {EXHAUSTIVE_CAP} points")
+        raise ValueError(f"exhaustive {name} capped at {EXHAUSTIVE_CAP} points")
     within = cloud.distance_matrix() <= eps
-    full = (1 << m) - 1
-    bitmasks = []
-    for i in range(m):
-        b = 0
-        for j in range(m):
-            if within[i, j]:
-                b |= 1 << j
-        bitmasks.append(b)
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            u = 0
-            for i in combo:
-                u |= bitmasks[i]
-            if u == full:
-                return size
-    return m
+    np.fill_diagonal(within, self_too)
+    table = np.zeros(1, dtype=np.int64)
+    for mask in within.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64)):
+        table = np.concatenate((table, table | mask))
+    return table, np.bitwise_count(np.arange(1 << m, dtype=np.int64))
+
+
+def covering_number_exact(cloud: CloudProblem, eps: float) -> int:
+    """Minimum number of cloud-centered eps-balls covering the cloud."""
+    table, count = _subset_table(cloud, eps, "covering", True)
+    return int(count[table == len(table) - 1].min())
 
 
 def packing_number_exact(cloud: CloudProblem, eps: float) -> int:
     """Maximum size of a pairwise > eps separated subset."""
-    _check_eps(eps)
-    m = len(cloud)
-    if m > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive packing capped at {EXHAUSTIVE_CAP} points")
-    dist = cloud.distance_matrix()
-    for size in range(m, 0, -1):
-        for combo in combinations(range(m), size):
-            if all(dist[i, j] > eps for i, j in combinations(combo, 2)):
-                return size
-    return 0
+    table, count = _subset_table(cloud, eps, "packing", False)
+    return int(count[(table & np.arange(len(table))) == 0].max())
 
 
 def entropy_number_estimate(cloud: CloudProblem, k: int) -> float:

@@ -14,7 +14,9 @@ Numerical methods
 * Any other p uses quadrature with a doubling self-check: the grid is
   refined, at most ``MAX_REFINE`` times, until one doubling changes the
   value by at most ``CHECK_RTOL`` relatively.  Grids pinned by
-  ``points_per_dim`` skip the self-check.
+  ``points_per_dim`` skip the self-check.  Each doubling is one grid
+  reduced alone, the largest grids the package reduces, so a doubling over
+  one batch is reduced on two threads, batch by batch (below).
 * No grid may hold more than ``poly.MAX_POINTS`` points: a first grid over
   it raises GridBudgetError before any evaluation, a doubling over it ends
   the self-check with QuadratureError.
@@ -42,17 +44,25 @@ Numerical methods
   batch takes one max or one sum, and a polynomial's sum is the correctly
   rounded ``math.fsum`` of its batch sums (J. R. Shewchuk, *Discrete
   Comput. Geom.* 18, 1997).  It differs from the whole array's pairwise
-  ``np.sum`` only at rounding.  Besides the last stage's input it holds one
-  batch's values and moduli, raised to p in place (the complex values of a
-  whole line when a line holds more than a batch) and, for real
-  coefficients, the powers of row 0 until row N_0/2 comes.
-* The batched grids of one call, grouped by dims and coefficient kind, are
-  shared between the calling thread and one helper thread when there are
-  two or more groups and the process may use more than one CPU: numpy's
-  FFT, ``abs``, power and sums release the GIL.  One thread reduces a whole
-  group, in the same operations as alone, so every value is bit for bit
-  the same.  Stacks stay on the calling thread, which alone calls
-  ``eval_grid``.  Two batches (about 1 MB) can be in flight.
+  ``np.sum`` only at rounding.  Besides the last stage's input it holds,
+  per thread, one batch's values and moduli, raised to p in place (the
+  complex values of a whole line when a line holds more than a batch)
+  and, for real coefficients, the powers of rows 0 and N_0/2 until the
+  grid is done.
+* Batched work is shared between the calling thread and one helper thread
+  when the process may use more than one CPU: numpy's FFT, ``abs``, power
+  and sums release the GIL.  A call with two or more batched groups (dims
+  and coefficient kind) shares whole groups, each reduced by one thread.
+  Any other batched grid, such as each doubling, shares its line ranges:
+  ``GridLines`` is built once on the calling thread, both threads take
+  ranges from one iterator and transform them into their own buffers, and
+  each range's maxima or sums go to its slot, combined in order after the
+  join.  A batch is reduced in the same operations on either thread, and
+  ``max`` and ``math.fsum`` do not depend on the order, so every value is
+  bit for bit the one-thread value.  One helper runs at a time in the
+  process and never starts another; stacks stay on the calling thread,
+  which alone calls ``eval_grid``.  About 1 MB of batches can be in
+  flight.
 * ``even_norms`` takes the exact L_2 and L_4 of many sparse polynomials
   with no grid, and ``lp_bounds`` brackets any L_p from them.
 * An exponent that is not a real number >= 1 is rejected before any work.
@@ -64,6 +74,7 @@ import math
 import os
 import threading
 from dataclasses import replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,34 +110,30 @@ SLICE_POINTS = 1 << 15
 GROUP_PAIRS = SLICE_POINTS // 4
 
 
-def _batches(f: TrigPoly, dims: Sequence[int], rows: int):
-    """Rows 0..rows-1 of f's ``dims`` grid in batches of at most
-    ``SLICE_POINTS`` values, in flat order: (flat index of the first value,
-    the values as an array of shape (1, count)).
+_HELPER = threading.Lock()  # held while a helper thread runs (``_share``)
+
+
+def _ranges(dims: Sequence[int], size: int) -> tuple[list, int]:
+    """The line ranges (first line, lines) in which the first ``size``
+    values of a ``dims`` grid, a run of whole rows, are transformed, in
+    flat order, and the most values of a batch.
 
     The grid's trailing blocks are its rows, the slices of a row along the
     next axis, and so on down to lines and points.  A batch is a run of the
     largest of them that hold at most ``SLICE_POINTS`` values, inside one
-    block of the next size up.  The last FFT stage runs once on each line,
-    on all the lines of a batch at once, or on one line at a time when a
-    line holds more than ``SLICE_POINTS`` values (for d = 1 the whole axis,
-    of which the first ``rows`` points are wanted).
+    block of the next size up.  The last FFT stage runs on all the lines of
+    a batch at once, or on one line at a time when a line holds more than
+    ``SLICE_POINTS`` values (for d = 1 the whole axis, of which the first
+    ``size`` points are wanted); such a line is cut into batches.
     """
-    lines = GridLines(f, dims, rows)
-    n, size = lines.n, rows * math.prod(dims[1:])
+    n = dims[-1]  # values per line
     blocks = [size] + [math.prod(dims[a:]) for a in range(1, len(dims) + 1)]
     a = next(a for a in range(1, len(blocks)) if blocks[a] <= SLICE_POINTS)
-    step = SLICE_POINTS // blocks[a] * blocks[a]  # values per batch
+    step = SLICE_POINTS // blocks[a] * blocks[a]
     group = max(step // n, 1)  # lines per transform
     span = max(blocks[a - 1] // n, 1)  # lines a batch stays inside
-    buf = np.empty((min(group, lines.count), n), dtype=complex)
-    for start in range(0, lines.count, span):
-        for first in range(start, start + span, group):
-            out = buf[:min(group, start + span - first)]
-            out.fill(0)
-            values = lines.transform(first, out).reshape(1, -1)[:, :size]
-            for at in range(0, values.shape[1], step):
-                yield first * n + at, values[:, at:at + step]
+    return [(first, min(group, start + span - first)) for start in range(0, max(size // n, 1), span)
+            for first in range(start, start + span, group)], step
 
 
 def _rows(dims: Sequence[int], real: bool) -> int:
@@ -167,45 +174,67 @@ def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
     go in stacks of at most ``2 * SLICE_POINTS`` values (``_stack``), and a
     stack is reduced along its rows, one polynomial's values each, so each
     sum is the flat array's ``sum`` bit for bit.  A larger grid is reduced
-    one polynomial at a time, in the batches of ``_batches``.  Each batch
-    takes one max or one sum, and E one sum per batch of row 0, over that
-    part of row 0 added elementwise to the same part of row N_0/2; a
-    polynomial's 2 S - E, or S, is the correctly rounded ``math.fsum`` of
-    these sums.  A mean divides it by the grid size, as ``np.mean`` does.
+    one polynomial at a time, in the batches of ``_ranges``, on two threads
+    (``_share``).  Each batch takes one max or one sum, and E one sum per
+    batch of row 0, over that part of row 0 added elementwise to the same
+    part of row N_0/2 (the k-th batch of one row pairs with the k-th of the
+    other); a polynomial's 2 S - E, or S, is the correctly rounded
+    ``math.fsum`` of these sums, which no order of the batches changes.  A
+    mean divides it by the grid size, as ``np.mean`` does.
     """
     n0, row, rows = dims[0], math.prod(dims[1:]), _rows(dims, real)
     size, points = rows * row, n0 * row
     edges = 2 - n0 % 2 if real else 0
     if size > SLICE_POINTS:
-        groups = (_batches(f, dims, rows) for f in fs)
+        ranges, step = _ranges(dims, size)
+        groups = (_share(_run_ranges, (GridLines(f, dims, rows), ranges, step, p, edges, row, size),
+                         (), range(len(ranges))) for f in fs)
     else:
         step = 2 * SLICE_POINTS // size
-        groups = ([(0, _stack(fs[at:at + step], dims, rows))] for at in range(0, len(fs), step))
+        groups = ([[_terms(_stack(fs[at:at + step], dims, rows), 0, p, edges, row, size)]]
+                  for at in range(0, len(fs), step))
     out = []
-    for batches in groups:
-        terms = []  # each batch's max, or the terms of each polynomial's 2 S - E, or S
-        heads = []  # the row 0 parts waiting for row N_0/2's
-        for lo, v in batches:
-            x = np.abs(v)
-            if math.isinf(p):
-                terms.append(np.maximum.reduce(x, -1))
-            else:
-                if p != 1:
-                    x **= p
-                s = np.add.reduce(x, -1)  # each row's x.sum(), without its wrapper
-                terms.append(2 * s if edges else s)
-                if edges == 1 and lo < row:
-                    terms.append(-np.add.reduce(x[:, :row - lo], -1))
-                elif edges == 2:
-                    if lo < row:
-                        heads.append(x[:, :row - lo])
-                    if lo + x.shape[1] > size - row:
-                        last = x[:, max(size - row - lo, 0):]
-                        terms.append(-np.add.reduce(heads.pop(0) + last, -1))
-            x = None  # freed before the next batch's are made
+    for slots in groups:  # per stack or polynomial; a slot is a list of batches
+        terms, heads, lasts = ([x for slot in slots for b in slot for x in b[i]] for i in range(3))
+        terms += [-np.add.reduce(head + last, -1) for head, last in zip(heads, lasts)]
         cols = zip(*(t.tolist() for t in terms))
         out += [max(c) for c in cols] if math.isinf(p) else [math.fsum(c) / points for c in cols]
     return out
+
+
+def _run_ranges(lines: GridLines, ranges: list, step: int, p: float, edges: int, row: int,
+                size: int, slots: list, ks: Iterable[int]) -> None:
+    """For each k of ``ks`` in turn, line range k of ``ranges`` transformed
+    into this thread's own buffer, and the ``_terms`` of its batches of at
+    most ``step`` values, in order, put in ``slots[k]``."""
+    buf = np.empty((ranges[0][1], lines.n), dtype=complex)
+    for k in ks:
+        first, count = ranges[k]
+        out = buf[:count]
+        out.fill(0)
+        values = lines.transform(first, out).reshape(1, -1)[:, :size]
+        slots[k] = [_terms(values[:, at:at + step], first * lines.n + at, p, edges, row, size)
+                    for at in range(0, values.shape[1], step)]
+
+
+def _terms(v: np.ndarray, lo: int, p: float, edges: int, row: int, size: int) -> tuple:
+    """One batch of ``_grid_stats``: the values ``v`` of flat indices lo..,
+    one row per polynomial.  Returns its max, or its terms of 2 S - E or S,
+    then its part of row 0 and its part of row N_0/2 that E takes, each a
+    list of one array or none.  Its moduli are freed unless such a part
+    holds them."""
+    x = np.abs(v)
+    if math.isinf(p):
+        return [np.maximum.reduce(x, -1)], [], []
+    if p != 1:
+        x **= p
+    s = np.add.reduce(x, -1)  # each row's x.sum(), without its wrapper
+    terms = [2 * s if edges else s]
+    if edges == 1 and lo < row:
+        terms.append(-np.add.reduce(x[:, :row - lo], -1))
+    pair = edges == 2
+    return (terms, [x[:, :row - lo]] if pair and lo < row else [],
+            [x[:, max(size - row - lo, 0):]] if pair and lo + x.shape[1] > size - row else [])
 
 
 def _is_even(p: float) -> bool:
@@ -218,9 +247,12 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
 
     The first grids of all the fs are sized and checked against the budget
     before any is evaluated, and those with the same dims and coefficient
-    kind are reduced together by ``_grid_stats``, the batched ones on two
-    threads (``_reduce``).  A self-checked non-even p then refines on its
-    own, one polynomial at a time, in order, on the calling thread.
+    kind, a job, are reduced together by ``_grid_stats``.  The stacked
+    jobs, of at most ``SLICE_POINTS`` values evaluated, run on the calling
+    thread; the batched ones are shared with a helper thread (``_share``),
+    whole jobs when there are two or more, else batch by batch.  A
+    self-checked non-even p then refines one polynomial at a time, in
+    order (``_refine``).
     """
     check_exponent(p)
     if math.isinf(p) and grid.oversampling < 4:
@@ -246,8 +278,12 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
             check_grid_budget(dims)
         jobs.setdefault((dims, real), []).append(i)
         bases.append((i, base, real))
-    for places, stats in zip(jobs.values(), _reduce(fs, p, jobs)):
-        for i, stat in zip(places, stats):
+    items = list(jobs.items())
+    stacked, batched = [], []
+    for k, ((dims, real), _) in enumerate(items):
+        (batched if _rows(dims, real) * math.prod(dims[1:]) > SLICE_POINTS else stacked).append(k)
+    for (_, places), job in zip(items, _share(_run_jobs, (fs, p, items), stacked, batched)):
+        for i, stat in zip(places, job):
             norms[i] = stat if math.isinf(p) else stat ** (1.0 / p)
     if grid.points_per_dim is None and grid.self_check and not (math.isinf(p) or _is_even(p)):
         for i, base, real in bases:
@@ -255,54 +291,58 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
     return norms
 
 
-def _reduce(fs: Sequence[TrigPoly], p: float, jobs: dict[tuple, list[int]]) -> list[list[float]]:
-    """Each job's ``_grid_stats``, in job order: a job, (dims, real) ->
-    places in ``fs``, is the polynomials there whose grids have those dims
-    and coefficient kind.
+def _run_jobs(fs: Sequence[TrigPoly], p: float, items: list, stats: list,
+              ks: Iterable[int]) -> None:
+    """Job k of ``items``' ``_grid_stats`` into ``stats[k]``, for each k of
+    ``ks`` in turn: a job, (dims, real) -> places in ``fs``, is the
+    polynomials there whose grids have those dims and coefficient kind."""
+    for k in ks:
+        (dims, real), places = items[k]
+        stats[k] = _grid_stats([fs[i] for i in places], p, dims, real)
 
-    The stacked jobs, of at most ``SLICE_POINTS`` values evaluated, run on
-    the calling thread.  The batched ones run on it too and, when there are
-    two or more and the process may use more than one CPU, on one helper
-    thread: both take jobs from one iterator, whose next step CPython takes
-    whole under the GIL, and each writes its own job's slot.  The helper is
-    joined before this returns, an exception it raised is raised here, and
-    after an exception in either thread the other takes no new job.
+
+def _share(work, args: tuple, mine: Sequence[int], rest: Sequence[int]) -> list:
+    """Items ``mine`` and ``rest`` done by ``work(*args, slots, ks)``, which
+    does each item k of ks into ``slots[k]``; returns the slots.  The
+    calling thread does ``mine``, then it and one helper thread take the
+    items of ``rest`` from one iterator, whose next step CPython takes whole
+    under the GIL.
+
+    The helper is started only when ``rest`` has two or more items, the
+    process may use more than one CPU and no other helper runs: it holds
+    ``_HELPER``, so that neither it nor the thread beside it starts another.
+    It is joined before this returns, an exception it raised is raised
+    here, and after an exception in either thread the other takes no new
+    item.
     """
-    items = list(jobs.items())
-    stats: list = [None] * len(items)
-    stacked, batched = [], []
-    for k, ((dims, real), _) in enumerate(items):
-        (batched if _rows(dims, real) * math.prod(dims[1:]) > SLICE_POINTS else stacked).append(k)
-    shared, errors, helper = iter(batched), [], None
-    if len(batched) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        helper = threading.Thread(target=_run_jobs, args=(fs, p, items, shared, stats, errors))
-        helper.start()
+    slots: list = [None] * (len(mine) + len(rest))
+    shared, errors, helper = iter(rest), [], None
+    if (len(rest) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and _HELPER.acquire(blocking=False)):
+        helper = threading.Thread(target=_guard, args=(work, args + (slots,), shared, errors))
     try:
-        _run_jobs(fs, p, items, stacked, stats)
-        _run_jobs(fs, p, items, shared, stats)
+        if helper is not None:
+            helper.start()
+        work(*args, slots, chain(mine, shared))
     finally:
-        for _ in shared:  # after an error here, the helper ends with its current job
+        for _ in shared:  # after an error here, the helper ends with its current item
             pass
         if helper is not None:
-            helper.join()
+            if helper.ident is not None:
+                helper.join()
+            _HELPER.release()
     if errors:
         raise errors[0]
-    return stats
+    return slots
 
 
-def _run_jobs(fs: Sequence[TrigPoly], p: float, items: list, ks: Iterable[int], stats: list,
-              errors: list | None = None) -> None:
-    """Job k of ``items``' ``_grid_stats`` into ``stats[k]``, for each k of
-    ``ks`` in turn.  Given ``errors`` (on the helper thread), an exception is
-    appended there, and the jobs left in ``ks`` are taken so that the
-    calling thread stops."""
+def _guard(work, args: tuple, ks: Iterable[int], errors: list) -> None:
+    """``work(*args, ks)`` on the helper thread: an exception is appended to
+    ``errors``, and the items left in ``ks`` are taken so that the calling
+    thread stops after its current one."""
     try:
-        for k in ks:
-            (dims, real), places = items[k]
-            stats[k] = _grid_stats([fs[i] for i in places], p, dims, real)
+        work(*args, ks)
     except BaseException as exc:  # raised again on the calling thread
-        if errors is None:
-            raise
         errors.append(exc)
         for _ in ks:
             pass
@@ -311,7 +351,9 @@ def _run_jobs(fs: Sequence[TrigPoly], p: float, items: list, ks: Iterable[int], 
 def _refine(f: TrigPoly, p: float, base: tuple[int, ...], real: bool, prev: float) -> float:
     """Doubling self-check of the L_p quadrature whose value on ``base`` is
     ``prev``: refine until one doubling changes it by at most ``CHECK_RTOL``.
-    ``real`` tells whether f's coefficients are real."""
+    ``real`` tells whether f's coefficients are real.  Each doubling is one
+    ``_grid_stats`` call on f alone, called on this thread, whose batches
+    two threads share when it has more than one line range."""
     # refine by exact doubling of the base grid so successive grids nest
     for level in range(1, MAX_REFINE + 1):
         dims = tuple(n * 2**level for n in base)

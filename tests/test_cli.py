@@ -473,6 +473,19 @@ def test_entropy_nan_exits_one(tmp_path, capsys, header, eps, named):
     assert captured.out == "" and named in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--eps", "1.5"], ["--k", "0"]], ids=["eps", "k"])
+def test_entropy_non_finite_cloud_exits_one(tmp_path, capsys, flags):
+    # json reads NaN and Infinity; such a cloud once made the greedy cover loop forever
+    cloud = tmp_path / "cloud.jsonl"
+    cloud.write_text('{"dim": 2, "p": 2.0}\n{"v": [0.0, NaN]}\n{"v": [1.0, 0.0]}\n'
+                     '{"v": [0.0, Infinity]}\n')
+    start = time.perf_counter()
+    assert main(["entropy", "--cloud", str(cloud)] + flags) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cloud point 0 has a non-finite coordinate" in captured.err
+
+
 def test_entropy_cloud(tmp_path, capsys):
     cloud = tmp_path / "cloud.jsonl"
     lines = [json.dumps({"dim": 1, "p": 2.0})]

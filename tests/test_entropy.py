@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,41 @@ from stepcross.entropy import (CloudProblem, covering_number_exact, covering_num
 
 def line_cloud(*xs):
     return CloudProblem([[float(x)] for x in xs])
+
+
+def covering_oracle(cloud, eps):
+    """The least number of cloud points whose eps-balls cover the cloud,
+    by trying every combination of points in order of size."""
+    m = len(cloud)
+    within = cloud.distance_matrix() <= eps
+    full = (1 << m) - 1
+    bitmasks = []
+    for i in range(m):
+        b = 0
+        for j in range(m):
+            if within[i, j]:
+                b |= 1 << j
+        bitmasks.append(b)
+    for size in range(1, m + 1):
+        for combo in combinations(range(m), size):
+            u = 0
+            for i in combo:
+                u |= bitmasks[i]
+            if u == full:
+                return size
+    return m
+
+
+def packing_oracle(cloud, eps):
+    """The largest number of cloud points pairwise more than eps apart, by
+    trying every combination of points from the largest size down."""
+    m = len(cloud)
+    dist = cloud.distance_matrix()
+    for size in range(m, 0, -1):
+        for combo in combinations(range(m), size):
+            if all(dist[i, j] > eps for i, j in combinations(combo, 2)):
+                return size
+    return 0
 
 
 class TestGreedyCovering:
@@ -60,6 +96,26 @@ class TestExactChain:
             assert covering_number_greedy(cloud, eps)[0] >= n_eps
             assert packing_number_greedy(cloud, eps)[0] <= m_eps
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_subset_tables_equal_the_combination_oracles(self, p):
+        # 100 clouds of 1..12 points per norm, some with coincident points,
+        # each at five radii: below, at and between its distances, and above all
+        rng = np.random.default_rng(int(10 * p) if p < math.inf else 99)
+        for _ in range(100):
+            m = int(rng.integers(1, 13))
+            pts = rng.standard_normal((m, int(rng.integers(1, 5))))
+            if m > 2 and rng.random() < 0.4:
+                pts[rng.integers(m, size=2)] = pts[rng.integers(m, size=2)]
+            cloud = CloudProblem(pts, p=p)
+            dist = cloud.distance_matrix()[np.triu_indices(m, k=1)]
+            dist = dist[dist > 0]
+            eps = [0.5, 1.0, 10.0] if not dist.size else [
+                dist.min() / 2, *np.quantile(dist, [0.3, 0.7]), float(np.median(dist)),
+                2 * dist.max()]
+            for e in map(float, eps):
+                assert covering_number_exact(cloud, e) == covering_oracle(cloud, e)
+                assert packing_number_exact(cloud, e) == packing_oracle(cloud, e)
+
     def test_exact_cap(self):
         cloud = CloudProblem(np.zeros((13, 2)))
         with pytest.raises(ValueError):
@@ -109,6 +165,21 @@ def test_cloud_validation():
         CloudProblem([])
     with pytest.raises(ValueError):
         CloudProblem([[1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("at", [0, 2])
+def test_non_finite_coordinate_rejected_before_any_distance(monkeypatch, bad, at):
+    # a NaN distance puts a point within eps of nothing, not even itself, so
+    # the greedy cover and the entropy-number search never finished
+    def no_distances(self):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(CloudProblem, "distance_matrix", no_distances)
+    pts = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+    pts[at] = [0.0, bad]
+    with pytest.raises(ValueError, match=f"cloud point {at} has a non-finite coordinate"):
+        CloudProblem(pts)
 
 
 @pytest.mark.parametrize("fn", [covering_number_greedy, packing_number_greedy,

@@ -20,6 +20,7 @@ from stepcross.norms import (QuadratureError, aggregate_block_norms, besov_mixed
                              lp_norm, lp_norms, nikolskii_check, nikolskii_checks)
 from stepcross.poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of,
                             eval_grid, resolve_grid_dims)
+from stepcross.rates import sweep_extremal
 
 
 def block_poly_1d(s):
@@ -375,8 +376,9 @@ class TestStreamedStats:
                                       (80, 81, 83), (81, 80, 83), (12, 60000), (13, 45000)],
                              ids=str)
     def test_each_line_is_transformed_once(self, monkeypatch, batch, dims):
-        # in flat order, whether a batch holds whole rows, lines of a row or
-        # part of one line
+        # whether a batch holds whole rows, lines of a row or part of one
+        # line: in flat order on one CPU, and once each when two threads
+        # share the batches
         monkeypatch.setattr(norms, "SLICE_POINTS", batch)
         transform = GridLines.transform
         for real in (False, True):
@@ -389,10 +391,13 @@ class TestStreamedStats:
 
             monkeypatch.setattr(GridLines, "transform", spy)
             rows = dims[0] // 2 + 1 if real else dims[0]
-            for p in (1.0, 2.5, math.inf):
-                done.clear()
-                norms._grid_stats([f], p, dims, real)
-                assert done == list(range(rows * math.prod(dims[1:-1])))
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                for p in (1.0, 2.5, math.inf):
+                    done.clear()
+                    norms._grid_stats([f], p, dims, real)
+                    want = list(range(rows * math.prod(dims[1:-1])))
+                    assert (done if len(cpus) == 1 else sorted(done)) == want
 
     @pytest.mark.parametrize("d,ppd", [(2, 725), (3, 81)])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -643,6 +648,15 @@ def spy_jobs(monkeypatch, raise_on=None):
     return threads
 
 
+def record_starts(monkeypatch):
+    """Patch ``threading.Thread.start`` to record the work of each helper it
+    starts, the function that ``norms._guard`` runs."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t._args[0]) or start(t))
+    return started
+
+
 class TestThreadedNorms:
     """The batched grids of one ``lp_norms`` call are reduced by the calling
     thread and one helper, each value bit for bit as on one thread."""
@@ -692,15 +706,167 @@ class TestThreadedNorms:
         grids = [(2, resolve_grid_dims(f, GridSpec())) for f in fs]  # (d, dims) of each f
         assert got == want and len(set(grids)) >= 8 and sorted(calls) == sorted(grids)
 
-    @pytest.mark.parametrize("cpus,count", [({0}, None), ({0, 1}, 1)],
-                             ids=["one-cpu", "one-batched-job"])
-    def test_no_helper_for_one_cpu_or_one_batched_job(self, monkeypatch, cpus, count):
-        fs = self.mixed(2)[:count]
+    @pytest.mark.parametrize("cpus,d", [({0}, 2), ({0, 1}, 1)],
+                             ids=["one-cpu", "one-line-range"])
+    def test_no_helper_for_one_cpu_or_one_line_range(self, monkeypatch, cpus, d):
+        # a d = 1 grid is one line, transformed whole: nothing to share
+        fs = self.mixed(d)[:None if d == 2 else 1]
         want = [lp_norm(f, math.inf) for f in fs]
         started = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
         assert lp_norms(fs, math.inf) == want and started == []
+
+    def test_one_helper_for_several_batched_jobs(self, monkeypatch):
+        # the job-level helper holds ``_HELPER``: no grid, on either
+        # thread, starts a helper of its own
+        fs = self.mixed(2)
+        unchecked = [lp_norm(f, 1.5, GridSpec(self_check=False)) for f in fs]
+        want = [lp_norm(f, 1.5) for f in fs]
+        started = record_starts(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert lp_norms(fs, 1.5, GridSpec(self_check=False)) == unchecked
+        assert started == [norms._run_jobs]
+        assert lp_norms(fs, 1.5) == want  # then each doubling shares its batches
+        assert started[1] is norms._run_jobs and set(started[2:]) == {norms._run_ranges}
+
+
+def spy_ranges(monkeypatch, raise_on=None):
+    """Patch ``norms._run_ranges`` to record, per grid dims, the threads
+    that take its line ranges.  Each thread's first call waits, at most
+    10 s, until a second thread makes one; ``raise_on``, "helper" or
+    "caller", makes that thread's first call raise then."""
+    threads = {}
+    both = threading.Barrier(2)
+    run_ranges = norms._run_ranges
+    main = threading.get_ident()
+
+    def spy(lines, *args):
+        me = threading.get_ident()
+        if not any(me in seen for seen in threads.values()):
+            try:
+                both.wait(10)
+            except threading.BrokenBarrierError:
+                pass  # no second thread: ``threads`` shows it
+            if raise_on == ("caller" if me == main else "helper"):
+                raise RuntimeError(f"batch failed on the {raise_on} thread")
+        threads.setdefault(lines.dims, set()).add(me)
+        return run_ranges(lines, *args)
+
+    monkeypatch.setattr(norms, "_run_ranges", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return threads
+
+
+class TestSharedBatches:
+    """A grid reduced alone, such as each doubling of the self-check, has
+    its line ranges shared by the calling thread and one helper, each value
+    bit for bit as on one thread."""
+
+    DEGS = {1: (17000, 30000), 2: (60, 130), 3: (9, 16)}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_equals_one_cpu(self, monkeypatch, d, real):
+        fs = nonvanishing_polys(np.random.default_rng(70 + d), d, self.DEGS[d], real)
+        runs = [(p, GridSpec()) for p in (1.0, 1.5, 2.5)] + [(math.inf, GridSpec())]
+        # pinned grids of odd and even N_0 over SLICE_POINTS values
+        runs += [(p, GridSpec(points_per_dim=n)) for p in (1.0, math.inf)
+                 for n in {1: (70001, 70002), 2: (301, 302), 3: (45, 46)}[d]]
+
+        def norms_on(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            return [lp_norm(f, p, grid) for f in fs for p, grid in runs]
+
+        want = norms_on({0})
+        grids = []
+        grid_stats = norms._grid_stats
+        monkeypatch.setattr(norms, "_grid_stats", lambda gs, p, dims, real: grids.append(
+            (dims, real)) or grid_stats(gs, p, dims, real))
+        started = record_starts(monkeypatch)
+        assert norms_on({0, 1}) == want
+        shared = {(dims[0] % 2, real) for dims, real in grids if batched(dims, real)}
+        if d == 1:  # one line, one range
+            assert started == []
+        else:  # the edge rows of every kind: none, row 0, rows 0 and N_0/2
+            assert len(started) >= 10 and shared == {(0, real), (1, real)}
+
+    def test_two_threads_inside_one_doubling(self, monkeypatch):
+        # a base grid of one batch, and doublings over SLICE_POINTS values
+        f = nonvanishing_polys(np.random.default_rng(3), 2, (20,), False)[0]
+        base = resolve_grid_dims(f, GridSpec())
+        assert not batched(base, False)
+        want = lp_norm(f, 1.5)
+        threads = spy_ranges(monkeypatch)
+        assert lp_norm(f, 1.5) == want
+        assert threads and all(len(seen) == 2 for seen in threads.values())
+        assert all(dims[0] > base[0] for dims in threads)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_error_in_either_thread_is_raised(self, monkeypatch, where):
+        f = nonvanishing_polys(np.random.default_rng(4), 2, (200,), True)[0]
+        done = []
+        transform = GridLines.transform
+        monkeypatch.setattr(GridLines, "transform",
+                            lambda self, first, out: done.append(first) or transform(self, first, out))
+        before = threading.active_count()
+        spy_ranges(monkeypatch, raise_on=where)
+        with pytest.raises(RuntimeError, match=f"on the {where} thread"):
+            lp_norm(f, math.inf)
+        assert threading.active_count() == before
+        # after the error neither thread takes a new range
+        dims = resolve_grid_dims(f, GridSpec(oversampling=4.0))
+        ranges, _ = norms._ranges(dims, norms._rows(dims, True) * math.prod(dims[1:]))
+        assert len(ranges) == 41 and len(done) < len(ranges) // 2
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_each_range_runs_once_under_rapid_switching(self, monkeypatch, real):
+        # both threads take line ranges from one iterator: with the
+        # interpreter switching threads every microsecond, no range runs
+        # twice or not at all, and no batch's sums go astray
+        monkeypatch.setattr(norms, "SLICE_POINTS", 1000)
+        f = random_spectrum(np.random.default_rng(11), 2, 12, 40, real)
+        dims = (300, 257)
+        want = whole_grid_stats(f, (1.5,), dims)[1.5]
+        done = []
+        transform = GridLines.transform
+        monkeypatch.setattr(GridLines, "transform",
+                            lambda self, first, out: done.append(first) or transform(self, first, out))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = norms._grid_stats([f], 1.5, dims, real)
+        finally:
+            sys.setswitchinterval(interval)
+        rows = norms._rows(dims, real)
+        ranges, _ = norms._ranges(dims, rows * dims[1])
+        assert got == [want] and sorted(done) == [first for first, _ in ranges]
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_shared_doubling_holds_no_grid(self, monkeypatch, real):
+        # one doubling, to 1134 x 1134 points, that passes whatever it
+        # changes; two threads hold two batches, not a grid
+        f = nonvanishing_polys(np.random.default_rng(9), 2, (70,), real)[0]
+        grid_bytes = 16 * 4 * math.prod(resolve_grid_dims(f, GridSpec()))
+        monkeypatch.setattr(norms, "CHECK_RTOL", 1.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        grids = record_grids(monkeypatch)
+        started = record_starts(monkeypatch)
+        tracemalloc.start()
+        try:
+            lp_norm(f, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 16 * math.prod(grids[-1][1]) == grid_bytes > 16_000_000
+        assert started == [norms._run_ranges] * 2 and peak <= grid_bytes / 4
+
+    def test_t3_quadrature_failure_is_unchanged(self):
+        # the T3 p = q = 1 level, whose doublings reach 3584 x 7680 points
+        with pytest.raises(QuadratureError, match=r"hit the grid budget before reaching "
+                           r"rtol=1e-06 \(last value 6\.384506e-02\)"):
+            sweep_extremal(1.0, 1.0, math.inf, SmoothParams((1.0, 1.0)), "gamma", [5])
 
 
 class TestRankOneFactors:
