@@ -45,12 +45,16 @@ def best_approx_upper(f: TrigPoly, n: float, params: SmoothParams, gamma_mode: s
     the minimum of that and the error of the smooth-block aggregate, whose
     spectrum lies inside the gamma'-cross at level n; the aggregate is
     admissible only for the gamma-prime mode, or when gamma' = gamma
-    (nu = d).
+    (nu = d).  An aggregate equal to the Fourier sum (both are empty for a
+    shell member) leaves the remainder just measured, which is not measured again.
     """
     err = fourier_sum_error(f, n, params, gamma_mode, q)
     if 1 < q < math.inf or (gamma_mode != "gamma-prime" and params.nu != params.d):
         return err
-    return min(err, bq1_norm(f - smooth_aggregate(f, n, params), q, "smooth"))
+    aggregate = smooth_aggregate(f, n, params)
+    if aggregate == project_cross(f, n, params, gamma_mode):
+        return err
+    return min(err, bq1_norm(f - aggregate, q, "smooth"))
 
 
 @functools.lru_cache(maxsize=64, typed=True)

@@ -115,6 +115,9 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha must be finite and positive, got alpha={self.alpha}")
         if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
             raise ConfigError("T5-family needs even shell levels")
+        if self.theorem_tag == "T5-family" and min(self.n_range) < 2 * self.d:
+            raise ConfigError(f"n_range level {min(self.n_range)} has an empty even shell:"
+                              f" T5-family needs n >= 2d = {2 * self.d}")
 
     @property
     def params(self) -> SmoothParams:

@@ -1,20 +1,20 @@
 """Sweep the cross level, record errors, and fit the predicted order
 2**(-a n) * n**b against the measurements.
 
-The swept member is the scaled Dirichlet shell of ``shell_extremal``.  For
-q > 1 its error is the member's scale times the sum, over the shell blocks
-(none lies in the cross), of prod_j phi_q(s_j), phi_q(s) = ||D_s||_q
-(``block_profile``), each computed once per sweep: for q < inf the Fourier
-sum is the best sharp-norm approximation and a sharp block factors; for
-q = inf the member and every smooth filter are nonnegative, so its B_{inf,1}
-norm is f(0) and phi_inf(s) = 2**s.  phi_2 and phi_4 are closed forms too;
-any other q integrates |D_s|**q by Gauss-Legendre panels between the
-explicit zeros of D_s (``dirichlet_lq_mean``), so a sweep evaluates no grid.
-For q = 1 (smooth blocks, which do not factor) the member is built,
-projected and measured; that polynomial path is the tests' oracle for the
-profile path.  The cardinality column counts each cross, and the q = 1
-path keeps the member's terms, by the key of ``cross_level``, so no sweep
-builds a cross.
+The swept member is the scaled Dirichlet shell of ``shell_extremal``.  A
+sweep lists its blocks once, in lexicographic order with their
+``cross_level`` keys, and no sweep builds a cross.  For q > 1 the member
+is the per-block weights prod_j phi_q(s_j), phi_q(s) = ||D_s||_q
+(``block_profile``, once per s), and a level's error is its scale times the
+sum of its shell's weights (the shell lies outside the cross): for q < inf
+the Fourier sum is the best sharp-norm approximation and a sharp block
+factors; for q = inf the member and every smooth filter are nonnegative, so
+its B_{inf,1} norm is f(0) and phi_inf(s) = 2**s.  phi_2 and phi_4 are
+closed forms too; any other q integrates |D_s|**q by Gauss-Legendre panels
+between the explicit zeros of D_s (``dirichlet_lq_mean``), so a sweep
+evaluates no grid.  For q = 1 (smooth blocks, which do not factor) the
+member is built, projected and measured once; that polynomial path is the
+tests' oracle for the profile path.
 
 Jointly estimating (a, b) from desk-scale n is ill conditioned because
 log2(n) drifts slowly, so the acceptance protocol pins a at its predicted
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import best_approx_upper
-from .blocks import SmoothParams, check_cross_level, compositions, cross_candidates
+from .blocks import SmoothParams, check_cross_level, cross_candidates
 from .extremal import shell_extremal, shell_scale
 from .poly import check_exponent, is_int
 
@@ -200,21 +200,19 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
 
     Each level records the error of ``best_approx_upper`` on
     ``shell_extremal`` (whose smooth aggregate is empty) and the level-n
-    cross's frequency count, the sum of 2**(s,1) over the blocks whose
-    ``cross_level`` key is below n, with one key per block and sweep
-    (``cross_candidates``).  No level builds a cross.  A level that is not
-    an integer, or lies below d or above ``MAX_CROSS_LEVEL``, fails up
-    front.
+    cross's frequency count, the sum of 2**(s,1) over the blocks whose key
+    is below n.  A level that is not an integer, or lies below d or above
+    ``MAX_CROSS_LEVEL``, fails up front.  The blocks of shells d..top, with
+    their ``cross_level`` keys, are listed once (``cross_candidates``).
 
-    For q > 1 no polynomial is built.  Every block of the level-n cross has
-    (s,1) < n, so none of the shell (s,1) = n lies in it, and the error is
-    ``shell_scale(n, d, r1 + 1 - 1/p, theta)``, the member's scale, times
-    the sum over the shell blocks, in lexicographic order, of prod_j
-    ``block_profile(q, s_j)``.  It agrees with the
-    polynomial path to rounding for q in {2, 4, inf}, and otherwise to that
-    path's self-checked quadrature, off by up to 3.3e-7 on the 1-D block D_s
-    at q = 2.5.  For q = 1 each level builds the member, and
-    ``best_approx_upper`` keeps its terms by the same key.
+    For q > 1 no polynomial is built.  The shell (s,1) = n lies outside the
+    level-n cross, and the error is ``shell_scale(n, d, r1 + 1 - 1/p,
+    theta)``, the member's scale, times the Python ``sum``, left to right in
+    lexicographic order, of the shell's weights prod_j ``block_profile(q,
+    s_j)``.  It agrees with the polynomial path to rounding for q in {2, 4,
+    inf}, and otherwise to that path's self-checked quadrature, off by up to
+    3.3e-7 on the 1-D block D_s at q = 2.5.  For q = 1 each level builds the
+    member, and ``best_approx_upper`` keeps its terms by the same key.
     """
     validate_hypotheses(p, q, theta, params, gamma_mode)
     d = params.d
@@ -225,21 +223,20 @@ def sweep_extremal(p: float, q: float, theta: float, params: SmoothParams,
         raise ValueError(f"need n >= d for a nonempty shell, got n={min(n_range)}, d={d}")
     top = max(n_range, default=d)
     check_cross_level(top)
-    S, key = cross_candidates(top, d, params.gamma_for(gamma_mode))
-    count = 2 ** S.sum(axis=1)
-    profile: dict[int, float] = {}
+    S, key = cross_candidates(top + 1, d, params.gamma_for(gamma_mode))
+    level = S.sum(axis=1)
+    if q > 1:
+        phi = np.array([block_profile(q, s) for s in range(1, top - d + 2)])
+        weight = functools.reduce(np.multiply, phi[S.T - 1])  # prod_j phi_q(s_j), left to right
     rows = []
     for n in n_range:
         if q > 1:
-            shell = compositions(n, d).tolist()
-            for sj in sorted({sj for s in shell for sj in s} - profile.keys()):
-                profile[sj] = block_profile(q, sj)
-            total = sum((math.prod(profile[sj] for sj in s) for s in shell), 0.0)
+            total = sum(weight[level == n].tolist(), 0.0)
             err = shell_scale(n, d, params.r1 + 1.0 - 1.0 / p, theta) * total
         else:
             member = shell_extremal(n, d, params.r1, p, theta)
             err = best_approx_upper(member, n, params, gamma_mode, q)
-        rows.append(SweepRow(n=n, cardinality=int(count[key < n].sum()), error=err))
+        rows.append(SweepRow(n=n, cardinality=int((2 ** level[key < n]).sum()), error=err))
     return rows
 
 
@@ -247,7 +244,8 @@ def fit_rates(rows: Sequence[SweepRow], mode: str,
               a_theory: float, b_theory: float) -> RateFit:
     """Least squares on log2(error) = -a*n + b*log2(n) + c.
 
-    ``slope-fixed`` pins a at ``a_theory`` and fits (b, c) only.
+    ``slope-fixed`` pins a at ``a_theory`` (moved to the left side) and
+    fits (b, c) only.
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
@@ -257,17 +255,11 @@ def fit_rates(rows: Sequence[SweepRow], mode: str,
         raise ValueError("need at least 4 sweep rows")
     if np.any(errs <= 0):
         raise ValueError("errors must be positive for a log fit")
-    y = np.log2(errs)
-    logn = np.log2(ns)
-    if mode == "free":
-        X = np.column_stack([-ns, logn, np.ones_like(ns)])
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        a_hat, b_hat, c_hat = float(coef[0]), float(coef[1]), float(coef[2])
-    else:
-        y2 = y + a_theory * ns
-        X = np.column_stack([logn, np.ones_like(ns)])
-        coef, *_ = np.linalg.lstsq(X, y2, rcond=None)
-        a_hat, b_hat, c_hat = float(a_theory), float(coef[0]), float(coef[1])
+    y, logn = np.log2(errs), np.log2(ns)
+    free = mode == "free"
+    X = np.column_stack(([-ns] if free else []) + [logn, np.ones_like(ns)])
+    coef = np.linalg.lstsq(X, y if free else y + a_theory * ns, rcond=None)[0].tolist()
+    a_hat, b_hat, c_hat = coef if free else [float(a_theory), *coef]
     resid = y - (-a_hat * ns + b_hat * logn + c_hat)
     rms = float(np.sqrt(np.mean(resid**2)))
     return RateFit(a_hat, b_hat, c_hat, rms, float(a_theory), float(b_theory), mode)

@@ -9,6 +9,7 @@ from stepcross.approx import (best_approx_upper, fourier_sum_error, projector_no
 from stepcross.blocks import (SmoothParams, compositions, hyperbolic_cross,
                               mean_zero_block_indices)
 from stepcross.extremal import shell_extremal
+from stepcross.kernels import smooth_aggregate
 from stepcross.norms import bq1_norm, lp_bounds, lp_norm
 from stepcross.poly import DROP_TOL, TrigPoly, blocks_of, project_cross
 from stepcross.sparse import sort_runs
@@ -107,6 +108,26 @@ class TestBestApproxUpper:
         f = random_mixed_poly(np.random.default_rng(4), 2, max_shell=7)
         u = best_approx_upper(f, 5, params, gamma_mode, q)
         assert u == fourier_sum_error(f, 5, params, gamma_mode, q) > 0
+
+    # a smooth aggregate other than the Fourier sum is measured, and the
+    # smaller error is the bound: on the 1-D Dirichlet kernel of degree 31 at
+    # level 5, whose low blocks lie inside the gamma-prime cross, the
+    # aggregate's at q = 1 and the Fourier sum's at q = inf
+    @pytest.mark.parametrize("q", [1.0, math.inf])
+    def test_nonempty_aggregate_is_measured(self, monkeypatch, q):
+        params = SmoothParams((1.0,))
+        K = np.array([k for k in range(-31, 32) if k])[:, None]
+        f = TrigPoly.from_arrays(K, np.ones(len(K)))
+        aggregate = smooth_aggregate(f, 5, params)
+        assert not aggregate.is_zero() and aggregate != project_cross(f, 5, params)
+        sharp = fourier_sum_error(f, 5, params, "gamma-prime", q)
+        smooth = bq1_norm(f - aggregate, q, "smooth")
+        assert (smooth < sharp) is (q == 1.0)
+        measured = []
+        monkeypatch.setattr(approx, "bq1_norm",
+                            lambda g, *a: measured.append(g) or bq1_norm(g, *a))
+        assert best_approx_upper(f, 5, params, "gamma-prime", q) == min(sharp, smooth)
+        assert measured[1] == f - aggregate and len(measured) == 2
 
     def test_approx_result_consistency(self):
         # the bound and the Fourier-sum error of one polynomial agree

@@ -418,7 +418,8 @@ def test_rates_run_invalid_config_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(("field", "value"), [
     ("n_range", []), ("samples", 0), ("n_range", [6.5, 8]), ("n_range", ["6", 8]),
-    ("l_range", [10.5, 12]), ("samples", True), ("gamma_mode", "ones")])
+    ("l_range", [10.5, 12]), ("samples", True), ("gamma_mode", "ones"),
+    ("n_range", [-4, 2])])  # even levels below 2d: empty even shells
 def test_rates_run_family_without_levels_or_samples_exits_one(tmp_path, capsys, field, value):
     cfg = {"theorem_tag": "T5-family", "d": 2, "r": [1.0, 1.0], "n_range": [6, 8],
            "samples": 3, "output_path": str(tmp_path / "res"), field: value}

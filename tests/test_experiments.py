@@ -92,7 +92,10 @@ class TestConfigValidation:
         # alpha that is not finite and positive
         ("lemmaA", "l_range", [0, 5]), ("lemmaA", "l_range", [-2, 5]),
         ("lemmaA", "l_range", [12, 10]), ("lemmaA", "alpha", "nan"), ("lemmaA", "alpha", 0),
-        ("lemmaA", "alpha", -1.0), ("lemmaA", "alpha", "inf")])
+        ("lemmaA", "alpha", -1.0), ("lemmaA", "alpha", "inf"),
+        # an even level below 2d, whose even shell holds no block
+        ("T5-family", "n_range", [-4, 2]), ("T5-family", "n_range", [0, 6]),
+        ("T5-family", "n_range", [2, 6])])
     def test_empty_or_nonpositive_counts_named_at_load(self, tmp_path, tag, field, value):
         data = {"theorem_tag": tag, "r": [1.0, 1.0], field: value,
                 "output_path": str(tmp_path)}
@@ -183,7 +186,7 @@ def test_family_embedding_experiment(tmp_path):
     assert all(lo > 0 for lo, _, _ in summary["norm_range"].values())
 
 
-FAMILY_LEVELS = pytest.mark.parametrize("d,n_range", [(2, (6, 8, 10, 12)), (3, (4, 6, 8))],
+FAMILY_LEVELS = pytest.mark.parametrize("d,n_range", [(2, (6, 8, 10, 12)), (3, (6, 8))],
                                         ids=["d2", "d3"])
 
 
@@ -194,8 +197,7 @@ def run_family(tmp_path, d, n_range):
 
 
 class TestFamilyFiling:
-    """The family files each level's shared support once (d = 3 starts with
-    the empty n = 4 shell, whose filing is empty)."""
+    """The family files each level's shared support once."""
 
     @FAMILY_LEVELS
     def test_member_sups_are_block_norms(self, monkeypatch, tmp_path, d, n_range):
@@ -255,8 +257,7 @@ class TestFamilyFiling:
             assert [e for e in events if e[0] == "filed"] == [("filed", support.K.tobytes())]
             assert [e for e in events if e[0] == "formed"] == [
                 ("formed", support.K[rows].tobytes(), s) for s, rows in groups]
-            # only the empty d = 3, n = 4 shell files no group
-            assert bool(groups) is ((d, n) != (3, 4))
+            assert groups
 
 
 def test_entropy_chain_experiment(tmp_path):
@@ -296,6 +297,22 @@ GOLDEN = {
     "T4": (dict(theorem_tag="T4", d=2, p=4.0, q=2.0, theta=2.0, r=(1.0, 1.0),
                 n_range=(5, 8)),
         "74ebdfa9dbd00ba9798e85aa52017c356c5308bb55fe561cec320f09625fb192"),
+    # d = 3 and levels up to the cap: the shells of the 1-D profile path
+    "T1-d3": (dict(theorem_tag="T1", d=3, p=2.0, q=4.0, theta=math.inf, r=(1.5,) * 3,
+                   n_range=(5, 20)),
+        "93bdb0fd37687ac376a3679bc27465dd6d4e6bf720f7d20b600e0034f4bd15b3"),
+    "T2-d3": (dict(theorem_tag="T2", d=3, p=2.5, q=2.5, theta=2.0, r=(1.0,) * 3,
+                   n_range=(5, 12)),
+        "b8d1dc4ac425fa29dc1032be143449952e481508fb53b04e06b0fdfc07550867"),
+    "T3-inf-d3": (dict(theorem_tag="T3", d=3, p=math.inf, q=math.inf, theta=2.0,
+                       r=(1.0,) * 3, n_range=(5, 40)),
+        "1772c9dcdfbff4d44c18a1482463b2aa31377377c3598a5b1ccc5c9edcee5173"),
+    "T3-inf-d3-prime": (dict(theorem_tag="T3", d=3, p=math.inf, q=math.inf, theta=math.inf,
+                             r=(1.0, 2.0, 2.0), gamma_mode="gamma-prime", n_range=(5, 30)),
+        "8d72d01933140eaf4ccb60ac384578350f74bf279c47a318356f188203ddfd57"),
+    "T4-d3": (dict(theorem_tag="T4", d=3, p=4.0, q=2.0, theta=1.0, r=(1.0,) * 3,
+                   n_range=(5, 16)),
+        "ffa093711bd0e12d0a2293a60154800cbbb43fbe1c1f63a78b5f390711f81ee4"),
 }
 
 

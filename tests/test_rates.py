@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stepcross import approx, rates
+from stepcross import approx, blocks, rates
 from stepcross.blocks import SmoothParams, hyperbolic_cross
 from stepcross.extremal import dirichlet_shell, shell_extremal, shell_scale
 from stepcross.norms import lp_norm
@@ -185,11 +185,41 @@ class TestSweep:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_candidates", "compositions", "block_profile"):
+        for name in ("cross_candidates", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         bad = next(n for n in levels if not isinstance(n, int) or isinstance(n, bool))
         with pytest.raises(ValueError, match=re.escape(f"integers, got n={bad!r}")):
             sweep_extremal(math.inf, math.inf, 2.0, SmoothParams((1.0, 1.0)), "gamma", levels)
+
+    # the sweep lists its blocks once, reads every level from that array and
+    # computes each 1-D profile once; it lists no shell of its own
+    def test_one_block_array_per_sweep(self, monkeypatch):
+        calls = []
+        for module, name in ((rates, "cross_candidates"), (rates, "block_profile"),
+                             (blocks, "compositions")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                calls.append((name, a[:2])) or real(*a))
+        assert not hasattr(rates, "compositions")
+        params = SmoothParams((1.0, 1.0))
+        rows = sweep_extremal(2.5, 2.5, 2.0, params, "gamma", range(4, 8))
+        assert calls == ([("cross_candidates", (8, 2)), ("compositions", (8, 3))]
+                         + [("block_profile", (2.5, s)) for s in range(1, 7)])
+        for row in rows:
+            assert row.cardinality == freq_count(hyperbolic_cross(row.n, params, "gamma"))
+
+    # a q = 1 level measures its member once: the member's smooth aggregate
+    # and its Fourier sum are both empty, so the two remainders are one
+    def test_q1_level_measures_its_member_once(self, monkeypatch):
+        measured = []
+        bq1_norm = approx.bq1_norm
+        monkeypatch.setattr(approx, "bq1_norm",
+                            lambda f, *a: measured.append(f) or bq1_norm(f, *a))
+        params = SmoothParams((1.0,))
+        rows = sweep_extremal(1.0, 1.0, 2.0, params, "gamma", range(5, 12))
+        assert len(measured) == 7
+        for row, f in zip(rows, measured):
+            assert f == shell_extremal(row.n, 1, 1.0, 1.0, 2.0)
 
     def test_hypothesis_violation_bubbles_up(self):
         params = SmoothParams((0.1, 0.1))
@@ -356,7 +386,7 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_candidates", "compositions", "block_profile"):
+        for name in ("cross_candidates", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n >= d"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0, 1.0)), "gamma", range(4, 1, -1))
@@ -366,7 +396,7 @@ class TestProfilePath:
         def no_level(*args, **kwargs):
             raise AssertionError("a sweep level was computed")
 
-        for name in ("cross_candidates", "compositions", "block_profile"):
+        for name in ("cross_candidates", "block_profile"):
             monkeypatch.setattr(rates, name, no_level)
         with pytest.raises(ValueError, match="n=41 exceeds cap 40"):
             sweep_extremal(q, q, 2.0, SmoothParams((1.0, 1.0)), "gamma", range(5, 42))

@@ -2,14 +2,17 @@
 no module imports another stepcross module's private (underscore) name,
 every function is reached from outside the unit tests, no import or
 function definition hides inside a function, only ``poly.py`` reads a polynomial through its dict
-views (``.coeffs``, ``.terms()``) instead of its arrays, and no module keeps
-hidden state in a module-level instance of a package class.
+views (``.coeffs``, ``.terms()``) instead of its arrays, no module keeps
+hidden state in a module-level instance of a package class, and every module
+stays below the parser's 4,096-token step.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
 
 import ast
 import functools
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -243,3 +246,31 @@ def test_guard_sees_a_module_level_instance():
                      "cached = functools.lru_cache(maxsize=1)(sorted)\n"
                      "def f():\n    local = Box()\n")
     assert module_instances(tree, {"Box"}) == {"held": 5, "items": 6}
+
+
+# CPython 3.11's parser keeps a module's tokens in an array that doubles past
+# 4,096 entries, which costs every process that compiles the module about
+# 0.23 MB of peak memory; the benchmark's workers compile the sources, so
+# until it measures peak memory above set-up, "modules are kept under 4,096
+# tokens" (ROADMAP item 6).  The parser counts tokenize's tokens other than
+# comments and non-logical newlines.
+PARSER_TOKEN_STEP = 4096
+
+
+def parser_tokens(source: str) -> int:
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_stay_below_the_parser_token_step(path):
+    count = parser_tokens(path.read_text())
+    assert count < PARSER_TOKEN_STEP, (
+        f"{path.name} has {count} parser tokens, at or past the {PARSER_TOKEN_STEP} step")
+
+
+def test_guard_counts_what_the_parser_counts():
+    # NAME OP NUMBER NEWLINE ENDMARKER: comments and blank lines add nothing
+    assert parser_tokens("x = 1\n") == parser_tokens("# note\n\nx = 1  # one\n\n") == 5
+    # INDENT and DEDENT count; the line break inside the brackets does not
+    assert parser_tokens("if x:\n    y = (1,\n         2)\n") == 15
