@@ -33,7 +33,19 @@ def _parse_rvec(text: str) -> tuple[float, ...]:
 
 
 def _norm_callable(spec: dict):
+    if not isinstance(spec, dict):
+        raise ValueError("the norm spec must be a JSON object")
     kind = spec.get("kind", "lp")
+    keys = {"lp": (["p"], []), "besov": (["r", "p"], ["theta", "form"]), "bq1": (["q"], ["form"])}
+    if not isinstance(kind, str) or kind not in keys:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    required, optional = keys[kind]  # besides kind and grid
+    unknown = set(spec) - {"kind", "grid", *required, *optional}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in the {kind} norm spec")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"missing keys {missing} in the {kind} norm spec")
     grid = spec.get("grid", {})
     if not isinstance(grid, dict):
         raise ValueError("the norm spec's grid must be a JSON object")
@@ -49,11 +61,9 @@ def _norm_callable(spec: dict):
         p, theta = parse_extended(spec["p"]), parse_extended(spec.get("theta", "inf"))
         form = spec.get("form", "sharp")
         return lambda f: besov_mixed_norm(f, params, p, theta, form, grid_spec)
-    if kind == "bq1":
-        q = parse_extended(spec["q"])
-        form = spec.get("form", default_form(q))
-        return lambda f: bq1_norm(f, q, form, grid_spec)
-    raise ValueError(f"unknown norm kind {kind!r}")
+    q = parse_extended(spec["q"])
+    form = spec.get("form", default_form(q))
+    return lambda f: bq1_norm(f, q, form, grid_spec)
 
 
 PLOT_SCRIPT = """\

@@ -40,15 +40,15 @@ Numerical methods
   of at most ``SLICE_POINTS`` values: runs of whole rows; runs of lines
   inside one row when a row holds more; runs of points of one line when a
   line holds more (for d = 1, the one line).  The last FFT stage
-  (``GridLines.transform``) runs once on each line as its batch comes, each
-  batch takes one max or one sum, and a polynomial's sum is the correctly
-  rounded ``math.fsum`` of its batch sums (J. R. Shewchuk, *Discrete
-  Comput. Geom.* 18, 1997).  It differs from the whole array's pairwise
-  ``np.sum`` only at rounding.  Besides the last stage's input it holds,
-  per thread, one batch's values and moduli, raised to p in place (the
-  complex values of a whole line when a line holds more than a batch)
-  and, for real coefficients, the powers of rows 0 and N_0/2 until the
-  grid is done.
+  (``GridLines.transform``) runs once on each line as its batch comes.
+  Each batch is reduced as it comes and keeps nothing for the next: one
+  max, or one sum and, for real coefficients, the sums of its parts of
+  rows 0 and N_0/2.  A polynomial's sum is the correctly rounded
+  ``math.fsum`` of these (J. R. Shewchuk, *Discrete Comput. Geom.* 18,
+  1997), which differs from the whole array's pairwise ``np.sum`` only at
+  rounding.  Besides the last stage's input it holds, per thread, one
+  batch's values and moduli, raised to p in place (the complex values of a
+  whole line when a line holds more than a batch).
 * Batched work is shared between the calling thread and one helper thread
   when the process may use more than one CPU: numpy's FFT, ``abs``, power
   and sums release the GIL.  A call with two or more batched groups (dims
@@ -64,7 +64,8 @@ Numerical methods
   which alone calls ``eval_grid``.  About 1 MB of batches can be in
   flight.
 * ``even_norms`` takes the exact L_2 and L_4 of many sparse polynomials
-  with no grid, and ``lp_bounds`` brackets any L_p from them.
+  with no grid, a chunk of their squares at a time, and ``lp_bounds``
+  brackets any L_p from them.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -106,8 +107,8 @@ def _check_form(form: str, p: float) -> None:
 # one batch, reduced in a stack of up to twice as many values, and a larger
 # one is reduced in batches of at most this many
 SLICE_POINTS = 1 << 15
-# most square pairs in a ``nikolskii_checks`` group: its memory stays below a probe's
-GROUP_PAIRS = SLICE_POINTS // 4
+# most square pairs in an ``even_norms`` chunk of several runs
+CHUNK_PAIRS = SLICE_POINTS // 4
 
 
 _HELPER = threading.Lock()  # held while a helper thread runs (``_share``)
@@ -168,41 +169,37 @@ def _grid_stats(fs: Sequence[TrigPoly], p: float, dims: Sequence[int],
     are evaluated.  Their max is the grid max, and a mean is (2 S - E) /
     (grid size), from the sum S over those rows and the sum E of the rows
     that map onto themselves, row 0 and, for even N_0, row N_0/2 (the last
-    one evaluated), added elementwise.
+    one evaluated).
 
     A grid of at most ``SLICE_POINTS`` values evaluated is one batch: the fs
     go in stacks of at most ``2 * SLICE_POINTS`` values (``_stack``), and a
     stack is reduced along its rows, one polynomial's values each, so each
     sum is the flat array's ``sum`` bit for bit.  A larger grid is reduced
     one polynomial at a time, in the batches of ``_ranges``, on two threads
-    (``_share``).  Each batch takes one max or one sum, and E one sum per
-    batch of row 0, over that part of row 0 added elementwise to the same
-    part of row N_0/2 (the k-th batch of one row pairs with the k-th of the
-    other); a polynomial's 2 S - E, or S, is the correctly rounded
-    ``math.fsum`` of these sums, which no order of the batches changes.  A
-    mean divides it by the grid size, as ``np.mean`` does.
+    (``_share``).  Each batch gives its own ``_terms``; a polynomial's max is
+    their max, and its 2 S - E, or S, their correctly rounded ``math.fsum``,
+    which no order of the batches changes.  A mean divides it by the grid
+    size, as ``np.mean`` does.
     """
     n0, row, rows = dims[0], math.prod(dims[1:]), _rows(dims, real)
     size, points = rows * row, n0 * row
-    edges = 2 - n0 % 2 if real else 0
+    edges = [0, size - row][:2 - n0 % 2] if real else []  # the flat starts of E's rows
     if size > SLICE_POINTS:
         ranges, step = _ranges(dims, size)
         groups = (_share(_run_ranges, (GridLines(f, dims, rows), ranges, step, p, edges, row, size),
                          (), range(len(ranges))) for f in fs)
     else:
         step = 2 * SLICE_POINTS // size
-        groups = ([[_terms(_stack(fs[at:at + step], dims, rows), 0, p, edges, row, size)]]
+        groups = ([_terms(_stack(fs[at:at + step], dims, rows), 0, p, edges, row)]
                   for at in range(0, len(fs), step))
     out = []
-    for slots in groups:  # per stack or polynomial; a slot is a list of batches
-        terms, heads, lasts = ([x for slot in slots for b in slot for x in b[i]] for i in range(3))
-        terms += [-np.add.reduce(head + last, -1) for head, last in zip(heads, lasts)]
-        cols = zip(*(t.tolist() for t in terms))
+    for slots in groups:  # per stack or polynomial; a slot is a list of terms
+        cols = zip(*(t.tolist() for slot in slots for t in slot))
         out += [max(c) for c in cols] if math.isinf(p) else [math.fsum(c) / points for c in cols]
     return out
 
 
-def _run_ranges(lines: GridLines, ranges: list, step: int, p: float, edges: int, row: int,
+def _run_ranges(lines: GridLines, ranges: list, step: int, p: float, edges: list, row: int,
                 size: int, slots: list, ks: Iterable[int]) -> None:
     """For each k of ``ks`` in turn, line range k of ``ranges`` transformed
     into this thread's own buffer, and the ``_terms`` of its batches of at
@@ -213,28 +210,24 @@ def _run_ranges(lines: GridLines, ranges: list, step: int, p: float, edges: int,
         out = buf[:count]
         out.fill(0)
         values = lines.transform(first, out).reshape(1, -1)[:, :size]
-        slots[k] = [_terms(values[:, at:at + step], first * lines.n + at, p, edges, row, size)
-                    for at in range(0, values.shape[1], step)]
+        slots[k] = [t for at in range(0, values.shape[1], step) for t in _terms(
+            values[:, at:at + step], first * lines.n + at, p, edges, row)]
 
 
-def _terms(v: np.ndarray, lo: int, p: float, edges: int, row: int, size: int) -> tuple:
+def _terms(v: np.ndarray, lo: int, p: float, edges: list, row: int) -> list:
     """One batch of ``_grid_stats``: the values ``v`` of flat indices lo..,
-    one row per polynomial.  Returns its max, or its terms of 2 S - E or S,
-    then its part of row 0 and its part of row N_0/2 that E takes, each a
-    list of one array or none.  Its moduli are freed unless such a part
-    holds them."""
+    one row per polynomial.  Returns its max or, each an array of one value
+    per polynomial, its terms of S or, when ``edges`` holds the flat starts
+    of the rows that E takes, of 2 S - E: twice its sum, and minus the sum
+    of its part of each such row.  Nothing of it is kept for the next."""
     x = np.abs(v)
     if math.isinf(p):
-        return [np.maximum.reduce(x, -1)], [], []
+        return [np.maximum.reduce(x, -1)]
     if p != 1:
         x **= p
     s = np.add.reduce(x, -1)  # each row's x.sum(), without its wrapper
-    terms = [2 * s if edges else s]
-    if edges == 1 and lo < row:
-        terms.append(-np.add.reduce(x[:, :row - lo], -1))
-    pair = edges == 2
-    return (terms, [x[:, :row - lo]] if pair and lo < row else [],
-            [x[:, max(size - row - lo, 0):]] if pair and lo + x.shape[1] > size - row else [])
+    return [2 * s if edges else s] + [-np.add.reduce(x[:, max(e - lo, 0):e + row - lo], -1)
+                                      for e in edges if lo < e + row and e < lo + x.shape[1]]
 
 
 def _is_even(p: float) -> bool:
@@ -311,25 +304,28 @@ def _share(work, args: tuple, mine: Sequence[int], rest: Sequence[int]) -> list:
     The helper is started only when ``rest`` has two or more items, the
     process may use more than one CPU and no other helper runs: it holds
     ``_HELPER``, so that neither it nor the thread beside it starts another.
-    It is joined before this returns, an exception it raised is raised
-    here, and after an exception in either thread the other takes no new
-    item.
+    When it cannot be started (``Thread.start`` raises RuntimeError), the
+    calling thread does every item alone.  It is joined before this returns,
+    an exception it raised is raised here, and after an exception in either
+    thread the other takes no new item.
     """
     slots: list = [None] * (len(mine) + len(rest))
     shared, errors, helper = iter(rest), [], None
     if (len(rest) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
             and _HELPER.acquire(blocking=False)):
         helper = threading.Thread(target=_guard, args=(work, args + (slots,), shared, errors))
-    try:
-        if helper is not None:
+        try:
             helper.start()
+        except RuntimeError:  # no thread can be started: this one does every item
+            helper = None
+            _HELPER.release()
+    try:
         work(*args, slots, chain(mine, shared))
     finally:
         for _ in shared:  # after an error here, the helper ends with its current item
             pass
         if helper is not None:
-            if helper.ident is not None:
-                helper.join()
+            helper.join()
             _HELPER.release()
     if errors:
         raise errors[0]
@@ -432,17 +428,28 @@ def even_norms(K: np.ndarray, C: np.ndarray,
     """Parseval's L_2 and the exact L_4 of each polynomial f_i whose
     canonical terms are the run (K, C)[starts[i]:starts[i + 1]], the last to
     the end, bit for bit ``lp_norm(f_i, 2)`` and ``sqrt(lp_norm(f_i * f_i,
-    2))``, with no grid: the squares come from ``sparse.cauchy_squares``, in
-    chunks of at most ``SLICE_POINTS`` pairs, drop and reject coefficients
-    as ``TrigPoly`` does, and each |c|**2 is ``TrigPoly.abs2``'s, added left
-    to right as ``lp_norm`` adds them."""
-    run, Ks, Cs = cauchy_squares(K, C, starts, SLICE_POINTS)
-    mod, keep = kept_terms(Ks, Cs, "of a square ")
-    # one pass adds the |c|**2 of every run, then those of every square
-    sums = run_sums(np.concatenate((np.float_power(np.hypot(C.real, C.imag), 2),
-                                    np.where(keep, np.float_power(mod, 2), 0.0))),
-                    np.concatenate((starts, len(C) + np.searchsorted(run, np.arange(len(starts))))))
-    return np.sqrt(sums[:len(starts)]).tolist(), np.sqrt(np.sqrt(sums[len(starts):])).tolist()
+    2))``, with no grid.  Each chunk of runs, the next of at most
+    ``CHUNK_PAIRS`` square pairs in all or one of more (at most
+    ``SLICE_POINTS``), is squared (``sparse.cauchy_squares``) and reduced
+    before the next; squares drop and reject coefficients as ``TrigPoly``
+    does, and each |c|**2 is ``TrigPoly.abs2``'s, added left to right."""
+    ends = np.append(starts, len(K))
+    done = np.cumsum(np.append(0, np.diff(ends) ** 2))  # the square pairs of runs 0..i-1
+    l2, l4, r0 = [], [], 0
+    while r0 < len(starts):
+        r1 = max(r0 + 1, np.searchsorted(done, done[r0] + CHUNK_PAIRS, "right") - 1)
+        c, at = C[ends[r0]:ends[r1]], starts[r0:r1] - ends[r0]
+        run, Ks, Cs = cauchy_squares(K[ends[r0]:ends[r1]], c, at, SLICE_POINTS)
+        mod, keep = kept_terms(Ks, Cs, "of a square ")
+        # one pass adds the |c|**2 of every run, then those of every square
+        sums = run_sums(np.concatenate((np.float_power(np.hypot(c.real, c.imag), 2),
+                                        np.where(keep, np.float_power(mod, 2), 0.0))),
+                        np.concatenate((at, len(c) + np.searchsorted(run, np.arange(r1 - r0)))))
+        l2 += np.sqrt(sums[:r1 - r0]).tolist()
+        l4 += np.sqrt(np.sqrt(sums[r1 - r0:])).tolist()
+        del run, Ks, Cs, mod, keep, sums  # freed before the next chunk is made
+        r0 = r1
+    return l2, l4
 
 
 def lp_bounds(p: float, l2: float, l4: float, s: float) -> tuple[float, float]:
@@ -525,35 +532,25 @@ def nikolskii_check(t: TrigPoly, pairs: Iterable[tuple[float, float]]
 def nikolskii_checks(ts: Sequence[TrigPoly], pairs: Iterable[tuple[float, float]]
                      ) -> list[list[tuple[float, float, bool]]]:
     """``nikolskii_check(t, pairs)`` of each t in ``ts``, bit for bit and in
-    order, with the fixed cost of ``even_norms`` paid per group, not per t.
+    order, with the fixed cost of ``even_norms`` paid once per d, not per t.
     ``pairs`` is read once, and every pair is validated before any work.
 
-    The ts whose square has at most SLICE_POINTS pairs are taken in order of
-    d (stably) and cut into groups of one d and at most ``GROUP_PAIRS``
-    square pairs (a t of more is a group alone); each group takes the L2
-    and L4 of all its ts from one ``even_norms`` call over their runs, so a
-    group holds no more memory than one probe.  A t's moments do not depend
-    on its group.  Each denser t is certified alone by ``nikolskii_check``,
-    on its L4 grid, so neither function calls the other for the same t.
+    The ts of one d whose square has at most SLICE_POINTS pairs take their
+    L2 and L4 from one ``even_norms`` call over their runs, which squares
+    them a chunk at a time.  Each denser t is certified alone by
+    ``nikolskii_check``, on its L4 grid, so neither function calls the
+    other for the same t.
     """
     pairs = _nikolskii_pairs(pairs)
-    out: list = [None] * len(ts)
-    groups: list[list[int]] = []
-    size = 0  # square pairs of the last group
-    for i in sorted(range(len(ts)), key=lambda i: ts[i].d):
-        n = ts[i].nnz ** 2
-        if n > SLICE_POINTS:
-            out[i] = nikolskii_check(ts[i], pairs)
-            continue
-        if not groups or ts[groups[-1][0]].d != ts[i].d or size + n > GROUP_PAIRS:
-            groups.append([])
-            size = 0
-        groups[-1].append(i)
-        size += n
-    for group in groups:
-        starts = np.cumsum([0] + [ts[i].nnz for i in group[:-1]], dtype=np.int64)
-        l2, l4 = even_norms(np.concatenate([ts[i].K for i in group]),
-                            np.concatenate([ts[i].C for i in group]), starts)
-        for i, a, b in zip(group, l2, l4):
+    out = [nikolskii_check(t, pairs) if t.nnz ** 2 > SLICE_POINTS else None for t in ts]
+    runs: dict[int, list[int]] = {}  # d -> places of the ts whose moments take no grid
+    for i, t in enumerate(ts):
+        if out[i] is None:
+            runs.setdefault(t.d, []).append(i)
+    for places in runs.values():
+        starts = np.cumsum([0] + [ts[i].nnz for i in places[:-1]], dtype=np.int64)
+        l2, l4 = even_norms(np.concatenate([ts[i].K for i in places]),
+                            np.concatenate([ts[i].C for i in places]), starts)
+        for i, a, b in zip(places, l2, l4):
             out[i] = _nikolskii_verdicts(ts[i], a, b, pairs)
     return out

@@ -112,10 +112,10 @@ def cauchy_squares(K: np.ndarray, C: np.ndarray, starts: np.ndarray,
 
     A pair's key is ``cauchy_product``'s with the run as a leading
     coordinate.  One stable sort and one ``np.add.reduceat`` take the pairs
-    of whole runs, at most ``limit`` pairs at a time, and sum each run's as
-    ``cauchy_product`` sums one.  A run of one term is multiplied as numpy
-    multiplies a 1 x 1 outer product.  A run of over ``limit`` pairs or a
-    square outside int64 is rejected before any work.
+    of every run and sum each run's as ``cauchy_product`` sums one; a caller
+    that bounds its memory passes a few runs at a time.  A run of one term
+    is multiplied as numpy multiplies a 1 x 1 outer product.  A run of over
+    ``limit`` pairs or a square outside int64 is rejected before any work.
     """
     lengths = np.concatenate((starts[1:], [len(K)])) - starts
     if lengths.max(initial=0) ** 2 > limit:
@@ -129,28 +129,20 @@ def cauchy_squares(K: np.ndarray, C: np.ndarray, starts: np.ndarray,
     offset = None if strides is None else (K - lo) @ strides[1:]
     run = np.repeat(np.arange(len(starts)), lengths)  # each term's run
     reps = lengths[run]  # the pairs (a, b) of each term a
-    head = np.cumsum(reps) - reps  # the number of the first of them
-    skip = head - starts[run]  # pair (a, b) is number b + skip[a]
-    done = np.cumsum(lengths**2)  # the pairs of runs 0..i
-    parts, r0 = [], 0
-    while r0 < len(starts):
-        r1 = int(np.searchsorted(done, done[r0] - lengths[r0] ** 2 + limit, "right"))
-        t0, t1 = starts[r0], starts[r1] if r1 < len(starts) else len(K)
-        a = np.repeat(np.arange(t0, t1), reps[t0:t1])
-        b = np.arange(head[t0], head[t0] + len(a)) - skip[a]
-        with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
-            Cp = C[a] * C[b]
-            one = reps[a] == 1
-            x, y = C.real[a[one]], C.imag[a[one]]
-            # numpy multiplies a 1 x 1 outer product with no fused operations
-            Cp.real[one], Cp.imag[one] = x * x - y * y, x * y + y * x
-            keys = (np.column_stack((run[a], K[a] + K[b])) if offset is None
-                    else run[a] * strides[0] + offset[a] + offset[b])
-            order, _, sums = sort_runs(keys)
-            pair = order[sums]  # the first pair of each distinct sum
-            parts.append((run[a[pair]], K[a[pair]] + K[b[pair]], np.add.reduceat(Cp[order], sums)))
-        r0 = r1
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    skip = np.cumsum(reps) - reps - starts[run]  # pair (a, b) is number b + skip[a]
+    a = np.repeat(np.arange(len(K)), reps)
+    b = np.arange(len(a)) - skip[a]
+    with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
+        Cp = C[a] * C[b]
+        one = reps[a] == 1
+        x, y = C.real[a[one]], C.imag[a[one]]
+        # numpy multiplies a 1 x 1 outer product with no fused operations
+        Cp.real[one], Cp.imag[one] = x * x - y * y, x * y + y * x
+        keys = (np.column_stack((run[a], K[a] + K[b])) if offset is None
+                else run[a] * strides[0] + offset[a] + offset[b])
+        order, _, sums = sort_runs(keys)
+        pair = order[sums]  # the first pair of each distinct sum
+        return run[a[pair]], K[a[pair]] + K[b[pair]], np.add.reduceat(Cp[order], sums)
 
 
 def run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stepcross import cli
 from stepcross.cli import _norm_callable, build_parser, main
 from stepcross.experiments import ExperimentConfig
 from stepcross.poly import TrigPoly, read_jsonl, write_jsonl
@@ -139,6 +140,27 @@ def test_norm_unknown_grid_key_exits_one(poly_file, capsys):
     assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
     err = capsys.readouterr().err
     assert "grid" in err and "points" in err
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("[1]", "the norm spec must be a JSON object"),
+    ('"lp"', "the norm spec must be a JSON object"),
+    ('{"kind": "lp"}', "missing keys ['p'] in the lp norm spec"),
+    ('{"kind": "besov", "theta": 2}', "missing keys ['r', 'p'] in the besov norm spec"),
+    ('{"kind": "bq1", "form": "smooth"}', "missing keys ['q'] in the bq1 norm spec"),
+    ('{"kind": "bq1", "q": 2, "from": "smooth"}', "unknown keys ['from'] in the bq1 norm spec"),
+    ('{"p": 2, "form": "sharp", "r": [1]}', "unknown keys ['form', 'r'] in the lp norm spec"),
+    ('{"kind": "besov", "r": [1], "p": 2, "q": 2}', "unknown keys ['q'] in the besov norm spec"),
+    ('{"kind": ["lp"], "p": 2}', "unknown norm kind ['lp']"),
+    ('{"kind": "sobolev", "p": 2}', "unknown norm kind 'sobolev'"),
+], ids=["list", "string", "lp-without-p", "besov-without-r-p", "bq1-without-q", "bq1-from",
+        "lp-form-r", "besov-q", "kind-list", "kind-unknown"])
+def test_norm_bad_spec_exits_one_before_reading(monkeypatch, poly_file, capsys, spec, named):
+    reads = []
+    monkeypatch.setattr(cli, "read_jsonl", lambda path: reads.append(path) or read_jsonl(path))
+    assert main(["norm", "--spec", spec, "--input", poly_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {named}\n" and reads == []
 
 
 # the grid has three keys; check_rtol, max_refine and max_points are module

@@ -311,13 +311,14 @@ def whole_grid_stats(f, ps, dims):
     ``eval_grid`` array (rows 0..N_0//2 of it for real coefficients): the
     max of |f|, and a mean that is the fsum of the np.sum of each batch of
     ``batch_cuts``, over prod(dims).  For real coefficients the fsum takes
-    twice each batch sum and, for each batch of row 0, minus the np.sum of
-    that part of row 0 plus (even N_0 only) the same part of row N_0/2."""
+    twice each batch sum and, for each batch, minus the np.sum of its part
+    of row 0 and (even N_0 only) minus that of its part of row N_0/2."""
     real = not np.count_nonzero(f.C.imag)
     n0, row = dims[0], math.prod(dims[1:])
     rows = n0 // 2 + 1 if real else n0
     a = np.abs(eval_grid(f, dims, rows)).reshape(-1)
     cuts = batch_cuts(dims, rows)
+    edges = [(0, row)] + [(a.size - row, a.size)] * (n0 % 2 == 0)  # rows 0 and N_0/2
     out = {}
     for p in ps:
         if math.isinf(p):
@@ -326,10 +327,9 @@ def whole_grid_stats(f, ps, dims):
         x = a if p == 1 else a**p
         terms = [x[lo:hi].sum() for lo, hi in cuts]
         if real:
-            last = x.size - row if n0 % 2 == 0 else None  # row N_0/2
-            terms = [2 * t for t in terms] + [
-                -(x[lo:hi] if last is None else x[lo:hi] + x[last + lo:last + hi]).sum()
-                for lo, hi in ((lo, min(hi, row)) for lo, hi in cuts if lo < row)]
+            terms = [2 * t for t in terms] + [-x[max(lo, e0):min(hi, e1)].sum()
+                                              for lo, hi in cuts for e0, e1 in edges
+                                              if lo < e1 and e0 < hi]
         out[p] = math.fsum(terms) / math.prod(dims)
     return out
 
@@ -432,10 +432,13 @@ class TestStreamedStats:
             tracemalloc.stop()
         assert peak <= grid_bytes / 4
 
-    def test_walked_sup_frees_each_batch(self):
+    def test_walked_sup_frees_each_batch(self, monkeypatch):
         # a walked L_inf holds one batch's moduli at a time, as a walked L_1
         # does: keeping the last batch's while the next is made would trace
-        # one more batch, 8 * SLICE_POINTS bytes
+        # one more batch, 8 * SLICE_POINTS bytes.  On one CPU, since the
+        # peak of two threads sharing the batches depends on how they
+        # interleave
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         rng = np.random.default_rng(5)
         g = random_mixed_poly(rng, 3, max_shell=6)
         while math.prod(resolve_grid_dims(g, GridSpec())) < 1_000_000:
@@ -446,6 +449,24 @@ class TestStreamedStats:
             tracemalloc.start()
             try:
                 lp_norm(g, p, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * norms.SLICE_POINTS
+
+    def test_walked_real_mean_holds_no_edge_rows(self, monkeypatch):
+        # rows of 60000 values, each over a batch: a real L_1 reduces its
+        # parts of rows 0 and N_0/2 as their batches come, and holds no more
+        # than the L_inf of the same grid
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        f = random_spectrum(np.random.default_rng(3), 2, 12, 40, real=True)
+        dims = (12, 60000)
+        assert dims[1] > norms.SLICE_POINTS
+        peaks = []
+        for p in (math.inf, 1.0):
+            tracemalloc.start()
+            try:
+                norms._grid_stats([f], p, dims, True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -729,6 +750,31 @@ class TestThreadedNorms:
         assert started == [norms._run_jobs]
         assert lp_norms(fs, 1.5) == want  # then each doubling shares its batches
         assert started[1] is norms._run_jobs and set(started[2:]) == {norms._run_ranges}
+
+
+    def test_no_thread_to_start_leaves_every_item_to_the_caller(self, monkeypatch):
+        # several batched jobs, then the doublings' line ranges: when no
+        # thread can be started the calling thread does them all, bit for
+        # bit as on one CPU, and a later call shares again
+        fs = self.mixed(2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = lp_norms(fs, 1.5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tried = []
+
+        def no_thread(thread):
+            tried.append(thread._args[0])
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        before = threading.active_count()
+        assert lp_norms(fs, 1.5) == want
+        assert tried[0] is norms._run_jobs and norms._run_ranges in tried
+        assert threading.active_count() == before and not norms._HELPER.locked()
+        monkeypatch.undo()
+        started = record_starts(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert lp_norms(fs, 1.5) == want and started[0] is norms._run_jobs
 
 
 def spy_ranges(monkeypatch, raise_on=None):
@@ -1053,6 +1099,22 @@ class TestEvenMomentBounds:
         assert l2 == [lp_norm(f, 2.0) for f in fs]
         assert l4 == [math.sqrt(lp_norm(f * f, 2.0)) for f in fs]
 
+    def test_memory_is_one_chunk_of_squares(self):
+        # each chunk of squares is reduced before the next is made, so 16
+        # times the polynomials trace less than twice the peak
+        rng = np.random.default_rng(0)
+        peaks = []
+        for count in (180, 2880):
+            fs = [random_mixed_poly(rng, 2, max_shell=6) for _ in range(count)]
+            runs = runs_of(fs)
+            tracemalloc.start()
+            try:
+                norms.even_norms(*runs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_lower_equals_upper_at_two_and_four(self, d):
         fs = block_components(np.random.default_rng(10 + d), d, 40)
@@ -1277,7 +1339,8 @@ class TestNikolskiiChecks:
     def test_equals_one_polynomial_at_a_time(self, monkeypatch):
         # d = 1..3 interleaved, zero polynomials, a dense t (the grid L_4
         # path) and sparse ones of 150 terms, whose squares alone overfill a
-        # group, so d = 2 takes several groups
+        # chunk: one ``even_norms`` call per d, and d = 2 squared in several
+        # chunks
         rng = np.random.default_rng(40)
         K = np.array(list(itertools.product(range(-7, 8), range(-7, 8))))  # 225 terms
         dense = TrigPoly.from_arrays(K, rng.normal(size=len(K)))
@@ -1288,16 +1351,21 @@ class TestNikolskiiChecks:
         ts[5:5] = [TrigPoly.zero(2), wide[0], dense]
         ts[40:40] = [TrigPoly.zero(1), wide[1], TrigPoly.zero(3)]
         assert dense.nnz ** 2 > norms.SLICE_POINTS >= max(t.nnz for t in wide) ** 2
-        groups = []
-        even_norms = norms.even_norms
-        monkeypatch.setattr(norms, "even_norms", lambda K, C, starts: groups.append(
-            (K.shape[1], np.diff(starts, append=len(K)).tolist())) or even_norms(K, C, starts))
+        calls, chunks = [], []
+        even_norms, cauchy_squares = norms.even_norms, norms.cauchy_squares
+        monkeypatch.setattr(norms, "even_norms", lambda K, C, starts: calls.append(
+            (K.shape[1], len(starts))) or even_norms(K, C, starts))
+        monkeypatch.setattr(norms, "cauchy_squares", lambda K, C, starts, limit: chunks.append(
+            (K.shape[1], np.diff(starts, append=len(K)).tolist())) or cauchy_squares(K, C, starts,
+                                                                                   limit))
         pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (3.0, 6.0))
         got = nikolskii_checks(ts, pairs)
-        assert sum(len(nnz) for _, nnz in groups) == len(ts) - 1  # all but the dense t
-        assert sum(d == 2 for d, _ in groups) >= 3
-        for _, nnz in groups:
-            assert len(nnz) == 1 or sum(n * n for n in nnz) <= norms.GROUP_PAIRS
+        assert sorted(d for d, _ in calls) == [1, 2, 3]
+        # all but the dense t
+        assert sum(n for _, n in calls) == sum(len(nnz) for _, nnz in chunks) == len(ts) - 1
+        assert sum(d == 2 for d, _ in chunks) >= 3
+        for _, nnz in chunks:
+            assert len(nnz) == 1 or sum(n * n for n in nnz) <= norms.CHUNK_PAIRS
         monkeypatch.undo()
         assert verdict_bits(got) == verdict_bits([nikolskii_check(t, pairs) for t in ts])
         assert got[5] == [(0.0, 0.0, True)] * len(pairs)

@@ -30,22 +30,27 @@ def bits(C):
 
 class TestCauchySquares:
     @pytest.mark.parametrize("wide", [False, True], ids=["int64-keys", "lexsort"])
-    @pytest.mark.parametrize("limit", [BIG, 30], ids=["one-chunk", "chunks"])
+    @pytest.mark.parametrize("chunk", [60, 7], ids=["one-chunk", "chunks"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_each_run_is_its_cauchy_product(self, monkeypatch, d, limit, wide):
+    def test_each_run_is_its_cauchy_product(self, monkeypatch, d, chunk, wide):
+        # squared whole or a few runs at a time, as ``norms.even_norms`` squares them
         rng = np.random.default_rng(d + 10 * wide)
         K, C, starts = random_runs(rng, d, 60, wide)
         sort_runs, rows = sparse.sort_runs, []
         monkeypatch.setattr(sparse, "sort_runs", lambda keys: rows.append(keys.ndim == 2)
                             or sort_runs(keys))
-        run, Ks, Cs = cauchy_squares(K, C, starts, limit)
-        assert len(rows) > (limit < BIG) and any(rows) == wide
+        ends = np.append(starts, len(K))
+        cuts = list(range(0, 60, chunk)) + [60]
+        parts = [cauchy_squares(K[ends[r]:ends[s]], C[ends[r]:ends[s]], starts[r:s] - ends[r], 25)
+                 for r, s in zip(cuts, cuts[1:])]
+        assert rows == [wide] * len(parts) and len(parts) == -(-60 // chunk)
+        run = np.concatenate([r + part[0] for r, part in zip(cuts, parts)])
+        Ks, Cs = (np.concatenate([part[i] for part in parts]) for i in (1, 2))
         monkeypatch.undo()
         assert np.all(np.diff(run) >= 0)
-        bounds = np.append(starts, len(K))
-        lengths = np.diff(bounds)
+        lengths = np.diff(ends)
         assert lengths.min() == 1 and lengths.max() >= 4  # one-term runs and repeated sums
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        for i, (a, b) in enumerate(zip(ends, ends[1:])):
             want_K, want_C = cauchy_product(K[a:b], C[a:b], K[a:b], C[a:b], BIG)
             assert np.array_equal(Ks[run == i], want_K)
             assert np.array_equal(bits(Cs[run == i]), bits(want_C))
