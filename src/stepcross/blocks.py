@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sparse import sort_runs
+from .sparse import run_starts, sort_runs
 
 MAX_CROSS_LEVEL = 40  # frequencies stay well inside int64
 
@@ -263,7 +263,7 @@ def weighted_tail_sums(alpha: float, params: SmoothParams, ls: Sequence[float],
         for k in range(d):
             rows = (S[:, k + 1:] == 1).all(axis=1)  # the blocks (p, s_k, 1, ..., 1)
             Sk = S[rows]
-            starts = np.flatnonzero(np.concatenate(([True], (Sk[1:, :k] != Sk[:-1, :k]).any(1))))
+            starts = run_starts(Sk[:, :k])
             count = np.add.reduceat(inside[rows], starts)  # c_p at each l
             weight = math.prod((W[j][Sk[starts, j]] for j in range(k)), start=np.ones(len(starts)))
             free = math.prod(G[j][1] for j in range(k + 1, d))

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .experiments import (RATE_TAGS, ExperimentConfig, parse_extended, run_exper
 from .extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, lp_norm
-from .poly import (GridSpec, eval_grid, project_cross, read_jsonl, resolve_grid_dims,
+from .poly import (GridSpec, eval_grid, json_line, project_cross, read_jsonl, resolve_grid_dims,
                    write_jsonl)
 
 
@@ -176,10 +177,28 @@ def cmd_rates(args) -> int:
 
 
 def _read_cloud(path) -> CloudProblem:
+    """The cloud of a JSON lines file: a header object, whose "p" (2 if
+    absent) is the norm's exponent, then one {"v": [numbers]} object per
+    point.  A line that is not so is an error naming the path and line."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        pts = [json.loads(line)["v"] for line in fh if line.strip()]
-    return CloudProblem(pts, p=parse_extended(header.get("p", 2.0)))
+        header = json_line(path, 1, fh.readline())
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: line 1: the header must be a JSON object, got {header!r}")
+        try:
+            p = parse_extended(header.get("p", 2.0))
+        except ValueError:
+            raise ValueError(f"{path}: line 1: p must be a number, got {header['p']!r}") from None
+        pts = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            rec = json_line(path, lineno, line)
+            v = rec.get("v") if isinstance(rec, dict) else None
+            if not (isinstance(v, list) and all(isinstance(x, numbers.Real)
+                                                and not isinstance(x, bool) for x in v)):
+                raise ValueError(f'{path}: line {lineno} is not a {{"v": [numbers]}} record')
+            pts.append(v)
+    return CloudProblem(pts, p=p)
 
 
 def cmd_entropy(args) -> int:

@@ -132,15 +132,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
+        """The config of a JSON object; a value of p, q, theta, alpha or an
+        entry of r that is not a number (``parse_extended``) is named."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {data!r}")
         data = dict(data)
-        for key in ("p", "q", "theta", "alpha"):
-            if key in data:
-                data[key] = parse_extended(data[key])
         for key in ("r", "n_range", "l_range"):
             if key in data:
                 if not isinstance(data[key], (list, tuple)):
                     raise ConfigError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
+        scalars = [(key, data[key]) for key in ("p", "q", "theta", "alpha") if key in data]
+        # r is only checked: its entries stay as given, and so does the config hash
+        for key, value in scalars + [("r", v) for v in data.get("r", ())]:
+            try:
+                parse_extended(value)
+            except ValueError:
+                raise ConfigError(f"{key} value {value!r} is not a number") from None
+        data.update((key, parse_extended(value)) for key, value in scalars)
         unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")

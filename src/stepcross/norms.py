@@ -428,25 +428,26 @@ def even_norms(K: np.ndarray, C: np.ndarray,
     """Parseval's L_2 and the exact L_4 of each polynomial f_i whose
     canonical terms are the run (K, C)[starts[i]:starts[i + 1]], the last to
     the end, bit for bit ``lp_norm(f_i, 2)`` and ``sqrt(lp_norm(f_i * f_i,
-    2))``, with no grid.  Each chunk of runs, the next of at most
-    ``CHUNK_PAIRS`` square pairs in all or one of more (at most
-    ``SLICE_POINTS``), is squared (``sparse.cauchy_squares``) and reduced
-    before the next; squares drop and reject coefficients as ``TrigPoly``
-    does, and each |c|**2 is ``TrigPoly.abs2``'s, added left to right."""
+    2))``, with no grid.  Each |c|**2 is ``TrigPoly.abs2``'s, and each run's
+    are added left to right by ``sparse.run_sums``: every run's L_2 in one
+    call, and its L_4 from the run sums of its square.  The squares are made
+    a chunk of runs at a time, the next of at most ``CHUNK_PAIRS`` square
+    pairs in all or one of more (at most ``SLICE_POINTS``), each squared
+    (``sparse.cauchy_squares``) and reduced before the next; they drop and
+    reject coefficients as ``TrigPoly`` does.  Besides the input and one
+    value per run, a chunk's pairs and squares are all that is held."""
     ends = np.append(starts, len(K))
     done = np.cumsum(np.append(0, np.diff(ends) ** 2))  # the square pairs of runs 0..i-1
-    l2, l4, r0 = [], [], 0
+    l2 = np.sqrt(run_sums(np.float_power(np.hypot(C.real, C.imag), 2), starts)).tolist()
+    l4, r0 = [], 0
     while r0 < len(starts):
         r1 = max(r0 + 1, np.searchsorted(done, done[r0] + CHUNK_PAIRS, "right") - 1)
-        c, at = C[ends[r0]:ends[r1]], starts[r0:r1] - ends[r0]
-        run, Ks, Cs = cauchy_squares(K[ends[r0]:ends[r1]], c, at, SLICE_POINTS)
+        run, Ks, Cs = cauchy_squares(K[ends[r0]:ends[r1]], C[ends[r0]:ends[r1]],
+                                     starts[r0:r1] - ends[r0], SLICE_POINTS)
         mod, keep = kept_terms(Ks, Cs, "of a square ")
-        # one pass adds the |c|**2 of every run, then those of every square
-        sums = run_sums(np.concatenate((np.float_power(np.hypot(c.real, c.imag), 2),
-                                        np.where(keep, np.float_power(mod, 2), 0.0))),
-                        np.concatenate((at, len(c) + np.searchsorted(run, np.arange(r1 - r0)))))
-        l2 += np.sqrt(sums[:r1 - r0]).tolist()
-        l4 += np.sqrt(np.sqrt(sums[r1 - r0:])).tolist()
+        sums = run_sums(np.where(keep, np.float_power(mod, 2), 0.0),
+                        np.searchsorted(run, np.arange(r1 - r0)))
+        l4 += np.sqrt(np.sqrt(sums)).tolist()
         del run, Ks, Cs, mod, keep, sums  # freed before the next chunk is made
         r0 = r1
     return l2, l4

@@ -485,7 +485,7 @@ def read_jsonl(path) -> TrigPoly:
     integer or a part ``re`` or ``im`` that is not a number is an error
     naming the path and its line."""
     with open(path) as fh:
-        header = _json_line(path, 1, fh.readline())
+        header = json_line(path, 1, fh.readline())
         d = header.get("d") if isinstance(header, dict) else None
         if not (is_int(d) and d >= 1):
             raise ValueError(f"{path}: line 1: dimension must be an integer >= 1, got d={d!r}")
@@ -494,7 +494,7 @@ def read_jsonl(path) -> TrigPoly:
             line = line.strip()
             if not line:
                 continue
-            rec = _json_line(path, lineno, line)
+            rec = json_line(path, lineno, line)
             if not (isinstance(rec, dict) and rec.keys() >= {"k", "re", "im"}
                     and isinstance(rec["k"], list)):
                 raise ValueError(f'{path}: line {lineno} is not a {{"k", "re", "im"}} record')
@@ -513,7 +513,7 @@ def read_jsonl(path) -> TrigPoly:
     return TrigPoly(d, coeffs)
 
 
-def _json_line(path, lineno: int, line: str):
+def json_line(path, lineno: int, line: str):
     """Line ``lineno`` of ``path`` parsed as JSON, or an error naming both."""
     try:
         return json.loads(line)

@@ -245,16 +245,25 @@ def fit_rates(rows: Sequence[SweepRow], mode: str,
     """Least squares on log2(error) = -a*n + b*log2(n) + c.
 
     ``slope-fixed`` pins a at ``a_theory`` (moved to the left side) and
-    fits (b, c) only.
+    fits (b, c) only.  A row whose level is not positive or repeats an
+    earlier row's, or whose error is not finite and positive, is rejected,
+    named, before any fit.
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
+    if len(rows) < 4:
+        raise ValueError("need at least 4 sweep rows")
+    levels = set()
+    for i, r in enumerate(rows):
+        if not 0 < r.error < math.inf:
+            raise ValueError(f"sweep row {i} (n = {r.n}) has error {r.error}: a log fit needs"
+                             " errors that are finite and positive")
+        if r.n in levels or not r.n > 0:
+            raise ValueError(f"sweep row {i} has level n = {r.n}: a log fit needs levels that"
+                             " are positive and distinct")
+        levels.add(r.n)
     ns = np.array([r.n for r in rows], dtype=float)
     errs = np.array([r.error for r in rows], dtype=float)
-    if len(ns) < 4:
-        raise ValueError("need at least 4 sweep rows")
-    if np.any(errs <= 0):
-        raise ValueError("errors must be positive for a log fit")
     y, logn = np.log2(errs), np.log2(ns)
     free = mode == "free"
     X = np.column_stack(([-ns] if free else []) + [logn, np.ones_like(ns)])

@@ -6,7 +6,10 @@ order, and the coefficients ``C`` in the same order.  ``sorted_sums`` brings
 terms given in any order to that form, summing the coefficients of a
 repeated frequency, ``cauchy_product`` multiplies two such forms and
 ``cauchy_squares`` squares many, each a run of terms.  None drops small
-coefficients; ``TrigPoly`` does.
+coefficients; ``TrigPoly`` does.  ``run_sums`` is the package's one
+left-to-right sum of runs, in memory linear in its input: ``sorted_sums``
+adds repeats with it, ``norms.even_norms`` the squared moduli of each
+polynomial and of its square, and the projector probe its block sums.
 """
 
 from __future__ import annotations
@@ -36,20 +39,14 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
 
 def sorted_sums(K: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K's rows sorted and made distinct, each with the sum, left to right in
-    the given order, of the coefficients C of its copies."""
+    the given order, of the coefficients C of its copies (``run_sums``)."""
     if len(K) < 2:
         return K, C
     order, K, starts = sort_runs(K)  # stable: copies keep their order
-    C = C[order]
     if len(starts) == len(K):
-        return K, C
-    runs = np.diff(starts, append=len(K))
-    total = C[starts]
+        return K, C[order]
     with np.errstate(over="ignore", invalid="ignore"):  # TrigPoly names what is not finite
-        for i in range(1, int(runs.max())):
-            more = runs > i
-            total[more] += C[starts[more] + i]
-    return K[starts], total
+        return K[starts], run_sums(C[order], starts)
 
 
 def _strides(lo: list[int], hi: list[int]) -> np.ndarray | None:
@@ -146,12 +143,19 @@ def cauchy_squares(K: np.ndarray, C: np.ndarray, starts: np.ndarray,
 
 
 def run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The sum of each run x[starts[i]:starts[i + 1]] of a float array, the
-    last to the end, added left to right as Python's ``sum`` adds a list
-    (up to the sign of a zero sum): the runs are the columns of a
-    zero-padded matrix, which ``np.cumsum`` adds down."""
-    lengths = np.concatenate((starts[1:], [len(x)])) - starts
-    run = np.repeat(np.arange(len(starts)), lengths)
-    M = np.zeros((max(lengths.max(initial=0), 1), len(starts)))
-    M[np.arange(len(x)) - starts[run], run] = x
-    return np.cumsum(M, axis=0)[-1]
+    """The sum of each run x[starts[i]:starts[i + 1]], the last to the end,
+    added left to right from its first element; an empty run sums to 0.
+
+    The runs are taken longest first, in a stable order, so step i adds
+    element i of every run longer than i to a prefix of the sums; nothing
+    larger than x and one value per run is held."""
+    lengths = np.diff(starts, append=len(x))
+    order = np.argsort(-lengths, kind="stable")
+    first, total = starts[order], np.zeros(len(starts), x.dtype)
+    # in this order the runs longer than i are the first longer[i]
+    longer = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    for i, m in enumerate(longer.tolist()):
+        total[:m] = x[first[:m]] if i == 0 else total[:m] + x[first[:m] + i]
+    out = np.empty_like(total)
+    out[order] = total
+    return out

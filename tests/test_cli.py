@@ -465,6 +465,29 @@ def test_rates_run_malformed_range_exits_one(tmp_path, capsys, tag, field, value
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(("config", "named"), [
+    ([1], "a config must be a JSON object, got [1]"),
+    ([["theorem_tag", "T1"]], "a config must be a JSON object"),
+    ("T1", "a config must be a JSON object, got 'T1'"),
+    ({"p": "abc"}, "p value 'abc' is not a number"),
+    ({"theta": None}, "theta value None is not a number"),
+    ({"q": [4]}, "q value [4] is not a number"),
+    ({"alpha": True}, "alpha value True is not a number"),
+    ({"r": [1, "x"]}, "r value 'x' is not a number"),
+    ({"r": [1.5, None]}, "r value None is not a number"),
+], ids=["list", "pairs", "string", "p", "theta", "q", "alpha", "r", "r-null"])
+def test_rates_run_config_that_is_not_numbers_exits_one(tmp_path, capsys, config, named):
+    if isinstance(config, dict):
+        config = {"theorem_tag": "T1", "d": 2, "p": 2, "q": 4, "r": [1.5, 1.5],
+                  "n_range": [5, 8], "output_path": str(tmp_path / "res"), **config}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["rates", "run", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    assert not (tmp_path / "res").exists()
+
+
 def test_rates_run_too_few_levels_exits_one_before_any_level(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep level was computed")
@@ -507,6 +530,22 @@ def test_entropy_non_finite_cloud_exits_one(tmp_path, capsys, flags):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and "cloud point 0 has a non-finite coordinate" in captured.err
+
+
+@pytest.mark.parametrize(("text", "named"), [
+    ('[1]\n{"v": [0.0]}\n', 'line 1: the header must be a JSON object, got [1]'),
+    ('{"p": "abc"}\n{"v": [0.0]}\n', "line 1: p must be a number, got 'abc'"),
+    ('{"p": 2}\n{"v": [0.0]}\n{"w": [1.0]}\n', 'line 3 is not a {"v": [numbers]} record'),
+    ('{"p": 2}\n{"v": [0.0]}\n[1.0]\n', 'line 3 is not a {"v": [numbers]} record'),
+    ('{"p": 2}\n{"v": [0.0]}\n{"v": [true]}\n', 'line 3 is not a {"v": [numbers]} record'),
+    ('{"p": 2}\n{"v": [0.0]}\n\nnope\n', "line 4 is not JSON"),
+], ids=["header-list", "header-p", "no-v", "list", "bool", "not-json"])
+def test_entropy_bad_cloud_file_names_path_and_line(tmp_path, capsys, text, named):
+    cloud = tmp_path / "cloud.jsonl"
+    cloud.write_text(text)
+    assert main(["entropy", "--cloud", str(cloud), "--eps", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {cloud}: {named}" in captured.err
 
 
 def test_entropy_cloud(tmp_path, capsys):

@@ -1115,6 +1115,29 @@ class TestEvenMomentBounds:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
 
+    def test_one_long_run_among_many_short_ones(self):
+        # one 60-term d = 2 polynomial and 4,500 one-term ones, 8,100 square
+        # pairs in one chunk; when every run was padded to the longest, the
+        # chunk traced 264 MB
+        rng = np.random.default_rng(0)
+        K = np.unique(rng.integers(-500, 500, (60, 2)), axis=0)
+        C = rng.standard_normal((60, 2)).view(complex)[:, 0]
+        k = rng.integers(-500, 500, (4500, 2))
+        c = rng.standard_normal((4500, 2)).view(complex)[:, 0]
+        long, short = (K, C, np.array([0])), (k, c, np.arange(4500))
+        both = np.concatenate((K, k)), np.concatenate((C, c)), np.append(0, 60 + short[2])
+        assert len(K) == 60
+        tracemalloc.start()
+        try:
+            got = norms.even_norms(*both)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        # each run's norms are its own, as the runs give them alone
+        want = [a + b for a, b in zip(norms.even_norms(*long), norms.even_norms(*short))]
+        assert list(got) == want
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_lower_equals_upper_at_two_and_four(self, d):
         fs = block_components(np.random.default_rng(10 + d), d, 40)

@@ -63,6 +63,23 @@ class TestFitRates:
         with pytest.raises(ValueError):
             fit_rates(rows, "free", 1.0, 0.0)
 
+    @pytest.mark.parametrize("error", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["free", "slope-fixed"])
+    def test_rejects_an_error_it_cannot_log(self, mode, error):
+        # NaN passed the former errors <= 0 test and gave a NaN fit
+        rows = synthetic_rows(lambda n: error if n == 7 else 2.0**-n, range(5, 10))
+        with pytest.raises(ValueError, match=rf"sweep row 2 \(n = 7\) has error {error}"):
+            fit_rates(rows, mode, 1.0, 0.0)
+
+    @pytest.mark.parametrize("levels", [[5, 6, 7, 6, 8], [5, 6, 7, 0, 8], [5, 6, 7, -1, 8]],
+                             ids=["repeated", "zero", "negative"])
+    def test_rejects_a_level_it_cannot_log(self, levels):
+        # local_log_powers divides by log2(n / m) = 0 between repeated levels,
+        # and log2(n) of a level n <= 0 is not finite
+        rows = synthetic_rows(lambda n: 2.0**-n, levels)
+        with pytest.raises(ValueError, match=f"sweep row 3 has level n = {levels[3]}"):
+            fit_rates(rows, "free", 1.0, 0.0)
+
     def test_unknown_mode(self):
         rows = synthetic_rows(lambda n: 2.0**-n, range(5, 10))
         with pytest.raises(ValueError):

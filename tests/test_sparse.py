@@ -1,3 +1,7 @@
+import operator
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -95,12 +99,96 @@ def test_product_sums_alike_on_either_path():
     assert len(narrow_K) < len(K) ** 2 / 3  # sums of three pairs and more
 
 
+def padded_run_sums(x, starts):
+    """The former ``run_sums``: each run a column of a zero-padded matrix,
+    added down by ``np.cumsum``; a zero sum comes out +0.0."""
+    lengths = np.concatenate((starts[1:], [len(x)])) - starts
+    run = np.repeat(np.arange(len(starts)), lengths)
+    M = np.zeros((max(lengths.max(initial=0), 1), len(starts)))
+    M[np.arange(len(x)) - starts[run], run] = x
+    return np.cumsum(M, axis=0)[-1]
+
+
+def loop_sorted_sums(K, C):
+    """The former ``sorted_sums``: each repeat added to its run's first
+    coefficient, one column of copies at a time."""
+    if len(K) < 2:
+        return K, C
+    order, K, starts = sparse.sort_runs(K)
+    C = C[order]
+    if len(starts) == len(K):
+        return K, C
+    runs = np.diff(starts, append=len(K))
+    total = C[starts]
+    for i in range(1, int(runs.max())):
+        more = runs > i
+        total[more] += C[starts[more] + i]
+    return K[starts], total
+
+
+def random_run_sums(rng, signed):
+    """Values in 40 runs of 0-11, empty ones included, spread over 16 decades;
+    ``signed`` ones take either sign and a fifth of them are -0.0."""
+    lengths = rng.integers(0, 12, 40)
+    n = int(lengths.sum())
+    x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+    if signed:
+        x = np.where(rng.random(n) < 0.5, -x, x)
+        x[rng.random(n) < 0.2] = -0.0
+    return x, np.cumsum(lengths) - lengths, lengths
+
+
+def left_sum(values):
+    """``values`` added left to right from the first; 0.0 for none."""
+    return reduce(operator.add, values) if values else 0.0
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_run_sums_add_left_to_right(seed):
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(0, 12, 40)
-    x = rng.random(int(lengths.sum())) * 10.0 ** rng.integers(-8, 8, int(lengths.sum()))
-    starts = np.cumsum(lengths) - lengths
+    x, starts, lengths = random_run_sums(np.random.default_rng(seed), signed=True)
     got = run_sums(x, starts)
-    want = [sum(x[a:a + n].tolist()) for a, n in zip(starts, lengths)]
-    assert np.array_equal(got, want)
+    want = np.array([left_sum(x[a:a + n].tolist()) for a, n in zip(starts, lengths)])
+    assert (lengths == 0).any() and np.signbit(x).any()
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_negative_zero_run_sums_to_negative_zero():
+    # among longer runs, the former zero padding turned it into +0.0
+    x = np.array([1.0, 2.0, 3.0, -0.0, -0.0, 4.0, 5.0, 6.0, 7.0])
+    got = run_sums(x, np.array([0, 3, 5, 9]))
+    assert got.tolist() == [6.0, -0.0, 22.0, 0.0] and np.signbit(got).tolist() == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_run_sums_equal_the_padded_matrix(seed):
+    # the former rule, where no zero sum has a sign to lose
+    x, starts, _ = random_run_sums(np.random.default_rng(seed), signed=False)
+    assert np.array_equal(bits(run_sums(x, starts)), bits(padded_run_sums(x, starts)))
+
+
+def test_run_sums_hold_no_padding():
+    # one long run beside many short ones: the former padded matrix held
+    # 2,000 x 2,001 values, 32 MB
+    x = np.random.default_rng(0).random(4000)
+    starts = np.concatenate(([0], np.arange(2000, 4000)))
+    tracemalloc.start()
+    try:
+        got = run_sums(x, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000
+    assert got[0] == left_sum(x[:2000].tolist()) and np.array_equal(got[1:], x[2000:])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sorted_sums_equal_the_column_loop(seed):
+    # complex repeats, some -0.0, added in their given order
+    rng = np.random.default_rng(seed)
+    K = rng.integers(-3, 4, (300, 2))
+    C = rng.standard_normal((300, 2)).view(complex)[:, 0] * 10.0 ** rng.integers(-8, 8, 300)
+    C[rng.random(300) < 0.2] = complex(-0.0, -0.0)
+    got_K, got_C = sparse.sorted_sums(K, C)
+    want_K, want_C = loop_sorted_sums(K, C)
+    assert len(got_K) < len(K) / 4  # runs of many copies
+    assert np.array_equal(got_K, want_K) and np.array_equal(bits(got_C), bits(want_C))
