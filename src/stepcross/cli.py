@@ -20,13 +20,13 @@ from .approx import default_form
 from .blocks import GAMMA_MODES, TAIL_MODES, SmoothParams, hyperbolic_cross, write_blocks
 from .entropy import (CloudProblem, covering_number_exact, covering_number_greedy,
                       entropy_number_estimate, packing_number_exact, packing_number_greedy)
-from .experiments import (RATE_TAGS, ExperimentConfig, parse_extended, run_experiment,
-                          tail_sum_rows, write_csv)
+from .experiments import (RATE_TAGS, TAIL_SUM_COLUMNS, ExperimentConfig, parse_extended,
+                          run_experiment, tail_sum_rows, write_csv)
 from .extremal import dirichlet_shell, shell_extremal, shell_scale, shifted_rect_sample
 from .kernels import vdp_coeff
 from .norms import besov_mixed_norm, bq1_norm, lp_norm
-from .poly import (GridSpec, eval_grid, json_line, project_cross, read_jsonl, resolve_grid_dims,
-                   write_jsonl)
+from .poly import (GridSpec, eval_grid, is_int, json_line, project_cross, read_jsonl,
+                   resolve_grid_dims, write_jsonl)
 
 
 def _parse_rvec(text: str) -> tuple[float, ...]:
@@ -178,8 +178,9 @@ def cmd_rates(args) -> int:
 
 def _read_cloud(path) -> CloudProblem:
     """The cloud of a JSON lines file: a header object, whose "p" (2 if
-    absent) is the norm's exponent, then one {"v": [numbers]} object per
-    point.  A line that is not so is an error naming the path and line."""
+    absent) is the norm's exponent and "dim" each point's length, then one
+    {"v": [numbers]} object per point.  A line that is not so is an error
+    naming the path and line."""
     with open(path) as fh:
         header = json_line(path, 1, fh.readline())
         if not isinstance(header, dict):
@@ -188,6 +189,9 @@ def _read_cloud(path) -> CloudProblem:
             p = parse_extended(header.get("p", 2.0))
         except ValueError:
             raise ValueError(f"{path}: line 1: p must be a number, got {header['p']!r}") from None
+        dim = header.get("dim")
+        if not (dim is None or is_int(dim) and dim >= 1):
+            raise ValueError(f"{path}: line 1: dim must be an integer >= 1, got {dim!r}")
         pts = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -197,6 +201,9 @@ def _read_cloud(path) -> CloudProblem:
             if not (isinstance(v, list) and all(isinstance(x, numbers.Real)
                                                 and not isinstance(x, bool) for x in v)):
                 raise ValueError(f'{path}: line {lineno} is not a {{"v": [numbers]}} record')
+            dim = dim or len(v)  # a header without dim takes the first point's
+            if len(v) != dim:
+                raise ValueError(f"{path}: line {lineno}: {len(v)} coordinates, not dim = {dim}")
             pts.append(v)
     return CloudProblem(pts, p=p)
 
@@ -228,8 +235,7 @@ def cmd_lemma_a(args) -> int:
         config = ExperimentConfig(theorem_tag="lemmaA", d=params.d, r=params.r,
                                   alpha=args.alpha, l_range=(args.l_min, args.l_max),
                                   output_path=str(Path(args.out).parent))
-        write_csv(args.out, config, ("mode", "alpha", "l", "value", "normalized_ratio"), rows)
-        print(args.out)
+        print(write_csv(config, Path(args.out).name, TAIL_SUM_COLUMNS, rows))
     else:
         for row in rows:
             print(f"{row[0]},{row[1]},{row[2]},{row[3]:.17g},{row[4]:.17g}")

@@ -1,9 +1,11 @@
-"""Experiment configurations, provenance-stamped CSV/JSON outputs, and the
-dispatcher that runs one named experiment end to end.
+"""Experiment configurations, provenance-stamped CSV/JSON outputs, and
+``TAGS``: each theorem tag's config fields, check and runner.
 
 Output files start with '#'-prefixed provenance lines (config hash, seed,
-version, timestamp); everything after those lines is deterministic given the
-configuration and seed.
+version, timestamp); the rest is deterministic given the config and seed.
+The config hash covers ``theorem_tag``, ``schema_version`` and the fields the
+tag reads, each number in one form (an int, or a float or "inf"); a field the
+tag does not read is validated but not hashed.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .poly import is_int
 from .rates import (fit_rates, local_log_powers, predicted_order, regimes, sweep_extremal,
                     theory_exponents, validate_hypotheses)
 
-RATE_TAGS = ("T1", "T2", "T3", "T4")
-THEOREM_TAGS = RATE_TAGS + ("T5-family", "lemmaA", "nikolskii", "entropy44")
 SCHEMA_VERSION = 1
+TAIL_SUM_COLUMNS = ("mode", "alpha", "l", "value", "normalized_ratio")
 
 
 class ConfigError(ValueError):
@@ -46,6 +47,13 @@ def parse_extended(x) -> float:
     """``x`` as a float; "inf" and "infinity" in any case read as inf."""
     text = str(x)
     return math.inf if text.lower() in ("inf", "infinity") else float(text)
+
+
+def _parsed(key: str, value) -> float:
+    try:
+        return parse_extended(value)
+    except ValueError:
+        raise ConfigError(f"{key} value {value!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -66,90 +74,56 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.theorem_tag not in THEOREM_TAGS:
+        # one form per value (tuples; ints; floats, inf too), so one run has one hash
+        for name in ("p", "q", "theta", "alpha"):
+            object.__setattr__(self, name, _parsed(name, getattr(self, name)))
+        if not isinstance(self.r, (list, tuple)):
+            raise ConfigError(f"r must be a list, got {self.r!r}")
+        object.__setattr__(self, "r", tuple(_parsed("r", v) for v in self.r))
+        if not (isinstance(self.theorem_tag, str) and self.theorem_tag in TAGS):
             raise ConfigError(f"unknown theorem tag {self.theorem_tag!r}")
-        if self.schema_version != SCHEMA_VERSION:
+        if not (is_int(self.schema_version) and self.schema_version == SCHEMA_VERSION):
             raise ConfigError(f"unsupported schema version {self.schema_version}")
-        for name, values in (("d", (self.d,)), ("rng_seed", (self.rng_seed,)),
-                             ("n_range", self.n_range), ("l_range", self.l_range)):
-            if not all(map(is_int, values)):
-                raise ConfigError(f"{name} must be integral, got {getattr(self, name)!r}")
+        for name, least in (("d", 1), ("samples", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if len(self.r) != self.d:
             raise ConfigError("smoothness vector length must equal d")
-        if not (is_int(self.samples) and self.samples >= 1):
-            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
         if self.gamma_mode not in GAMMA_MODES:
             raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}; expected one of"
                               f" {GAMMA_MODES}")
-        # a rate sweep and lemmaA run from a range's first entry to its last
-        for name, tags in (("n_range", RATE_TAGS), ("l_range", ("lemmaA",))):
-            if self.theorem_tag in tags and len(getattr(self, name)) != 2:
-                raise ConfigError(f"{name} must hold two entries, the first and the last,"
-                                  f" got {getattr(self, name)!r}")
-        for name, tags in (("n_range", RATE_TAGS + ("T5-family",)), ("l_range", ("lemmaA",))):
-            levels = getattr(self, name) if self.theorem_tag in tags else (0,)
-            if not levels:
+        fields, check, _ = TAGS[self.theorem_tag]
+        for name in ("n_range", "l_range"):
+            levels = getattr(self, name)
+            if not (isinstance(levels, (list, tuple)) and all(map(is_int, levels))):
+                raise ConfigError(f"{name} must be a list of integers, got {levels!r}")
+            object.__setattr__(self, name, tuple(map(int, levels)))
+            if name in fields and not levels:
                 raise ConfigError(f"{name} must name at least one level, got ()")
-            if max(levels) > MAX_CROSS_LEVEL:
+            if name in fields and max(levels) > MAX_CROSS_LEVEL:
                 raise ConfigError(f"{name} level {max(levels)} exceeds the cross level"
                                   f" cap blocks.MAX_CROSS_LEVEL = {MAX_CROSS_LEVEL}")
         try:
-            params = SmoothParams(self.r)
+            SmoothParams(self.r)
+            if check:
+                check(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.theorem_tag in RATE_TAGS:
-            try:
-                validate_hypotheses(self.p, self.q, self.theta, params, self.gamma_mode)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            if self.theorem_tag not in regimes(self.p, self.q, self.d):
-                raise ConfigError(
-                    f"(p, q) = ({self.p}, {self.q}) does not match regime {self.theorem_tag}")
-            if self.n_range[-1] < self.n_range[0]:
-                raise ConfigError(f"n_range must not end below its first level, got {self.n_range}")
-        if self.theorem_tag == "lemmaA":
-            if not 1 <= self.l_range[0] <= self.l_range[-1]:
-                raise ConfigError(f"l_range must start at a boundary >= 1 and not end below it,"
-                                  f" got {self.l_range}")
-            if not 0 < self.alpha < math.inf:
-                raise ConfigError(f"alpha must be finite and positive, got alpha={self.alpha}")
-        if self.theorem_tag == "T5-family" and any(n % 2 for n in self.n_range):
-            raise ConfigError("T5-family needs even shell levels")
-        if self.theorem_tag == "T5-family" and min(self.n_range) < 2 * self.d:
-            raise ConfigError(f"n_range level {min(self.n_range)} has an empty even shell:"
-                              f" T5-family needs n >= 2d = {2 * self.d}")
 
     @property
     def params(self) -> SmoothParams:
         return SmoothParams(self.r)
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("p", "q", "theta", "alpha"):
-            if math.isinf(out[key]):
-                out[key] = "inf"
-        return out
+        return {k: "inf" if v == math.inf else v for k, v in dataclasses.asdict(self).items()}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        """The config of a JSON object; a value of p, q, theta, alpha or an
-        entry of r that is not a number (``parse_extended``) is named."""
+        """The config of a JSON object whose keys are config fields."""
         if not isinstance(data, dict):
             raise ConfigError(f"a config must be a JSON object, got {data!r}")
-        data = dict(data)
-        for key in ("r", "n_range", "l_range"):
-            if key in data:
-                if not isinstance(data[key], (list, tuple)):
-                    raise ConfigError(f"{key} must be a list, got {data[key]!r}")
-                data[key] = tuple(data[key])
-        scalars = [(key, data[key]) for key in ("p", "q", "theta", "alpha") if key in data]
-        # r is only checked: its entries stay as given, and so does the config hash
-        for key, value in scalars + [("r", v) for v in data.get("r", ())]:
-            try:
-                parse_extended(value)
-            except ValueError:
-                raise ConfigError(f"{key} value {value!r} is not a number") from None
-        data.update((key, parse_extended(value)) for key, value in scalars)
         unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -161,8 +135,41 @@ class ExperimentConfig:
             return ExperimentConfig.from_json_dict(json.load(fh))
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_json_dict(), sort_keys=True)
+        """sha256 prefix of ``theorem_tag``, ``schema_version`` and the fields the tag reads."""
+        data = self.to_json_dict()
+        keys = ("theorem_tag", "schema_version", *TAGS[self.theorem_tag][0])
+        canon = json.dumps({key: data[key] for key in keys}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _walked(name: str, levels: tuple) -> None:
+    """Check a range that a run walks from its first entry to its last."""
+    if len(levels) != 2:
+        raise ValueError(f"{name} must hold two entries, the first and the last, got {levels!r}")
+    if levels[1] < levels[0]:
+        raise ValueError(f"{name} must not end below its first level, got {levels}")
+
+
+def _check_rate_sweep(config: ExperimentConfig) -> None:
+    _walked("n_range", config.n_range)
+    validate_hypotheses(config.p, config.q, config.theta, config.params, config.gamma_mode)
+    if config.theorem_tag not in regimes(config.p, config.q, config.d):
+        raise ValueError(f"(p, q) = ({config.p}, {config.q}) does not match regime"
+                         f" {config.theorem_tag}")
+
+
+def _check_lemma_a(config: ExperimentConfig) -> None:
+    _walked("l_range", config.l_range)
+    if config.l_range[0] < 1:
+        raise ValueError(f"l_range must start at a boundary >= 1, got {config.l_range}")
+    if not 0 < config.alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got alpha={config.alpha}")
+
+
+def _check_family(config: ExperimentConfig) -> None:
+    if any(n % 2 or n < 2 * config.d for n in config.n_range):
+        raise ValueError(f"T5-family needs even shell levels n >= 2d = {2 * config.d},"
+                         f" got n_range {config.n_range}")
 
 
 def _fmt(x) -> str:
@@ -171,9 +178,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, config: ExperimentConfig, columns: Sequence[str],
-              rows: Sequence[Sequence]) -> None:
-    path = Path(path)
+def write_csv(config: ExperimentConfig, name: str, columns: Sequence[str],
+              rows: Sequence[Sequence]) -> str:
+    """Write file ``name`` under ``config.output_path``; returns its path."""
+    path = Path(config.output_path) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_hash: {config.config_hash()}\n")
@@ -183,6 +191,7 @@ def write_csv(path, config: ExperimentConfig, columns: Sequence[str],
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+    return str(path)
 
 
 def csv_body(path) -> str:
@@ -206,9 +215,8 @@ def run_rate_experiment(config: ExperimentConfig) -> dict:
         table.append((r.n, r.cardinality, r.error, pred, r.error / pred))
     fit_free = fit_rates(rows, "free", a_th, b_th)
     fit_fixed = fit_rates(rows, "slope-fixed", a_th, b_th)
-    out_dir = Path(config.output_path)
-    csv_path = out_dir / f"{config.theorem_tag}_rates.csv"
-    write_csv(csv_path, config, ("n", "M", "error", "predicted", "ratio"), table)
+    csv_path = write_csv(config, f"{config.theorem_tag}_rates.csv",
+                         ("n", "M", "error", "predicted", "ratio"), table)
     report = {
         "config": config.to_json_dict(),
         "config_hash": config.config_hash(),
@@ -217,16 +225,16 @@ def run_rate_experiment(config: ExperimentConfig) -> dict:
         # [n, b] per level after the first, from the level before it
         "local_log_power": local_log_powers(rows, a_th),
     }
-    json_path = out_dir / f"{config.theorem_tag}_fit.json"
+    json_path = Path(config.output_path) / f"{config.theorem_tag}_fit.json"
     with open(json_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    return {"csv": str(csv_path), "json": str(json_path), "fit": fit_fixed}
+    return {"csv": csv_path, "json": str(json_path), "fit": fit_fixed}
 
 
 def tail_sum_rows(alpha: float, params: SmoothParams, ls: Sequence[int],
                   modes: Sequence[str]) -> list[tuple]:
-    """Rows (mode, alpha, l, value, normalized_ratio) of the weighted tail
-    sums, mode by mode, then by boundary l."""
+    """Rows (``TAIL_SUM_COLUMNS``) of the weighted tail sums, mode by mode,
+    then by boundary l."""
     return [(mode, alpha, l, value, ratio) for mode in modes
             for (value, ratio), l in zip(weighted_tail_sums(alpha, params, ls, mode), ls)]
 
@@ -234,9 +242,7 @@ def tail_sum_rows(alpha: float, params: SmoothParams, ls: Sequence[int],
 def run_lemma_a(config: ExperimentConfig) -> dict:
     ls = list(range(config.l_range[0], config.l_range[-1] + 1))
     rows = tail_sum_rows(config.alpha, config.params, ls, TAIL_MODES)
-    csv_path = Path(config.output_path) / "lemmaA_ratios.csv"
-    write_csv(csv_path, config, ("mode", "alpha", "l", "value", "normalized_ratio"), rows)
-    return {"csv": str(csv_path)}
+    return {"csv": write_csv(config, "lemmaA_ratios.csv", TAIL_SUM_COLUMNS, rows)}
 
 
 def run_nikolskii(config: ExperimentConfig) -> dict:
@@ -267,15 +273,13 @@ def run_nikolskii(config: ExperimentConfig) -> dict:
         for (p, q), (lhs, rhs, ok) in zip(pairs, checks):
             margins[p, q] = min(margins[p, q], rhs / lhs)
             rows.append((i, f.d, p, "inf" if math.isinf(q) else q, lhs, rhs, int(ok)))
-    csv_path = Path(config.output_path) / "nikolskii.csv"
-    write_csv(csv_path, config, ("id", "d", "p", "q", "lhs", "rhs", "ok"), rows)
-    return {"csv": str(csv_path), "all_ok": all(row[-1] for row in rows), "margins": margins}
+    csv_path = write_csv(config, "nikolskii.csv", ("id", "d", "p", "q", "lhs", "rhs", "ok"), rows)
+    return {"csv": csv_path, "all_ok": all(row[-1] for row in rows), "margins": margins}
 
 
 def run_family_embedding(config: ExperimentConfig) -> dict:
     """Scaled shifted-rectangle members: class-norm stability across levels
     plus the exact constant-mode chain through the block-sum norm."""
-    params = config.params
     d, r1 = config.d, config.r[0]
     rng = np.random.default_rng(config.rng_seed)
     grid = GridSpec()
@@ -300,17 +304,16 @@ def run_family_embedding(config: ExperimentConfig) -> dict:
             for theta in thetas:
                 scale = shell_scale(n, d, r1, theta)
                 scaled = [(s, scale * v) for (s, _, _), v in zip(filing, sups)]
-                norms[theta].append(aggregate_block_norms(scaled, params.r, theta))
+                norms[theta].append(aggregate_block_norms(scaled, config.r, theta))
         for theta in thetas:
             vals = norms[theta]
             band = (min(vals), max(vals), sum(vals) / len(vals))
             summary["norm_range"][(n, theta)] = band
             rows.append((n, len(shell), l2_sq, b11, "inf" if math.isinf(theta) else theta, *band))
-    csv_path = Path(config.output_path) / "family_embedding.csv"
-    write_csv(csv_path, config,
-              ("n", "shell_size", "const_l2_sq", "const_b11", "theta",
-               "norm_min", "norm_max", "norm_mean"), rows)
-    return {"csv": str(csv_path), "summary": summary}
+    csv_path = write_csv(config, "family_embedding.csv",
+                         ("n", "shell_size", "const_l2_sq", "const_b11", "theta",
+                          "norm_min", "norm_max", "norm_mean"), rows)
+    return {"csv": csv_path, "summary": summary}
 
 
 def run_entropy_chain(config: ExperimentConfig) -> dict:
@@ -331,22 +334,25 @@ def run_entropy_chain(config: ExperimentConfig) -> dict:
         ok = n_eps <= m_eps <= n_half and n_ub >= n_eps and m_lb <= m_eps
         all_ok = all_ok and ok
         rows.append((i, m, dim, eps, n_eps, m_eps, n_half, n_ub, m_lb, int(ok)))
-    csv_path = Path(config.output_path) / "entropy_chain.csv"
-    write_csv(csv_path, config,
-              ("id", "points", "dim", "eps", "N_eps", "M_eps", "N_half_eps",
-               "greedy_N_ub", "greedy_M_lb", "ok"), rows)
-    return {"csv": str(csv_path), "all_ok": all_ok}
+    csv_path = write_csv(config, "entropy_chain.csv",
+                         ("id", "points", "dim", "eps", "N_eps", "M_eps", "N_half_eps",
+                          "greedy_N_ub", "greedy_M_lb", "ok"), rows)
+    return {"csv": csv_path, "all_ok": all_ok}
+
+
+# theorem tag -> (the config fields it reads, its own check or None, its runner)
+TAGS = {
+    **dict.fromkeys(("T1", "T2", "T3", "T4"), (
+        ("d", "p", "q", "theta", "r", "gamma_mode", "n_range"), _check_rate_sweep,
+        run_rate_experiment)),
+    "T5-family": (("d", "r", "n_range", "samples", "rng_seed"), _check_family,
+                  run_family_embedding),
+    "lemmaA": (("d", "r", "alpha", "l_range"), _check_lemma_a, run_lemma_a),
+    "nikolskii": (("samples", "rng_seed"), None, run_nikolskii),
+    "entropy44": (("samples", "rng_seed"), None, run_entropy_chain),
+}
+RATE_TAGS = tuple(tag for tag, row in TAGS.items() if row[2] is run_rate_experiment)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    if config.theorem_tag in RATE_TAGS:
-        return run_rate_experiment(config)
-    if config.theorem_tag == "lemmaA":
-        return run_lemma_a(config)
-    if config.theorem_tag == "nikolskii":
-        return run_nikolskii(config)
-    if config.theorem_tag == "T5-family":
-        return run_family_embedding(config)
-    if config.theorem_tag == "entropy44":
-        return run_entropy_chain(config)
-    raise ConfigError(f"unknown theorem tag {config.theorem_tag!r}")
+    return TAGS[config.theorem_tag][2](config)

@@ -429,6 +429,33 @@ def test_rates_run_seed_and_out_replace_the_config_fields(tmp_path, capsys):
     assert ExperimentConfig.from_json_dict(fit["config"]) == config
 
 
+def test_rates_run_negative_seed_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
+    # numpy's generator refuses it, but only once a runner draws
+    def no_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("stepcross.cli.run_experiment", no_run)
+    rc, res, _ = rates_run(tmp_path, theorem_tag="nikolskii", samples=3,
+                           argv=("--seed", "-1"))
+    assert rc == 1
+    assert "rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not res.exists()
+
+
+def test_lemma_a_csv_matches_its_rates_run_config(tmp_path, capsys):
+    # the table of one lemmaA config has one hash and one body, whichever
+    # command writes it and wherever it goes
+    argv = ["lemma-a", "--alpha", "1", "--r", "1,2", "--l-min", "8", "--l-max", "10"]
+    assert main(argv + ["--out", str(tmp_path / "A" / "x.csv")]) == 0
+    rc, res, _ = rates_run(tmp_path, "B", theorem_tag="lemmaA", r=[1, 2], alpha=1,
+                           l_range=[8, 10], argv=("--out", str(tmp_path / "B")))
+    assert rc == 0
+    one, two = ((tmp_path / path).read_text().splitlines()
+                for path in ("A/x.csv", "B/lemmaA_ratios.csv"))
+    assert one[0] == two[0] and one[0].startswith("# config_hash: ")
+    assert one[4:] == two[4:] and len(one) == 5 + 2 * 3
+
+
 def test_rates_run_invalid_config_exits_one(tmp_path, capsys):
     cfg = {"theorem_tag": "T1", "d": 2, "p": 2, "q": 4, "r": [2.0, 1.0],
            "n_range": [4, 7], "output_path": str(tmp_path)}
@@ -539,7 +566,16 @@ def test_entropy_non_finite_cloud_exits_one(tmp_path, capsys, flags):
     ('{"p": 2}\n{"v": [0.0]}\n[1.0]\n', 'line 3 is not a {"v": [numbers]} record'),
     ('{"p": 2}\n{"v": [0.0]}\n{"v": [true]}\n', 'line 3 is not a {"v": [numbers]} record'),
     ('{"p": 2}\n{"v": [0.0]}\n\nnope\n', "line 4 is not JSON"),
-], ids=["header-list", "header-p", "no-v", "list", "bool", "not-json"])
+    # the header's dim is each point's length; without it, the first point's
+    ('{"dim": 3}\n{"v": [0.0]}\n{"v": [1.0]}\n', "line 2: 1 coordinates, not dim = 3"),
+    ('{"dim": 1}\n{"v": [0.0]}\n{"v": [1.0, 2.0]}\n', "line 3: 2 coordinates, not dim = 1"),
+    ('{}\n{"v": [0.0, 1.0]}\n{"v": [1.0]}\n', "line 3: 1 coordinates, not dim = 2"),
+    ('{"dim": 0}\n{"v": []}\n', "line 1: dim must be an integer >= 1, got 0"),
+    ('{"dim": 1.0}\n{"v": [0.0]}\n', "line 1: dim must be an integer >= 1, got 1.0"),
+    ('{"dim": "1"}\n{"v": [0.0]}\n', "line 1: dim must be an integer >= 1, got '1'"),
+    ('{"dim": true}\n{"v": [0.0]}\n', "line 1: dim must be an integer >= 1, got True"),
+], ids=["header-list", "header-p", "no-v", "list", "bool", "not-json", "dim-above",
+        "dim-below", "first-point", "dim-0", "dim-float", "dim-str", "dim-bool"])
 def test_entropy_bad_cloud_file_names_path_and_line(tmp_path, capsys, text, named):
     cloud = tmp_path / "cloud.jsonl"
     cloud.write_text(text)

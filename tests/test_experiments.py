@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import json
 import math
 import os
 import sys
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stepcross import experiments, kernels, norms
@@ -26,9 +29,10 @@ def t1_config(tmp_path, **overrides):
 
 
 class TestConfigValidation:
-    def test_unknown_tag(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(theorem_tag="T9")
+    @pytest.mark.parametrize("tag", ["T9", ["T1"], None])
+    def test_unknown_tag(self, tag):
+        with pytest.raises(ConfigError, match="unknown theorem tag"):
+            ExperimentConfig(theorem_tag=tag)
 
     def test_malformed_smoothness_named(self, tmp_path):
         with pytest.raises(ConfigError, match="ordering"):
@@ -83,6 +87,8 @@ class TestConfigValidation:
         ("entropy44", "samples", 2.5), ("T1", "n_range", [5.5, 8]), ("T1", "n_range", ["6", 8]),
         ("T5-family", "n_range", [6, 8.0]), ("lemmaA", "l_range", [10.5, 12]),
         ("nikolskii", "samples", True), ("T1", "d", 2.0), ("entropy44", "rng_seed", 1.5),
+        # a seed that numpy's generator refuses only once the runner draws
+        ("nikolskii", "rng_seed", -1), ("T5-family", "rng_seed", -1),
         ("T1", "gamma_mode", "bogus"), ("T1", "gamma_mode", "ones"),
         # a scalar where a list belongs, and a range of other than two entries
         ("T1", "n_range", 5), ("T1", "r", 1.0), ("lemmaA", "l_range", 10),
@@ -125,6 +131,62 @@ class TestConfigValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_json_dict({"theorem_tag": "T1", "bogus": 1})
+
+
+# one T2 sweep (p = q = 2.5, n = 5..11) as given, and written five other ways:
+# fields that a rate tag does not read, and r's entries as ints or strings
+T2_SWEEP = {"theorem_tag": "T2", "d": 2, "p": 2.5, "q": 2.5, "r": [1.0, 1.0],
+            "n_range": [5, 11]}
+T2_VARIANTS = [{"samples": 7}, {"alpha": 3, "l_range": [1, 2]}, {"r": [1, 1]},
+               {"r": ["1.0", "1.0"]}, {"output_path": "elsewhere"}]
+
+
+class TestConfigHash:
+    def test_one_sweep_has_one_hash(self):
+        hashes = {ExperimentConfig.from_json_dict({**T2_SWEEP, **variant}).config_hash()
+                  for variant in [{}] + T2_VARIANTS}
+        assert len(hashes) == 1
+
+    @pytest.mark.parametrize(("field", "forms"), [
+        ("p", [2, 2.0, "2"]), ("theta", ["inf", "Infinity", math.inf]),
+        ("r", [[1.5, 1.5], [1.5, "1.5"]])])
+    def test_each_number_has_one_form(self, field, forms):
+        base = dict(theorem_tag="T1", d=2, p=2.0, q=4.0, r=[1.5, 1.5], n_range=[5, 8])
+        loaded = [ExperimentConfig.from_json_dict({**base, field: v}) for v in forms]
+        assert len({cfg.config_hash() for cfg in loaded}) == 1
+        assert len(set(loaded)) == 1
+        # so does a config built in Python with an int where a float belongs,
+        # and with numpy integers, which JSON cannot write
+        built = ExperimentConfig(**{**base, "r": (1.5, 1.5), "n_range": (np.int64(5), 8),
+                                    "p": 2, "rng_seed": np.int32(0)})
+        assert built == loaded[0] and built.config_hash() == loaded[0].config_hash()
+        assert isinstance(built.p, float) and type(built.n_range[0]) is int
+        assert json.loads(json.dumps(built.to_json_dict()))["n_range"] == [5, 8]
+
+    @pytest.mark.parametrize("tags", [("nikolskii", "entropy44"), ("T2", "T3")])
+    def test_the_same_fields_under_two_tags_hash_apart(self, tags):
+        # nikolskii and entropy44 read the same fields; at d = 1 both T2 and
+        # T3 accept p = q = 1
+        kw = dict(d=1, p=1.0, q=1.0, r=(1.0,), samples=5)
+        one, two = (ExperimentConfig(theorem_tag=tag, **kw) for tag in tags)
+        assert one.config_hash() != two.config_hash()
+
+    def test_an_unread_field_is_validated_but_not_hashed(self):
+        plain = ExperimentConfig(theorem_tag="nikolskii", samples=5)
+        assert ExperimentConfig(theorem_tag="nikolskii", samples=5, d=3,
+                                r=(1.0, 1.0, 2.0)).config_hash() == plain.config_hash()
+        assert ExperimentConfig(theorem_tag="nikolskii", samples=6).config_hash() != \
+            plain.config_hash()
+        with pytest.raises(ConfigError, match="ordering"):
+            ExperimentConfig(theorem_tag="nikolskii", samples=5, r=(2.0, 1.0))
+
+    def test_every_benchmark_config_constructs(self, tmp_path, monkeypatch):
+        # the benchmark gives nikolskii a d and an r, and its one-level T3
+        # config an rng_seed, none of which those tags read
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for name, build in workloads.WORKLOADS.items():
+            assert build(3, workloads.FULL_SECONDS, tmp_path / name)
 
 
 class TestRateExperiment:
