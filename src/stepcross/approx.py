@@ -22,7 +22,8 @@ import numpy as np
 from .blocks import (SmoothParams, check_cross_level, compositions, cross_level,
                      mean_zero_block_indices)
 from .kernels import smooth_aggregate
-from .norms import bq1_norm, even_norms, lp_bounds
+from .moments import even_norms, lp_bounds
+from .norms import bq1_norm
 from .poly import TrigPoly, is_int, kept_terms, project_cross
 from .sparse import run_starts, run_sums, sorted_sums
 
@@ -142,8 +143,8 @@ def projector_norm_probe(n: float, params: SmoothParams, q: float, samples: int,
     ``kept_terms`` applies ``TrigPoly``'s finiteness and ``DROP_TOL`` rule,
     so no ``TrigPoly`` is built.  The sorted terms fall into runs of one
     (sample, block).  Each block component's exact L_2 and L_4
-    (``even_norms``, no grid) bracket its L_q between lo and hi
-    (``lp_bounds``).  A sample's ratio is its sum of hi over the
+    (``moments.even_norms``, no grid) bracket its L_q between lo and hi
+    (``moments.lp_bounds``).  A sample's ratio is its sum of hi over the
     blocks in Q (``cross_level`` key below n) over the block-order sum of hi
     inside Q and lo outside: at least the exact ratio, and at most 1.  A
     request that draws nothing, or only zero polynomials (int(n) + 2 < d),

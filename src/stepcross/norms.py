@@ -1,6 +1,7 @@
 """Norms on the torus: L_p, mixed-smoothness Besov norms in sharp and smooth
 block form, the block-sum norm that is stronger than L_q, and the inequality
-check between different metrics.
+check between different metrics.  The exact moments that need no grid are
+in ``moments``.
 
 Numerical methods
 -----------------
@@ -8,7 +9,7 @@ Numerical methods
 * L_inf is the maximum over an oversampled grid and is therefore a lower
   estimate of the true sup; oversampling is forced to at least 4.  When
   every coefficient is real and >= 0 the sup is f(0), the coefficient sum
-  (``_abs_sum``), returned with no grid.
+  (``moments.abs_sum``), returned with no grid.
 * Even integer p uses trigonometric-rectangle quadrature on a grid fine
   enough to make |f|^p a resolved trigonometric polynomial, hence exact.
 * Any other p uses quadrature with a doubling self-check: the grid is
@@ -63,9 +64,6 @@ Numerical methods
   process and never starts another; stacks stay on the calling thread,
   which alone calls ``eval_grid``.  About 1 MB of batches can be in
   flight.
-* ``even_norms`` takes the exact L_2 and L_4 of many sparse polynomials
-  with no grid, a chunk of their squares at a time, and ``lp_bounds``
-  brackets any L_p from them.
 * An exponent that is not a real number >= 1 is rejected before any work.
 """
 
@@ -83,8 +81,9 @@ import numpy as np
 from .blocks import SmoothParams
 from .kernels import smooth_blocks_of
 from .poly import (GridBudgetError, GridLines, GridSpec, TrigPoly, blocks_of, check_exponent,
-                   check_grid_budget, eval_grid, kept_terms, resolve_grid_dims)
-from .sparse import cauchy_squares, run_sums
+                   check_grid_budget, eval_grid, resolve_grid_dims)
+from . import moments
+from .moments import abs_sum, even_norms, nikolskii_verdicts
 
 FORMS = ("sharp", "smooth")
 CHECK_RTOL = 1e-6  # relative change of one doubling that passes the self-check
@@ -107,8 +106,6 @@ def _check_form(form: str, p: float) -> None:
 # one batch, reduced in a stack of up to twice as many values, and a larger
 # one is reduced in batches of at most this many
 SLICE_POINTS = 1 << 15
-# most square pairs in an ``even_norms`` chunk of several runs
-CHUNK_PAIRS = SLICE_POINTS // 4
 
 
 _HELPER = threading.Lock()  # held while a helper thread runs (``_share``)
@@ -230,10 +227,6 @@ def _terms(v: np.ndarray, lo: int, p: float, edges: list, row: int) -> list:
                                       for e in edges if lo < e + row and e < lo + x.shape[1]]
 
 
-def _is_even(p: float) -> bool:
-    return p % 2 == 0
-
-
 def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> list[float]:
     """The L_p norm of each polynomial in ``fs``, each bit for bit the value
     it has alone (``lp_norm`` is a list of one).
@@ -262,10 +255,10 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
             continue
         real = not np.count_nonzero(f.C.imag)
         if math.isinf(p) and real and not np.count_nonzero(f.C.real < 0):
-            norms[i] = _abs_sum(f)  # the sup is f(0)
+            norms[i] = abs_sum(f)  # the sup is f(0)
             continue
         dims = base = resolve_grid_dims(f, grid)
-        if _is_even(p):
+        if p % 2 == 0:
             # |f|^p is itself a trigonometric polynomial of degree p*deg
             dims = tuple(max(n, int(p) * m + 1) for n, m in zip(base, f.degree()))
             check_grid_budget(dims)
@@ -278,7 +271,7 @@ def lp_norms(fs: Sequence[TrigPoly], p: float, grid: GridSpec = GridSpec()) -> l
     for (_, places), job in zip(items, _share(_run_jobs, (fs, p, items), stacked, batched)):
         for i, stat in zip(places, job):
             norms[i] = stat if math.isinf(p) else stat ** (1.0 / p)
-    if grid.points_per_dim is None and grid.self_check and not (math.isinf(p) or _is_even(p)):
+    if grid.points_per_dim is None and grid.self_check and not (math.isinf(p) or p % 2 == 0):
         for i, base, real in bases:
             norms[i] = _refine(fs[i], p, base, real, norms[i])
     return norms
@@ -417,64 +410,6 @@ def bq1_norm(f: TrigPoly, q: float, form: str = "smooth", grid: GridSpec = GridS
     return sum((v for _, v in block_norms(f, q, form, grid)), 0.0)
 
 
-def _abs_sum(f: TrigPoly) -> float:
-    """The correctly rounded sum of |c_k|: an upper bound of ||f||_inf, and
-    equal to it, f(0), when every coefficient is real and >= 0."""
-    return math.fsum(np.abs(f.C).tolist())
-
-
-def even_norms(K: np.ndarray, C: np.ndarray,
-               starts: np.ndarray) -> tuple[list[float], list[float]]:
-    """Parseval's L_2 and the exact L_4 of each polynomial f_i whose
-    canonical terms are the run (K, C)[starts[i]:starts[i + 1]], the last to
-    the end, bit for bit ``lp_norm(f_i, 2)`` and ``sqrt(lp_norm(f_i * f_i,
-    2))``, with no grid.  Each |c|**2 is ``TrigPoly.abs2``'s, and each run's
-    are added left to right by ``sparse.run_sums``: every run's L_2 in one
-    call, and its L_4 from the run sums of its square.  The squares are made
-    a chunk of runs at a time, the next of at most ``CHUNK_PAIRS`` square
-    pairs in all or one of more (at most ``SLICE_POINTS``), each squared
-    (``sparse.cauchy_squares``) and reduced before the next; they drop and
-    reject coefficients as ``TrigPoly`` does.  Besides the input and one
-    value per run, a chunk's pairs and squares are all that is held."""
-    ends = np.append(starts, len(K))
-    done = np.cumsum(np.append(0, np.diff(ends) ** 2))  # the square pairs of runs 0..i-1
-    l2 = np.sqrt(run_sums(np.float_power(np.hypot(C.real, C.imag), 2), starts)).tolist()
-    l4, r0 = [], 0
-    while r0 < len(starts):
-        r1 = max(r0 + 1, np.searchsorted(done, done[r0] + CHUNK_PAIRS, "right") - 1)
-        run, Ks, Cs = cauchy_squares(K[ends[r0]:ends[r1]], C[ends[r0]:ends[r1]],
-                                     starts[r0:r1] - ends[r0], SLICE_POINTS)
-        mod, keep = kept_terms(Ks, Cs, "of a square ")
-        sums = run_sums(np.where(keep, np.float_power(mod, 2), 0.0),
-                        np.searchsorted(run, np.arange(r1 - r0)))
-        l4 += np.sqrt(np.sqrt(sums)).tolist()
-        del run, Ks, Cs, mod, keep, sums  # freed before the next chunk is made
-        r0 = r1
-    return l2, l4
-
-
-def lp_bounds(p: float, l2: float, l4: float, s: float) -> tuple[float, float]:
-    """(lower, upper) around |f|_p from the Python floats L2 = |f|_2,
-    L4 = |f|_4 and S = sum |c_k| >= |f|_inf, by log-convexity of |f|_r in
-    1/r (Hardy, Littlewood and Polya, *Inequalities*, 1934): upper is L2 for
-    p <= 2, L2**(4/p-1) L4**(2-4/p) up to p = 4, L4**(4/p) S**(1-4/p) above
-    (S at p = inf); lower is L2**(4/p-1) / L4**(4/p-2) for p < 2 (Hoelder),
-    L2 for 2 <= p < 4 and L4 from p = 4.  Both are exact at p in {2, 4}, up
-    to rounding.  The powers are Python's, which ``np.power`` does not
-    always match in the last bit."""
-    if p <= 2:
-        upper = l2
-    elif p <= 4:
-        upper = l2 ** (4 / p - 1) * l4 ** (2 - 4 / p)
-    else:
-        upper = l4 ** (4 / p) * s ** (1 - 4 / p)  # S at p = inf
-    if p < 2:
-        lower = l2 ** (4 / p - 1) / l4 ** (4 / p - 2) if l2 else 0.0
-    else:
-        lower = l2 if p < 4 else l4
-    return lower, upper
-
-
 def _nikolskii_pairs(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     """``pairs`` read once into a list, each (p, q) validated."""
     pairs = list(pairs)
@@ -486,20 +421,6 @@ def _nikolskii_pairs(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, 
     return pairs
 
 
-def _nikolskii_verdicts(t: TrigPoly, l2: float, l4: float,
-                        pairs: list[tuple[float, float]]) -> list[tuple[float, float, bool]]:
-    """``nikolskii_check``'s verdicts for t from its exact L2 and L4."""
-    s = _abs_sum(t)
-    degs = tuple(max(1, m) for m in t.degree())
-    out = []
-    for p, q in pairs:
-        upper, lower = lp_bounds(q, l2, l4, s)[1], lp_bounds(p, l2, l4, s)[0]
-        qinv = 0.0 if math.isinf(q) else 1.0 / q
-        rhs = 2.0**t.d * math.prod(m ** (1.0 / p - qinv) for m in degs) * lower
-        out.append((upper, rhs, upper <= rhs * (1 + 1e-9)))
-    return out
-
-
 def nikolskii_check(t: TrigPoly, pairs: Iterable[tuple[float, float]]
                     ) -> list[tuple[float, float, bool]]:
     """Certified different-metrics inequality for a polynomial of
@@ -508,42 +429,42 @@ def nikolskii_check(t: TrigPoly, pairs: Iterable[tuple[float, float]]
     The inequality is |t|_q <= C |t|_p with C = 2**d * prod n_j**(1/p - 1/q)
     and the degree bound n_j = max(1, max_k |k_j|).  Per pair this returns
     (upper(q), C * lower(p), upper(q) <= C * lower(p) * (1 + 1e-9)), where
-    upper(q) >= |t|_q and lower(p) <= |t|_p are ``lp_bounds``' from three
-    numbers: L2 by Parseval, the exact L4, and S = sum |c_k| >= |t|_inf,
-    correctly rounded.  So upper(q) is exact at q in {2, 4}, lower(p) at p
+    upper(q) >= |t|_q and lower(p) <= |t|_p are ``moments.lp_bounds``'
+    from three numbers: L2 by Parseval, the exact L4, and S = sum |c_k| >=
+    |t|_inf, correctly rounded.  So upper(q) is exact at q in {2, 4}, lower(p) at p
     in {2, 4}, and a True verdict proves the inequality for t.  A False one
     may be the bounds' slack or, as for the Dirichlet kernel D_1 at
     (1, inf), where |D_1|_inf = 3 > 2 |D_1|_1, a case the constant does not
     cover.
 
-    L2 and L4 are exact either way: a t of at most sqrt(SLICE_POINTS) terms,
-    whose square t * t has at most SLICE_POINTS pairs, is ``nikolskii_checks``
-    of the one t and evaluates no grid.  A denser t, such as a Dirichlet
+    L2 and L4 are exact either way: a t of at most 181 terms, whose square
+    has at most ``moments.PAIR_BUDGET`` pairs, is ``nikolskii_checks`` of
+    the one t and evaluates no grid.  A denser t, such as a Dirichlet
     kernel of over 181 terms, takes L4 from the even-p quadrature on its L4
     grid of _fast_len(4 m_j + 2) >= 4 m_j + 1 points per dimension.
     ``pairs`` is read once, and every pair is validated before any work.
     """
     pairs = _nikolskii_pairs(pairs)
-    if t.nnz ** 2 <= SLICE_POINTS:  # t * t is no larger than one grid batch
+    if t.nnz ** 2 <= moments.PAIR_BUDGET:
         return nikolskii_checks((t,), pairs)[0]
     l2, l4 = lp_norm(t, 2.0), lp_norm(t, 4.0, GridSpec(oversampling=2.0))
-    return _nikolskii_verdicts(t, l2, l4, pairs)
+    return nikolskii_verdicts(t, l2, l4, pairs)
 
 
-def nikolskii_checks(ts: Sequence[TrigPoly], pairs: Iterable[tuple[float, float]]
+def nikolskii_checks(ts: Iterable[TrigPoly], pairs: Iterable[tuple[float, float]]
                      ) -> list[list[tuple[float, float, bool]]]:
     """``nikolskii_check(t, pairs)`` of each t in ``ts``, bit for bit and in
     order, with the fixed cost of ``even_norms`` paid once per d, not per t.
-    ``pairs`` is read once, and every pair is validated before any work.
+    ``ts`` and ``pairs`` are read once, and every pair is validated first.
 
-    The ts of one d whose square has at most SLICE_POINTS pairs take their
-    L2 and L4 from one ``even_norms`` call over their runs, which squares
-    them a chunk at a time.  Each denser t is certified alone by
-    ``nikolskii_check``, on its L4 grid, so neither function calls the
-    other for the same t.
+    The ts of one d whose square has at most ``moments.PAIR_BUDGET`` pairs
+    take their L2 and L4 from one ``even_norms`` call over their runs, which
+    squares them a chunk at a time.  Each denser t is certified alone by
+    ``nikolskii_check``, on its L4 grid, so neither function calls the other
+    for the same t.
     """
-    pairs = _nikolskii_pairs(pairs)
-    out = [nikolskii_check(t, pairs) if t.nnz ** 2 > SLICE_POINTS else None for t in ts]
+    pairs, ts = _nikolskii_pairs(pairs), list(ts)
+    out = [nikolskii_check(t, pairs) if t.nnz ** 2 > moments.PAIR_BUDGET else None for t in ts]
     runs: dict[int, list[int]] = {}  # d -> places of the ts whose moments take no grid
     for i, t in enumerate(ts):
         if out[i] is None:
@@ -553,5 +474,5 @@ def nikolskii_checks(ts: Sequence[TrigPoly], pairs: Iterable[tuple[float, float]
         l2, l4 = even_norms(np.concatenate([ts[i].K for i in places]),
                             np.concatenate([ts[i].C for i in places]), starts)
         for i, a, b in zip(places, l2, l4):
-            out[i] = _nikolskii_verdicts(ts[i], a, b, pairs)
+            out[i] = nikolskii_verdicts(ts[i], a, b, pairs)
     return out

@@ -5,11 +5,12 @@ the rows of an int64 matrix ``K`` in strictly increasing lexicographic
 order, and the coefficients ``C`` in the same order.  ``sorted_sums`` brings
 terms given in any order to that form, summing the coefficients of a
 repeated frequency, ``cauchy_product`` multiplies two such forms and
-``cauchy_squares`` squares many, each a run of terms.  None drops small
+``cauchy_squares`` squares many, each a run of terms (of at most
+``moments.PAIR_BUDGET`` pairs for ``moments.even_norms``).  None drops small
 coefficients; ``TrigPoly`` does.  ``run_sums`` is the package's one
 left-to-right sum of runs, in memory linear in its input: ``sorted_sums``
-adds repeats with it, ``norms.even_norms`` the squared moduli of each
-polynomial and of its square, and the projector probe its block sums.
+adds repeats with it, ``even_norms`` the squared moduli of each polynomial
+and of its square, and the projector probe its block sums.
 """
 
 from __future__ import annotations

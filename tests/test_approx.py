@@ -10,7 +10,8 @@ from stepcross.blocks import (SmoothParams, compositions, hyperbolic_cross,
                               mean_zero_block_indices)
 from stepcross.extremal import shell_extremal
 from stepcross.kernels import smooth_aggregate
-from stepcross.norms import bq1_norm, lp_bounds, lp_norm
+from stepcross.moments import lp_bounds
+from stepcross.norms import bq1_norm, lp_norm
 from stepcross.poly import DROP_TOL, TrigPoly, blocks_of, project_cross
 from stepcross.sparse import sort_runs
 

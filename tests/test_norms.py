@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepcross import norms, poly
+from stepcross import moments, norms, poly
 from stepcross.approx import random_mixed_poly
 from stepcross.blocks import SmoothParams
 from stepcross.extremal import dirichlet_shell
@@ -1072,100 +1072,6 @@ class TestDyadicShellNorms:
         assert max(vals) / min(vals) < 4.0
 
 
-def block_components(rng, d, count):
-    """The sharp block components of random sparse polynomials, 1-3 terms
-    each, the last fifth cut to their first term."""
-    comps = []
-    while len(comps) < count:
-        comps += blocks_of(random_mixed_poly(rng, d, max_shell=d + 2)).values()
-    cut = count - count // 5
-    return comps[:cut] + [f.take(slice(0, 1)) for f in comps[cut:count]]
-
-
-def runs_of(fs):
-    """The terms of the polynomials ``fs`` one after another, and where each starts."""
-    return (np.concatenate([f.K for f in fs]), np.concatenate([f.C for f in fs]),
-            np.cumsum([0] + [f.nnz for f in fs[:-1]]))
-
-
-class TestEvenMomentBounds:
-    @pytest.mark.parametrize("whole", [False, True], ids=["components", "polynomials"])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_even_norms_are_parseval_on_each_and_its_square(self, d, whole):
-        rng = np.random.default_rng(d)
-        fs = ([random_mixed_poly(rng, d, max_shell=3 * d + 2) for _ in range(30)] if whole
-              else block_components(rng, d, 60))
-        l2, l4 = norms.even_norms(*runs_of(fs))
-        assert l2 == [lp_norm(f, 2.0) for f in fs]
-        assert l4 == [math.sqrt(lp_norm(f * f, 2.0)) for f in fs]
-
-    def test_memory_is_one_chunk_of_squares(self):
-        # each chunk of squares is reduced before the next is made, so 16
-        # times the polynomials trace less than twice the peak
-        rng = np.random.default_rng(0)
-        peaks = []
-        for count in (180, 2880):
-            fs = [random_mixed_poly(rng, 2, max_shell=6) for _ in range(count)]
-            runs = runs_of(fs)
-            tracemalloc.start()
-            try:
-                norms.even_norms(*runs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0]
-
-    def test_one_long_run_among_many_short_ones(self):
-        # one 60-term d = 2 polynomial and 4,500 one-term ones, 8,100 square
-        # pairs in one chunk; when every run was padded to the longest, the
-        # chunk traced 264 MB
-        rng = np.random.default_rng(0)
-        K = np.unique(rng.integers(-500, 500, (60, 2)), axis=0)
-        C = rng.standard_normal((60, 2)).view(complex)[:, 0]
-        k = rng.integers(-500, 500, (4500, 2))
-        c = rng.standard_normal((4500, 2)).view(complex)[:, 0]
-        long, short = (K, C, np.array([0])), (k, c, np.arange(4500))
-        both = np.concatenate((K, k)), np.concatenate((C, c)), np.append(0, 60 + short[2])
-        assert len(K) == 60
-        tracemalloc.start()
-        try:
-            got = norms.even_norms(*both)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
-        # each run's norms are its own, as the runs give them alone
-        want = [a + b for a, b in zip(norms.even_norms(*long), norms.even_norms(*short))]
-        assert list(got) == want
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_lower_equals_upper_at_two_and_four(self, d):
-        fs = block_components(np.random.default_rng(10 + d), d, 40)
-        for f, l2, l4 in zip(fs, *norms.even_norms(*runs_of(fs))):
-            s = norms._abs_sum(f)
-            assert norms.lp_bounds(2.0, l2, l4, s) == (l2, l2)
-            assert norms.lp_bounds(4.0, l2, l4, s) == (l4, l4)
-
-    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_brackets_hold_the_self_checked_norm(self, d, p):
-        # a component with zeros can take the L_1.5 self-check past the grid
-        # budget; every one whose self-check converges lies in its bracket
-        fs = block_components(np.random.default_rng(20 + d), d, 25)
-        checked = 0
-        for f, l2, l4 in zip(fs, *norms.even_norms(*runs_of(fs))):
-            # where the bounds meet, for one term, each may round past the other
-            lo, hi = norms.lp_bounds(p, l2, l4, norms._abs_sum(f))
-            assert lo <= hi * (1 + 1e-14)
-            try:
-                est = lp_norm(f, p)
-            except QuadratureError:
-                continue
-            assert lo * (1 - 1e-9) <= est <= hi * (1 + 1e-9)
-            checked += 1
-        assert checked >= 20
-
-
 NIKOLSKII_PAIRS = ((1.0, 2.0), (2.0, 4.0), (2.0, math.inf))
 
 
@@ -1282,7 +1188,7 @@ class TestNikolskii:
         # even the L_4 grid that seed 5's would reduce in batches over 85,050
         # points
         f = random_mixed_poly(np.random.default_rng(seed), d, max_shell=6)
-        assert f.nnz ** 2 <= norms.SLICE_POINTS
+        assert f.nnz ** 2 <= moments.PAIR_BUDGET
         dims = resolve_grid_dims(f, GridSpec(oversampling=2.0))
         assert (math.prod(dims) > norms.SLICE_POINTS) == streamed
         calls = record_grids(monkeypatch)
@@ -1291,12 +1197,12 @@ class TestNikolskii:
 
     @pytest.mark.parametrize("shape", [(100,), (7, 7), (3, 2, 3)], ids=["1", "2", "3"])
     def test_dense_takes_the_one_l4_grid(self, monkeypatch, shape):
-        # over sqrt(SLICE_POINTS) terms: the exact L_4 on its grid, equal to
+        # over sqrt(PAIR_BUDGET) terms: the exact L_4 on its grid, equal to
         # Parseval on t * t
         rng = np.random.default_rng(len(shape))
         K = np.array(list(itertools.product(*[range(-m, m + 1) for m in shape])))
         t = TrigPoly.from_arrays(K, rng.normal(size=len(K)) + 1j * rng.normal(size=len(K)))
-        assert t.nnz ** 2 > norms.SLICE_POINTS
+        assert t.nnz ** 2 > moments.PAIR_BUDGET
         calls = record_grids(monkeypatch)
         [_, (l4, _, _), _] = nikolskii_check(t, NIKOLSKII_PAIRS)
         assert calls == [(t.d, resolve_grid_dims(t, GridSpec(oversampling=2.0)))]
@@ -1309,7 +1215,7 @@ class TestNikolskii:
         t = random_mixed_poly(rng, 3, max_shell=6)
         while math.prod(resolve_grid_dims(t, GridSpec())) < 200_000:
             t = random_mixed_poly(rng, 3, max_shell=6)
-        assert t.nnz ** 2 <= norms.SLICE_POINTS
+        assert t.nnz ** 2 <= moments.PAIR_BUDGET
         tracemalloc.start()
         try:
             nikolskii_check(t, NIKOLSKII_PAIRS)
@@ -1321,10 +1227,10 @@ class TestNikolskii:
     def test_shared_grid_holds_one_grid_buffer(self):
         # the modulus overwrites the complex grid and the one power overwrites
         # the modulus, so the peak is the grid's own 16 bytes a point; a sum of
-        # draws of over sqrt(SLICE_POINTS) terms takes the L_4 grid
+        # draws of over sqrt(PAIR_BUDGET) terms takes the L_4 grid
         rng = np.random.default_rng(4)
         t = random_mixed_poly(rng, 3, max_shell=6)
-        while (t.nnz ** 2 <= norms.SLICE_POINTS
+        while (t.nnz ** 2 <= moments.PAIR_BUDGET
                or math.prod(resolve_grid_dims(t, GridSpec())) < 200_000):
             t = t + random_mixed_poly(rng, 3, max_shell=6)
         points = math.prod(resolve_grid_dims(t, GridSpec()))
@@ -1351,6 +1257,31 @@ def verdict_bits(results):
     return [[(lhs.hex(), rhs.hex(), ok) for lhs, rhs, ok in checks] for checks in results]
 
 
+def budget_table():
+    """Sparse ts of d = 1..3, two of about 150 terms, whose squares have over
+    20,000 pairs, and one dense t of 225 terms, whose square has over 2^15."""
+    rng = np.random.default_rng(41)
+    wide = [TrigPoly.from_arrays(rng.integers(-60, 61, (150, 2)), rng.normal(size=150))
+            for _ in range(2)]
+    K = np.array(list(itertools.product(range(-7, 8), range(-7, 8))))
+    dense = TrigPoly.from_arrays(K, rng.normal(size=len(K)))
+    ts = [random_mixed_poly(rng, 1 + i % 3, max_shell=min(7, 3 * (1 + i % 3) + 2))
+          for i in range(12)]
+    return ts[:1] + [wide[0], dense] + ts[1:6] + [wide[1]] + ts[6:]
+
+
+def record_table(monkeypatch, ts, pairs):
+    """The bits of ``nikolskii_checks(ts, pairs)``, and (d, run lengths) of
+    each chunk that ``even_norms`` squares on the way."""
+    chunks, cauchy_squares = [], moments.cauchy_squares
+    monkeypatch.setattr(moments, "cauchy_squares", lambda K, C, starts, limit: chunks.append(
+        (K.shape[1], np.diff(starts, append=len(K)).tolist())) or cauchy_squares(K, C, starts,
+                                                                               limit))
+    got = verdict_bits(nikolskii_checks(ts, pairs))
+    monkeypatch.setattr(moments, "cauchy_squares", cauchy_squares)
+    return got, chunks
+
+
 class TestNikolskiiChecks:
     def test_pairs_may_be_a_generator(self):
         t = TrigPoly(1, {(1,): 1.0, (3,): 2.0})
@@ -1358,6 +1289,13 @@ class TestNikolskiiChecks:
         assert len(got) == 2 and got == nikolskii_check(t, [(1.0, 2.0), (2.0, 4.0)])
         assert nikolskii_checks([t, t], iter([(2.0, math.inf)])) == (
             [nikolskii_check(t, [(2.0, math.inf)])] * 2)
+
+    def test_ts_may_be_a_generator(self):
+        # ``ts`` is read once: a one-shot iterable gives the list's verdicts
+        ts = [TrigPoly(1, {(1,): 1.0, (3,): 2.0}), TrigPoly(2, {(1, 2): 1.0, (0, 5): 0.5j})]
+        got = nikolskii_checks((t for t in ts), NIKOLSKII_PAIRS)
+        assert got == nikolskii_checks(ts, NIKOLSKII_PAIRS)
+        assert got == [nikolskii_check(t, NIKOLSKII_PAIRS) for t in ts]
 
     def test_equals_one_polynomial_at_a_time(self, monkeypatch):
         # d = 1..3 interleaved, zero polynomials, a dense t (the grid L_4
@@ -1373,12 +1311,12 @@ class TestNikolskiiChecks:
               for i in range(90)]
         ts[5:5] = [TrigPoly.zero(2), wide[0], dense]
         ts[40:40] = [TrigPoly.zero(1), wide[1], TrigPoly.zero(3)]
-        assert dense.nnz ** 2 > norms.SLICE_POINTS >= max(t.nnz for t in wide) ** 2
+        assert dense.nnz ** 2 > moments.PAIR_BUDGET >= max(t.nnz for t in wide) ** 2
         calls, chunks = [], []
-        even_norms, cauchy_squares = norms.even_norms, norms.cauchy_squares
+        even_norms, cauchy_squares = norms.even_norms, moments.cauchy_squares
         monkeypatch.setattr(norms, "even_norms", lambda K, C, starts: calls.append(
             (K.shape[1], len(starts))) or even_norms(K, C, starts))
-        monkeypatch.setattr(norms, "cauchy_squares", lambda K, C, starts, limit: chunks.append(
+        monkeypatch.setattr(moments, "cauchy_squares", lambda K, C, starts, limit: chunks.append(
             (K.shape[1], np.diff(starts, append=len(K)).tolist())) or cauchy_squares(K, C, starts,
                                                                                    limit))
         pairs = NIKOLSKII_PAIRS + ((1.5, 3.0), (3.0, 6.0))
@@ -1388,10 +1326,34 @@ class TestNikolskiiChecks:
         assert sum(n for _, n in calls) == sum(len(nnz) for _, nnz in chunks) == len(ts) - 1
         assert sum(d == 2 for d, _ in chunks) >= 3
         for _, nnz in chunks:
-            assert len(nnz) == 1 or sum(n * n for n in nnz) <= norms.CHUNK_PAIRS
+            assert len(nnz) == 1 or sum(n * n for n in nnz) <= moments.CHUNK_PAIRS
         monkeypatch.undo()
         assert verdict_bits(got) == verdict_bits([nikolskii_check(t, pairs) for t in ts])
         assert got[5] == [(0.0, 0.0, True)] * len(pairs)
+
+    def test_pair_budget_is_not_the_grid_batch(self, monkeypatch):
+        # a grid batch of 1,000 values moves neither the sparse/dense cut nor
+        # ``even_norms``' chunks: the ts of about 150 terms (over 20,000
+        # square pairs) still take no grid, and every verdict keeps its bits
+        ts, pairs = budget_table(), NIKOLSKII_PAIRS + ((1.5, 3.0),)
+        want, want_chunks = record_table(monkeypatch, ts, pairs)
+        monkeypatch.setattr(norms, "SLICE_POINTS", 1000)
+        grids = record_grids(monkeypatch)
+        got, chunks = record_table(monkeypatch, ts, pairs)
+        assert got == want and chunks == want_chunks
+        assert [d for d, _ in grids] == [2]  # the dense t's L_4 grid alone
+
+    def test_lower_pair_budget_moves_the_cut(self, monkeypatch):
+        # with a budget of 1,000 pairs the ts of about 150 terms take their
+        # L_4 grids, and ``even_norms`` rejects a square of more
+        ts = budget_table()
+        monkeypatch.setattr(moments, "PAIR_BUDGET", 1000)
+        grids = record_grids(monkeypatch)
+        _, chunks = record_table(monkeypatch, ts, NIKOLSKII_PAIRS)
+        assert len(grids) == 3 and all(n * n <= 1000 for _, nnz in chunks for n in nnz)
+        wide = ts[1]
+        with pytest.raises(ValueError, match="over the budget of 1000"):
+            moments.even_norms(wide.K, wide.C, np.array([0]))
 
     def test_empty_table(self):
         assert nikolskii_checks([], NIKOLSKII_PAIRS) == []

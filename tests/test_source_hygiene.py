@@ -3,8 +3,9 @@ no module imports another stepcross module's private (underscore) name,
 every function is reached from outside the unit tests, no import or
 function definition hides inside a function, only ``poly.py`` reads a polynomial through its dict
 views (``.coeffs``, ``.terms()``) instead of its arrays, no module keeps
-hidden state in a module-level instance of a package class, and every module
-stays below the parser's 4,096-token step.
+hidden state in a module-level instance of a package class, every module
+stays below the parser's 4,096-token step, and ``moments.py``, the exact
+moments with no grid, reaches neither ``norms`` nor ``poly``'s grids.
 
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
 """
@@ -274,3 +275,41 @@ def test_guard_counts_what_the_parser_counts():
     assert parser_tokens("x = 1\n") == parser_tokens("# note\n\nx = 1  # one\n\n") == 5
     # INDENT and DEDENT count; the line break inside the brackets does not
     assert parser_tokens("if x:\n    y = (1,\n         2)\n") == 15
+
+
+# ``poly``'s names for grids: the exact moments are Parseval on t and on
+# t * t, and a grid in ``moments.py`` would tie them to the engine again
+GRID_NAMES = frozenset(("GridLines", "eval_grid", "GridSpec", "resolve_grid_dims",
+                        "check_grid_budget"))
+
+
+def seam_crossings(tree: ast.Module) -> dict[str, int]:
+    """Dotted name -> line of every import of ``norms`` or of a name from it,
+    and of every import or attribute read of a grid name."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((alias.name, node.lineno) for alias in node.names
+                       if "norms" in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = ".".join(filter(None, [node.module, alias.name]))
+                if "norms" in name.split(".") or alias.name in GRID_NAMES:
+                    out[name] = node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in GRID_NAMES:
+            out[ast.unparse(node)] = node.lineno
+    return out
+
+
+def test_moments_need_no_grid():
+    crossings = seam_crossings(ast.parse((SRC / "moments.py").read_text()))
+    assert not crossings, f"moments.py reaches norms or poly's grids: {crossings}"
+
+
+def test_guard_sees_a_seam_crossing():
+    tree = ast.parse("import numpy as np\nfrom .poly import TrigPoly, GridSpec\n"
+                     "from .norms import lp_norm\nfrom . import norms, poly\n"
+                     "import stepcross.norms\nx = poly.eval_grid\n"
+                     "from .sparse import run_sums\ny = np.sum\n")
+    assert seam_crossings(tree) == {"poly.GridSpec": 2, "norms.lp_norm": 3, "norms": 4,
+                                    "stepcross.norms": 5, "poly.eval_grid": 6}

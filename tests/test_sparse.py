@@ -37,7 +37,7 @@ class TestCauchySquares:
     @pytest.mark.parametrize("chunk", [60, 7], ids=["one-chunk", "chunks"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_each_run_is_its_cauchy_product(self, monkeypatch, d, chunk, wide):
-        # squared whole or a few runs at a time, as ``norms.even_norms`` squares them
+        # squared whole or a few runs at a time, as ``moments.even_norms`` squares them
         rng = np.random.default_rng(d + 10 * wide)
         K, C, starts = random_runs(rng, d, 60, wide)
         sort_runs, rows = sparse.sort_runs, []
